@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import array as _stdlib_array
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -306,8 +307,8 @@ class SparseExposure:
                         "within each row (sorted, no duplicates)"
                     )
                 previous = column
-        if any(power < 0 for power in self.powers):
-            raise BackendError("replica powers must be non-negative")
+        if not all(math.isfinite(power) and power >= 0 for power in self.powers):
+            raise BackendError("replica powers must be finite and non-negative")
         if any(not 0.0 <= p <= 1.0 for p in self.success_probabilities):
             raise BackendError("success probabilities must be in [0, 1]")
         object.__setattr__(self, "_validated", True)
@@ -488,7 +489,7 @@ def finalize_sparse_point(
     )
 
 
-#: Accepted values of ``campaign_grid``'s accumulation-dtype fast-path knob.
+#: Accepted values of ``campaign_grid``'s draw-precision fast-path knob.
 GRID_DTYPES = ("float64", "float32")
 #: Accepted values of ``campaign_grid``'s top-k selection knob.
 GRID_TOPK_MODES = ("sort", "argpartition")
@@ -674,13 +675,14 @@ class ComputeBackend(abc.ABC):
         the serial trial sequence invisibly.
 
         Fast paths (opt-in, *tolerance*-pinned rather than byte-pinned):
-        ``dtype="float32"`` draws reduced-precision uniforms and accumulates
-        compromised power in float32 (Monte-Carlo noise dominates the
-        difference); ``topk="argpartition"`` ranks ``budget`` selections via
-        ``numpy.argpartition`` on the NumPy backend (same columns as the
-        exact path, ties included — only the selection cost changes).
-        Backends without a faster implementation fall back to the exact
-        path — never an error.
+        ``dtype="float32"`` lets a backend test each cell against a
+        reduced-precision uniform (Monte-Carlo noise dominates the
+        difference) — no current backend does, as the NumPy core's exact
+        compare costs the same; ``topk="argpartition"`` ranks ``budget``
+        selections via ``numpy.argpartition`` on the NumPy backend (same
+        columns as the exact path, ties included — only the selection cost
+        changes).  Backends without a faster implementation fall back to
+        the exact path — never an error.
         """
 
     # -- sparse campaign kernels ------------------------------------------------
@@ -770,8 +772,10 @@ class ComputeBackend(abc.ABC):
             )
         if not 0.0 < tolerance <= 1.0:
             raise BackendError(f"tolerance must be in (0, 1], got {tolerance}")
-        if total_power <= 0:
-            raise BackendError(f"total power must be positive, got {total_power}")
+        if not (math.isfinite(total_power) and total_power > 0):
+            raise BackendError(
+                f"total power must be positive and finite, got {total_power}"
+            )
         point = ResolvedGridPoint(
             columns=tuple(range(sparse.column_count)),
             probabilities=tuple(
@@ -979,8 +983,8 @@ def validate_campaign_arguments(
                 f"exposure row has {len(row)} columns for "
                 f"{column_count} vulnerabilities"
             )
-    if any(power < 0 for power in powers):
-        raise BackendError("replica powers must be non-negative")
+    if not all(math.isfinite(power) and power >= 0 for power in powers):
+        raise BackendError("replica powers must be finite and non-negative")
     if any(not 0.0 <= p <= 1.0 for p in success_probabilities):
         raise BackendError("success probabilities must be in [0, 1]")
     if trials <= 0:
@@ -989,8 +993,10 @@ def validate_campaign_arguments(
         raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
     if not 0.0 < tolerance <= 1.0:
         raise BackendError(f"tolerance must be in (0, 1], got {tolerance}")
-    if total_power <= 0:
-        raise BackendError(f"total power must be positive, got {total_power}")
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise BackendError(
+            f"total power must be positive and finite, got {total_power}"
+        )
 
 
 def validate_grid_arguments(
@@ -1030,16 +1036,18 @@ def validate_grid_arguments(
                 f"exposure row has {len(row)} columns for "
                 f"{column_count} vulnerabilities"
             )
-    if any(power < 0 for power in powers):
-        raise BackendError("replica powers must be non-negative")
+    if not all(math.isfinite(power) and power >= 0 for power in powers):
+        raise BackendError("replica powers must be finite and non-negative")
     if any(not 0.0 <= p <= 1.0 for p in success_probabilities):
         raise BackendError("success probabilities must be in [0, 1]")
     if trials <= 0:
         raise BackendError(f"trial count must be positive, got {trials}")
     if trial_offset < 0:
         raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
-    if total_power <= 0:
-        raise BackendError(f"total power must be positive, got {total_power}")
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise BackendError(
+            f"total power must be positive and finite, got {total_power}"
+        )
     if dtype not in GRID_DTYPES:
         raise BackendError(
             f"grid dtype must be one of {GRID_DTYPES}, got {dtype!r}"
@@ -1161,8 +1169,10 @@ def validate_sparse_grid_arguments(
         raise BackendError(f"trial count must be positive, got {trials}")
     if trial_offset < 0:
         raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
-    if total_power <= 0:
-        raise BackendError(f"total power must be positive, got {total_power}")
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise BackendError(
+            f"total power must be positive and finite, got {total_power}"
+        )
     if dtype not in GRID_DTYPES:
         raise BackendError(
             f"grid dtype must be one of {GRID_DTYPES}, got {dtype!r}"

@@ -1,24 +1,32 @@
 """Vectorized NumPy compute backend.
 
-Replaces the scalar per-trial loop of the Monte-Carlo estimator with one
-array-batched computation: all ``trials × n_configs`` vulnerability
-indicators are drawn as a single RNG batch and reduced with a masked top-k
-sum, with no Python-level work per trial.  The batch is processed in
-bounded-memory chunks so a 10k-trials × 1k-configs estimate never
-materializes more than a few tens of megabytes at once.
+Two families of kernel live here:
+
+- ``violation_trials`` (census mode) replaces the scalar per-trial loop of
+  the Monte-Carlo estimator with one array-batched computation: all
+  ``trials × n_configs`` vulnerability indicators are drawn in
+  bounded-memory chunks from ``numpy.random.default_rng`` (PCG64) and
+  reduced with a masked top-k sum.  PCG64 is a *different* stream from the
+  pure-Python backend's ``random.Random``, so this one kernel agrees with
+  the fallback statistically, not bit for bit, while staying fully
+  deterministic for a fixed seed on this backend.
+- The campaign kernels (``campaign_trials``, ``campaign_grid`` and
+  ``sparse_grid_partials``) read the shared counter-based splitmix64 stream
+  (:func:`repro.backend.base.campaign_uniform`), so every draw and every
+  verdict matches the pure-Python backend.  All three feed one blocked
+  flat-cell core, :func:`_campaign_core`, which adds replica powers in a
+  different order than the scalar loop: the power sums are bit-identical
+  when they are exact (unit or dyadic powers, as in every golden) and
+  otherwise agree to a few ulps.
 
 NumPy is an optional dependency (``pip install repro[fast]``); this module
 imports it lazily so merely importing :mod:`repro.backend` never requires it.
-The backend uses ``numpy.random.default_rng`` (PCG64), which is a *different*
-stream from the pure-Python backend's ``random.Random`` — results agree with
-the fallback statistically, not bit for bit, while staying fully
-deterministic for a fixed seed on this backend.
 """
 
 from __future__ import annotations
 
 import array as _stdlib_array
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
     CAMPAIGN_FRACTION_SLACK,
@@ -30,7 +38,6 @@ from repro.backend.base import (
     SparseExposure,
     SparseGridPartial,
     TrialBatchResult,
-    _INV_2_53,
     _MASK64,
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
@@ -53,8 +60,21 @@ else:  # pragma: no cover - the numpy-equipped environment
     _NUMPY_IMPORT_ERROR = None
 
 #: Upper bound on the number of matrix cells (trials × configs) drawn per
-#: chunk; 2M float64 cells ≈ 16 MB for the uniform draw plus smaller masks.
+#: ``violation_trials`` chunk; 2M float32 cells ≈ 8 MB for the uniform draw.
 _CHUNK_CELLS = 2_000_000
+
+#: Cells hashed per block by the campaign core.  A block streams through two
+#: uint64 work buffers (16 bytes a cell: 1 MiB at 2^16 cells) plus a bool
+#: success buffer, the per-cell stride/base/limit rows and the segment
+#: weights, so the eleven elementwise passes a block makes stay inside a
+#: 2 MiB per-core L2 instead of streaming from memory.  On the grid_sweep
+#: benchmark's kernel call (10,005 cells a trial; 2-vCPU Xeon, 2 MiB L2 per
+#: core) the median of 30 interleaved calls was 49 ms at 2^15 cells, 41 ms
+#: at 2^16 and 44 ms at 2^17.
+_BLOCK_CELLS = 1 << 16
+
+#: Trials per block are capped so a block's per-cell success counts fit uint8.
+_MAX_BLOCK_TRIALS = 255
 
 
 def _buffer_array(values: Sequence, dtype) -> "_np.ndarray":
@@ -89,6 +109,177 @@ def _argpartition_topk(exposed_powers: Sequence[float], count: int) -> Tuple[int
     selected = above.tolist() + tied[: count - above.size].tolist()
     selected.sort(key=lambda column: (-powers[column], column))
     return tuple(selected)
+
+
+def _column_limits(probabilities: Sequence[float]) -> List[int]:
+    """Inclusive bounds on the raw 64-bit splitmix64 output, one per column.
+
+    The reference draw is ``u = z >> 11`` scaled by 2^-53, and
+    ``u * 2^-53 < p`` iff ``u < ceil(p * 2^53)`` (the product is exact in
+    float64, the ceiling turns the open real bound into a closed integer
+    one) iff ``z <= (ceil(p * 2^53) << 11) - 1`` — so the core compares the
+    hash itself and never shifts or converts it.  ``p = 0`` gives ``-1``:
+    no cell of that column can succeed.
+    """
+    scaled = _np.ceil(_np.asarray(probabilities, dtype=_np.float64) * float(1 << 53))
+    return [(int(bound) << 11) - 1 for bound in scaled]
+
+
+def _campaign_core(
+    powers: "_np.ndarray",
+    points: Sequence[ResolvedGridPoint],
+    cells: Sequence[Tuple["_np.ndarray", "_np.ndarray"]],
+    *,
+    trials: int,
+    trial_offset: int,
+    row_offset: int,
+    total_rows: int,
+) -> Tuple["_np.ndarray", "_np.ndarray"]:
+    """The campaign hash loop: ``(compromised, per_vulnerability)``.
+
+    ``cells[p]`` lists point ``p``'s exposed *cells* as ``(rows, columns)``:
+    replica rows local to ``powers`` (``row_offset`` makes them global) and
+    positions in ``points[p].columns``, in row-major order.  A *segment* is
+    one replica's cells at one point; the replica is compromised there when
+    any cell of its segment succeeds, and cell ``(r, c)`` succeeds in trial
+    ``t`` exactly when the reference draw
+    ``campaign_uniform(seed_p, t*N*V_p + (row_offset + r)*V_p + c)`` (with
+    ``N = total_rows`` and ``V_p = len(points[p].columns)``) is below the
+    column's probability.
+
+    ``compromised[i, p]`` is the power compromised at point ``p`` in trial
+    ``trial_offset + i``; ``per_vulnerability`` sums each column's
+    compromised power over the trials (point ``p``'s columns follow the
+    columns of the points before it).
+
+    Work runs in blocks of about :data:`_BLOCK_CELLS` cells, so no work
+    buffer grows with the trial or replica count: the cells are cut into
+    segment-aligned slices of at most a block (a longer segment is a slice
+    of its own), each built when it is reached and run over every trial,
+    as many whole trials per block as fit.  Powers are added in slice and
+    segment-length order, not the scalar loop's row order, so the sums
+    match the reference bit for bit only when they are exact (unit or
+    dyadic powers) and otherwise to within float64 rounding.
+    """
+    widths = [len(point.columns) for point in points]
+    slot_base = _np.cumsum([0] + widths[:-1])
+    limits = [limit for point in points for limit in _column_limits(point.probabilities)]
+    slot_limit = _np.array([max(limit, 0) for limit in limits], dtype=_np.uint64)
+    owner = _np.repeat(
+        _np.arange(len(points), dtype=_np.int32), [part[0].size for part in cells]
+    )
+    rows, columns = (
+        _np.concatenate(parts) if len(parts) > 1 else parts[0]
+        for parts in zip(*cells)
+    )
+    if min(limits) < 0:
+        # Cells of p = 0 columns can never succeed: drop them up front.
+        live = _np.array([limit >= 0 for limit in limits], dtype=_np.bool_)
+        keep = live[slot_base[owner] + columns]
+        owner, rows, columns = owner[keep], rows[keep], columns[keep]
+    starts = _np.ones(rows.size, dtype=_np.bool_)
+    starts[1:] = (rows[1:] != rows[:-1]) | (owner[1:] != owner[:-1])
+    bounds = _np.append(_np.flatnonzero(starts), rows.size)
+    # z = seed + (counter + 1) * gamma with counter = t*N*V + offset is
+    # t * stride + base modulo 2^64, the per-point factors precomputed as
+    # Python ints (exact, and free of NumPy's scalar overflow warning).
+    stride_of = _np.array(
+        [(total_rows * width * _SPLITMIX_GAMMA) & _MASK64 for width in widths],
+        dtype=_np.uint64,
+    )
+    seed_of = _np.array(
+        [(point.seed + _SPLITMIX_GAMMA) & _MASK64 for point in points],
+        dtype=_np.uint64,
+    )
+    width_of = _np.array(widths, dtype=_np.uint64)
+    compromised = _np.zeros((trials, len(points)), dtype=_np.float64)
+    per_vulnerability = _np.zeros(sum(widths), dtype=_np.float64)
+    first, segment_total = 0, bounds.size - 1
+    while first < segment_total:
+        last = int(
+            _np.searchsorted(bounds, bounds[first] + _BLOCK_CELLS, side="right")
+        ) - 1
+        last = max(first + 1, last)
+        lengths = _np.diff(bounds[first : last + 1])
+        # Equal-length segments sit together, position j of each one in a
+        # contiguous run, so "any cell succeeded" is one OR-reduce over k
+        # views per length (the stable sort keeps point-then-row order).
+        order = _np.argsort(lengths, kind="stable")
+        seg_first = bounds[first + order]
+        values, group_starts, group_sizes = _np.unique(
+            lengths[order], return_index=True, return_counts=True
+        )
+        groups, pieces, cell_at = [], [], 0
+        for length, segment_at, count in zip(
+            values.tolist(), group_starts.tolist(), group_sizes.tolist()
+        ):
+            pieces.append(
+                (
+                    seg_first[segment_at : segment_at + count][None, :]
+                    + _np.arange(length)[:, None]
+                ).ravel()
+            )
+            groups.append((length, count, cell_at, segment_at))
+            cell_at += length * count
+        perm = _np.concatenate(pieces)
+        cell_owner, cell_rows, cell_columns = owner[perm], rows[perm], columns[perm]
+        cell_slots = slot_base[cell_owner] + cell_columns
+        offsets = (cell_rows + row_offset).astype(_np.uint64) * width_of[
+            cell_owner
+        ] + cell_columns.astype(_np.uint64)
+        stride = stride_of[cell_owner]
+        base = offsets * _np.uint64(_SPLITMIX_GAMMA) + seed_of[cell_owner]
+        limit = slot_limit[cell_slots]
+        # Segment -> point weights: one matmul turns a block's per-segment
+        # hits into every point's compromised power.
+        weights = _np.zeros((order.size, len(points)), dtype=_np.float64)
+        weights[_np.arange(order.size), owner[seg_first]] = powers[rows[seg_first]]
+        cell_count, segment_count = perm.size, order.size
+        per_block = max(1, min(_MAX_BLOCK_TRIALS, _BLOCK_CELLS // cell_count))
+        z_buffer = _np.empty(per_block * cell_count, dtype=_np.uint64)
+        mix_buffer = _np.empty_like(z_buffer)
+        success_buffer = _np.empty(z_buffer.size, dtype=_np.bool_)
+        hit_buffer = _np.empty(per_block * segment_count, dtype=_np.bool_)
+        counts = _np.zeros(cell_count, dtype=_np.int64)
+        for lo in range(0, trials, per_block):
+            hi = min(lo + per_block, trials)
+            block = hi - lo
+            z = z_buffer[: block * cell_count].reshape(block, cell_count)
+            mixed = mix_buffer[: z.size].reshape(z.shape)
+            success = success_buffer[: z.size].reshape(z.shape)
+            trial_ids = _np.arange(
+                trial_offset + lo, trial_offset + hi, dtype=_np.uint64
+            )
+            _np.multiply(trial_ids[:, None], stride, out=z)
+            z += base
+            _np.right_shift(z, _np.uint64(30), out=mixed)
+            z ^= mixed
+            z *= _np.uint64(_SPLITMIX_MIX1)
+            _np.right_shift(z, _np.uint64(27), out=mixed)
+            z ^= mixed
+            z *= _np.uint64(_SPLITMIX_MIX2)
+            _np.right_shift(z, _np.uint64(31), out=mixed)
+            z ^= mixed
+            _np.less_equal(z, limit, out=success)
+            counts += success.view(_np.uint8).sum(axis=0, dtype=_np.uint8)
+            hits = hit_buffer[: block * segment_count].reshape(block, segment_count)
+            for length, count, cell_at, segment_at in groups:
+                _np.logical_or.reduce(
+                    success[:, cell_at : cell_at + length * count].reshape(
+                        block, length, count
+                    ),
+                    axis=1,
+                    out=hits[:, segment_at : segment_at + count],
+                )
+            compromised[lo:hi] += hits @ weights
+        # Success counts are exact integers; powers apply once per slice.
+        per_vulnerability += _np.bincount(
+            cell_slots,
+            weights=counts * powers[cell_rows],
+            minlength=per_vulnerability.size,
+        )
+        first = last
+    return compromised, per_vulnerability
 
 
 class NumpyBackend(ComputeBackend):
@@ -222,59 +413,26 @@ class NumpyBackend(ComputeBackend):
             total_power=total_power,
             trial_offset=trial_offset,
         )
-        exposed = _np.asarray(exposure, dtype=_np.float64) > 0
-        power_row = _np.asarray(powers, dtype=_np.float64)
-        probability_row = _np.asarray(success_probabilities, dtype=_np.float64)
-        replica_count, column_count = exposed.shape
-        cells_per_trial = replica_count * column_count
-        threshold = tolerance - CAMPAIGN_FRACTION_SLACK
-        # Per-cell uniforms come from the shared counter-based splitmix64
-        # stream (see repro.backend.base.campaign_uniform) so the dense draw
-        # here reads the exact same numbers the scalar fallback computes for
-        # the exposed cells it visits.
-        seed64 = _np.uint64(seed & _MASK64)
-        gamma = _np.uint64(_SPLITMIX_GAMMA)
-        cell_offsets = (
-            _np.arange(replica_count, dtype=_np.uint64)[:, None]
-            * _np.uint64(column_count)
-            + _np.arange(column_count, dtype=_np.uint64)[None, :]
+        # A campaign is the one-point grid over every column.
+        point = ResolvedGridPoint(
+            columns=tuple(range(len(success_probabilities))),
+            probabilities=tuple(float(p) for p in success_probabilities),
+            tolerances=(tolerance,),
+            seed=seed,
         )
-        chunk_trials = max(1, _CHUNK_CELLS // max(1, cells_per_trial))
-        violations = 0
-        compromised_total = 0.0
-        per_vulnerability = _np.zeros(column_count, dtype=_np.float64)
-        start = 0
-        while start < trials:
-            batch = min(chunk_trials, trials - start)
-            counters = (
-                _np.arange(
-                    trial_offset + start, trial_offset + start + batch, dtype=_np.uint64
-                )[:, None, None]
-                * _np.uint64(cells_per_trial)
-                + cell_offsets[None, :, :]
-            )
-            z = (seed64 + (counters + _np.uint64(1)) * gamma)
-            z = (z ^ (z >> _np.uint64(30))) * _np.uint64(_SPLITMIX_MIX1)
-            z = (z ^ (z >> _np.uint64(27))) * _np.uint64(_SPLITMIX_MIX2)
-            z ^= z >> _np.uint64(31)
-            uniforms = (z >> _np.uint64(11)).astype(_np.float64) * _INV_2_53
-            success = exposed[None, :, :] & (uniforms < probability_row[None, None, :])
-            per_vulnerability += _np.einsum(
-                "trv,r->v", success.astype(_np.float64), power_row
-            )
-            compromised = success.any(axis=2).astype(_np.float64) @ power_row
-            violations += int(
-                _np.count_nonzero(compromised / total_power >= threshold)
-            )
-            compromised_total += float(compromised.sum())
-            start += batch
+        (result,) = self._dense_grid(
+            _np.asarray(exposure, dtype=_np.float64) > 0,
+            _np.asarray(powers, dtype=_np.float64),
+            (point,),
+            trials=trials,
+            trial_offset=trial_offset,
+            total_power=total_power,
+        )
         return CampaignBatchResult(
             trials=trials,
-            violations=violations,
-            compromised_total=compromised_total,
-            per_vulnerability_totals=tuple(
-                float(value) for value in per_vulnerability
-            ),
+            violations=result.violations[0],
+            compromised_total=result.compromised_total,
+            per_vulnerability_totals=result.per_vulnerability_totals,
         )
 
     def campaign_grid(
@@ -302,8 +460,8 @@ class NumpyBackend(ComputeBackend):
             dtype=dtype,
             topk=topk,
         )
-        exposed_mask = _np.asarray(exposure, dtype=_np.float64) > 0
-        power_row = _np.asarray(powers, dtype=_np.float64)
+        # The core compares the raw hash, so a 24-bit draw would buy no
+        # speed: dtype="float32" falls back to the exact route, per contract.
         exposed = (
             self.masked_power_sums(exposure, powers)
             if any(point.budget is not None for point in points)
@@ -316,179 +474,65 @@ class NumpyBackend(ComputeBackend):
             exposed_powers=exposed,
             topk_fn=_argpartition_topk if topk == "argpartition" else grid_topk_columns,
         )
-        replica_count = exposed_mask.shape[0]
-        float32 = dtype == "float32"
-        # The uniform-vs-probability test is an *integer* compare: the draw
-        # u = z >> 11 is exact in [0, 2^53), and u * 2^-53 < p iff
-        # u < ceil(p * 2^53) (the product is exact in float64, ceil turns the
-        # open real bound into a closed integer one) — the float draw is
-        # never materialized.  The float32 path tests the 24-bit draw
-        # u = z >> 40 against ceil(float32(p) * 2^24) the same way.
-        if float32:
-            draw_shift, scale = _np.uint64(40), float(1 << 24)
-        else:
-            draw_shift, scale = _np.uint64(11), float(1 << 53)
-        point_count = len(resolved)
-        # Flat cell layout: every point's exposed (row, local column) cells —
-        # row-major, which is exactly the counter order r*V + c — concatenate
-        # into one vector with per-cell counter stride, offset, seed and draw
-        # threshold.  The whole grid then mixes as a single trials × cells
-        # 2-D pass per chunk: no per-point staging, dispatch, or padding.
-        mult_parts, offset_parts, seed_parts, threshold_parts = [], [], [], []
-        power_parts, slot_parts = [], []
-        seg_start_parts, seg_point_parts, seg_weight_parts = [], [], []
-        thresholds = []
-        slot_base = []
-        slots = 0
-        cells_total = 0
-        narrow = True
-        for index, point in enumerate(resolved):
-            column_count = len(point.columns)
-            slot_base.append(slots)
-            thresholds.append(
-                _np.asarray(
-                    [t - CAMPAIGN_FRACTION_SLACK for t in point.tolerances],
-                    dtype=_np.float64,
-                )
-            )
-            rows, cols = _np.nonzero(exposed_mask[:, list(point.columns)])
-            if rows.size:
-                narrow = narrow and column_count < 256
-                mult_parts.append(
-                    _np.full(
-                        rows.size,
-                        replica_count * column_count,
-                        dtype=_np.uint64,
-                    )
-                )
-                offset_parts.append(
-                    rows.astype(_np.uint64) * _np.uint64(column_count)
-                    + cols.astype(_np.uint64)
-                )
-                seed_parts.append(
-                    _np.full(rows.size, point.seed & _MASK64, dtype=_np.uint64)
-                )
-                probabilities = _np.asarray(
-                    point.probabilities, dtype=_np.float64
-                )
-                if float32:
-                    probabilities = probabilities.astype(_np.float32).astype(
-                        _np.float64
-                    )
-                threshold_parts.append(
-                    _np.ceil(probabilities[cols] * scale).astype(_np.uint64)
-                )
-                power_parts.append(power_row[rows])
-                slot_parts.append(slots + cols)
-                # Cells sort row-major, so each (point, replica) pair is one
-                # contiguous run — "hit through any column" is a reduceat.
-                hit_rows, row_starts = _np.unique(rows, return_index=True)
-                seg_start_parts.append(cells_total + row_starts)
-                seg_point_parts.append(
-                    _np.full(hit_rows.size, index, dtype=_np.int64)
-                )
-                seg_weight_parts.append(power_row[hit_rows])
-                cells_total += rows.size
-            slots += column_count
-        per_vulnerability = _np.zeros(slots, dtype=_np.float64)
-        violations = [
-            _np.zeros(point_thresholds.size, dtype=_np.int64)
-            for point_thresholds in thresholds
-        ]
-        compromised_totals = _np.zeros(point_count, dtype=_np.float64)
-        if cells_total == 0:
-            # No exposed cells anywhere: nothing is ever compromised, but a
-            # trial still "violates" any (degenerate) threshold at or below
-            # zero, exactly like the scalar path.
-            for index, point_thresholds in enumerate(thresholds):
-                violations[index][point_thresholds <= 0.0] = trials
-        else:
-            cell_mult = _np.concatenate(mult_parts)
-            cell_offset = _np.concatenate(offset_parts) + _np.uint64(1)
-            cell_seed = _np.concatenate(seed_parts)
-            cell_threshold = _np.concatenate(threshold_parts)
-            cell_power = _np.concatenate(power_parts)
-            cell_slot = _np.concatenate(slot_parts)
-            seg_starts = _np.concatenate(seg_start_parts)
-            seg_point = _np.concatenate(seg_point_parts)
-            seg_weight = _np.concatenate(seg_weight_parts)
-            # Block-sparse segment→point weight matrix: one BLAS matmul turns
-            # per-(trial, replica) hits into every point's compromised power.
-            weights = _np.zeros(
-                (seg_starts.size, point_count),
-                dtype=_np.float32 if float32 else _np.float64,
-            )
-            weights[_np.arange(seg_starts.size), seg_point] = seg_weight
-            gamma = _np.uint64(_SPLITMIX_GAMMA)
-            chunk_trials = max(1, _CHUNK_CELLS // cells_total)
-            z_buffer = _np.empty((chunk_trials, cells_total), dtype=_np.uint64)
-            mix_buffer = _np.empty_like(z_buffer)
-            success_buffer = _np.empty(z_buffer.shape, dtype=_np.bool_)
-            start = 0
-            while start < trials:
-                batch = min(chunk_trials, trials - start)
-                z = z_buffer[:batch]
-                mixed = mix_buffer[:batch]
-                success = success_buffer[:batch]
-                trial_ids = _np.arange(
-                    trial_offset + start,
-                    trial_offset + start + batch,
-                    dtype=_np.uint64,
-                )
-                # z = seed + (trial*stride + offset + 1) * gamma, all in
-                # place on two chunk-sized buffers.
-                _np.multiply(trial_ids[:, None], cell_mult[None, :], out=z)
-                z += cell_offset[None, :]
-                z *= gamma
-                z += cell_seed[None, :]
-                _np.right_shift(z, _np.uint64(30), out=mixed)
-                z ^= mixed
-                z *= _np.uint64(_SPLITMIX_MIX1)
-                _np.right_shift(z, _np.uint64(27), out=mixed)
-                z ^= mixed
-                z *= _np.uint64(_SPLITMIX_MIX2)
-                _np.right_shift(z, _np.uint64(31), out=mixed)
-                z ^= mixed
-                _np.right_shift(z, draw_shift, out=mixed)
-                _np.less(mixed, cell_threshold[None, :], out=success)
-                # Per-cell success counts are exact integers, so the
-                # per-column power totals reduce to one bincount regardless
-                # of dtype mode.
-                counts = success.sum(axis=0, dtype=_np.int64)
-                per_vulnerability += _np.bincount(
-                    cell_slot, weights=counts * cell_power, minlength=slots
-                )
-                # uint8 row counts suffice below 256 columns per point (a
-                # row has at most one cell per selected column).
-                if narrow:
-                    hit = (
-                        _np.add.reduceat(
-                            success.view(_np.uint8), seg_starts, axis=1
-                        )
-                        > 0
-                    )
-                else:
-                    hit = _np.logical_or.reduceat(success, seg_starts, axis=1)
-                compromised = (hit @ weights).astype(_np.float64)
-                fractions = compromised / total_power
-                for index, point_thresholds in enumerate(thresholds):
-                    violations[index] += (
-                        fractions[:, index][:, None]
-                        >= point_thresholds[None, :]
-                    ).sum(axis=0)
-                compromised_totals += compromised.sum(axis=0)
-                start += batch
+        return self._dense_grid(
+            _np.asarray(exposure, dtype=_np.float64) > 0,
+            _np.asarray(powers, dtype=_np.float64),
+            resolved,
+            trials=trials,
+            trial_offset=trial_offset,
+            total_power=total_power,
+        )
+
+    @staticmethod
+    def _dense_grid(
+        exposed: "_np.ndarray",
+        power_row: "_np.ndarray",
+        resolved: Sequence[ResolvedGridPoint],
+        *,
+        trials: int,
+        trial_offset: int,
+        total_power: float,
+    ) -> Tuple[CampaignGridPointResult, ...]:
+        """Resolved points over a dense exposure mask."""
+        compromised, per_vulnerability = _campaign_core(
+            power_row,
+            resolved,
+            # np.nonzero walks the mask row-major: the core's cell order.
+            [_np.nonzero(exposed[:, list(point.columns)]) for point in resolved],
+            trials=trials,
+            trial_offset=trial_offset,
+            row_offset=0,
+            total_rows=exposed.shape[0],
+        )
+        verdicts = [len(point.tolerances) for point in resolved]
+        thresholds = _np.array(
+            [
+                tolerance - CAMPAIGN_FRACTION_SLACK
+                for point in resolved
+                for tolerance in point.tolerances
+            ],
+            dtype=_np.float64,
+        )
+        # One broadcast compare takes every point's verdicts at once.
+        violations = _np.count_nonzero(
+            compromised[:, _np.repeat(_np.arange(len(resolved)), verdicts)]
+            / total_power
+            >= thresholds,
+            axis=0,
+        )
+        compromised_totals = compromised.sum(axis=0)
+        verdict_at = _np.cumsum([0] + verdicts)
+        slot_at = _np.cumsum([0] + [len(point.columns) for point in resolved])
         return tuple(
             CampaignGridPointResult(
                 trials=trials,
                 columns=point.columns,
-                violations=tuple(int(v) for v in violations[index]),
+                violations=tuple(
+                    violations[verdict_at[index] : verdict_at[index + 1]].tolist()
+                ),
                 compromised_total=float(compromised_totals[index]),
                 per_vulnerability_totals=tuple(
-                    float(v)
-                    for v in per_vulnerability[
-                        slot_base[index] : slot_base[index] + len(point.columns)
-                    ]
+                    per_vulnerability[slot_at[index] : slot_at[index + 1]].tolist()
                 ),
             )
             for index, point in enumerate(resolved)
@@ -527,115 +571,40 @@ class NumpyBackend(ComputeBackend):
         )
         indptr = _buffer_array(sparse.indptr, _np.int64)
         all_columns = _buffer_array(sparse.indices, _np.int64)
-        powers = _buffer_array(sparse.powers, _np.float64)
-        # CSR nonzeros are already row-major — exactly the flat-cell layout
-        # the dense fused grid kernel sorts into — so each point's cells come
-        # straight from a boolean take over the shared (row, column) vectors.
+        # CSR nonzeros are already row-major — the core's cell order — so
+        # each point's cells come from a column lookup over the shared
+        # (row, column) vectors.
         all_rows = _np.repeat(
             _np.arange(sparse.replica_count, dtype=_np.int64), _np.diff(indptr)
         )
-        results = []
+        cells = []
         for point in points:
-            column_count = len(point.columns)
             lut = _np.full(sparse.column_count, -1, dtype=_np.int64)
-            lut[_np.asarray(point.columns, dtype=_np.int64)] = _np.arange(
-                column_count, dtype=_np.int64
-            )
+            lut[list(point.columns)] = _np.arange(len(point.columns))
             local = lut[all_columns]
             keep = local >= 0
-            rows = all_rows[keep]
-            local_columns = local[keep]
-            per_trial = _np.zeros(trials, dtype=_np.float64)
-            per_vulnerability = _np.zeros(column_count, dtype=_np.float64)
-            cells = int(rows.size)
-            if cells:
-                probabilities = _np.asarray(
-                    point.probabilities, dtype=_np.float64
-                )
-                # Same integer-threshold compare as the dense grid kernel:
-                # u = z >> 11 < ceil(p * 2^53) iff u * 2^-53 < p.
-                cell_threshold = _np.ceil(
-                    probabilities[local_columns] * float(1 << 53)
-                ).astype(_np.uint64)
-                cell_offset = (
-                    (rows + row_offset).astype(_np.uint64)
-                    * _np.uint64(column_count)
-                    + local_columns.astype(_np.uint64)
-                    + _np.uint64(1)
-                )
-                cell_power = powers[rows]
-                mult = _np.uint64(total * column_count)
-                seed64 = _np.uint64(point.seed & _MASK64)
-                gamma = _np.uint64(_SPLITMIX_GAMMA)
-                # Row-major cells make each replica one contiguous run.
-                hit_rows, row_starts = _np.unique(rows, return_index=True)
-                seg_weight = powers[hit_rows]
-                narrow = column_count < 256
-                chunk_trials = max(1, _CHUNK_CELLS // cells)
-                z_buffer = _np.empty(
-                    (min(chunk_trials, trials), cells), dtype=_np.uint64
-                )
-                mix_buffer = _np.empty_like(z_buffer)
-                success_buffer = _np.empty(z_buffer.shape, dtype=_np.bool_)
-                start = 0
-                while start < trials:
-                    batch = min(chunk_trials, trials - start)
-                    z = z_buffer[:batch]
-                    mixed = mix_buffer[:batch]
-                    success = success_buffer[:batch]
-                    trial_ids = _np.arange(
-                        trial_offset + start,
-                        trial_offset + start + batch,
-                        dtype=_np.uint64,
-                    )
-                    # z = seed + (trial*stride + global_row*V + col + 1) *
-                    # gamma, in place on two chunk-sized buffers.
-                    _np.multiply(trial_ids[:, None], mult, out=z)
-                    z += cell_offset[None, :]
-                    z *= gamma
-                    z += seed64
-                    _np.right_shift(z, _np.uint64(30), out=mixed)
-                    z ^= mixed
-                    z *= _np.uint64(_SPLITMIX_MIX1)
-                    _np.right_shift(z, _np.uint64(27), out=mixed)
-                    z ^= mixed
-                    z *= _np.uint64(_SPLITMIX_MIX2)
-                    _np.right_shift(z, _np.uint64(31), out=mixed)
-                    z ^= mixed
-                    _np.right_shift(z, _np.uint64(11), out=mixed)
-                    _np.less(mixed, cell_threshold[None, :], out=success)
-                    counts = success.sum(axis=0, dtype=_np.int64)
-                    per_vulnerability += _np.bincount(
-                        local_columns,
-                        weights=counts * cell_power,
-                        minlength=column_count,
-                    )
-                    if narrow:
-                        hit = (
-                            _np.add.reduceat(
-                                success.view(_np.uint8), row_starts, axis=1
-                            )
-                            > 0
-                        )
-                    else:
-                        hit = _np.logical_or.reduceat(
-                            success, row_starts, axis=1
-                        )
-                    per_trial[start : start + batch] = (
-                        hit @ seg_weight
-                    ).astype(_np.float64)
-                    start += batch
-            results.append(
-                SparseGridPartial(
-                    per_trial_compromised=tuple(
-                        float(value) for value in per_trial
-                    ),
-                    per_vulnerability_totals=tuple(
-                        float(value) for value in per_vulnerability
-                    ),
-                )
+            cells.append(
+                (all_rows, local) if keep.all() else (all_rows[keep], local[keep])
             )
-        return tuple(results)
+        compromised, per_vulnerability = _campaign_core(
+            _buffer_array(sparse.powers, _np.float64),
+            points,
+            cells,
+            trials=trials,
+            trial_offset=trial_offset,
+            row_offset=row_offset,
+            total_rows=total,
+        )
+        slot_at = _np.cumsum([0] + [len(point.columns) for point in points])
+        return tuple(
+            SparseGridPartial(
+                per_trial_compromised=tuple(compromised[:, index].tolist()),
+                per_vulnerability_totals=tuple(
+                    per_vulnerability[slot_at[index] : slot_at[index + 1]].tolist()
+                ),
+            )
+            for index in range(len(points))
+        )
 
     def shannon_entropy(self, probabilities: Sequence[float], *, base: float = 2.0) -> float:
         if base <= 0 or base == 1:
@@ -665,4 +634,3 @@ class NumpyBackend(ComputeBackend):
             # Cached by PopulationMatrix per backend; freeze the shared copy.
             matrix.setflags(write=False)
         return matrix
-

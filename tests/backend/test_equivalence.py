@@ -258,15 +258,15 @@ class TestCampaignKernel:
 
     @needs_numpy
     def test_chunked_numpy_batches_match_the_scalar_loop(self):
-        # Enough trials to force several NumPy chunks with a tiny chunk size.
+        # Enough trials to force several NumPy blocks with a tiny block size.
         from repro.backend import numpy_backend
 
-        original = numpy_backend._CHUNK_CELLS
-        numpy_backend._CHUNK_CELLS = 45  # 3 trials of 5x3 cells per chunk
+        original = numpy_backend._BLOCK_CELLS
+        numpy_backend._BLOCK_CELLS = 45  # 4 trials of 10 exposed cells per block
         try:
             batched = self._run("numpy", [0.6, 0.4, 0.9], trials=100)
         finally:
-            numpy_backend._CHUNK_CELLS = original
+            numpy_backend._BLOCK_CELLS = original
         assert batched == self._run("python", [0.6, 0.4, 0.9], trials=100)
 
     @pytest.mark.parametrize("backend", available_backends())

@@ -1,9 +1,10 @@
 """Pin the silent fast-path fallbacks to the exact kernels.
 
 The grid knobs ``dtype="float32"`` and ``topk="argpartition"`` are
-*optional* accelerations: the numpy dense kernel implements them, while
-the python backend and every sparse grid path accept the knobs for seam
-parity but always run the exact float64/sort route.  That fallback is a
+*optional* accelerations: the numpy dense kernel implements
+``argpartition``, while ``float32`` on every backend, and both knobs on
+the python backend and every sparse grid path, are accepted for seam
+parity but run the exact float64/sort route.  That fallback is a
 byte-level contract — a backend that let the knobs leak into the sparse
 numerics would silently fork the golden results — so this module asserts
 equality (``==`` on the result dataclasses, i.e. bit-identity), never

@@ -198,6 +198,8 @@ class TestGridFastPaths:
 
     @needs_numpy
     def test_float32_dtype_is_close_not_identical(self):
+        # The contract pins float32 to a tolerance; NumPy's exact fallback
+        # meets it with equality.
         points = (CampaignGridPoint(tolerances=TOLERANCES, budget=4),)
         exact = run_grid("numpy", points, trials=400)[0]
         fast = run_grid("numpy", points, trials=400, dtype="float32")[0]
@@ -321,16 +323,48 @@ class TestGridValidation:
         backend = get_backend(backend_name)
         point = CampaignGridPoint(tolerances=TOLERANCES, columns=(0,))
         exposure = backend.asarray_matrix(((1.0, 0.0), (0.0, 1.0)))
-        with pytest.raises(BackendError):
-            backend.campaign_grid(
-                exposure,
-                backend.asarray((1.0, -1.0)),
-                (0.5, 0.5),
-                (point,),
-                trials=5,
-                seed=0,
-                total_power=2.0,
-            )
+        for bad_power in (-1.0, math.nan, math.inf):
+            with pytest.raises(BackendError, match="finite and non-negative"):
+                backend.campaign_grid(
+                    exposure,
+                    backend.asarray((1.0, bad_power)),
+                    (0.5, 0.5),
+                    (point,),
+                    trials=5,
+                    seed=0,
+                    total_power=2.0,
+                )
+            with pytest.raises(BackendError, match="finite and non-negative"):
+                backend.campaign_trials(
+                    exposure,
+                    backend.asarray((1.0, bad_power)),
+                    (0.5, 0.5),
+                    trials=5,
+                    seed=0,
+                    tolerance=0.5,
+                    total_power=2.0,
+                )
+        for bad_total in (math.nan, math.inf):
+            with pytest.raises(BackendError, match="positive and finite"):
+                backend.campaign_grid(
+                    exposure,
+                    backend.asarray((1.0, 1.0)),
+                    (0.5, 0.5),
+                    (point,),
+                    trials=5,
+                    seed=0,
+                    total_power=bad_total,
+                )
+            with pytest.raises(BackendError, match="positive and finite"):
+                backend.campaign_trials(
+                    exposure,
+                    backend.asarray((1.0, 1.0)),
+                    (0.5, 0.5),
+                    trials=5,
+                    seed=0,
+                    tolerance=0.5,
+                    total_power=bad_total,
+                )
         with pytest.raises(BackendError):
             backend.campaign_grid(
                 exposure,

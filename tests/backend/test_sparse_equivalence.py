@@ -17,6 +17,7 @@ The sparse plane's load-bearing clauses, pinned here:
 
 from __future__ import annotations
 
+import math
 import pickle
 
 import pytest
@@ -120,6 +121,29 @@ class TestSparseExposureStructure:
         )
         with pytest.raises(BackendError):
             out_of_range.validate()
+        for bad_power in (-1.0, math.nan, math.inf):
+            with pytest.raises(BackendError, match="finite and non-negative"):
+                SparseExposure(
+                    indptr=array.array("q", [0, 1, 2]),
+                    indices=array.array("q", [0, 1]),
+                    powers=array.array("d", [1.0, bad_power]),
+                    success_probabilities=(0.5, 0.5),
+                    disclosed_at=(0.0, 0.0),
+                ).validate()
+        backend = get_backend("python")
+        for bad_total in (math.nan, math.inf, 0.0):
+            with pytest.raises(BackendError, match="positive and finite"):
+                backend.sparse_campaign_trials(
+                    sparse, trials=4, seed=0, tolerance=0.5, total_power=bad_total
+                )
+            with pytest.raises(BackendError, match="positive and finite"):
+                backend.sparse_campaign_grid(
+                    sparse,
+                    (CampaignGridPoint(tolerances=TOLERANCES, budget=2),),
+                    trials=4,
+                    seed=0,
+                    total_power=bad_total,
+                )
 
     def test_pickle_round_trip_preserves_structure(self):
         _, _, sparse = fixture("python")
