@@ -8,12 +8,13 @@ kernels share one counter-based RNG stream and every shipped scenario's
 replica powers are 1.0 (exact float64 sums), so all measurements are
 asserted *identical* — the speedup table can never hide a numerics change.
 
-Phase B replays the ``BENCH_9.json`` sparse workload at sweep scale: a
-budgeted :meth:`~repro.backend.base.ComputeBackend.sparse_campaign_grid`
-over a CSR ecosystem (10⁷ replicas in the committed snapshot), once with
-the shm backend's exact column pruning and once with pruning disabled
-(``REPRO_SHM_PRUNE=0``), asserting the two runs byte-identical and
-recording parent peak RSS against an optional memory ceiling.
+Phase B replays the ``BENCH_9.json`` sparse workload at sweep scale: one
+budgeted worst-case grid point through
+:meth:`~repro.faults.engine.GridCampaignEngine.estimate_grid` on the shm
+backend over a CSR ecosystem (10⁷ replicas in the committed snapshot), with
+``chunk_rows`` set to the population size so the whole campaign is a single
+``sparse_grid_partials`` kernel call, recording parent peak RSS against an
+optional memory ceiling.
 
 The snapshot (``BENCH_10.json`` in CI) records the host's CPU count next
 to every speedup: a single-core container honestly shows ~1× from process
@@ -31,16 +32,20 @@ from typing import Dict, Iterator, Optional, Tuple
 
 from contextlib import contextmanager
 
-from repro.backend import available_backends, get_backend
-from repro.backend.base import CampaignGridPoint
-from repro.backend.shm_backend import PRUNE_ENV_VAR, WORKERS_ENV_VAR
+from repro.backend import available_backends
+from repro.backend.shm_backend import WORKERS_ENV_VAR
 from repro.backend.timing import peak_rss_kb
 from repro.core.exceptions import AnalysisError
-from repro.faults.engine import BatchCampaignEngine, CampaignEstimate
+from repro.faults.engine import (
+    BatchCampaignEngine,
+    CampaignEstimate,
+    GridCampaignEngine,
+    GridPointRequest,
+)
 from repro.faults.scenarios import ecosystem_scenario, sparse_ecosystem_matrix
 
 #: Schema version of the snapshot document.
-BACKENDS_SNAPSHOT_VERSION = 1
+BACKENDS_SNAPSHOT_VERSION = 2
 
 #: Worker counts swept for the shm backend by default.
 DEFAULT_WORKER_COUNTS = (1, 2, 4, 8)
@@ -67,7 +72,7 @@ class BackendTiming:
 
 @dataclass(frozen=True)
 class SparseSweepResult:
-    """The column-pruned sparse campaign at sweep scale (shm backend)."""
+    """The budgeted sparse campaign at sweep scale (shm backend)."""
 
     population_size: int
     trials: int
@@ -75,15 +80,8 @@ class SparseSweepResult:
     workers: int
     budget: int
     build_seconds: float
-    pruned_seconds: float
-    unpruned_seconds: Optional[float]
-    pruned_identical_to_unpruned: Optional[bool]
+    campaign_seconds: float
     peak_rss_kb: int
-
-    def prune_speedup(self) -> Optional[float]:
-        if self.unpruned_seconds is None or self.pruned_seconds <= 0:
-            return None
-        return self.unpruned_seconds / self.pruned_seconds
 
 
 @dataclass(frozen=True)
@@ -176,12 +174,7 @@ class BackendsBenchmarkReport:
                 "workers": self.sparse.workers,
                 "budget": self.sparse.budget,
                 "build_seconds": self.sparse.build_seconds,
-                "pruned_seconds": self.sparse.pruned_seconds,
-                "unpruned_seconds": self.sparse.unpruned_seconds,
-                "pruned_identical_to_unpruned": (
-                    self.sparse.pruned_identical_to_unpruned
-                ),
-                "prune_speedup": self.sparse.prune_speedup(),
+                "campaign_seconds": self.sparse.campaign_seconds,
                 "peak_rss_kb": self.sparse.peak_rss_kb,
             }
         document["memory_ceiling_kb"] = self.memory_ceiling_kb
@@ -250,7 +243,6 @@ def benchmark_backend_suite(
     sparse_workers: int = 4,
     sparse_seed: int = 29,
     sparse_exploit_probability: float = 0.45,
-    compare_unpruned: bool = True,
     memory_ceiling_mb: Optional[int] = None,
 ) -> BackendsBenchmarkReport:
     """Run both benchmark phases; see the module docstring for the design.
@@ -370,7 +362,6 @@ def benchmark_backend_suite(
             seed=sparse_seed,
             ecosystem=ecosystem,
             exploit_probability=sparse_exploit_probability,
-            compare_unpruned=compare_unpruned,
         )
 
     return BackendsBenchmarkReport(
@@ -400,9 +391,8 @@ def _sparse_sweep(
     seed: int,
     ecosystem: str,
     exploit_probability: float,
-    compare_unpruned: bool,
 ) -> SparseSweepResult:
-    """Phase B: the budgeted sparse campaign, pruned vs unpruned."""
+    """Phase B: the budgeted sparse campaign as one shm kernel call."""
     if trials <= 0 or workers <= 0:
         raise AnalysisError("sparse trials and workers must be positive")
     start = time.perf_counter()
@@ -412,45 +402,21 @@ def _sparse_sweep(
         seed=seed,
         exploit_probability=exploit_probability,
     )
-    sparse_exposure = matrix.sparse_exposure()
     build_seconds = time.perf_counter() - start
-    backend = get_backend("shm")
-    point = CampaignGridPoint(tolerances=SPARSE_TOLERANCES, budget=budget)
-
-    def run() -> Tuple[float, object]:
+    engine = GridCampaignEngine.from_matrix(matrix, backend="shm", chunk_rows=size)
+    request = GridPointRequest(tolerances=SPARSE_TOLERANCES, worst_case=budget)
+    with _environment({WORKERS_ENV_VAR: str(workers)}):
         begin = time.perf_counter()
-        results = backend.sparse_campaign_grid(
-            sparse_exposure,
-            (point,),
-            trials=trials,
-            seed=seed,
-            total_power=matrix.total_power,
-        )
-        return time.perf_counter() - begin, results
-
-    with _environment({WORKERS_ENV_VAR: str(workers), PRUNE_ENV_VAR: None}):
-        pruned_seconds, pruned_results = run()
-    unpruned_seconds: Optional[float] = None
-    identical: Optional[bool] = None
-    if compare_unpruned:
-        with _environment({WORKERS_ENV_VAR: str(workers), PRUNE_ENV_VAR: "0"}):
-            unpruned_seconds, unpruned_results = run()
-        identical = pruned_results == unpruned_results
-        if not identical:
-            raise AnalysisError(
-                "column pruning changed the sparse campaign output — the "
-                "exactness contract is broken"
-            )
+        engine.estimate_grid((request,), trials=trials, seed=seed)
+        campaign_seconds = time.perf_counter() - begin
     return SparseSweepResult(
         population_size=size,
         trials=trials,
-        nnz=sparse_exposure.nnz,
+        nnz=matrix.nnz,
         workers=workers,
         budget=budget,
         build_seconds=build_seconds,
-        pruned_seconds=pruned_seconds,
-        unpruned_seconds=unpruned_seconds,
-        pruned_identical_to_unpruned=identical,
+        campaign_seconds=campaign_seconds,
         peak_rss_kb=peak_rss_kb(),
     )
 

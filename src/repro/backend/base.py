@@ -1,23 +1,41 @@
 """Abstract interface every compute backend implements.
 
 A :class:`ComputeBackend` bundles the numeric hot paths of the reproduction —
-batched Monte-Carlo vulnerability trials, Shannon entropy and weighted label
-accumulation — behind one seam, so the same analysis code can run on the
-dependency-free pure-Python implementation or on a vectorized NumPy one.
+batched Monte-Carlo vulnerability trials, exploit campaigns, Shannon entropy
+and weighted label accumulation — behind one seam, so the same analysis code
+can run on the dependency-free pure-Python implementation, on a vectorized
+NumPy one or on NumPy fanned out over shared-memory workers.
+
+The campaign part of the seam is two kernels over the same input, a tuple
+of :class:`ResolvedGridPoint` (explicit columns, per-column exploit
+probabilities, tolerances and seed), checked by one validator:
+
+- :meth:`ComputeBackend.campaign_grid` runs every point over a dense 0/1
+  exposure matrix and returns finished per-point results;
+- :meth:`ComputeBackend.sparse_grid_partials` runs every point over a row
+  range of a CSR :class:`SparseExposure` and returns per-trial partial sums,
+  which :func:`merge_sparse_partials` and :func:`finalize_sparse_point` turn
+  into the same results once every row range is in.
+
+Two exposure reductions, :meth:`ComputeBackend.masked_power_sums` and
+:meth:`ComputeBackend.sparse_masked_power_sums`, feed target selection.
+Choosing targets and resolving them into points is the engine's job
+(:mod:`repro.faults.engine`), never a kernel's.
 
 The contract every implementation must honor:
 
 - **Determinism per backend.** Given identical arguments (including the
-  seed), repeated calls return identical results.  Different backends may use
-  different RNG streams, so cross-backend results agree only statistically
-  (within Monte-Carlo tolerance), while *verdict*-level quantities derived
+  seed), repeated calls return identical results.
+- **One campaign stream.** Both campaign kernels draw from the
+  counter-based :func:`campaign_uniform` stream, so every backend, both
+  layouts and every trial or row partition read the same uniforms; results
+  are bit-identical whenever the power sums are exact (dyadic powers, as in
+  every shipped scenario).
+- **Census mode differs.** :meth:`ComputeBackend.violation_trials` predates
+  that stream: backends draw from their own generators, so its results agree
+  across backends only within Monte-Carlo tolerance, while verdicts derived
   from exact share arithmetic (e.g. "can a single exploit reach the
   tolerance") agree exactly.
-- **Semantics over speed.** Both backends implement the same trial model: in
-  each trial every configuration independently turns out vulnerable with
-  probability ``p``, the attacker exploits the ``budget`` largest vulnerable
-  shares, and the trial violates safety when the compromised power reaches
-  the tolerance.
 """
 
 from __future__ import annotations
@@ -80,66 +98,19 @@ class TrialBatchResult:
 
 
 @dataclass(frozen=True)
-class CampaignBatchResult:
-    """Aggregate outcome of a batch of randomized exploit-campaign trials.
-
-    Attributes:
-        trials: number of campaign trials simulated.
-        violations: trials whose compromised-power fraction reached the
-            tolerance (with :data:`CAMPAIGN_FRACTION_SLACK`).
-        compromised_total: sum of compromised voting power (absolute units)
-            over all trials; ``compromised_total / (trials * total_power)``
-            is the mean compromised fraction.
-        per_vulnerability_totals: per-column sums of the power compromised
-            through each exploited vulnerability (the ``f_t^i`` of Section
-            II-C), accumulated over all trials in column order.
-    """
-
-    trials: int
-    violations: int
-    compromised_total: float
-    per_vulnerability_totals: Tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class CampaignGridPoint:
-    """One scenario point of a fused campaign grid.
-
-    A grid point selects a subset of the shared exposure matrix's columns —
-    either explicitly (``columns``, in selection order) or as the ``budget``
-    most damaging columns by exposed power (ranked descending, column index
-    as tie-break) — and pins the per-point randomness and verdicts:
-
-    Attributes:
-        tolerances: compromised-power fractions evaluated as verdicts on the
-            same sampled trials (one exploit draw, several thresholds).
-        columns: explicit column indices into the shared matrix, in the
-            order the per-point kernel sees them (mutually exclusive with
-            ``budget``).
-        budget: select the top-``budget`` columns by exposed power inside
-            the kernel instead of naming them (the ``topk`` option picks the
-            ranking algorithm).
-        success_probabilities: per-selected-column exploit probabilities
-            overriding the matrix-wide vector (aligned with ``columns``).
-        success_probability: scalar override applied to every selected
-            column (how a reliability sweep varies one knob per point).
-        seed_offset: the point's RNG seed is ``seed + seed_offset``; its
-            sub-stream is exactly the stream a standalone
-            :meth:`ComputeBackend.campaign_trials` call with that seed draws
-            on the column-sliced matrix.
-    """
-
-    tolerances: Tuple[float, ...]
-    columns: Optional[Tuple[int, ...]] = None
-    budget: Optional[int] = None
-    success_probabilities: Optional[Tuple[float, ...]] = None
-    success_probability: Optional[float] = None
-    seed_offset: int = 0
-
-
-@dataclass(frozen=True)
 class ResolvedGridPoint:
-    """A grid point after validation: explicit columns, probabilities, seed."""
+    """One campaign scenario as both campaign kernels take it.
+
+    Attributes:
+        columns: exposure columns the attacker exploits, in the order the
+            point's sub-stream numbers them (local column ``c`` is
+            ``columns[c]``).
+        probabilities: exploit success probability of each selected column,
+            aligned with ``columns``.
+        tolerances: compromised-power fractions judged as verdicts on the
+            same sampled trials (one exploit draw, several thresholds).
+        seed: the point's campaign stream seed.
+    """
 
     columns: Tuple[int, ...]
     probabilities: Tuple[float, ...]
@@ -148,14 +119,14 @@ class ResolvedGridPoint:
 
 
 @dataclass(frozen=True)
-class CampaignGridPointResult:
+class GridPointResult:
     """One grid point's aggregate campaign outcome.
 
-    Equivalent to a :class:`CampaignBatchResult` per tolerance, sharing the
-    trial draws: ``violations[k]`` is the violation count at
-    ``tolerances[k]``, while ``compromised_total`` and
-    ``per_vulnerability_totals`` (aligned with ``columns``) are
-    tolerance-independent.
+    ``violations[k]`` counts the trials whose compromised fraction reached
+    ``tolerances[k]``; every tolerance judges the same draws, so
+    ``compromised_total`` (absolute power summed over trials) and
+    ``per_vulnerability_totals`` (the per-column ``f_t^i`` sums of Section
+    II-C, aligned with ``columns``) are tolerance-independent.
     """
 
     trials: int
@@ -343,52 +314,6 @@ class SparseExposure:
             object.__setattr__(sliced, "_validated", True)
         return sliced
 
-    def select_columns(self, columns: Sequence[int]) -> "SparseExposure":
-        """Column-sliced structure in the selection's local column space.
-
-        ``columns`` are distinct global column indices in selection order;
-        the result has ``len(columns)`` columns and keeps every row, with
-        each row's surviving cells renumbered to local indices and re-sorted
-        ascending (the CSR invariant).  The campaign stream depends only on
-        (row, local column), so kernels on the result draw exactly what the
-        dense kernels draw on a ``columns_for``-sliced matrix.
-        """
-        from repro.core.exceptions import BackendError
-
-        self.validate()
-        lut = [-1] * self.column_count
-        for local, column in enumerate(columns):
-            if not 0 <= column < self.column_count:
-                raise BackendError(
-                    f"column {column} out of range for {self.column_count} "
-                    "vulnerabilities"
-                )
-            if lut[column] != -1:
-                raise BackendError(f"duplicate column {column} in selection")
-            lut[column] = local
-        indptr = _stdlib_array.array("q", [0])
-        indices = _stdlib_array.array("q")
-        for row in range(self.replica_count):
-            selected = [
-                lut[self.indices[position]]
-                for position in range(self.indptr[row], self.indptr[row + 1])
-                if lut[self.indices[position]] != -1
-            ]
-            selected.sort()
-            indices.extend(selected)
-            indptr.append(len(indices))
-        sliced = SparseExposure(
-            indptr=indptr,
-            indices=indices,
-            powers=self.powers,
-            success_probabilities=tuple(
-                self.success_probabilities[column] for column in columns
-            ),
-            disclosed_at=tuple(self.disclosed_at[column] for column in columns),
-        )
-        object.__setattr__(sliced, "_validated", True)
-        return sliced
-
 
 @dataclass(frozen=True)
 class SparseGridPartial:
@@ -461,14 +386,28 @@ def finalize_sparse_point(
     columns: Tuple[int, ...],
     tolerances: Sequence[float],
     total_power: float,
-) -> CampaignGridPointResult:
+) -> GridPointResult:
     """Apply the per-trial verdicts to fully merged partial sums.
 
     Walks the trials in order, accumulating ``compromised_total`` and
     counting a violation whenever ``compromised / total_power`` reaches a
     tolerance (slack :data:`CAMPAIGN_FRACTION_SLACK`) — the same comparisons,
-    in the same order, as the dense scalar loop.
+    in the same order, as the dense scalar loop.  A partial that does not
+    hold exactly ``trials`` per-trial sums is rejected (its verdicts would be
+    divided by trials that never ran), and so is a total power that is not
+    positive and finite.
     """
+    from repro.core.exceptions import BackendError
+
+    if len(partial.per_trial_compromised) != trials:
+        raise BackendError(
+            f"partial holds {len(partial.per_trial_compromised)} trial sums "
+            f"but {trials} trials were requested"
+        )
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise BackendError(
+            f"total power must be positive and finite, got {total_power}"
+        )
     thresholds = tuple(
         tolerance - CAMPAIGN_FRACTION_SLACK for tolerance in tolerances
     )
@@ -480,34 +419,13 @@ def finalize_sparse_point(
         for position, threshold in enumerate(thresholds):
             if fraction >= threshold:
                 violations[position] += 1
-    return CampaignGridPointResult(
+    return GridPointResult(
         trials=trials,
         columns=tuple(columns),
         violations=tuple(violations),
         compromised_total=compromised_total,
         per_vulnerability_totals=partial.per_vulnerability_totals,
     )
-
-
-#: Accepted values of ``campaign_grid``'s draw-precision fast-path knob.
-GRID_DTYPES = ("float64", "float32")
-#: Accepted values of ``campaign_grid``'s top-k selection knob.
-GRID_TOPK_MODES = ("sort", "argpartition")
-
-
-def grid_topk_columns(
-    exposed_powers: Sequence[float], count: int
-) -> Tuple[int, ...]:
-    """The ``count`` columns with the largest exposed power.
-
-    Ranked by descending power with the column index as tie-break — the
-    exact (``topk="sort"``) selection both backends share.  ``count`` beyond
-    the column count selects every column.
-    """
-    order = sorted(
-        range(len(exposed_powers)), key=lambda c: (-exposed_powers[c], c)
-    )
-    return tuple(order[:count])
 
 
 class ComputeBackend(abc.ABC):
@@ -591,101 +509,47 @@ class ComputeBackend(abc.ABC):
         """
 
     @abc.abstractmethod
-    def campaign_trials(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        *,
-        trials: int,
-        seed: int,
-        tolerance: float,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> CampaignBatchResult:
-        """Run ``trials`` randomized exploit campaigns over an exposure matrix.
-
-        In every trial, each (replica, vulnerability) cell with
-        ``exposure[r][v] != 0`` is independently compromised with probability
-        ``success_probabilities[v]``; a replica compromised through *any*
-        vulnerability contributes its power once to the trial's compromised
-        total (and to each relevant per-vulnerability ``f_t^i``), and the
-        trial violates safety when the compromised fraction of
-        ``total_power`` reaches ``tolerance`` (slack
-        :data:`CAMPAIGN_FRACTION_SLACK`).
-
-        The exploit indicator for cell ``(t, r, v)`` is
-        ``campaign_uniform(seed, t*R*V + r*V + v) < success_probabilities[v]``
-        with ``R = len(powers)`` and ``V = len(success_probabilities)``, so
-        every backend draws the **same stream** and the results are
-        bit-identical across backends (float reductions under the same
-        dyadic-power caveat as :meth:`masked_power_sums`; the violation
-        verdicts and counts agree exactly for the shipped scenarios).
-
-        ``trial_offset`` shifts the trial counter: the call computes trials
-        ``trial_offset .. trial_offset + trials - 1`` of the logical
-        campaign, drawing the exact uniforms a single full-range call would
-        draw for those trials.  This is the sharding seam — a worker
-        computing ``[lo, hi)`` with ``trial_offset=lo`` produces the same
-        per-trial outcomes as the serial run, so shard results sum back to
-        the serial result and a retried shard is bit-identical to its first
-        attempt.
-        """
-
-    @abc.abstractmethod
     def campaign_grid(
         self,
         exposure: Sequence[Sequence[float]],
         powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        points: Sequence[CampaignGridPoint],
+        points: Sequence[ResolvedGridPoint],
         *,
         trials: int,
-        seed: int,
         total_power: float,
         trial_offset: int = 0,
-        dtype: str = "float64",
-        topk: str = "sort",
-    ) -> Tuple[CampaignGridPointResult, ...]:
-        """Run ``trials`` campaigns at every grid point in one fused call.
+    ) -> Tuple[GridPointResult, ...]:
+        """Run ``trials`` randomized exploit campaigns at every point.
 
-        The whole grid shares one staged ``exposure`` matrix, ``powers``
-        vector and base ``success_probabilities`` vector; each point selects
-        columns (explicitly or by ``budget`` top-k) and may override the
-        probabilities.  Per point ``p``, the exploit indicator for trial
-        ``t`` and local cell ``(r, v)`` is::
+        In every trial, each cell ``(r, c)`` with
+        ``exposure[r][p.columns[c]] != 0`` is independently compromised with
+        probability ``p.probabilities[c]``; a replica compromised through
+        *any* column contributes its power once to the trial's compromised
+        total (and to each relevant per-column ``f_t^i``), and the trial
+        violates ``tolerances[k]`` when the compromised fraction of
+        ``total_power`` reaches it (slack :data:`CAMPAIGN_FRACTION_SLACK`).
+        The exploit indicator for trial ``t`` and local cell ``(r, c)`` is::
 
-            campaign_uniform(seed + p.seed_offset,
-                             (trial_offset + t) * R * V_p + r * V_p + v)
-                < probability_p[v]
+            campaign_uniform(p.seed,
+                             (trial_offset + t) * R * V_p + r * V_p + c)
+                < p.probabilities[c]
 
-        with ``V_p = len(columns_p)`` — exactly the stream a standalone
-        :meth:`campaign_trials` call on the column-sliced matrix with seed
-        ``seed + p.seed_offset`` draws.  In the default mode
-        (``dtype="float64"``) every point's result is therefore
-        **bit-identical** to the per-point loop it replaces, across
-        backends, under the same dyadic-power summation caveat as
-        :meth:`campaign_trials`; all the fused call removes is the repeated
-        Python dispatch, RNG staging and matrix slicing.  Each point
-        evaluates every entry of ``tolerances`` as a verdict on the same
-        sampled trials, so tolerance pairs (BFT vs majority) cost one draw.
+        with ``R = len(powers)`` and ``V_p = len(p.columns)``, so every
+        backend draws the same stream and the results are bit-identical
+        across backends (float reductions under the same dyadic-power caveat
+        as :meth:`masked_power_sums`; verdicts and counts agree exactly for
+        the shipped scenarios).  Every tolerance of a point judges the same
+        draws, so a BFT/majority pair costs one draw.
 
-        ``trial_offset`` shifts every point's trial counter exactly as in
-        :meth:`campaign_trials` — chunked and sharded grid runs partition
-        the serial trial sequence invisibly.
-
-        Fast paths (opt-in, *tolerance*-pinned rather than byte-pinned):
-        ``dtype="float32"`` lets a backend test each cell against a
-        reduced-precision uniform (Monte-Carlo noise dominates the
-        difference) — no current backend does, as the NumPy core's exact
-        compare costs the same; ``topk="argpartition"`` ranks ``budget``
-        selections via ``numpy.argpartition`` on the NumPy backend (same
-        columns as the exact path, ties included — only the selection cost
-        changes).  Backends without a faster implementation fall back to
-        the exact path — never an error.
+        ``trial_offset`` shifts the trial counter: the call computes trials
+        ``trial_offset .. trial_offset + trials - 1`` of the logical
+        campaign, drawing the exact uniforms a single full-range call would
+        draw for those trials.  This is the chunking and sharding seam — a
+        worker computing ``[lo, hi)`` with ``trial_offset=lo`` produces the
+        same per-trial outcomes as the serial run, so range results sum back
+        to the serial result and a retried range is bit-identical to its
+        first attempt.
         """
-
-    # -- sparse campaign kernels ------------------------------------------------
 
     @abc.abstractmethod
     def sparse_masked_power_sums(
@@ -711,20 +575,18 @@ class ComputeBackend(abc.ABC):
         row_offset: int = 0,
         total_rows: Optional[int] = None,
     ) -> Tuple[SparseGridPartial, ...]:
-        """Row-range partial campaign sums for every resolved grid point.
+        """Row-range partial campaign sums for every point over a CSR exposure.
 
-        This is the one sparse primitive backends implement; the concrete
-        :meth:`sparse_campaign_trials` / :meth:`sparse_campaign_grid` wrappers
-        and the engines' replica-range chunking are built on it.  ``sparse``
-        holds rows ``row_offset .. row_offset + sparse.replica_count - 1`` of
-        a logical ``total_rows``-replica exposure (``total_rows=None`` means
-        the structure is the whole population).  Per point ``p``, the exploit
-        indicator for trial ``t`` and local cell ``(r, v)`` is::
+        ``sparse`` holds rows ``row_offset .. row_offset +
+        sparse.replica_count - 1`` of a logical ``total_rows``-replica
+        exposure (``total_rows=None`` means the structure is the whole
+        population).  Per point ``p``, the exploit indicator for trial ``t``
+        and local cell ``(r, c)`` is::
 
             campaign_uniform(p.seed,
                              (trial_offset + t) * total_rows * V_p
-                             + (row_offset + r) * V_p + v)
-                < p.probabilities[v]
+                             + (row_offset + r) * V_p + c)
+                < p.probabilities[c]
 
         with ``V_p = len(p.columns)`` and ``p.columns`` indexing
         ``sparse``'s column space — the exact cells a full-range dense
@@ -737,124 +599,6 @@ class ComputeBackend(abc.ABC):
         per-trial verdicts via :func:`finalize_sparse_point` only after all
         row ranges are merged.
         """
-
-    def sparse_campaign_trials(
-        self,
-        sparse: SparseExposure,
-        *,
-        trials: int,
-        seed: int,
-        tolerance: float,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> CampaignBatchResult:
-        """Sparse variant of :meth:`campaign_trials` — same stream, CSR input.
-
-        Bit-identical to a dense :meth:`campaign_trials` call on the
-        densified matrix (dyadic-power caveat on the float totals; verdicts
-        and counts exact for the shipped scenarios).  Concrete: one
-        full-row-range :meth:`sparse_grid_partials` call over every column
-        plus the shared verdict reduction.  Engines that need bounded memory
-        chunk the rows through the partials primitive directly.
-        """
-        from repro.core.exceptions import BackendError
-
-        sparse.validate()
-        if sparse.replica_count == 0:
-            raise BackendError("campaign_trials needs at least one replica")
-        if sparse.column_count == 0:
-            raise BackendError("campaign_trials needs at least one vulnerability")
-        if trials <= 0:
-            raise BackendError(f"trial count must be positive, got {trials}")
-        if trial_offset < 0:
-            raise BackendError(
-                f"trial offset must be non-negative, got {trial_offset}"
-            )
-        if not 0.0 < tolerance <= 1.0:
-            raise BackendError(f"tolerance must be in (0, 1], got {tolerance}")
-        if not (math.isfinite(total_power) and total_power > 0):
-            raise BackendError(
-                f"total power must be positive and finite, got {total_power}"
-            )
-        point = ResolvedGridPoint(
-            columns=tuple(range(sparse.column_count)),
-            probabilities=tuple(
-                float(p) for p in sparse.success_probabilities
-            ),
-            tolerances=(tolerance,),
-            seed=seed,
-        )
-        partial = self.sparse_grid_partials(
-            sparse, (point,), trials=trials, trial_offset=trial_offset
-        )[0]
-        result = finalize_sparse_point(
-            partial,
-            trials=trials,
-            columns=point.columns,
-            tolerances=point.tolerances,
-            total_power=total_power,
-        )
-        return CampaignBatchResult(
-            trials=trials,
-            violations=result.violations[0],
-            compromised_total=result.compromised_total,
-            per_vulnerability_totals=result.per_vulnerability_totals,
-        )
-
-    def sparse_campaign_grid(
-        self,
-        sparse: SparseExposure,
-        points: Sequence[CampaignGridPoint],
-        *,
-        trials: int,
-        seed: int,
-        total_power: float,
-        trial_offset: int = 0,
-        dtype: str = "float64",
-        topk: str = "sort",
-    ) -> Tuple[CampaignGridPointResult, ...]:
-        """Sparse variant of :meth:`campaign_grid` over a CSR exposure.
-
-        Points select columns of ``sparse`` exactly as the dense method
-        selects matrix columns (explicitly or by ``budget`` over the sparse
-        exposed powers), and every point's sub-stream matches the dense fused
-        kernel's.  The ``dtype``/``topk`` knobs are validated for parity but
-        the sparse path always runs the exact float64/sort route — the
-        contract's fall-back, never an error.
-        """
-        validate_sparse_grid_arguments(
-            sparse,
-            points,
-            trials=trials,
-            total_power=total_power,
-            trial_offset=trial_offset,
-            dtype=dtype,
-            topk=topk,
-        )
-        exposed = (
-            self.sparse_masked_power_sums(sparse)
-            if any(point.budget is not None for point in points)
-            else None
-        )
-        resolved = resolve_grid_points(
-            points,
-            base_probabilities=sparse.success_probabilities,
-            seed=seed,
-            exposed_powers=exposed,
-        )
-        partials = self.sparse_grid_partials(
-            sparse, resolved, trials=trials, trial_offset=trial_offset
-        )
-        return tuple(
-            finalize_sparse_point(
-                partial,
-                trials=trials,
-                columns=point.columns,
-                tolerances=point.tolerances,
-                total_power=total_power,
-            )
-            for point, partial in zip(resolved, partials)
-        )
 
     # -- entropy kernel ---------------------------------------------------------
 
@@ -954,82 +698,34 @@ def validate_trial_arguments(
         raise BackendError("shares must be sorted in descending order")
 
 
-def validate_campaign_arguments(
-    exposure: Sequence[Sequence[float]],
-    powers: Sequence[float],
-    success_probabilities: Sequence[float],
-    *,
-    trials: int,
-    tolerance: float,
-    total_power: float,
-    trial_offset: int = 0,
-) -> None:
-    """Shared argument validation for :meth:`ComputeBackend.campaign_trials`."""
-    from repro.core.exceptions import BackendError
-
-    replica_count = len(powers)
-    column_count = len(success_probabilities)
-    if replica_count == 0:
-        raise BackendError("campaign_trials needs at least one replica")
-    if column_count == 0:
-        raise BackendError("campaign_trials needs at least one vulnerability")
-    if len(exposure) != replica_count:
-        raise BackendError(
-            f"exposure has {len(exposure)} rows for {replica_count} replicas"
-        )
-    for row in exposure:
-        if len(row) != column_count:
-            raise BackendError(
-                f"exposure row has {len(row)} columns for "
-                f"{column_count} vulnerabilities"
-            )
-    if not all(math.isfinite(power) and power >= 0 for power in powers):
-        raise BackendError("replica powers must be finite and non-negative")
-    if any(not 0.0 <= p <= 1.0 for p in success_probabilities):
-        raise BackendError("success probabilities must be in [0, 1]")
-    if trials <= 0:
-        raise BackendError(f"trial count must be positive, got {trials}")
-    if trial_offset < 0:
-        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
-    if not 0.0 < tolerance <= 1.0:
-        raise BackendError(f"tolerance must be in (0, 1], got {tolerance}")
-    if not (math.isfinite(total_power) and total_power > 0):
-        raise BackendError(
-            f"total power must be positive and finite, got {total_power}"
-        )
-
-
 def validate_grid_arguments(
     exposure: Sequence[Sequence[float]],
     powers: Sequence[float],
-    success_probabilities: Sequence[float],
-    points: Sequence[CampaignGridPoint],
+    points: Sequence[ResolvedGridPoint],
     *,
     trials: int,
     total_power: float,
     trial_offset: int = 0,
-    dtype: str = "float64",
-    topk: str = "sort",
 ) -> None:
     """Shared argument validation for :meth:`ComputeBackend.campaign_grid`.
 
-    Rejects empty grids, duplicate grid points and malformed scenario
-    parameters (NaN/out-of-range tolerances and probabilities, bad column
-    selections) with a :class:`~repro.core.exceptions.BackendError` so a
-    fused call never silently produces a zero-length or garbage result.
+    Rejects empty or ragged matrices, bad powers and run arguments, and every
+    malformed point (see :func:`validate_grid_points`) with a
+    :class:`~repro.core.exceptions.BackendError`, so a kernel never silently
+    produces a zero-length or garbage result.
     """
     from repro.core.exceptions import BackendError
 
     replica_count = len(powers)
-    column_count = len(success_probabilities)
     if replica_count == 0:
         raise BackendError("campaign_grid needs at least one replica")
-    if column_count == 0:
-        raise BackendError("campaign_grid needs at least one vulnerability")
     if len(exposure) != replica_count:
         raise BackendError(
             f"exposure has {len(exposure)} rows for {replica_count} replicas"
         )
+    column_count = len(exposure[0])
+    if column_count == 0:
+        raise BackendError("campaign_grid needs at least one vulnerability")
     for row in exposure:
         if len(row) != column_count:
             raise BackendError(
@@ -1038,150 +734,12 @@ def validate_grid_arguments(
             )
     if not all(math.isfinite(power) and power >= 0 for power in powers):
         raise BackendError("replica powers must be finite and non-negative")
-    if any(not 0.0 <= p <= 1.0 for p in success_probabilities):
-        raise BackendError("success probabilities must be in [0, 1]")
-    if trials <= 0:
-        raise BackendError(f"trial count must be positive, got {trials}")
-    if trial_offset < 0:
-        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
+    _validate_trial_range(trials, trial_offset)
     if not (math.isfinite(total_power) and total_power > 0):
         raise BackendError(
             f"total power must be positive and finite, got {total_power}"
         )
-    if dtype not in GRID_DTYPES:
-        raise BackendError(
-            f"grid dtype must be one of {GRID_DTYPES}, got {dtype!r}"
-        )
-    if topk not in GRID_TOPK_MODES:
-        raise BackendError(
-            f"grid topk mode must be one of {GRID_TOPK_MODES}, got {topk!r}"
-        )
-    _validate_grid_point_list(points, column_count)
-
-
-def _validate_grid_point_list(
-    points: Sequence[CampaignGridPoint], column_count: int
-) -> None:
-    """Per-point grid validation shared by the dense and sparse entry points."""
-    from repro.core.exceptions import BackendError
-
-    if len(points) == 0:
-        raise BackendError(
-            "campaign_grid needs at least one grid point — an empty grid is a "
-            "usage error, not an empty result"
-        )
-    for position, point in enumerate(points):
-        where = f"grid point #{position}"
-        if len(point.tolerances) == 0:
-            raise BackendError(f"{where} has no tolerances")
-        for tolerance in point.tolerances:
-            if not 0.0 < tolerance <= 1.0:  # also rejects NaN
-                raise BackendError(
-                    f"{where}: tolerance must be in (0, 1], got {tolerance}"
-                )
-        if (point.columns is None) == (point.budget is None):
-            raise BackendError(
-                f"{where} must set exactly one of columns= or budget="
-            )
-        if point.columns is not None:
-            if len(point.columns) == 0:
-                raise BackendError(f"{where} selects no columns")
-            seen = set()
-            for column in point.columns:
-                if not 0 <= column < column_count:
-                    raise BackendError(
-                        f"{where}: column {column} out of range for "
-                        f"{column_count} vulnerabilities"
-                    )
-                if column in seen:
-                    raise BackendError(f"{where}: duplicate column {column}")
-                seen.add(column)
-        if point.budget is not None:
-            if point.budget < 1:
-                raise BackendError(
-                    f"{where}: budget must be positive, got {point.budget}"
-                )
-            if point.success_probabilities is not None:
-                raise BackendError(
-                    f"{where}: per-column success_probabilities need explicit "
-                    "columns (budget selection is made inside the kernel)"
-                )
-        if (
-            point.success_probabilities is not None
-            and point.success_probability is not None
-        ):
-            raise BackendError(
-                f"{where} sets both success_probabilities and "
-                "success_probability"
-            )
-        if point.success_probabilities is not None:
-            if len(point.success_probabilities) != len(point.columns):
-                raise BackendError(
-                    f"{where}: {len(point.success_probabilities)} probability "
-                    f"overrides for {len(point.columns)} columns"
-                )
-            if any(not 0.0 <= p <= 1.0 for p in point.success_probabilities):
-                raise BackendError(
-                    f"{where}: success probabilities must be in [0, 1]"
-                )
-        if point.success_probability is not None and not (
-            0.0 <= point.success_probability <= 1.0
-        ):
-            raise BackendError(
-                f"{where}: success probability must be in [0, 1], got "
-                f"{point.success_probability}"
-            )
-        if point.seed_offset < 0:
-            raise BackendError(
-                f"{where}: seed offset must be non-negative, got "
-                f"{point.seed_offset}"
-            )
-    if len(set(points)) != len(points):
-        raise BackendError(
-            "campaign_grid points must be distinct — duplicate grid points "
-            "share a seed offset and would silently double-count one scenario"
-        )
-
-
-def validate_sparse_grid_arguments(
-    sparse: SparseExposure,
-    points: Sequence[CampaignGridPoint],
-    *,
-    trials: int,
-    total_power: float,
-    trial_offset: int = 0,
-    dtype: str = "float64",
-    topk: str = "sort",
-) -> None:
-    """Shared validation for :meth:`ComputeBackend.sparse_campaign_grid`.
-
-    Mirrors :func:`validate_grid_arguments` over a CSR structure — the same
-    errors for the same malformed input, on both backends.
-    """
-    from repro.core.exceptions import BackendError
-
-    sparse.validate()
-    if sparse.replica_count == 0:
-        raise BackendError("campaign_grid needs at least one replica")
-    if sparse.column_count == 0:
-        raise BackendError("campaign_grid needs at least one vulnerability")
-    if trials <= 0:
-        raise BackendError(f"trial count must be positive, got {trials}")
-    if trial_offset < 0:
-        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
-    if not (math.isfinite(total_power) and total_power > 0):
-        raise BackendError(
-            f"total power must be positive and finite, got {total_power}"
-        )
-    if dtype not in GRID_DTYPES:
-        raise BackendError(
-            f"grid dtype must be one of {GRID_DTYPES}, got {dtype!r}"
-        )
-    if topk not in GRID_TOPK_MODES:
-        raise BackendError(
-            f"grid topk mode must be one of {GRID_TOPK_MODES}, got {topk!r}"
-        )
-    _validate_grid_point_list(points, sparse.column_count)
+    validate_grid_points(points, column_count)
 
 
 def validate_sparse_partial_arguments(
@@ -1205,10 +763,7 @@ def validate_sparse_partial_arguments(
         raise BackendError("sparse_grid_partials needs at least one replica")
     if sparse.column_count == 0:
         raise BackendError("sparse_grid_partials needs at least one vulnerability")
-    if trials <= 0:
-        raise BackendError(f"trial count must be positive, got {trials}")
-    if trial_offset < 0:
-        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
+    _validate_trial_range(trials, trial_offset)
     if row_offset < 0:
         raise BackendError(f"row offset must be non-negative, got {row_offset}")
     total = (
@@ -1219,72 +774,66 @@ def validate_sparse_partial_arguments(
             f"total_rows={total} cannot hold rows "
             f"[{row_offset}, {row_offset + sparse.replica_count})"
         )
+    validate_grid_points(points, sparse.column_count)
+    return total
+
+
+def _validate_trial_range(trials: int, trial_offset: int) -> None:
+    from repro.core.exceptions import BackendError
+
+    if trials <= 0:
+        raise BackendError(f"trial count must be positive, got {trials}")
+    if trial_offset < 0:
+        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
+
+
+def validate_grid_points(
+    points: Sequence[ResolvedGridPoint], column_count: int
+) -> None:
+    """The one point validator both campaign kernels share.
+
+    Rejects an empty grid, duplicate points (they would report one scenario
+    twice) and, per point, missing or out-of-range tolerances, empty,
+    out-of-range or repeated columns, and probabilities that are misaligned
+    with the columns or outside ``[0, 1]`` (NaN included).
+    """
+    from repro.core.exceptions import BackendError
+
     if len(points) == 0:
-        raise BackendError("sparse_grid_partials needs at least one grid point")
+        raise BackendError(
+            "a campaign grid needs at least one grid point — an empty grid is "
+            "a usage error, not an empty result"
+        )
     for position, point in enumerate(points):
-        where = f"resolved grid point #{position}"
+        where = f"grid point #{position}"
+        if len(point.tolerances) == 0:
+            raise BackendError(f"{where} has no tolerances")
+        for tolerance in point.tolerances:
+            if not 0.0 < tolerance <= 1.0:  # also rejects NaN
+                raise BackendError(
+                    f"{where}: tolerance must be in (0, 1], got {tolerance}"
+                )
         if len(point.columns) == 0:
             raise BackendError(f"{where} selects no columns")
+        seen = set()
+        for column in point.columns:
+            if not 0 <= column < column_count:
+                raise BackendError(
+                    f"{where}: column {column} out of range for "
+                    f"{column_count} vulnerabilities"
+                )
+            if column in seen:
+                raise BackendError(f"{where}: duplicate column {column}")
+            seen.add(column)
         if len(point.probabilities) != len(point.columns):
             raise BackendError(
                 f"{where}: {len(point.probabilities)} probabilities for "
                 f"{len(point.columns)} columns"
             )
-        seen = set()
-        for column in point.columns:
-            if not 0 <= column < sparse.column_count:
-                raise BackendError(
-                    f"{where}: column {column} out of range for "
-                    f"{sparse.column_count} vulnerabilities"
-                )
-            if column in seen:
-                raise BackendError(f"{where}: duplicate column {column}")
-            seen.add(column)
         if any(not 0.0 <= p <= 1.0 for p in point.probabilities):
             raise BackendError(f"{where}: success probabilities must be in [0, 1]")
-    return total
-
-
-def resolve_grid_points(
-    points: Sequence[CampaignGridPoint],
-    *,
-    base_probabilities: Sequence[float],
-    seed: int,
-    exposed_powers: Optional[Sequence[float]] = None,
-    topk_fn=grid_topk_columns,
-) -> Tuple[ResolvedGridPoint, ...]:
-    """Turn validated grid points into explicit (columns, probabilities, seed).
-
-    ``exposed_powers`` is required when any point selects by ``budget``;
-    ``topk_fn`` is the ranking used for those selections (backends substitute
-    their ``argpartition`` variant here for the fast path).
-    """
-    resolved = []
-    for point in points:
-        if point.columns is not None:
-            columns = tuple(point.columns)
-        else:
-            if exposed_powers is None:
-                raise ValueError(
-                    "budget grid points need exposed_powers for top-k selection"
-                )
-            columns = tuple(topk_fn(exposed_powers, point.budget))
-        if point.success_probabilities is not None:
-            probabilities = tuple(
-                float(p) for p in point.success_probabilities
-            )
-        elif point.success_probability is not None:
-            probabilities = (float(point.success_probability),) * len(columns)
-        else:
-            probabilities = tuple(
-                float(base_probabilities[column]) for column in columns
-            )
-        resolved.append(
-            ResolvedGridPoint(
-                columns=columns,
-                probabilities=probabilities,
-                tolerances=tuple(point.tolerances),
-                seed=seed + point.seed_offset,
-            )
+    if len(set(points)) != len(points):
+        raise BackendError(
+            "grid points must be distinct — a duplicate point would report "
+            "one scenario twice"
         )
-    return tuple(resolved)

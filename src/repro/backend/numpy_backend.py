@@ -10,11 +10,11 @@ Two families of kernel live here:
   pure-Python backend's ``random.Random``, so this one kernel agrees with
   the fallback statistically, not bit for bit, while staying fully
   deterministic for a fixed seed on this backend.
-- The campaign kernels (``campaign_trials``, ``campaign_grid`` and
-  ``sparse_grid_partials``) read the shared counter-based splitmix64 stream
-  (:func:`repro.backend.base.campaign_uniform`), so every draw and every
-  verdict matches the pure-Python backend.  All three feed one blocked
-  flat-cell core, :func:`_campaign_core`, which adds replica powers in a
+- The two campaign kernels (``campaign_grid`` over a dense mask and
+  ``sparse_grid_partials`` over CSR) read the shared counter-based
+  splitmix64 stream (:func:`repro.backend.base.campaign_uniform`), so every
+  draw and every verdict matches the pure-Python backend.  Both feed one
+  blocked flat-cell core, :func:`_campaign_core`, which adds replica powers in a
   different order than the scalar loop: the power sums are bit-identical
   when they are exact (unit or dyadic powers, as in every golden) and
   otherwise agree to a few ulps.
@@ -30,10 +30,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
     CAMPAIGN_FRACTION_SLACK,
-    CampaignBatchResult,
-    CampaignGridPoint,
-    CampaignGridPointResult,
     ComputeBackend,
+    GridPointResult,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
@@ -42,9 +40,6 @@ from repro.backend.base import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
-    grid_topk_columns,
-    resolve_grid_points,
-    validate_campaign_arguments,
     validate_grid_arguments,
     validate_sparse_partial_arguments,
     validate_trial_arguments,
@@ -88,27 +83,6 @@ def _buffer_array(values: Sequence, dtype) -> "_np.ndarray":
         viewed = _np.frombuffer(values, dtype=_np.dtype(values.typecode))
         return viewed.astype(dtype, copy=False)
     return _np.asarray(values, dtype=dtype)
-
-
-def _argpartition_topk(exposed_powers: Sequence[float], count: int) -> Tuple[int, ...]:
-    """``grid_topk_columns`` via ``argpartition`` — O(V) selection, O(k log k) order.
-
-    Bit-identical to the exact sort path, ties included: ``argpartition``
-    breaks power ties arbitrarily, so the partition only determines the
-    threshold (the ``count``-th largest power); the selection itself takes
-    every strictly-greater column plus threshold-tied columns in ascending
-    index order — exactly the ``(-power, column)`` ranking of
-    :func:`~repro.backend.base.grid_topk_columns`.
-    """
-    powers = _np.asarray(exposed_powers, dtype=_np.float64)
-    if count >= powers.size:
-        return grid_topk_columns(exposed_powers, count)
-    threshold = powers[_np.argpartition(-powers, count - 1)[count - 1]]
-    above = _np.nonzero(powers > threshold)[0]
-    tied = _np.nonzero(powers == threshold)[0]
-    selected = above.tolist() + tied[: count - above.size].tolist()
-    selected.sort(key=lambda column: (-powers[column], column))
-    return tuple(selected)
 
 
 def _column_limits(probabilities: Sequence[float]) -> List[int]:
@@ -392,139 +366,56 @@ class NumpyBackend(ComputeBackend):
             )
         return tuple(float(value) for value in power_row @ matrix)
 
-    def campaign_trials(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        *,
-        trials: int,
-        seed: int,
-        tolerance: float,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> CampaignBatchResult:
-        validate_campaign_arguments(
-            exposure,
-            powers,
-            success_probabilities,
-            trials=trials,
-            tolerance=tolerance,
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-        # A campaign is the one-point grid over every column.
-        point = ResolvedGridPoint(
-            columns=tuple(range(len(success_probabilities))),
-            probabilities=tuple(float(p) for p in success_probabilities),
-            tolerances=(tolerance,),
-            seed=seed,
-        )
-        (result,) = self._dense_grid(
-            _np.asarray(exposure, dtype=_np.float64) > 0,
-            _np.asarray(powers, dtype=_np.float64),
-            (point,),
-            trials=trials,
-            trial_offset=trial_offset,
-            total_power=total_power,
-        )
-        return CampaignBatchResult(
-            trials=trials,
-            violations=result.violations[0],
-            compromised_total=result.compromised_total,
-            per_vulnerability_totals=result.per_vulnerability_totals,
-        )
-
     def campaign_grid(
         self,
         exposure: Sequence[Sequence[float]],
         powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        points: Sequence[CampaignGridPoint],
+        points: Sequence[ResolvedGridPoint],
         *,
         trials: int,
-        seed: int,
         total_power: float,
         trial_offset: int = 0,
-        dtype: str = "float64",
-        topk: str = "sort",
-    ) -> Tuple[CampaignGridPointResult, ...]:
+    ) -> Tuple[GridPointResult, ...]:
         validate_grid_arguments(
             exposure,
             powers,
-            success_probabilities,
             points,
             trials=trials,
             total_power=total_power,
             trial_offset=trial_offset,
-            dtype=dtype,
-            topk=topk,
         )
-        # The core compares the raw hash, so a 24-bit draw would buy no
-        # speed: dtype="float32" falls back to the exact route, per contract.
-        exposed = (
-            self.masked_power_sums(exposure, powers)
-            if any(point.budget is not None for point in points)
-            else None
-        )
-        resolved = resolve_grid_points(
-            points,
-            base_probabilities=success_probabilities,
-            seed=seed,
-            exposed_powers=exposed,
-            topk_fn=_argpartition_topk if topk == "argpartition" else grid_topk_columns,
-        )
-        return self._dense_grid(
-            _np.asarray(exposure, dtype=_np.float64) > 0,
-            _np.asarray(powers, dtype=_np.float64),
-            resolved,
-            trials=trials,
-            trial_offset=trial_offset,
-            total_power=total_power,
-        )
-
-    @staticmethod
-    def _dense_grid(
-        exposed: "_np.ndarray",
-        power_row: "_np.ndarray",
-        resolved: Sequence[ResolvedGridPoint],
-        *,
-        trials: int,
-        trial_offset: int,
-        total_power: float,
-    ) -> Tuple[CampaignGridPointResult, ...]:
-        """Resolved points over a dense exposure mask."""
+        exposed = _np.asarray(exposure, dtype=_np.float64) > 0
         compromised, per_vulnerability = _campaign_core(
-            power_row,
-            resolved,
+            _np.asarray(powers, dtype=_np.float64),
+            points,
             # np.nonzero walks the mask row-major: the core's cell order.
-            [_np.nonzero(exposed[:, list(point.columns)]) for point in resolved],
+            [_np.nonzero(exposed[:, list(point.columns)]) for point in points],
             trials=trials,
             trial_offset=trial_offset,
             row_offset=0,
             total_rows=exposed.shape[0],
         )
-        verdicts = [len(point.tolerances) for point in resolved]
+        verdicts = [len(point.tolerances) for point in points]
         thresholds = _np.array(
             [
                 tolerance - CAMPAIGN_FRACTION_SLACK
-                for point in resolved
+                for point in points
                 for tolerance in point.tolerances
             ],
             dtype=_np.float64,
         )
         # One broadcast compare takes every point's verdicts at once.
         violations = _np.count_nonzero(
-            compromised[:, _np.repeat(_np.arange(len(resolved)), verdicts)]
+            compromised[:, _np.repeat(_np.arange(len(points)), verdicts)]
             / total_power
             >= thresholds,
             axis=0,
         )
         compromised_totals = compromised.sum(axis=0)
         verdict_at = _np.cumsum([0] + verdicts)
-        slot_at = _np.cumsum([0] + [len(point.columns) for point in resolved])
+        slot_at = _np.cumsum([0] + [len(point.columns) for point in points])
         return tuple(
-            CampaignGridPointResult(
+            GridPointResult(
                 trials=trials,
                 columns=point.columns,
                 violations=tuple(
@@ -535,7 +426,7 @@ class NumpyBackend(ComputeBackend):
                     per_vulnerability[slot_at[index] : slot_at[index + 1]].tolist()
                 ),
             )
-            for index, point in enumerate(resolved)
+            for index, point in enumerate(points)
         )
 
     def sparse_masked_power_sums(

@@ -14,11 +14,8 @@ import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
-    CAMPAIGN_FRACTION_SLACK,
-    CampaignBatchResult,
-    CampaignGridPoint,
-    CampaignGridPointResult,
     ComputeBackend,
+    GridPointResult,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
@@ -28,78 +25,13 @@ from repro.backend.base import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
-    resolve_grid_points,
-    validate_campaign_arguments,
+    finalize_sparse_point,
     validate_grid_arguments,
     validate_sparse_partial_arguments,
     validate_trial_arguments,
 )
 from repro.core import entropy as entropy_module
 from repro.core.exceptions import BackendError
-
-
-def _scalar_campaign(
-    exposed_rows: Sequence[Sequence[int]],
-    powers: Sequence[float],
-    probabilities: Sequence[float],
-    *,
-    trials: int,
-    seed: int,
-    thresholds: Sequence[float],
-    total_power: float,
-    trial_offset: int,
-) -> Tuple[Tuple[int, ...], float, Tuple[float, ...]]:
-    """Shared scalar campaign loop, one exploit draw per multi-threshold verdict.
-
-    ``exposed_rows[c]`` lists the replica rows exposed to local column ``c``;
-    the uniform for cell ``(trial, row, column)`` is drawn at counter index
-    ``(trial_offset + trial) * R * V + row * V + column`` so a grid point's
-    sub-stream matches a standalone :meth:`campaign_trials` call on the
-    column-sliced matrix.  Returns per-threshold violation counts plus the
-    threshold-independent compromised/per-column totals.
-    """
-    replica_count = len(powers)
-    column_count = len(probabilities)
-    seed64 = seed & _MASK64
-    cells_per_trial = replica_count * column_count
-    violations = [0] * len(thresholds)
-    compromised_total = 0.0
-    per_vulnerability = [0.0] * column_count
-    for trial in range(trials):
-        base_index = (trial_offset + trial) * cells_per_trial
-        hit = [False] * replica_count
-        for column, probability in enumerate(probabilities):
-            if probability <= 0.0:
-                continue
-            certain = probability >= 1.0
-            column_power = 0.0
-            for row in exposed_rows[column]:
-                if not certain:
-                    # Inline campaign_uniform (splitmix64) — this is the
-                    # scalar hot loop.
-                    z = (
-                        seed64
-                        + (base_index + row * column_count + column + 1)
-                        * _SPLITMIX_GAMMA
-                    ) & _MASK64
-                    z = ((z ^ (z >> 30)) * _SPLITMIX_MIX1) & _MASK64
-                    z = ((z ^ (z >> 27)) * _SPLITMIX_MIX2) & _MASK64
-                    z ^= z >> 31
-                    if (z >> 11) * _INV_2_53 >= probability:
-                        continue
-                column_power += powers[row]
-                hit[row] = True
-            per_vulnerability[column] += column_power
-        compromised = 0.0
-        for row in range(replica_count):
-            if hit[row]:
-                compromised += powers[row]
-        compromised_total += compromised
-        fraction = compromised / total_power
-        for position, threshold in enumerate(thresholds):
-            if fraction >= threshold:
-                violations[position] += 1
-    return tuple(violations), compromised_total, tuple(per_vulnerability)
 
 
 def _scalar_campaign_partials(
@@ -113,14 +45,19 @@ def _scalar_campaign_partials(
     row_offset: int,
     total_rows: int,
 ) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Row-range variant of :func:`_scalar_campaign` without the verdicts.
+    """The scalar campaign loop: per-trial compromised power and per-column totals.
 
-    Identical iteration (columns, then exposed rows ascending, then the
-    ascending-row compromised sum), but the counter index addresses the
-    *global* cell — ``(trial_offset + t) * total_rows * V +
-    (row_offset + r) * V + c`` — and the per-trial compromised powers are
-    returned instead of being compared against thresholds, so row chunks
-    merge before the verdict is taken.
+    ``exposed_rows[c]`` lists the local replica rows exposed to local column
+    ``c``, ascending.  Each trial walks the columns, then their exposed rows,
+    then sums the compromised replicas' powers in ascending row order.  The
+    uniform for cell ``(t, r, c)`` is drawn at the *global* counter index
+    ``(trial_offset + t) * total_rows * V + (row_offset + r) * V + c``, so
+    the same loop serves a whole dense matrix (``row_offset=0``,
+    ``total_rows=R``) and any CSR row range.  The per-trial compromised
+    powers are returned unjudged: :func:`finalize_sparse_point` takes the
+    verdicts once every row range is in.  The counter-based stream lets the
+    loop visit *exposed* cells only — skipping a cell never shifts anyone
+    else's uniform.
     """
     replica_count = len(powers)
     column_count = len(probabilities)
@@ -229,122 +166,51 @@ class PythonBackend(ComputeBackend):
                     sums[column] += power
         return tuple(sums)
 
-    def campaign_trials(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        *,
-        trials: int,
-        seed: int,
-        tolerance: float,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> CampaignBatchResult:
-        validate_campaign_arguments(
-            exposure,
-            powers,
-            success_probabilities,
-            trials=trials,
-            tolerance=tolerance,
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-        replica_count = len(powers)
-        column_count = len(success_probabilities)
-        # The counter-based stream lets the scalar path visit *exposed* cells
-        # only — skipping a cell never shifts anyone else's uniform, so the
-        # results stay bit-identical to the dense array draw.
-        exposed_rows: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(row for row in range(replica_count) if exposure[row][column])
-            for column in range(column_count)
-        )
-        violations, compromised_total, per_vulnerability = _scalar_campaign(
-            exposed_rows,
-            powers,
-            success_probabilities,
-            trials=trials,
-            seed=seed,
-            thresholds=(tolerance - CAMPAIGN_FRACTION_SLACK,),
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-        return CampaignBatchResult(
-            trials=trials,
-            violations=violations[0],
-            compromised_total=compromised_total,
-            per_vulnerability_totals=per_vulnerability,
-        )
-
     def campaign_grid(
         self,
         exposure: Sequence[Sequence[float]],
         powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        points: Sequence[CampaignGridPoint],
+        points: Sequence[ResolvedGridPoint],
         *,
         trials: int,
-        seed: int,
         total_power: float,
         trial_offset: int = 0,
-        dtype: str = "float64",
-        topk: str = "sort",
-    ) -> Tuple[CampaignGridPointResult, ...]:
+    ) -> Tuple[GridPointResult, ...]:
         validate_grid_arguments(
             exposure,
             powers,
-            success_probabilities,
             points,
             trials=trials,
             total_power=total_power,
             trial_offset=trial_offset,
-            dtype=dtype,
-            topk=topk,
-        )
-        # The scalar backend has no reduced-precision or partition fast path:
-        # both knobs fall back to the exact float64/sort route, per contract.
-        exposed = (
-            self.masked_power_sums(exposure, powers)
-            if any(point.budget is not None for point in points)
-            else None
-        )
-        resolved = resolve_grid_points(
-            points,
-            base_probabilities=success_probabilities,
-            seed=seed,
-            exposed_powers=exposed,
         )
         replica_count = len(powers)
         results = []
-        for point in resolved:
+        for point in points:
             exposed_rows = tuple(
-                tuple(
-                    row
-                    for row in range(replica_count)
-                    if exposure[row][column]
-                )
+                tuple(row for row in range(replica_count) if exposure[row][column])
                 for column in point.columns
             )
-            violations, compromised_total, per_vulnerability = _scalar_campaign(
+            per_trial, per_vulnerability = _scalar_campaign_partials(
                 exposed_rows,
                 powers,
                 point.probabilities,
                 trials=trials,
                 seed=point.seed,
-                thresholds=tuple(
-                    tolerance - CAMPAIGN_FRACTION_SLACK
-                    for tolerance in point.tolerances
-                ),
-                total_power=total_power,
                 trial_offset=trial_offset,
+                row_offset=0,
+                total_rows=replica_count,
             )
             results.append(
-                CampaignGridPointResult(
+                finalize_sparse_point(
+                    SparseGridPartial(
+                        per_trial_compromised=per_trial,
+                        per_vulnerability_totals=per_vulnerability,
+                    ),
                     trials=trials,
                     columns=point.columns,
-                    violations=violations,
-                    compromised_total=compromised_total,
-                    per_vulnerability_totals=per_vulnerability,
+                    tolerances=point.tolerances,
+                    total_power=total_power,
                 )
             )
         return tuple(results)

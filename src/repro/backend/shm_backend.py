@@ -1,42 +1,29 @@
 """Shared-memory multiprocess compute backend.
 
-The ``shm`` backend runs the four hot campaign kernels —
-:meth:`campaign_trials`, :meth:`campaign_grid`,
-:meth:`sparse_campaign_trials`, :meth:`sparse_campaign_grid` — by splitting
+The ``shm`` backend runs the two campaign kernels — :meth:`campaign_grid`
+over a dense mask and :meth:`sparse_grid_partials` over CSR — by splitting
 the trial range across a persistent pool of worker processes.  The
 counter-based splitmix64 stream makes trial partitions bit-identical to a
-serial run by construction (the same seam ``ShardedCampaignRun`` and
-``ShardedGridRun`` already exploit), so fan-out is pure engineering:
+serial run by construction (the same seam ``ShardedGridRun`` exploits), so
+fan-out is pure engineering:
 
 - **Build once, map everywhere.**  The exposure/powers arrays (and the CSR
   buffers on the sparse path) are copied into
   :mod:`multiprocessing.shared_memory` segments the first time they are
   seen; workers attach read-only NumPy views by segment name.  No per-call
-  pickling of the population — a dispatch ships only the segment names and
-  a handful of scalars.
-- **Existing merge seams.**  Worker partials merge through
-  ``merge_campaign_batches`` / ``merge_campaign_grid_batches`` (dense) and
-  per-trial concatenation in offset order (sparse), the exact associations
-  the sharding test-suite already pins bit-identical to the serial kernels.
-- **Inner NumPy delegation.**  Every non-hot primitive
+  pickling of the population — a dispatch ships only the segment names, the
+  already-resolved grid points and a handful of scalars.
+- **Existing merge seams.**  Worker results merge through
+  ``merge_campaign_grid_batches`` (dense) and per-trial concatenation in
+  offset order (sparse), the exact associations the sharding test-suite
+  already pins bit-identical to the serial kernels.
+- **Inner NumPy delegation.**  Every other primitive
   (:meth:`violation_trials`, :meth:`masked_power_sums`,
-  :meth:`shannon_entropy`, array construction, …) delegates to an inner
+  :meth:`sparse_masked_power_sums`, :meth:`shannon_entropy`, array
+  construction, …) delegates to an inner
   :class:`~repro.backend.numpy_backend.NumpyBackend`, and the workers run
   the NumPy kernels too — the shm backend is a scheduler, not a new
   numerics implementation, which is what keeps it byte-identical to numpy.
-
-On top of the fan-out, the sparse path applies **exact column pruning**:
-when the resolved grid points select only a subset of the vulnerability
-columns (the top-k budget sweeps), the CSR structure is rebuilt — with
-vectorized NumPy ops, never the scalar ``select_columns`` loop — to keep
-only the selected columns' cells.  The campaign uniform for a sparse cell
-is indexed by ``(trial, global row, position in point.columns)``; none of
-those change under pruning, so the pruned kernel draws the identical stream
-over the identical cells and the output stays bit-identical, while the
-per-trial work drops from O(nnz) to O(nnz restricted to selected columns).
-The per-chunk kept-cell presummary also powers an exact chunk skip: a row
-chunk with zero selected-column cells contributes exactly-zero partials
-without touching a kernel.
 
 Selection: the backend registers *behind* numpy in auto-detection order, so
 it is opt-in via ``REPRO_BACKEND=shm`` (or ``--backend shm``).  Environment
@@ -44,8 +31,6 @@ knobs:
 
 - ``REPRO_SHM_WORKERS`` — worker-process count (default
   ``min(4, cpu_count)``); changing it recycles the pool on the next call.
-- ``REPRO_SHM_PRUNE`` — set to ``0``/``false`` to disable column pruning
-  (the benchmark uses this to assert pruned == unpruned exactly).
 - ``REPRO_SHM_INLINE_CELLS`` — workloads below this many trial-cells run
   inline on the inner NumPy backend instead of paying a pool round-trip
   (default ``65536``; tests set ``0`` to force the pool path everywhere).
@@ -60,9 +45,9 @@ handle and segment cache on first use (they are corpses there); the parent
 keeps sole ownership of the published segments.
 
 Per-kernel dispatch timings are recorded into
-:data:`repro.backend.timing.KERNEL_TIMINGS` under ``shm_campaign_trials``,
-``shm_campaign_grid`` and ``shm_sparse_partials``, so the serve layer's
-``/metrics`` endpoint exposes the multiprocess path in production.
+:data:`repro.backend.timing.KERNEL_TIMINGS` under ``shm_campaign_grid`` and
+``shm_sparse_partials``, so the serve layer's ``/metrics`` endpoint exposes
+the multiprocess path in production.
 """
 
 from __future__ import annotations
@@ -76,7 +61,7 @@ import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised indirectly via availability_error()
     import numpy as _np
@@ -94,15 +79,12 @@ except ImportError:  # pragma: no cover
     _resource_tracker = None
 
 from repro.backend.base import (
-    CampaignBatchResult,
-    CampaignGridPoint,
-    CampaignGridPointResult,
     ComputeBackend,
+    GridPointResult,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
     TrialBatchResult,
-    validate_campaign_arguments,
     validate_grid_arguments,
     validate_sparse_partial_arguments,
 )
@@ -113,9 +95,6 @@ from repro.core.exceptions import BackendError
 #: Environment variable selecting the worker-process count.
 WORKERS_ENV_VAR = "REPRO_SHM_WORKERS"
 
-#: Environment variable toggling exact sparse column pruning (default on).
-PRUNE_ENV_VAR = "REPRO_SHM_PRUNE"
-
 #: Environment variable overriding the inline-dispatch threshold.
 INLINE_ENV_VAR = "REPRO_SHM_INLINE_CELLS"
 
@@ -123,16 +102,11 @@ INLINE_ENV_VAR = "REPRO_SHM_INLINE_CELLS"
 #: NumPy backend — a pool round-trip costs more than the arithmetic.
 DEFAULT_INLINE_CELL_LIMIT = 1 << 16
 
-_FALSE_VALUES = frozenset({"0", "false", "off", "no"})
-
 #: Parent-side cap on pinned shared-memory publications (LRU evicted).
 _PUBLISH_CAPACITY = 16
 
 #: Worker-side cap on attached segment views (LRU evicted).
 _ATTACH_CAPACITY = 16
-
-#: Cap on cached per-structure exposed-power presummaries.
-_PRESUMMARY_CAPACITY = 8
 
 
 # -- worker-process side -------------------------------------------------------
@@ -197,74 +171,22 @@ def _attach_view(ref: SegmentRef):
     return view
 
 
-def _worker_campaign_trials(
-    exposure_ref: SegmentRef,
-    powers_ref: SegmentRef,
-    probabilities: Tuple[float, ...],
-    trials: int,
-    seed: int,
-    tolerance: float,
-    total_power: float,
-    trial_offset: int,
-) -> Tuple[int, int, float, Tuple[float, ...]]:
-    """One trial range of :meth:`campaign_trials`, as plain tuples."""
-    batch = _worker_numpy().campaign_trials(
-        _attach_view(exposure_ref),
-        _attach_view(powers_ref),
-        probabilities,
-        trials=trials,
-        seed=seed,
-        tolerance=tolerance,
-        total_power=total_power,
-        trial_offset=trial_offset,
-    )
-    return (
-        batch.trials,
-        batch.violations,
-        batch.compromised_total,
-        batch.per_vulnerability_totals,
-    )
-
-
 def _worker_campaign_grid(
     exposure_ref: SegmentRef,
     powers_ref: SegmentRef,
-    probabilities: Tuple[float, ...],
-    points: Tuple[CampaignGridPoint, ...],
+    points: Tuple[ResolvedGridPoint, ...],
     trials: int,
-    seed: int,
     total_power: float,
     trial_offset: int,
-    dtype: str,
-    topk: str,
-):
-    """One trial range of :meth:`campaign_grid`, as plain tuples per point.
-
-    Every worker resolves the grid points itself (top-k over the shared
-    exposure is a single small matmul), so point resolution never has to
-    cross the process boundary and each range selects identical columns.
-    """
-    results = _worker_numpy().campaign_grid(
+) -> Tuple[GridPointResult, ...]:
+    """One trial range of :meth:`campaign_grid` over the shared views."""
+    return _worker_numpy().campaign_grid(
         _attach_view(exposure_ref),
         _attach_view(powers_ref),
-        probabilities,
         points,
         trials=trials,
-        seed=seed,
         total_power=total_power,
         trial_offset=trial_offset,
-        dtype=dtype,
-        topk=topk,
-    )
-    return tuple(
-        (
-            result.trials,
-            result.columns,
-            result.violations,
-            result.compromised_total,
-            result.per_vulnerability_totals,
-        )
-        for result in results
     )
 
 
@@ -373,9 +295,6 @@ class ShmBackend(ComputeBackend):
         self._published: "OrderedDict[int, Tuple[object, _SharedSegment]]" = (
             OrderedDict()
         )
-        self._presummaries: "OrderedDict[int, Tuple[object, Tuple[float, ...]]]" = (
-            OrderedDict()
-        )
         atexit.register(self.close)
 
     # -- availability ----------------------------------------------------------
@@ -436,13 +355,6 @@ class ShmBackend(ComputeBackend):
         return value
 
     @staticmethod
-    def _prune_enabled() -> bool:
-        raw = os.environ.get(PRUNE_ENV_VAR)
-        if raw is None:
-            return True
-        return raw.strip().lower() not in _FALSE_VALUES
-
-    @staticmethod
     def _inline_cell_limit() -> int:
         raw = os.environ.get(INLINE_ENV_VAR)
         if raw is None or not raw.strip():
@@ -499,7 +411,6 @@ class ShmBackend(ComputeBackend):
         self._pool = None
         self._pool_workers = 0
         self._published.clear()
-        self._presummaries.clear()
         self._pid = os.getpid()
 
     def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
@@ -573,7 +484,6 @@ class ShmBackend(ComputeBackend):
             self._pool_workers = 0
             published = [handle for _, handle in self._published.values()]
             self._published.clear()
-            self._presummaries.clear()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
         for handle in published:
@@ -621,168 +531,45 @@ class ShmBackend(ComputeBackend):
         return self._inner.asarray_matrix(rows)
 
     def sparse_masked_power_sums(self, sparse: SparseExposure) -> Tuple[float, ...]:
-        """Exposed-power presummary, cached per CSR structure.
+        return self._inner.sparse_masked_power_sums(sparse)
 
-        The budget top-k resolution consults this once per structure; the
-        cached tuple is the NumPy reduction verbatim, so the resolved
-        columns — and the pruning derived from them — match the plain NumPy
-        backend exactly.
-        """
-        key = id(sparse)
-        with self._lock:
-            entry = self._presummaries.get(key)
-            if entry is not None and entry[0] is sparse:
-                self._presummaries.move_to_end(key)
-                return entry[1]
-        sums = self._inner.sparse_masked_power_sums(sparse)
-        with self._lock:
-            self._presummaries[key] = (sparse, sums)
-            while len(self._presummaries) > _PRESUMMARY_CAPACITY:
-                self._presummaries.popitem(last=False)
-        return sums
-
-    # -- hot kernels -----------------------------------------------------------
-
-    def campaign_trials(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        *,
-        trials: int,
-        seed: int,
-        tolerance: float,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> CampaignBatchResult:
-        validate_campaign_arguments(
-            exposure,
-            powers,
-            success_probabilities,
-            trials=trials,
-            tolerance=tolerance,
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-        workers = self._dispatch_workers(
-            trials * len(powers) * len(success_probabilities)
-        )
-        with timed_kernel("shm_campaign_trials", trials=trials):
-            if workers <= 1:
-                return self._inner.campaign_trials(
-                    exposure,
-                    powers,
-                    success_probabilities,
-                    trials=trials,
-                    seed=seed,
-                    tolerance=tolerance,
-                    total_power=total_power,
-                    trial_offset=trial_offset,
-                )
-            from repro.faults.engine import (
-                merge_campaign_batches,
-                split_trial_ranges,
-            )
-
-            ranges = split_trial_ranges(trials, workers)
-            exposure_ref = self._publish(exposure, "float64")
-            powers_ref = self._publish(powers, "float64")
-            probabilities = tuple(float(p) for p in success_probabilities)
-            pool = self._ensure_pool(workers)
-            try:
-                futures = [
-                    pool.submit(
-                        _worker_campaign_trials,
-                        exposure_ref,
-                        powers_ref,
-                        probabilities,
-                        count,
-                        seed,
-                        tolerance,
-                        total_power,
-                        trial_offset + offset,
-                    )
-                    for offset, count in ranges
-                ]
-                payloads = [future.result() for future in futures]
-            except BrokenProcessPool:  # pragma: no cover - crashed workers
-                self._discard_pool()
-                return self._inner.campaign_trials(
-                    exposure,
-                    powers,
-                    success_probabilities,
-                    trials=trials,
-                    seed=seed,
-                    tolerance=tolerance,
-                    total_power=total_power,
-                    trial_offset=trial_offset,
-                )
-            batches = [
-                CampaignBatchResult(
-                    trials=payload[0],
-                    violations=payload[1],
-                    compromised_total=payload[2],
-                    per_vulnerability_totals=tuple(payload[3]),
-                )
-                for payload in payloads
-            ]
-            return merge_campaign_batches(batches)
+    # -- campaign kernels ------------------------------------------------------
 
     def campaign_grid(
         self,
         exposure: Sequence[Sequence[float]],
         powers: Sequence[float],
-        success_probabilities: Sequence[float],
-        points: Sequence[CampaignGridPoint],
+        points: Sequence[ResolvedGridPoint],
         *,
         trials: int,
-        seed: int,
         total_power: float,
         trial_offset: int = 0,
-        dtype: str = "float64",
-        topk: str = "sort",
-    ) -> Tuple[CampaignGridPointResult, ...]:
+    ) -> Tuple[GridPointResult, ...]:
         validate_grid_arguments(
             exposure,
             powers,
-            success_probabilities,
             points,
             trials=trials,
             total_power=total_power,
             trial_offset=trial_offset,
-            dtype=dtype,
-            topk=topk,
         )
+        staged_points = tuple(points)
+        kwargs = dict(trials=trials, total_power=total_power, trial_offset=trial_offset)
         workers = self._dispatch_workers(
-            trials
-            * len(powers)
-            * len(success_probabilities)
-            * max(1, len(points))
+            trials * len(powers) * sum(len(point.columns) for point in staged_points)
         )
-        with timed_kernel("shm_campaign_grid", trials=trials * len(points)):
+        with timed_kernel("shm_campaign_grid", trials=trials * len(staged_points)):
             if workers <= 1:
                 return self._inner.campaign_grid(
-                    exposure,
-                    powers,
-                    success_probabilities,
-                    points,
-                    trials=trials,
-                    seed=seed,
-                    total_power=total_power,
-                    trial_offset=trial_offset,
-                    dtype=dtype,
-                    topk=topk,
+                    exposure, powers, staged_points, **kwargs
                 )
             from repro.faults.engine import (
                 merge_campaign_grid_batches,
                 split_trial_ranges,
             )
 
-            ranges = split_trial_ranges(trials, workers)
             exposure_ref = self._publish(exposure, "float64")
             powers_ref = self._publish(powers, "float64")
-            probabilities = tuple(float(p) for p in success_probabilities)
-            staged_points = tuple(points)
             pool = self._ensure_pool(workers)
             try:
                 futures = [
@@ -790,45 +577,19 @@ class ShmBackend(ComputeBackend):
                         _worker_campaign_grid,
                         exposure_ref,
                         powers_ref,
-                        probabilities,
                         staged_points,
                         count,
-                        seed,
                         total_power,
                         trial_offset + offset,
-                        dtype,
-                        topk,
                     )
-                    for offset, count in ranges
+                    for offset, count in split_trial_ranges(trials, workers)
                 ]
-                payloads = [future.result() for future in futures]
+                batches = [future.result() for future in futures]
             except BrokenProcessPool:  # pragma: no cover - crashed workers
                 self._discard_pool()
                 return self._inner.campaign_grid(
-                    exposure,
-                    powers,
-                    success_probabilities,
-                    points,
-                    trials=trials,
-                    seed=seed,
-                    total_power=total_power,
-                    trial_offset=trial_offset,
-                    dtype=dtype,
-                    topk=topk,
+                    exposure, powers, staged_points, **kwargs
                 )
-            batches = [
-                tuple(
-                    CampaignGridPointResult(
-                        trials=point[0],
-                        columns=tuple(point[1]),
-                        violations=tuple(point[2]),
-                        compromised_total=point[3],
-                        per_vulnerability_totals=tuple(point[4]),
-                    )
-                    for point in payload
-                )
-                for payload in payloads
-            ]
             return merge_campaign_grid_batches(batches)
 
     def sparse_grid_partials(
@@ -850,26 +611,12 @@ class ShmBackend(ComputeBackend):
             total_rows=total_rows,
         )
         staged_points = tuple(points)
-        work_sparse, work_points = self._pruned_workload(sparse, staged_points)
-        with timed_kernel(
-            "shm_sparse_partials", trials=trials * max(1, len(staged_points))
-        ):
-            if work_sparse.nnz == 0:
-                # Exact chunk skip: with no selected-column cells in this row
-                # range, every trial compromises nothing here — the kernels
-                # would return these exact zeros after an O(nnz) scan.
-                return tuple(
-                    SparseGridPartial(
-                        per_trial_compromised=(0.0,) * trials,
-                        per_vulnerability_totals=(0.0,) * len(point.columns),
-                    )
-                    for point in staged_points
-                )
-            workers = self._dispatch_workers(trials * work_sparse.nnz)
+        workers = self._dispatch_workers(trials * sparse.nnz)
+        with timed_kernel("shm_sparse_partials", trials=trials * len(staged_points)):
             if workers <= 1:
                 return self._inner.sparse_grid_partials(
-                    work_sparse,
-                    work_points,
+                    sparse,
+                    staged_points,
                     trials=trials,
                     trial_offset=trial_offset,
                     row_offset=row_offset,
@@ -877,14 +624,11 @@ class ShmBackend(ComputeBackend):
                 )
             from repro.faults.engine import split_trial_ranges
 
-            ranges = split_trial_ranges(trials, workers)
-            indptr_ref = self._publish(work_sparse.indptr, "int64")
-            indices_ref = self._publish(work_sparse.indices, "int64")
-            powers_ref = self._publish(work_sparse.powers, "float64")
-            probabilities = tuple(
-                float(p) for p in work_sparse.success_probabilities
-            )
-            disclosed = tuple(float(t) for t in work_sparse.disclosed_at)
+            indptr_ref = self._publish(sparse.indptr, "int64")
+            indices_ref = self._publish(sparse.indices, "int64")
+            powers_ref = self._publish(sparse.powers, "float64")
+            probabilities = tuple(float(p) for p in sparse.success_probabilities)
+            disclosed = tuple(float(t) for t in sparse.disclosed_at)
             pool = self._ensure_pool(workers)
             try:
                 futures = [
@@ -895,20 +639,20 @@ class ShmBackend(ComputeBackend):
                         powers_ref,
                         probabilities,
                         disclosed,
-                        work_points,
+                        staged_points,
                         count,
                         trial_offset + offset,
                         row_offset,
                         total,
                     )
-                    for offset, count in ranges
+                    for offset, count in split_trial_ranges(trials, workers)
                 ]
                 payloads = [future.result() for future in futures]
             except BrokenProcessPool:  # pragma: no cover - crashed workers
                 self._discard_pool()
                 return self._inner.sparse_grid_partials(
-                    work_sparse,
-                    work_points,
+                    sparse,
+                    staged_points,
                     trials=trials,
                     trial_offset=trial_offset,
                     row_offset=row_offset,
@@ -944,64 +688,3 @@ class ShmBackend(ComputeBackend):
                 )
             )
         return tuple(merged)
-
-    # -- exact column pruning --------------------------------------------------
-
-    def _pruned_workload(
-        self,
-        sparse: SparseExposure,
-        points: Tuple[ResolvedGridPoint, ...],
-    ) -> Tuple[SparseExposure, Tuple[ResolvedGridPoint, ...]]:
-        """Drop CSR cells in columns no grid point selects — exactly.
-
-        The campaign uniform for a sparse cell is indexed by the trial, the
-        *global* row and the cell's position within ``point.columns``; the
-        CSR column numbering never enters the stream.  Rebuilding the
-        structure over the selected-column union (ascending, so within-row
-        order is preserved) and renumbering each point's columns to union
-        positions therefore draws the identical uniforms over the identical
-        cells — output is bit-identical while every unselected column's
-        cells vanish from the per-trial scan.  Disabled via REPRO_SHM_PRUNE=0.
-        """
-        if not points or not self._prune_enabled():
-            return sparse, points
-        column_count = sparse.column_count
-        union = sorted({column for point in points for column in point.columns})
-        if len(union) >= column_count:
-            return sparse, points
-        indptr = _as_ndarray(sparse.indptr, "int64")
-        indices = _as_ndarray(sparse.indices, "int64")
-        lut = _np.full(column_count, -1, dtype=_np.int64)
-        lut[_np.asarray(union, dtype=_np.int64)] = _np.arange(
-            len(union), dtype=_np.int64
-        )
-        local = lut[indices]
-        keep = local >= 0
-        # The kept-cell presummary: prefix[i] = kept cells before position i,
-        # so gathering it at the original indptr *is* the pruned indptr.
-        prefix = _np.zeros(len(indices) + 1, dtype=_np.int64)
-        _np.cumsum(keep, dtype=_np.int64, out=prefix[1:])
-        new_indptr = prefix[indptr]
-        new_indices = local[keep]
-        pruned = SparseExposure(
-            indptr=new_indptr,
-            indices=new_indices,
-            powers=sparse.powers,
-            success_probabilities=tuple(
-                float(sparse.success_probabilities[column]) for column in union
-            ),
-            disclosed_at=tuple(
-                float(sparse.disclosed_at[column]) for column in union
-            ),
-        )
-        object.__setattr__(pruned, "_validated", True)
-        remapped = tuple(
-            ResolvedGridPoint(
-                columns=tuple(int(lut[column]) for column in point.columns),
-                probabilities=point.probabilities,
-                tolerances=point.tolerances,
-                seed=point.seed,
-            )
-            for point in points
-        )
-        return pruned, remapped

@@ -41,8 +41,8 @@ Twelve subcommands cover the common workflows without writing Python:
   ceiling (the CI ``BENCH_9.json`` artifact);
 - ``bench-backends`` — race python vs numpy vs the multiprocess ``shm``
   backend across worker counts on the campaign workload (all identical by
-  contract), then run the column-pruned sparse campaign at sweep scale
-  with pruned == unpruned asserted exactly; optionally gate a minimum
+  contract), then run the budgeted sparse campaign at sweep scale as one
+  shm kernel call; optionally gate a minimum
   shm-over-numpy speedup and a peak-RSS ceiling and write the
   ``BENCH_10.json`` snapshot.
 
@@ -609,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench_backends_parser = subparsers.add_parser(
         "bench-backends",
         help="race python/numpy/shm on the campaign workload across worker "
-        "counts, plus the column-pruned sparse campaign at sweep scale",
+        "counts, plus the budgeted sparse campaign at sweep scale",
     )
     bench_backends_parser.add_argument("--trials", type=int, default=10_000)
     bench_backends_parser.add_argument(
@@ -648,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_SPARSE_SIZE,
         metavar="N",
-        help="replica count of the column-pruned sparse campaign "
+        help="replica count of the budgeted sparse campaign "
         "(default: 10^7; 0 skips the sparse phase)",
     )
     bench_backends_parser.add_argument("--sparse-trials", type=int, default=8)
@@ -657,12 +657,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="REPRO_SHM_WORKERS for the sparse phase",
-    )
-    bench_backends_parser.add_argument(
-        "--skip-unpruned",
-        action="store_true",
-        help="skip the unpruned sparse control run (and its exact "
-        "pruned == unpruned assertion)",
     )
     bench_backends_parser.add_argument(
         "--min-speedup",
@@ -1242,7 +1236,6 @@ def _command_bench_backends(arguments: argparse.Namespace) -> int:
         sparse_size=arguments.sparse_size,
         sparse_trials=arguments.sparse_trials,
         sparse_workers=arguments.sparse_workers,
-        compare_unpruned=not arguments.skip_unpruned,
         memory_ceiling_mb=arguments.memory_ceiling_mb,
     )
     print(
@@ -1273,14 +1266,7 @@ def _command_bench_backends(arguments: argparse.Namespace) -> int:
             f"sparse sweep: {sparse.population_size} replicas "
             f"({sparse.nnz} nnz), {sparse.trials} trials, "
             f"{sparse.workers} workers, build {sparse.build_seconds:.1f}s, "
-            f"pruned {sparse.pruned_seconds:.2f}s"
-            + (
-                f", unpruned {sparse.unpruned_seconds:.2f}s "
-                f"(identical: {sparse.pruned_identical_to_unpruned}, "
-                f"prune speedup {sparse.prune_speedup():.2f}x)"
-                if sparse.unpruned_seconds is not None
-                else ""
-            )
+            f"campaign {sparse.campaign_seconds:.2f}s"
         )
         print(f"sparse peak RSS: {sparse.peak_rss_kb} KiB")
     if arguments.output:

@@ -33,9 +33,10 @@ from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.engine import (
     BatchCampaignEngine,
     CampaignEstimate,
-    CampaignPlan,
-    ShardedCampaignRun,
-    merge_campaign_batches,
+    GridCampaignEngine,
+    GridPointRequest,
+    ShardedGridRun,
+    merge_campaign_grid_batches,
     run_census_trials,
     split_trial_ranges,
 )
@@ -55,24 +56,25 @@ __all__ = [
     "BriberyAdversary",
     "CampaignEstimate",
     "CampaignOutcome",
-    "CampaignPlan",
     "ExploitAdversary",
     "ExploitCampaign",
     "ExposureTimeline",
     "FaultKind",
     "FaultSchedule",
     "FaultSpec",
+    "GridCampaignEngine",
+    "GridPointRequest",
     "PatchRollout",
     "PatchState",
     "PopulationMatrix",
     "ProactiveRecoveryPolicy",
     "RationalOperatorAdversary",
     "Severity",
-    "ShardedCampaignRun",
+    "ShardedGridRun",
     "Vulnerability",
     "VulnerabilityCatalog",
     "VulnerabilityWindow",
-    "merge_campaign_batches",
+    "merge_campaign_grid_batches",
     "run_census_trials",
     "split_trial_ranges",
 ]

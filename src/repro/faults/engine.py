@@ -2,18 +2,37 @@
 
 The scalar :class:`~repro.faults.campaign.ExploitCampaign` resolves *one*
 campaign at a time with per-replica Python loops.  The
-:class:`BatchCampaignEngine` runs **thousands** of randomized campaigns as a
-single backend kernel call (:meth:`ComputeBackend.campaign_trials`): every
-trial independently re-samples which exploit attempts succeed, and the kernel
-reduces the whole batch to violation counts, mean compromised fractions and
-mean per-vulnerability compromised power (``f_t^i``) with masked
-matrix–vector arithmetic.
+:class:`GridCampaignEngine` runs **thousands** of randomized campaigns at
+every point of a scenario grid in as few backend kernel calls as the chunk
+limits allow: every trial independently re-samples which exploit attempts
+succeed, and the kernels reduce the whole batch to violation counts, mean
+compromised fractions and mean per-vulnerability compromised power
+(``f_t^i``).
+
+All campaign work takes one path through the engine, whether it is one
+campaign or a grid, dense or sparse, serial or sharded:
+
+1. :meth:`GridCampaignEngine._plan_grid` validates the requests and picks
+   each point's targets (worst-case targets through
+   :meth:`PopulationMatrix.most_damaging`, then the disclosure gate);
+2. :func:`_resolve_plan_points` turns the exploitable points into
+   :class:`~repro.backend.base.ResolvedGridPoint` (explicit columns,
+   probabilities and seed);
+3. :func:`_run_points` hands them to the layout's kernel —
+   ``campaign_grid`` in trial chunks on a dense matrix,
+   ``sparse_grid_partials`` in row chunks on a CSR one — serially, or per
+   trial range inside :class:`ShardedGridRun`'s pool workers;
+4. :meth:`GridCampaignEngine._finalize_grid` reduces the merged kernel
+   results to :class:`GridPointEstimate` values.
+
+A single campaign (:meth:`GridCampaignEngine.estimate`,
+:meth:`GridCampaignEngine.estimate_worst_case`) is a one-request grid.
 
 Because the kernels draw from a counter-based RNG stream
-(:func:`repro.backend.base.campaign_uniform`), the NumPy and pure-Python
-backends produce **identical** estimates for the same seed — campaign
-experiments are therefore not backend-sensitive, unlike the census-mode
-Monte-Carlo estimator whose per-backend RNG streams predate this engine.
+(:func:`repro.backend.base.campaign_uniform`), every backend produces
+**identical** estimates for the same seed — campaign experiments are
+therefore not backend-sensitive, unlike the census-mode Monte-Carlo
+estimator whose per-backend RNG streams predate this engine.
 
 The engine also hosts the census-mode seam (:func:`run_census_trials`) the
 violation-probability estimator of :mod:`repro.analysis.monte_carlo` now
@@ -23,14 +42,13 @@ backends from one module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.backend import get_backend
 from repro.backend.base import (
-    CampaignBatchResult,
-    CampaignGridPoint,
-    CampaignGridPointResult,
+    GridPointResult,
     ResolvedGridPoint,
     SparseExposure,
     TrialBatchResult,
@@ -49,7 +67,7 @@ from repro.faults.matrix import PopulationMatrix
 from repro.testing.chaos import chaos_checkpoint
 
 
-#: Default replica-range chunk for sparse campaigns: the engines never hand a
+#: Default replica-range chunk for sparse campaigns: the engine never hands a
 #: backend more than this many CSR rows per kernel call, so peak working
 #: memory is bounded by the chunk, not the population.  The sparse stream
 #: contract's global row counter makes chunk boundaries invisible — chunked
@@ -57,97 +75,19 @@ from repro.testing.chaos import chaos_checkpoint
 #: float totals, exact for every shipped scenario).
 DEFAULT_CAMPAIGN_CHUNK_ROWS = 1 << 18
 
+#: Default bound on (replicas × selected columns × chunk trials) cells a
+#: single dense kernel call may cover; larger grids split the trial range into
+#: chunks under this cap, invisibly to results (``trial_offset`` pins every
+#: chunk's slice of the counter-based stream).  Peak *memory* is bounded by
+#: the kernels themselves (they stream trials through fixed-size internal
+#: buffers), so the default is generous — the cap mainly keeps a pathological
+#: grid from monopolizing one kernel call, and tests lower it to exercise the
+#: chunk seam.
+DEFAULT_GRID_CHUNK_CELLS = 400_000_000
 
-def _run_sparse_grid(
-    backend,
-    sparse: SparseExposure,
-    points: Sequence[ResolvedGridPoint],
-    *,
-    trials: int,
-    trial_offset: int,
-    chunk_rows: int,
-    total_power: float,
-) -> Tuple[CampaignGridPointResult, ...]:
-    """Row-chunked sparse evaluation of already-resolved grid points.
-
-    Splits the CSR rows into ``chunk_rows`` ranges, collects each range's
-    partial sums per point (every chunk draws exactly its slice of the full
-    counter stream via ``row_offset``/``total_rows``), merges the partials in
-    ascending row order, and only then applies the per-trial verdicts — a
-    trial's compromised fraction couples all rows, so verdicts cannot be
-    taken per chunk.
-    """
-    if total_power <= 0:
-        from repro.core.exceptions import BackendError
-
-        raise BackendError(f"total power must be positive, got {total_power}")
-    total_rows = sparse.replica_count
-    step = max(1, chunk_rows)
-    chunks = []
-    for start in range(0, total_rows, step):
-        stop = min(start + step, total_rows)
-        piece = (
-            sparse if stop - start == total_rows else sparse.row_slice(start, stop)
-        )
-        with timed_kernel(
-            "sparse_campaign_partials", trials=trials * len(points)
-        ):
-            chunks.append(
-                backend.sparse_grid_partials(
-                    piece,
-                    points,
-                    trials=trials,
-                    trial_offset=trial_offset,
-                    row_offset=start,
-                    total_rows=total_rows,
-                )
-            )
-    merged = merge_sparse_partials(chunks)
-    return tuple(
-        finalize_sparse_point(
-            partial,
-            trials=trials,
-            columns=point.columns,
-            tolerances=point.tolerances,
-            total_power=total_power,
-        )
-        for point, partial in zip(points, merged)
-    )
-
-
-def _run_sparse_campaign(
-    backend,
-    sparse: SparseExposure,
-    *,
-    trials: int,
-    seed: int,
-    tolerance: float,
-    total_power: float,
-    trial_offset: int,
-    chunk_rows: int,
-) -> CampaignBatchResult:
-    """Row-chunked sparse equivalent of one ``campaign_trials`` kernel call."""
-    point = ResolvedGridPoint(
-        columns=tuple(range(sparse.column_count)),
-        probabilities=tuple(float(p) for p in sparse.success_probabilities),
-        tolerances=(tolerance,),
-        seed=seed,
-    )
-    result = _run_sparse_grid(
-        backend,
-        sparse,
-        (point,),
-        trials=trials,
-        trial_offset=trial_offset,
-        chunk_rows=chunk_rows,
-        total_power=total_power,
-    )[0]
-    return CampaignBatchResult(
-        trials=trials,
-        violations=result.violations[0],
-        compromised_total=result.compromised_total,
-        per_vulnerability_totals=result.per_vulnerability_totals,
-    )
+#: What :func:`_run_points` evaluates: a CSR structure, or a dense
+#: ``(exposure matrix, powers)`` pair in the backend's array representation.
+KernelExposure = Union[SparseExposure, Tuple[Sequence[Sequence[float]], Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -179,543 +119,6 @@ class CampaignEstimate:
 
 
 @dataclass(frozen=True)
-class CampaignPlan:
-    """Validated campaign targets: requested ids, exploitable subset, tolerance."""
-
-    ids: Tuple[str, ...]
-    exploited: Tuple[str, ...]
-    tolerance: float
-
-
-class BatchCampaignEngine:
-    """Runs batches of randomized exploit campaigns over a population matrix."""
-
-    def __init__(
-        self,
-        population: Optional[ReplicaPopulation],
-        catalog: Optional[VulnerabilityCatalog],
-        *,
-        backend: BackendLike = None,
-        matrix: Optional[PopulationMatrix] = None,
-        chunk_rows: int = DEFAULT_CAMPAIGN_CHUNK_ROWS,
-    ) -> None:
-        if chunk_rows <= 0:
-            raise FaultModelError(
-                f"chunk row count must be positive, got {chunk_rows}"
-            )
-        if matrix is None:
-            if population is None or catalog is None:
-                raise FaultModelError(
-                    "an engine without a population and catalog needs an "
-                    "explicit matrix; use from_matrix()"
-                )
-            matrix = PopulationMatrix.build(population, catalog)
-        self._population = population
-        self._catalog = catalog
-        self._backend = backend
-        self._matrix = matrix
-        self._chunk_rows = chunk_rows
-
-    @classmethod
-    def from_matrix(
-        cls,
-        matrix: PopulationMatrix,
-        *,
-        backend: BackendLike = None,
-        chunk_rows: int = DEFAULT_CAMPAIGN_CHUNK_ROWS,
-    ) -> "BatchCampaignEngine":
-        """Engine over a pre-built matrix (e.g. a streamed sparse build).
-
-        Matrices built from replica chunks have no live population or
-        catalog object; planning falls back to the matrix's own
-        vulnerability vectors, and results are identical to an engine built
-        from the originating population/catalog pair.
-        """
-        return cls(
-            None, None, backend=backend, matrix=matrix, chunk_rows=chunk_rows
-        )
-
-    def _catalog_size(self) -> int:
-        """Vulnerability count for validation messages (catalog may be absent)."""
-        if self._catalog is not None:
-            return len(self._catalog)
-        return self._matrix.vulnerability_count
-
-    @property
-    def matrix(self) -> PopulationMatrix:
-        return self._matrix
-
-    @property
-    def population(self) -> Optional[ReplicaPopulation]:
-        return self._population
-
-    @property
-    def catalog(self) -> Optional[VulnerabilityCatalog]:
-        return self._catalog
-
-    # -- batched estimation --------------------------------------------------------
-
-    def estimate(
-        self,
-        vulnerability_ids: Optional[Sequence[str]] = None,
-        *,
-        trials: int,
-        seed: int = 0,
-        family: ProtocolFamily = ProtocolFamily.BFT,
-        tolerated_fraction: Optional[float] = None,
-        time: Optional[float] = None,
-    ) -> CampaignEstimate:
-        """Sample ``trials`` randomized campaigns over the given vulnerabilities.
-
-        Args:
-            vulnerability_ids: catalog ids to exploit in every trial
-                (defaults to the whole catalog).  Duplicates are a usage
-                error — they would double-count exploit attempts.
-            trials: number of campaigns to sample (positive).
-            seed: counter-based RNG seed; identical across backends.
-            family: protocol family providing the tolerance.
-            tolerated_fraction: explicit tolerance override.
-            time: optional simulation time; vulnerabilities not yet disclosed
-                at ``time`` are skipped (reported with mean ``f_t^i`` 0.0).
-        """
-        plan = self._plan(
-            vulnerability_ids,
-            trials=trials,
-            family=family,
-            tolerated_fraction=tolerated_fraction,
-            time=time,
-        )
-        batch: Optional[CampaignBatchResult] = None
-        if plan.exploited:
-            resolved = get_backend(self._backend)
-            if self._matrix.is_sparse:
-                sparse = (
-                    self._matrix.sparse_exposure()
-                    if plan.exploited == self._matrix.vulnerability_ids
-                    else self._matrix.sparse_columns_for(plan.exploited)
-                )
-                batch = _run_sparse_campaign(
-                    resolved,
-                    sparse,
-                    trials=trials,
-                    seed=seed,
-                    tolerance=plan.tolerance,
-                    total_power=self._matrix.total_power,
-                    trial_offset=0,
-                    chunk_rows=self._chunk_rows,
-                )
-                return self._finalize(plan, trials, batch)
-            if plan.exploited == self._matrix.vulnerability_ids:
-                # Full-catalog campaigns reuse the matrix's per-backend cache.
-                exposure_array = self._matrix.exposure_array(resolved)
-                probabilities = self._matrix.success_probabilities
-            else:
-                exposure_rows, probabilities = self._matrix.columns_for(plan.exploited)
-                exposure_array = resolved.asarray_matrix(exposure_rows)
-            with timed_kernel("campaign_trials", trials=trials):
-                batch = resolved.campaign_trials(
-                    exposure_array,
-                    self._matrix.powers_array(resolved),
-                    probabilities,
-                    trials=trials,
-                    seed=seed,
-                    tolerance=plan.tolerance,
-                    total_power=self._matrix.total_power,
-                )
-        return self._finalize(plan, trials, batch)
-
-    def _plan(
-        self,
-        vulnerability_ids: Optional[Sequence[str]],
-        *,
-        trials: int,
-        family: ProtocolFamily,
-        tolerated_fraction: Optional[float],
-        time: Optional[float],
-    ) -> "CampaignPlan":
-        """Validate arguments and resolve targets; shared by serial & sharded runs."""
-        if trials <= 0:
-            raise FaultModelError(f"trial count must be positive, got {trials}")
-        if vulnerability_ids is None:
-            vulnerability_ids = self._matrix.vulnerability_ids
-        ids = list(vulnerability_ids)
-        if not ids:
-            raise FaultModelError(
-                "a campaign needs at least one vulnerability"
-                if self._catalog_size()
-                else "the catalog is empty; nothing to exploit"
-            )
-        reject_duplicate_vulnerability_ids(ids)
-        tolerance = (
-            tolerated_fraction
-            if tolerated_fraction is not None
-            else tolerated_fault_fraction(family)
-        )
-        if not 0.0 < tolerance <= 1.0:
-            raise FaultModelError(
-                f"tolerated fraction must be in (0, 1], got {tolerance}"
-            )
-        exploited = tuple(
-            vuln_id
-            for vuln_id in ids
-            if self._matrix.is_exploitable_at(vuln_id, time)
-        )
-        return CampaignPlan(ids=tuple(ids), exploited=exploited, tolerance=tolerance)
-
-    def _finalize(
-        self,
-        plan: "CampaignPlan",
-        trials: int,
-        batch: Optional[CampaignBatchResult],
-    ) -> CampaignEstimate:
-        """Reduce a (possibly merged) kernel batch to a :class:`CampaignEstimate`."""
-        per_vulnerability: Dict[str, float] = {vuln_id: 0.0 for vuln_id in plan.ids}
-        violations = 0
-        compromised_total = 0.0
-        if batch is not None:
-            violations = batch.violations
-            compromised_total = batch.compromised_total
-            for vuln_id, total in zip(plan.exploited, batch.per_vulnerability_totals):
-                per_vulnerability[vuln_id] = total / trials
-        return CampaignEstimate(
-            exploited=plan.exploited,
-            trials=trials,
-            violations=violations,
-            violation_probability=violations / trials,
-            mean_compromised_fraction=compromised_total
-            / (trials * self._matrix.total_power),
-            tolerated_fraction=plan.tolerance,
-            total_power=self._matrix.total_power,
-            mean_power_per_vulnerability=tuple(sorted(per_vulnerability.items())),
-        )
-
-    def estimate_worst_case(
-        self,
-        *,
-        max_vulnerabilities: int = 1,
-        trials: int,
-        seed: int = 0,
-        family: ProtocolFamily = ProtocolFamily.BFT,
-        tolerated_fraction: Optional[float] = None,
-        time: Optional[float] = None,
-    ) -> CampaignEstimate:
-        """Batched trials against the ``max_vulnerabilities`` biggest exposures.
-
-        Target selection matches ``ExploitCampaign.run_worst_case`` (greedy
-        by exposed power, id tie-break); only the per-trial exploit outcomes
-        are randomized.
-        """
-        if max_vulnerabilities <= 0:
-            raise FaultModelError(
-                f"max vulnerabilities must be positive, got {max_vulnerabilities}"
-            )
-        if self._catalog_size() == 0:
-            raise FaultModelError("the catalog is empty; nothing to exploit")
-        ranked = self._matrix.most_damaging(
-            max_vulnerabilities, backend=self._backend, time=time
-        )
-        return self.estimate(
-            [vuln_id for vuln_id, _ in ranked],
-            trials=trials,
-            seed=seed,
-            family=family,
-            tolerated_fraction=tolerated_fraction,
-            time=time,
-        )
-
-
-# -- sharded campaign runs ----------------------------------------------------
-
-
-def split_trial_ranges(trials: int, shards: int) -> Tuple[Tuple[int, int], ...]:
-    """Split ``trials`` into ``shards`` contiguous ``(offset, count)`` ranges.
-
-    The first ``trials % shards`` ranges are one trial longer; empty ranges
-    are dropped (sharding 5 trials 8 ways yields 5 ranges).  Because the
-    campaign kernels are counter-based, a shard computing its range with
-    ``trial_offset=offset`` draws exactly the uniforms the serial run draws
-    for those trials — the ranges partition the serial trial sequence.
-    """
-    if trials <= 0:
-        raise FaultModelError(f"trial count must be positive, got {trials}")
-    if shards <= 0:
-        raise FaultModelError(f"shard count must be positive, got {shards}")
-    base, remainder = divmod(trials, shards)
-    ranges: List[Tuple[int, int]] = []
-    offset = 0
-    for shard in range(shards):
-        count = base + (1 if shard < remainder else 0)
-        if count == 0:
-            continue
-        ranges.append((offset, count))
-        offset += count
-    return tuple(ranges)
-
-
-def merge_campaign_batches(
-    batches: Sequence[CampaignBatchResult],
-) -> CampaignBatchResult:
-    """Sum shard results back into the serial run's :class:`CampaignBatchResult`.
-
-    Violation and trial counts are integers, so their sums are always exact.
-    The power totals are float sums; summing shards in offset order matches
-    the serial accumulation bit-for-bit whenever the per-trial contributions
-    are dyadic rationals (every shipped scenario uses power 1.0 per replica),
-    and to float tolerance otherwise.
-    """
-    if not batches:
-        raise FaultModelError("cannot merge zero campaign batches")
-    widths = {len(batch.per_vulnerability_totals) for batch in batches}
-    if len(widths) != 1:
-        raise FaultModelError(
-            f"campaign batches disagree on vulnerability count: {sorted(widths)}"
-        )
-    per_vulnerability = [0.0] * widths.pop()
-    trials = 0
-    violations = 0
-    compromised_total = 0.0
-    for batch in batches:
-        trials += batch.trials
-        violations += batch.violations
-        compromised_total += batch.compromised_total
-        for column, total in enumerate(batch.per_vulnerability_totals):
-            per_vulnerability[column] += total
-    return CampaignBatchResult(
-        trials=trials,
-        violations=violations,
-        compromised_total=compromised_total,
-        per_vulnerability_totals=tuple(per_vulnerability),
-    )
-
-
-def _campaign_shard_worker(
-    backend_name: str,
-    exposure_rows: Tuple[Tuple[float, ...], ...],
-    powers: Tuple[float, ...],
-    success_probabilities: Tuple[float, ...],
-    trials: int,
-    seed: int,
-    tolerance: float,
-    total_power: float,
-    trial_offset: int,
-) -> Dict[str, Any]:
-    """Pool-worker entry: one shard's trials as plain JSON-safe data.
-
-    Arguments are primitives (no engine, no matrix) so any executor can
-    carry them across a process boundary, and the return value is a plain
-    dict for the same reason.
-    """
-    chaos_checkpoint("task", key=f"campaign-shard:{trial_offset}+{trials}")
-    resolved = get_backend(backend_name)
-    with timed_kernel("campaign_trials", trials=trials):
-        batch = resolved.campaign_trials(
-            resolved.asarray_matrix(exposure_rows),
-            resolved.asarray(powers),
-            success_probabilities,
-            trials=trials,
-            seed=seed,
-            tolerance=tolerance,
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-    return {
-        "trials": batch.trials,
-        "violations": batch.violations,
-        "compromised_total": batch.compromised_total,
-        "per_vulnerability_totals": list(batch.per_vulnerability_totals),
-    }
-
-
-def _sparse_campaign_shard_worker(
-    backend_name: str,
-    sparse: SparseExposure,
-    trials: int,
-    seed: int,
-    tolerance: float,
-    total_power: float,
-    trial_offset: int,
-    chunk_rows: int,
-) -> Dict[str, Any]:
-    """Pool-worker entry: one sparse shard's trials from a CSR exposure.
-
-    The :class:`SparseExposure` pickles compactly (stdlib ``array`` buffers)
-    across a process boundary, carrying its cached validation with it; the
-    return value mirrors :func:`_campaign_shard_worker`'s plain dict.
-    """
-    chaos_checkpoint("task", key=f"campaign-shard:{trial_offset}+{trials}")
-    resolved = get_backend(backend_name)
-    batch = _run_sparse_campaign(
-        resolved,
-        sparse.validate(),
-        trials=trials,
-        seed=seed,
-        tolerance=tolerance,
-        total_power=total_power,
-        trial_offset=trial_offset,
-        chunk_rows=chunk_rows,
-    )
-    return {
-        "trials": batch.trials,
-        "violations": batch.violations,
-        "compromised_total": batch.compromised_total,
-        "per_vulnerability_totals": list(batch.per_vulnerability_totals),
-    }
-
-
-class ShardedCampaignRun:
-    """Fan a campaign's trial range out over resilient pool workers.
-
-    Wraps a :class:`BatchCampaignEngine` and produces the **same**
-    :class:`CampaignEstimate` as ``engine.estimate(...)`` — bit-identical
-    under the dyadic-power caveat of :func:`merge_campaign_batches` — by
-    splitting the trial range into contiguous shards, running each shard as
-    an independent pool task with ``trial_offset`` pinning its slice of the
-    counter-based RNG stream, and summing the shard batches in offset order.
-
-    Shards run on a :class:`ResilientExecutor`, so a worker crash, hang or
-    injected fault re-dispatches only the lost shard; because a shard's
-    result depends only on ``(seed, offset, count)``, the retried shard is
-    bit-identical to what the lost attempt would have produced and worker
-    loss cannot change a single number.
-
-    Args:
-        engine: the campaign engine whose population/catalog to sample.
-        max_workers: shard count **and** pool width (default 2).
-        task_timeout: per-shard deadline (seconds); hung workers are
-            terminated and the shard retried.
-        retries: re-dispatches allowed per shard.
-        executor: override the executor (tests inject thread-backed pools);
-            when given the run does not shut it down.
-    """
-
-    def __init__(
-        self,
-        engine: BatchCampaignEngine,
-        *,
-        max_workers: int = 2,
-        task_timeout: Optional[float] = None,
-        retries: int = 2,
-        executor: Optional[Any] = None,
-    ) -> None:
-        if max_workers <= 0:
-            raise FaultModelError(
-                f"worker count must be positive, got {max_workers}"
-            )
-        self._engine = engine
-        self._max_workers = max_workers
-        self._task_timeout = task_timeout
-        self._retries = retries
-        self._executor = executor
-
-    def estimate(
-        self,
-        vulnerability_ids: Optional[Sequence[str]] = None,
-        *,
-        trials: int,
-        seed: int = 0,
-        family: ProtocolFamily = ProtocolFamily.BFT,
-        tolerated_fraction: Optional[float] = None,
-        time: Optional[float] = None,
-    ) -> CampaignEstimate:
-        """Sharded equivalent of :meth:`BatchCampaignEngine.estimate`."""
-        from repro.experiments.orchestrator.resilient import ResilientExecutor
-
-        engine = self._engine
-        plan = engine._plan(
-            vulnerability_ids,
-            trials=trials,
-            family=family,
-            tolerated_fraction=tolerated_fraction,
-            time=time,
-        )
-        if not plan.exploited:
-            return engine._finalize(plan, trials, None)
-        matrix = engine.matrix
-        sparse: Optional[SparseExposure] = None
-        if matrix.is_sparse:
-            sparse = (
-                matrix.sparse_exposure()
-                if plan.exploited == matrix.vulnerability_ids
-                else matrix.sparse_columns_for(plan.exploited)
-            )
-        else:
-            exposure_rows, probabilities = matrix.columns_for(plan.exploited)
-        backend_name = get_backend(engine._backend).name
-        ranges = split_trial_ranges(trials, self._max_workers)
-        owned = self._executor is None
-        pool = (
-            ResilientExecutor(
-                max_workers=self._max_workers,
-                deadline=self._task_timeout,
-                retries=self._retries,
-            )
-            if owned
-            else self._executor
-        )
-        try:
-            if sparse is not None:
-                futures = [
-                    pool.submit(
-                        _sparse_campaign_shard_worker,
-                        backend_name,
-                        sparse,
-                        count,
-                        seed,
-                        plan.tolerance,
-                        matrix.total_power,
-                        offset,
-                        engine._chunk_rows,
-                    )
-                    for offset, count in ranges
-                ]
-            else:
-                futures = [
-                    pool.submit(
-                        _campaign_shard_worker,
-                        backend_name,
-                        exposure_rows,
-                        matrix.powers,
-                        probabilities,
-                        count,
-                        seed,
-                        plan.tolerance,
-                        matrix.total_power,
-                        offset,
-                    )
-                    for offset, count in ranges
-                ]
-            batches = [
-                CampaignBatchResult(
-                    trials=payload["trials"],
-                    violations=payload["violations"],
-                    compromised_total=payload["compromised_total"],
-                    per_vulnerability_totals=tuple(
-                        payload["per_vulnerability_totals"]
-                    ),
-                )
-                for payload in (future.result() for future in futures)
-            ]
-        finally:
-            if owned:
-                pool.shutdown(wait=True, cancel_futures=True)
-        return engine._finalize(plan, trials, merge_campaign_batches(batches))
-
-
-# -- fused grid campaigns ------------------------------------------------------
-
-
-#: Default bound on (grid points × replicas × columns × chunk trials) cells a
-#: single fused kernel call may cover; larger grids split the trial range into
-#: chunks under this cap, invisibly to results (``trial_offset`` pins every
-#: chunk's slice of the counter-based stream).  Peak *memory* is bounded by
-#: the kernels themselves (they stream trials through fixed-size internal
-#: buffers), so the default is generous — the cap mainly keeps a pathological
-#: grid from monopolizing one kernel call, and tests/shards lower it to
-#: exercise the chunk seam.
-DEFAULT_GRID_CHUNK_CELLS = 400_000_000
-
-
-@dataclass(frozen=True)
 class GridPointRequest:
     """One engine-level grid point: targets, verdicts and per-point knobs.
 
@@ -725,14 +128,14 @@ class GridPointRequest:
         vulnerability_ids: explicit catalog ids to exploit, in selection
             order (mutually exclusive with ``worst_case``).
         worst_case: exploit the ``worst_case`` most damaging vulnerabilities
-            (greedy by exposed power, id tie-break — the same selection as
-            :meth:`BatchCampaignEngine.estimate_worst_case`).
+            (greedy by exposed power, id tie-break — the selection of
+            ``ExploitCampaign.run_worst_case``).
         success_probability: override every exploited vulnerability's
             success probability at this point (how a reliability sweep
             varies one knob without re-cataloging).
         seed_offset: the point's RNG seed is ``grid seed + seed_offset``;
             matching the per-point ``seed + index`` convention of the looped
-            sweeps keeps fused results bit-identical to them.
+            sweeps keeps grid results bit-identical to them.
     """
 
     tolerances: Tuple[float, ...]
@@ -776,9 +179,9 @@ class GridPointEstimate:
     def estimate_at(self, index: int) -> CampaignEstimate:
         """This point's verdict at ``tolerances[index]`` as a :class:`CampaignEstimate`.
 
-        Field-for-field what :meth:`BatchCampaignEngine.estimate` returns for
-        the same targets, seed and tolerance — the adapter the re-plumbed
-        sweep experiments build their rows from.
+        Field-for-field what :meth:`GridCampaignEngine.estimate` returns for
+        the same targets, seed and tolerance — the adapter the sweep
+        experiments build their rows from.
         """
         return CampaignEstimate(
             exploited=self.exploited,
@@ -792,13 +195,41 @@ class GridPointEstimate:
         )
 
 
+def split_trial_ranges(trials: int, shards: int) -> Tuple[Tuple[int, int], ...]:
+    """Split ``trials`` into ``shards`` contiguous ``(offset, count)`` ranges.
+
+    The first ``trials % shards`` ranges are one trial longer; empty ranges
+    are dropped (sharding 5 trials 8 ways yields 5 ranges).  Because the
+    campaign kernels are counter-based, a shard computing its range with
+    ``trial_offset=offset`` draws exactly the uniforms the serial run draws
+    for those trials — the ranges partition the serial trial sequence.
+    """
+    if trials <= 0:
+        raise FaultModelError(f"trial count must be positive, got {trials}")
+    if shards <= 0:
+        raise FaultModelError(f"shard count must be positive, got {shards}")
+    base, remainder = divmod(trials, shards)
+    ranges: List[Tuple[int, int]] = []
+    offset = 0
+    for shard in range(shards):
+        count = base + (1 if shard < remainder else 0)
+        if count == 0:
+            continue
+        ranges.append((offset, count))
+        offset += count
+    return tuple(ranges)
+
+
 def merge_campaign_grid_batches(
-    batches: Sequence[Sequence[CampaignGridPointResult]],
-) -> Tuple[CampaignGridPointResult, ...]:
+    batches: Sequence[Sequence[GridPointResult]],
+) -> Tuple[GridPointResult, ...]:
     """Sum per-chunk (or per-shard) grid results point by point.
 
-    Counts are exact; float totals merge under the same dyadic-power caveat
-    as :func:`merge_campaign_batches`.  All batches must describe the same
+    Violation and trial counts are integers, so their sums are always exact.
+    The power totals are float sums; summing chunks in offset order matches
+    the serial accumulation bit for bit whenever the per-trial contributions
+    are dyadic rationals (every shipped scenario uses power 1.0 per replica),
+    and to float tolerance otherwise.  All batches must describe the same
     grid (same point count, columns and tolerance widths).
     """
     if not batches:
@@ -830,7 +261,7 @@ def merge_campaign_grid_batches(
             for column, total in enumerate(batch[index].per_vulnerability_totals):
                 per_vulnerability[column] += total
         merged.append(
-            CampaignGridPointResult(
+            GridPointResult(
                 trials=trials,
                 columns=point.columns,
                 violations=violations,
@@ -841,16 +272,15 @@ def merge_campaign_grid_batches(
     return tuple(merged)
 
 
-def _resolve_sparse_plan_points(
+def _resolve_plan_points(
     matrix: PopulationMatrix,
-    plans: Sequence["_GridPlan"],
+    plans: Sequence[_GridPlan],
     seed: int,
 ) -> Tuple[ResolvedGridPoint, ...]:
-    """Turn validated grid plans into explicit sparse kernel points.
+    """Turn the exploitable plans into the kernels' resolved points.
 
-    Mirrors :func:`repro.backend.base.resolve_grid_points` for plans the
-    engine already gated and column-resolved: matrix-wide probabilities
-    unless the plan overrides them, per-point seed ``seed + seed_offset``.
+    Matrix-wide probabilities unless the plan overrides them, per-point seed
+    ``seed + seed_offset``; plans with nothing exploitable have no point.
     """
     probabilities = matrix.success_probabilities
     return tuple(
@@ -865,25 +295,98 @@ def _resolve_sparse_plan_points(
             seed=seed + plan.seed_offset,
         )
         for plan in plans
+        if plan.exploited
     )
 
 
+def _run_points(
+    backend,
+    exposure: KernelExposure,
+    points: Sequence[ResolvedGridPoint],
+    *,
+    trials: int,
+    trial_offset: int,
+    total_power: float,
+    chunk_trials: int,
+    chunk_rows: int,
+) -> Tuple[Tuple[GridPointResult, ...], int]:
+    """Evaluate resolved points on the layout's kernel: ``(results, chunks)``.
+
+    A dense ``(matrix, powers)`` exposure splits the trial range into
+    ``chunk_trials`` pieces, ``trial_offset`` pinning each piece's slice of
+    the counter stream.  A CSR exposure splits the rows into ``chunk_rows``
+    ranges (each drawing its slice of the stream via ``row_offset`` and
+    ``total_rows``), merges the partial sums in ascending row order, and only
+    then takes the per-trial verdicts — a trial's compromised fraction couples
+    all rows, so verdicts cannot be taken per chunk.
+    """
+    if isinstance(exposure, SparseExposure):
+        total_rows = exposure.replica_count
+        chunks = []
+        for start in range(0, total_rows, chunk_rows):
+            stop = min(start + chunk_rows, total_rows)
+            piece = (
+                exposure
+                if stop - start == total_rows
+                else exposure.row_slice(start, stop)
+            )
+            with timed_kernel(
+                "sparse_campaign_partials", trials=trials * len(points)
+            ):
+                chunks.append(
+                    backend.sparse_grid_partials(
+                        piece,
+                        points,
+                        trials=trials,
+                        trial_offset=trial_offset,
+                        row_offset=start,
+                        total_rows=total_rows,
+                    )
+                )
+        merged = merge_sparse_partials(chunks)
+        results = tuple(
+            finalize_sparse_point(
+                partial,
+                trials=trials,
+                columns=point.columns,
+                tolerances=point.tolerances,
+                total_power=total_power,
+            )
+            for point, partial in zip(points, merged)
+        )
+        return results, len(chunks)
+    matrix, powers = exposure
+    batches = []
+    for offset in range(0, trials, chunk_trials):
+        count = min(chunk_trials, trials - offset)
+        with timed_kernel("campaign_grid", trials=count * len(points)):
+            batches.append(
+                backend.campaign_grid(
+                    matrix,
+                    powers,
+                    points,
+                    trials=count,
+                    total_power=total_power,
+                    trial_offset=trial_offset + offset,
+                )
+            )
+    return merge_campaign_grid_batches(batches), len(batches)
+
+
 class GridCampaignEngine:
-    """Runs whole scenario grids as fused backend kernel calls.
+    """Runs randomized exploit campaigns — single or gridded — over a matrix.
 
-    Where :class:`BatchCampaignEngine` issues one ``campaign_trials`` call
-    per (scenario point, tolerance), this engine stages the shared exposure
-    matrix once and hands the backend the entire grid
-    (:meth:`ComputeBackend.campaign_grid`): trials × points in one call,
-    multi-tolerance verdicts on shared draws, and per-point sub-streams
-    bit-identical to the looped path for the same seeds.
+    A grid (:meth:`estimate_grid`) stages the shared exposure once and hands
+    the backend every point in one kernel call per chunk: trials × points,
+    multi-tolerance verdicts on shared draws, and per-point counter-based
+    sub-streams, so each point is bit-identical to running it on its own.
+    :meth:`estimate` and :meth:`estimate_worst_case` are one-request grids.
 
-    Large grids run row-chunked: the trial range is split so
-    ``points × replicas × columns × chunk_trials`` stays under
-    ``max_chunk_cells``, and ``trial_offset`` makes chunk boundaries
-    invisible to every number.  ``dtype``/``topk`` select the opt-in fast
-    paths (tolerance-pinned, not byte-pinned — leave at defaults whenever
-    results feed golden-pinned experiments).
+    Dense matrices run trial-chunked: the trial range is split so
+    ``replicas × selected columns × chunk_trials`` stays under
+    ``max_chunk_cells``.  Sparse matrices run row-chunked in ``chunk_rows``
+    replica ranges.  Either way the counter stream makes chunk boundaries
+    invisible to every number.
     """
 
     def __init__(
@@ -893,8 +396,6 @@ class GridCampaignEngine:
         *,
         backend: BackendLike = None,
         matrix: Optional[PopulationMatrix] = None,
-        dtype: str = "float64",
-        topk: str = "sort",
         max_chunk_cells: int = DEFAULT_GRID_CHUNK_CELLS,
         chunk_rows: int = DEFAULT_CAMPAIGN_CHUNK_ROWS,
     ) -> None:
@@ -917,8 +418,6 @@ class GridCampaignEngine:
         self._catalog = catalog
         self._backend = backend
         self._matrix = matrix
-        self._dtype = dtype
-        self._topk = topk
         self._max_chunk_cells = max_chunk_cells
         self._chunk_rows = chunk_rows
         self._last_chunk_count = 0
@@ -929,19 +428,21 @@ class GridCampaignEngine:
         matrix: PopulationMatrix,
         *,
         backend: BackendLike = None,
-        dtype: str = "float64",
-        topk: str = "sort",
         max_chunk_cells: int = DEFAULT_GRID_CHUNK_CELLS,
         chunk_rows: int = DEFAULT_CAMPAIGN_CHUNK_ROWS,
     ) -> "GridCampaignEngine":
-        """Grid engine over a pre-built matrix (e.g. a streamed sparse build)."""
+        """Engine over a pre-built matrix (e.g. a streamed sparse build).
+
+        Matrices built from replica chunks have no live population or
+        catalog object; planning falls back to the matrix's own
+        vulnerability vectors, and results are identical to an engine built
+        from the originating population/catalog pair.
+        """
         return cls(
             None,
             None,
             backend=backend,
             matrix=matrix,
-            dtype=dtype,
-            topk=topk,
             max_chunk_cells=max_chunk_cells,
             chunk_rows=chunk_rows,
         )
@@ -957,6 +458,14 @@ class GridCampaignEngine:
         return self._matrix
 
     @property
+    def population(self) -> Optional[ReplicaPopulation]:
+        return self._population
+
+    @property
+    def catalog(self) -> Optional[VulnerabilityCatalog]:
+        return self._catalog
+
+    @property
     def last_chunk_count(self) -> int:
         """How many chunks the most recent :meth:`estimate_grid` used.
 
@@ -965,14 +474,75 @@ class GridCampaignEngine:
         """
         return self._last_chunk_count
 
-    def chunk_trials_for(self, requests: Sequence["GridPointRequest"], *, trials: int) -> int:
-        """The per-chunk trial count :meth:`estimate_grid` would use."""
-        plans = self._plan_grid(requests, trials=trials, time=None)
-        return self._chunk_trials(plans)
+    # -- single campaigns ---------------------------------------------------------
+
+    def estimate(
+        self,
+        vulnerability_ids: Optional[Sequence[str]] = None,
+        *,
+        trials: int,
+        seed: int = 0,
+        family: ProtocolFamily = ProtocolFamily.BFT,
+        tolerated_fraction: Optional[float] = None,
+        time: Optional[float] = None,
+    ) -> CampaignEstimate:
+        """Sample ``trials`` randomized campaigns over the given vulnerabilities.
+
+        Args:
+            vulnerability_ids: catalog ids to exploit in every trial
+                (defaults to the whole catalog).  Duplicates are a usage
+                error — they would double-count exploit attempts.
+            trials: number of campaigns to sample (positive).
+            seed: counter-based RNG seed; identical across backends.
+            family: protocol family providing the tolerance.
+            tolerated_fraction: explicit tolerance override.
+            time: optional simulation time; vulnerabilities not yet disclosed
+                at ``time`` are skipped (reported with mean ``f_t^i`` 0.0).
+        """
+        ids = (
+            self._matrix.vulnerability_ids
+            if vulnerability_ids is None
+            else tuple(vulnerability_ids)
+        )
+        request = GridPointRequest(
+            tolerances=(_tolerance(family, tolerated_fraction),),
+            vulnerability_ids=ids,
+        )
+        (point,) = self.estimate_grid((request,), trials=trials, seed=seed, time=time)
+        return point.estimate_at(0)
+
+    def estimate_worst_case(
+        self,
+        *,
+        max_vulnerabilities: int = 1,
+        trials: int,
+        seed: int = 0,
+        family: ProtocolFamily = ProtocolFamily.BFT,
+        tolerated_fraction: Optional[float] = None,
+        time: Optional[float] = None,
+    ) -> CampaignEstimate:
+        """Batched trials against the ``max_vulnerabilities`` biggest exposures.
+
+        Target selection matches ``ExploitCampaign.run_worst_case`` (greedy
+        by exposed power, id tie-break); only the per-trial exploit outcomes
+        are randomized.
+        """
+        if max_vulnerabilities <= 0:
+            raise FaultModelError(
+                f"max vulnerabilities must be positive, got {max_vulnerabilities}"
+            )
+        request = GridPointRequest(
+            tolerances=(_tolerance(family, tolerated_fraction),),
+            worst_case=max_vulnerabilities,
+        )
+        (point,) = self.estimate_grid((request,), trials=trials, seed=seed, time=time)
+        return point.estimate_at(0)
+
+    # -- grids --------------------------------------------------------------------
 
     def estimate_grid(
         self,
-        requests: Sequence["GridPointRequest"],
+        requests: Sequence[GridPointRequest],
         *,
         trials: int,
         seed: int = 0,
@@ -988,92 +558,50 @@ class GridCampaignEngine:
             seed: grid-level RNG seed; point ``i`` draws from
                 ``seed + requests[i].seed_offset``.
             time: disclosure gate applied to target selection and
-                exploitability, as in :meth:`BatchCampaignEngine.estimate`.
+                exploitability, as in :meth:`estimate`.
         """
         plans = self._plan_grid(requests, trials=trials, time=time)
-        active = [plan for plan in plans if plan.exploited]
-        merged: Optional[Tuple[CampaignGridPointResult, ...]] = None
+        points = _resolve_plan_points(self._matrix, plans, seed)
+        merged: Optional[Tuple[GridPointResult, ...]] = None
         self._last_chunk_count = 0
-        if active and self._matrix.is_sparse:
-            merged = self._estimate_grid_sparse(active, trials=trials, seed=seed)
-        elif active:
-            points = tuple(
-                CampaignGridPoint(
-                    tolerances=plan.tolerances,
-                    columns=plan.columns,
-                    success_probability=plan.success_probability,
-                    seed_offset=plan.seed_offset,
+        if points:
+            backend = get_backend(self._backend)
+            exposure: KernelExposure = (
+                self._matrix.sparse_exposure()
+                if self._matrix.is_sparse
+                else (
+                    self._matrix.exposure_array(backend),
+                    self._matrix.powers_array(backend),
                 )
-                for plan in active
             )
-            resolved = get_backend(self._backend)
-            exposure = self._matrix.exposure_array(resolved)
-            powers = self._matrix.powers_array(resolved)
-            probabilities = self._matrix.success_probabilities
-            chunk_trials = self._chunk_trials(plans)
-            chunks = []
-            offset = 0
-            while offset < trials:
-                count = min(chunk_trials, trials - offset)
-                with timed_kernel("campaign_grid", trials=count * len(points)):
-                    chunks.append(
-                        resolved.campaign_grid(
-                            exposure,
-                            powers,
-                            probabilities,
-                            points,
-                            trials=count,
-                            seed=seed,
-                            total_power=self._matrix.total_power,
-                            trial_offset=offset,
-                            dtype=self._dtype,
-                            topk=self._topk,
-                        )
-                    )
-                offset += count
-            self._last_chunk_count = len(chunks)
-            merged = merge_campaign_grid_batches(chunks)
+            merged, self._last_chunk_count = _run_points(
+                backend,
+                exposure,
+                points,
+                trials=trials,
+                trial_offset=0,
+                total_power=self._matrix.total_power,
+                chunk_trials=self._chunk_trials(points),
+                chunk_rows=self._chunk_rows,
+            )
         return self._finalize_grid(plans, trials, merged)
 
     # -- internals ---------------------------------------------------------------
 
-    def _estimate_grid_sparse(
-        self,
-        active: Sequence["_GridPlan"],
-        *,
-        trials: int,
-        seed: int,
-    ) -> Tuple[CampaignGridPointResult, ...]:
-        """Sparse grid path: resolve points once, row-chunk the CSR exposure.
-
-        ``dtype``/``topk`` are dense fast-path knobs; the sparse path always
-        runs the exact float64 route (the kernels' documented fall-back).
-        """
-        points = _resolve_sparse_plan_points(self._matrix, active, seed)
-        resolved = get_backend(self._backend)
-        merged = _run_sparse_grid(
-            resolved,
-            self._matrix.sparse_exposure(),
-            points,
-            trials=trials,
-            trial_offset=0,
-            chunk_rows=self._chunk_rows,
-            total_power=self._matrix.total_power,
-        )
-        self._last_chunk_count = -(
-            -self._matrix.replica_count // max(1, self._chunk_rows)
-        )
-        return merged
-
     def _plan_grid(
         self,
-        requests: Sequence["GridPointRequest"],
+        requests: Sequence[GridPointRequest],
         *,
         trials: int,
         time: Optional[float],
     ) -> Tuple[_GridPlan, ...]:
         if trials <= 0:
             raise FaultModelError(f"trial count must be positive, got {trials}")
+        total_power = self._matrix.total_power
+        if not (math.isfinite(total_power) and total_power > 0):
+            raise FaultModelError(
+                f"total power must be positive and finite, got {total_power}"
+            )
         if not requests:
             raise FaultModelError(
                 "a campaign grid needs at least one point — an empty grid is "
@@ -1126,7 +654,12 @@ class GridCampaignEngine:
             else:
                 ids = tuple(request.vulnerability_ids)
                 if not ids:
-                    raise FaultModelError(f"{where} selects no vulnerabilities")
+                    raise FaultModelError(
+                        f"{where} selects no vulnerabilities; a campaign "
+                        "needs at least one vulnerability"
+                        if self._catalog_size()
+                        else "the catalog is empty; nothing to exploit"
+                    )
                 reject_duplicate_vulnerability_ids(ids)
             exploited = tuple(
                 vuln_id
@@ -1148,9 +681,9 @@ class GridCampaignEngine:
             )
         return tuple(plans)
 
-    def _chunk_trials(self, plans: Sequence[_GridPlan]) -> int:
+    def _chunk_trials(self, points: Sequence[ResolvedGridPoint]) -> int:
         cells_per_trial = self._matrix.replica_count * sum(
-            len(plan.columns) for plan in plans
+            len(point.columns) for point in points
         )
         return max(1, self._max_chunk_cells // max(1, cells_per_trial))
 
@@ -1158,7 +691,7 @@ class GridCampaignEngine:
         self,
         plans: Sequence[_GridPlan],
         trials: int,
-        merged: Optional[Sequence[CampaignGridPointResult]],
+        merged: Optional[Sequence[GridPointResult]],
     ) -> Tuple[GridPointEstimate, ...]:
         results = iter(merged) if merged is not None else iter(())
         estimates = []
@@ -1198,117 +731,83 @@ class GridCampaignEngine:
         return tuple(estimates)
 
 
+#: The single-campaign name of the engine: :meth:`GridCampaignEngine.estimate`
+#: and :meth:`GridCampaignEngine.estimate_worst_case` are one-request grids.
+BatchCampaignEngine = GridCampaignEngine
+
+
+def _tolerance(
+    family: ProtocolFamily, tolerated_fraction: Optional[float]
+) -> float:
+    """The explicit tolerance override, else the family's tolerated fraction."""
+    if tolerated_fraction is not None:
+        return tolerated_fraction
+    return tolerated_fault_fraction(family)
+
+
+# -- sharded runs --------------------------------------------------------------
+
+
 def _grid_shard_worker(
     backend_name: str,
-    exposure_rows: Tuple[Tuple[float, ...], ...],
-    powers: Tuple[float, ...],
-    success_probabilities: Tuple[float, ...],
-    point_payloads: Tuple[Tuple[Any, ...], ...],
+    exposure: Any,
+    points: Tuple[ResolvedGridPoint, ...],
     trials: int,
-    seed: int,
-    total_power: float,
     trial_offset: int,
-    dtype: str,
-    topk: str,
-) -> List[Dict[str, Any]]:
-    """Pool-worker entry: one trial-range shard of a fused grid.
-
-    Arguments and results are primitives so any executor can carry them
-    across a process boundary; each point payload is
-    ``(columns, tolerances, success_probability, seed_offset)``.
-    """
-    chaos_checkpoint("task", key=f"grid-shard:{trial_offset}+{trials}")
-    resolved = get_backend(backend_name)
-    points = tuple(
-        CampaignGridPoint(
-            tolerances=tuple(tolerances),
-            columns=tuple(columns),
-            success_probability=probability,
-            seed_offset=seed_offset,
-        )
-        for columns, tolerances, probability, seed_offset in point_payloads
-    )
-    with timed_kernel("campaign_grid", trials=trials * len(points)):
-        batch = resolved.campaign_grid(
-            resolved.asarray_matrix(exposure_rows),
-            resolved.asarray(powers),
-            success_probabilities,
-            points,
-            trials=trials,
-            seed=seed,
-            total_power=total_power,
-            trial_offset=trial_offset,
-            dtype=dtype,
-            topk=topk,
-        )
-    return [
-        {
-            "trials": point.trials,
-            "columns": list(point.columns),
-            "violations": list(point.violations),
-            "compromised_total": point.compromised_total,
-            "per_vulnerability_totals": list(point.per_vulnerability_totals),
-        }
-        for point in batch
-    ]
-
-
-def _sparse_grid_shard_worker(
-    backend_name: str,
-    sparse: SparseExposure,
-    point_payloads: Tuple[Tuple[Any, ...], ...],
-    trials: int,
     total_power: float,
-    trial_offset: int,
+    chunk_trials: int,
     chunk_rows: int,
-) -> List[Dict[str, Any]]:
-    """Pool-worker entry: one trial-range shard of a sparse fused grid.
+) -> Tuple[GridPointResult, ...]:
+    """Pool-worker entry: one trial-range shard of a grid.
 
-    Each point payload is ``(columns, probabilities, tolerances, seed)`` —
-    already resolved by the parent (seed offsets folded in), so the worker
-    just rebuilds :class:`ResolvedGridPoint` structures and row-chunks its
-    trial slice exactly like the serial engine.
+    ``exposure`` is the matrix's :class:`SparseExposure` (which pickles
+    compactly and carries its cached validation) or its dense ``(rows,
+    powers)`` tuples; the points arrive resolved, so the worker only runs
+    :func:`_run_points` over its trial slice exactly like the serial engine.
     """
     chaos_checkpoint("task", key=f"grid-shard:{trial_offset}+{trials}")
-    resolved = get_backend(backend_name)
-    points = tuple(
-        ResolvedGridPoint(
-            columns=tuple(columns),
-            probabilities=tuple(probabilities),
-            tolerances=tuple(tolerances),
-            seed=point_seed,
-        )
-        for columns, probabilities, tolerances, point_seed in point_payloads
-    )
-    batch = _run_sparse_grid(
-        resolved,
-        sparse.validate(),
+    backend = get_backend(backend_name)
+    if not isinstance(exposure, SparseExposure):
+        rows, powers = exposure
+        exposure = (backend.asarray_matrix(rows), backend.asarray(powers))
+    results, _ = _run_points(
+        backend,
+        exposure,
         points,
         trials=trials,
         trial_offset=trial_offset,
-        chunk_rows=chunk_rows,
         total_power=total_power,
+        chunk_trials=chunk_trials,
+        chunk_rows=chunk_rows,
     )
-    return [
-        {
-            "trials": point.trials,
-            "columns": list(point.columns),
-            "violations": list(point.violations),
-            "compromised_total": point.compromised_total,
-            "per_vulnerability_totals": list(point.per_vulnerability_totals),
-        }
-        for point in batch
-    ]
+    return results
 
 
 class ShardedGridRun:
-    """Fan a fused grid's trial range out over resilient pool workers.
+    """Fan an engine's trial range out over resilient pool workers.
 
-    The grid analogue of :class:`ShardedCampaignRun`: produces the same
-    :class:`GridPointEstimate` tuple as ``engine.estimate_grid(...)`` —
-    bit-identical under the dyadic-power caveat — by splitting the trial
-    range into contiguous shards (every shard evaluates *all* grid points
-    for its slice of trials) and summing shard batches in offset order.
+    Produces the same :class:`GridPointEstimate` tuple as
+    ``engine.estimate_grid(...)`` — bit-identical under the dyadic-power
+    caveat of :func:`merge_campaign_grid_batches` — by splitting the trial
+    range into contiguous shards (every shard evaluates *all* grid points for
+    its slice of trials, ``trial_offset`` pinning its slice of the
+    counter-based stream) and summing the shard results in offset order.  A
+    single campaign is a one-request grid.
+
+    Shards run on a :class:`ResilientExecutor`, so a worker crash, hang or
+    injected fault re-dispatches only the lost shard; because a shard's
+    result depends only on ``(seed, offset, count)``, the retried shard is
+    bit-identical to what the lost attempt would have produced and worker
+    loss cannot change a single number.
+
+    Args:
+        engine: the engine whose matrix, backend and chunk limits to use.
+        max_workers: shard count **and** pool width (default 2).
+        task_timeout: per-shard deadline (seconds); hung workers are
+            terminated and the shard retried.
+        retries: re-dispatches allowed per shard.
+        executor: override the executor (tests inject thread-backed pools);
+            when given the run does not shut it down.
     """
 
     def __init__(
@@ -1343,12 +842,16 @@ class ShardedGridRun:
 
         engine = self._engine
         plans = engine._plan_grid(requests, trials=trials, time=time)
-        active = [plan for plan in plans if plan.exploited]
-        if not active:
-            return engine._finalize_grid(plans, trials, None)
         matrix = engine.matrix
+        points = _resolve_plan_points(matrix, plans, seed)
+        if not points:
+            return engine._finalize_grid(plans, trials, None)
+        exposure = (
+            matrix.sparse_exposure()
+            if matrix.is_sparse
+            else (matrix.exposure_rows(), matrix.powers)
+        )
         backend_name = get_backend(engine._backend).name
-        ranges = split_trial_ranges(trials, self._max_workers)
         owned = self._executor is None
         pool = (
             ResilientExecutor(
@@ -1360,66 +863,21 @@ class ShardedGridRun:
             else self._executor
         )
         try:
-            if matrix.is_sparse:
-                sparse_payloads = tuple(
-                    (point.columns, point.probabilities, point.tolerances, point.seed)
-                    for point in _resolve_sparse_plan_points(matrix, active, seed)
+            futures = [
+                pool.submit(
+                    _grid_shard_worker,
+                    backend_name,
+                    exposure,
+                    points,
+                    count,
+                    offset,
+                    matrix.total_power,
+                    engine._chunk_trials(points),
+                    engine._chunk_rows,
                 )
-                futures = [
-                    pool.submit(
-                        _sparse_grid_shard_worker,
-                        backend_name,
-                        matrix.sparse_exposure(),
-                        sparse_payloads,
-                        count,
-                        matrix.total_power,
-                        offset,
-                        engine._chunk_rows,
-                    )
-                    for offset, count in ranges
-                ]
-            else:
-                point_payloads = tuple(
-                    (
-                        plan.columns,
-                        plan.tolerances,
-                        plan.success_probability,
-                        plan.seed_offset,
-                    )
-                    for plan in active
-                )
-                futures = [
-                    pool.submit(
-                        _grid_shard_worker,
-                        backend_name,
-                        matrix.exposure_rows(),
-                        matrix.powers,
-                        matrix.success_probabilities,
-                        point_payloads,
-                        count,
-                        seed,
-                        matrix.total_power,
-                        offset,
-                        engine._dtype,
-                        engine._topk,
-                    )
-                    for offset, count in ranges
-                ]
-            batches = [
-                tuple(
-                    CampaignGridPointResult(
-                        trials=payload["trials"],
-                        columns=tuple(payload["columns"]),
-                        violations=tuple(payload["violations"]),
-                        compromised_total=payload["compromised_total"],
-                        per_vulnerability_totals=tuple(
-                            payload["per_vulnerability_totals"]
-                        ),
-                    )
-                    for payload in shard
-                )
-                for shard in (future.result() for future in futures)
+                for offset, count in split_trial_ranges(trials, self._max_workers)
             ]
+            batches = [future.result() for future in futures]
         finally:
             if owned:
                 pool.shutdown(wait=True, cancel_futures=True)

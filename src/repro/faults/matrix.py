@@ -9,7 +9,7 @@ built once per (population, catalog) pair and handed to every campaign — the
 scalar per-replica scans of the original fault model become masked
 matrix–vector reductions on the compute backend
 (:meth:`~repro.backend.base.ComputeBackend.masked_power_sums`,
-:meth:`~repro.backend.base.ComputeBackend.campaign_trials`).
+:meth:`~repro.backend.base.ComputeBackend.campaign_grid`).
 
 The exposure can be held **dense** (nested 0/1 tuples, the historical
 layout) or **sparse** (a CSR :class:`~repro.backend.base.SparseExposure`).
@@ -29,6 +29,7 @@ mutating, exactly as you would re-take a census.
 from __future__ import annotations
 
 import array as _stdlib_array
+import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backend import get_backend
@@ -323,8 +324,8 @@ class PopulationMatrix:
             raise FaultModelError("duplicate replica ids in population matrix")
         if len(set(self._vulnerability_ids)) != len(self._vulnerability_ids):
             raise FaultModelError("duplicate vulnerability ids in population matrix")
-        if any(power < 0 for power in self._powers):
-            raise FaultModelError("replica powers must be non-negative")
+        if not all(math.isfinite(power) and power >= 0 for power in self._powers):
+            raise FaultModelError("replica powers must be finite and non-negative")
 
     # -- shape and lookups ---------------------------------------------------------
 
@@ -404,8 +405,7 @@ class PopulationMatrix:
         if self._exposure is None:
             raise FaultModelError(
                 f"{what} needs the dense exposure, which a sparse-built "
-                "matrix does not materialize; use sparse_exposure() / "
-                "sparse_columns_for() instead"
+                "matrix does not materialize; use sparse_exposure() instead"
             )
 
     def exposed_row_indices(self, vuln_id: str) -> Tuple[int, ...]:
@@ -478,21 +478,6 @@ class PopulationMatrix:
             return cached
         return self._sparse
 
-    def sparse_columns_for(
-        self, vulnerability_ids: Sequence[str]
-    ) -> SparseExposure:
-        """Column-sliced CSR structure for a selection, in selection order.
-
-        The sparse analogue of :meth:`columns_for`: the result's local
-        column ``c`` is ``vulnerability_ids[c]``, with the matching
-        probability and disclosure vectors, so kernels on it draw the exact
-        stream of a dense call on the column-sliced matrix.
-        """
-        columns = [
-            self.vulnerability_index(vuln_id) for vuln_id in vulnerability_ids
-        ]
-        return self.sparse_exposure().select_columns(columns)
-
     # -- reductions ---------------------------------------------------------------
 
     def exposed_power(
@@ -551,22 +536,6 @@ class PopulationMatrix:
         exposure = self.exposed_power(backend=backend, time=time)
         ranked = sorted(exposure.items(), key=lambda item: (-item[1], item[0]))
         return tuple(ranked[:count])
-
-    def columns_for(
-        self, vulnerability_ids: Sequence[str]
-    ) -> Tuple[Tuple[Tuple[float, ...], ...], Tuple[float, ...]]:
-        """Column-sliced ``(exposure rows, success probabilities)`` for a selection.
-
-        Used by the campaign engine to hand the kernels exactly the exploited
-        columns, in selection order.
-        """
-        self._require_dense("columns_for()")
-        columns = [self.vulnerability_index(vuln_id) for vuln_id in vulnerability_ids]
-        rows = tuple(
-            tuple(row[column] for column in columns) for row in self._exposure
-        )
-        probabilities = tuple(self._success_probabilities[column] for column in columns)
-        return rows, probabilities
 
     # -- dunder -------------------------------------------------------------------
 

@@ -57,15 +57,14 @@ class TestBenchmarkBackendSuite:
         assert report.shm_speedup_over_numpy(64) is None
         assert report.cpu_count >= 1
 
-    def test_sparse_sweep_asserts_pruned_equals_unpruned(self, report):
+    def test_sparse_sweep_runs_the_budgeted_campaign(self, report):
         sparse = report.sparse
         assert sparse is not None
         assert sparse.population_size == SMALL["sparse_size"]
         assert sparse.nnz > 0
-        assert sparse.pruned_identical_to_unpruned is True
-        assert sparse.pruned_seconds > 0
-        assert sparse.unpruned_seconds > 0
-        assert sparse.prune_speedup() > 0
+        assert sparse.workers == SMALL["sparse_workers"]
+        assert sparse.build_seconds > 0
+        assert sparse.campaign_seconds > 0
         assert sparse.peak_rss_kb > 0
 
     def test_memory_ceiling_gate(self):
@@ -80,12 +79,6 @@ class TestBenchmarkBackendSuite:
         assert skipped.sparse is None
         assert skipped.within_memory_ceiling() is None
 
-    def test_skip_unpruned_control(self):
-        report = benchmark_backend_suite(**SMALL, compare_unpruned=False)
-        assert report.sparse.unpruned_seconds is None
-        assert report.sparse.pruned_identical_to_unpruned is None
-        assert report.sparse.prune_speedup() is None
-
     def test_snapshot_round_trip(self, report, tmp_path):
         path = tmp_path / "BENCH_10.json"
         write_backends_snapshot(report, str(path))
@@ -99,7 +92,17 @@ class TestBenchmarkBackendSuite:
             "shm[w=2]",
         }
         assert document["results"]["shm[w=2]"]["workers"] == 2
-        assert document["sparse_sweep"]["pruned_identical_to_unpruned"] is True
+        assert document["version"] == 2
+        assert set(document["sparse_sweep"]) == {
+            "population_size",
+            "trials",
+            "nnz",
+            "workers",
+            "budget",
+            "build_seconds",
+            "campaign_seconds",
+            "peak_rss_kb",
+        }
         assert "1" in document["speedups_shm_over_numpy"]
         assert document["within_memory_ceiling"] is None
 

@@ -23,6 +23,7 @@ from repro.analysis.monte_carlo import (
     estimate_violation_probability,
 )
 from repro.backend import NumpyBackend, available_backends, get_backend
+from repro.backend.base import ResolvedGridPoint
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import BackendError
 from repro.datasets.generators import (
@@ -236,16 +237,22 @@ class TestCampaignKernel:
     TOTAL = 8.5
 
     def _run(self, backend, probabilities, *, trials=400, seed=31):
+        """One campaign over every column: a one-point grid."""
         kernel = get_backend(backend)
-        return kernel.campaign_trials(
+        point = ResolvedGridPoint(
+            columns=tuple(range(len(probabilities))),
+            probabilities=tuple(probabilities),
+            tolerances=(1 / 3,),
+            seed=seed,
+        )
+        (result,) = kernel.campaign_grid(
             kernel.asarray_matrix(self.EXPOSURE),
             kernel.asarray(self.POWERS),
-            probabilities,
+            (point,),
             trials=trials,
-            seed=seed,
-            tolerance=1 / 3,
             total_power=self.TOTAL,
         )
+        return result
 
     @needs_numpy
     @pytest.mark.parametrize("probabilities", [
@@ -274,13 +281,13 @@ class TestCampaignKernel:
         result = self._run(backend, [1.0, 1.0, 1.0], trials=10)
         # All replicas exposed to something: 8.5 power per trial.
         assert result.compromised_total == pytest.approx(85.0)
-        assert result.violations == 10
+        assert result.violations == (10,)
         assert result.per_vulnerability_totals == pytest.approx((70.0, 70.0, 65.0))
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_zero_probability_never_compromises(self, backend):
         result = self._run(backend, [0.0, 0.0, 0.0], trials=10)
-        assert result.violations == 0
+        assert result.violations == (0,)
         assert result.compromised_total == 0.0
         assert result.per_vulnerability_totals == (0.0, 0.0, 0.0)
 
@@ -301,25 +308,39 @@ class TestCampaignKernel:
     @pytest.mark.parametrize("backend", available_backends())
     def test_campaign_validation(self, backend):
         kernel = get_backend(backend)
+
+        def point(probability=0.5, tolerance=0.5):
+            return ResolvedGridPoint(
+                columns=(0,),
+                probabilities=(probability,),
+                tolerances=(tolerance,),
+                seed=0,
+            )
+
         with pytest.raises(BackendError):
-            kernel.campaign_trials(
-                [], [], [1.0], trials=10, seed=0, tolerance=0.5, total_power=1.0
+            kernel.campaign_grid([], [], (point(),), trials=10, total_power=1.0)
+        with pytest.raises(BackendError):
+            kernel.campaign_grid(
+                [[1.0]], [1.0], (point(1.5),), trials=10, total_power=1.0
             )
         with pytest.raises(BackendError):
-            kernel.campaign_trials(
-                [[1.0]], [1.0], [1.5], trials=10, seed=0, tolerance=0.5, total_power=1.0
+            kernel.campaign_grid([[1.0]], [1.0], (point(),), trials=0, total_power=1.0)
+        with pytest.raises(BackendError):
+            kernel.campaign_grid(
+                [[1.0]], [1.0], (point(tolerance=0.0),), trials=10, total_power=1.0
             )
         with pytest.raises(BackendError):
-            kernel.campaign_trials(
-                [[1.0]], [1.0], [0.5], trials=0, seed=0, tolerance=0.5, total_power=1.0
+            kernel.campaign_grid(
+                [[1.0, 0.0]], [1.0, 1.0], (point(),), trials=10, total_power=1.0
             )
-        with pytest.raises(BackendError):
-            kernel.campaign_trials(
-                [[1.0]], [1.0], [0.5], trials=10, seed=0, tolerance=0.0, total_power=1.0
-            )
-        with pytest.raises(BackendError):
-            kernel.campaign_trials(
-                [[1.0, 0.0]], [1.0], [0.5], trials=10, seed=0, tolerance=0.5, total_power=1.0
+        with pytest.raises(BackendError, match="trial offset"):
+            kernel.campaign_grid(
+                [[1.0]],
+                [1.0],
+                (point(),),
+                trials=10,
+                total_power=1.0,
+                trial_offset=-1,
             )
 
 

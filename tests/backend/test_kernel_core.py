@@ -6,8 +6,8 @@ and stream cells through fixed-size blocks.  Both must be invisible:
 
 - probabilities at the edges of the compare (0, 2^-53, 1/2, 1 - 2^-53, 1)
   give results bit-identical to the scalar reference, including cells whose
-  hash lands exactly on either side of the limit, and in float32 mode
-  p = 0 never succeeds while p = 1 always does;
+  hash lands exactly on either side of the limit, and p = 0 never succeeds
+  while p = 1 always does;
 - the block size — one cell, a size that leaves ragged slices and trial
   tails, or one block for everything — never changes a result when the
   power sums are exact (dyadic powers), and neither does fanning trials
@@ -31,7 +31,6 @@ from repro.backend.base import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
-    CampaignGridPoint,
     ResolvedGridPoint,
     SparseExposure,
     campaign_uniform,
@@ -97,30 +96,32 @@ def boundary_cases():
     return cases
 
 
-def grid_points():
-    """Budget points, edge-probability points and one >= 256-column point."""
+def grid_points(workload):
+    """Top-k points, edge-probability points and one >= 256-column point."""
+    exposure, powers, probabilities, _ = workload
+    exposed = np.asarray(powers) @ exposure
+    ranked = sorted(range(COLUMNS), key=lambda column: (-exposed[column], column))
+
+    def point(columns, seed_offset, *, tolerances=TOLERANCES, override=None):
+        return ResolvedGridPoint(
+            columns=tuple(columns),
+            probabilities=(
+                tuple(override)
+                if override is not None
+                else tuple(probabilities[column] for column in columns)
+            ),
+            tolerances=tolerances,
+            seed=SEED + seed_offset,
+        )
+
     points = [
-        CampaignGridPoint(tolerances=TOLERANCES, budget=3),
-        CampaignGridPoint(tolerances=(0.25,), budget=6, seed_offset=1),
-        CampaignGridPoint(
-            tolerances=TOLERANCES,
-            columns=tuple(range(COLUMNS - 1, -1, -1)),
-            seed_offset=2,
-        ),
-        CampaignGridPoint(
-            tolerances=TOLERANCES,
-            columns=(4, 9, 14, 19, 24),
-            success_probabilities=EDGE_PROBABILITIES,
-            seed_offset=3,
-        ),
+        point(ranked[:3], 0),
+        point(ranked[:6], 1, tolerances=(0.25,)),
+        point(range(COLUMNS - 1, -1, -1), 2),
+        point((4, 9, 14, 19, 24), 3, override=EDGE_PROBABILITIES),
     ]
     points.extend(
-        CampaignGridPoint(
-            tolerances=TOLERANCES,
-            columns=(0, 1, 2, 7, 11),
-            success_probability=probability,
-            seed_offset=10 + index,
-        )
+        point((0, 1, 2, 7, 11), 10 + index, override=(probability,) * 5)
         for index, probability in enumerate(EDGE_PROBABILITIES)
     )
     return tuple(points)
@@ -146,18 +147,15 @@ def resolved_points():
     )
 
 
-def run_grid(backend, workload, **kwargs):
-    exposure, powers, probabilities, total_power = workload
+def run_grid(backend, workload):
+    exposure, powers, _, total_power = workload
     return backend.campaign_grid(
         backend.asarray_matrix(exposure),
         backend.asarray(powers),
-        probabilities,
-        grid_points(),
+        grid_points(workload),
         trials=TRIALS,
-        seed=SEED,
         total_power=total_power,
         trial_offset=11,
-        **kwargs,
     )
 
 
@@ -183,9 +181,6 @@ class TestFoldedCompare:
     @pytest.mark.parametrize("probability, seed, succeeds", boundary_cases())
     def test_hash_on_the_limit_matches_the_reference(self, probability, seed, succeeds):
         assert (campaign_uniform(seed, 0) < probability) is succeeds
-        point = CampaignGridPoint(
-            tolerances=(0.5,), columns=(0,), success_probability=probability
-        )
         resolved = ResolvedGridPoint(
             columns=(0,), probabilities=(probability,), tolerances=(0.5,), seed=seed
         )
@@ -196,10 +191,8 @@ class TestFoldedCompare:
             grid = backend.campaign_grid(
                 backend.asarray_matrix(((1.0,),)),
                 backend.asarray((2.0,)),
-                (0.5,),
-                (point,),
+                (resolved,),
                 trials=1,
-                seed=seed,
                 total_power=2.0,
             )
             partials = backend.sparse_grid_partials(sparse, (resolved,), trials=1)
@@ -219,34 +212,25 @@ class TestFoldedCompare:
             get_backend("python"), workload
         )
 
-    def test_float32_never_succeeds_at_zero_and_always_at_one(self, workload):
-        exposure, powers, probabilities, total_power = workload
+    def test_zero_never_succeeds_and_one_always_does(self, workload):
+        exposure, powers, _, total_power = workload
         backend = get_backend("numpy")
         columns = (0, 1, 2, 7, 11)
-
-        def run(dtype):
-            return backend.campaign_grid(
-                backend.asarray_matrix(exposure),
-                backend.asarray(powers),
-                probabilities,
-                tuple(
-                    CampaignGridPoint(
-                        tolerances=(1e-6,),
-                        columns=columns,
-                        success_probability=probability,
-                        seed_offset=offset,
-                    )
-                    for offset, probability in enumerate((0.0, 1.0))
-                ),
-                trials=TRIALS,
-                seed=SEED,
-                total_power=total_power,
-                dtype=dtype,
-            )
-
-        never, always = run("float32")
-        # NumPy runs float32 through the exact route.
-        assert (never, always) == run("float64")
+        never, always = backend.campaign_grid(
+            backend.asarray_matrix(exposure),
+            backend.asarray(powers),
+            tuple(
+                ResolvedGridPoint(
+                    columns=columns,
+                    probabilities=(probability,) * len(columns),
+                    tolerances=(1e-6,),
+                    seed=SEED + offset,
+                )
+                for offset, probability in enumerate((0.0, 1.0))
+            ),
+            trials=TRIALS,
+            total_power=total_power,
+        )
         assert never.violations == (0,)
         assert never.compromised_total == 0.0
         assert never.per_vulnerability_totals == (0.0,) * len(columns)

@@ -2,11 +2,12 @@
 
 The sparse plane's load-bearing clauses, pinned here:
 
-- :class:`SparseExposure` packs, validates, slices and column-selects CSR
-  structure without ever densifying;
-- ``sparse_campaign_trials`` / ``sparse_campaign_grid`` draw from the **same**
-  counter-based splitmix64 stream as the dense kernels, so sparse and dense
-  results are bit-identical on every backend (and across backends);
+- :class:`SparseExposure` packs, validates and slices CSR structure without
+  ever densifying;
+- ``sparse_grid_partials`` draws from the **same** counter-based splitmix64
+  stream as the dense ``campaign_grid``, so merged and finalized sparse
+  results are bit-identical to dense ones on every backend (and across
+  backends);
 - the stream counter is global in both the trial and the row dimension:
   trial-range *and* row-range partitions of ``sparse_grid_partials`` merge to
   the unpartitioned result exactly;
@@ -24,9 +25,9 @@ import pytest
 
 from repro.backend import available_backends, get_backend
 from repro.backend.base import (
-    CampaignGridPoint,
     ResolvedGridPoint,
     SparseExposure,
+    SparseGridPartial,
     finalize_sparse_point,
     merge_sparse_partials,
 )
@@ -53,6 +54,39 @@ def fixture(backend_name):
         matrix.success_probabilities,
     )
     return get_backend(backend_name), matrix, sparse
+
+
+def top_point(matrix, count, *, seed=SEED, probability=None):
+    """A point over the ``count`` most damaging columns, as the engine resolves it."""
+    columns = tuple(
+        matrix.vulnerability_index(vuln_id)
+        for vuln_id, _ in matrix.most_damaging(count)
+    )
+    return ResolvedGridPoint(
+        columns=columns,
+        probabilities=(
+            (probability,) * count
+            if probability is not None
+            else tuple(matrix.success_probabilities[column] for column in columns)
+        ),
+        tolerances=TOLERANCES,
+        seed=seed,
+    )
+
+
+def sparse_results(backend, sparse, points, total_power):
+    """Full-range partials finalized into per-point results."""
+    partials = backend.sparse_grid_partials(sparse, points, trials=TRIALS)
+    return tuple(
+        finalize_sparse_point(
+            partial,
+            trials=TRIALS,
+            columns=point.columns,
+            tolerances=point.tolerances,
+            total_power=total_power,
+        )
+        for point, partial in zip(points, partials)
+    )
 
 
 class TestSparseExposureStructure:
@@ -85,20 +119,6 @@ class TestSparseExposureStructure:
         assert bytes(piece.indptr) == bytes(rebuilt.indptr)
         assert bytes(piece.indices) == bytes(rebuilt.indices)
 
-    def test_select_columns_renumbers_locally(self):
-        _, matrix, sparse = fixture("python")
-        columns = (1, 4, 7)
-        selected = sparse.select_columns(columns)
-        assert selected.column_count == len(columns)
-        for row in range(selected.replica_count):
-            local = selected.indices[
-                selected.indptr[row] : selected.indptr[row + 1]
-            ]
-            original = sparse.indices[sparse.indptr[row] : sparse.indptr[row + 1]]
-            assert tuple(columns[c] for c in local) == tuple(
-                c for c in original if c in columns
-            )
-
     def test_validate_rejects_malformed_structure(self):
         _, _, sparse = fixture("python")
         import array
@@ -130,18 +150,16 @@ class TestSparseExposureStructure:
                     success_probabilities=(0.5, 0.5),
                     disclosed_at=(0.0, 0.0),
                 ).validate()
-        backend = get_backend("python")
+        partial = SparseGridPartial(
+            per_trial_compromised=(1.0,) * 4, per_vulnerability_totals=(1.0,)
+        )
         for bad_total in (math.nan, math.inf, 0.0):
             with pytest.raises(BackendError, match="positive and finite"):
-                backend.sparse_campaign_trials(
-                    sparse, trials=4, seed=0, tolerance=0.5, total_power=bad_total
-                )
-            with pytest.raises(BackendError, match="positive and finite"):
-                backend.sparse_campaign_grid(
-                    sparse,
-                    (CampaignGridPoint(tolerances=TOLERANCES, budget=2),),
+                finalize_sparse_point(
+                    partial,
                     trials=4,
-                    seed=0,
+                    columns=(0,),
+                    tolerances=TOLERANCES,
                     total_power=bad_total,
                 )
 
@@ -155,58 +173,46 @@ class TestSparseExposureStructure:
 
 class TestSparseMatchesDense:
     @pytest.mark.parametrize("backend_name", available_backends())
-    def test_sparse_campaign_trials_equals_dense(self, backend_name):
+    def test_full_column_campaign_equals_dense(self, backend_name):
         backend, matrix, sparse = fixture(backend_name)
-        dense = backend.campaign_trials(
-            backend.asarray_matrix(matrix.exposure_rows()),
-            backend.asarray(matrix.powers),
-            matrix.success_probabilities,
-            trials=TRIALS,
+        point = ResolvedGridPoint(
+            columns=tuple(range(sparse.column_count)),
+            probabilities=matrix.success_probabilities,
+            tolerances=(TOLERANCES[0],),
             seed=SEED,
-            tolerance=TOLERANCES[0],
-            total_power=matrix.total_power,
-        )
-        via_sparse = backend.sparse_campaign_trials(
-            sparse,
-            trials=TRIALS,
-            seed=SEED,
-            tolerance=TOLERANCES[0],
-            total_power=matrix.total_power,
-        )
-        assert via_sparse == dense
-
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_sparse_campaign_grid_equals_dense(self, backend_name):
-        backend, matrix, sparse = fixture(backend_name)
-        points = (
-            CampaignGridPoint(tolerances=TOLERANCES, budget=3, seed_offset=0),
-            CampaignGridPoint(
-                tolerances=TOLERANCES, columns=(0, 2, 5), seed_offset=1
-            ),
-            CampaignGridPoint(
-                tolerances=TOLERANCES,
-                budget=2,
-                success_probability=0.8,
-                seed_offset=2,
-            ),
         )
         dense = backend.campaign_grid(
             backend.asarray_matrix(matrix.exposure_rows()),
             backend.asarray(matrix.powers),
-            matrix.success_probabilities,
-            points,
+            (point,),
             trials=TRIALS,
-            seed=SEED,
             total_power=matrix.total_power,
         )
-        via_sparse = backend.sparse_campaign_grid(
-            sparse,
+        assert sparse_results(backend, sparse, (point,), matrix.total_power) == dense
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_multi_point_grid_equals_dense(self, backend_name):
+        backend, matrix, sparse = fixture(backend_name)
+        points = (
+            top_point(matrix, 3),
+            ResolvedGridPoint(
+                columns=(0, 2, 5),
+                probabilities=tuple(
+                    matrix.success_probabilities[column] for column in (0, 2, 5)
+                ),
+                tolerances=TOLERANCES,
+                seed=SEED + 1,
+            ),
+            top_point(matrix, 2, seed=SEED + 2, probability=0.8),
+        )
+        dense = backend.campaign_grid(
+            backend.asarray_matrix(matrix.exposure_rows()),
+            backend.asarray(matrix.powers),
             points,
             trials=TRIALS,
-            seed=SEED,
             total_power=matrix.total_power,
         )
-        assert via_sparse == dense
+        assert sparse_results(backend, sparse, points, matrix.total_power) == dense
 
     @pytest.mark.skipif(
         len(available_backends()) < 2, reason="needs both backends"
@@ -216,15 +222,12 @@ class TestSparseMatchesDense:
         for backend_name in available_backends():
             backend, matrix, sparse = fixture(backend_name)
             results.append(
-                backend.sparse_campaign_grid(
-                    sparse,
-                    (CampaignGridPoint(tolerances=TOLERANCES, budget=4),),
-                    trials=TRIALS,
-                    seed=SEED,
-                    total_power=matrix.total_power,
+                sparse_results(
+                    backend, sparse, (top_point(matrix, 4),), matrix.total_power
                 )
             )
-        assert results[0] == results[1]
+        for other in results[1:]:
+            assert other == results[0]
 
 
 class TestPartialPartitioning:
@@ -341,10 +344,19 @@ class TestSparseValidation:
     def test_invalid_trials_raise(self, backend_name):
         backend, matrix, sparse = fixture(backend_name)
         with pytest.raises(BackendError, match="trial count"):
-            backend.sparse_campaign_trials(
-                sparse,
-                trials=0,
-                seed=SEED,
-                tolerance=TOLERANCES[0],
-                total_power=matrix.total_power,
+            backend.sparse_grid_partials(
+                sparse, (top_point(matrix, 2),), trials=0
+            )
+
+    def test_finalize_rejects_a_partial_of_other_trials(self):
+        partial = SparseGridPartial(
+            per_trial_compromised=(1.0, 2.0), per_vulnerability_totals=(3.0,)
+        )
+        with pytest.raises(BackendError, match="2 trial sums but 10 trials"):
+            finalize_sparse_point(
+                partial,
+                trials=10,
+                columns=(0,),
+                tolerances=TOLERANCES,
+                total_power=4.0,
             )

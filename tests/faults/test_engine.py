@@ -13,6 +13,7 @@ from repro.core.resilience import ProtocolFamily
 from repro.faults.campaign import ExploitCampaign
 from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.engine import BatchCampaignEngine, run_census_trials
+from repro.faults.matrix import PopulationMatrix
 from repro.faults.scenarios import ecosystem_scenario
 
 
@@ -184,6 +185,23 @@ class TestUsageErrors:
         engine = BatchCampaignEngine(small_population, catalog)
         with pytest.raises(FaultModelError, match="tolerated fraction"):
             engine.estimate(trials=10, tolerated_fraction=0.0)
+
+    @pytest.mark.parametrize("layout", ["dense", "sparse"])
+    @pytest.mark.parametrize("time", [None, -1e9])
+    def test_zero_total_power_rejected(self, layout, time):
+        # time=-1e9 precedes every disclosure: the check must not depend on
+        # any point reaching a kernel.
+        scenario = ecosystem_scenario(ecosystem="default", population_size=20, seed=1)
+        for replica in scenario.population.replicas():
+            scenario.population.set_power(replica.replica_id, 0.0)
+        matrix = PopulationMatrix.build(
+            scenario.population, scenario.catalog, layout=layout
+        )
+        engine = BatchCampaignEngine.from_matrix(matrix)
+        with pytest.raises(FaultModelError, match="total power"):
+            engine.estimate(trials=10, time=time)
+        with pytest.raises(FaultModelError, match="total power"):
+            engine.estimate_worst_case(max_vulnerabilities=2, trials=10, time=time)
 
 
 class TestCensusSeam:

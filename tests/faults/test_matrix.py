@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.backend import available_backends
@@ -74,6 +76,18 @@ class TestValidation:
                 exposure=((1.0, 0.0),),
             )
 
+    @pytest.mark.parametrize("bad_power", [-1.0, math.nan, math.inf])
+    def test_bad_powers_rejected(self, bad_power):
+        with pytest.raises(FaultModelError, match="finite and non-negative"):
+            PopulationMatrix(
+                replica_ids=("a", "b"),
+                powers=(1.0, bad_power),
+                vulnerability_ids=("v",),
+                success_probabilities=(1.0,),
+                disclosed_at=(0.0,),
+                exposure=((1.0,), (0.0,)),
+            )
+
     def test_shape_mismatches_rejected(self):
         with pytest.raises(FaultModelError):
             PopulationMatrix(
@@ -129,12 +143,6 @@ class TestReductions:
             )
         ]
         assert list(matrix.most_damaging(2)) == expected
-
-    def test_columns_for_slices_in_selection_order(self, small_population, catalog):
-        matrix = PopulationMatrix.build(small_population, catalog)
-        rows, probabilities = matrix.columns_for(["CVE-TEST-LINUX"])
-        assert rows == ((1.0,), (1.0,), (1.0,), (0.0,))
-        assert probabilities == (1.0,)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_arrays_are_cached_per_backend(self, small_population, catalog, backend):

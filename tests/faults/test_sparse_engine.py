@@ -20,7 +20,6 @@ from repro.faults.engine import (
     BatchCampaignEngine,
     GridCampaignEngine,
     GridPointRequest,
-    ShardedCampaignRun,
     ShardedGridRun,
 )
 from repro.faults.matrix import PopulationMatrix
@@ -155,22 +154,29 @@ class TestShardedSparseRuns:
             sparse, backend="python", chunk_rows=16
         )
         serial = engine.estimate(trials=TRIALS, seed=SEED)
+        request = GridPointRequest(
+            tolerances=(serial.tolerated_fraction,),
+            vulnerability_ids=sparse.vulnerability_ids,
+        )
         with ThreadPoolExecutor(max_workers=workers) as executor:
-            sharded = ShardedCampaignRun(
+            (sharded,) = ShardedGridRun(
                 engine, max_workers=workers, executor=executor
-            ).estimate(trials=TRIALS, seed=SEED)
-        assert sharded == serial
+            ).estimate_grid((request,), trials=TRIALS, seed=SEED)
+        assert sharded.estimate_at(0) == serial
 
     def test_sharded_campaign_subset_matches_serial(self):
         sparse, _ = matrices()
         engine = BatchCampaignEngine.from_matrix(sparse, backend="python")
-        subset = list(sparse.vulnerability_ids[:4])
+        subset = tuple(sparse.vulnerability_ids[:4])
         serial = engine.estimate(subset, trials=TRIALS, seed=SEED)
+        request = GridPointRequest(
+            tolerances=(serial.tolerated_fraction,), vulnerability_ids=subset
+        )
         with ThreadPoolExecutor(max_workers=3) as executor:
-            sharded = ShardedCampaignRun(
+            (sharded,) = ShardedGridRun(
                 engine, max_workers=3, executor=executor
-            ).estimate(subset, trials=TRIALS, seed=SEED)
-        assert sharded == serial
+            ).estimate_grid((request,), trials=TRIALS, seed=SEED)
+        assert sharded.estimate_at(0) == serial
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_sharded_grid_matches_serial(self, workers):

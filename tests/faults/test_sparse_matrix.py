@@ -163,8 +163,6 @@ class TestSparseAccessors:
             sparse.exposure_rows()
         with pytest.raises(FaultModelError, match="exposure_array"):
             sparse.exposure_array()
-        with pytest.raises(FaultModelError, match="columns_for"):
-            sparse.columns_for(sparse.vulnerability_ids[:2])
 
     def test_dense_matrix_compresses_on_demand(self):
         dense = PopulationMatrix.build(
@@ -173,24 +171,3 @@ class TestSparseAccessors:
         compressed = dense.sparse_exposure()
         assert compressed.replica_count == dense.replica_count
         assert compressed is dense.sparse_exposure()  # cached
-
-    def test_sparse_columns_for_selects_in_order(self):
-        sparse = PopulationMatrix.build(
-            SCENARIO.population, SCENARIO.catalog, layout="sparse"
-        )
-        dense = PopulationMatrix.build(
-            SCENARIO.population, SCENARIO.catalog, layout="dense"
-        )
-        selection = tuple(reversed(sparse.vulnerability_ids[:4]))
-        selected = sparse.sparse_columns_for(selection)
-        rows, probabilities = dense.columns_for(selection)
-        assert selected.success_probabilities == probabilities
-        rebuilt = [
-            [0.0] * selected.column_count for _ in range(selected.replica_count)
-        ]
-        for row in range(selected.replica_count):
-            for position in range(
-                selected.indptr[row], selected.indptr[row + 1]
-            ):
-                rebuilt[row][selected.indices[position]] = 1.0
-        assert tuple(tuple(row) for row in rebuilt) == rows
