@@ -18,7 +18,7 @@ entropy hides *where* the monoculture sits; this module decomposes it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import get_backend
 from repro.backend.selection import BackendLike
@@ -126,7 +126,11 @@ def weakest_component(
     backend: BackendLike = None,
 ) -> ComponentKindProfile:
     """The slot whose dominant choice concentrates the most voting power."""
-    profiles = component_entropy_profile(population, family=family, backend=backend)
+    return _weakest_of(component_entropy_profile(population, family=family, backend=backend))
+
+
+def _weakest_of(profiles: Sequence[ComponentKindProfile]) -> ComponentKindProfile:
+    """:func:`weakest_component`'s pick among already computed profiles."""
     concrete = [profile for profile in profiles if profile.dominant_component != ABSENT]
     candidates = concrete or list(profiles)
     return max(candidates, key=lambda profile: profile.dominant_share)

@@ -315,7 +315,8 @@ class NumpyBackend(ComputeBackend):
         # The running vulnerable-count per row fits int16 for any realistic
         # census; fall back to int32 beyond that.
         rank_dtype = _np.int16 if n_configs <= 30_000 else _np.int32
-        row_index = _np.arange(chunk_rows)
+        # Only the budget-1 gather reads it, and never past ``trials`` rows.
+        row_index = _np.arange(min(chunk_rows, trials))
         while remaining > 0:
             rows = min(chunk_rows, remaining)
             remaining -= rows

@@ -15,8 +15,12 @@ the dominant OS"), and to give the diversity planner something to optimize.
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend.base import campaign_uniform
@@ -45,6 +49,8 @@ class ComponentMarket:
     def __post_init__(self) -> None:
         if not self.shares:
             raise ConfigurationError(f"market for {self.kind.value!r} has no components")
+        if not all(math.isfinite(share) for _, share in self.shares):
+            raise ConfigurationError("market shares must be finite")
         if any(share < 0 for _, share in self.shares):
             raise ConfigurationError("market shares must be non-negative")
         if sum(share for _, share in self.shares) <= 0:
@@ -66,21 +72,25 @@ class ComponentMarket:
         name = rng.choices(names, weights=weights, k=1)[0]
         return SoftwareComponent(self.kind, name)
 
+    @cached_property
+    def _cumulative(self) -> Tuple[float, Tuple[float, ...]]:
+        """The shares' total and their running sums, each added left to right once."""
+        total = sum(share for _, share in self.shares)
+        running = tuple(accumulate((share for _, share in self.shares), initial=0.0))
+        return total, running[1:]
+
     def choice_index(self, u: float) -> int:
         """Index of the market choice at quantile ``u`` in ``[0, 1)``.
 
-        Walks the cumulative (unnormalized) shares, so the inverse-CDF draw
-        depends only on the share tuple and ``u`` — the deterministic
-        primitive the counter-based population sampling is built on.
+        The first choice whose cumulative (unnormalized) share exceeds
+        ``u * total``, so the inverse-CDF draw depends only on the share tuple
+        and ``u`` — the deterministic primitive the counter-based population
+        sampling is built on.  The running sums never decrease, so bisecting
+        them finds the index a left-to-right walk would; a target past the
+        last sum (rounding) clamps to the last choice.
         """
-        total = sum(share for _, share in self.shares)
-        target = u * total
-        accumulated = 0.0
-        for index, (_, share) in enumerate(self.shares):
-            accumulated += share
-            if target < accumulated:
-                return index
-        return len(self.shares) - 1
+        total, running = self._cumulative
+        return min(bisect_right(running, u * total), len(running) - 1)
 
     def component_at(self, u: float) -> SoftwareComponent:
         """The component at quantile ``u`` (see :meth:`choice_index`)."""

@@ -18,9 +18,9 @@ from typing import Dict, Sequence, Tuple
 
 from repro.analysis.components import (
     ComponentKindProfile,
+    _weakest_of,
     component_entropy_profile,
     diversification_priority,
-    weakest_component,
 )
 from repro.analysis.report import Table
 from repro.core.exceptions import ExperimentError
@@ -66,7 +66,7 @@ def _analyse(
 ) -> EcosystemExposure:
     population: ReplicaPopulation = ecosystem.sample_population(population_size, seed=seed)
     profiles = component_entropy_profile(population, family=ProtocolFamily.BFT)
-    weakest = weakest_component(population, family=ProtocolFamily.BFT)
+    weakest = _weakest_of(profiles)
     return EcosystemExposure(
         label=label,
         population_entropy_bits=population.entropy(),

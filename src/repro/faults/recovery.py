@@ -136,11 +136,19 @@ class PatchRollout:
         """Voting power still exposed at ``time``."""
         if time < self._disclosure_time:
             return 0.0
-        return sum(
-            self._population.power_of(replica_id)
+        return self._exposed_power(self._adoption_schedule(), time)
+
+    def _adoption_schedule(self) -> List[Tuple[float, float]]:
+        """Each exposed replica's ``(adoption time, power)``, in exposure order."""
+        return [
+            (adopted_at, self._population.power_of(replica_id))
             for replica_id, adopted_at in self._adoption_time.items()
-            if time < adopted_at
-        )
+        ]
+
+    @staticmethod
+    def _exposed_power(schedule: Sequence[Tuple[float, float]], time: float) -> float:
+        """Power of the replicas in ``schedule`` not yet patched at ``time``."""
+        return sum(power for adopted_at, power in schedule if time < adopted_at)
 
     def all_patched_time(self) -> float:
         """The instant at which the last exposed replica is patched."""
@@ -157,9 +165,12 @@ class PatchRollout:
             end = self._disclosure_time + 1.0
         step = (end - self._disclosure_time) / (samples - 1)
         times = [self._disclosure_time + index * step for index in range(samples)]
+        # Every sample is at or after disclosure, so exposed_power_at's
+        # early return never fires; the schedule is read once, not per sample.
+        schedule = self._adoption_schedule()
         return ExposureTimeline(
             times=tuple(times),
-            exposed_power=tuple(self.exposed_power_at(t) for t in times),
+            exposed_power=tuple(self._exposed_power(schedule, t) for t in times),
             total_power=self._population.total_power(),
         )
 
@@ -188,12 +199,15 @@ class ProactiveRecoveryPolicy:
         self._population = population
         self._period = recovery_period
         self._start = start_time
-        self._order: Tuple[str, ...] = population.replica_ids()
+        # Each replica's slot in the round-robin recovery order.
+        self._position: Dict[str, int] = {
+            replica_id: index for index, replica_id in enumerate(population.replica_ids())
+        }
 
     @property
     def rotation_length(self) -> float:
         """Time to cycle through every replica once."""
-        return self._period * len(self._order)
+        return self._period * len(self._position)
 
     def next_recovery_after(self, replica_id: str, time: float) -> float:
         """The first scheduled recovery of ``replica_id`` strictly after ``time``.
@@ -201,9 +215,9 @@ class ProactiveRecoveryPolicy:
         A recovery coinciding exactly with the attack instant does not count
         as cleaning that attack, so the bound is strict.
         """
-        if replica_id not in self._order:
+        index = self._position.get(replica_id)
+        if index is None:
             raise FaultModelError(f"unknown replica {replica_id!r}")
-        index = self._order.index(replica_id)
         first = self._start + index * self._period
         if time < first:
             return first
@@ -221,11 +235,29 @@ class ProactiveRecoveryPolicy:
         """
         if time < attack_time:
             return 0.0
+        return self._compromised_power(
+            self._recovery_schedule(compromised_ids, attack_time), time
+        )
+
+    def _recovery_schedule(
+        self, compromised_ids: Sequence[str], attack_time: float
+    ) -> List[Tuple[float, float]]:
+        """Each compromised replica's ``(recovery time, power)``, in the given order."""
+        return [
+            (
+                self.next_recovery_after(replica_id, attack_time),
+                self._population.power_of(replica_id),
+            )
+            for replica_id in compromised_ids
+        ]
+
+    @staticmethod
+    def _compromised_power(schedule: Sequence[Tuple[float, float]], time: float) -> float:
+        """Power of the replicas in ``schedule`` not yet recovered at ``time``."""
         total = 0.0
-        for replica_id in compromised_ids:
-            recovered_at = self.next_recovery_after(replica_id, attack_time)
+        for recovered_at, power in schedule:
             if time < recovered_at:
-                total += self._population.power_of(replica_id)
+                total += power
         return total
 
     def timeline(
@@ -236,16 +268,26 @@ class ProactiveRecoveryPolicy:
         horizon: Optional[float] = None,
         samples: int = 200,
     ) -> ExposureTimeline:
-        """Sample the attacker-controlled power from the attack until ``horizon``."""
+        """Sample the attacker-controlled power from the attack until ``horizon``.
+
+        Raises:
+            FaultModelError: ``horizon`` is at or before ``attack_time`` (the
+                samples would run backwards and the areas come out negative).
+        """
         if samples < 2:
             raise FaultModelError(f"at least 2 samples are required, got {samples}")
+        if horizon is not None and not horizon > attack_time:
+            raise FaultModelError(
+                f"horizon must be after the attack time {attack_time}, got {horizon}"
+            )
         end = horizon if horizon is not None else attack_time + self.rotation_length * 1.05
         step = (end - attack_time) / (samples - 1)
         times = [attack_time + index * step for index in range(samples)]
+        # Every sample is at or after the attack, so compromised_power_at's
+        # early return never fires; recoveries are scheduled once, not per sample.
+        schedule = self._recovery_schedule(compromised_ids, attack_time)
         return ExposureTimeline(
             times=tuple(times),
-            exposed_power=tuple(
-                self.compromised_power_at(compromised_ids, attack_time, t) for t in times
-            ),
+            exposed_power=tuple(self._compromised_power(schedule, t) for t in times),
             total_power=self._population.total_power(),
         )

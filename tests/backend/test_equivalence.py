@@ -98,6 +98,24 @@ class TestPerBackendDeterminism:
         )
         assert first == second
 
+    @needs_numpy
+    @pytest.mark.parametrize("budget", [1, 2, 32])
+    def test_numpy_census_chunks_are_invisible(self, monkeypatch, budget):
+        from repro.backend import numpy_backend
+
+        shares = sorted(CENSUSES["zipf-32"].probabilities(), reverse=True)
+        kwargs = dict(
+            vulnerability_probability=0.3, exploit_budget=budget, trials=50, seed=4, tolerance=0.2
+        )
+        whole = NumpyBackend().violation_trials(shares, **kwargs)
+        # 7 rows per chunk: seven full chunks and a one-row last chunk.
+        monkeypatch.setattr(numpy_backend, "_CHUNK_CELLS", 7 * len(shares))
+        chunked = NumpyBackend().violation_trials(shares, **kwargs)
+        assert 0 < whole.violations < 50
+        assert chunked.violations == whole.violations
+        # Per-chunk partial sums round differently in the last ulp.
+        assert chunked.compromised_total == pytest.approx(whole.compromised_total, rel=1e-12)
+
     @pytest.mark.parametrize("backend", available_backends())
     def test_different_seeds_usually_differ(self, backend):
         census = CENSUSES["duopoly"]

@@ -18,6 +18,7 @@ from repro.datasets.generators import (
     zipf_distribution,
 )
 from repro.datasets.software_ecosystem import (
+    ComponentMarket,
     default_ecosystem,
     diverse_ecosystem,
     skewed_ecosystem,
@@ -148,3 +149,18 @@ class TestSyntheticEcosystems:
     def test_market_for_unknown_kind_raises(self):
         with pytest.raises(ConfigurationError):
             skewed_ecosystem().market_for(ComponentKind.WALLET)
+
+    @pytest.mark.parametrize(
+        "shares, message",
+        [
+            ((), "no components"),
+            ((("linux", float("nan")), ("bsd", 1.0)), "finite"),
+            ((("linux", float("inf")), ("bsd", 1.0)), "finite"),
+            ((("linux", 1.0), ("bsd", float("-inf"))), "finite"),
+            ((("linux", 1.0), ("bsd", -0.5)), "non-negative"),
+            ((("linux", 0.0), ("bsd", 0.0)), "positive total"),
+        ],
+    )
+    def test_market_rejects_bad_shares(self, shares, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ComponentMarket(ComponentKind.OPERATING_SYSTEM, shares)

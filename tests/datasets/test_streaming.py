@@ -14,13 +14,30 @@ function of ``(seed, index)``.  That contract is what this module pins:
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.backend.base import campaign_uniform
 from repro.core.configuration import ComponentKind
 from repro.core.exceptions import ConfigurationError
 from repro.datasets.generators import stream_replica_chunks
-from repro.datasets.software_ecosystem import default_ecosystem, skewed_ecosystem
+from repro.datasets.software_ecosystem import (
+    ComponentMarket,
+    default_ecosystem,
+    skewed_ecosystem,
+)
+
+
+def _walk_cumulative_shares(shares, u):
+    """The left-to-right walk ``ComponentMarket.choice_index`` must equal."""
+    target = u * sum(share for _, share in shares)
+    accumulated = 0.0
+    for index, (_, share) in enumerate(shares):
+        accumulated += share
+        if target < accumulated:
+            return index
+    return len(shares) - 1
 
 
 class TestCounterSamplingSnapshot:
@@ -79,6 +96,39 @@ class TestCounterSamplingSnapshot:
         market = default_ecosystem().market_for(ComponentKind.OPERATING_SYSTEM)
         assert market.choice_index(0.0) == 0
         assert market.choice_index(0.9999999) == len(market.shares) - 1
+        # The bisection equals the left-to-right walk, with zero-share
+        # entries, non-dyadic shares and u just below 1.
+        markets = [*default_ecosystem().markets, *skewed_ecosystem().markets]
+        markets += [
+            ComponentMarket(ComponentKind.OPERATING_SYSTEM, shares)
+            for shares in (
+                (("a", 0.5), ("b", 0.25), ("c", 0.25)),
+                (("a", 0.0), ("b", 0.3), ("c", 0.0), ("d", 0.0), ("e", 0.7), ("f", 0.0)),
+                (("a", 0.1), ("b", 0.2), ("c", 0.0), ("d", 1 / 3), ("e", 0.0)),
+                (("a", 3.0), ("b", 0.0), ("c", 7.0)),
+            )
+        ]
+        for market in markets:
+            shares = market.shares
+            total = sum(share for _, share in shares)
+            quantiles = [step / 997 for step in range(997)]
+            quantiles += [math.nextafter(1.0, 0.0), 1.0 - 1e-12, 1.0 - 1e-9]
+            # Quantiles with u * total exactly on a running sum, where the
+            # walk moves on to the next choice.
+            accumulated, hits = 0.0, 0
+            for _, share in shares:
+                accumulated += share
+                u = accumulated / total
+                for _ in range(4):
+                    if u * total == accumulated:
+                        quantiles.append(u)
+                        hits += 1
+                        break
+                    u = math.nextafter(u, 0.0 if u * total > accumulated else 1.0)
+            assert hits >= len(shares) - 1
+            assert [market.choice_index(u) for u in quantiles] == [
+                _walk_cumulative_shares(shares, u) for u in quantiles
+            ]
 
 
 class TestStreamingEqualsOneShot:

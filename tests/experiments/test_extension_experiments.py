@@ -45,6 +45,18 @@ class TestVulnerabilityWindowExperiment:
         with pytest.raises(ExperimentError):
             run_vulnerability_window(adoption_latencies=())
 
+    @pytest.mark.parametrize("horizon", [-5.0, 0.0])
+    def test_non_positive_horizon_rejected(self, horizon):
+        # Both sweeps start at time 0; an earlier horizon would give
+        # negative recovery areas and a silently replaced patch horizon.
+        with pytest.raises(ExperimentError, match="horizon"):
+            run_vulnerability_window(
+                population_size=20,
+                adoption_latencies=(5.0,),
+                recovery_periods=(1.0,),
+                horizon=horizon,
+            )
+
 
 class TestDecentralizedPoolsExperiment:
     def test_entropy_grows_and_takeover_shrinks(self):

@@ -2,10 +2,36 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.exceptions import FaultModelError
+from repro.core.population import ReplicaPopulation
+from repro.datasets.software_ecosystem import skewed_ecosystem
 from repro.faults.recovery import ExposureTimeline, PatchRollout, ProactiveRecoveryPolicy
+
+
+def _random_population(seed: int) -> ReplicaPopulation:
+    """A skewed-ecosystem population with non-dyadic powers (sum order shows)."""
+    rng = random.Random(seed)
+    size = rng.randint(8, 40)
+    powers = [rng.choice((0.1, 1 / 3, 0.7, 2.9)) * rng.randint(1, 5) for _ in range(size)]
+    return skewed_ecosystem().sample_population(size, seed=seed, power=powers)
+
+
+@pytest.fixture
+def power_of_calls(monkeypatch):
+    """Every replica id ``ReplicaPopulation.power_of`` is asked for, in order."""
+    calls = []
+    original = ReplicaPopulation.power_of
+
+    def spy(population, replica_id):
+        calls.append(replica_id)
+        return original(population, replica_id)
+
+    monkeypatch.setattr(ReplicaPopulation, "power_of", spy)
+    return calls
 
 
 class TestExposureTimeline:
@@ -83,6 +109,40 @@ class TestPatchRollout:
             b.adoption_time_of(r) for r in b.exposed_replica_ids
         ]
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_timeline_equals_the_per_instant_power(self, seed, openssl_vulnerability):
+        population = _random_population(seed)
+        rollout = PatchRollout(
+            population,
+            openssl_vulnerability,
+            disclosure_time=1.3,
+            patch_release_time=2.1,
+            mean_adoption_latency=3.7,
+            seed=seed,
+        )
+        timeline = rollout.timeline(horizon=25.0, samples=97)
+        instants = timeline.times + tuple(
+            rollout.adoption_time_of(replica_id) for replica_id in rollout.exposed_replica_ids
+        )
+        # Reference: sum the exposed replicas' powers in exposure order.
+        reference = [
+            sum(
+                population.power_of(replica_id)
+                for replica_id in rollout.exposed_replica_ids
+                if t < rollout.adoption_time_of(replica_id)
+            )
+            for t in instants
+        ]
+        assert list(timeline.exposed_power) == reference[: len(timeline.times)]
+        assert [rollout.exposed_power_at(t) for t in instants] == reference
+
+    def test_timeline_reads_each_exposed_power_once(
+        self, small_population, openssl_vulnerability, power_of_calls
+    ):
+        rollout = PatchRollout(small_population, openssl_vulnerability, seed=5)
+        rollout.timeline(samples=200)
+        assert power_of_calls == list(rollout.exposed_replica_ids)
+
     def test_invalid_parameters(self, small_population, openssl_vulnerability):
         with pytest.raises(FaultModelError):
             PatchRollout(
@@ -141,6 +201,63 @@ class TestProactiveRecovery:
         policy = ProactiveRecoveryPolicy(unique_population)
         with pytest.raises(FaultModelError):
             policy.next_recovery_after("ghost", 0.0)
+        with pytest.raises(FaultModelError):
+            policy.timeline(["replica-0", "ghost"])
+
+    @pytest.mark.parametrize(
+        "attack_time, horizon", [(0.0, -5.0), (0.0, 0.0), (3.0, 3.0), (3.0, 1.0)]
+    )
+    def test_horizon_at_or_before_the_attack_rejected(
+        self, unique_population, attack_time, horizon
+    ):
+        policy = ProactiveRecoveryPolicy(unique_population)
+        with pytest.raises(FaultModelError, match="horizon"):
+            policy.timeline(["replica-0"], attack_time=attack_time, horizon=horizon)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_timeline_equals_the_per_instant_power(self, seed):
+        population = _random_population(seed)
+        compromised = random.Random(seed).sample(
+            population.replica_ids(), len(population) // 2
+        )
+        policy = ProactiveRecoveryPolicy(population, recovery_period=0.5, start_time=0.25)
+        # Step 0.25 from the attack at 1.0: every recovery instant
+        # 0.25 + k * 0.5 after the attack is itself a sample.
+        timeline = policy.timeline(compromised, attack_time=1.0, horizon=31.0, samples=121)
+        recoveries = {
+            replica_id: policy.next_recovery_after(replica_id, 1.0)
+            for replica_id in compromised
+        }
+        assert set(recoveries.values()) <= set(timeline.times)
+        # Reference: sum the compromised replicas' powers in the given order.
+        reference = []
+        for t in timeline.times:
+            total = 0.0
+            for replica_id in compromised:
+                if t < recoveries[replica_id]:
+                    total += population.power_of(replica_id)
+            reference.append(total)
+        assert list(timeline.exposed_power) == reference
+        assert [
+            policy.compromised_power_at(compromised, 1.0, t) for t in timeline.times
+        ] == reference
+
+    def test_timeline_schedules_each_recovery_once(
+        self, unique_population, monkeypatch, power_of_calls
+    ):
+        calls = []
+        original = ProactiveRecoveryPolicy.next_recovery_after
+
+        def spy(policy, replica_id, time):
+            calls.append((replica_id, time))
+            return original(policy, replica_id, time)
+
+        monkeypatch.setattr(ProactiveRecoveryPolicy, "next_recovery_after", spy)
+        policy = ProactiveRecoveryPolicy(unique_population, recovery_period=0.5)
+        compromised = ["replica-0", "replica-4", "replica-7"]
+        policy.timeline(compromised, attack_time=2.0, samples=200)
+        assert calls == [(replica_id, 2.0) for replica_id in compromised]
+        assert power_of_calls == compromised
 
     def test_invalid_period_rejected(self, unique_population):
         with pytest.raises(FaultModelError):
