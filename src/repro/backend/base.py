@@ -17,6 +17,11 @@ probabilities, tolerances and seed), checked by one validator:
   which :func:`merge_sparse_partials` and :func:`finalize_sparse_point` turn
   into the same results once every row range is in.
 
+A trial range can be cut anywhere: :func:`split_trial_ranges` partitions it,
+each piece runs with its ``trial_offset``, and
+:func:`merge_campaign_grid_batches` sums the dense pieces back together (the
+engine's trial chunks and the shm backend's worker ranges both do this).
+
 Two exposure reductions, :meth:`ComputeBackend.masked_power_sums` and
 :meth:`ComputeBackend.sparse_masked_power_sums`, feed target selection.
 Choosing targets and resolving them into points is the engine's job
@@ -154,9 +159,9 @@ class SparseExposure:
     Storage is whatever integer/float sequences the caller provides; the
     :func:`from_rows` constructor packs stdlib ``array`` buffers (``'q'`` and
     ``'d'`` typecodes), which keep a million-replica structure in tens of
-    megabytes, pickle compactly for shard workers, and convert to NumPy
-    zero-copy.  Treat a constructed instance as immutable — kernels cache the
-    structural validation on it.
+    megabytes, pickle compactly, and convert to NumPy zero-copy.  Treat a
+    constructed instance as immutable — kernels cache the structural
+    validation on it.
     """
 
     indptr: Sequence[int]
@@ -426,6 +431,90 @@ def finalize_sparse_point(
         compromised_total=compromised_total,
         per_vulnerability_totals=partial.per_vulnerability_totals,
     )
+
+
+# -- trial-range partitions ----------------------------------------------------
+
+
+def split_trial_ranges(trials: int, shards: int) -> Tuple[Tuple[int, int], ...]:
+    """Split ``trials`` into ``shards`` contiguous ``(offset, count)`` ranges.
+
+    The first ``trials % shards`` ranges are one trial longer; empty ranges
+    are dropped (sharding 5 trials 8 ways yields 5 ranges).  Because the
+    campaign kernels are counter-based, a shard computing its range with
+    ``trial_offset=offset`` draws exactly the uniforms the serial run draws
+    for those trials — the ranges partition the serial trial sequence.
+    """
+    from repro.core.exceptions import FaultModelError
+
+    if trials <= 0:
+        raise FaultModelError(f"trial count must be positive, got {trials}")
+    if shards <= 0:
+        raise FaultModelError(f"shard count must be positive, got {shards}")
+    base, remainder = divmod(trials, shards)
+    ranges = []
+    offset = 0
+    for shard in range(shards):
+        count = base + (1 if shard < remainder else 0)
+        if count == 0:
+            continue
+        ranges.append((offset, count))
+        offset += count
+    return tuple(ranges)
+
+
+def merge_campaign_grid_batches(
+    batches: Sequence[Sequence[GridPointResult]],
+) -> Tuple[GridPointResult, ...]:
+    """Sum per-chunk (or per-shard) grid results point by point.
+
+    Violation and trial counts are integers, so their sums are always exact.
+    The power totals are float sums; summing chunks in offset order matches
+    the serial accumulation bit for bit whenever the per-trial contributions
+    are dyadic rationals (every shipped scenario uses power 1.0 per replica),
+    and to float tolerance otherwise.  All batches must describe the same
+    grid (same point count, columns and tolerance widths).
+    """
+    from repro.core.exceptions import FaultModelError
+
+    if not batches:
+        raise FaultModelError("cannot merge zero grid batches")
+    first = batches[0]
+    for other in batches[1:]:
+        if len(other) != len(first):
+            raise FaultModelError(
+                f"grid batches disagree on point count: {len(first)} != {len(other)}"
+            )
+        for left, right in zip(first, other):
+            if left.columns != right.columns or len(left.violations) != len(
+                right.violations
+            ):
+                raise FaultModelError(
+                    "grid batches disagree on a point's columns or tolerances"
+                )
+    merged = []
+    for index, point in enumerate(first):
+        trials = sum(batch[index].trials for batch in batches)
+        violations = tuple(
+            sum(batch[index].violations[k] for batch in batches)
+            for k in range(len(point.violations))
+        )
+        compromised_total = 0.0
+        per_vulnerability = [0.0] * len(point.per_vulnerability_totals)
+        for batch in batches:
+            compromised_total += batch[index].compromised_total
+            for column, total in enumerate(batch[index].per_vulnerability_totals):
+                per_vulnerability[column] += total
+        merged.append(
+            GridPointResult(
+                trials=trials,
+                columns=point.columns,
+                violations=violations,
+                compromised_total=compromised_total,
+                per_vulnerability_totals=tuple(per_vulnerability),
+            )
+        )
+    return tuple(merged)
 
 
 class ComputeBackend(abc.ABC):

@@ -1,11 +1,11 @@
 """Fault-tolerant executor: deadlines, retries, pool recycling, attempt log.
 
 :class:`ResilientExecutor` wraps any :class:`concurrent.futures.Executor`
-factory (a process pool by default) behind the standard ``submit()`` seam,
-so it drops into every place the repository already parameterizes execution
-— ``run_experiments``'s parallel fan-out, the HTTP result service's
-``ResultService.executor``, and the sharded campaign engine — and adds the
-failure handling none of the raw pools have:
+factory (a process pool by default) behind the standard ``submit()`` seam.
+Every process fan-out in the repository runs on it — ``run_experiments``'s
+parallel runs, the HTTP result service's ``ResultService.executor`` and the
+shm backend's kernel pool — and it adds the failure handling none of the raw
+pools have:
 
 - **per-task deadlines** — an attempt that has not produced a result within
   ``deadline`` seconds is abandoned, the pool is recycled (a hung worker
@@ -29,9 +29,15 @@ failure handling none of the raw pools have:
   :class:`TaskAttempt` ring buffer with counters, surfaced by the result
   service at ``GET /metrics`` under ``"resilience"``.
 
+A deadline covers only its own task's run: the monitor threads that
+submit attempts are as many as the pool's workers, so an attempt never
+waits in the pool's queue behind another task.  Shutting down with
+``cancel_futures=True`` cancels the outer future of every task that had not
+started, so no caller waits on a task that will never run.
+
 Retries are safe here by construction: every workload this repository
 submits is a pure function of its arguments (experiments derive all
-randomness from their params/seed; campaign shards draw from the
+randomness from their params/seed; shm kernel ranges draw from the
 counter-based RNG stream), so a retried task returns **bit-identical**
 results — the fault-free and the crash-riddled run produce the same bytes.
 """
@@ -53,6 +59,7 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.backend.base import campaign_uniform
@@ -139,6 +146,18 @@ def backoff_delay(
     return min(cap, base * (2.0 ** (attempt - 1))) * jitter
 
 
+def _cancel_unstarted(outer: "Future[Any]", monitor: "Future[None]") -> None:
+    """Cancel ``outer`` when its monitor was cancelled before it ran.
+
+    ``shutdown(cancel_futures=True)`` cancels queued monitors, whose
+    ``_drive`` then never resolves their outer futures.  Cancelling and
+    notifying here makes ``result()`` raise :class:`CancelledError` and lets
+    :func:`concurrent.futures.wait` return.
+    """
+    if monitor.cancelled() and outer.cancel():
+        outer.set_running_or_notify_cancel()
+
+
 def _default_factory(max_workers: Optional[int]) -> Callable[[], Executor]:
     def make() -> Executor:
         return ProcessPoolExecutor(max_workers=max_workers)
@@ -150,9 +169,10 @@ class ResilientExecutor(Executor):
     """An :class:`~concurrent.futures.Executor` that survives its pool.
 
     Args:
-        max_workers: pool width for the default process-pool factory (and
-            the monitor-thread pool; ignored for pool sizing when
-            ``factory`` is given).
+        max_workers: pool width for the default process-pool factory and
+            the number of monitor threads, so at most this many attempts
+            are in the inner pool at once.  A custom ``factory`` should
+            build pools of this width.
         factory: zero-argument callable building a fresh inner executor;
             called once up front and again on every recycle.  Defaults to
             ``ProcessPoolExecutor(max_workers=...)``.
@@ -204,11 +224,11 @@ class ResilientExecutor(Executor):
         self._pool: Executor = self._factory()
         self._generation = 0
         self._stopped = False
-        # Monitors block while their attempt runs, so the monitor pool is
-        # sized to the worker pool (plus slack for tasks mid-backoff): the
-        # inner pool's own queue never grows beyond what it can run.
+        # One monitor per worker: a monitor blocks while its attempt runs,
+        # so the inner pool never queues an attempt behind another task and
+        # a deadline only ever measures its own task's run.
         self._monitors = ThreadPoolExecutor(
-            max_workers=self._width + 2, thread_name_prefix="resilient"
+            max_workers=self._width, thread_name_prefix="resilient"
         )
         self.attempts: Deque[TaskAttempt] = deque(maxlen=log_size)
         self.tasks_submitted = 0
@@ -296,7 +316,8 @@ class ResilientExecutor(Executor):
             if self._stopped:
                 raise RuntimeError("cannot submit to a shut-down ResilientExecutor")
             self.tasks_submitted += 1
-        self._monitors.submit(self._drive, outer, label, fn, args, kwargs)
+        monitor = self._monitors.submit(self._drive, outer, label, fn, args, kwargs)
+        monitor.add_done_callback(partial(_cancel_unstarted, outer))
         return outer
 
     def _drive(

@@ -2,9 +2,9 @@
 
 The ``shm`` backend runs the two campaign kernels — :meth:`campaign_grid`
 over a dense mask and :meth:`sparse_grid_partials` over CSR — by splitting
-the trial range across a persistent pool of worker processes.  The
-counter-based splitmix64 stream makes trial partitions bit-identical to a
-serial run by construction (the same seam ``ShardedGridRun`` exploits), so
+the trial range across a persistent pool of worker processes.  It is the
+repository's one trial-range fan-out.  The counter-based splitmix64 stream
+makes trial partitions bit-identical to a serial run by construction, so
 fan-out is pure engineering:
 
 - **Build once, map everywhere.**  The exposure/powers arrays (and the CSR
@@ -13,10 +13,18 @@ fan-out is pure engineering:
   seen; workers attach read-only NumPy views by segment name.  No per-call
   pickling of the population — a dispatch ships only the segment names, the
   already-resolved grid points and a handful of scalars.
-- **Existing merge seams.**  Worker results merge through
-  ``merge_campaign_grid_batches`` (dense) and per-trial concatenation in
-  offset order (sparse), the exact associations the sharding test-suite
-  already pins bit-identical to the serial kernels.
+- **Existing merge seams.**  :func:`~repro.backend.base.split_trial_ranges`
+  cuts the range, and worker results merge through
+  :func:`~repro.backend.base.merge_campaign_grid_batches` (dense) and
+  per-trial concatenation in offset order (sparse), the associations the
+  kernel partition tests pin bit-identical to the serial kernels.
+- **One fault-tolerant pool.**  The workers run on
+  :class:`~repro.backend.resilient.ResilientExecutor` with its defaults (no
+  deadline, default retries and loss budget).  A killed worker's lost trial
+  ranges are re-dispatched on a fresh pool and return identical bytes; a
+  call whose ranges keep killing workers raises once a range has used up
+  ``max_pool_losses``.  Each range passes the chaos harness's ``task``
+  checkpoint, so the crash path is tested.
 - **Inner NumPy delegation.**  Every other primitive
   (:meth:`violation_trials`, :meth:`masked_power_sums`,
   :meth:`sparse_masked_power_sums`, :meth:`shannon_entropy`, array
@@ -26,17 +34,14 @@ fan-out is pure engineering:
   numerics implementation, which is what keeps it byte-identical to numpy.
 
 Selection: the backend registers *behind* numpy in auto-detection order, so
-it is opt-in via ``REPRO_BACKEND=shm`` (or ``--backend shm``).  Environment
-knobs:
-
-- ``REPRO_SHM_WORKERS`` — worker-process count (default
-  ``min(4, cpu_count)``); changing it recycles the pool on the next call.
-- ``REPRO_SHM_INLINE_CELLS`` — workloads below this many trial-cells run
-  inline on the inner NumPy backend instead of paying a pool round-trip
-  (default ``65536``; tests set ``0`` to force the pool path everywhere).
+it is opt-in via ``REPRO_BACKEND=shm`` (or ``--backend shm``).  Its one knob
+is ``REPRO_SHM_WORKERS``, the worker-process count (default
+``min(4, cpu_count)``); changing it recycles the pool on the next call.
+Calls below :data:`INLINE_CELL_LIMIT` trial-cells run inline on the inner
+NumPy backend instead of paying a pool round-trip.
 
 Fork safety: the pool is only ever built in the top-level process.  Inside
-a multiprocessing child (an engine shard, an orchestrator worker) dispatch
+a multiprocessing child (an orchestrator worker, a serve build) dispatch
 degrades to the inline NumPy path — nested pools would oversubscribe the
 host, and pool workers exit via ``os._exit`` without running ``atexit``,
 which would orphan a nested pool's processes into the exit join.  A child
@@ -60,7 +65,7 @@ import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised indirectly via availability_error()
@@ -85,22 +90,22 @@ from repro.backend.base import (
     SparseExposure,
     SparseGridPartial,
     TrialBatchResult,
+    merge_campaign_grid_batches,
+    split_trial_ranges,
     validate_grid_arguments,
     validate_sparse_partial_arguments,
 )
 from repro.backend.numpy_backend import NumpyBackend
+from repro.backend.resilient import ResilientExecutor
 from repro.backend.timing import timed_kernel
 from repro.core.exceptions import BackendError
 
 #: Environment variable selecting the worker-process count.
 WORKERS_ENV_VAR = "REPRO_SHM_WORKERS"
 
-#: Environment variable overriding the inline-dispatch threshold.
-INLINE_ENV_VAR = "REPRO_SHM_INLINE_CELLS"
-
 #: Below this many trial-cells a kernel call runs inline on the inner
 #: NumPy backend — a pool round-trip costs more than the arithmetic.
-DEFAULT_INLINE_CELL_LIMIT = 1 << 16
+INLINE_CELL_LIMIT = 1 << 16
 
 #: Parent-side cap on pinned shared-memory publications (LRU evicted).
 _PUBLISH_CAPACITY = 16
@@ -180,6 +185,11 @@ def _worker_campaign_grid(
     trial_offset: int,
 ) -> Tuple[GridPointResult, ...]:
     """One trial range of :meth:`campaign_grid` over the shared views."""
+    # Imported here: repro.testing.chaos imports repro.backend.base, so a
+    # module-level import would close an import cycle.
+    from repro.testing.chaos import chaos_checkpoint
+
+    chaos_checkpoint("task", key=f"shm_campaign_grid:{trial_offset}+{trials}")
     return _worker_numpy().campaign_grid(
         _attach_view(exposure_ref),
         _attach_view(powers_ref),
@@ -208,6 +218,9 @@ def _worker_sparse_partials(
     pre-set: the parent already validated the structure once, and the
     O(nnz) scalar re-validation would dwarf the kernel at 10⁷ replicas.
     """
+    from repro.testing.chaos import chaos_checkpoint
+
+    chaos_checkpoint("task", key=f"shm_sparse_partials:{trial_offset}+{trials}")
     sparse = SparseExposure(
         indptr=_attach_view(indptr_ref),
         indices=_attach_view(indices_ref),
@@ -273,7 +286,7 @@ class ShmBackend(ComputeBackend):
 
     Bit-identical to :class:`NumpyBackend` on every kernel (the workers run
     the NumPy kernels on trial sub-ranges whose merge associations the
-    sharding suite already pins); opt-in via ``REPRO_BACKEND=shm``.
+    kernel partition tests pin); opt-in via ``REPRO_BACKEND=shm``.
     """
 
     name = "shm"
@@ -288,7 +301,7 @@ class ShmBackend(ComputeBackend):
         self._inner = NumpyBackend()
         self._lock = threading.Lock()
         self._pid = os.getpid()
-        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool: Optional[ResilientExecutor] = None
         self._pool_workers = 0
         # id-keyed, strong-ref LRUs: holding the source object pins its id,
         # so a cache hit can never alias a recycled address.
@@ -354,28 +367,11 @@ class ShmBackend(ComputeBackend):
             )
         return value
 
-    @staticmethod
-    def _inline_cell_limit() -> int:
-        raw = os.environ.get(INLINE_ENV_VAR)
-        if raw is None or not raw.strip():
-            return DEFAULT_INLINE_CELL_LIMIT
-        try:
-            value = int(raw)
-        except ValueError:
-            raise BackendError(
-                f"{INLINE_ENV_VAR} must be a non-negative integer, got {raw!r}"
-            ) from None
-        if value < 0:
-            raise BackendError(
-                f"{INLINE_ENV_VAR} must be a non-negative integer, got {raw!r}"
-            )
-        return value
-
     def _dispatch_workers(self, cells: int) -> int:
         """Pool size for a workload of ``cells`` trial-cells (1 = inline).
 
-        Any multiprocessing child (an engine shard, an orchestrator
-        ``--parallel`` worker, a daemonic pool member) degrades to inline.
+        Any multiprocessing child (an orchestrator ``--parallel`` worker, a
+        serve build, a daemonic pool member) degrades to inline.
         Nested pools would oversubscribe the host for no speedup — the
         outer fan-out already owns the cores — and a ``ProcessPoolExecutor``
         worker exits through ``os._exit``, which skips ``atexit``: a nested
@@ -386,7 +382,7 @@ class ShmBackend(ComputeBackend):
         changes, never the bytes.
         """
         workers = self._worker_count()
-        if workers <= 1 or cells < self._inline_cell_limit():
+        if workers <= 1 or cells < INLINE_CELL_LIMIT:
             return 1
         current = multiprocessing.current_process()
         if multiprocessing.parent_process() is not None or current.daemon:
@@ -398,8 +394,8 @@ class ShmBackend(ComputeBackend):
     def _reset_after_fork_locked(self) -> None:
         """Drop state inherited through ``fork`` — it is not ours.
 
-        The selection cache is process-global, so a forked worker (an engine
-        shard, an orchestrator ``--parallel`` child) inherits this very
+        The selection cache is process-global, so a forked worker (an
+        orchestrator ``--parallel`` child, a serve build) inherits this very
         instance.  Its pool object is a corpse there — the executor's feeder
         thread died in the fork, so a submit would hang forever — and its
         published segments belong to the parent, which may unlink them at
@@ -413,7 +409,7 @@ class ShmBackend(ComputeBackend):
         self._published.clear()
         self._pid = os.getpid()
 
-    def _ensure_pool(self, workers: int) -> ProcessPoolExecutor:
+    def _ensure_pool(self, workers: int) -> ResilientExecutor:
         with self._lock:
             self._reset_after_fork_locked()
             if self._pool is not None and self._pool_workers != workers:
@@ -433,21 +429,18 @@ class ShmBackend(ComputeBackend):
                 context = multiprocessing.get_context(
                     "fork" if "fork" in methods else None
                 )
-                self._pool = ProcessPoolExecutor(
+                self._pool = ResilientExecutor(
                     max_workers=workers,
-                    mp_context=context,
-                    initializer=_worker_init,
-                    initargs=(context.get_start_method() != "fork",),
+                    factory=partial(
+                        ProcessPoolExecutor,
+                        max_workers=workers,
+                        mp_context=context,
+                        initializer=_worker_init,
+                        initargs=(context.get_start_method() != "fork",),
+                    ),
                 )
                 self._pool_workers = workers
             return self._pool
-
-    def _discard_pool(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._pool_workers = 0
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def _publish(self, values, dtype: str) -> SegmentRef:
         """Pin ``values`` into shared memory once; return the worker ref."""
@@ -554,43 +547,37 @@ class ShmBackend(ComputeBackend):
             trial_offset=trial_offset,
         )
         staged_points = tuple(points)
-        kwargs = dict(trials=trials, total_power=total_power, trial_offset=trial_offset)
         workers = self._dispatch_workers(
             trials * len(powers) * sum(len(point.columns) for point in staged_points)
         )
         with timed_kernel("shm_campaign_grid", trials=trials * len(staged_points)):
             if workers <= 1:
                 return self._inner.campaign_grid(
-                    exposure, powers, staged_points, **kwargs
+                    exposure,
+                    powers,
+                    staged_points,
+                    trials=trials,
+                    total_power=total_power,
+                    trial_offset=trial_offset,
                 )
-            from repro.faults.engine import (
-                merge_campaign_grid_batches,
-                split_trial_ranges,
-            )
-
             exposure_ref = self._publish(exposure, "float64")
             powers_ref = self._publish(powers, "float64")
             pool = self._ensure_pool(workers)
-            try:
-                futures = [
-                    pool.submit(
-                        _worker_campaign_grid,
-                        exposure_ref,
-                        powers_ref,
-                        staged_points,
-                        count,
-                        total_power,
-                        trial_offset + offset,
-                    )
-                    for offset, count in split_trial_ranges(trials, workers)
-                ]
-                batches = [future.result() for future in futures]
-            except BrokenProcessPool:  # pragma: no cover - crashed workers
-                self._discard_pool()
-                return self._inner.campaign_grid(
-                    exposure, powers, staged_points, **kwargs
+            futures = [
+                pool.submit(
+                    _worker_campaign_grid,
+                    exposure_ref,
+                    powers_ref,
+                    staged_points,
+                    count,
+                    total_power,
+                    trial_offset + offset,
                 )
-            return merge_campaign_grid_batches(batches)
+                for offset, count in split_trial_ranges(trials, workers)
+            ]
+            return merge_campaign_grid_batches(
+                [future.result() for future in futures]
+            )
 
     def sparse_grid_partials(
         self,
@@ -622,43 +609,31 @@ class ShmBackend(ComputeBackend):
                     row_offset=row_offset,
                     total_rows=total,
                 )
-            from repro.faults.engine import split_trial_ranges
-
             indptr_ref = self._publish(sparse.indptr, "int64")
             indices_ref = self._publish(sparse.indices, "int64")
             powers_ref = self._publish(sparse.powers, "float64")
             probabilities = tuple(float(p) for p in sparse.success_probabilities)
             disclosed = tuple(float(t) for t in sparse.disclosed_at)
             pool = self._ensure_pool(workers)
-            try:
-                futures = [
-                    pool.submit(
-                        _worker_sparse_partials,
-                        indptr_ref,
-                        indices_ref,
-                        powers_ref,
-                        probabilities,
-                        disclosed,
-                        staged_points,
-                        count,
-                        trial_offset + offset,
-                        row_offset,
-                        total,
-                    )
-                    for offset, count in split_trial_ranges(trials, workers)
-                ]
-                payloads = [future.result() for future in futures]
-            except BrokenProcessPool:  # pragma: no cover - crashed workers
-                self._discard_pool()
-                return self._inner.sparse_grid_partials(
-                    sparse,
+            futures = [
+                pool.submit(
+                    _worker_sparse_partials,
+                    indptr_ref,
+                    indices_ref,
+                    powers_ref,
+                    probabilities,
+                    disclosed,
                     staged_points,
-                    trials=trials,
-                    trial_offset=trial_offset,
-                    row_offset=row_offset,
-                    total_rows=total,
+                    count,
+                    trial_offset + offset,
+                    row_offset,
+                    total,
                 )
-            return self._merge_sparse_ranges(staged_points, payloads)
+                for offset, count in split_trial_ranges(trials, workers)
+            ]
+            return self._merge_sparse_ranges(
+                staged_points, [future.result() for future in futures]
+            )
 
     @staticmethod
     def _merge_sparse_ranges(

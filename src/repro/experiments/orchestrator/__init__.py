@@ -21,6 +21,12 @@ modules import *this* package for their ``SPEC`` definitions); import the
 registry directly where needed.
 """
 
+from repro.backend.resilient import (
+    DEFAULT_RETRIES,
+    ResilientExecutor,
+    TaskAttempt,
+    backoff_delay,
+)
 from repro.experiments.orchestrator.cache import (
     CACHE_DIR_ENV_VAR,
     DEFAULT_CACHE_DIR,
@@ -33,12 +39,6 @@ from repro.experiments.orchestrator.cache import (
     refresh_code_fingerprint,
 )
 from repro.experiments.orchestrator.engine import execute_spec, run_experiments
-from repro.experiments.orchestrator.resilient import (
-    DEFAULT_RETRIES,
-    ResilientExecutor,
-    TaskAttempt,
-    backoff_delay,
-)
 from repro.experiments.orchestrator.result import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,

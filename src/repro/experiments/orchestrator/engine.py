@@ -31,10 +31,10 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend import get_backend
+from repro.backend.resilient import DEFAULT_RETRIES, ResilientExecutor
 from repro.backend.selection import use_backend
 from repro.backend.timing import KERNEL_TIMINGS, peak_rss_kb
 from repro.experiments.orchestrator.cache import ResultCache
-from repro.experiments.orchestrator.resilient import DEFAULT_RETRIES, ResilientExecutor
 from repro.experiments.orchestrator.result import ExperimentResult, jsonify
 from repro.experiments.orchestrator.spec import ExperimentSpec
 from repro.testing.chaos import chaos_checkpoint

@@ -35,10 +35,7 @@ from repro.faults.engine import (
     CampaignEstimate,
     GridCampaignEngine,
     GridPointRequest,
-    ShardedGridRun,
-    merge_campaign_grid_batches,
     run_census_trials,
-    split_trial_ranges,
 )
 from repro.faults.injection import FaultKind, FaultSchedule, FaultSpec
 from repro.faults.matrix import PopulationMatrix
@@ -70,11 +67,8 @@ __all__ = [
     "ProactiveRecoveryPolicy",
     "RationalOperatorAdversary",
     "Severity",
-    "ShardedGridRun",
     "Vulnerability",
     "VulnerabilityCatalog",
     "VulnerabilityWindow",
-    "merge_campaign_grid_batches",
     "run_census_trials",
-    "split_trial_ranges",
 ]

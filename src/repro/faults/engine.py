@@ -10,7 +10,7 @@ compromised fractions and mean per-vulnerability compromised power
 (``f_t^i``).
 
 All campaign work takes one path through the engine, whether it is one
-campaign or a grid, dense or sparse, serial or sharded:
+campaign or a grid, dense or sparse:
 
 1. :meth:`GridCampaignEngine._plan_grid` validates the requests and picks
    each point's targets (worst-case targets through
@@ -20,8 +20,9 @@ campaign or a grid, dense or sparse, serial or sharded:
    probabilities and seed);
 3. :func:`_run_points` hands them to the layout's kernel —
    ``campaign_grid`` in trial chunks on a dense matrix,
-   ``sparse_grid_partials`` in row chunks on a CSR one — serially, or per
-   trial range inside :class:`ShardedGridRun`'s pool workers;
+   ``sparse_grid_partials`` in row chunks on a CSR one.  Fanning a call's
+   trial range out over processes is a backend's business (the ``shm``
+   backend's kernel pool), never the engine's;
 4. :meth:`GridCampaignEngine._finalize_grid` reduces the merged kernel
    results to :class:`GridPointEstimate` values.
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.backend import get_backend
 from repro.backend.base import (
@@ -53,6 +54,7 @@ from repro.backend.base import (
     SparseExposure,
     TrialBatchResult,
     finalize_sparse_point,
+    merge_campaign_grid_batches,
     merge_sparse_partials,
 )
 from repro.backend.selection import BackendLike
@@ -64,7 +66,6 @@ from repro.core.resilience import ProtocolFamily, tolerated_fault_fraction
 from repro.faults.campaign import reject_duplicate_vulnerability_ids
 from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.matrix import PopulationMatrix
-from repro.testing.chaos import chaos_checkpoint
 
 
 #: Default replica-range chunk for sparse campaigns: the engine never hands a
@@ -195,83 +196,6 @@ class GridPointEstimate:
         )
 
 
-def split_trial_ranges(trials: int, shards: int) -> Tuple[Tuple[int, int], ...]:
-    """Split ``trials`` into ``shards`` contiguous ``(offset, count)`` ranges.
-
-    The first ``trials % shards`` ranges are one trial longer; empty ranges
-    are dropped (sharding 5 trials 8 ways yields 5 ranges).  Because the
-    campaign kernels are counter-based, a shard computing its range with
-    ``trial_offset=offset`` draws exactly the uniforms the serial run draws
-    for those trials — the ranges partition the serial trial sequence.
-    """
-    if trials <= 0:
-        raise FaultModelError(f"trial count must be positive, got {trials}")
-    if shards <= 0:
-        raise FaultModelError(f"shard count must be positive, got {shards}")
-    base, remainder = divmod(trials, shards)
-    ranges: List[Tuple[int, int]] = []
-    offset = 0
-    for shard in range(shards):
-        count = base + (1 if shard < remainder else 0)
-        if count == 0:
-            continue
-        ranges.append((offset, count))
-        offset += count
-    return tuple(ranges)
-
-
-def merge_campaign_grid_batches(
-    batches: Sequence[Sequence[GridPointResult]],
-) -> Tuple[GridPointResult, ...]:
-    """Sum per-chunk (or per-shard) grid results point by point.
-
-    Violation and trial counts are integers, so their sums are always exact.
-    The power totals are float sums; summing chunks in offset order matches
-    the serial accumulation bit for bit whenever the per-trial contributions
-    are dyadic rationals (every shipped scenario uses power 1.0 per replica),
-    and to float tolerance otherwise.  All batches must describe the same
-    grid (same point count, columns and tolerance widths).
-    """
-    if not batches:
-        raise FaultModelError("cannot merge zero grid batches")
-    first = batches[0]
-    for other in batches[1:]:
-        if len(other) != len(first):
-            raise FaultModelError(
-                f"grid batches disagree on point count: {len(first)} != {len(other)}"
-            )
-        for left, right in zip(first, other):
-            if left.columns != right.columns or len(left.violations) != len(
-                right.violations
-            ):
-                raise FaultModelError(
-                    "grid batches disagree on a point's columns or tolerances"
-                )
-    merged = []
-    for index, point in enumerate(first):
-        trials = sum(batch[index].trials for batch in batches)
-        violations = tuple(
-            sum(batch[index].violations[k] for batch in batches)
-            for k in range(len(point.violations))
-        )
-        compromised_total = 0.0
-        per_vulnerability = [0.0] * len(point.per_vulnerability_totals)
-        for batch in batches:
-            compromised_total += batch[index].compromised_total
-            for column, total in enumerate(batch[index].per_vulnerability_totals):
-                per_vulnerability[column] += total
-        merged.append(
-            GridPointResult(
-                trials=trials,
-                columns=point.columns,
-                violations=violations,
-                compromised_total=compromised_total,
-                per_vulnerability_totals=tuple(per_vulnerability),
-            )
-        )
-    return tuple(merged)
-
-
 def _resolve_plan_points(
     matrix: PopulationMatrix,
     plans: Sequence[_GridPlan],
@@ -305,7 +229,6 @@ def _run_points(
     points: Sequence[ResolvedGridPoint],
     *,
     trials: int,
-    trial_offset: int,
     total_power: float,
     chunk_trials: int,
     chunk_rows: int,
@@ -338,7 +261,6 @@ def _run_points(
                         piece,
                         points,
                         trials=trials,
-                        trial_offset=trial_offset,
                         row_offset=start,
                         total_rows=total_rows,
                     )
@@ -367,7 +289,7 @@ def _run_points(
                     points,
                     trials=count,
                     total_power=total_power,
-                    trial_offset=trial_offset + offset,
+                    trial_offset=offset,
                 )
             )
     return merge_campaign_grid_batches(batches), len(batches)
@@ -579,7 +501,6 @@ class GridCampaignEngine:
                 exposure,
                 points,
                 trials=trials,
-                trial_offset=0,
                 total_power=self._matrix.total_power,
                 chunk_trials=self._chunk_trials(points),
                 chunk_rows=self._chunk_rows,
@@ -743,147 +664,6 @@ def _tolerance(
     if tolerated_fraction is not None:
         return tolerated_fraction
     return tolerated_fault_fraction(family)
-
-
-# -- sharded runs --------------------------------------------------------------
-
-
-def _grid_shard_worker(
-    backend_name: str,
-    exposure: Any,
-    points: Tuple[ResolvedGridPoint, ...],
-    trials: int,
-    trial_offset: int,
-    total_power: float,
-    chunk_trials: int,
-    chunk_rows: int,
-) -> Tuple[GridPointResult, ...]:
-    """Pool-worker entry: one trial-range shard of a grid.
-
-    ``exposure`` is the matrix's :class:`SparseExposure` (which pickles
-    compactly and carries its cached validation) or its dense ``(rows,
-    powers)`` tuples; the points arrive resolved, so the worker only runs
-    :func:`_run_points` over its trial slice exactly like the serial engine.
-    """
-    chaos_checkpoint("task", key=f"grid-shard:{trial_offset}+{trials}")
-    backend = get_backend(backend_name)
-    if not isinstance(exposure, SparseExposure):
-        rows, powers = exposure
-        exposure = (backend.asarray_matrix(rows), backend.asarray(powers))
-    results, _ = _run_points(
-        backend,
-        exposure,
-        points,
-        trials=trials,
-        trial_offset=trial_offset,
-        total_power=total_power,
-        chunk_trials=chunk_trials,
-        chunk_rows=chunk_rows,
-    )
-    return results
-
-
-class ShardedGridRun:
-    """Fan an engine's trial range out over resilient pool workers.
-
-    Produces the same :class:`GridPointEstimate` tuple as
-    ``engine.estimate_grid(...)`` — bit-identical under the dyadic-power
-    caveat of :func:`merge_campaign_grid_batches` — by splitting the trial
-    range into contiguous shards (every shard evaluates *all* grid points for
-    its slice of trials, ``trial_offset`` pinning its slice of the
-    counter-based stream) and summing the shard results in offset order.  A
-    single campaign is a one-request grid.
-
-    Shards run on a :class:`ResilientExecutor`, so a worker crash, hang or
-    injected fault re-dispatches only the lost shard; because a shard's
-    result depends only on ``(seed, offset, count)``, the retried shard is
-    bit-identical to what the lost attempt would have produced and worker
-    loss cannot change a single number.
-
-    Args:
-        engine: the engine whose matrix, backend and chunk limits to use.
-        max_workers: shard count **and** pool width (default 2).
-        task_timeout: per-shard deadline (seconds); hung workers are
-            terminated and the shard retried.
-        retries: re-dispatches allowed per shard.
-        executor: override the executor (tests inject thread-backed pools);
-            when given the run does not shut it down.
-    """
-
-    def __init__(
-        self,
-        engine: GridCampaignEngine,
-        *,
-        max_workers: int = 2,
-        task_timeout: Optional[float] = None,
-        retries: int = 2,
-        executor: Optional[Any] = None,
-    ) -> None:
-        if max_workers <= 0:
-            raise FaultModelError(
-                f"worker count must be positive, got {max_workers}"
-            )
-        self._engine = engine
-        self._max_workers = max_workers
-        self._task_timeout = task_timeout
-        self._retries = retries
-        self._executor = executor
-
-    def estimate_grid(
-        self,
-        requests: Sequence[GridPointRequest],
-        *,
-        trials: int,
-        seed: int = 0,
-        time: Optional[float] = None,
-    ) -> Tuple[GridPointEstimate, ...]:
-        """Sharded equivalent of :meth:`GridCampaignEngine.estimate_grid`."""
-        from repro.experiments.orchestrator.resilient import ResilientExecutor
-
-        engine = self._engine
-        plans = engine._plan_grid(requests, trials=trials, time=time)
-        matrix = engine.matrix
-        points = _resolve_plan_points(matrix, plans, seed)
-        if not points:
-            return engine._finalize_grid(plans, trials, None)
-        exposure = (
-            matrix.sparse_exposure()
-            if matrix.is_sparse
-            else (matrix.exposure_rows(), matrix.powers)
-        )
-        backend_name = get_backend(engine._backend).name
-        owned = self._executor is None
-        pool = (
-            ResilientExecutor(
-                max_workers=self._max_workers,
-                deadline=self._task_timeout,
-                retries=self._retries,
-            )
-            if owned
-            else self._executor
-        )
-        try:
-            futures = [
-                pool.submit(
-                    _grid_shard_worker,
-                    backend_name,
-                    exposure,
-                    points,
-                    count,
-                    offset,
-                    matrix.total_power,
-                    engine._chunk_trials(points),
-                    engine._chunk_rows,
-                )
-                for offset, count in split_trial_ranges(trials, self._max_workers)
-            ]
-            batches = [future.result() for future in futures]
-        finally:
-            if owned:
-                pool.shutdown(wait=True, cancel_futures=True)
-        return engine._finalize_grid(
-            plans, trials, merge_campaign_grid_batches(batches)
-        )
 
 
 def run_census_trials(

@@ -26,7 +26,7 @@ The **write plane** (job submission, bulk results, cache administration):
   plane over the :class:`~repro.experiments.orchestrator.ResultCache`.
 
 Builds degrade gracefully: misses run on a
-:class:`~repro.experiments.orchestrator.ResilientExecutor` (deadlines,
+:class:`~repro.backend.resilient.ResilientExecutor` (deadlines,
 bounded retries, pool recycling), a per-request build deadline answers
 ``504``, and a :class:`~repro.serve.breaker.CircuitBreaker` answers ``503``
 with ``Retry-After`` after repeated build failures — cache hits keep being

@@ -19,6 +19,7 @@ import os
 import sys
 from typing import Optional
 
+from repro.backend.resilient import ResilientExecutor
 from repro.core.exceptions import ServeError
 from repro.experiments.orchestrator import ResultCache, invalidate_code_fingerprint
 from repro.experiments.orchestrator.cache import (
@@ -26,7 +27,6 @@ from repro.experiments.orchestrator.cache import (
     compute_code_fingerprint,
     set_code_fingerprint,
 )
-from repro.experiments.orchestrator.resilient import ResilientExecutor
 from repro.serve.app import ResultApp, error_response
 from repro.serve.breaker import (
     DEFAULT_FAILURE_THRESHOLD,

@@ -8,7 +8,7 @@ when) ``REPRO_CHAOS`` is set:
 
 - ``task`` — the start of every pool-worker task
   (:func:`repro.experiments.orchestrator.engine._pool_execute` and the
-  campaign shard worker);
+  shm kernel worker, once per trial range);
 - ``cache-write`` — between the temp-file write and the atomic rename in
   :meth:`repro.experiments.orchestrator.cache.ResultCache.store`.
 

@@ -25,7 +25,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.backend import get_backend, numpy_backend
+from repro.backend import get_backend, numpy_backend, shm_backend
 from repro.backend.base import (
     _MASK64,
     _SPLITMIX_GAMMA,
@@ -35,7 +35,7 @@ from repro.backend.base import (
     SparseExposure,
     campaign_uniform,
 )
-from repro.backend.shm_backend import INLINE_ENV_VAR, WORKERS_ENV_VAR, ShmBackend
+from repro.backend.shm_backend import WORKERS_ENV_VAR, ShmBackend
 
 EDGE_PROBABILITIES = (0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0)
 DYADIC_POWERS = (0.25, 0.5, 1.0, 2.0, 3.0)
@@ -266,7 +266,7 @@ class TestBlockingIsInvisible:
     )
     def test_shm_two_workers_match_numpy(self, monkeypatch, workload, reference):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        monkeypatch.setenv(INLINE_ENV_VAR, "0")
+        monkeypatch.setattr(shm_backend, "INLINE_CELL_LIMIT", 0)
         backend = get_backend("shm")
         assert run_grid(backend, workload) == reference[0]
         assert run_partials(backend, workload) == reference[1]

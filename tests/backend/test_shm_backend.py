@@ -2,10 +2,10 @@
 
 Everything here pins the shm backend's one non-negotiable contract: its
 results are byte-identical to the plain NumPy backend at every worker
-count, pooled or inline.  ``REPRO_SHM_INLINE_CELLS=0``
-forces even these tiny workloads through the real process pool so the
-shared-memory publication, worker attach, and merge seams are exercised,
-not bypassed.
+count, pooled or inline.  The ``pooled`` fixture sets the inline threshold
+to 0, which forces even these tiny workloads through the real process pool
+so the shared-memory publication, worker attach, and merge seams are
+exercised, not bypassed.
 """
 
 import pytest
@@ -17,15 +17,11 @@ from repro.backend import (
     available_backends,
     get_backend,
     registered_backends,
+    shm_backend,
 )
 from repro.backend.base import ComputeBackend, ResolvedGridPoint
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.shm_backend import (
-    DEFAULT_INLINE_CELL_LIMIT,
-    INLINE_ENV_VAR,
-    ShmBackend,
-    WORKERS_ENV_VAR,
-)
+from repro.backend.shm_backend import ShmBackend, WORKERS_ENV_VAR
 from repro.backend.timing import KERNEL_TIMINGS
 from repro.core.exceptions import BackendError
 from repro.faults.engine import GridCampaignEngine, GridPointRequest
@@ -43,7 +39,7 @@ SEED = 13
 @pytest.fixture
 def pooled(monkeypatch):
     """Force every kernel call through the worker pool."""
-    monkeypatch.setenv(INLINE_ENV_VAR, "0")
+    monkeypatch.setattr(shm_backend, "INLINE_CELL_LIMIT", 0)
 
 
 @pytest.fixture
@@ -148,14 +144,26 @@ class TestConfiguration:
         backend = get_backend("shm")
         assert 1 <= backend._worker_count() <= 4
 
-    def test_invalid_inline_limit_rejected(self, monkeypatch):
-        monkeypatch.setenv(INLINE_ENV_VAR, "-1")
-        with pytest.raises(BackendError):
-            ShmBackend._inline_cell_limit()
+    def test_calls_below_the_inline_limit_run_inline(
+        self, monkeypatch, dense_workload
+    ):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        limit = shm_backend.INLINE_CELL_LIMIT
+        backend = ShmBackend()
+        assert backend._dispatch_workers(limit - 1) == 1
+        assert backend._dispatch_workers(limit) == 2
+        exposure, powers, probabilities, total_power = dense_workload
+        assert TRIALS * len(powers) * len(probabilities) < limit
+        kwargs = dict(trials=TRIALS, total_power=total_power)
+        points = campaign(probabilities)
+        assert backend.campaign_grid(
+            exposure, powers, points, **kwargs
+        ) == NumpyBackend().campaign_grid(exposure, powers, points, **kwargs)
+        assert backend._pool is None
 
-    def test_default_inline_limit(self, monkeypatch):
-        monkeypatch.delenv(INLINE_ENV_VAR, raising=False)
-        assert ShmBackend._inline_cell_limit() == DEFAULT_INLINE_CELL_LIMIT
+    def test_one_worker_always_runs_inline(self, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "1")
+        assert get_backend("shm")._dispatch_workers(1 << 30) == 1
 
 
 class TestDenseIdentity:

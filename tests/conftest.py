@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend import shm_backend
+from repro.backend.shm_backend import WORKERS_ENV_VAR, ShmBackend
 from repro.core.configuration import ComponentKind, ReplicaConfiguration, SoftwareComponent
 from repro.core.population import Replica, ReplicaPopulation
 from repro.datasets.software_ecosystem import default_ecosystem, skewed_ecosystem
@@ -97,3 +99,21 @@ def ecosystem():
 def monoculture_ecosystem():
     """The skewed, monoculture-leaning ecosystem."""
     return skewed_ecosystem()
+
+
+@pytest.fixture
+def pooled_shm(monkeypatch):
+    """A fresh shm backend whose every kernel call runs on its worker pool.
+
+    Two workers unless the test sets ``REPRO_SHM_WORKERS`` itself (one
+    worker always runs inline).  The pool forks on the first kernel call,
+    so chaos rules armed before that call reach the workers, and it is shut
+    down when the test ends.
+    """
+    if not ShmBackend.is_available():
+        pytest.skip(f"shm backend unavailable: {ShmBackend.availability_error()}")
+    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+    monkeypatch.setattr(shm_backend, "INLINE_CELL_LIMIT", 0)
+    backend = ShmBackend()
+    yield backend
+    backend.close()

@@ -8,7 +8,8 @@ Four guarantees carry the re-plumbed sweep experiments:
 - trial chunking is invisible: a run split into many kernel chunks equals
   the single-chunk run exactly, including at the acceptance scale of
   10\N{SUPERSCRIPT FIVE} trials × 100 grid points;
-- sharded execution over pool workers reproduces the in-process estimates;
+- trial ranges split over the shm backend's pool workers reproduce the
+  in-process estimates;
 - malformed grids are :class:`FaultModelError` usage errors, mirroring the
   looped engine's validation surface.
 """
@@ -20,7 +21,7 @@ import math
 import pytest
 
 from repro.backend import NumpyBackend, available_backends
-from repro.backend.base import GridPointResult
+from repro.backend.shm_backend import WORKERS_ENV_VAR
 from repro.backend.timing import KERNEL_TIMINGS
 from repro.core.exceptions import FaultModelError
 from repro.core.resilience import ProtocolFamily, tolerated_fault_fraction
@@ -29,8 +30,6 @@ from repro.faults.engine import (
     BatchCampaignEngine,
     GridCampaignEngine,
     GridPointRequest,
-    ShardedGridRun,
-    merge_campaign_grid_batches,
 )
 from repro.faults.scenarios import (
     budget_grid,
@@ -216,42 +215,21 @@ class TestChunking:
             grid_engine(scenario, "python", max_chunk_cells=0)
 
 
-class TestShardedGridRun:
-    """Pool-sharded grids reproduce the in-process estimates."""
+class TestPooledGrid:
+    """Grids whose trial ranges run on the shm pool equal the in-process ones."""
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_sharded_equals_in_process(self, scenario, workers):
+    def test_pooled_equals_in_process(self, scenario, pooled_shm, monkeypatch, workers):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
         requests = budget_grid((1, 3), families=FAMILIES)
-        engine = grid_engine(scenario, "python")
-        expected = engine.estimate_grid(requests, trials=TRIALS, seed=SEED)
-        sharded = ShardedGridRun(engine, max_workers=workers)
-        assert sharded.estimate_grid(requests, trials=TRIALS, seed=SEED) == expected
-
-    @needs_numpy
-    def test_sharded_numpy_equals_in_process(self, scenario):
-        requests = budget_grid((2,), families=FAMILIES)
-        engine = grid_engine(scenario, "numpy")
-        expected = engine.estimate_grid(requests, trials=TRIALS, seed=SEED)
-        sharded = ShardedGridRun(engine, max_workers=2)
-        assert sharded.estimate_grid(requests, trials=TRIALS, seed=SEED) == expected
-
-    def test_nothing_exploitable_skips_the_pool(self, scenario):
-        engine = grid_engine(scenario, "python")
-        poison = object()  # would blow up on .submit — must never be touched
-        sharded = ShardedGridRun(engine, executor=poison)
-        (point,) = sharded.estimate_grid(
-            budget_grid((2,), families=FAMILIES),
-            trials=TRIALS,
-            seed=SEED,
-            time=-1.0,
+        expected = grid_engine(scenario, "python").estimate_grid(
+            requests, trials=TRIALS, seed=SEED
         )
-        assert point.exploited == ()
-        assert point.violations == (0, 0)
-
-    def test_invalid_worker_count_rejected(self, scenario):
-        engine = grid_engine(scenario, "python")
-        with pytest.raises(FaultModelError, match="worker count"):
-            ShardedGridRun(engine, max_workers=0)
+        pooled = grid_engine(scenario, pooled_shm).estimate_grid(
+            requests, trials=TRIALS, seed=SEED
+        )
+        assert pooled == expected
+        assert (pooled_shm._pool is None) == (workers == 1)
 
 
 class TestGridValidation:
@@ -359,47 +337,6 @@ class TestKernelTimings:
         assert counter["calls"] == engine.last_chunk_count == 1
         assert counter["trials"] == TRIALS * len(requests)
         assert counter["seconds"] > 0.0
-
-
-class TestMergeGridBatches:
-    def _point(self, trials, violations, compromised, per_vulnerability):
-        return GridPointResult(
-            trials=trials,
-            columns=(0, 1),
-            violations=violations,
-            compromised_total=compromised,
-            per_vulnerability_totals=per_vulnerability,
-        )
-
-    def test_sums_point_wise(self):
-        first = (self._point(10, (2, 1), 5.0, (3.0, 2.0)),)
-        second = (self._point(6, (1, 0), 2.5, (1.5, 1.0)),)
-        (merged,) = merge_campaign_grid_batches((first, second))
-        assert merged.trials == 16
-        assert merged.violations == (3, 1)
-        assert merged.compromised_total == 7.5
-        assert merged.per_vulnerability_totals == (4.5, 3.0)
-
-    def test_zero_batches_rejected(self):
-        with pytest.raises(FaultModelError, match="zero grid batches"):
-            merge_campaign_grid_batches(())
-
-    def test_point_count_mismatch_rejected(self):
-        point = self._point(4, (0, 0), 0.0, (0.0, 0.0))
-        with pytest.raises(FaultModelError, match="point count"):
-            merge_campaign_grid_batches(((point,), (point, point)))
-
-    def test_tolerance_width_mismatch_rejected(self):
-        left = self._point(4, (0, 0), 0.0, (0.0, 0.0))
-        right = GridPointResult(
-            trials=4,
-            columns=(0, 1),
-            violations=(0,),
-            compromised_total=0.0,
-            per_vulnerability_totals=(0.0, 0.0),
-        )
-        with pytest.raises(FaultModelError, match="columns or tolerances"):
-            merge_campaign_grid_batches(((left,), (right,)))
 
 
 class TestScenarioGridHelpers:

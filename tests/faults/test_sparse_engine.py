@@ -3,24 +3,23 @@
 The engines dispatch on ``matrix.is_sparse`` and must be an invisible
 implementation detail: every estimate off a sparse matrix is bit-identical to
 the dense engine's, row chunking (``chunk_rows``) never changes a number, and
-the sharded runners reproduce the serial sparse run exactly — the guarantees
-the ``ecosystem_scale`` experiment and ``bench-population`` stand on.
+the shm backend's pooled trial ranges reproduce the serial sparse run exactly
+— the guarantees the ``ecosystem_scale`` experiment and ``bench-population``
+stand on.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import pytest
 
 from repro.backend import available_backends
+from repro.backend.shm_backend import WORKERS_ENV_VAR
 from repro.core.exceptions import FaultModelError
 from repro.core.resilience import ProtocolFamily
 from repro.faults.engine import (
     BatchCampaignEngine,
     GridCampaignEngine,
     GridPointRequest,
-    ShardedGridRun,
 )
 from repro.faults.matrix import PopulationMatrix
 from repro.faults.scenarios import ecosystem_scenario
@@ -146,47 +145,39 @@ class TestGridEngineSparsePath:
         assert unchunked_engine.last_chunk_count == 1
 
 
-class TestShardedSparseRuns:
+class TestPooledSparseRuns:
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_sharded_campaign_matches_serial(self, workers):
+    def test_pooled_campaign_matches_serial(self, pooled_shm, monkeypatch, workers):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
         sparse, _ = matrices()
-        engine = BatchCampaignEngine.from_matrix(
+        serial = BatchCampaignEngine.from_matrix(
             sparse, backend="python", chunk_rows=16
-        )
-        serial = engine.estimate(trials=TRIALS, seed=SEED)
-        request = GridPointRequest(
-            tolerances=(serial.tolerated_fraction,),
-            vulnerability_ids=sparse.vulnerability_ids,
-        )
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            (sharded,) = ShardedGridRun(
-                engine, max_workers=workers, executor=executor
-            ).estimate_grid((request,), trials=TRIALS, seed=SEED)
-        assert sharded.estimate_at(0) == serial
+        ).estimate(trials=TRIALS, seed=SEED)
+        pooled = BatchCampaignEngine.from_matrix(
+            sparse, backend=pooled_shm, chunk_rows=16
+        ).estimate(trials=TRIALS, seed=SEED)
+        assert pooled == serial
 
-    def test_sharded_campaign_subset_matches_serial(self):
+    def test_pooled_campaign_subset_matches_serial(self, pooled_shm, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         sparse, _ = matrices()
-        engine = BatchCampaignEngine.from_matrix(sparse, backend="python")
         subset = tuple(sparse.vulnerability_ids[:4])
-        serial = engine.estimate(subset, trials=TRIALS, seed=SEED)
-        request = GridPointRequest(
-            tolerances=(serial.tolerated_fraction,), vulnerability_ids=subset
+        serial = BatchCampaignEngine.from_matrix(sparse, backend="python").estimate(
+            subset, trials=TRIALS, seed=SEED
         )
-        with ThreadPoolExecutor(max_workers=3) as executor:
-            (sharded,) = ShardedGridRun(
-                engine, max_workers=3, executor=executor
-            ).estimate_grid((request,), trials=TRIALS, seed=SEED)
-        assert sharded.estimate_at(0) == serial
+        pooled = BatchCampaignEngine.from_matrix(sparse, backend=pooled_shm).estimate(
+            subset, trials=TRIALS, seed=SEED
+        )
+        assert pooled == serial
 
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_sharded_grid_matches_serial(self, workers):
+    def test_pooled_grid_matches_serial(self, pooled_shm, monkeypatch, workers):
+        monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
         sparse, _ = matrices()
-        engine = GridCampaignEngine.from_matrix(
+        serial = GridCampaignEngine.from_matrix(
             sparse, backend="python", chunk_rows=16
-        )
-        serial = engine.estimate_grid(GRID, trials=TRIALS, seed=SEED)
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            sharded = ShardedGridRun(
-                engine, max_workers=workers, executor=executor
-            ).estimate_grid(GRID, trials=TRIALS, seed=SEED)
-        assert sharded == serial
+        ).estimate_grid(GRID, trials=TRIALS, seed=SEED)
+        pooled = GridCampaignEngine.from_matrix(
+            sparse, backend=pooled_shm, chunk_rows=16
+        ).estimate_grid(GRID, trials=TRIALS, seed=SEED)
+        assert pooled == serial

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import CancelledError, ThreadPoolExecutor, wait
 
 import pytest
 
-from repro.core.exceptions import ChaosError, TaskTimeoutError
-from repro.experiments.orchestrator.resilient import (
+from repro.backend.resilient import (
     ResilientExecutor,
     backoff_delay,
 )
+from repro.core.exceptions import ChaosError, TaskTimeoutError
 
 
 # Pool tasks must be module-level so process pools can pickle them.
@@ -74,8 +74,17 @@ def _sleep_forever(seconds):
     return "slept"
 
 
+def _sleep_then_return(seconds, value):
+    time.sleep(seconds)
+    return value
+
+
 def _thread_pool():
     return ThreadPoolExecutor(max_workers=2)
+
+
+def _one_thread_pool():
+    return ThreadPoolExecutor(max_workers=1)
 
 
 class TestBackoffDelay:
@@ -198,6 +207,43 @@ class TestPolicy:
             assert attempt["error"] is None
         finally:
             pool.shutdown()
+
+
+class TestQueuedTasks:
+    """More tasks than workers: the queued ones neither time out nor hang."""
+
+    def test_deadline_covers_only_the_task_run(self):
+        """Each task runs well inside its deadline; waiting behind the
+        others must not count against it."""
+        pool = ResilientExecutor(
+            max_workers=1, factory=_one_thread_pool, deadline=0.7, retries=0
+        )
+        try:
+            futures = [pool.submit(_sleep_then_return, 0.3, index) for index in range(3)]
+            assert [future.result(timeout=30) for future in futures] == [0, 1, 2]
+            assert pool.timeouts_total == 0
+            assert pool.generation == 0
+        finally:
+            pool.shutdown()
+
+    def test_cancelling_shutdown_resolves_every_outer_future(self):
+        """Tasks that never started are cancelled, not left pending."""
+        pool = ResilientExecutor(
+            max_workers=1, factory=_one_thread_pool, backoff_base=0.0
+        )
+        futures = [pool.submit(_sleep_then_return, 0.2, index) for index in range(8)]
+        time.sleep(0.05)
+        pool.shutdown(wait=False, cancel_futures=True)
+        _, pending = wait(futures, timeout=10)
+        assert not pending
+        cancelled = [future for future in futures if future.cancelled()]
+        assert cancelled
+        for future in cancelled:
+            with pytest.raises(CancelledError):
+                future.result(timeout=0)
+        for index, future in enumerate(futures):
+            if not future.cancelled():
+                assert future.result(timeout=0) == index
 
 
 class TestProcessPoolFaults:
