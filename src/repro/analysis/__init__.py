@@ -5,14 +5,11 @@
   configuration census; runs on a pluggable compute backend
   (:mod:`repro.backend`) and supports parallel census fan-out.
 - :mod:`repro.analysis.sweep` -- generic parameter-sweep helpers used by the
-  experiments and benchmarks, with optional thread-pool parallelism.
-- :mod:`repro.analysis.benchmark` -- times the Monte-Carlo hot path on every
-  available backend and serializes perf snapshots (``BENCH_1.json``).
+  experiments, with optional thread-pool parallelism.
 - :mod:`repro.analysis.report` -- plain-text tables (no plotting dependency)
   matching the rows/series the paper reports.
 """
 
-from repro.analysis.benchmark import BenchmarkReport, benchmark_backends, write_snapshot
 from repro.analysis.components import (
     ComponentKindProfile,
     component_census,
@@ -31,13 +28,11 @@ from repro.analysis.report import Table, format_table
 from repro.analysis.sweep import SweepResult, mapping_sweep, sweep
 
 __all__ = [
-    "BenchmarkReport",
     "ComponentKindProfile",
     "SafetyViolationEstimate",
     "SweepResult",
     "Table",
     "analytic_single_vulnerability_violation",
-    "benchmark_backends",
     "component_census",
     "component_entropy_profile",
     "diversification_priority",
@@ -48,5 +43,4 @@ __all__ = [
     "sweep",
     "violation_probability_by_entropy",
     "weakest_component",
-    "write_snapshot",
 ]

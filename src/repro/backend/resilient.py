@@ -45,6 +45,7 @@ results — the fault-free and the crash-riddled run produce the same bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import threading
 import time
@@ -204,8 +205,8 @@ class ResilientExecutor(Executor):
         max_pool_losses: int = DEFAULT_MAX_POOL_LOSSES,
         log_size: int = DEFAULT_LOG_SIZE,
     ) -> None:
-        if deadline is not None and deadline <= 0:
-            raise ValueError(f"deadline must be positive, got {deadline}")
+        if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
+            raise ValueError(f"deadline must be positive and finite, got {deadline}")
         if retries < 0:
             raise ValueError(f"retries must be non-negative, got {retries}")
         if max_pool_losses < 1:

@@ -28,9 +28,10 @@ def peak_rss_kb() -> int:
     ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; normalised here so
     callers never branch on platform.  The value is a lifetime high-water mark
     — it only ever grows — so bounded-memory claims must be gated in a process
-    that runs *only* the workload under test (``repro.cli bench-population``
-    runs its sparse-only sweep that way), while the orchestrator attaches it
-    to result volatile sections as a per-worker observability signal.
+    that runs *only* the workload under test (CI's memory ceilings run one
+    ``ecosystem_scale`` build per fresh process that way), while the
+    orchestrator attaches it to result volatile sections as a per-worker
+    observability signal.
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - macOS reports bytes

@@ -19,12 +19,12 @@ limit and the majority threshold well *above* it, so the two rows diverge as
 the replica count climbs.
 
 The default sizes cover the small end of the 10³→10⁶ sweep so the golden
-stays cheap; the million-replica end runs through the exact same code path
-in ``repro.cli bench-population`` and the CI scale-smoke gate, and any size
-can be requested via params (the spec is cached, sharded and servable like
-every other experiment).  The sparse kernels draw from the same
-counter-based RNG stream as the dense ones, so the numbers are identical on
-every compute backend and to a dense engine run at overlapping scales.
+stays cheap; any size can be requested via params (the spec is cached,
+sharded and servable like every other experiment), and CI's scale-smoke job
+runs it at 10⁶ and 10⁷ replicas against its memory ceilings.  The sparse
+kernels draw from the same counter-based RNG stream as the dense ones, so
+the numbers are identical on every compute backend and to a dense engine
+run at overlapping scales.
 """
 
 from __future__ import annotations

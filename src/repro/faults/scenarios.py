@@ -225,7 +225,7 @@ def sparse_ecosystem_matrix(
     :meth:`~repro.faults.matrix.PopulationMatrix.from_replica_chunks`, so the
     population is never materialized and peak memory is bounded by one chunk
     plus the CSR arrays — the build path the ``ecosystem_scale`` experiment
-    and ``bench-population`` use at 10⁶ replicas.  At overlapping scales the
+    uses at 10⁶ replicas and beyond.  At overlapping scales the
     result is bit-identical to ``PopulationMatrix.build`` on the
     equivalently-sampled population with the same catalog.
     """

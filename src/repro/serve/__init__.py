@@ -33,8 +33,7 @@ with ``Retry-After`` after repeated build failures — cache hits keep being
 served, job submissions are refused at the door while the breaker is open,
 and one successful probe closes the breaker without a restart.
 
-``repro.cli serve`` runs it; ``repro.cli bench-serve`` measures it (the
-``BENCH_4.json``/``BENCH_7.json`` artifacts).
+``repro.cli serve`` runs it.
 """
 
 from repro.serve.app import (
@@ -59,18 +58,11 @@ from repro.serve.http import (
     read_request,
 )
 from repro.serve.jobs import DEFAULT_JOB_HISTORY, JOB_STATES, Job, JobStore, JobTask
-from repro.serve.loadgen import (
-    BenchClient,
-    ServeBenchReport,
-    run_serve_bench,
-    write_serve_snapshot,
-)
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.server import ResultServer, default_jobs, start_server
 from repro.serve.service import PreparedRequest, ResultService
 
 __all__ = [
-    "BenchClient",
     "CircuitBreaker",
     "DEFAULT_BODY_CACHE_BYTES",
     "DEFAULT_FAILURE_THRESHOLD",
@@ -87,7 +79,6 @@ __all__ = [
     "ResultApp",
     "ResultServer",
     "ResultService",
-    "ServeBenchReport",
     "ServiceMetrics",
     "StreamingHttpResponse",
     "default_jobs",
@@ -97,7 +88,5 @@ __all__ = [
     "json_body",
     "ndjson_line",
     "read_request",
-    "run_serve_bench",
     "start_server",
-    "write_serve_snapshot",
 ]

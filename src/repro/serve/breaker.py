@@ -57,8 +57,10 @@ class CircuitBreaker:
             raise ValueError(
                 f"failure threshold must be >= 1, got {failure_threshold}"
             )
-        if reset_timeout <= 0:
-            raise ValueError(f"reset timeout must be positive, got {reset_timeout}")
+        if not (math.isfinite(reset_timeout) and reset_timeout > 0):
+            raise ValueError(
+                f"reset timeout must be positive and finite, got {reset_timeout}"
+            )
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
         self._clock = clock

@@ -2,8 +2,8 @@
 
 One instance lives on the server and is only ever mutated from the event
 loop thread, so plain integer fields are race-free without locks.  The
-snapshot is a flat JSON document so scrapers (and ``bench-serve``) can diff
-two snapshots without walking a schema.
+snapshot is a flat JSON document so scrapers (and ``perfbench``'s serve
+workloads) can diff two snapshots without walking a schema.
 """
 
 from __future__ import annotations

@@ -95,6 +95,10 @@ class ResultServer:
         job_history: finished ``POST /jobs`` submissions retained for
             status polling.
         """
+        if not refresh_interval >= 0:  # also rejects NaN
+            raise ValueError(
+                f"refresh interval must be >= 0 seconds, got {refresh_interval}"
+            )
         self.host = host
         self.requested_port = port
         self.jobs = jobs if jobs is not None else default_jobs()

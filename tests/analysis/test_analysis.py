@@ -224,41 +224,7 @@ class TestParallelExecution:
         assert parallel == serial
 
 
-class TestBenchmarkHarness:
-    def test_benchmark_backends_reports_each_backend(self):
-        from repro.analysis.benchmark import benchmark_backends
-        from repro.backend import available_backends
-
-        report = benchmark_backends(trials=200, configs=20, repeats=1)
-        assert {timing.backend for timing in report.timings} == set(available_backends())
-        for timing in report.timings:
-            assert timing.seconds > 0
-            assert timing.trials_per_second > 0
-        assert report.speedup_over_python("python") == pytest.approx(1.0)
-
-    def test_benchmark_snapshot_roundtrip(self, tmp_path):
-        import json
-
-        from repro.analysis.benchmark import benchmark_backends, write_snapshot
-
-        report = benchmark_backends(trials=100, configs=10, repeats=1)
-        path = tmp_path / "BENCH.json"
-        write_snapshot(report, str(path))
-        document = json.loads(path.read_text())
-        assert document["benchmark"] == "monte_carlo_estimator"
-        assert document["workload"]["trials"] == 100
-        assert "python" in document["results"]
-
-    def test_benchmark_rejects_invalid_workload(self):
-        from repro.analysis.benchmark import benchmark_backends
-
-        with pytest.raises(AnalysisError):
-            benchmark_backends(trials=0)
-        with pytest.raises(AnalysisError):
-            benchmark_backends(repeats=0)
-        with pytest.raises(AnalysisError):
-            benchmark_backends(backends=())
-
+class TestMappingSweep:
     def test_mapping_sweep_enumerates_in_order(self):
         from repro.analysis.sweep import mapping_sweep
 

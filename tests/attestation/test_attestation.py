@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.attestation.binding import BoundVote, VoteKeyBinder, derive_vote_key, sign_vote
@@ -121,6 +123,35 @@ class TestVerifierPolicies:
         with pytest.raises(AttestationError):
             verifier.register_device(AttestationDevice("dev-1"))
 
+    def test_claim_swapped_after_signing_is_caught_by_the_measurement(
+        self, verifier, device, linux_alpha_config, freebsd_beta_config
+    ):
+        # The signature covers the measurement, not the claim carried beside
+        # it, so a lying replica with an honest device is caught only by
+        # recomputing the measurement of what it claims.
+        quote = _attest(verifier, device, "r1", linux_alpha_config)
+        swapped = dataclasses.replace(quote, claimed_configuration=freebsd_beta_config)
+        result = verifier.verify(swapped)
+        assert not result.valid
+        assert result.reason == "measurement does not match the claimed configuration"
+        assert result.attested_configuration is None
+
+    def test_quote_without_a_configuration_claim_rejected(
+        self, verifier, device, linux_alpha_config
+    ):
+        quote = _attest(verifier, device, "r1", linux_alpha_config)
+        result = verifier.verify(dataclasses.replace(quote, claimed_configuration=None))
+        assert not result.valid
+        assert result.reason == "quote carries no configuration claim"
+
+    def test_revoking_an_unknown_device_is_an_error(self, verifier):
+        with pytest.raises(AttestationError, match="unknown device"):
+            verifier.revoke_device("never-registered")
+
+    def test_distrusting_an_empty_firmware_version_is_an_error(self, verifier):
+        with pytest.raises(AttestationError, match="firmware version"):
+            verifier.distrust_firmware("")
+
 
 class TestVoteKeyBinding:
     def test_bind_and_verify_vote(self, verifier, device, linux_alpha_config):
@@ -205,6 +236,39 @@ class TestPrivacy:
     def test_census_requires_openings(self):
         with pytest.raises(AttestationError):
             PrivateCensusAggregator().census()
+
+    def test_a_replica_commits_only_once(self, linux_alpha_config, freebsd_beta_config):
+        aggregator = PrivateCensusAggregator()
+        first, blinding = commit_configuration("r1", linux_alpha_config)
+        aggregator.submit_commitment(first)
+        second, _ = commit_configuration("r1", freebsd_beta_config)
+        with pytest.raises(AttestationError, match="already submitted"):
+            aggregator.submit_commitment(second)
+        aggregator.reveal("r1", linux_alpha_config, blinding)
+        assert aggregator.census().share(linux_alpha_config) == pytest.approx(1.0)
+
+    def test_reveal_without_a_commitment_rejected(self, linux_alpha_config):
+        with pytest.raises(AttestationError, match="submitted no commitment"):
+            PrivateCensusAggregator().reveal("r1", linux_alpha_config, "salt")
+
+    def test_negative_weight_rejected(self, linux_alpha_config):
+        commitment, _ = commit_configuration("r1", linux_alpha_config)
+        aggregator = PrivateCensusAggregator()
+        with pytest.raises(AttestationError, match="weight must be non-negative"):
+            aggregator.submit_commitment(commitment, weight=-1.0)
+        assert len(aggregator) == 0
+
+    def test_revealed_fraction_counts_opened_commitments(
+        self, linux_alpha_config, freebsd_beta_config
+    ):
+        aggregator = PrivateCensusAggregator()
+        assert aggregator.revealed_fraction() == 0.0
+        first, blinding = commit_configuration("r1", linux_alpha_config)
+        second, _ = commit_configuration("r2", freebsd_beta_config)
+        aggregator.submit_commitment(first)
+        aggregator.submit_commitment(second)
+        aggregator.reveal("r1", linux_alpha_config, blinding)
+        assert aggregator.revealed_fraction() == pytest.approx(0.5)
 
 
 class TestRegistry:

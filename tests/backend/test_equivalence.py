@@ -14,6 +14,7 @@ The contract under test:
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -25,7 +26,7 @@ from repro.analysis.monte_carlo import (
 from repro.backend import NumpyBackend, available_backends, get_backend
 from repro.backend.base import ResolvedGridPoint
 from repro.core.distribution import ConfigurationDistribution
-from repro.core.exceptions import BackendError
+from repro.core.exceptions import BackendError, ReproError
 from repro.datasets.generators import (
     oligopoly_distribution,
     uniform_distribution,
@@ -43,6 +44,9 @@ CENSUSES = {
     "oligopoly": oligopoly_distribution(5, 0.9, 50),
     "uniform-64": uniform_distribution(64),
 }
+
+#: A long-tailed census whose largest share (0.23) is below the BFT 1/3.
+ZIPF_1000 = zipf_distribution(1000, 1.2)
 
 
 def legacy_reference_estimate(census, *, vulnerability_probability, exploit_budget, trials, seed, tolerance):
@@ -176,18 +180,25 @@ class TestCrossBackendAgreement:
     @pytest.mark.parametrize("budget", [1, 3])
     def test_impossible_and_certain_verdicts_are_exact_on_both_backends(self, budget):
         # Verdicts driven by exact share arithmetic must agree bit-for-bit:
-        # uniform-64 shares can never reach 1/3 with <= 3 exploits, and a
-        # monoculture with p=1 always violates.
-        for backend in ("python", "numpy"):
-            never = estimate_violation_probability(
-                uniform_distribution(64),
-                vulnerability_probability=0.9,
-                exploit_budget=budget,
-                trials=300,
-                seed=5,
-                backend=backend,
-            )
-            assert never.violation_probability == 0.0
+        # uniform-64 shares can never reach 1/3 with <= 3 exploits, the
+        # largest share of Zipf(1.2) over 1,000 configurations (0.23) can
+        # never reach it alone, and a monoculture with p=1 always violates.
+        never = [(uniform_distribution(64), 0.9, 300)]
+        if budget == 1:
+            never.append((ZIPF_1000, 0.25, 2500))
+        for backend in available_backends():
+            for census, probability, trials in never:
+                estimate = estimate_violation_probability(
+                    census,
+                    vulnerability_probability=probability,
+                    exploit_budget=budget,
+                    trials=trials,
+                    seed=5,
+                    backend=backend,
+                )
+                assert estimate.trials == trials
+                assert estimate.violation_probability == 0.0
+                assert 0.0 < estimate.mean_compromised_fraction < 1 / 3
             always = estimate_violation_probability(
                 CENSUSES["monoculture"],
                 vulnerability_probability=1.0,
@@ -198,6 +209,26 @@ class TestCrossBackendAgreement:
             )
             assert always.violation_probability == 1.0
 
+    def test_three_exploits_on_a_long_tail_agree_within_mc_tolerance(self):
+        # Three exploits sometimes reach 1/3 on Zipf(1.2) over 1,000
+        # configurations, but rarely, and every backend sees the same rate.
+        estimates = [
+            estimate_violation_probability(
+                ZIPF_1000,
+                vulnerability_probability=0.25,
+                exploit_budget=3,
+                trials=2500,
+                seed=42,
+                backend=backend,
+            )
+            for backend in available_backends()
+        ]
+        probabilities = [estimate.violation_probability for estimate in estimates]
+        fractions = [estimate.mean_compromised_fraction for estimate in estimates]
+        assert 0.0 < min(probabilities) and max(probabilities) < 0.5
+        assert max(probabilities) - min(probabilities) <= 0.03
+        assert max(fractions) - min(fractions) <= 0.01
+
 
 class TestEntropyKernel:
     @pytest.mark.parametrize("backend", available_backends())
@@ -206,6 +237,21 @@ class TestEntropyKernel:
         assert kernel.shannon_entropy([0.25, 0.25, 0.25, 0.25]) == pytest.approx(2.0)
         assert kernel.shannon_entropy([1.0]) == 0.0
         assert kernel.shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_log_base_sets_the_unit(self, backend):
+        kernel = get_backend(backend)
+        assert kernel.shannon_entropy([0.5, 0.5], base=4.0) == pytest.approx(0.5)
+        assert kernel.shannon_entropy([0.5, 0.5], base=math.e) == pytest.approx(
+            math.log(2.0)
+        )
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_degenerate_log_base_is_rejected(self, backend):
+        kernel = get_backend(backend)
+        for base in (1.0, 0.0, -2.0):
+            with pytest.raises(ReproError, match="base must be positive and != 1"):
+                kernel.shannon_entropy([0.5, 0.5], base=base)
 
     @needs_numpy
     def test_backends_agree_on_skewed_vector(self):

@@ -220,6 +220,37 @@ class TestGridValidation:
             run_kernel(kernel, backend_name, (point((0,)),), trial_offset=-1)
 
     @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize(
+        "rows, powers, message",
+        [
+            (((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0, 1.0), "2 rows for 3 replicas"),
+            (((), ()), (1.0, 1.0), "at least one vulnerability"),
+        ],
+    )
+    def test_malformed_exposure_is_rejected(self, backend_name, rows, powers, message):
+        backend = get_backend(backend_name)
+        with pytest.raises(BackendError, match=message):
+            backend.campaign_grid(
+                backend.asarray_matrix(rows),
+                backend.asarray(powers),
+                (point((0,)),),
+                trials=5,
+                total_power=2.0,
+            )
+
+    def test_ragged_exposure_is_rejected(self):
+        backend = get_backend("python")
+        with pytest.raises(BackendError, match="1 columns for 2 vulnerabilities"):
+            backend.campaign_grid(
+                ((1.0, 0.0), (1.0,)), (1.0, 1.0), (point((0,)),), trials=5, total_power=2.0
+            )
+
+    @needs_numpy
+    def test_numpy_matrix_must_be_two_dimensional(self):
+        with pytest.raises(BackendError, match="2-D matrix, got 1 dimension"):
+            get_backend("numpy").asarray_matrix((1.0, 0.0))
+
+    @pytest.mark.parametrize("backend_name", available_backends())
     def test_bad_powers_and_totals_are_rejected(self, backend_name):
         backend = get_backend(backend_name)
         exposure = backend.asarray_matrix(((1.0, 0.0), (0.0, 1.0)))

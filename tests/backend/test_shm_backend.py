@@ -25,7 +25,7 @@ from repro.backend.shm_backend import ShmBackend, WORKERS_ENV_VAR
 from repro.backend.timing import KERNEL_TIMINGS
 from repro.core.exceptions import BackendError
 from repro.faults.engine import GridCampaignEngine, GridPointRequest
-from repro.faults.scenarios import sparse_ecosystem_matrix
+from repro.faults.scenarios import ecosystem_scenario, sparse_ecosystem_matrix
 
 pytestmark = pytest.mark.skipif(
     not ShmBackend.is_available(), reason="shm backend unavailable here"
@@ -164,6 +164,52 @@ class TestConfiguration:
     def test_one_worker_always_runs_inline(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "1")
         assert get_backend("shm")._dispatch_workers(1 << 30) == 1
+
+    def test_a_production_sized_grid_fans_out(self, monkeypatch):
+        """One ``grid_sweep`` op's campaign goes to the pool at the default limit.
+
+        150 replicas × 17 vulnerabilities, 24 worst-case points, 500 trials:
+        if the inline limit were raised above real workloads, this call
+        would silently run inline and no pooled test would notice.
+        """
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        scenario = ecosystem_scenario(
+            ecosystem="default", population_size=150, seed=1, exploit_probability=0.45
+        )
+        assert len(scenario.catalog) == 17
+        requests = tuple(
+            GridPointRequest(
+                tolerances=(1.0 / 3.0, 0.5),
+                worst_case=budget,
+                success_probability=probability,
+                seed_offset=index,
+            )
+            for index, (budget, probability) in enumerate(
+                (budget, probability)
+                for budget in range(1, 9)
+                for probability in (0.45, 0.6, 0.75)
+            )
+        )
+        backend = ShmBackend()
+        dispatched = []
+        dispatch = backend._dispatch_workers
+
+        def recording_dispatch(cells):
+            dispatched.append(dispatch(cells))
+            return dispatched[-1]
+
+        monkeypatch.setattr(backend, "_dispatch_workers", recording_dispatch)
+        try:
+            pooled_estimates = GridCampaignEngine(
+                scenario.population, scenario.catalog, backend=backend
+            ).estimate_grid(requests, trials=500, seed=1)
+            assert dispatched == [2]
+            assert backend._pool is not None
+        finally:
+            backend.close()
+        assert pooled_estimates == GridCampaignEngine(
+            scenario.population, scenario.catalog, backend="numpy"
+        ).estimate_grid(requests, trials=500, seed=1)
 
 
 class TestDenseIdentity:

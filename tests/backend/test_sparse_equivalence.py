@@ -18,6 +18,7 @@ The sparse plane's load-bearing clauses, pinned here:
 
 from __future__ import annotations
 
+import array
 import math
 import pickle
 
@@ -121,8 +122,6 @@ class TestSparseExposureStructure:
 
     def test_validate_rejects_malformed_structure(self):
         _, _, sparse = fixture("python")
-        import array
-
         broken = SparseExposure(
             indptr=array.array("q", [0, 2, 1]),
             indices=array.array("q", [0, 1]),
@@ -162,6 +161,46 @@ class TestSparseExposureStructure:
                     tolerances=TOLERANCES,
                     total_power=bad_total,
                 )
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(indptr=[1, 1, 2]), "must start with 0"),
+            (dict(powers=[1.0]), "1 powers for 2 replicas"),
+            (dict(disclosed_at=(0.0,)), "1 disclosure times for 2 vulnerabilities"),
+            (
+                dict(indptr=[0, 2, 1, 2], powers=[1.0, 1.0, 1.0]),
+                "must be non-decreasing",
+            ),
+            (dict(indptr=[0, 2, 2], indices=[1, 1]), "strictly increasing"),
+            (dict(success_probabilities=(0.5, 1.5)), r"in \[0, 1\]"),
+        ],
+    )
+    def test_validate_names_the_broken_invariant(self, fields, message):
+        structure = dict(
+            indptr=[0, 1, 2],
+            indices=[0, 1],
+            powers=[1.0, 1.0],
+            success_probabilities=(0.5, 0.5),
+            disclosed_at=(0.0, 0.0),
+        )
+        structure.update(fields)
+        sparse = SparseExposure(
+            indptr=array.array("q", structure["indptr"]),
+            indices=array.array("q", structure["indices"]),
+            powers=array.array("d", structure["powers"]),
+            success_probabilities=structure["success_probabilities"],
+            disclosed_at=structure["disclosed_at"],
+        )
+        with pytest.raises(BackendError, match=message):
+            sparse.validate()
+
+    @pytest.mark.parametrize("start, stop", [(-1, 5), (10, 5), (0, 41)])
+    def test_row_slice_out_of_range_is_an_error(self, start, stop):
+        _, _, sparse = fixture("python")
+        assert sparse.replica_count == 40
+        with pytest.raises(BackendError, match="out of range for 40 replicas"):
+            sparse.row_slice(start, stop)
 
     def test_pickle_round_trip_preserves_structure(self):
         _, _, sparse = fixture("python")
@@ -302,6 +341,30 @@ class TestPartialPartitioning:
         with pytest.raises(BackendError, match="zero sparse partial chunks"):
             merge_sparse_partials([])
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [
+            ((), "grid point count"),
+            (
+                (
+                    SparseGridPartial(
+                        per_trial_compromised=(1.0, 2.0, 3.0),
+                        per_vulnerability_totals=(6.0,),
+                    ),
+                ),
+                "trial or column counts",
+            ),
+        ],
+    )
+    def test_merging_mismatched_chunks_is_an_error(self, second, message):
+        first = (
+            SparseGridPartial(
+                per_trial_compromised=(1.0, 2.0), per_vulnerability_totals=(3.0,)
+            ),
+        )
+        with pytest.raises(BackendError, match=message):
+            merge_sparse_partials([first, second])
+
 
 class TestSparseValidation:
     @pytest.mark.parametrize("backend_name", available_backends())
@@ -339,6 +402,27 @@ class TestSparseValidation:
                 row_offset=1,
                 total_rows=sparse.replica_count,
             )
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_negative_row_offset_raises(self, backend_name):
+        backend, matrix, sparse = fixture(backend_name)
+        with pytest.raises(BackendError, match="row offset must be non-negative"):
+            backend.sparse_grid_partials(
+                sparse, (top_point(matrix, 2),), trials=TRIALS, row_offset=-1
+            )
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_structure_without_rows_or_columns_raises(self, backend_name):
+        backend = get_backend(backend_name)
+        point = ResolvedGridPoint(
+            columns=(0,), probabilities=(0.5,), tolerances=TOLERANCES, seed=SEED
+        )
+        no_rows = SparseExposure.from_rows((), (), (0.5,))
+        with pytest.raises(BackendError, match="at least one replica"):
+            backend.sparse_grid_partials(no_rows, (point,), trials=TRIALS)
+        no_columns = SparseExposure.from_rows(((),), (1.0,), ())
+        with pytest.raises(BackendError, match="at least one vulnerability"):
+            backend.sparse_grid_partials(no_columns, (point,), trials=TRIALS)
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_invalid_trials_raise(self, backend_name):

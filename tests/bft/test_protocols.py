@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bft.hotstuff import HotStuffRun
 from repro.bft.hybrid import HybridRun
 from repro.bft.pbft import PbftRun
 from repro.bft.runner import fault_bound_for, run_consensus
@@ -143,6 +144,35 @@ class TestHybrid:
     def test_minimum_replica_count(self):
         with pytest.raises(ProtocolError):
             HybridRun(replica_ids=_ids(2), fault_schedule=FaultSchedule.none())
+
+
+class TestRunConstruction:
+    """Every protocol's run rejects a malformed deployment the same way."""
+
+    @pytest.mark.parametrize("run_type", [PbftRun, HotStuffRun, HybridRun])
+    def test_duplicate_replica_ids_rejected(self, run_type):
+        with pytest.raises(ProtocolError, match="replica ids must be unique"):
+            run_type(replica_ids=["r0", "r1", "r2", "r0"], fault_schedule=FaultSchedule.none())
+
+    @pytest.mark.parametrize(
+        "run_type, field, role",
+        [(HotStuffRun, "leader_id", "leader"), (HybridRun, "primary_id", "primary")],
+    )
+    def test_leader_must_be_a_replica(self, run_type, field, role):
+        with pytest.raises(ProtocolError, match=f"{role} 'ghost' is not a replica"):
+            run_type(
+                replica_ids=_ids(4), fault_schedule=FaultSchedule.none(), **{field: "ghost"}
+            )
+
+    @pytest.mark.parametrize("run_type", [HotStuffRun, HybridRun])
+    def test_empty_values_rejected(self, run_type):
+        run = run_type(replica_ids=_ids(4), fault_schedule=FaultSchedule.none())
+        with pytest.raises(ProtocolError, match="at least one value"):
+            run.execute(())
+
+    def test_hotstuff_needs_four_replicas(self):
+        with pytest.raises(ProtocolError, match="at least 4 replicas"):
+            HotStuffRun(replica_ids=_ids(3), fault_schedule=FaultSchedule.none())
 
 
 class TestRunner:

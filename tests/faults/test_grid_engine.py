@@ -86,6 +86,24 @@ class TestGridMatchesBatchEngine:
                 assert point.estimate_at(position) == looped
 
     @pytest.mark.parametrize("backend", available_backends())
+    def test_budget_four_breaks_bft_on_the_default_ecosystem(self, backend):
+        """Four exploits against the default 150-replica ecosystem's dominant
+        components compromise beyond the BFT tolerance in nearly every trial."""
+        default = ecosystem_scenario(
+            ecosystem="default", population_size=150, seed=42, exploit_probability=0.6
+        )
+        (point,) = grid_engine(default, backend).estimate_grid(
+            budget_grid((4,), families=(ProtocolFamily.BFT,)), trials=500, seed=42
+        )
+        looped = BatchCampaignEngine(
+            default.population, default.catalog, backend=backend
+        ).estimate_worst_case(max_vulnerabilities=4, trials=500, seed=42)
+        assert point.estimate_at(0) == looped
+        assert looped.trials == 500
+        assert looped.violation_probability > 0.9
+        assert 1 / 3 < looped.mean_compromised_fraction <= 1.0
+
+    @pytest.mark.parametrize("backend", available_backends())
     def test_explicit_ids_equal_looped_estimate(self, scenario, backend):
         ids = scenario.catalog.ids()[:3]
         engine = grid_engine(scenario, backend)

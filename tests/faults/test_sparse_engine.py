@@ -4,8 +4,7 @@ The engines dispatch on ``matrix.is_sparse`` and must be an invisible
 implementation detail: every estimate off a sparse matrix is bit-identical to
 the dense engine's, row chunking (``chunk_rows``) never changes a number, and
 the shm backend's pooled trial ranges reproduce the serial sparse run exactly
-— the guarantees the ``ecosystem_scale`` experiment and ``bench-population``
-stand on.
+— the guarantees the ``ecosystem_scale`` experiment stands on.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator import ResultCache, execute_spec
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator import cache as cache_module
@@ -104,6 +105,29 @@ class TestStoreAndLoad:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
         assert cache.load(key) is None
+
+    def test_failed_commit_leaves_no_entry_and_no_temp_file(self, cache, monkeypatch):
+        spec = figure1_spec()
+        key = cache.key_for(spec, spec.params_dict(), None)
+        result = execute_spec(spec)
+
+        def disk_full(source, destination):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cache_module.os, "replace", disk_full)
+        with pytest.raises(OrchestrationError, match="cannot write cache entry"):
+            cache.store(key, result)
+        assert os.listdir(cache.directory) == []
+        assert cache.load(key) is None
+
+    def test_directory_that_is_a_file_is_an_orchestration_error(self, tmp_path):
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory", encoding="utf-8")
+        spec = figure1_spec()
+        cache = ResultCache(str(blocker))
+        with pytest.raises(OrchestrationError, match="cannot write cache entry"):
+            cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec))
+        assert blocker.read_text(encoding="utf-8") == "not a directory"
 
     def test_len_counts_committed_entries(self, cache):
         assert len(cache) == 0

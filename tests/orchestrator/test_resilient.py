@@ -107,6 +107,9 @@ class TestPolicy:
             ResilientExecutor(deadline=0.0)
         with pytest.raises(ValueError):
             ResilientExecutor(retries=-1)
+        for deadline in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                ResilientExecutor(factory=_thread_pool, deadline=deadline)
 
     def test_passthrough_success(self):
         pool = ResilientExecutor(factory=_thread_pool, backoff_base=0.0)

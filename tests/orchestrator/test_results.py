@@ -97,6 +97,8 @@ class TestExperimentResultSerialization:
         result = execute_spec(registry.get_spec("example1"))
         rebuilt = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
         assert rebuilt.canonical_json() == result.canonical_json()
+        # CI's memory ceilings read this field; a zero would pass them all.
+        assert result.peak_rss_kb > 0
 
 
 class TestResultsDocument:
@@ -137,6 +139,11 @@ class TestResultsDocument:
         with pytest.raises(OrchestrationError):
             merge_results_documents([])
 
+    def test_merge_rejects_a_non_object_document(self):
+        document = results_document([small_result("a")])
+        with pytest.raises(OrchestrationError, match="must be an object, got list"):
+            merge_results_documents([document, [document]])
+
     def test_merge_rejects_wrong_schema(self):
         with pytest.raises(OrchestrationError, match="schema_version"):
             merge_results_documents([{"schema_version": 99, "results": {}}])
@@ -163,6 +170,20 @@ class TestWriteAndLoad:
         path = str(tmp_path / "RESULTS.json")
         write_results_document(results_document([small_result("a")]), path, merge=True)
         assert sorted(load_results_document(path)["results"]) == ["a"]
+
+    def test_merge_into_a_corrupt_file_is_an_error_and_keeps_it(self, tmp_path):
+        path = tmp_path / "RESULTS.json"
+        path.write_text("{ not json", encoding="utf-8")
+        with pytest.raises(OrchestrationError, match="cannot merge into"):
+            write_results_document(
+                results_document([small_result("a")]), str(path), merge=True
+            )
+        assert path.read_text(encoding="utf-8") == "{ not json"
+
+    def test_write_into_a_missing_directory_is_an_error(self, tmp_path):
+        path = tmp_path / "missing" / "RESULTS.json"
+        with pytest.raises(OrchestrationError, match="cannot write results document"):
+            write_results_document(results_document([small_result("a")]), str(path))
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "RESULTS.json"

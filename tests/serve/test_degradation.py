@@ -42,6 +42,11 @@ class TestCircuitBreaker:
             CircuitBreaker(failure_threshold=0)
         with pytest.raises(ValueError):
             CircuitBreaker(reset_timeout=0.0)
+        # NaN would keep a tripped breaker open forever while it answers
+        # Retry-After: 1; inf would overflow the Retry-After header.
+        for reset_timeout in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                CircuitBreaker(reset_timeout=reset_timeout)
 
     def test_opens_after_threshold_consecutive_failures(self):
         breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())

@@ -1,9 +1,9 @@
 """End-to-end tests: real sockets, real process pool, real HTTP bytes.
 
 Each test drives a :class:`ResultServer` on an ephemeral port through the
-bench client.  The heavyweight checks (golden equality for every
-experiment, 50-way single-flight) share one server per test so the process
-pool is paid for once.
+keep-alive client in ``http_client.py``.  The heavyweight checks (golden
+equality for every experiment, 50-way single-flight) share one server per
+test so the process pool is paid for once.
 """
 
 from __future__ import annotations
@@ -17,8 +17,10 @@ import pytest
 
 from repro.backend import get_backend
 from repro.experiments.orchestrator import registry
-from repro.serve import BenchClient, ServiceMetrics
+from repro.serve import ServiceMetrics
 from repro.serve.server import ResultServer
+
+from http_client import BenchClient
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -281,6 +283,11 @@ class TestSingleFlight:
 
 
 class TestFingerprintRefresh:
+    @pytest.mark.parametrize("interval", [-1.0, float("nan")])
+    def test_negative_or_nan_refresh_interval_rejected(self, interval):
+        with pytest.raises(ValueError, match="refresh interval"):
+            ResultServer(refresh_interval=interval)
+
     def test_refresh_now_reports_no_change_on_stable_source(self):
         async def body(server, client):
             return await server.refresh_now()
@@ -370,6 +377,46 @@ class TestWritePathOverSockets:
         assert warm["counts"] == {"hit": 0, "miss": 1}
         assert after["entries"] == 2
         assert prune["kept_entries"] == 2
+
+    def test_concurrent_reads_and_writes_all_answer_200(self):
+        experiments = ("example1", "figure1")
+
+        async def body(server, client):
+            reads, writes = [], []
+
+            async def one_client(first):
+                # Every fourth request is a waited POST /jobs, the rest are
+                # reads, and the experiment switches every four requests;
+                # the clients start at different offsets, so writes and
+                # reads of both experiments interleave across clients.
+                async with BenchClient("127.0.0.1", server.port) as own:
+                    for sequence in range(first, first + 8):
+                        experiment_id = experiments[(sequence // 4) % len(experiments)]
+                        if sequence % 4 == 0:
+                            document = {"experiment": experiment_id, "wait": True}
+                            writes.append(await own.post("/jobs", document))
+                        else:
+                            response = await own.get(f"/experiments/{experiment_id}")
+                            reads.append((experiment_id, response))
+
+            await asyncio.gather(*(one_client(first) for first in range(4)))
+            return reads, writes, server.metrics
+
+        reads, writes, metrics = with_server(body)
+        assert (len(reads), len(writes)) == (24, 8)
+        assert {response.status for _, response in reads} == {200}
+        assert {response.status for response in writes} == {200}
+        snapshots = [json.loads(response.body) for response in writes]
+        assert {snapshot["status"] for snapshot in snapshots} == {"done"}
+        assert {
+            snapshot["tasks"][0]["experiment_id"] for snapshot in snapshots
+        } == set(experiments)
+        for experiment_id in experiments:
+            bodies = {response.body for name, response in reads if name == experiment_id}
+            assert len(bodies) == 1, experiment_id
+        # Each distinct experiment built once, however its requests arrived.
+        assert metrics.builds == len(experiments)
+        assert metrics.jobs_submitted == len(writes)
 
     def test_keep_alive_survives_a_mixed_request_sequence(self):
         async def body(server, client):

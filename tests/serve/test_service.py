@@ -8,6 +8,7 @@ pool is exercised end-to-end in ``test_server.py``.
 from __future__ import annotations
 
 import asyncio
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -98,6 +99,21 @@ class TestPrepare:
             service.prepare("safety_violation", {"vulnerability_probability": ["nan"]})
         assert excinfo.value.status == 400
 
+    def test_non_numeric_float_is_400(self, service):
+        with pytest.raises(ServeError, match="must be a number") as excinfo:
+            service.prepare("safety_violation", {"vulnerability_probability": ["half"]})
+        assert excinfo.value.status == 400
+
+    def test_string_param_is_passed_through(self, service):
+        prepared = service.prepare("campaign_budget", {"ecosystem": ["diverse"]})
+        assert prepared.params_doc["ecosystem"] == "diverse"
+
+    def test_tuple_param_in_a_query_is_400(self, service):
+        # Tuple-valued params have no query-string syntax: a clean 400, not a 500.
+        with pytest.raises(ServeError, match="unsupported type") as excinfo:
+            service.prepare("proposition1", {"kappas": ["1,2"]})
+        assert excinfo.value.status == 400
+
     def test_params_on_parameterless_experiment_is_400(self, service):
         parameterless = [
             spec.experiment_id
@@ -118,6 +134,58 @@ class TestPrepare:
     def test_explicit_backend_is_resolved(self, service):
         prepared = service.prepare("safety_violation", {"backend": ["python"]})
         assert prepared.backend == "python"
+
+    def test_repeated_backend_is_400(self, service):
+        with pytest.raises(ServeError, match="more than once") as excinfo:
+            service.prepare("figure1", {"backend": ["python", "numpy"]})
+        assert excinfo.value.status == 400
+
+
+class TestPrepareDocument:
+    """The write path (JSON bodies) type-checks values instead of parsing text."""
+
+    def test_json_int_widens_to_float_with_the_query_key(self, service):
+        from_json = service.prepare_document(
+            "safety_violation", {"vulnerability_probability": 1}
+        )
+        from_query = service.prepare(
+            "safety_violation", {"vulnerability_probability": ["1"]}
+        )
+        assert from_json.params_doc["vulnerability_probability"] == 1.0
+        assert type(from_json.params_doc["vulnerability_probability"]) is float
+        assert from_json.key == from_query.key
+
+    def test_string_param_is_accepted(self, service):
+        prepared = service.prepare_document("campaign_budget", {"ecosystem": "diverse"})
+        assert prepared.key == service.prepare(
+            "campaign_budget", {"ecosystem": ["diverse"]}
+        ).key
+
+    @pytest.mark.parametrize(
+        "experiment, name, value, message",
+        [
+            ("safety_violation", "vulnerability_probability", "0.5", "must be a number"),
+            ("safety_violation", "vulnerability_probability", True, "must be a number"),
+            ("safety_violation", "vulnerability_probability", math.nan, "must be finite"),
+            ("campaign_budget", "ecosystem", 3, "must be a string"),
+            ("figure1", "max_residual_miners", 2.5, "must be an integer"),
+            ("figure1", "max_residual_miners", True, "must be an integer"),
+        ],
+    )
+    def test_mistyped_value_is_400(self, service, experiment, name, value, message):
+        with pytest.raises(ServeError, match=message) as excinfo:
+            service.prepare_document(experiment, {name: value})
+        assert excinfo.value.status == 400
+
+    def test_params_must_be_an_object(self, service):
+        with pytest.raises(ServeError, match="must be an object") as excinfo:
+            service.prepare_document("figure1", ["max_residual_miners"])
+        assert excinfo.value.status == 400
+
+    def test_non_string_backend_is_400(self, service):
+        with pytest.raises(ServeError, match="backend must be a string") as excinfo:
+            service.prepare_document("figure1", {}, 3)
+        assert excinfo.value.status == 400
 
 
 class TestFetch:

@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import socket
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.experiments.orchestrator import load_results_document
+from repro.serve import ResultServer
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
 
 class TestListAndRun:
@@ -111,11 +117,60 @@ class TestRunOrchestration:
         assert document["experiment_id"] == "figure1"
         assert "wall_time_seconds" not in document
 
+    @pytest.mark.parametrize(
+        "experiment", ["two_class", "safety_violation", "diversity_ablation"]
+    )
+    def test_update_golden_regenerates_every_backend_snapshot(
+        self, tmp_path, capsys, experiment
+    ):
+        # A backend-sensitive experiment has one snapshot per backend: the
+        # ambient backend's result is reused, the others run fresh, and each
+        # must equal the committed golden byte for byte.
+        golden_dir = tmp_path / "golden"
+        arguments = ["run", "--quiet", "--no-cache", "--update-golden"]
+        assert main(arguments + ["--golden-dir", str(golden_dir), experiment]) == 0
+        capsys.readouterr()
+        written = sorted(path.name for path in golden_dir.iterdir())
+        assert written == sorted(
+            f"{experiment}.{backend}.json" for backend in cli.available_backends()
+        )
+        for name in written:
+            assert (golden_dir / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
+
+    def test_update_golden_warns_about_a_backend_it_cannot_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "available_backends", lambda: ("python",))
+        golden_dir = tmp_path / "golden"
+        arguments = ["run", "--quiet", "--no-cache", "--update-golden"]
+        assert main(arguments + ["--golden-dir", str(golden_dir), "two_class"]) == 0
+        assert "not available here: numpy, shm" in capsys.readouterr().err
+        assert [path.name for path in golden_dir.iterdir()] == ["two_class.python.json"]
+
     def test_non_positive_jobs_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["run", "--jobs", "0", "figure1"])
         with pytest.raises(SystemExit):
             main(["run", "--jobs", "-2", "figure1"])
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("mode", [[], ["--parallel", "--jobs", "2"]])
+    def test_bad_task_timeout_is_a_usage_error(self, capsys, value, mode):
+        arguments = ["run", "--quiet", "--no-cache", "--task-timeout", value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(arguments + mode + ["proposition1", "proposition2"])
+        assert exit_info.value.code == 2
+        assert "--task-timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", [[], ["--parallel", "--jobs", "2"]])
+    def test_finite_task_timeout_is_accepted(self, tmp_path, capsys, mode):
+        results = tmp_path / "results.json"
+        arguments = ["run", "--quiet", "--no-cache", "--task-timeout", "60"]
+        arguments += ["--results", str(results)] + mode
+        assert main(arguments + ["proposition1", "proposition2"]) == 0
+        capsys.readouterr()
+        document = load_results_document(str(results))
+        assert sorted(document["results"]) == ["proposition1", "proposition2"]
 
     def test_parallel_flag_matches_serial_results(self, tmp_path, capsys):
         serial = tmp_path / "serial.json"
@@ -244,76 +299,8 @@ class TestCacheCommand:
         assert "--warm" in capsys.readouterr().err
 
 
-class TestBenchServeCommand:
-    def test_bench_serve_writes_snapshot(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_4.json"
-        assert (
-            main(
-                [
-                    "bench-serve",
-                    "example1",
-                    "--requests",
-                    "8",
-                    "--concurrency",
-                    "2",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        printed = capsys.readouterr().out
-        assert "warm (cache hits)" in printed
-        document = json.loads(output.read_text())
-        assert document["benchmark"] == "result_service"
-        assert document["phases"]["cold_misses"]["statuses"] == {"200": 1}
-        assert document["phases"]["warm_hits"]["statuses"] == {"200": 8}
-        assert document["phases"]["warm_hits"]["x_cache"] == {"hit": 8}
-        assert document["phases"]["conditional_304"]["statuses"] == {"304": 8}
-
-    def test_bench_serve_unknown_experiment_is_a_usage_error(self, capsys):
-        assert main(["bench-serve", "nope"]) == 2
-        assert "unknown experiments" in capsys.readouterr().err
-
-    def test_bench_serve_write_ratio_adds_the_mixed_phase(self, tmp_path, capsys):
-        output = tmp_path / "BENCH_7.json"
-        assert (
-            main(
-                [
-                    "bench-serve",
-                    "example1",
-                    "--requests",
-                    "8",
-                    "--concurrency",
-                    "2",
-                    "--write-ratio",
-                    "0.25",
-                    "--output",
-                    str(output),
-                ]
-            )
-            == 0
-        )
-        printed = capsys.readouterr().out
-        assert "mixed (25% writes)" in printed
-        document = json.loads(output.read_text())
-        assert document["workload"]["write_ratio"] == 0.25
-        mixed = document["phases"]["mixed_read_write"]
-        assert mixed["requests"] == 8
-        # Every fourth request is a POST /jobs (wait=true → 200); the rest
-        # are warm GETs — all against the already-primed cache.
-        assert mixed["statuses"] == {"200": 8}
-        assert mixed["x_cache"].get("hit", 0) >= 6
-
-    def test_bench_serve_bad_write_ratio_is_an_error(self, capsys):
-        assert main(["bench-serve", "example1", "--write-ratio", "1.5"]) == 1
-        assert "write ratio" in capsys.readouterr().err
-
-
 class TestServeCommand:
     def test_busy_port_is_a_clean_error(self, capsys):
-        import socket
-
         with socket.socket() as blocker:
             blocker.bind(("127.0.0.1", 0))
             blocker.listen(1)
@@ -322,6 +309,71 @@ class TestServeCommand:
         error = capsys.readouterr().err
         assert "cannot serve on" in error
         assert str(port) in error
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--build-deadline", "0"),
+            ("--build-deadline", "-1"),
+            ("--build-deadline", "nan"),
+            ("--build-deadline", "inf"),
+            ("--build-retries", "-1"),
+            ("--breaker-reset", "-5"),
+            ("--breaker-reset", "nan"),
+            ("--breaker-reset", "inf"),
+            ("--refresh-interval", "-1"),
+            ("--refresh-interval", "nan"),
+        ],
+    )
+    def test_bad_numeric_flag_is_a_usage_error(self, capsys, monkeypatch, flag, value):
+        # A value argparse lets through must not reach a running server.
+        monkeypatch.setattr(
+            cli, "_command_serve", lambda arguments: pytest.fail("server started")
+        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--port", "0", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, attribute, parsed",
+        [
+            ("--build-deadline", "2.5", "build_deadline", 2.5),
+            ("--build-retries", "0", "build_retries", 0),
+            ("--breaker-reset", "0.5", "breaker_reset", 0.5),
+            ("--refresh-interval", "0.25", "refresh_interval", 0.25),
+            # 0 is how a caller turns the server's source refresh loop off.
+            ("--refresh-interval", "0", "refresh_interval", 0.0),
+        ],
+    )
+    def test_valid_numeric_flag_reaches_the_server(
+        self, monkeypatch, flag, value, attribute, parsed
+    ):
+        started = []
+        monkeypatch.setattr(
+            cli, "_command_serve", lambda arguments: started.append(arguments) or 0
+        )
+        assert main(["serve", "--port", "0", flag, value]) == 0
+        assert getattr(started[0], attribute) == parsed
+        assert type(getattr(started[0], attribute)) is type(parsed)
+
+    def test_serve_announces_its_url_and_releases_the_port_on_interrupt(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        async def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ResultServer, "serve_forever", interrupted)
+        arguments = ["serve", "--port", "0", "--jobs", "1", "--refresh-interval", "0"]
+        assert main(arguments + ["--cache-dir", str(tmp_path)]) == 0
+        output = capsys.readouterr().out
+        assert "shutting down" in output
+        banner = next(line for line in output.splitlines() if line.startswith("serving"))
+        assert str(tmp_path) in banner
+        port = int(banner.split("http://127.0.0.1:")[1].split()[0])
+        assert port > 0
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))
 
 
 class TestBackendsCommand:
@@ -350,227 +402,6 @@ class TestBackendsCommand:
     def test_unknown_backend_is_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
             main(["--backend", "fortran", "list"])
-
-
-class TestBenchCommand:
-    def test_bench_prints_table_for_every_backend(self, capsys):
-        assert main(["bench", "--trials", "100", "--configs", "10", "--repeats", "1"]) == 0
-        output = capsys.readouterr().out
-        assert "trials/sec" in output
-        assert "python" in output
-
-    def test_bench_writes_snapshot(self, tmp_path, capsys):
-        import json
-
-        snapshot = tmp_path / "BENCH_TEST.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--trials", "100",
-                    "--configs", "10",
-                    "--repeats", "1",
-                    "--output", str(snapshot),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        document = json.loads(snapshot.read_text())
-        assert document["workload"]["configs"] == 10
-        assert set(document["results"])  # at least one backend measured
-
-    def test_bench_rejects_bad_workload(self, capsys):
-        assert main(["bench", "--trials", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestBenchCampaignCommand:
-    def test_bench_campaign_prints_table_for_every_backend(self, capsys):
-        assert (
-            main(
-                [
-                    "bench-campaign",
-                    "--trials", "50",
-                    "--replicas", "12",
-                    "--repeats", "1",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "campaigns/sec" in output
-        assert "python" in output
-        assert "identical campaign results: True" in output
-
-    def test_bench_campaign_writes_snapshot(self, tmp_path, capsys):
-        import json
-
-        snapshot = tmp_path / "BENCH_CAMPAIGN_TEST.json"
-        assert (
-            main(
-                [
-                    "bench-campaign",
-                    "--trials", "50",
-                    "--replicas", "12",
-                    "--repeats", "1",
-                    "--output", str(snapshot),
-                ]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        document = json.loads(snapshot.read_text())
-        assert document["benchmark"] == "batch_campaign_engine"
-        assert document["workload"]["trials"] == 50
-        assert set(document["results"])  # at least one backend measured
-        if "numpy" in document["results"]:
-            assert document["speedup_numpy_over_python"] > 0
-
-    def test_bench_campaign_rejects_bad_workload(self, capsys):
-        assert main(["bench-campaign", "--trials", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestBenchGridCommand:
-    SMALL = [
-        "bench-grid",
-        "--trials", "60",
-        "--replicas", "10",
-        "--budgets", "1", "2",
-        "--probabilities", "0.5",
-        "--repeats", "1",
-        "--scalar-trials", "40",
-    ]
-
-    def test_bench_grid_prints_table_for_every_backend(self, capsys):
-        assert main(list(self.SMALL)) == 0
-        output = capsys.readouterr().out
-        assert "point-trials/sec" in output
-        assert "python_fused" in output
-        assert "python_looped" in output
-        assert "fused grid identical to looped campaigns: True" in output
-
-    def test_bench_grid_writes_snapshot(self, tmp_path, capsys):
-        snapshot = tmp_path / "BENCH_GRID_TEST.json"
-        assert main(list(self.SMALL) + ["--output", str(snapshot)]) == 0
-        capsys.readouterr()
-        document = json.loads(snapshot.read_text())
-        assert document["benchmark"] == "grid_campaign_engine"
-        assert document["workload"]["grid_points"] == 2
-        assert document["identical_fused_vs_looped"] is True
-        assert "python_fused" in document["results"]
-        if "numpy_fused" in document["results"]:
-            assert document["speedup_fused_over_looped_numpy"] > 0
-            assert document["speedup_numpy_fused_over_python_scalar"] > 0
-
-    def test_bench_grid_rejects_bad_workload(self, capsys):
-        assert main(["bench-grid", "--trials", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestBenchPopulationCommand:
-    SMALL = [
-        "bench-population",
-        "--sizes", "200",
-        "--trials", "8",
-        "--seed", "3",
-        "--dense-limit", "200",
-    ]
-
-    def test_bench_population_prints_table_and_identity(self, capsys):
-        assert main(list(self.SMALL)) == 0
-        output = capsys.readouterr().out
-        assert "sparse population bench:" in output
-        assert "sparse trials/sec" in output
-        assert "sparse identical to dense at overlapping scales: True" in output
-        assert "peak RSS:" in output
-
-    def test_bench_population_writes_snapshot(self, tmp_path, capsys):
-        snapshot = tmp_path / "BENCH_POP_TEST.json"
-        assert main(list(self.SMALL) + ["--output", str(snapshot)]) == 0
-        capsys.readouterr()
-        document = json.loads(snapshot.read_text())
-        assert document["benchmark"] == "sparse_population_plane"
-        assert document["results"]["200"]["nnz"] == 200 * 5
-        assert document["identical_sparse_vs_dense"] is True
-        assert document["peak_rss_kb"] > 0
-
-    def test_bench_population_enforces_the_memory_ceiling(self, capsys):
-        assert main(list(self.SMALL) + ["--memory-ceiling-mb", "1"]) == 1
-        captured = capsys.readouterr()
-        assert "exceeds" in captured.err
-
-    def test_bench_population_rejects_bad_workload(self, capsys):
-        assert main(["bench-population", "--trials", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
-
-
-class TestBenchBackendsCommand:
-    SMALL = [
-        "bench-backends",
-        "--trials", "200",
-        "--python-trials", "60",
-        "--replicas", "24",
-        "--seed", "5",
-        "--repeats", "1",
-        "--workers", "1", "2",
-        "--sparse-size", "3000",
-        "--sparse-trials", "6",
-        "--sparse-workers", "2",
-    ]
-
-    def test_bench_backends_prints_table_and_speedups(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(list(self.SMALL)) == 0
-        output = capsys.readouterr().out
-        assert "backend comparison:" in output
-        assert "numpy" in output
-        assert "shm[w=2]" in output
-        assert "over numpy:" in output
-        assert "sparse sweep:" in output
-        assert "campaign " in output
-        assert "sparse peak RSS:" in output
-
-    def test_bench_backends_writes_snapshot(self, tmp_path, capsys):
-        pytest.importorskip("numpy")
-        snapshot = tmp_path / "BENCH_10_TEST.json"
-        assert main(list(self.SMALL) + ["--output", str(snapshot)]) == 0
-        capsys.readouterr()
-        document = json.loads(snapshot.read_text())
-        assert document["benchmark"] == "backend_comparison"
-        assert document["results"]["shm[w=1]"]["identical"] is True
-        assert document["version"] == 2
-        assert document["sparse_sweep"]["campaign_seconds"] > 0
-
-    def test_bench_backends_enforces_the_memory_ceiling(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(list(self.SMALL) + ["--memory-ceiling-mb", "1"]) == 1
-        assert "exceeds" in capsys.readouterr().err
-
-    def test_bench_backends_enforces_min_speedup(self, capsys):
-        pytest.importorskip("numpy")
-        # An absurd bar fails deterministically regardless of host speed.
-        arguments = list(self.SMALL) + [
-            "--min-speedup", "1000000",
-            "--min-speedup-workers", "2",
-        ]
-        assert main(arguments) == 1
-        assert "below the required" in capsys.readouterr().err
-
-    def test_bench_backends_min_speedup_needs_a_measurement(self, capsys):
-        pytest.importorskip("numpy")
-        arguments = list(self.SMALL) + [
-            "--min-speedup", "1.0",
-            "--min-speedup-workers", "64",
-        ]
-        assert main(arguments) == 1
-        assert "no shm measurement" in capsys.readouterr().err
-
-    def test_bench_backends_rejects_bad_workload(self, capsys):
-        pytest.importorskip("numpy")
-        assert main(["bench-backends", "--trials", "0"]) == 1
-        assert "error:" in capsys.readouterr().err
 
 
 class TestBackendsReasonColumn:
