@@ -1,10 +1,9 @@
-"""Setuptools entry point.
+"""Setuptools entry point and the project's only packaging metadata.
 
-The project metadata lives in ``pyproject.toml``; this file exists so the
-package can also be installed in environments without network access to PyPI
-(legacy editable installs via ``pip install -e . --no-build-isolation
---no-use-pep517`` fall back to ``setup.py develop``, which only needs a local
-setuptools).
+Install with ``pip install -e .`` (``pip install -e .[fast]`` adds NumPy);
+``--no-build-isolation`` installs offline against the local setuptools.
+Tests and the CLI also run straight from a checkout with
+``PYTHONPATH=src``.
 """
 
 from setuptools import find_packages, setup

@@ -6,36 +6,32 @@ and weighted label accumulation — behind one seam, so the same analysis code
 can run on the dependency-free pure-Python implementation, on a vectorized
 NumPy one or on NumPy fanned out over shared-memory workers.
 
-The campaign part of the seam is two kernels over the same input, a tuple
-of :class:`ResolvedGridPoint` (explicit columns, per-column exploit
-probabilities, tolerances and seed), checked by one validator:
+Campaigns have one exposure layout, the CSR :class:`SparseExposure`, and one
+kernel: :meth:`ComputeBackend.sparse_grid_partials` runs a tuple of
+:class:`ResolvedGridPoint` (explicit columns, per-column exploit
+probabilities, tolerances and seed) over a row range and returns per-trial
+partial sums in the backend's own array type.  Row ranges add up
+elementwise in :func:`merge_sparse_partials`,
+:meth:`ComputeBackend.campaign_verdicts` judges the merged sums into
+:class:`GridPointResult` values, and the results of the engine's trial
+chunks sum back together in :func:`merge_campaign_grid_batches`.  A trial
+range can be cut anywhere (:func:`split_trial_ranges`): the shm backend
+concatenates its worker ranges' per-trial sums.
 
-- :meth:`ComputeBackend.campaign_grid` runs every point over a dense 0/1
-  exposure matrix and returns finished per-point results;
-- :meth:`ComputeBackend.sparse_grid_partials` runs every point over a row
-  range of a CSR :class:`SparseExposure` and returns per-trial partial sums,
-  which :func:`merge_sparse_partials` and :func:`finalize_sparse_point` turn
-  into the same results once every row range is in.
-
-A trial range can be cut anywhere: :func:`split_trial_ranges` partitions it,
-each piece runs with its ``trial_offset``, and
-:func:`merge_campaign_grid_batches` sums the dense pieces back together (the
-engine's trial chunks and the shm backend's worker ranges both do this).
-
-Two exposure reductions, :meth:`ComputeBackend.masked_power_sums` and
-:meth:`ComputeBackend.sparse_masked_power_sums`, feed target selection.
-Choosing targets and resolving them into points is the engine's job
-(:mod:`repro.faults.engine`), never a kernel's.
+One exposure reduction, :meth:`ComputeBackend.sparse_masked_power_sums`,
+feeds target selection.  Choosing targets and resolving them into points is
+the engine's job (:mod:`repro.faults.engine`), never a kernel's.
 
 The contract every implementation must honor:
 
 - **Determinism per backend.** Given identical arguments (including the
   seed), repeated calls return identical results.
-- **One campaign stream.** Both campaign kernels draw from the
-  counter-based :func:`campaign_uniform` stream, so every backend, both
-  layouts and every trial or row partition read the same uniforms; results
-  are bit-identical whenever the power sums are exact (dyadic powers, as in
-  every shipped scenario).
+- **One campaign stream.** The campaign kernel draws from the counter-based
+  :func:`campaign_uniform` stream, so every backend and every trial or row
+  partition read the same uniforms; verdicts and counts agree exactly, and
+  the power sums are bit-identical whenever they are exact (dyadic powers,
+  as in every shipped scenario).  The exposure reduction adds in ascending
+  row order on every backend, so it is bit-identical for any powers.
 - **Census mode differs.** :meth:`ComputeBackend.violation_trials` predates
   that stream: backends draw from their own generators, so its results agree
   across backends only within Monte-Carlo tolerance, while verdicts derived
@@ -48,6 +44,7 @@ from __future__ import annotations
 import abc
 import array as _stdlib_array
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -62,9 +59,8 @@ CAMPAIGN_FRACTION_SLACK = 1e-12
 # indicators from a *counter-based* splitmix64 stream instead of a sequential
 # generator: uniform #n depends only on (seed, n), never on how many draws
 # came before it.  That is what makes the batched NumPy kernel and the scalar
-# fallback bit-identical — the scalar path may skip unexposed cells entirely
-# while the array path masks them after a dense draw, and both still read the
-# exact same uniforms for the cells that matter.
+# fallback bit-identical — both visit only exposed cells, in different orders,
+# and still read the exact same uniform for each one.
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -104,7 +100,7 @@ class TrialBatchResult:
 
 @dataclass(frozen=True)
 class ResolvedGridPoint:
-    """One campaign scenario as both campaign kernels take it.
+    """One campaign scenario as the campaign kernel takes it.
 
     Attributes:
         columns: exposure columns the attacker exploits, in the order the
@@ -150,11 +146,10 @@ class SparseExposure:
 
     Row ``r``'s exposed columns are ``indices[indptr[r]:indptr[r + 1]]``,
     strictly increasing within each row; ``powers`` is per replica while
-    ``success_probabilities`` and ``disclosed_at`` are per column.  The
-    structure is the sparse analogue of the dense ``exposure`` argument the
-    campaign kernels take: cell ``(r, v)`` is exposed exactly when ``v``
-    appears in row ``r``'s index slice, so a densified copy fed to the dense
-    kernels produces bit-identical results.
+    ``success_probabilities`` and ``disclosed_at`` are per column.  Cell
+    ``(r, v)`` is exposed exactly when ``v`` appears in row ``r``'s index
+    slice.  It is the one exposure layout the campaign kernel and the
+    exposure reduction take; :meth:`from_dense` packs a 0/1 matrix.
 
     Storage is whatever integer/float sequences the caller provides; the
     :func:`from_rows` constructor packs stdlib ``array`` buffers (``'q'`` and
@@ -331,10 +326,26 @@ class SparseGridPartial:
     :func:`merge_sparse_partials` + :func:`finalize_sparse_point` do exactly
     that.  ``per_vulnerability_totals`` is the usual per-local-column
     compromised-power total over the range's rows and all trials.
+
+    Both fields hold the backend's array type (tuples on the pure-Python
+    backend, NumPy arrays on the array backends), so compare partials field
+    by field through ``tolist()`` or ``list()``: dataclass ``==`` raises on
+    arrays.
     """
 
-    per_trial_compromised: Tuple[float, ...]
-    per_vulnerability_totals: Tuple[float, ...]
+    per_trial_compromised: Sequence[float]
+    per_vulnerability_totals: Sequence[float]
+
+
+def add_elementwise(left: Sequence[float], right: Sequence[float]) -> Sequence[float]:
+    """``left + right`` position by position, for tuples and arrays alike.
+
+    ``+`` concatenates tuples, so tuples add through ``map``; arrays add
+    natively.  Each position is one float64 addition either way.
+    """
+    if isinstance(left, tuple):
+        return tuple(map(operator.add, left, right))
+    return left + right
 
 
 def merge_sparse_partials(
@@ -352,35 +363,31 @@ def merge_sparse_partials(
 
     if len(chunks) == 0:
         raise BackendError("cannot merge zero sparse partial chunks")
-    point_count = len(chunks[0])
-    for chunk in chunks:
-        if len(chunk) != point_count:
+    merged = list(chunks[0])
+    for chunk in chunks[1:]:
+        if len(chunk) != len(merged):
             raise BackendError(
                 "sparse partial chunks disagree on the grid point count"
             )
-    merged = []
-    for position in range(point_count):
-        first = chunks[0][position]
-        per_trial = [0.0] * len(first.per_trial_compromised)
-        per_vulnerability = [0.0] * len(first.per_vulnerability_totals)
-        for chunk in chunks:
-            partial = chunk[position]
-            if len(partial.per_trial_compromised) != len(per_trial) or len(
-                partial.per_vulnerability_totals
-            ) != len(per_vulnerability):
+        for position, partial in enumerate(chunk):
+            total = merged[position]
+            if len(partial.per_trial_compromised) != len(
+                total.per_trial_compromised
+            ) or len(partial.per_vulnerability_totals) != len(
+                total.per_vulnerability_totals
+            ):
                 raise BackendError(
                     "sparse partial chunks disagree on trial or column counts"
                 )
-            for trial, value in enumerate(partial.per_trial_compromised):
-                per_trial[trial] += value
-            for column, value in enumerate(partial.per_vulnerability_totals):
-                per_vulnerability[column] += value
-        merged.append(
-            SparseGridPartial(
-                per_trial_compromised=tuple(per_trial),
-                per_vulnerability_totals=tuple(per_vulnerability),
+            merged[position] = SparseGridPartial(
+                per_trial_compromised=add_elementwise(
+                    total.per_trial_compromised, partial.per_trial_compromised
+                ),
+                per_vulnerability_totals=add_elementwise(
+                    total.per_vulnerability_totals,
+                    partial.per_vulnerability_totals,
+                ),
             )
-        )
     return tuple(merged)
 
 
@@ -394,25 +401,15 @@ def finalize_sparse_point(
 ) -> GridPointResult:
     """Apply the per-trial verdicts to fully merged partial sums.
 
-    Walks the trials in order, accumulating ``compromised_total`` and
-    counting a violation whenever ``compromised / total_power`` reaches a
-    tolerance (slack :data:`CAMPAIGN_FRACTION_SLACK`) — the same comparisons,
-    in the same order, as the dense scalar loop.  A partial that does not
+    The scalar reference of :meth:`ComputeBackend.campaign_verdicts`: walks
+    the trials in order, accumulating ``compromised_total`` and counting a
+    violation whenever ``compromised / total_power`` reaches a tolerance
+    (slack :data:`CAMPAIGN_FRACTION_SLACK`).  A partial that does not
     hold exactly ``trials`` per-trial sums is rejected (its verdicts would be
     divided by trials that never ran), and so is a total power that is not
     positive and finite.
     """
-    from repro.core.exceptions import BackendError
-
-    if len(partial.per_trial_compromised) != trials:
-        raise BackendError(
-            f"partial holds {len(partial.per_trial_compromised)} trial sums "
-            f"but {trials} trials were requested"
-        )
-    if not (math.isfinite(total_power) and total_power > 0):
-        raise BackendError(
-            f"total power must be positive and finite, got {total_power}"
-        )
+    _check_trial_sums(partial, trials, total_power)
     thresholds = tuple(
         tolerance - CAMPAIGN_FRACTION_SLACK for tolerance in tolerances
     )
@@ -429,7 +426,7 @@ def finalize_sparse_point(
         columns=tuple(columns),
         violations=tuple(violations),
         compromised_total=compromised_total,
-        per_vulnerability_totals=partial.per_vulnerability_totals,
+        per_vulnerability_totals=tuple(partial.per_vulnerability_totals),
     )
 
 
@@ -575,70 +572,7 @@ class ComputeBackend(abc.ABC):
                 a safety violation.
         """
 
-    # -- campaign kernels -------------------------------------------------------
-
-    @abc.abstractmethod
-    def masked_power_sums(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-    ) -> Tuple[float, ...]:
-        """Per-column masked power reduction: ``powers @ exposure``.
-
-        ``exposure`` is a replicas × vulnerabilities 0/1 matrix (each row the
-        indicator vector of one replica's fault domains) and ``powers`` the
-        per-replica voting power; the result is each vulnerability's exposed
-        power — the ``f_t^i`` upper bound before exploit reliability.
-
-        Array backends reduce along the replica axis with their native
-        (pairwise) summation; the scalar fallback sums sequentially in row
-        order.  The two are bit-identical whenever the power values sum
-        exactly in float64 (integers and other dyadic rationals — every
-        shipped scenario), and agree to float tolerance otherwise.
-        """
-
-    @abc.abstractmethod
-    def campaign_grid(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        points: Sequence[ResolvedGridPoint],
-        *,
-        trials: int,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> Tuple[GridPointResult, ...]:
-        """Run ``trials`` randomized exploit campaigns at every point.
-
-        In every trial, each cell ``(r, c)`` with
-        ``exposure[r][p.columns[c]] != 0`` is independently compromised with
-        probability ``p.probabilities[c]``; a replica compromised through
-        *any* column contributes its power once to the trial's compromised
-        total (and to each relevant per-column ``f_t^i``), and the trial
-        violates ``tolerances[k]`` when the compromised fraction of
-        ``total_power`` reaches it (slack :data:`CAMPAIGN_FRACTION_SLACK`).
-        The exploit indicator for trial ``t`` and local cell ``(r, c)`` is::
-
-            campaign_uniform(p.seed,
-                             (trial_offset + t) * R * V_p + r * V_p + c)
-                < p.probabilities[c]
-
-        with ``R = len(powers)`` and ``V_p = len(p.columns)``, so every
-        backend draws the same stream and the results are bit-identical
-        across backends (float reductions under the same dyadic-power caveat
-        as :meth:`masked_power_sums`; verdicts and counts agree exactly for
-        the shipped scenarios).  Every tolerance of a point judges the same
-        draws, so a BFT/majority pair costs one draw.
-
-        ``trial_offset`` shifts the trial counter: the call computes trials
-        ``trial_offset .. trial_offset + trials - 1`` of the logical
-        campaign, drawing the exact uniforms a single full-range call would
-        draw for those trials.  This is the chunking and sharding seam — a
-        worker computing ``[lo, hi)`` with ``trial_offset=lo`` produces the
-        same per-trial outcomes as the serial run, so range results sum back
-        to the serial result and a retried range is bit-identical to its
-        first attempt.
-        """
+    # -- campaign kernel --------------------------------------------------------
 
     @abc.abstractmethod
     def sparse_masked_power_sums(
@@ -646,11 +580,10 @@ class ComputeBackend(abc.ABC):
     ) -> Tuple[float, ...]:
         """Per-column exposed-power reduction over a CSR exposure.
 
-        The sparse variant of :meth:`masked_power_sums`: each vulnerability's
-        exposed power, summed over the replicas whose row slice contains its
-        column.  The scalar fallback adds in ascending row order; array
-        backends group with their native reductions — bit-identical under the
-        same dyadic-power caveat as the dense method.
+        Each vulnerability's exposed power — the ``f_t^i`` upper bound
+        before exploit reliability — summed over the replicas whose row slice
+        contains its column.  Every backend adds in ascending row order, so
+        the sums are bit-identical across backends for any powers.
         """
 
     @abc.abstractmethod
@@ -666,28 +599,71 @@ class ComputeBackend(abc.ABC):
     ) -> Tuple[SparseGridPartial, ...]:
         """Row-range partial campaign sums for every point over a CSR exposure.
 
-        ``sparse`` holds rows ``row_offset .. row_offset +
+        In every trial, each exposed cell ``(r, c)`` of point ``p`` is
+        independently compromised with probability ``p.probabilities[c]``; a
+        replica compromised through *any* column contributes its power once
+        to the trial's compromised sum (and to each relevant per-column
+        ``f_t^i`` total).  ``sparse`` holds rows ``row_offset .. row_offset +
         sparse.replica_count - 1`` of a logical ``total_rows``-replica
         exposure (``total_rows=None`` means the structure is the whole
-        population).  Per point ``p``, the exploit indicator for trial ``t``
-        and local cell ``(r, c)`` is::
+        population), and the exploit indicator for trial ``t`` and local cell
+        ``(r, c)`` is::
 
             campaign_uniform(p.seed,
                              (trial_offset + t) * total_rows * V_p
                              + (row_offset + r) * V_p + c)
                 < p.probabilities[c]
 
-        with ``V_p = len(p.columns)`` and ``p.columns`` indexing
-        ``sparse``'s column space — the exact cells a full-range dense
-        :meth:`campaign_grid` call draws for these rows.  Both the trial and
-        the row counter are global, so partitioning the rows (or the trials)
-        across calls and summing the partials reproduces the unpartitioned
-        sums: chunk boundaries are invisible by construction.
+        with ``V_p = len(p.columns)`` and ``p.columns`` indexing ``sparse``'s
+        column space.  Both the trial and the row counter are global, so
+        partitioning the rows (or the trials) across calls and merging the
+        partials reproduces the unpartitioned sums, and a retried range is
+        bit-identical to its first attempt.
 
-        Returns one :class:`SparseGridPartial` per point; callers apply the
-        per-trial verdicts via :func:`finalize_sparse_point` only after all
-        row ranges are merged.
+        Returns one :class:`SparseGridPartial` per point, in the backend's
+        array type; :meth:`campaign_verdicts` judges them once every row
+        range is merged.
         """
+
+    def campaign_verdicts(
+        self,
+        partials: Sequence[SparseGridPartial],
+        points: Sequence[ResolvedGridPoint],
+        *,
+        trials: int,
+        total_power: float,
+    ) -> Tuple[GridPointResult, ...]:
+        """Judge fully merged partials: one :class:`GridPointResult` per point.
+
+        A trial violates ``tolerances[k]`` when its compromised fraction of
+        ``total_power`` reaches it (slack :data:`CAMPAIGN_FRACTION_SLACK`);
+        every tolerance of a point judges the same draws, so a BFT/majority
+        pair costs one draw.  This default is the scalar reference, one
+        :func:`finalize_sparse_point` per point; array backends take every
+        point's verdicts in one vectorized compare and add the per-trial sums
+        in the same trial order.
+        """
+        validate_verdict_arguments(
+            partials, points, trials=trials, total_power=total_power
+        )
+        return tuple(
+            finalize_sparse_point(
+                partial,
+                trials=trials,
+                columns=point.columns,
+                tolerances=point.tolerances,
+                total_power=total_power,
+            )
+            for point, partial in zip(points, partials)
+        )
+
+    # Alias of sparse_grid_partials: perfbench/workloads.py:53 wraps it by name.
+    def campaign_grid(self, *args, **kwargs):
+        return self.sparse_grid_partials(*args, **kwargs)
+
+    # Alias of sparse_masked_power_sums: perfbench/workloads.py:53 wraps it by name.
+    def masked_power_sums(self, *args, **kwargs):
+        return self.sparse_masked_power_sums(*args, **kwargs)
 
     # -- entropy kernel ---------------------------------------------------------
 
@@ -737,19 +713,6 @@ class ComputeBackend(abc.ABC):
         treat it as immutable (copy before mutating).
         """
 
-    @abc.abstractmethod
-    def asarray_matrix(
-        self, rows: Sequence[Sequence[float]]
-    ) -> Sequence[Sequence[float]]:
-        """The backend's preferred 2-D representation of a row-major matrix.
-
-        The pure-Python backend returns a tuple of row tuples; array backends
-        return their native 2-D array, frozen read-only.
-        :class:`~repro.faults.matrix.PopulationMatrix` caches the result per
-        backend so the campaign kernels receive a ready-made matrix — callers
-        must treat it as immutable.
-        """
-
     # -- misc -------------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -787,50 +750,6 @@ def validate_trial_arguments(
         raise BackendError("shares must be sorted in descending order")
 
 
-def validate_grid_arguments(
-    exposure: Sequence[Sequence[float]],
-    powers: Sequence[float],
-    points: Sequence[ResolvedGridPoint],
-    *,
-    trials: int,
-    total_power: float,
-    trial_offset: int = 0,
-) -> None:
-    """Shared argument validation for :meth:`ComputeBackend.campaign_grid`.
-
-    Rejects empty or ragged matrices, bad powers and run arguments, and every
-    malformed point (see :func:`validate_grid_points`) with a
-    :class:`~repro.core.exceptions.BackendError`, so a kernel never silently
-    produces a zero-length or garbage result.
-    """
-    from repro.core.exceptions import BackendError
-
-    replica_count = len(powers)
-    if replica_count == 0:
-        raise BackendError("campaign_grid needs at least one replica")
-    if len(exposure) != replica_count:
-        raise BackendError(
-            f"exposure has {len(exposure)} rows for {replica_count} replicas"
-        )
-    column_count = len(exposure[0])
-    if column_count == 0:
-        raise BackendError("campaign_grid needs at least one vulnerability")
-    for row in exposure:
-        if len(row) != column_count:
-            raise BackendError(
-                f"exposure row has {len(row)} columns for "
-                f"{column_count} vulnerabilities"
-            )
-    if not all(math.isfinite(power) and power >= 0 for power in powers):
-        raise BackendError("replica powers must be finite and non-negative")
-    _validate_trial_range(trials, trial_offset)
-    if not (math.isfinite(total_power) and total_power > 0):
-        raise BackendError(
-            f"total power must be positive and finite, got {total_power}"
-        )
-    validate_grid_points(points, column_count)
-
-
 def validate_sparse_partial_arguments(
     sparse: SparseExposure,
     points: Sequence[ResolvedGridPoint],
@@ -852,7 +771,10 @@ def validate_sparse_partial_arguments(
         raise BackendError("sparse_grid_partials needs at least one replica")
     if sparse.column_count == 0:
         raise BackendError("sparse_grid_partials needs at least one vulnerability")
-    _validate_trial_range(trials, trial_offset)
+    if trials <= 0:
+        raise BackendError(f"trial count must be positive, got {trials}")
+    if trial_offset < 0:
+        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
     if row_offset < 0:
         raise BackendError(f"row offset must be non-negative, got {row_offset}")
     total = (
@@ -867,19 +789,49 @@ def validate_sparse_partial_arguments(
     return total
 
 
-def _validate_trial_range(trials: int, trial_offset: int) -> None:
+def validate_verdict_arguments(
+    partials: Sequence[SparseGridPartial],
+    points: Sequence[ResolvedGridPoint],
+    *,
+    trials: int,
+    total_power: float,
+) -> None:
+    """Shared validation for :meth:`ComputeBackend.campaign_verdicts`.
+
+    One partial per point, each holding exactly ``trials`` per-trial sums
+    (verdicts over other trials would be divided by trials that never ran),
+    and a total power that is positive and finite.
+    """
     from repro.core.exceptions import BackendError
 
-    if trials <= 0:
-        raise BackendError(f"trial count must be positive, got {trials}")
-    if trial_offset < 0:
-        raise BackendError(f"trial offset must be non-negative, got {trial_offset}")
+    if len(partials) != len(points):
+        raise BackendError(
+            f"{len(partials)} partials for {len(points)} grid points"
+        )
+    for partial in partials:
+        _check_trial_sums(partial, trials, total_power)
+
+
+def _check_trial_sums(
+    partial: SparseGridPartial, trials: int, total_power: float
+) -> None:
+    from repro.core.exceptions import BackendError
+
+    if len(partial.per_trial_compromised) != trials:
+        raise BackendError(
+            f"partial holds {len(partial.per_trial_compromised)} trial sums "
+            f"but {trials} trials were requested"
+        )
+    if not (math.isfinite(total_power) and total_power > 0):
+        raise BackendError(
+            f"total power must be positive and finite, got {total_power}"
+        )
 
 
 def validate_grid_points(
     points: Sequence[ResolvedGridPoint], column_count: int
 ) -> None:
-    """The one point validator both campaign kernels share.
+    """The point validator of the campaign kernel.
 
     Rejects an empty grid, duplicate points (they would report one scenario
     twice) and, per point, missing or out-of-range tolerances, empty,

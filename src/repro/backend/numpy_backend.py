@@ -10,14 +10,18 @@ Two families of kernel live here:
   pure-Python backend's ``random.Random``, so this one kernel agrees with
   the fallback statistically, not bit for bit, while staying fully
   deterministic for a fixed seed on this backend.
-- The two campaign kernels (``campaign_grid`` over a dense mask and
-  ``sparse_grid_partials`` over CSR) read the shared counter-based
-  splitmix64 stream (:func:`repro.backend.base.campaign_uniform`), so every
-  draw and every verdict matches the pure-Python backend.  Both feed one
-  blocked flat-cell core, :func:`_campaign_core`, which adds replica powers in a
+- The campaign kernel, ``sparse_grid_partials`` over CSR, reads the shared
+  counter-based splitmix64 stream
+  (:func:`repro.backend.base.campaign_uniform`), so every draw and every
+  verdict matches the pure-Python backend.  It runs on one blocked
+  flat-cell core, :func:`_campaign_core`, which adds replica powers in a
   different order than the scalar loop: the power sums are bit-identical
   when they are exact (unit or dyadic powers, as in every golden) and
-  otherwise agree to a few ulps.
+  otherwise agree to a few ulps.  Its per-trial sums stay arrays until
+  ``campaign_verdicts`` judges every point in one broadcast compare.
+
+The exposure reduction, ``sparse_masked_power_sums``, is one ``bincount``
+that adds in ascending row order, bit-identical to the scalar loop.
 
 NumPy is an optional dependency (``pip install repro[fast]``); this module
 imports it lazily so merely importing :mod:`repro.backend` never requires it.
@@ -40,9 +44,9 @@ from repro.backend.base import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
-    validate_grid_arguments,
     validate_sparse_partial_arguments,
     validate_trial_arguments,
+    validate_verdict_arguments,
 )
 from repro.core.exceptions import BackendError
 
@@ -353,83 +357,6 @@ class NumpyBackend(ComputeBackend):
             compromised_total=compromised_total,
         )
 
-    def masked_power_sums(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-    ) -> Tuple[float, ...]:
-        matrix = _np.asarray(exposure, dtype=_np.float64)
-        power_row = _np.asarray(powers, dtype=_np.float64)
-        if matrix.ndim != 2 or matrix.shape[0] != power_row.size:
-            raise BackendError(
-                f"exposure shape {matrix.shape} does not match "
-                f"{power_row.size} replica powers"
-            )
-        return tuple(float(value) for value in power_row @ matrix)
-
-    def campaign_grid(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        points: Sequence[ResolvedGridPoint],
-        *,
-        trials: int,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> Tuple[GridPointResult, ...]:
-        validate_grid_arguments(
-            exposure,
-            powers,
-            points,
-            trials=trials,
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-        exposed = _np.asarray(exposure, dtype=_np.float64) > 0
-        compromised, per_vulnerability = _campaign_core(
-            _np.asarray(powers, dtype=_np.float64),
-            points,
-            # np.nonzero walks the mask row-major: the core's cell order.
-            [_np.nonzero(exposed[:, list(point.columns)]) for point in points],
-            trials=trials,
-            trial_offset=trial_offset,
-            row_offset=0,
-            total_rows=exposed.shape[0],
-        )
-        verdicts = [len(point.tolerances) for point in points]
-        thresholds = _np.array(
-            [
-                tolerance - CAMPAIGN_FRACTION_SLACK
-                for point in points
-                for tolerance in point.tolerances
-            ],
-            dtype=_np.float64,
-        )
-        # One broadcast compare takes every point's verdicts at once.
-        violations = _np.count_nonzero(
-            compromised[:, _np.repeat(_np.arange(len(points)), verdicts)]
-            / total_power
-            >= thresholds,
-            axis=0,
-        )
-        compromised_totals = compromised.sum(axis=0)
-        verdict_at = _np.cumsum([0] + verdicts)
-        slot_at = _np.cumsum([0] + [len(point.columns) for point in points])
-        return tuple(
-            GridPointResult(
-                trials=trials,
-                columns=point.columns,
-                violations=tuple(
-                    violations[verdict_at[index] : verdict_at[index + 1]].tolist()
-                ),
-                compromised_total=float(compromised_totals[index]),
-                per_vulnerability_totals=tuple(
-                    per_vulnerability[slot_at[index] : slot_at[index + 1]].tolist()
-                ),
-            )
-            for index, point in enumerate(points)
-        )
-
     def sparse_masked_power_sums(
         self, sparse: SparseExposure
     ) -> Tuple[float, ...]:
@@ -490,12 +417,61 @@ class NumpyBackend(ComputeBackend):
         slot_at = _np.cumsum([0] + [len(point.columns) for point in points])
         return tuple(
             SparseGridPartial(
-                per_trial_compromised=tuple(compromised[:, index].tolist()),
-                per_vulnerability_totals=tuple(
-                    per_vulnerability[slot_at[index] : slot_at[index + 1]].tolist()
-                ),
+                per_trial_compromised=compromised[:, index],
+                per_vulnerability_totals=per_vulnerability[
+                    slot_at[index] : slot_at[index + 1]
+                ],
             )
             for index in range(len(points))
+        )
+
+    def campaign_verdicts(
+        self,
+        partials: Sequence[SparseGridPartial],
+        points: Sequence[ResolvedGridPoint],
+        *,
+        trials: int,
+        total_power: float,
+    ) -> Tuple[GridPointResult, ...]:
+        validate_verdict_arguments(
+            partials, points, trials=trials, total_power=total_power
+        )
+        # C order, trials down the rows: the axis-0 sum below adds each
+        # point's per-trial sums in trial order, as the scalar loop does.
+        compromised = _np.column_stack(
+            [partial.per_trial_compromised for partial in partials]
+        )
+        verdicts = [len(point.tolerances) for point in points]
+        thresholds = _np.array(
+            [
+                tolerance - CAMPAIGN_FRACTION_SLACK
+                for point in points
+                for tolerance in point.tolerances
+            ],
+            dtype=_np.float64,
+        )
+        # One broadcast compare takes every point's verdicts at once.
+        violations = _np.count_nonzero(
+            compromised[:, _np.repeat(_np.arange(len(points)), verdicts)]
+            / total_power
+            >= thresholds,
+            axis=0,
+        )
+        compromised_totals = compromised.sum(axis=0)
+        verdict_at = _np.cumsum([0] + verdicts)
+        return tuple(
+            GridPointResult(
+                trials=trials,
+                columns=point.columns,
+                violations=tuple(
+                    violations[verdict_at[index] : verdict_at[index + 1]].tolist()
+                ),
+                compromised_total=float(compromised_totals[index]),
+                per_vulnerability_totals=tuple(
+                    _np.asarray(partial.per_vulnerability_totals).tolist()
+                ),
+            )
+            for index, (point, partial) in enumerate(zip(points, partials))
         )
 
     def shannon_entropy(self, probabilities: Sequence[float], *, base: float = 2.0) -> float:
@@ -515,14 +491,3 @@ class NumpyBackend(ComputeBackend):
             # freeze so nobody can poison the shared copy in place.
             array.setflags(write=False)
         return array
-
-    def asarray_matrix(self, rows: Sequence[Sequence[float]]) -> "_np.ndarray":
-        matrix = _np.asarray(rows, dtype=_np.float64)
-        if matrix.ndim != 2:
-            raise BackendError(
-                f"expected a row-major 2-D matrix, got {matrix.ndim} dimension(s)"
-            )
-        if matrix.flags.writeable:
-            # Cached by PopulationMatrix per backend; freeze the shared copy.
-            matrix.setflags(write=False)
-        return matrix

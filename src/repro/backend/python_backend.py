@@ -5,17 +5,18 @@ before the backend seam existed: the same ``random.Random(seed)`` stream, the
 same per-trial filter over descending shares and the same sequential float
 summation order.  It is the fallback that keeps the reproduction runnable on
 a bare Python install, and the reference implementation the vectorized
-backends are tested against.
+backends are tested against: its campaign verdicts are the base class's
+:func:`~repro.backend.base.finalize_sparse_point` loop.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
     ComputeBackend,
-    GridPointResult,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
@@ -25,12 +26,9 @@ from repro.backend.base import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
-    finalize_sparse_point,
-    validate_grid_arguments,
     validate_sparse_partial_arguments,
     validate_trial_arguments,
 )
-from repro.core import entropy as entropy_module
 from repro.core.exceptions import BackendError
 
 
@@ -52,10 +50,9 @@ def _scalar_campaign_partials(
     then sums the compromised replicas' powers in ascending row order.  The
     uniform for cell ``(t, r, c)`` is drawn at the *global* counter index
     ``(trial_offset + t) * total_rows * V + (row_offset + r) * V + c``, so
-    the same loop serves a whole dense matrix (``row_offset=0``,
-    ``total_rows=R``) and any CSR row range.  The per-trial compromised
-    powers are returned unjudged: :func:`finalize_sparse_point` takes the
-    verdicts once every row range is in.  The counter-based stream lets the
+    the same loop serves the whole population and any CSR row range.  The
+    per-trial compromised powers are returned unjudged: the verdicts are
+    taken once every row range is in.  The counter-based stream lets the
     loop visit *exposed* cells only — skipping a cell never shifts anyone
     else's uniform.
     """
@@ -145,76 +142,6 @@ class PythonBackend(ComputeBackend):
             compromised_total=compromised_total,
         )
 
-    def masked_power_sums(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-    ) -> Tuple[float, ...]:
-        if len(exposure) != len(powers):
-            raise BackendError(
-                f"exposure has {len(exposure)} rows for {len(powers)} replica powers"
-            )
-        column_count = len(exposure[0]) if len(exposure) else 0
-        sums = [0.0] * column_count
-        for row, power in zip(exposure, powers):
-            if len(row) != column_count:
-                raise BackendError(
-                    f"exposure row has {len(row)} columns, expected {column_count}"
-                )
-            for column in range(column_count):
-                if row[column]:
-                    sums[column] += power
-        return tuple(sums)
-
-    def campaign_grid(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-        points: Sequence[ResolvedGridPoint],
-        *,
-        trials: int,
-        total_power: float,
-        trial_offset: int = 0,
-    ) -> Tuple[GridPointResult, ...]:
-        validate_grid_arguments(
-            exposure,
-            powers,
-            points,
-            trials=trials,
-            total_power=total_power,
-            trial_offset=trial_offset,
-        )
-        replica_count = len(powers)
-        results = []
-        for point in points:
-            exposed_rows = tuple(
-                tuple(row for row in range(replica_count) if exposure[row][column])
-                for column in point.columns
-            )
-            per_trial, per_vulnerability = _scalar_campaign_partials(
-                exposed_rows,
-                powers,
-                point.probabilities,
-                trials=trials,
-                seed=point.seed,
-                trial_offset=trial_offset,
-                row_offset=0,
-                total_rows=replica_count,
-            )
-            results.append(
-                finalize_sparse_point(
-                    SparseGridPartial(
-                        per_trial_compromised=per_trial,
-                        per_vulnerability_totals=per_vulnerability,
-                    ),
-                    trials=trials,
-                    columns=point.columns,
-                    tolerances=point.tolerances,
-                    total_power=total_power,
-                )
-            )
-        return tuple(results)
-
     def sparse_masked_power_sums(
         self, sparse: SparseExposure
     ) -> Tuple[float, ...]:
@@ -223,7 +150,7 @@ class PythonBackend(ComputeBackend):
         indptr = sparse.indptr
         indices = sparse.indices
         powers = sparse.powers
-        # Ascending row order, like the dense scalar reduction.
+        # Ascending row order, as NumPy's bincount adds.
         for row in range(sparse.replica_count):
             power = powers[row]
             for position in range(indptr[row], indptr[row + 1]):
@@ -253,8 +180,7 @@ class PythonBackend(ComputeBackend):
         results = []
         for point in points:
             # One CSR pass per point builds the per-local-column exposed-row
-            # lists in ascending row order — the dense kernels' column-major
-            # iteration layout.
+            # lists in ascending row order, the layout the scalar loop walks.
             local = [-1] * sparse.column_count
             for position, column in enumerate(point.columns):
                 local[column] = position
@@ -285,12 +211,13 @@ class PythonBackend(ComputeBackend):
         return tuple(results)
 
     def shannon_entropy(self, probabilities: Sequence[float], *, base: float = 2.0) -> float:
-        return entropy_module.shannon_entropy(probabilities, base=base)
+        if base <= 0 or base == 1:
+            raise BackendError(f"logarithm base must be positive and != 1, got {base}")
+        entropy = 0.0
+        for p in probabilities:
+            if p > 0:
+                entropy -= p * math.log(p, base)
+        return 0.0 if entropy == 0.0 else entropy
 
     def asarray(self, values: Sequence[float]) -> Sequence[float]:
         return tuple(float(value) for value in values)
-
-    def asarray_matrix(
-        self, rows: Sequence[Sequence[float]]
-    ) -> Tuple[Tuple[float, ...], ...]:
-        return tuple(tuple(float(value) for value in row) for row in rows)

@@ -1,23 +1,21 @@
 """Shared-memory multiprocess compute backend.
 
-The ``shm`` backend runs the two campaign kernels — :meth:`campaign_grid`
-over a dense mask and :meth:`sparse_grid_partials` over CSR — by splitting
-the trial range across a persistent pool of worker processes.  It is the
-repository's one trial-range fan-out.  The counter-based splitmix64 stream
-makes trial partitions bit-identical to a serial run by construction, so
-fan-out is pure engineering:
+The ``shm`` backend runs the campaign kernel, :meth:`sparse_grid_partials`
+over CSR, by splitting the trial range across a persistent pool of worker
+processes.  It is the repository's one trial-range fan-out.  The
+counter-based splitmix64 stream makes trial partitions bit-identical to a
+serial run by construction, so fan-out is pure engineering:
 
-- **Build once, map everywhere.**  The exposure/powers arrays (and the CSR
-  buffers on the sparse path) are copied into
-  :mod:`multiprocessing.shared_memory` segments the first time they are
-  seen; workers attach read-only NumPy views by segment name.  No per-call
-  pickling of the population — a dispatch ships only the segment names, the
-  already-resolved grid points and a handful of scalars.
-- **Existing merge seams.**  :func:`~repro.backend.base.split_trial_ranges`
-  cuts the range, and worker results merge through
-  :func:`~repro.backend.base.merge_campaign_grid_batches` (dense) and
-  per-trial concatenation in offset order (sparse), the associations the
-  kernel partition tests pin bit-identical to the serial kernels.
+- **Build once, map everywhere.**  The CSR buffers (``indptr``, ``indices``
+  and ``powers``) are copied into :mod:`multiprocessing.shared_memory`
+  segments the first time they are seen; workers attach read-only NumPy
+  views by segment name.  No per-call pickling of the population — a
+  dispatch ships only the segment names, the already-resolved grid points
+  and a handful of scalars.
+- **One merge.**  :func:`~repro.backend.base.split_trial_ranges` cuts the
+  range, and the workers' partials merge by concatenating per-trial sums in
+  offset order and adding per-column totals elementwise, the associations
+  the kernel partition tests pin bit-identical to the serial kernel.
 - **One fault-tolerant pool.**  The workers run on
   :class:`~repro.backend.resilient.ResilientExecutor` with its defaults (no
   deadline, default retries and loss budget).  A killed worker's lost trial
@@ -26,11 +24,11 @@ fan-out is pure engineering:
   ``max_pool_losses``.  Each range passes the chaos harness's ``task``
   checkpoint, so the crash path is tested.
 - **Inner NumPy delegation.**  Every other primitive
-  (:meth:`violation_trials`, :meth:`masked_power_sums`,
+  (:meth:`violation_trials`, :meth:`campaign_verdicts`,
   :meth:`sparse_masked_power_sums`, :meth:`shannon_entropy`, array
   construction, …) delegates to an inner
   :class:`~repro.backend.numpy_backend.NumpyBackend`, and the workers run
-  the NumPy kernels too — the shm backend is a scheduler, not a new
+  the NumPy kernel too — the shm backend is a scheduler, not a new
   numerics implementation, which is what keeps it byte-identical to numpy.
 
 Selection: the backend registers *behind* numpy in auto-detection order, so
@@ -49,10 +47,10 @@ that inherited this instance through ``fork`` also drops the parent's pool
 handle and segment cache on first use (they are corpses there); the parent
 keeps sole ownership of the published segments.
 
-Per-kernel dispatch timings are recorded into
-:data:`repro.backend.timing.KERNEL_TIMINGS` under ``shm_campaign_grid`` and
-``shm_sparse_partials``, so the serve layer's ``/metrics`` endpoint exposes
-the multiprocess path in production.
+Per-call dispatch timings are recorded into
+:data:`repro.backend.timing.KERNEL_TIMINGS` under ``shm_campaign_grid``, so
+the serve layer's ``/metrics`` endpoint exposes the multiprocess path in
+production.
 """
 
 from __future__ import annotations
@@ -65,7 +63,7 @@ import os
 import threading
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from functools import partial
+from functools import partial, reduce
 from typing import List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised indirectly via availability_error()
@@ -90,9 +88,8 @@ from repro.backend.base import (
     SparseExposure,
     SparseGridPartial,
     TrialBatchResult,
-    merge_campaign_grid_batches,
+    add_elementwise,
     split_trial_ranges,
-    validate_grid_arguments,
     validate_sparse_partial_arguments,
 )
 from repro.backend.numpy_backend import NumpyBackend
@@ -176,30 +173,6 @@ def _attach_view(ref: SegmentRef):
     return view
 
 
-def _worker_campaign_grid(
-    exposure_ref: SegmentRef,
-    powers_ref: SegmentRef,
-    points: Tuple[ResolvedGridPoint, ...],
-    trials: int,
-    total_power: float,
-    trial_offset: int,
-) -> Tuple[GridPointResult, ...]:
-    """One trial range of :meth:`campaign_grid` over the shared views."""
-    # Imported here: repro.testing.chaos imports repro.backend.base, so a
-    # module-level import would close an import cycle.
-    from repro.testing.chaos import chaos_checkpoint
-
-    chaos_checkpoint("task", key=f"shm_campaign_grid:{trial_offset}+{trials}")
-    return _worker_numpy().campaign_grid(
-        _attach_view(exposure_ref),
-        _attach_view(powers_ref),
-        points,
-        trials=trials,
-        total_power=total_power,
-        trial_offset=trial_offset,
-    )
-
-
 def _worker_sparse_partials(
     indptr_ref: SegmentRef,
     indices_ref: SegmentRef,
@@ -212,15 +185,17 @@ def _worker_sparse_partials(
     row_offset: int,
     total_rows: int,
 ):
-    """One trial range of :meth:`sparse_grid_partials`, as plain tuples.
+    """One trial range of :meth:`sparse_grid_partials` over the shared views.
 
     The CSR structure is rebuilt from shared views with the validation flag
     pre-set: the parent already validated the structure once, and the
     O(nnz) scalar re-validation would dwarf the kernel at 10⁷ replicas.
     """
+    # Imported here: repro.testing.chaos imports repro.backend.base, so a
+    # module-level import would close an import cycle.
     from repro.testing.chaos import chaos_checkpoint
 
-    chaos_checkpoint("task", key=f"shm_sparse_partials:{trial_offset}+{trials}")
+    chaos_checkpoint("task", key=f"shm_campaign_grid:{trial_offset}+{trials}")
     sparse = SparseExposure(
         indptr=_attach_view(indptr_ref),
         indices=_attach_view(indices_ref),
@@ -229,17 +204,13 @@ def _worker_sparse_partials(
         disclosed_at=disclosed,
     )
     object.__setattr__(sparse, "_validated", True)
-    partials = _worker_numpy().sparse_grid_partials(
+    return _worker_numpy().sparse_grid_partials(
         sparse,
         points,
         trials=trials,
         trial_offset=trial_offset,
         row_offset=row_offset,
         total_rows=total_rows,
-    )
-    return tuple(
-        (partial.per_trial_compromised, partial.per_vulnerability_totals)
-        for partial in partials
     )
 
 
@@ -503,13 +474,6 @@ class ShmBackend(ComputeBackend):
             tolerance=tolerance,
         )
 
-    def masked_power_sums(
-        self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
-    ) -> Tuple[float, ...]:
-        return self._inner.masked_power_sums(exposure, powers)
-
     def shannon_entropy(
         self, probabilities: Sequence[float], *, base: float = 2.0
     ) -> float:
@@ -518,66 +482,22 @@ class ShmBackend(ComputeBackend):
     def asarray(self, values: Sequence[float]) -> Sequence[float]:
         return self._inner.asarray(values)
 
-    def asarray_matrix(
-        self, rows: Sequence[Sequence[float]]
-    ) -> Sequence[Sequence[float]]:
-        return self._inner.asarray_matrix(rows)
-
     def sparse_masked_power_sums(self, sparse: SparseExposure) -> Tuple[float, ...]:
         return self._inner.sparse_masked_power_sums(sparse)
 
-    # -- campaign kernels ------------------------------------------------------
-
-    def campaign_grid(
+    def campaign_verdicts(
         self,
-        exposure: Sequence[Sequence[float]],
-        powers: Sequence[float],
+        partials: Sequence[SparseGridPartial],
         points: Sequence[ResolvedGridPoint],
         *,
         trials: int,
         total_power: float,
-        trial_offset: int = 0,
     ) -> Tuple[GridPointResult, ...]:
-        validate_grid_arguments(
-            exposure,
-            powers,
-            points,
-            trials=trials,
-            total_power=total_power,
-            trial_offset=trial_offset,
+        return self._inner.campaign_verdicts(
+            partials, points, trials=trials, total_power=total_power
         )
-        staged_points = tuple(points)
-        workers = self._dispatch_workers(
-            trials * len(powers) * sum(len(point.columns) for point in staged_points)
-        )
-        with timed_kernel("shm_campaign_grid", trials=trials * len(staged_points)):
-            if workers <= 1:
-                return self._inner.campaign_grid(
-                    exposure,
-                    powers,
-                    staged_points,
-                    trials=trials,
-                    total_power=total_power,
-                    trial_offset=trial_offset,
-                )
-            exposure_ref = self._publish(exposure, "float64")
-            powers_ref = self._publish(powers, "float64")
-            pool = self._ensure_pool(workers)
-            futures = [
-                pool.submit(
-                    _worker_campaign_grid,
-                    exposure_ref,
-                    powers_ref,
-                    staged_points,
-                    count,
-                    total_power,
-                    trial_offset + offset,
-                )
-                for offset, count in split_trial_ranges(trials, workers)
-            ]
-            return merge_campaign_grid_batches(
-                [future.result() for future in futures]
-            )
+
+    # -- campaign kernel -------------------------------------------------------
 
     def sparse_grid_partials(
         self,
@@ -599,7 +519,7 @@ class ShmBackend(ComputeBackend):
         )
         staged_points = tuple(points)
         workers = self._dispatch_workers(trials * sparse.nnz)
-        with timed_kernel("shm_sparse_partials", trials=trials * len(staged_points)):
+        with timed_kernel("shm_campaign_grid", trials=trials * len(staged_points)):
             if workers <= 1:
                 return self._inner.sparse_grid_partials(
                     sparse,
@@ -638,28 +558,24 @@ class ShmBackend(ComputeBackend):
     @staticmethod
     def _merge_sparse_ranges(
         points: Tuple[ResolvedGridPoint, ...],
-        payloads: Sequence[Sequence[Tuple[Tuple[float, ...], Tuple[float, ...]]]],
+        payloads: Sequence[Sequence[SparseGridPartial]],
     ) -> Tuple[SparseGridPartial, ...]:
         """Merge trial-range partials back into full-range partials.
 
         ``per_trial_compromised`` concatenates in offset order (each trial's
         value comes from exactly one range — exact); the per-column totals
-        sum in offset order, the association the serial kernel's own trial
-        batching uses (dyadic-power caveat, like every existing merge seam).
+        add elementwise in offset order (exact for dyadic powers, like every
+        merge seam).
         """
-        merged = []
-        for position, point in enumerate(points):
-            per_trial: List[float] = []
-            per_vulnerability = [0.0] * len(point.columns)
-            for payload in payloads:
-                range_trials, range_totals = payload[position]
-                per_trial.extend(range_trials)
-                for column, value in enumerate(range_totals):
-                    per_vulnerability[column] += value
-            merged.append(
-                SparseGridPartial(
-                    per_trial_compromised=tuple(per_trial),
-                    per_vulnerability_totals=tuple(per_vulnerability),
-                )
+        return tuple(
+            SparseGridPartial(
+                per_trial_compromised=_np.concatenate(
+                    [payload[position].per_trial_compromised for payload in payloads]
+                ),
+                per_vulnerability_totals=reduce(
+                    add_elementwise,
+                    [payload[position].per_vulnerability_totals for payload in payloads],
+                ),
             )
-        return tuple(merged)
+            for position in range(len(points))
+        )

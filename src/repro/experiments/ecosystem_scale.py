@@ -6,7 +6,7 @@ replica count itself is a first-order knob.  This experiment sweeps it: each
 scale point streams an ecosystem population straight into a sparse CSR
 matrix (:func:`repro.faults.scenarios.sparse_ecosystem_matrix`; the
 population is never materialized) and runs worst-case campaigns through the
-row-chunked :class:`~repro.faults.engine.GridCampaignEngine` sparse path,
+row-chunked :class:`~repro.faults.engine.GridCampaignEngine`,
 judging the BFT (1/3) and majority (1/2) tolerances on shared draws.
 
 Expected shape: concentration of measure.  The dominant-component compromise
@@ -21,10 +21,10 @@ the replica count climbs.
 The default sizes cover the small end of the 10³→10⁶ sweep so the golden
 stays cheap; any size can be requested via params (the spec is cached,
 sharded and servable like every other experiment), and CI's scale-smoke job
-runs it at 10⁶ and 10⁷ replicas against its memory ceilings.  The sparse
-kernels draw from the same counter-based RNG stream as the dense ones, so
-the numbers are identical on every compute backend and to a dense engine
-run at overlapping scales.
+runs it at 10⁶ and 10⁷ replicas against its memory ceilings.  Every matrix,
+sparse- or dense-built, runs on the one CSR kernel and its counter-based RNG
+stream, so the numbers are identical on every compute backend and to a
+dense-built matrix at overlapping scales.
 """
 
 from __future__ import annotations

@@ -93,8 +93,9 @@ def _pool_execute(
 
     chaos_checkpoint("task", key=experiment_id)
     spec = registry.get_spec(experiment_id)
-    params = spec.params_from_dict(params_doc) if spec.params_type is not None else None
-    return execute_spec(spec, params, backend=backend).to_dict()
+    return execute_spec(
+        spec, spec.params_from_dict(params_doc), backend=backend
+    ).to_dict()
 
 
 def run_experiments(

@@ -31,8 +31,9 @@ class ExperimentSpec:
         build: ``params -> ResultPayload`` — the structured experiment body.
         render: ``ExperimentResult -> str`` — reproduces the classic stdout
             report from the structured result (no trailing newline).
-        params_type: frozen dataclass of JSON-scalar parameters; ``None``
-            means the experiment takes no parameters.
+        params_type: frozen dataclass of the experiment's parameters: JSON
+            scalars (``int``, ``float``, ``bool``, ``str``, optionally
+            ``None``) and tuples of them.
         tags: free-form labels for ``--tag`` filtering.
         seed: the experiment's default base seed (``None`` when fully
             deterministic).
@@ -45,21 +46,19 @@ class ExperimentSpec:
     title: str
     build: Callable[[Any], ResultPayload]
     render: Callable[[ExperimentResult], str]
-    params_type: Optional[type] = None
+    params_type: type
     tags: Tuple[str, ...] = ()
     seed: Optional[int] = None
     backend_sensitive: bool = False
 
     def default_params(self) -> Any:
-        """A fresh instance of the parameter dataclass (or ``None``)."""
-        return self.params_type() if self.params_type is not None else None
+        """A fresh instance of the parameter dataclass."""
+        return self.params_type()
 
     def params_dict(self, params: Any = None) -> Dict[str, Any]:
         """``params`` (defaulting to :meth:`default_params`) as a JSON-safe dict."""
         if params is None:
             params = self.default_params()
-        if params is None:
-            return {}
         if not is_dataclass(params):
             raise OrchestrationError(
                 f"{self.experiment_id} params must be a dataclass, got {type(params).__name__}"
@@ -68,8 +67,6 @@ class ExperimentSpec:
 
     def params_from_dict(self, document: Dict[str, Any]) -> Any:
         """Rebuild a params instance from :meth:`params_dict` output."""
-        if self.params_type is None:
-            return None
         try:
             return self.params_type(**document)
         except TypeError as error:

@@ -104,8 +104,8 @@ def _campaign_schedule(population: ReplicaPopulation) -> Tuple[FaultSchedule, in
     """Exploit the single most damaging vulnerability against ``population``.
 
     Target selection and fault-domain resolution run over the campaign's
-    array-backed :class:`~repro.faults.matrix.PopulationMatrix` (one masked
-    matrix–vector reduction on the compute backend); with the catalog's
+    array-backed :class:`~repro.faults.matrix.PopulationMatrix` (one
+    exposed-power reduction on the compute backend); with the catalog's
     deterministic exploits the outcome is identical to the scalar model.
     """
     catalog = VulnerabilityCatalog.for_population(population)

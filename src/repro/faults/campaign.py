@@ -208,7 +208,7 @@ class ExploitCampaign:
         """Exploit the ``max_vulnerabilities`` most damaging vulnerabilities.
 
         The attacker greedily picks vulnerabilities by exposed power (one
-        masked matrix–vector reduction), which is optimal when fault domains
+        reduction over the CSR exposure), which is optimal when fault domains
         are disjoint and a good (and conventional) heuristic otherwise.
         """
         if max_vulnerabilities <= 0:

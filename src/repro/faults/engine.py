@@ -10,7 +10,7 @@ compromised fractions and mean per-vulnerability compromised power
 (``f_t^i``).
 
 All campaign work takes one path through the engine, whether it is one
-campaign or a grid, dense or sparse:
+campaign or a grid, and whatever layout the matrix was built with:
 
 1. :meth:`GridCampaignEngine._plan_grid` validates the requests and picks
    each point's targets (worst-case targets through
@@ -18,11 +18,13 @@ campaign or a grid, dense or sparse:
 2. :func:`_resolve_plan_points` turns the exploitable points into
    :class:`~repro.backend.base.ResolvedGridPoint` (explicit columns,
    probabilities and seed);
-3. :func:`_run_points` hands them to the layout's kernel —
-   ``campaign_grid`` in trial chunks on a dense matrix,
-   ``sparse_grid_partials`` in row chunks on a CSR one.  Fanning a call's
-   trial range out over processes is a backend's business (the ``shm``
-   backend's kernel pool), never the engine's;
+3. :func:`_run_points` runs them on the matrix's CSR view through the one
+   kernel, ``sparse_grid_partials``: trial chunks of at most
+   :data:`GRID_CHUNK_TRIAL_POINTS` trials × points, each over
+   ``chunk_rows`` row chunks whose partials merge before the backend takes
+   the verdicts.  Fanning a call's trial range out over processes is a
+   backend's business (the ``shm`` backend's kernel pool), never the
+   engine's;
 4. :meth:`GridCampaignEngine._finalize_grid` reduces the merged kernel
    results to :class:`GridPointEstimate` values.
 
@@ -45,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.backend import get_backend
 from repro.backend.base import (
@@ -53,7 +55,7 @@ from repro.backend.base import (
     ResolvedGridPoint,
     SparseExposure,
     TrialBatchResult,
-    finalize_sparse_point,
+    finalize_sparse_point,  # noqa: F401 - perfbench/workloads.py:56 wraps it by name
     merge_campaign_grid_batches,
     merge_sparse_partials,
 )
@@ -68,27 +70,21 @@ from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.matrix import PopulationMatrix
 
 
-#: Default replica-range chunk for sparse campaigns: the engine never hands a
-#: backend more than this many CSR rows per kernel call, so peak working
-#: memory is bounded by the chunk, not the population.  The sparse stream
-#: contract's global row counter makes chunk boundaries invisible — chunked
-#: results equal unchunked results bit for bit (dyadic-power caveat on the
-#: float totals, exact for every shipped scenario).
+#: Default replica-range chunk: the engine never hands a backend more than
+#: this many CSR rows per kernel call, so peak working memory is bounded by
+#: the chunk, not the population.  The stream contract's global row counter
+#: makes chunk boundaries invisible — chunked results equal unchunked
+#: results bit for bit (dyadic-power caveat on the float totals, exact for
+#: every shipped scenario).
 DEFAULT_CAMPAIGN_CHUNK_ROWS = 1 << 18
 
-#: Default bound on (replicas × selected columns × chunk trials) cells a
-#: single dense kernel call may cover; larger grids split the trial range into
-#: chunks under this cap, invisibly to results (``trial_offset`` pins every
-#: chunk's slice of the counter-based stream).  Peak *memory* is bounded by
-#: the kernels themselves (they stream trials through fixed-size internal
-#: buffers), so the default is generous — the cap mainly keeps a pathological
-#: grid from monopolizing one kernel call, and tests lower it to exercise the
-#: chunk seam.
-DEFAULT_GRID_CHUNK_CELLS = 400_000_000
-
-#: What :func:`_run_points` evaluates: a CSR structure, or a dense
-#: ``(exposure matrix, powers)`` pair in the backend's array representation.
-KernelExposure = Union[SparseExposure, Tuple[Sequence[Sequence[float]], Sequence[float]]]
+#: Bound on trials × grid points per kernel call.  A call returns one
+#: per-trial compromised sum per trial and point (8 bytes each on NumPy, so
+#: 8 MiB at this bound), and every row chunk's sums are held until they
+#: merge; larger grids split the trial range into chunks under the bound,
+#: invisibly to results (``trial_offset`` pins each chunk's slice of the
+#: counter stream).
+GRID_CHUNK_TRIAL_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -225,74 +221,56 @@ def _resolve_plan_points(
 
 def _run_points(
     backend,
-    exposure: KernelExposure,
+    sparse: SparseExposure,
     points: Sequence[ResolvedGridPoint],
     *,
     trials: int,
     total_power: float,
-    chunk_trials: int,
     chunk_rows: int,
 ) -> Tuple[Tuple[GridPointResult, ...], int]:
-    """Evaluate resolved points on the layout's kernel: ``(results, chunks)``.
+    """Evaluate resolved points on the CSR kernel: ``(results, chunks)``.
 
-    A dense ``(matrix, powers)`` exposure splits the trial range into
-    ``chunk_trials`` pieces, ``trial_offset`` pinning each piece's slice of
-    the counter stream.  A CSR exposure splits the rows into ``chunk_rows``
-    ranges (each drawing its slice of the stream via ``row_offset`` and
-    ``total_rows``), merges the partial sums in ascending row order, and only
-    then takes the per-trial verdicts — a trial's compromised fraction couples
-    all rows, so verdicts cannot be taken per chunk.
+    The trial range splits into chunks of at most
+    :data:`GRID_CHUNK_TRIAL_POINTS` trials × points, ``trial_offset``
+    pinning each chunk's slice of the counter stream.  Within a trial
+    chunk the rows split into ``chunk_rows`` ranges (each drawing its slice
+    via ``row_offset`` and ``total_rows``) whose partial sums merge in
+    ascending row order; only then does the backend take the per-trial
+    verdicts — a trial's compromised fraction couples all rows.  ``chunks``
+    counts kernel calls: trial chunks × row chunks.
     """
-    if isinstance(exposure, SparseExposure):
-        total_rows = exposure.replica_count
-        chunks = []
+    total_rows = sparse.replica_count
+    chunk_trials = max(1, GRID_CHUNK_TRIAL_POINTS // len(points))
+    batches, calls = [], 0
+    for offset in range(0, trials, chunk_trials):
+        count = min(chunk_trials, trials - offset)
+        partials = []
         for start in range(0, total_rows, chunk_rows):
             stop = min(start + chunk_rows, total_rows)
             piece = (
-                exposure
-                if stop - start == total_rows
-                else exposure.row_slice(start, stop)
+                sparse if stop - start == total_rows else sparse.row_slice(start, stop)
             )
-            with timed_kernel(
-                "sparse_campaign_partials", trials=trials * len(points)
-            ):
-                chunks.append(
+            with timed_kernel("campaign_grid", trials=count * len(points)):
+                partials.append(
                     backend.sparse_grid_partials(
                         piece,
                         points,
-                        trials=trials,
+                        trials=count,
+                        trial_offset=offset,
                         row_offset=start,
                         total_rows=total_rows,
                     )
                 )
-        merged = merge_sparse_partials(chunks)
-        results = tuple(
-            finalize_sparse_point(
-                partial,
-                trials=trials,
-                columns=point.columns,
-                tolerances=point.tolerances,
+        calls += len(partials)
+        batches.append(
+            backend.campaign_verdicts(
+                merge_sparse_partials(partials),
+                points,
+                trials=count,
                 total_power=total_power,
             )
-            for point, partial in zip(points, merged)
         )
-        return results, len(chunks)
-    matrix, powers = exposure
-    batches = []
-    for offset in range(0, trials, chunk_trials):
-        count = min(chunk_trials, trials - offset)
-        with timed_kernel("campaign_grid", trials=count * len(points)):
-            batches.append(
-                backend.campaign_grid(
-                    matrix,
-                    powers,
-                    points,
-                    trials=count,
-                    total_power=total_power,
-                    trial_offset=offset,
-                )
-            )
-    return merge_campaign_grid_batches(batches), len(batches)
+    return merge_campaign_grid_batches(batches), calls
 
 
 class GridCampaignEngine:
@@ -304,11 +282,10 @@ class GridCampaignEngine:
     sub-streams, so each point is bit-identical to running it on its own.
     :meth:`estimate` and :meth:`estimate_worst_case` are one-request grids.
 
-    Dense matrices run trial-chunked: the trial range is split so
-    ``replicas × selected columns × chunk_trials`` stays under
-    ``max_chunk_cells``.  Sparse matrices run row-chunked in ``chunk_rows``
-    replica ranges.  Either way the counter stream makes chunk boundaries
-    invisible to every number.
+    Every matrix runs on its CSR view, trial-chunked under
+    :data:`GRID_CHUNK_TRIAL_POINTS` and row-chunked in ``chunk_rows``
+    replica ranges; the counter stream makes chunk boundaries invisible to
+    every number.
     """
 
     def __init__(
@@ -318,13 +295,8 @@ class GridCampaignEngine:
         *,
         backend: BackendLike = None,
         matrix: Optional[PopulationMatrix] = None,
-        max_chunk_cells: int = DEFAULT_GRID_CHUNK_CELLS,
         chunk_rows: int = DEFAULT_CAMPAIGN_CHUNK_ROWS,
     ) -> None:
-        if max_chunk_cells <= 0:
-            raise FaultModelError(
-                f"chunk cell budget must be positive, got {max_chunk_cells}"
-            )
         if chunk_rows <= 0:
             raise FaultModelError(
                 f"chunk row count must be positive, got {chunk_rows}"
@@ -340,7 +312,6 @@ class GridCampaignEngine:
         self._catalog = catalog
         self._backend = backend
         self._matrix = matrix
-        self._max_chunk_cells = max_chunk_cells
         self._chunk_rows = chunk_rows
         self._last_chunk_count = 0
 
@@ -350,7 +321,6 @@ class GridCampaignEngine:
         matrix: PopulationMatrix,
         *,
         backend: BackendLike = None,
-        max_chunk_cells: int = DEFAULT_GRID_CHUNK_CELLS,
         chunk_rows: int = DEFAULT_CAMPAIGN_CHUNK_ROWS,
     ) -> "GridCampaignEngine":
         """Engine over a pre-built matrix (e.g. a streamed sparse build).
@@ -365,7 +335,6 @@ class GridCampaignEngine:
             None,
             backend=backend,
             matrix=matrix,
-            max_chunk_cells=max_chunk_cells,
             chunk_rows=chunk_rows,
         )
 
@@ -389,10 +358,10 @@ class GridCampaignEngine:
 
     @property
     def last_chunk_count(self) -> int:
-        """How many chunks the most recent :meth:`estimate_grid` used.
+        """How many kernel calls the most recent :meth:`estimate_grid` made.
 
-        Trial-range chunks on the dense path, replica-range chunks on the
-        sparse path — either way the count of kernel passes over the grid.
+        Trial chunks × replica-range chunks: the count of kernel passes over
+        the grid.
         """
         return self._last_chunk_count
 
@@ -487,22 +456,12 @@ class GridCampaignEngine:
         merged: Optional[Tuple[GridPointResult, ...]] = None
         self._last_chunk_count = 0
         if points:
-            backend = get_backend(self._backend)
-            exposure: KernelExposure = (
-                self._matrix.sparse_exposure()
-                if self._matrix.is_sparse
-                else (
-                    self._matrix.exposure_array(backend),
-                    self._matrix.powers_array(backend),
-                )
-            )
             merged, self._last_chunk_count = _run_points(
-                backend,
-                exposure,
+                get_backend(self._backend),
+                self._matrix.sparse_exposure(),
                 points,
                 trials=trials,
                 total_power=self._matrix.total_power,
-                chunk_trials=self._chunk_trials(points),
                 chunk_rows=self._chunk_rows,
             )
         return self._finalize_grid(plans, trials, merged)
@@ -601,12 +560,6 @@ class GridCampaignEngine:
                 )
             )
         return tuple(plans)
-
-    def _chunk_trials(self, points: Sequence[ResolvedGridPoint]) -> int:
-        cells_per_trial = self._matrix.replica_count * sum(
-            len(point.columns) for point in points
-        )
-        return max(1, self._max_chunk_cells // max(1, cells_per_trial))
 
     def _finalize_grid(
         self,

@@ -2,24 +2,23 @@
 
 A :class:`PopulationMatrix` freezes one ``ReplicaPopulation`` +
 ``VulnerabilityCatalog`` pair into the structures the campaign kernels
-consume: a replicas × vulnerabilities exposure matrix (rows in join order,
-columns in catalog insertion order), the per-replica power vector, and the
+consume: a replicas × vulnerabilities exposure (rows in join order, columns
+in catalog insertion order), the per-replica power vector, and the
 per-vulnerability exploit-success probabilities and disclosure times.  It is
 built once per (population, catalog) pair and handed to every campaign — the
-scalar per-replica scans of the original fault model become masked
-matrix–vector reductions on the compute backend
-(:meth:`~repro.backend.base.ComputeBackend.masked_power_sums`,
-:meth:`~repro.backend.base.ComputeBackend.campaign_grid`).
+scalar per-replica scans of the original fault model become reductions on
+the compute backend
+(:meth:`~repro.backend.base.ComputeBackend.sparse_masked_power_sums`,
+:meth:`~repro.backend.base.ComputeBackend.sparse_grid_partials`).
 
-The exposure can be held **dense** (nested 0/1 tuples, the historical
-layout) or **sparse** (a CSR :class:`~repro.backend.base.SparseExposure`).
-``build(..., layout=...)`` picks automatically: real ecosystems expose each
-replica to a handful of components out of many, so beyond a few million
-dense cells — or past ~64k cells at ≤ 12.5% density — the matrix keeps only
-the exposed cells and campaigns route through the sparse kernels.  Both
-layouts produce bit-identical campaign results; everything the dense layout
-additionally materializes (row tuples, per-replica ids) is either available
-on demand or explicitly reported as not materialized.
+Every matrix holds its exposure as a CSR
+:class:`~repro.backend.base.SparseExposure`, the one layout the kernels
+take, whatever ``build(..., layout=...)`` chose.  The layout only decides
+what else is stored: a ``"dense"`` matrix also keeps the nested 0/1 row
+tuples (:meth:`PopulationMatrix.exposure_rows`), a ``"sparse"`` one keeps
+nothing else and may drop the replica ids.  ``"auto"`` keeps every
+shipped scenario dense and goes sparse beyond a few million cells — or past
+~64k cells at ≤ 12.5% density.  Both layouts produce bit-identical results.
 
 The matrix is a *snapshot*: later mutations of the population (join/leave,
 power updates) or catalog (``add``) are not reflected.  Rebuild after
@@ -60,8 +59,47 @@ def _auto_layout(replica_count: int, column_count: int, nnz: int) -> str:
     return "dense"
 
 
+def _validate_dense_inputs(
+    replica_ids: Sequence[str],
+    powers: Sequence[float],
+    vulnerability_ids: Sequence[str],
+    success_probabilities: Sequence[float],
+    disclosed_at: Sequence[float],
+    rows: Sequence[Sequence[float]],
+) -> None:
+    """The hand-built (dense constructor) matrix's shape and value checks.
+
+    Population and catalog already reject duplicate ids at join/add time;
+    re-checking here keeps hand-built matrices honest too.
+    """
+    if len(powers) != len(replica_ids):
+        raise FaultModelError(f"{len(powers)} powers for {len(replica_ids)} replicas")
+    if len(success_probabilities) != len(vulnerability_ids) or len(
+        disclosed_at
+    ) != len(vulnerability_ids):
+        raise FaultModelError(
+            "per-vulnerability vectors must match the vulnerability ids"
+        )
+    if len(rows) != len(replica_ids):
+        raise FaultModelError(
+            f"exposure has {len(rows)} rows for {len(replica_ids)} replicas"
+        )
+    for row in rows:
+        if len(row) != len(vulnerability_ids):
+            raise FaultModelError(
+                f"exposure row has {len(row)} columns for "
+                f"{len(vulnerability_ids)} vulnerabilities"
+            )
+    if len(set(replica_ids)) != len(replica_ids):
+        raise FaultModelError("duplicate replica ids in population matrix")
+    if len(set(vulnerability_ids)) != len(vulnerability_ids):
+        raise FaultModelError("duplicate vulnerability ids in population matrix")
+    if not all(math.isfinite(power) and power >= 0 for power in powers):
+        raise FaultModelError("replica powers must be finite and non-negative")
+
+
 class PopulationMatrix:
-    """Exposure matrix plus power/probability vectors for campaigns."""
+    """CSR exposure plus power/probability vectors for campaigns."""
 
     def __init__(
         self,
@@ -72,60 +110,61 @@ class PopulationMatrix:
         disclosed_at: Sequence[float],
         exposure: Sequence[Sequence[float]],
     ) -> None:
-        self._replica_ids: Optional[Tuple[str, ...]] = tuple(replica_ids)
-        self._powers: Sequence[float] = tuple(float(p) for p in powers)
-        self._exposure: Optional[Tuple[Tuple[float, ...], ...]] = tuple(
-            tuple(1.0 if cell else 0.0 for cell in row) for row in exposure
+        """A dense-layout matrix from a row-major 0/1 exposure matrix."""
+        rows = tuple(tuple(1.0 if cell else 0.0 for cell in row) for row in exposure)
+        _validate_dense_inputs(
+            replica_ids,
+            powers,
+            vulnerability_ids,
+            success_probabilities,
+            disclosed_at,
+            rows,
         )
-        self._sparse: Optional[SparseExposure] = None
-        self._replica_count = len(self._replica_ids)
-        self._init_vulnerabilities(
-            vulnerability_ids, success_probabilities, disclosed_at
-        )
-        self._validate()
-        self._replica_index: Optional[Dict[str, int]] = {
-            replica_id: index for index, replica_id in enumerate(self._replica_ids)
-        }
-        self._finish_init()
-        self._exposed_rows: Optional[Tuple[Tuple[int, ...], ...]] = tuple(
-            tuple(
-                row
-                for row in range(self._replica_count)
-                if self._exposure[row][column]
-            )
-            for column in range(len(self._vulnerability_ids))
+        self._setup(
+            SparseExposure.from_dense(
+                rows, powers, success_probabilities, disclosed_at
+            ),
+            vulnerability_ids,
+            replica_ids,
+            rows,
         )
 
-    # -- construction -------------------------------------------------------------
-
-    def _init_vulnerabilities(
+    def _setup(
         self,
+        sparse: SparseExposure,
         vulnerability_ids: Sequence[str],
-        success_probabilities: Sequence[float],
-        disclosed_at: Sequence[float],
+        replica_ids: Optional[Sequence[str]],
+        exposure: Optional[Tuple[Tuple[float, ...], ...]],
     ) -> None:
+        self._sparse = sparse.validate()
+        self._exposure = exposure
+        self._exposed_rows: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._replica_ids = tuple(replica_ids) if replica_ids is not None else None
+        self._powers = sparse.powers
+        self._replica_count = sparse.replica_count
         self._vulnerability_ids: Tuple[str, ...] = tuple(vulnerability_ids)
         self._success_probabilities: Tuple[float, ...] = tuple(
-            float(p) for p in success_probabilities
+            float(p) for p in sparse.success_probabilities
         )
         self._disclosed_at: Tuple[float, ...] = tuple(
-            float(t) for t in disclosed_at
+            float(t) for t in sparse.disclosed_at
         )
         self._vulnerability_index: Dict[str, int] = {
             vuln_id: index for index, vuln_id in enumerate(self._vulnerability_ids)
         }
-
-    def _finish_init(self) -> None:
+        self._replica_index: Optional[Dict[str, int]] = (
+            {replica_id: index for index, replica_id in enumerate(self._replica_ids)}
+            if self._replica_ids is not None
+            else None
+        )
         # Total power summed sequentially in join order, matching
         # ReplicaPopulation.total_power so outcomes are byte-compatible.
         total = 0.0
         for power in self._powers:
             total += power
         self._total_power = total
-        # Per-backend caches of the kernel-ready arrays and of the full
-        # exposed-power reduction (keyed by backend name; backends are
-        # process-wide singletons so the name identifies the instance).
-        self._array_cache: Dict[Tuple[str, str], object] = {}
+        # Per-backend cache of the full exposed-power reduction (keyed by
+        # backend name; backends are process-wide singletons).
         self._exposed_power_cache: Dict[str, Tuple[float, ...]] = {}
 
     @classmethod
@@ -134,29 +173,10 @@ class PopulationMatrix:
         sparse: SparseExposure,
         vulnerability_ids: Sequence[str],
         replica_ids: Optional[Sequence[str]],
+        exposure: Optional[Tuple[Tuple[float, ...], ...]] = None,
     ) -> "PopulationMatrix":
         self = cls.__new__(cls)
-        self._replica_ids = tuple(replica_ids) if replica_ids is not None else None
-        self._powers = sparse.powers
-        self._exposure = None
-        self._exposed_rows = None
-        self._sparse = sparse.validate()
-        self._replica_count = sparse.replica_count
-        self._init_vulnerabilities(
-            vulnerability_ids,
-            sparse.success_probabilities,
-            sparse.disclosed_at,
-        )
-        self._validate()
-        self._replica_index = (
-            {
-                replica_id: index
-                for index, replica_id in enumerate(self._replica_ids)
-            }
-            if self._replica_ids is not None
-            else None
-        )
-        self._finish_init()
+        self._setup(sparse, vulnerability_ids, replica_ids, exposure)
         return self
 
     @classmethod
@@ -184,9 +204,8 @@ class PopulationMatrix:
         vulnerabilities = catalog.all()
         if not replicas:
             raise FaultModelError("cannot build a matrix for an empty population")
-        # Resolve the exposed columns once; both layouts are derived from the
-        # same per-row index tuples, so build(dense) stays byte-identical to
-        # the historical construction.
+        # Resolve the exposed columns once: the CSR view and, for the dense
+        # layout, the stored 0/1 rows both come from these index tuples.
         components = [v.component for v in vulnerabilities]
         row_columns = [
             tuple(
@@ -199,33 +218,24 @@ class PopulationMatrix:
         if layout == "auto":
             nnz = sum(len(columns) for columns in row_columns)
             layout = _auto_layout(len(replicas), len(vulnerabilities), nnz)
-        vulnerability_ids = [v.vuln_id for v in vulnerabilities]
-        if layout == "sparse":
-            sparse = SparseExposure.from_rows(
+        exposure = None
+        if layout == "dense":
+            exposure = []
+            for columns in row_columns:
+                row = [0.0] * len(vulnerabilities)
+                for column in columns:
+                    row[column] = 1.0
+                exposure.append(tuple(row))
+        return cls._from_sparse(
+            SparseExposure.from_rows(
                 row_columns,
                 (replica.power for replica in replicas),
                 [v.exploit_probability for v in vulnerabilities],
                 [v.disclosed_at for v in vulnerabilities],
-            )
-            return cls._from_sparse(
-                sparse,
-                vulnerability_ids,
-                [replica.replica_id for replica in replicas],
-            )
-        column_count = len(vulnerabilities)
-        exposure = []
-        for columns in row_columns:
-            row = [0.0] * column_count
-            for column in columns:
-                row[column] = 1.0
-            exposure.append(row)
-        return cls(
-            replica_ids=[replica.replica_id for replica in replicas],
-            powers=[replica.power for replica in replicas],
-            vulnerability_ids=vulnerability_ids,
-            success_probabilities=[v.exploit_probability for v in vulnerabilities],
-            disclosed_at=[v.disclosed_at for v in vulnerabilities],
-            exposure=exposure,
+            ),
+            [v.vuln_id for v in vulnerabilities],
+            [replica.replica_id for replica in replicas],
+            tuple(exposure) if exposure is not None else None,
         )
 
     @classmethod
@@ -281,58 +291,16 @@ class PopulationMatrix:
             ),
             disclosed_at=tuple(v.disclosed_at for v in vulnerabilities),
         )
-        sparse.validate()
         return cls._from_sparse(
             sparse, [v.vuln_id for v in vulnerabilities], replica_ids
         )
-
-    def _validate(self) -> None:
-        if len(self._powers) != self._replica_count:
-            raise FaultModelError(
-                f"{len(self._powers)} powers for {self._replica_count} replicas"
-            )
-        if len(self._success_probabilities) != len(self._vulnerability_ids) or len(
-            self._disclosed_at
-        ) != len(self._vulnerability_ids):
-            raise FaultModelError(
-                "per-vulnerability vectors must match the vulnerability ids"
-            )
-        if self._exposure is not None:
-            if len(self._exposure) != self._replica_count:
-                raise FaultModelError(
-                    f"exposure has {len(self._exposure)} rows for "
-                    f"{self._replica_count} replicas"
-                )
-            for row in self._exposure:
-                if len(row) != len(self._vulnerability_ids):
-                    raise FaultModelError(
-                        f"exposure row has {len(row)} columns for "
-                        f"{len(self._vulnerability_ids)} vulnerabilities"
-                    )
-        elif self._sparse is not None and self._sparse.column_count != len(
-            self._vulnerability_ids
-        ):
-            raise FaultModelError(
-                f"sparse exposure has {self._sparse.column_count} columns for "
-                f"{len(self._vulnerability_ids)} vulnerabilities"
-            )
-        # Population and catalog already reject duplicate ids at join/add
-        # time; re-checking here keeps hand-built matrices honest too.
-        if self._replica_ids is not None and len(set(self._replica_ids)) != len(
-            self._replica_ids
-        ):
-            raise FaultModelError("duplicate replica ids in population matrix")
-        if len(set(self._vulnerability_ids)) != len(self._vulnerability_ids):
-            raise FaultModelError("duplicate vulnerability ids in population matrix")
-        if not all(math.isfinite(power) and power >= 0 for power in self._powers):
-            raise FaultModelError("replica powers must be finite and non-negative")
 
     # -- shape and lookups ---------------------------------------------------------
 
     @property
     def is_sparse(self) -> bool:
-        """Whether the exposure is stored CSR (no dense rows materialized)."""
-        return self._sparse is not None
+        """Whether the matrix was built sparse (no dense rows stored)."""
+        return self._exposure is None
 
     @property
     def replica_ids(self) -> Tuple[str, ...]:
@@ -357,7 +325,7 @@ class PopulationMatrix:
 
     @property
     def powers(self) -> Sequence[float]:
-        """Per-replica powers (a tuple when dense, an ``array('d')`` when sparse)."""
+        """Per-replica powers, the CSR view's ``array('d')``."""
         return self._powers
 
     @property
@@ -372,11 +340,7 @@ class PopulationMatrix:
     @property
     def nnz(self) -> int:
         """Number of exposed (replica, vulnerability) cells."""
-        if self._sparse is not None:
-            return self._sparse.nnz
-        return sum(
-            1 for row in self._exposure for cell in row if cell
-        )
+        return self._sparse.nnz
 
     @property
     def density(self) -> float:
@@ -401,31 +365,31 @@ class PopulationMatrix:
         except KeyError:
             raise FaultModelError(f"unknown vulnerability {vuln_id!r}") from None
 
-    def _require_dense(self, what: str) -> None:
-        if self._exposure is None:
-            raise FaultModelError(
-                f"{what} needs the dense exposure, which a sparse-built "
-                "matrix does not materialize; use sparse_exposure() instead"
-            )
-
     def exposed_row_indices(self, vuln_id: str) -> Tuple[int, ...]:
-        """Row indices (join order) of the replicas exposed to ``vuln_id``."""
+        """Row indices (join order) of the replicas exposed to ``vuln_id``.
+
+        The first call transposes the CSR view into per-column row tuples
+        (ascending) in one pass; later calls are lookups.
+        """
+        column = self.vulnerability_index(vuln_id)
         if self._exposed_rows is None:
-            column = self.vulnerability_index(vuln_id)
-            sparse = self._sparse
-            return tuple(
-                row
-                for row in range(sparse.replica_count)
-                for position in range(
-                    sparse.indptr[row], sparse.indptr[row + 1]
-                )
-                if sparse.indices[position] == column
+            rows: Tuple[List[int], ...] = tuple(
+                [] for _ in range(self.vulnerability_count)
             )
-        return self._exposed_rows[self.vulnerability_index(vuln_id)]
+            indptr, indices = self._sparse.indptr, self._sparse.indices
+            for row in range(self._replica_count):
+                for position in range(indptr[row], indptr[row + 1]):
+                    rows[indices[position]].append(row)
+            self._exposed_rows = tuple(tuple(column_rows) for column_rows in rows)
+        return self._exposed_rows[column]
 
     def exposure_rows(self) -> Tuple[Tuple[float, ...], ...]:
-        """The raw 0/1 exposure matrix as nested tuples (row-major)."""
-        self._require_dense("exposure_rows()")
+        """The stored 0/1 exposure matrix as nested tuples (row-major)."""
+        if self._exposure is None:
+            raise FaultModelError(
+                "exposure_rows() needs the dense exposure, which a sparse-built "
+                "matrix does not store; use sparse_exposure() instead"
+            )
         return self._exposure
 
     def is_exploitable_at(self, vuln_id: str, time: Optional[float]) -> bool:
@@ -434,48 +398,8 @@ class PopulationMatrix:
             return True
         return time >= self._disclosed_at[self.vulnerability_index(vuln_id)]
 
-    # -- backend arrays ------------------------------------------------------------
-
-    def exposure_array(self, backend: BackendLike = None):
-        """The exposure matrix in the backend's native representation (cached)."""
-        self._require_dense("exposure_array()")
-        resolved = get_backend(backend)
-        key = ("exposure", resolved.name)
-        cached = self._array_cache.get(key)
-        if cached is None:
-            cached = resolved.asarray_matrix(self._exposure)
-            self._array_cache[key] = cached
-        return cached
-
-    def powers_array(self, backend: BackendLike = None):
-        """The power vector in the backend's native representation (cached)."""
-        resolved = get_backend(backend)
-        key = ("powers", resolved.name)
-        cached = self._array_cache.get(key)
-        if cached is None:
-            cached = resolved.asarray(self._powers)
-            self._array_cache[key] = cached
-        return cached
-
-    # -- sparse views --------------------------------------------------------------
-
     def sparse_exposure(self) -> SparseExposure:
-        """The exposure as a validated CSR structure.
-
-        Free for sparse-built matrices; dense matrices compress on first use
-        (cached) so any matrix can feed the sparse kernels and engines.
-        """
-        if self._sparse is None:
-            cached = self._array_cache.get(("sparse", ""))
-            if cached is None:
-                cached = SparseExposure.from_dense(
-                    self._exposure,
-                    self._powers,
-                    self._success_probabilities,
-                    self._disclosed_at,
-                )
-                self._array_cache[("sparse", "")] = cached
-            return cached
+        """The exposure as a validated CSR structure, the kernels' one layout."""
         return self._sparse
 
     # -- reductions ---------------------------------------------------------------
@@ -488,26 +412,17 @@ class PopulationMatrix:
     ) -> Dict[str, float]:
         """Voting power exposed to each vulnerability (``f_t^i`` upper bounds).
 
-        One masked matrix–vector reduction on the compute backend replaces
-        the per-vulnerability population scans of
-        ``VulnerabilityCatalog.exposure``; when ``time`` is given,
-        vulnerabilities not yet disclosed report 0 (they cannot be
-        exploited), matching the catalog semantics.  Sparse matrices reduce
-        over the CSR cells only.
+        One reduction over the CSR cells on the compute backend replaces the
+        per-vulnerability population scans of
+        ``VulnerabilityCatalog.exposure``; it adds in ascending row order on
+        every backend, so the sums are bit-identical across backends.  When
+        ``time`` is given, vulnerabilities not yet disclosed report 0 (they
+        cannot be exploited), matching the catalog semantics.
         """
         resolved = get_backend(backend)
         sums = self._exposed_power_cache.get(resolved.name)
         if sums is None:
-            if self._sparse is not None:
-                sums = tuple(
-                    resolved.sparse_masked_power_sums(self._sparse)
-                )
-            else:
-                sums = tuple(
-                    resolved.masked_power_sums(
-                        self.exposure_array(resolved), self.powers_array(resolved)
-                    )
-                )
+            sums = tuple(resolved.sparse_masked_power_sums(self._sparse))
             self._exposed_power_cache[resolved.name] = sums
         return {
             vuln_id: (

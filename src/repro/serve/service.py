@@ -125,9 +125,9 @@ def _coerce_value(text: str, annotation: Any, name: str) -> Any:
         return value
     if annotation is str:
         return text
-    raise ServeError(
-        400, f"parameter {name!r} has unsupported type {annotation!r}"
-    )  # pragma: no cover - params dataclasses only use JSON scalars
+    # Tuple-valued params have no query-string syntax (the JSON write path
+    # takes them as arrays).
+    raise ServeError(400, f"parameter {name!r} has unsupported type {annotation!r}")
 
 
 def _coerce_json_value(value: Any, annotation: Any, name: str) -> Any:
@@ -135,7 +135,8 @@ def _coerce_json_value(value: Any, annotation: Any, name: str) -> Any:
 
     The write path receives real JSON types, so unlike the query-string
     coercion this never parses strings — it type-checks (allowing the one
-    lossless widening JSON has, int → float).
+    lossless widening JSON has, int → float).  A ``Tuple[T, ...]`` field
+    takes a JSON array, each element checked against ``T`` by these rules.
     """
     if get_origin(annotation) is Union:
         non_none = [arg for arg in get_args(annotation) if arg is not type(None)]
@@ -162,9 +163,12 @@ def _coerce_json_value(value: Any, annotation: Any, name: str) -> Any:
         if isinstance(value, str):
             return value
         raise ServeError(400, f"parameter {name!r} must be a string, got {value!r}")
-    raise ServeError(
-        400, f"parameter {name!r} has unsupported type {annotation!r}"
-    )  # pragma: no cover - params dataclasses only use JSON scalars
+    element = get_args(annotation)
+    if get_origin(annotation) is tuple and len(element) == 2 and element[1] is Ellipsis:
+        if isinstance(value, list):
+            return tuple(_coerce_json_value(item, element[0], name) for item in value)
+        raise ServeError(400, f"parameter {name!r} must be an array, got {value!r}")
+    raise ServeError(400, f"parameter {name!r} has unsupported type {annotation!r}")
 
 
 class ResultService:
@@ -226,19 +230,18 @@ class ResultService:
         experiments: List[Dict[str, Any]] = []
         for spec in registry.all_specs():
             params_schema: List[Dict[str, Any]] = []
-            if spec.params_type is not None:
-                hints = get_type_hints(spec.params_type)
-                defaults = dataclasses.asdict(spec.default_params())
-                for spec_field in dataclasses.fields(spec.params_type):
-                    label, nullable = _type_label(hints[spec_field.name])
-                    params_schema.append(
-                        {
-                            "name": spec_field.name,
-                            "type": label,
-                            "nullable": nullable,
-                            "default": defaults[spec_field.name],
-                        }
-                    )
+            hints = get_type_hints(spec.params_type)
+            defaults = dataclasses.asdict(spec.default_params())
+            for spec_field in dataclasses.fields(spec.params_type):
+                label, nullable = _type_label(hints[spec_field.name])
+                params_schema.append(
+                    {
+                        "name": spec_field.name,
+                        "type": label,
+                        "nullable": nullable,
+                        "default": defaults[spec_field.name],
+                    }
+                )
             experiments.append(
                 {
                     "id": spec.experiment_id,
@@ -329,14 +332,6 @@ class ResultService:
         self, spec: ExperimentSpec, query: Mapping[str, Sequence[str]]
     ) -> Dict[str, Any]:
         extra = [name for name in query if name not in RESERVED_QUERY_PARAMS]
-        if spec.params_type is None:
-            if extra:
-                raise ServeError(
-                    400,
-                    f"experiment {spec.experiment_id!r} takes no parameters, "
-                    f"got: {', '.join(sorted(extra))}",
-                )
-            return {}
         hints = get_type_hints(spec.params_type)
         known = {spec_field.name for spec_field in dataclasses.fields(spec.params_type)}
         unknown = sorted(set(extra) - known)
@@ -363,14 +358,6 @@ class ResultService:
             raise ServeError(
                 400, f"params for {spec.experiment_id!r} must be an object"
             )
-        if spec.params_type is None:
-            if params:
-                raise ServeError(
-                    400,
-                    f"experiment {spec.experiment_id!r} takes no parameters, "
-                    f"got: {', '.join(sorted(params))}",
-                )
-            return {}
         hints = get_type_hints(spec.params_type)
         known = {spec_field.name for spec_field in dataclasses.fields(spec.params_type)}
         unknown = sorted(set(params) - known)

@@ -24,14 +24,17 @@ from repro.analysis.monte_carlo import (
     estimate_violation_probability,
 )
 from repro.backend import NumpyBackend, available_backends, get_backend
-from repro.backend.base import ResolvedGridPoint
+from repro.backend.base import ResolvedGridPoint, SparseExposure
 from repro.core.distribution import ConfigurationDistribution
-from repro.core.exceptions import BackendError, ReproError
+from repro.core.entropy import shannon_entropy as reference_entropy
+from repro.core.exceptions import BackendError
 from repro.datasets.generators import (
     oligopoly_distribution,
     uniform_distribution,
     zipf_distribution,
 )
+
+from campaign_helpers import run_campaign
 
 needs_numpy = pytest.mark.skipif(
     not NumpyBackend.is_available(), reason="numpy not installed"
@@ -250,8 +253,25 @@ class TestEntropyKernel:
     def test_degenerate_log_base_is_rejected(self, backend):
         kernel = get_backend(backend)
         for base in (1.0, 0.0, -2.0):
-            with pytest.raises(ReproError, match="base must be positive and != 1"):
-                kernel.shannon_entropy([0.5, 0.5], base=base)
+            for probabilities in ([0.5, 0.5], [], [0.0]):
+                with pytest.raises(
+                    BackendError, match="base must be positive and != 1"
+                ):
+                    kernel.shannon_entropy(probabilities, base=base)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_empty_and_all_zero_vectors_have_zero_entropy(self, backend):
+        # The kernel never validates: no positive entry means no term.
+        kernel = get_backend(backend)
+        assert kernel.shannon_entropy([]) == 0.0
+        assert kernel.shannon_entropy([0.0, 0.0]) == 0.0
+
+    def test_python_kernel_keeps_the_reference_bits(self):
+        probabilities = zipf_distribution(100, 1.5).probabilities()
+        for base in (2.0, math.e, 10.0):
+            assert get_backend("python").shannon_entropy(
+                probabilities, base=base
+            ) == reference_entropy(probabilities, base=base)
 
     @needs_numpy
     def test_backends_agree_on_skewed_vector(self):
@@ -288,7 +308,11 @@ class TestWeightedBincount:
 
 
 class TestCampaignKernel:
-    """The campaign kernels share a counter-based RNG: bit-identical results."""
+    """The campaign kernel's counter-based RNG: bit-identical results.
+
+    The dense 0/1 matrix below reaches the kernel through
+    :meth:`SparseExposure.from_dense`.
+    """
 
     EXPOSURE = [
         [1.0, 0.0, 1.0],
@@ -309,9 +333,9 @@ class TestCampaignKernel:
             tolerances=(1 / 3,),
             seed=seed,
         )
-        (result,) = kernel.campaign_grid(
-            kernel.asarray_matrix(self.EXPOSURE),
-            kernel.asarray(self.POWERS),
+        (result,) = run_campaign(
+            kernel,
+            SparseExposure.from_dense(self.EXPOSURE, self.POWERS, probabilities),
             (point,),
             trials=trials,
             total_power=self.TOTAL,
@@ -358,16 +382,20 @@ class TestCampaignKernel:
     @pytest.mark.parametrize("backend", available_backends())
     def test_masked_power_sums(self, backend):
         kernel = get_backend(backend)
-        sums = kernel.masked_power_sums(
-            kernel.asarray_matrix(self.EXPOSURE), kernel.asarray(self.POWERS)
+        sums = kernel.sparse_masked_power_sums(
+            SparseExposure.from_dense(self.EXPOSURE, self.POWERS, (0.5,) * 3)
         )
         assert sums == pytest.approx((7.0, 7.0, 6.5))
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_masked_power_sums_rejects_shape_mismatch(self, backend):
         kernel = get_backend(backend)
-        with pytest.raises(BackendError):
-            kernel.masked_power_sums([[1.0], [1.0]], [5.0])
+        mismatched = SparseExposure(
+            indptr=(0, 1, 2), indices=(0, 0), powers=(5.0,),
+            success_probabilities=(0.5,), disclosed_at=(0.0,),
+        )
+        with pytest.raises(BackendError, match="1 powers for 2 replicas"):
+            kernel.sparse_masked_power_sums(mismatched)
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_campaign_validation(self, backend):
@@ -381,31 +409,22 @@ class TestCampaignKernel:
                 seed=0,
             )
 
+        def run(rows, powers, points, **kwargs):
+            sparse = SparseExposure.from_dense(rows, powers, (0.5,))
+            return run_campaign(kernel, sparse, points, total_power=1.0, **kwargs)
+
+        with pytest.raises(BackendError, match="at least one replica"):
+            run([], [], (point(),), trials=10)
         with pytest.raises(BackendError):
-            kernel.campaign_grid([], [], (point(),), trials=10, total_power=1.0)
+            run([[1.0]], [1.0], (point(1.5),), trials=10)
         with pytest.raises(BackendError):
-            kernel.campaign_grid(
-                [[1.0]], [1.0], (point(1.5),), trials=10, total_power=1.0
-            )
+            run([[1.0]], [1.0], (point(),), trials=0)
         with pytest.raises(BackendError):
-            kernel.campaign_grid([[1.0]], [1.0], (point(),), trials=0, total_power=1.0)
+            run([[1.0]], [1.0], (point(tolerance=0.0),), trials=10)
         with pytest.raises(BackendError):
-            kernel.campaign_grid(
-                [[1.0]], [1.0], (point(tolerance=0.0),), trials=10, total_power=1.0
-            )
-        with pytest.raises(BackendError):
-            kernel.campaign_grid(
-                [[1.0, 0.0]], [1.0, 1.0], (point(),), trials=10, total_power=1.0
-            )
+            run([[1.0, 0.0]], [1.0, 1.0], (point(),), trials=10)
         with pytest.raises(BackendError, match="trial offset"):
-            kernel.campaign_grid(
-                [[1.0]],
-                [1.0],
-                (point(),),
-                trials=10,
-                total_power=1.0,
-                trial_offset=-1,
-            )
+            run([[1.0]], [1.0], (point(),), trials=10, trial_offset=-1)
 
 
 class TestKernelValidation:

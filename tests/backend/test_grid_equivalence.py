@@ -1,17 +1,18 @@
-"""Cross-backend contract tests for the dense ``campaign_grid`` kernel.
+"""Cross-backend contract tests for the campaign kernel's grid points.
 
-The grid kernel's contract has three load-bearing clauses this module pins:
+The grid contract has three load-bearing clauses this module pins:
 
 - every grid point's sub-stream is **bit-identical** to a standalone
-  one-point call on the column-sliced matrix with the point's seed, so the
-  backends (and the fused/looped paths) agree exactly, not just closely;
+  one-point call on the column-sliced exposure with the point's seed, so
+  the backends (and the fused/looped paths) agree exactly, not just
+  closely;
 - ``trial_offset`` makes chunk boundaries invisible — partitioned runs sum
   to the unchunked totals;
-- grid inputs are validated at the seam on every backend, by the one point
-  validator both campaign kernels (dense ``campaign_grid`` and CSR
-  ``sparse_grid_partials``) share: empty grids, duplicate points,
-  out-of-range or NaN parameters are usage errors
+- grid inputs are validated at the seam on every backend: empty grids,
+  duplicate points, out-of-range or NaN parameters are usage errors
   (:class:`~repro.core.exceptions.BackendError`), never silent zeros.
+
+Dense 0/1 inputs reach the kernel through :meth:`SparseExposure.from_dense`.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import math
 import pytest
 
 from repro.backend import NumpyBackend, available_backends, get_backend
-from repro.backend.base import ResolvedGridPoint
+from repro.backend.base import ResolvedGridPoint, SparseExposure
 from repro.core.exceptions import BackendError
 from repro.faults.matrix import PopulationMatrix
 from repro.faults.scenarios import ecosystem_scenario
+
+from campaign_helpers import run_campaign
 
 needs_numpy = pytest.mark.skipif(
     not NumpyBackend.is_available(), reason="numpy not installed"
@@ -34,23 +37,23 @@ TOLERANCES = (1.0 / 3.0, 0.5)
 
 
 def grid_fixture(backend_name):
-    """(backend, matrix, exposure, powers) for one scenario."""
+    """(backend, matrix, CSR exposure packed from its dense rows) for one scenario."""
     scenario = ecosystem_scenario(
         ecosystem="diverse", population_size=32, seed=9, exploit_probability=0.55
     )
     matrix = PopulationMatrix.build(scenario.population, scenario.catalog)
-    backend = get_backend(backend_name)
     return (
-        backend,
+        get_backend(backend_name),
         matrix,
-        backend.asarray_matrix(matrix.exposure_rows()),
-        backend.asarray(matrix.powers),
+        SparseExposure.from_dense(
+            matrix.exposure_rows(), matrix.powers, matrix.success_probabilities
+        ),
     )
 
 
 def point(columns, *, probability=None, tolerances=TOLERANCES, seed=3):
     """A resolved point over ``columns`` (matrix probabilities by default)."""
-    _, matrix, _, _ = grid_fixture("python")
+    _, matrix, _ = grid_fixture("python")
     probabilities = (
         (probability,) * len(columns)
         if probability is not None
@@ -65,10 +68,10 @@ def point(columns, *, probability=None, tolerances=TOLERANCES, seed=3):
 
 
 def run_grid(backend_name, points, *, trials=60, trial_offset=0):
-    backend, matrix, exposure, powers = grid_fixture(backend_name)
-    return backend.campaign_grid(
-        exposure,
-        powers,
+    backend, matrix, sparse = grid_fixture(backend_name)
+    return run_campaign(
+        backend,
+        sparse,
         points,
         trials=trials,
         total_power=matrix.total_power,
@@ -77,12 +80,16 @@ def run_grid(backend_name, points, *, trials=60, trial_offset=0):
 
 
 def run_kernel(kernel, backend_name, points, *, trials=60, trial_offset=0):
-    """Run ``points`` through the dense or the sparse campaign kernel."""
-    if kernel == "dense":
-        return run_grid(backend_name, points, trials=trials, trial_offset=trial_offset)
-    backend, matrix, _, _ = grid_fixture(backend_name)
+    """Run ``points`` through the campaign kernel alone (no verdicts).
+
+    ``kernel`` picks the CSR the kernel reads: ``"dense"`` packs the
+    matrix's dense rows through ``from_dense``, ``"sparse"`` is the view the
+    matrix's build packed itself.
+    """
+    backend, matrix, packed = grid_fixture(backend_name)
+    sparse = packed if kernel == "dense" else matrix.sparse_exposure()
     return backend.sparse_grid_partials(
-        matrix.sparse_exposure(), points, trials=trials, trial_offset=trial_offset
+        sparse, points, trials=trials, trial_offset=trial_offset
     )
 
 
@@ -94,21 +101,23 @@ class TestGridPointSubStreams:
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_explicit_column_points_match_sliced_campaigns(self, backend_name):
-        backend, matrix, exposure, powers = grid_fixture(backend_name)
+        backend, matrix, sparse = grid_fixture(backend_name)
         points = (point((0, 2, 5), seed=7), point((1,), seed=11))
-        results = backend.campaign_grid(
-            exposure, powers, points, trials=80, total_power=matrix.total_power
+        results = run_campaign(
+            backend, sparse, points, trials=80, total_power=matrix.total_power
         )
         for grid_point, result in zip(points, results):
-            sliced = backend.asarray_matrix(
+            sliced = SparseExposure.from_dense(
                 tuple(
                     tuple(row[column] for column in grid_point.columns)
                     for row in matrix.exposure_rows()
-                )
+                ),
+                matrix.powers,
+                grid_point.probabilities,
             )
-            (reference,) = backend.campaign_grid(
+            (reference,) = run_campaign(
+                backend,
                 sliced,
-                powers,
                 (
                     ResolvedGridPoint(
                         columns=tuple(range(len(grid_point.columns))),
@@ -132,7 +141,7 @@ class TestGridPointSubStreams:
     def test_degenerate_probabilities(self, backend_name):
         # p=0 exploits nothing; p=1 compromises every exposed replica,
         # deterministically, in every trial.
-        _, matrix, _, _ = grid_fixture(backend_name)
+        _, matrix, _ = grid_fixture(backend_name)
         never, always = run_grid(
             backend_name,
             (point((0,), probability=0.0), point((0,), probability=1.0)),
@@ -168,7 +177,8 @@ class TestGridPointSubStreams:
 
 
 class TestGridValidation:
-    """Both kernels validate points at the seam, identically on every backend."""
+    """The kernel validates points at the seam, identically on every backend
+    and whichever way its CSR was packed."""
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("backend_name", available_backends())
@@ -223,52 +233,41 @@ class TestGridValidation:
     @pytest.mark.parametrize(
         "rows, powers, message",
         [
-            (((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0, 1.0), "2 rows for 3 replicas"),
+            (((1.0, 0.0), (0.0, 1.0)), (1.0, 1.0, 1.0), "3 powers for 2 replicas"),
             (((), ()), (1.0, 1.0), "at least one vulnerability"),
         ],
     )
     def test_malformed_exposure_is_rejected(self, backend_name, rows, powers, message):
         backend = get_backend(backend_name)
+        probabilities = (0.5,) * len(rows[0])
         with pytest.raises(BackendError, match=message):
-            backend.campaign_grid(
-                backend.asarray_matrix(rows),
-                backend.asarray(powers),
+            run_campaign(
+                backend,
+                SparseExposure.from_dense(rows, powers, probabilities),
                 (point((0,)),),
                 trials=5,
                 total_power=2.0,
             )
 
-    def test_ragged_exposure_is_rejected(self):
-        backend = get_backend("python")
-        with pytest.raises(BackendError, match="1 columns for 2 vulnerabilities"):
-            backend.campaign_grid(
-                ((1.0, 0.0), (1.0,)), (1.0, 1.0), (point((0,)),), trials=5, total_power=2.0
-            )
-
-    @needs_numpy
-    def test_numpy_matrix_must_be_two_dimensional(self):
-        with pytest.raises(BackendError, match="2-D matrix, got 1 dimension"):
-            get_backend("numpy").asarray_matrix((1.0, 0.0))
-
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_bad_powers_and_totals_are_rejected(self, backend_name):
         backend = get_backend(backend_name)
-        exposure = backend.asarray_matrix(((1.0, 0.0), (0.0, 1.0)))
+        exposure = ((1.0, 0.0), (0.0, 1.0))
         points = (point((0,)),)
         for bad_power in (-1.0, math.nan, math.inf):
             with pytest.raises(BackendError, match="finite and non-negative"):
-                backend.campaign_grid(
-                    exposure,
-                    backend.asarray((1.0, bad_power)),
+                run_campaign(
+                    backend,
+                    SparseExposure.from_dense(exposure, (1.0, bad_power), (0.5, 0.5)),
                     points,
                     trials=5,
                     total_power=2.0,
                 )
         for bad_total in (math.nan, math.inf, 0.0):
             with pytest.raises(BackendError, match="positive and finite"):
-                backend.campaign_grid(
-                    exposure,
-                    backend.asarray((1.0, 1.0)),
+                run_campaign(
+                    backend,
+                    SparseExposure.from_dense(exposure, (1.0, 1.0), (0.5, 0.5)),
                     points,
                     trials=5,
                     total_power=bad_total,

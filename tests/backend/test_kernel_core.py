@@ -1,8 +1,8 @@
 """Edge tests for the NumPy campaign core's folded compare and blocking.
 
-The NumPy campaign kernels compare the raw splitmix64 hash against an
+The NumPy campaign kernel compares the raw splitmix64 hash against an
 inclusive integer limit (the ``>> 11`` draw shift folded into the bound)
-and stream cells through fixed-size blocks.  Both must be invisible:
+and streams cells through fixed-size blocks.  Both must be invisible:
 
 - probabilities at the edges of the compare (0, 2^-53, 1/2, 1 - 2^-53, 1)
   give results bit-identical to the scalar reference, including cells whose
@@ -15,6 +15,8 @@ and stream cells through fixed-size blocks.  Both must be invisible:
 - with powers whose sums round, the core adds in another order than the
   scalar loop: verdicts still match exactly and the sums agree to within
   rounding, at every block size.
+
+Dense 0/1 workloads reach the kernel through :meth:`SparseExposure.from_dense`.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from repro.backend.base import (
     campaign_uniform,
 )
 from repro.backend.shm_backend import WORKERS_ENV_VAR, ShmBackend
+
+from campaign_helpers import plain, run_campaign
 
 EDGE_PROBABILITIES = (0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0)
 DYADIC_POWERS = (0.25, 0.5, 1.0, 2.0, 3.0)
@@ -148,10 +152,10 @@ def resolved_points():
 
 
 def run_grid(backend, workload):
-    exposure, powers, _, total_power = workload
-    return backend.campaign_grid(
-        backend.asarray_matrix(exposure),
-        backend.asarray(powers),
+    exposure, powers, probabilities, total_power = workload
+    return run_campaign(
+        backend,
+        SparseExposure.from_dense(exposure, powers, probabilities),
         grid_points(workload),
         trials=TRIALS,
         total_power=total_power,
@@ -160,7 +164,7 @@ def run_grid(backend, workload):
 
 
 def run_partials(backend, workload):
-    """Full-range partials plus a mid-population row chunk."""
+    """Full-range partials plus a mid-population row chunk, as plain lists."""
     exposure, powers, probabilities, _ = workload
     sparse = SparseExposure.from_dense(exposure, powers, probabilities)
     full = backend.sparse_grid_partials(
@@ -174,7 +178,7 @@ def run_partials(backend, workload):
         row_offset=10,
         total_rows=REPLICAS,
     )
-    return full, chunk
+    return plain(full), plain(chunk)
 
 
 class TestFoldedCompare:
@@ -188,19 +192,13 @@ class TestFoldedCompare:
         outcomes = []
         for name in ("numpy", "python"):
             backend = get_backend(name)
-            grid = backend.campaign_grid(
-                backend.asarray_matrix(((1.0,),)),
-                backend.asarray((2.0,)),
-                (resolved,),
-                trials=1,
-                total_power=2.0,
-            )
+            grid = run_campaign(backend, sparse, (resolved,), trials=1, total_power=2.0)
             partials = backend.sparse_grid_partials(sparse, (resolved,), trials=1)
-            outcomes.append((grid, partials))
+            outcomes.append((grid, plain(partials)))
         assert outcomes[0] == outcomes[1]
-        (grid,), (partial,) = outcomes[0]
+        (grid,), ((per_trial, _),) = outcomes[0]
         assert grid.violations == ((1,) if succeeds else (0,))
-        assert partial.per_trial_compromised == ((2.0,) if succeeds else (0.0,))
+        assert per_trial == ([2.0] if succeeds else [0.0])
 
     def test_edge_probabilities_match_python_on_campaign_grid(self, workload):
         assert run_grid(get_backend("numpy"), workload) == run_grid(
@@ -213,12 +211,12 @@ class TestFoldedCompare:
         )
 
     def test_zero_never_succeeds_and_one_always_does(self, workload):
-        exposure, powers, _, total_power = workload
+        exposure, powers, probabilities, total_power = workload
         backend = get_backend("numpy")
         columns = (0, 1, 2, 7, 11)
-        never, always = backend.campaign_grid(
-            backend.asarray_matrix(exposure),
-            backend.asarray(powers),
+        never, always = run_campaign(
+            backend,
+            SparseExposure.from_dense(exposure, powers, probabilities),
             tuple(
                 ResolvedGridPoint(
                     columns=columns,
@@ -294,10 +292,8 @@ class TestInexactPowerSums:
             assert point.per_vulnerability_totals == pytest.approx(
                 expected.per_vulnerability_totals, rel=SUM_RTOL
             )
-        for partial, expected in zip(full + chunk, reference[1][0] + reference[1][1]):
-            assert partial.per_trial_compromised == pytest.approx(
-                expected.per_trial_compromised, rel=SUM_RTOL
-            )
-            assert partial.per_vulnerability_totals == pytest.approx(
-                expected.per_vulnerability_totals, rel=SUM_RTOL
-            )
+        for (per_trial, per_column), (trial_ref, column_ref) in zip(
+            full + chunk, reference[1][0] + reference[1][1]
+        ):
+            assert per_trial == pytest.approx(trial_ref, rel=SUM_RTOL)
+            assert per_column == pytest.approx(column_ref, rel=SUM_RTOL)

@@ -19,13 +19,15 @@ from repro.backend import (
     registered_backends,
     shm_backend,
 )
-from repro.backend.base import ComputeBackend, ResolvedGridPoint
+from repro.backend.base import ComputeBackend, ResolvedGridPoint, SparseExposure
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.shm_backend import ShmBackend, WORKERS_ENV_VAR
 from repro.backend.timing import KERNEL_TIMINGS
 from repro.core.exceptions import BackendError
 from repro.faults.engine import GridCampaignEngine, GridPointRequest
 from repro.faults.scenarios import ecosystem_scenario, sparse_ecosystem_matrix
+
+from campaign_helpers import plain, run_campaign
 
 pytestmark = pytest.mark.skipif(
     not ShmBackend.is_available(), reason="shm backend unavailable here"
@@ -44,6 +46,7 @@ def pooled(monkeypatch):
 
 @pytest.fixture
 def dense_workload():
+    """(CSR packed from a dense 0/1 matrix, probabilities, total power)."""
     rng = np.random.default_rng(7)
     replicas, vulnerabilities = 29, 8
     exposure = (rng.random((replicas, vulnerabilities)) < 0.4).astype(float)
@@ -51,7 +54,8 @@ def dense_workload():
     probabilities = tuple(
         float(p) for p in rng.random(vulnerabilities) * 0.8 + 0.1
     )
-    return exposure, powers, probabilities, float(sum(powers))
+    sparse = SparseExposure.from_dense(exposure, powers, probabilities)
+    return sparse, probabilities, float(sum(powers))
 
 
 def campaign(probabilities, *, seed=SEED, tolerance=0.5):
@@ -152,13 +156,13 @@ class TestConfiguration:
         backend = ShmBackend()
         assert backend._dispatch_workers(limit - 1) == 1
         assert backend._dispatch_workers(limit) == 2
-        exposure, powers, probabilities, total_power = dense_workload
-        assert TRIALS * len(powers) * len(probabilities) < limit
+        sparse, probabilities, total_power = dense_workload
+        assert TRIALS * sparse.nnz < limit
         kwargs = dict(trials=TRIALS, total_power=total_power)
         points = campaign(probabilities)
-        assert backend.campaign_grid(
-            exposure, powers, points, **kwargs
-        ) == NumpyBackend().campaign_grid(exposure, powers, points, **kwargs)
+        assert run_campaign(backend, sparse, points, **kwargs) == run_campaign(
+            NumpyBackend(), sparse, points, **kwargs
+        )
         assert backend._pool is None
 
     def test_one_worker_always_runs_inline(self, monkeypatch):
@@ -213,36 +217,38 @@ class TestConfiguration:
 
 
 class TestDenseIdentity:
+    """Campaigns over a dense 0/1 matrix, packed by ``SparseExposure.from_dense``."""
+
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_one_point_campaign_matches_numpy(
         self, pooled, monkeypatch, dense_workload, workers
     ):
         monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         kwargs = dict(trials=TRIALS, total_power=total_power)
         points = campaign(probabilities)
-        assert get_backend("shm").campaign_grid(
-            exposure, powers, points, **kwargs
-        ) == NumpyBackend().campaign_grid(exposure, powers, points, **kwargs)
+        assert run_campaign(get_backend("shm"), sparse, points, **kwargs) == run_campaign(
+            NumpyBackend(), sparse, points, **kwargs
+        )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_one_point_campaign_with_offset_matches_numpy(
         self, pooled, monkeypatch, dense_workload, workers
     ):
         monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         kwargs = dict(trials=31, total_power=total_power, trial_offset=17)
         points = campaign(probabilities, tolerance=1.0 / 3.0)
-        assert get_backend("shm").campaign_grid(
-            exposure, powers, points, **kwargs
-        ) == NumpyBackend().campaign_grid(exposure, powers, points, **kwargs)
+        assert run_campaign(get_backend("shm"), sparse, points, **kwargs) == run_campaign(
+            NumpyBackend(), sparse, points, **kwargs
+        )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_campaign_grid_matches_numpy(
         self, pooled, monkeypatch, dense_workload, workers
     ):
         monkeypatch.setenv(WORKERS_ENV_VAR, str(workers))
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         points = (
             ResolvedGridPoint(
                 columns=(5, 0, 2),
@@ -264,9 +270,9 @@ class TestDenseIdentity:
             ),
         )
         kwargs = dict(trials=TRIALS, total_power=total_power)
-        assert get_backend("shm").campaign_grid(
-            exposure, powers, points, **kwargs
-        ) == NumpyBackend().campaign_grid(exposure, powers, points, **kwargs)
+        assert run_campaign(get_backend("shm"), sparse, points, **kwargs) == run_campaign(
+            NumpyBackend(), sparse, points, **kwargs
+        )
 
 
 class TestSparseIdentity:
@@ -305,9 +311,9 @@ class TestSparseIdentity:
             row_offset=0,
             total_rows=sparse.replica_count,
         )
-        assert shm.sparse_grid_partials(
-            sparse, points, **kwargs
-        ) == reference.sparse_grid_partials(sparse, points, **kwargs)
+        assert plain(shm.sparse_grid_partials(sparse, points, **kwargs)) == plain(
+            reference.sparse_grid_partials(sparse, points, **kwargs)
+        )
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_engine_campaigns_match_numpy(
@@ -362,25 +368,25 @@ class TestSparseIdentity:
             row_offset=0,
             total_rows=sparse.replica_count,
         )
-        result = shm.sparse_grid_partials(chunk, points, **kwargs)
-        assert result == reference.sparse_grid_partials(chunk, points, **kwargs)
-        assert all(v == 0.0 for v in result[0].per_trial_compromised)
+        result = plain(shm.sparse_grid_partials(chunk, points, **kwargs))
+        assert result == plain(reference.sparse_grid_partials(chunk, points, **kwargs))
+        assert all(v == 0.0 for v in result[0][0])
 
 
 class TestPoolLifecycle:
     def test_pool_recycles_when_worker_count_changes(
         self, pooled, monkeypatch, dense_workload
     ):
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         shm = get_backend("shm")
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        shm.campaign_grid(
-            exposure, powers, campaign(probabilities), trials=16, total_power=total_power
+        run_campaign(
+            shm, sparse, campaign(probabilities), trials=16, total_power=total_power
         )
         assert shm._pool_workers == 2
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        shm.campaign_grid(
-            exposure, powers, campaign(probabilities), trials=16, total_power=total_power
+        run_campaign(
+            shm, sparse, campaign(probabilities), trials=16, total_power=total_power
         )
         assert shm._pool_workers == 3
 
@@ -388,37 +394,35 @@ class TestPoolLifecycle:
         self, pooled, monkeypatch, dense_workload
     ):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         points = campaign(probabilities, seed=1)
         kwargs = dict(trials=16, total_power=total_power)
         shm = get_backend("shm")
-        shm.campaign_grid(exposure, powers, points, **kwargs)
+        run_campaign(shm, sparse, points, **kwargs)
         assert shm._published
         shm.close()
         assert shm._pool is None
         assert not shm._published
         # The backend must keep working after close (fresh pool, republish).
-        result = shm.campaign_grid(exposure, powers, points, **kwargs)
-        assert result == NumpyBackend().campaign_grid(
-            exposure, powers, points, **kwargs
-        )
+        result = run_campaign(shm, sparse, points, **kwargs)
+        assert result == run_campaign(NumpyBackend(), sparse, points, **kwargs)
 
     def test_publication_is_cached_per_object(
         self, pooled, monkeypatch, dense_workload
     ):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         points = campaign(probabilities, seed=1)
         shm = get_backend("shm")
-        shm.campaign_grid(exposure, powers, points, trials=16, total_power=total_power)
+        run_campaign(shm, sparse, points, trials=16, total_power=total_power)
         segments = {handle.segment.name for _, handle in shm._published.values()}
-        shm.campaign_grid(exposure, powers, points, trials=16, total_power=total_power)
+        run_campaign(shm, sparse, points, trials=16, total_power=total_power)
         assert {
             handle.segment.name for _, handle in shm._published.values()
         } == segments
 
 
-def _campaign_inside_pool_worker(exposure, powers, probabilities, total_power):
+def _campaign_inside_pool_worker(sparse, probabilities, total_power):
     """Run a shm-backed campaign from inside a multiprocessing child.
 
     Module-level so the outer pool can pickle it by reference.  Returns the
@@ -430,9 +434,9 @@ def _campaign_inside_pool_worker(exposure, powers, probabilities, total_power):
 
     backend = get_backend("shm")
     dispatch = backend._dispatch_workers(1 << 30)
-    result = backend.campaign_grid(
-        exposure,
-        powers,
+    result = run_campaign(
+        backend,
+        sparse,
         campaign(probabilities, seed=5),
         trials=24,
         total_power=total_power,
@@ -457,19 +461,18 @@ class TestForkSafety:
         from concurrent.futures import ProcessPoolExecutor
 
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         shm = get_backend("shm")
         points = campaign(probabilities, seed=5)
         kwargs = dict(trials=24, total_power=total_power)
-        shm.campaign_grid(exposure, powers, points, **kwargs)
+        run_campaign(shm, sparse, points, **kwargs)
         assert shm._pool is not None
 
         with ProcessPoolExecutor(max_workers=2) as outer:
             futures = [
                 outer.submit(
                     _campaign_inside_pool_worker,
-                    exposure,
-                    powers,
+                    sparse,
                     probabilities,
                     total_power,
                 )
@@ -479,7 +482,7 @@ class TestForkSafety:
             # test failure instead of a hung suite.
             payloads = [future.result(timeout=120) for future in futures]
 
-        expected = NumpyBackend().campaign_grid(exposure, powers, points, **kwargs)
+        expected = run_campaign(NumpyBackend(), sparse, points, **kwargs)
         for in_child, dispatch, result in payloads:
             assert in_child is True
             assert dispatch == 1
@@ -521,11 +524,11 @@ class TestDelegationAndTiming:
         self, pooled, monkeypatch, dense_workload
     ):
         monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        exposure, powers, probabilities, total_power = dense_workload
+        sparse, probabilities, total_power = dense_workload
         before = KERNEL_TIMINGS.snapshot()
-        get_backend("shm").campaign_grid(
-            exposure,
-            powers,
+        run_campaign(
+            get_backend("shm"),
+            sparse,
             campaign(probabilities, seed=1),
             trials=16,
             total_power=total_power,

@@ -1,16 +1,16 @@
-"""Cross-backend contract tests for the sparse campaign kernels.
+"""Cross-backend contract tests for the CSR campaign kernel.
 
 The sparse plane's load-bearing clauses, pinned here:
 
 - :class:`SparseExposure` packs, validates and slices CSR structure without
   ever densifying;
-- ``sparse_grid_partials`` draws from the **same** counter-based splitmix64
-  stream as the dense ``campaign_grid``, so merged and finalized sparse
-  results are bit-identical to dense ones on every backend (and across
-  backends);
+- ``sparse_grid_partials`` gives bit-identical results whether the CSR came
+  from a sparse build or was packed from dense rows, on every backend (and
+  across backends);
 - the stream counter is global in both the trial and the row dimension:
   trial-range *and* row-range partitions of ``sparse_grid_partials`` merge to
-  the unpartitioned result exactly;
+  the unpartitioned result exactly, with partials held as tuples (python)
+  or arrays (NumPy) alike;
 - malformed structure and arguments are usage errors
   (:class:`~repro.core.exceptions.BackendError`) on both backends, never
   silent zeros.
@@ -35,6 +35,8 @@ from repro.backend.base import (
 from repro.core.exceptions import BackendError
 from repro.faults.matrix import PopulationMatrix
 from repro.faults.scenarios import ecosystem_scenario
+
+from campaign_helpers import plain, run_campaign
 
 TOLERANCES = (1.0 / 3.0, 0.5)
 TRIALS = 64
@@ -76,18 +78,18 @@ def top_point(matrix, count, *, seed=SEED, probability=None):
 
 
 def sparse_results(backend, sparse, points, total_power):
-    """Full-range partials finalized into per-point results."""
-    partials = backend.sparse_grid_partials(sparse, points, trials=TRIALS)
-    return tuple(
-        finalize_sparse_point(
-            partial,
-            trials=TRIALS,
-            columns=point.columns,
-            tolerances=point.tolerances,
-            total_power=total_power,
-        )
-        for point, partial in zip(points, partials)
+    """Full-range partials judged into per-point results."""
+    return run_campaign(backend, sparse, points, trials=TRIALS, total_power=total_power)
+
+
+def sparse_built(matrix):
+    """The CSR view of a ``layout="sparse"`` build of ``matrix``'s scenario."""
+    scenario = ecosystem_scenario(
+        ecosystem="diverse", population_size=40, seed=5, exploit_probability=0.5
     )
+    built = PopulationMatrix.build(scenario.population, scenario.catalog, layout="sparse")
+    assert built.is_sparse and built.vulnerability_ids == matrix.vulnerability_ids
+    return built.sparse_exposure()
 
 
 class TestSparseExposureStructure:
@@ -220,14 +222,11 @@ class TestSparseMatchesDense:
             tolerances=(TOLERANCES[0],),
             seed=SEED,
         )
-        dense = backend.campaign_grid(
-            backend.asarray_matrix(matrix.exposure_rows()),
-            backend.asarray(matrix.powers),
-            (point,),
-            trials=TRIALS,
-            total_power=matrix.total_power,
+        dense = sparse_results(backend, sparse, (point,), matrix.total_power)
+        assert (
+            sparse_results(backend, sparse_built(matrix), (point,), matrix.total_power)
+            == dense
         )
-        assert sparse_results(backend, sparse, (point,), matrix.total_power) == dense
 
     @pytest.mark.parametrize("backend_name", available_backends())
     def test_multi_point_grid_equals_dense(self, backend_name):
@@ -244,14 +243,11 @@ class TestSparseMatchesDense:
             ),
             top_point(matrix, 2, seed=SEED + 2, probability=0.8),
         )
-        dense = backend.campaign_grid(
-            backend.asarray_matrix(matrix.exposure_rows()),
-            backend.asarray(matrix.powers),
-            points,
-            trials=TRIALS,
-            total_power=matrix.total_power,
+        dense = sparse_results(backend, sparse, points, matrix.total_power)
+        assert (
+            sparse_results(backend, sparse_built(matrix), points, matrix.total_power)
+            == dense
         )
-        assert sparse_results(backend, sparse, points, matrix.total_power) == dense
 
     @pytest.mark.skipif(
         len(available_backends()) < 2, reason="needs both backends"
@@ -279,24 +275,25 @@ class TestPartialPartitioning:
             tolerances=TOLERANCES,
             seed=SEED,
         )
-        full = backend.sparse_grid_partials(sparse, (point,), trials=TRIALS)[0]
+        ((full_trials, full_columns),) = plain(
+            backend.sparse_grid_partials(sparse, (point,), trials=TRIALS)
+        )
         # Trial-range partitions concatenate (each chunk covers disjoint
         # trials); the global trial counter makes the pieces line up exactly.
         chunks = [
-            backend.sparse_grid_partials(
-                sparse, (point,), trials=count, trial_offset=offset
+            plain(
+                backend.sparse_grid_partials(
+                    sparse, (point,), trials=count, trial_offset=offset
+                )
             )[0]
             for offset, count in ((0, 20), (20, 30), (50, TRIALS - 50))
         ]
-        concatenated = tuple(
-            value for chunk in chunks for value in chunk.per_trial_compromised
-        )
-        assert concatenated == full.per_trial_compromised
+        assert [value for per_trial, _ in chunks for value in per_trial] == full_trials
         summed = [0.0] * sparse.column_count
-        for chunk in chunks:
-            for column, value in enumerate(chunk.per_vulnerability_totals):
+        for _, per_column in chunks:
+            for column, value in enumerate(per_column):
                 summed[column] += value
-        assert tuple(summed) == full.per_vulnerability_totals
+        assert summed == full_columns
 
     @pytest.mark.parametrize("backend_name", available_backends())
     @pytest.mark.parametrize("step", [1, 7, 16, 39])
@@ -320,22 +317,11 @@ class TestPartialPartitioning:
             for start in range(0, sparse.replica_count, step)
         ]
         merged = merge_sparse_partials(chunks)
-        assert merged == full
-        finalized = finalize_sparse_point(
-            merged[0],
-            trials=TRIALS,
-            columns=point.columns,
-            tolerances=point.tolerances,
-            total_power=matrix.total_power,
-        )
-        reference = finalize_sparse_point(
-            full[0],
-            trials=TRIALS,
-            columns=point.columns,
-            tolerances=point.tolerances,
-            total_power=matrix.total_power,
-        )
-        assert finalized == reference
+        assert plain(merged) == plain(full)
+        verdicts = dict(trials=TRIALS, total_power=matrix.total_power)
+        assert backend.campaign_verdicts(
+            merged, (point,), **verdicts
+        ) == backend.campaign_verdicts(full, (point,), **verdicts)
 
     def test_merging_zero_chunks_is_an_error(self):
         with pytest.raises(BackendError, match="zero sparse partial chunks"):

@@ -1,10 +1,10 @@
 """Tests for the trial-range partition helpers of the backend seam.
 
-The campaign kernels are counter-based, so a trial range can be cut
+The campaign kernel is counter-based, so a trial range can be cut
 anywhere: ``split_trial_ranges`` partitions it, each range runs with its
-``trial_offset``, and ``merge_campaign_grid_batches`` sums the dense ranges
-back into the unsplit result, bit for bit.  The sparse kernel's trial
-ranges are pinned by ``test_sparse_equivalence.py``
+``trial_offset``, and ``merge_campaign_grid_batches`` sums the judged
+ranges back into the unsplit result, bit for bit.  The kernel's unjudged
+trial-range partials are pinned by ``test_sparse_equivalence.py``
 (``TestPartialPartitioning.test_trial_ranges_merge_to_the_serial_run``).
 """
 
@@ -16,12 +16,15 @@ from repro.backend import available_backends, get_backend
 from repro.backend.base import (
     GridPointResult,
     ResolvedGridPoint,
+    SparseExposure,
     merge_campaign_grid_batches,
     split_trial_ranges,
 )
 from repro.core.exceptions import FaultModelError
 from repro.faults.matrix import PopulationMatrix
 from repro.faults.scenarios import ecosystem_scenario
+
+from campaign_helpers import run_campaign
 
 TRIALS = 400
 SEED = 3
@@ -127,15 +130,16 @@ class TestDenseTrialRanges:
     @pytest.mark.parametrize("points", [ONE_POINT, MULTI_POINT], ids=["one", "multi"])
     def test_offset_ranges_merge_to_the_unsplit_grid(self, backend_name, shards, points):
         backend = get_backend(backend_name)
-        exposure = backend.asarray_matrix(MATRIX.exposure_rows())
-        powers = backend.asarray(MATRIX.powers)
-        whole = backend.campaign_grid(
-            exposure, powers, points, trials=TRIALS, total_power=MATRIX.total_power
+        sparse = SparseExposure.from_dense(
+            MATRIX.exposure_rows(), MATRIX.powers, MATRIX.success_probabilities
+        )
+        whole = run_campaign(
+            backend, sparse, points, trials=TRIALS, total_power=MATRIX.total_power
         )
         batches = [
-            backend.campaign_grid(
-                exposure,
-                powers,
+            run_campaign(
+                backend,
+                sparse,
                 points,
                 trials=count,
                 total_power=MATRIX.total_power,

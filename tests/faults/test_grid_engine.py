@@ -5,8 +5,8 @@ Four guarantees carry the re-plumbed sweep experiments:
 - every grid point is **bit-identical** to the looped
   :class:`BatchCampaignEngine` calls it replaced (same seeds, same
   selection, same verdicts);
-- trial chunking is invisible: a run split into many kernel chunks equals
-  the single-chunk run exactly, including at the acceptance scale of
+- chunking is invisible: a run split into many trial and row chunks
+  equals the single-call run exactly, including at the acceptance scale of
   10\N{SUPERSCRIPT FIVE} trials × 100 grid points;
 - trial ranges split over the shm backend's pool workers reproduce the
   in-process estimates;
@@ -26,6 +26,7 @@ from repro.backend.timing import KERNEL_TIMINGS
 from repro.core.exceptions import FaultModelError
 from repro.core.resilience import ProtocolFamily, tolerated_fault_fraction
 from repro.faults.catalog import VulnerabilityCatalog
+from repro.faults import engine as engine_module
 from repro.faults.engine import (
     BatchCampaignEngine,
     GridCampaignEngine,
@@ -182,19 +183,23 @@ class TestChunking:
     """Chunk boundaries are invisible to every reported number."""
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_tiny_chunks_equal_single_chunk(self, scenario, backend):
+    def test_tiny_chunks_equal_single_chunk(self, scenario, backend, monkeypatch):
         requests = budget_grid((1, 2, 3), families=FAMILIES)
         whole = grid_engine(scenario, backend)
-        chunked = grid_engine(scenario, backend, max_chunk_cells=2_000)
         expected = whole.estimate_grid(requests, trials=TRIALS, seed=SEED)
+        # 16-trial chunks, each over four row chunks.
+        monkeypatch.setattr(engine_module, "GRID_CHUNK_TRIAL_POINTS", 50)
+        chunked = grid_engine(scenario, backend, chunk_rows=7)
         actual = chunked.estimate_grid(requests, trials=TRIALS, seed=SEED)
         assert whole.last_chunk_count == 1
-        assert chunked.last_chunk_count > 1
+        assert chunked.last_chunk_count == math.ceil(TRIALS / 16) * 4
         assert actual == expected
 
     @needs_numpy
-    def test_acceptance_scale_hundred_points_hundred_thousand_trials(self):
-        """10^5 trials × 100 grid points, chunk count > 1, equals unchunked."""
+    def test_acceptance_scale_hundred_points_hundred_thousand_trials(
+        self, monkeypatch
+    ):
+        """10^5 trials × 100 grid points: the default trial chunks equal one call."""
         scenario = ecosystem_scenario(
             ecosystem="diverse",
             population_size=12,
@@ -211,26 +216,22 @@ class TestChunking:
             for index in range(100)
         )
         trials = 100_000
-        whole = grid_engine(scenario, "numpy")
-        chunked = grid_engine(scenario, "numpy", max_chunk_cells=20_000_000)
-        expected = whole.estimate_grid(requests, trials=trials, seed=SEED)
+        chunked = grid_engine(scenario, "numpy")
         actual = chunked.estimate_grid(requests, trials=trials, seed=SEED)
+        monkeypatch.setattr(engine_module, "GRID_CHUNK_TRIAL_POINTS", trials * 100)
+        whole = grid_engine(scenario, "numpy")
+        expected = whole.estimate_grid(requests, trials=trials, seed=SEED)
         assert whole.last_chunk_count == 1
         assert chunked.last_chunk_count > 1
         assert actual == expected
 
-    def test_chunk_count_follows_the_cell_budget(self, scenario):
+    def test_chunk_count_follows_the_trial_point_budget(self, scenario, monkeypatch):
+        monkeypatch.setattr(engine_module, "GRID_CHUNK_TRIAL_POINTS", 100)
         requests = budget_grid((1, 2), families=FAMILIES)
-        engine = grid_engine(scenario, "python", max_chunk_cells=1_000)
+        engine = grid_engine(scenario, "python")
         engine.estimate_grid(requests, trials=TRIALS, seed=SEED)
-        # Budgets 1 and 2 select three columns over every replica a trial.
-        per_chunk = 1_000 // (engine.matrix.replica_count * 3)
-        assert per_chunk >= 1
-        assert engine.last_chunk_count == math.ceil(TRIALS / per_chunk)
-
-    def test_nonpositive_chunk_budget_rejected(self, scenario):
-        with pytest.raises(FaultModelError, match="chunk cell budget"):
-            grid_engine(scenario, "python", max_chunk_cells=0)
+        # Two points: 50 trials a chunk.
+        assert engine.last_chunk_count == math.ceil(TRIALS / (100 // len(requests)))
 
 
 class TestPooledGrid:

@@ -1,8 +1,9 @@
-"""Tests for the campaign engines' sparse path.
+"""Tests for the campaign engine on sparse-built matrices.
 
-The engines dispatch on ``matrix.is_sparse`` and must be an invisible
-implementation detail: every estimate off a sparse matrix is bit-identical to
-the dense engine's, row chunking (``chunk_rows``) never changes a number, and
+The engine runs every matrix on its CSR view, so the build layout must be an
+invisible implementation detail: every estimate off a sparse-built matrix is
+bit-identical to a dense-built one's, row chunking (``chunk_rows``) never
+changes a number, and
 the shm backend's pooled trial ranges reproduce the serial sparse run exactly
 — the guarantees the ``ecosystem_scale`` experiment stands on.
 """

@@ -7,9 +7,9 @@ Pins the layout seam the sparse plane hangs off:
 - ``from_replica_chunks`` streaming produces the same CSR arrays as a
   ``build(layout="sparse")`` over the materialized population;
 - sparse matrices answer the reductions (``exposed_power``,
-  ``most_damaging``) identically to dense ones, refuse the dense-only
-  accessors with a usage error, and compress dense matrices on demand via
-  ``sparse_exposure()``.
+  ``most_damaging``) identically to dense ones and refuse the dense-only
+  ``exposure_rows()`` with a usage error, while every matrix, dense ones
+  included, carries the CSR view ``sparse_exposure()`` the kernels run on.
 """
 
 from __future__ import annotations
@@ -161,8 +161,6 @@ class TestSparseAccessors:
         )
         with pytest.raises(FaultModelError, match="exposure_rows"):
             sparse.exposure_rows()
-        with pytest.raises(FaultModelError, match="exposure_array"):
-            sparse.exposure_array()
 
     def test_dense_matrix_compresses_on_demand(self):
         dense = PopulationMatrix.build(

@@ -18,8 +18,8 @@ from urllib.parse import parse_qs, unquote, urlsplit
 import pytest
 
 import repro.serve.service as service_module
-from repro.experiments.orchestrator import ResultCache
-from repro.serve.app import MAX_JOB_TASKS, ResultApp
+from repro.experiments.orchestrator import ResultCache, execute_spec, registry
+from repro.serve.app import MAX_JOB_TASKS, ResultApp, json_body
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.http import HttpRequest
 from repro.serve.jobs import JobStore, JobTask
@@ -441,6 +441,49 @@ class TestSubmissionValidation:
                         "experiment": "figure1",
                         "params": {"max_residual_miners": "10"},
                     },
+                )
+            )
+            assert response.status == 400
+
+        with_app(body, tmp_path)
+
+    def test_tuple_params_take_json_arrays(self, tmp_path):
+        """A JSON array fills a ``Tuple[int, ...]`` field, element by element."""
+
+        async def body(app):
+            response = await app.handle(
+                _request(
+                    "POST",
+                    "/jobs",
+                    {
+                        "experiment": "proposition1",
+                        "backend": "python",
+                        "params": {"kappas": [2, 3]},
+                        "wait": True,
+                    },
+                )
+            )
+            assert response.status == 200
+            snapshot = json.loads(response.body)
+            assert snapshot["status"] == "done"
+            result = await app.handle(_request("GET", snapshot["result_path"]))
+            assert result.status == 200
+            return result.body
+
+        spec = registry.get_spec("proposition1")
+        expected = execute_spec(
+            spec, spec.params_type(kappas=(2, 3)), backend="python"
+        ).canonical_dict()
+        assert with_app(body, tmp_path) == json_body(expected)
+
+    @pytest.mark.parametrize("kappas", [[2, "x"], [True], "2,3"])
+    def test_malformed_tuple_params_are_400(self, tmp_path, kappas):
+        async def body(app):
+            response = await app.handle(
+                _request(
+                    "POST",
+                    "/jobs",
+                    {"experiment": "proposition1", "params": {"kappas": kappas}},
                 )
             )
             assert response.status == 400

@@ -114,18 +114,6 @@ class TestPrepare:
             service.prepare("proposition1", {"kappas": ["1,2"]})
         assert excinfo.value.status == 400
 
-    def test_params_on_parameterless_experiment_is_400(self, service):
-        parameterless = [
-            spec.experiment_id
-            for spec in registry.all_specs()
-            if spec.params_type is None
-        ]
-        if not parameterless:
-            pytest.skip("every experiment takes parameters")
-        with pytest.raises(ServeError) as excinfo:
-            service.prepare(parameterless[0], {"x": ["1"]})
-        assert excinfo.value.status == 400
-
     def test_unknown_backend_is_400(self, service):
         with pytest.raises(ServeError) as excinfo:
             service.prepare("figure1", {"backend": ["cuda"]})
