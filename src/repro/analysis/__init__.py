@@ -21,6 +21,7 @@ from repro.analysis.components import (
 from repro.analysis.monte_carlo import (
     SafetyViolationEstimate,
     analytic_single_vulnerability_violation,
+    estimate_violation_probabilities,
     estimate_violation_probability,
     violation_probability_by_entropy,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "component_census",
     "component_entropy_profile",
     "diversification_priority",
+    "estimate_violation_probabilities",
     "estimate_violation_probability",
     "exposure_by_component",
     "format_table",

@@ -80,6 +80,39 @@ def estimate_violation_probability(
             or ``None`` to use :func:`repro.backend.get_backend` resolution
             (default / ``REPRO_BACKEND`` / auto-detect).
     """
+    tolerance = (
+        tolerated_fraction
+        if tolerated_fraction is not None
+        else tolerated_fault_fraction(family)
+    )
+    (estimate,) = estimate_violation_probabilities(
+        census,
+        tolerated_fractions=(tolerance,),
+        vulnerability_probability=vulnerability_probability,
+        exploit_budget=exploit_budget,
+        trials=trials,
+        seed=seed,
+        backend=backend,
+    )
+    return estimate
+
+
+def estimate_violation_probabilities(
+    census: ConfigurationDistribution,
+    *,
+    tolerated_fractions: Sequence[float],
+    vulnerability_probability: float = 0.2,
+    exploit_budget: int = 1,
+    trials: int = 1000,
+    seed: int = 0,
+    backend: BackendLike = None,
+) -> Tuple[SafetyViolationEstimate, ...]:
+    """One :class:`SafetyViolationEstimate` per tolerance, from one census draw.
+
+    Every tolerance judges the same sampled trials, so the estimates equal
+    separate :func:`estimate_violation_probability` calls at the same seed
+    while the census is drawn once.  Arguments are as there.
+    """
     if not 0.0 <= vulnerability_probability <= 1.0:
         raise AnalysisError(
             f"vulnerability probability must be in [0, 1], got {vulnerability_probability}"
@@ -88,13 +121,13 @@ def estimate_violation_probability(
         raise AnalysisError(f"exploit budget must be non-negative, got {exploit_budget}")
     if trials <= 0:
         raise AnalysisError(f"trial count must be positive, got {trials}")
-    tolerance = (
-        tolerated_fraction
-        if tolerated_fraction is not None
-        else tolerated_fault_fraction(family)
-    )
-    if not 0.0 < tolerance <= 1.0:
-        raise AnalysisError(f"tolerated fraction must be in (0, 1], got {tolerance}")
+    if not tolerated_fractions:
+        raise AnalysisError("at least one tolerated fraction is required")
+    for tolerance in tolerated_fractions:
+        if not 0.0 < tolerance <= 1.0:
+            raise AnalysisError(
+                f"tolerated fraction must be in (0, 1], got {tolerance}"
+            )
 
     # Census-mode trials route through the campaign engine's backend seam;
     # the kernel, RNG streams and therefore every number are unchanged.
@@ -104,15 +137,18 @@ def estimate_violation_probability(
         exploit_budget=exploit_budget,
         trials=trials,
         seed=seed,
-        tolerance=tolerance,
+        tolerances=tolerated_fractions,
         backend=backend,
     )
-    return SafetyViolationEstimate(
-        trials=batch.trials,
-        violations=batch.violations,
-        violation_probability=batch.violations / batch.trials,
-        mean_compromised_fraction=batch.compromised_total / batch.trials,
-        tolerated_fraction=tolerance,
+    return tuple(
+        SafetyViolationEstimate(
+            trials=batch.trials,
+            violations=violations,
+            violation_probability=violations / batch.trials,
+            mean_compromised_fraction=batch.compromised_total / batch.trials,
+            tolerated_fraction=tolerance,
+        )
+        for tolerance, violations in zip(tolerated_fractions, batch.violations)
     )
 
 

@@ -32,11 +32,17 @@ The contract every implementation must honor:
   the power sums are bit-identical whenever they are exact (dyadic powers,
   as in every shipped scenario).  The exposure reduction adds in ascending
   row order on every backend, so it is bit-identical for any powers.
+- **One market-choice stream.** :meth:`ComputeBackend.market_choices`
+  draws replica ``index``'s choice in market ``m`` from
+  ``campaign_uniform(seed, index * M + m)`` and turns it into an index with
+  :func:`market_choice`, so sampled populations are identical on every
+  backend and for every chunking of the replica range.
 - **Census mode differs.** :meth:`ComputeBackend.violation_trials` predates
-  that stream: backends draw from their own generators, so its results agree
-  across backends only within Monte-Carlo tolerance, while verdicts derived
-  from exact share arithmetic (e.g. "can a single exploit reach the
-  tolerance") agree exactly.
+  the counter stream: backends draw from their own generators, so its
+  results agree across backends only within Monte-Carlo tolerance, while
+  verdicts derived from exact share arithmetic (e.g. "can a single exploit
+  reach the tolerance") agree exactly.  Each call judges every tolerance it
+  is given on one draw, so a BFT/majority pair costs one census draw.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ import abc
 import array as _stdlib_array
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
@@ -82,19 +89,39 @@ def campaign_uniform(seed: int, index: int) -> float:
     return (z >> 11) * _INV_2_53
 
 
+#: One market as :meth:`ComputeBackend.market_choices` takes it: the shares'
+#: total and their running sums, each added left to right once.
+MarketCumulative = Tuple[float, Sequence[float]]
+
+
+def market_choice(total: float, running: Sequence[float], u: float) -> int:
+    """Index of the market choice at quantile ``u`` in ``[0, 1)``.
+
+    The first choice whose running (unnormalized) share sum exceeds
+    ``u * total``.  The running sums never decrease, so bisecting them finds
+    the index a left-to-right walk would, zero-share entries and ties at
+    ``u * total == running[i]`` included; a target past the last sum
+    (rounding) clamps to the last choice.  This is the scalar reference the
+    array kernels reproduce with ``searchsorted(..., side="right")``.
+    """
+    return min(bisect_right(running, u * total), len(running) - 1)
+
+
 @dataclass(frozen=True)
 class TrialBatchResult:
     """Aggregate outcome of a batch of Monte-Carlo vulnerability trials.
 
     Attributes:
         trials: number of trials simulated.
-        violations: trials in which compromised power reached the tolerance.
+        violations: per tolerance of the call, aligned with its
+            ``tolerances``, the trials in which compromised power reached it;
+            every tolerance judges the same draws.
         compromised_total: sum of compromised power fractions over all trials
             (``compromised_total / trials`` is the mean compromised fraction).
     """
 
     trials: int
-    violations: int
+    violations: Tuple[int, ...]
     compromised_total: float
 
 
@@ -553,7 +580,7 @@ class ComputeBackend(abc.ABC):
         exploit_budget: int,
         trials: int,
         seed: int,
-        tolerance: float,
+        tolerances: Sequence[float],
     ) -> TrialBatchResult:
         """Run ``trials`` independent vulnerability scenarios.
 
@@ -568,8 +595,28 @@ class ComputeBackend(abc.ABC):
                 exploits simultaneously (greedily, largest shares first).
             trials: number of scenarios to sample (positive).
             seed: RNG seed; fixes the backend's stream deterministically.
-            tolerance: compromised-power fraction at which a trial counts as
-                a safety violation.
+            tolerances: compromised-power fractions at which a trial counts
+                as a safety violation; each is judged on the same draws, and
+                ``violations`` is aligned with them.
+        """
+
+    # -- market-choice kernel ---------------------------------------------------
+
+    @abc.abstractmethod
+    def market_choices(
+        self,
+        seed: int,
+        start: int,
+        stop: int,
+        markets: Sequence[MarketCumulative],
+    ) -> Sequence[Tuple[int, ...]]:
+        """Market choice indices of replicas ``start .. stop - 1``, one tuple each.
+
+        Replica ``index`` picks ``market_choice(total_m, running_m, u)`` in
+        market ``m`` with ``u = campaign_uniform(seed, index * M + m)`` and
+        ``M = len(markets)``: a pure function of ``(seed, index)``, so any
+        replica range can be drawn on its own and every backend returns the
+        same choices.
         """
 
     # -- campaign kernel --------------------------------------------------------
@@ -725,7 +772,7 @@ def validate_trial_arguments(
     vulnerability_probability: float,
     exploit_budget: int,
     trials: int,
-    tolerance: float,
+    tolerances: Sequence[float],
 ) -> None:
     """Shared argument validation for :meth:`ComputeBackend.violation_trials`.
 
@@ -744,10 +791,43 @@ def validate_trial_arguments(
         raise BackendError(f"exploit budget must be non-negative, got {exploit_budget}")
     if trials <= 0:
         raise BackendError(f"trial count must be positive, got {trials}")
-    if not 0.0 < tolerance <= 1.0:
-        raise BackendError(f"tolerance must be in (0, 1], got {tolerance}")
+    if len(tolerances) == 0:
+        raise BackendError("violation_trials needs at least one tolerance")
+    for tolerance in tolerances:
+        if not 0.0 < tolerance <= 1.0:  # also rejects NaN
+            raise BackendError(f"tolerance must be in (0, 1], got {tolerance}")
     if any(later > earlier for earlier, later in zip(shares, shares[1:])):
         raise BackendError("shares must be sorted in descending order")
+
+
+def validate_market_choice_arguments(
+    start: int, stop: int, markets: Sequence[MarketCumulative]
+) -> None:
+    """Shared validation for :meth:`ComputeBackend.market_choices`."""
+    from repro.core.exceptions import BackendError
+
+    if not 0 <= start <= stop:
+        raise BackendError(
+            f"replica range [{start}, {stop}) must be non-negative and ordered"
+        )
+    if len(markets) == 0:
+        raise BackendError("market_choices needs at least one market")
+    for total, running in markets:
+        if len(running) == 0:
+            raise BackendError("every market needs at least one choice")
+        if not (math.isfinite(total) and total > 0):
+            raise BackendError(
+                f"a market's share total must be positive and finite, got {total}"
+            )
+        if not (
+            0.0 <= running[0]
+            and all(math.isfinite(value) for value in running)
+            and all(later >= earlier for earlier, later in zip(running, running[1:]))
+        ):
+            raise BackendError(
+                "a market's running share sums must be finite, non-negative "
+                "and non-decreasing"
+            )
 
 
 def validate_sparse_partial_arguments(

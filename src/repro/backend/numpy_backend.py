@@ -1,15 +1,23 @@
 """Vectorized NumPy compute backend.
 
-Two families of kernel live here:
+Three families of kernel live here:
 
 - ``violation_trials`` (census mode) replaces the scalar per-trial loop of
   the Monte-Carlo estimator with one array-batched computation: all
   ``trials × n_configs`` vulnerability indicators are drawn in
   bounded-memory chunks from ``numpy.random.default_rng`` (PCG64) and
-  reduced with a masked top-k sum.  PCG64 is a *different* stream from the
-  pure-Python backend's ``random.Random``, so this one kernel agrees with
-  the fallback statistically, not bit for bit, while staying fully
-  deterministic for a fixed seed on this backend.
+  reduced with a masked top-k sum, and every tolerance of the call is
+  judged on those draws in one broadcast compare.  PCG64 is a *different*
+  stream from the pure-Python backend's ``random.Random``, so this one
+  kernel agrees with the fallback statistically, not bit for bit, while
+  staying fully deterministic for a fixed seed on this backend.
+- ``market_choices`` samples a replica range's market choices: one
+  vectorized splitmix64 over the counters ``index * M + m`` forms each
+  ``u`` exactly as :func:`repro.backend.base.campaign_uniform` does, and a
+  ``searchsorted(..., side="right")`` per market over its running share
+  sums, clamped to the last choice, picks the index the scalar
+  :func:`~repro.backend.base.market_choice` bisection picks — bit-identical
+  to the pure-Python backend.
 - The campaign kernel, ``sparse_grid_partials`` over CSR, reads the shared
   counter-based splitmix64 stream
   (:func:`repro.backend.base.campaign_uniform`), so every draw and every
@@ -36,14 +44,17 @@ from repro.backend.base import (
     CAMPAIGN_FRACTION_SLACK,
     ComputeBackend,
     GridPointResult,
+    MarketCumulative,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
     TrialBatchResult,
+    _INV_2_53,
     _MASK64,
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
+    validate_market_choice_arguments,
     validate_sparse_partial_arguments,
     validate_trial_arguments,
     validate_verdict_arguments,
@@ -87,6 +98,39 @@ def _buffer_array(values: Sequence, dtype) -> "_np.ndarray":
         viewed = _np.frombuffer(values, dtype=_np.dtype(values.typecode))
         return viewed.astype(dtype, copy=False)
     return _np.asarray(values, dtype=dtype)
+
+
+def _campaign_uniforms(seed: int, first: int, count: int) -> "_np.ndarray":
+    """``campaign_uniform(seed, n)`` for ``n`` in ``[first, first + count)``.
+
+    ``z = seed + (n + 1) * gamma`` is ``n * gamma + (seed + gamma)`` modulo
+    2^64, the splitmix64 finalizer runs on wrapping ``uint64`` arrays, and
+    ``(z >> 11) * 2^-53`` is exact in float64 (the shifted hash has 53 bits),
+    so every uniform equals the scalar reference bit for bit.
+    """
+    z = _np.arange(first, first + count, dtype=_np.uint64)
+    z *= _np.uint64(_SPLITMIX_GAMMA)
+    z += _np.uint64((seed + _SPLITMIX_GAMMA) & _MASK64)
+    z ^= z >> _np.uint64(30)
+    z *= _np.uint64(_SPLITMIX_MIX1)
+    z ^= z >> _np.uint64(27)
+    z *= _np.uint64(_SPLITMIX_MIX2)
+    z ^= z >> _np.uint64(31)
+    return (z >> _np.uint64(11)).astype(_np.float64) * _INV_2_53
+
+
+def _choice_indices(
+    u: "_np.ndarray", total: float, running: Sequence[float]
+) -> "_np.ndarray":
+    """:func:`~repro.backend.base.market_choice` over an array of quantiles.
+
+    ``searchsorted(side="right")`` over the non-decreasing running sums is
+    ``bisect_right``, so ties at ``u * total == running[i]`` and zero-share
+    entries resolve as the scalar bisection does; the clamp keeps a target
+    past the last sum on the last choice.
+    """
+    sums = _np.asarray(running, dtype=_np.float64)
+    return _np.minimum(_np.searchsorted(sums, u * total, side="right"), sums.size - 1)
 
 
 def _column_limits(probabilities: Sequence[float]) -> List[int]:
@@ -293,25 +337,30 @@ class NumpyBackend(ComputeBackend):
         exploit_budget: int,
         trials: int,
         seed: int,
-        tolerance: float,
+        tolerances: Sequence[float],
     ) -> TrialBatchResult:
         validate_trial_arguments(
             shares,
             vulnerability_probability=vulnerability_probability,
             exploit_budget=exploit_budget,
             trials=trials,
-            tolerance=tolerance,
+            tolerances=tolerances,
         )
         share_row = _np.asarray(shares, dtype=_np.float64)
         n_configs = share_row.size
         rng = _np.random.default_rng(seed)
 
         if exploit_budget == 0:
-            # No exploits -> nothing is ever compromised; tolerance > 0 so no
-            # trial violates.  Skip the RNG batch entirely.
-            return TrialBatchResult(trials=trials, violations=0, compromised_total=0.0)
+            # No exploits -> nothing is ever compromised; every tolerance is
+            # > 0 so no trial violates.  Skip the RNG batch entirely.
+            return TrialBatchResult(
+                trials=trials,
+                violations=(0,) * len(tolerances),
+                compromised_total=0.0,
+            )
 
-        violations = 0
+        tolerance_row = _np.asarray(tolerances, dtype=_np.float64)
+        violations = _np.zeros(tolerance_row.size, dtype=_np.int64)
         compromised_total = 0.0
         chunk_rows = max(1, _CHUNK_CELLS // max(1, n_configs))
         remaining = trials
@@ -349,13 +398,34 @@ class NumpyBackend(ComputeBackend):
                 ranks = _np.cumsum(vulnerable, axis=1, dtype=rank_dtype)
                 picked = vulnerable & (ranks <= exploit_budget)
                 compromised = picked @ share_row
-            violations += int(_np.count_nonzero(compromised >= tolerance))
+            violations += _np.count_nonzero(
+                compromised[:, None] >= tolerance_row, axis=0
+            )
             compromised_total += float(compromised.sum())
         return TrialBatchResult(
             trials=trials,
-            violations=violations,
+            violations=tuple(violations.tolist()),
             compromised_total=compromised_total,
         )
+
+    def market_choices(
+        self,
+        seed: int,
+        start: int,
+        stop: int,
+        markets: Sequence[MarketCumulative],
+    ) -> List[Tuple[int, ...]]:
+        validate_market_choice_arguments(start, stop, markets)
+        market_count = len(markets)
+        uniforms = _campaign_uniforms(
+            seed, start * market_count, (stop - start) * market_count
+        ).reshape(stop - start, market_count)
+        choices = _np.empty(uniforms.shape, dtype=_np.int64)
+        for position, (total, running) in enumerate(markets):
+            choices[:, position] = _choice_indices(
+                uniforms[:, position], total, running
+            )
+        return list(map(tuple, choices.tolist()))
 
     def sparse_masked_power_sums(
         self, sparse: SparseExposure

@@ -6,7 +6,9 @@ same per-trial filter over descending shares and the same sequential float
 summation order.  It is the fallback that keeps the reproduction runnable on
 a bare Python install, and the reference implementation the vectorized
 backends are tested against: its campaign verdicts are the base class's
-:func:`~repro.backend.base.finalize_sparse_point` loop.
+:func:`~repro.backend.base.finalize_sparse_point` loop, and its market-choice
+kernel is the scalar ``campaign_uniform`` + :func:`~repro.backend.base.market_choice`
+loop of ``SyntheticEcosystem.choices_at``, one replica index at a time.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
     ComputeBackend,
+    MarketCumulative,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
@@ -26,6 +29,9 @@ from repro.backend.base import (
     _SPLITMIX_GAMMA,
     _SPLITMIX_MIX1,
     _SPLITMIX_MIX2,
+    campaign_uniform,
+    market_choice,
+    validate_market_choice_arguments,
     validate_sparse_partial_arguments,
     validate_trial_arguments,
 )
@@ -113,17 +119,17 @@ class PythonBackend(ComputeBackend):
         exploit_budget: int,
         trials: int,
         seed: int,
-        tolerance: float,
+        tolerances: Sequence[float],
     ) -> TrialBatchResult:
         validate_trial_arguments(
             shares,
             vulnerability_probability=vulnerability_probability,
             exploit_budget=exploit_budget,
             trials=trials,
-            tolerance=tolerance,
+            tolerances=tolerances,
         )
         rng = random.Random(seed)
-        violations = 0
+        violations = [0] * len(tolerances)
         compromised_total = 0.0
         # ``shares`` is descending, and the comprehension preserves order, so
         # the first ``exploit_budget`` vulnerable entries are already the
@@ -134,13 +140,35 @@ class PythonBackend(ComputeBackend):
             ]
             compromised = sum(vulnerable[:exploit_budget])
             compromised_total += compromised
-            if compromised >= tolerance:
-                violations += 1
+            for position, tolerance in enumerate(tolerances):
+                if compromised >= tolerance:
+                    violations[position] += 1
         return TrialBatchResult(
             trials=trials,
-            violations=violations,
+            violations=tuple(violations),
             compromised_total=compromised_total,
         )
+
+    def market_choices(
+        self,
+        seed: int,
+        start: int,
+        stop: int,
+        markets: Sequence[MarketCumulative],
+    ) -> List[Tuple[int, ...]]:
+        validate_market_choice_arguments(start, stop, markets)
+        market_count = len(markets)
+        return [
+            tuple(
+                market_choice(
+                    total,
+                    running,
+                    campaign_uniform(seed, index * market_count + position),
+                )
+                for position, (total, running) in enumerate(markets)
+            )
+            for index in range(start, stop)
+        ]
 
     def sparse_masked_power_sums(
         self, sparse: SparseExposure

@@ -24,9 +24,9 @@ serial run by construction, so fan-out is pure engineering:
   ``max_pool_losses``.  Each range passes the chaos harness's ``task``
   checkpoint, so the crash path is tested.
 - **Inner NumPy delegation.**  Every other primitive
-  (:meth:`violation_trials`, :meth:`campaign_verdicts`,
-  :meth:`sparse_masked_power_sums`, :meth:`shannon_entropy`, array
-  construction, …) delegates to an inner
+  (:meth:`violation_trials`, :meth:`market_choices`,
+  :meth:`campaign_verdicts`, :meth:`sparse_masked_power_sums`,
+  :meth:`shannon_entropy`, array construction, …) delegates to an inner
   :class:`~repro.backend.numpy_backend.NumpyBackend`, and the workers run
   the NumPy kernel too — the shm backend is a scheduler, not a new
   numerics implementation, which is what keeps it byte-identical to numpy.
@@ -84,6 +84,7 @@ except ImportError:  # pragma: no cover
 from repro.backend.base import (
     ComputeBackend,
     GridPointResult,
+    MarketCumulative,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
@@ -463,7 +464,7 @@ class ShmBackend(ComputeBackend):
         exploit_budget: int,
         trials: int,
         seed: int,
-        tolerance: float,
+        tolerances: Sequence[float],
     ) -> TrialBatchResult:
         return self._inner.violation_trials(
             shares,
@@ -471,8 +472,17 @@ class ShmBackend(ComputeBackend):
             exploit_budget=exploit_budget,
             trials=trials,
             seed=seed,
-            tolerance=tolerance,
+            tolerances=tolerances,
         )
+
+    def market_choices(
+        self,
+        seed: int,
+        start: int,
+        stop: int,
+        markets: Sequence[MarketCumulative],
+    ) -> List[Tuple[int, ...]]:
+        return self._inner.market_choices(seed, start, stop, markets)
 
     def shannon_entropy(
         self, probabilities: Sequence[float], *, base: float = 2.0

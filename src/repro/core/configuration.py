@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.core.exceptions import ConfigurationError
@@ -73,9 +74,14 @@ class SoftwareComponent:
         if not self.version:
             raise ConfigurationError("component version must not be empty")
 
-    @property
+    @cached_property
     def identifier(self) -> str:
-        """Stable string identifier, e.g. ``operating_system:linux:6.1``."""
+        """Stable string identifier, e.g. ``operating_system:linux:6.1``.
+
+        Formatted on first read and stored in the instance ``__dict__``
+        (``cached_property`` bypasses the frozen ``__setattr__``); it is not
+        a field, so equality, hashing, ordering and ``asdict`` ignore it.
+        """
         return f"{self.kind.value}:{self.name}:{self.version}"
 
     def with_version(self, version: str) -> "SoftwareComponent":

@@ -12,24 +12,24 @@ The module also hosts the **streaming population generators**:
 bounded chunks, each replica a pure function of ``(seed, index)`` on the
 counter-based splitmix64 stream, so chunked generation equals one-shot
 generation for every chunk size — the bounded-memory feed for
-``PopulationMatrix.from_replica_chunks`` at million-replica scale.
+``PopulationMatrix.from_replica_chunks`` at million-replica scale.  It runs
+the replica loop ``SyntheticEcosystem.sample_population`` runs, so each
+chunk's market choices are one call of the backend's ``market_choices``
+kernel.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.configuration import ReplicaConfiguration
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import ConfigurationError, DistributionError
 from repro.core.population import Replica
-from repro.datasets.software_ecosystem import SyntheticEcosystem
-
-#: Default replicas per chunk of :func:`stream_replica_chunks` — small enough
-#: that a chunk of Replica objects stays in tens of megabytes, large enough
-#: that per-chunk overhead vanishes at 10⁶ replicas.
-DEFAULT_REPLICA_CHUNK_SIZE = 65_536
+from repro.datasets.software_ecosystem import (
+    DEFAULT_REPLICA_CHUNK_SIZE,
+    SyntheticEcosystem,
+)
 
 
 def stream_replica_chunks(
@@ -75,27 +75,15 @@ def stream_replica_chunks(
         )
     if power < 0:
         raise ConfigurationError(f"replica power must be non-negative, got {power}")
-    attested_count = round(count * attested_fraction)
     replica_power = float(power)
-    cache: Dict[Tuple[int, ...], ReplicaConfiguration] = {}
-    for start in range(0, count, chunk_size):
-        stop = min(start + chunk_size, count)
-        chunk: List[Replica] = []
-        for index in range(start, stop):
-            choices = ecosystem.choices_at(seed, index)
-            configuration = cache.get(choices)
-            if configuration is None:
-                configuration = ecosystem.configuration_for(choices)
-                cache[choices] = configuration
-            chunk.append(
-                Replica(
-                    replica_id=f"{prefix}-{index}",
-                    configuration=configuration,
-                    power=replica_power,
-                    attested=index < attested_count,
-                )
-            )
-        yield tuple(chunk)
+    yield from ecosystem._replica_chunks(
+        count,
+        seed=seed,
+        chunk_size=chunk_size,
+        power_of=lambda index: replica_power,
+        attested_count=round(count * attested_fraction),
+        prefix=prefix,
+    )
 
 
 def _labels(count: int, prefix: str) -> List[str]:

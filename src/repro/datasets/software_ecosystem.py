@@ -11,19 +11,28 @@ popularity, which reproduces the qualitative situation the paper describes
 The ecosystems are used to generate replica populations whose configuration
 census has realistic (low) entropy, to drive exploit campaigns ("a zero-day in
 the dominant OS"), and to give the diversity planner something to optimize.
+
+Sampling is counter-based: replica ``index``'s choice in market ``m`` is
+drawn at ``campaign_uniform(seed, index * M + m)``, so a population is a
+pure function of its seed.  :meth:`SyntheticEcosystem.choices_at` reads one
+index off the python backend's scalar ``market_choices`` loop, the
+reference; populations are drawn a chunk of replicas at a time by the
+active backend's kernel, through the one replica loop
+:meth:`SyntheticEcosystem._replica_chunks` that both ``sample_population``
+and the streaming generators use.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backend.base import campaign_uniform
+from repro.backend import PythonBackend, get_backend
+from repro.backend.base import MarketCumulative, market_choice
 from repro.core.configuration import (
     ComponentKind,
     ReplicaConfiguration,
@@ -32,6 +41,13 @@ from repro.core.configuration import (
 from repro.core.exceptions import ConfigurationError
 from repro.core.population import Replica, ReplicaPopulation
 from repro.core.power import PowerRegime
+
+#: Replicas per market-choice kernel call — the chunk of
+#: :meth:`SyntheticEcosystem._replica_chunks`, and the default chunk of the
+#: streaming generators: small enough that a chunk of Replica objects stays
+#: in tens of megabytes, large enough that per-chunk overhead vanishes at
+#: 10⁶ replicas.
+DEFAULT_REPLICA_CHUNK_SIZE = 65_536
 
 
 @dataclass(frozen=True)
@@ -57,7 +73,11 @@ class ComponentMarket:
             raise ConfigurationError("market shares must have positive total")
 
     def components(self) -> Tuple[SoftwareComponent, ...]:
-        """The components on offer for this kind."""
+        """The components on offer for this kind, built once per market."""
+        return self._components
+
+    @cached_property
+    def _components(self) -> Tuple[SoftwareComponent, ...]:
         return tuple(SoftwareComponent(self.kind, name) for name, _ in self.shares)
 
     def normalized_shares(self) -> Dict[str, float]:
@@ -83,14 +103,13 @@ class ComponentMarket:
         """Index of the market choice at quantile ``u`` in ``[0, 1)``.
 
         The first choice whose cumulative (unnormalized) share exceeds
-        ``u * total``, so the inverse-CDF draw depends only on the share tuple
-        and ``u`` — the deterministic primitive the counter-based population
-        sampling is built on.  The running sums never decrease, so bisecting
-        them finds the index a left-to-right walk would; a target past the
-        last sum (rounding) clamps to the last choice.
+        ``u * total`` (:func:`~repro.backend.base.market_choice`), so the
+        inverse-CDF draw depends only on the share tuple and ``u`` — the
+        deterministic primitive the counter-based population sampling is
+        built on.
         """
         total, running = self._cumulative
-        return min(bisect_right(running, u * total), len(running) - 1)
+        return market_choice(total, running, u)
 
     def component_at(self, u: float) -> SoftwareComponent:
         """The component at quantile ``u`` (see :meth:`choice_index`)."""
@@ -140,21 +159,29 @@ class SyntheticEcosystem:
         counter-based splitmix64 stream the campaign kernels use, so sampled
         ecosystems are identical across processes, platforms and backends,
         and any replica can be generated without generating the ones before
-        it (the property the streaming generators rely on).
+        it (the property the streaming generators rely on).  It is one
+        index of the python backend's scalar ``market_choices`` loop, the
+        reference every backend's kernel must equal.
         """
-        market_count = len(self.markets)
-        return tuple(
-            market.choice_index(
-                campaign_uniform(seed, index * market_count + position)
-            )
-            for position, market in enumerate(self.markets)
+        (choices,) = PythonBackend().market_choices(
+            seed, index, index + 1, self._market_sums
         )
+        return choices
+
+    @cached_property
+    def _market_sums(self) -> Tuple[MarketCumulative, ...]:
+        """Each market's share total and running sums: the kernels' ``markets``."""
+        return tuple(market._cumulative for market in self.markets)
 
     def configuration_for(self, choices: Sequence[int]) -> ReplicaConfiguration:
-        """The configuration picking ``choices[m]`` from market ``m``."""
+        """The configuration picking ``choices[m]`` from market ``m``.
+
+        Configurations share each market's component objects, so a
+        component's identifier is formatted once per market.
+        """
         return ReplicaConfiguration(
             [
-                SoftwareComponent(market.kind, market.shares[choice][0])
+                market.components()[choice]
                 for market, choice in zip(self.markets, choices)
             ]
         )
@@ -162,6 +189,52 @@ class SyntheticEcosystem:
     def configuration_at(self, seed: int, index: int) -> ReplicaConfiguration:
         """Replica ``index``'s configuration — a pure function of ``(seed, index)``."""
         return self.configuration_for(self.choices_at(seed, index))
+
+    def _replica_chunks(
+        self,
+        count: int,
+        *,
+        seed: int,
+        chunk_size: int,
+        power_of: Callable[[int], float],
+        attested_count: int,
+        prefix: str,
+    ) -> Iterator[Tuple[Replica, ...]]:
+        """The sampled population's replicas, ``chunk_size`` at a time.
+
+        The one replica loop behind :meth:`sample_population` and
+        :func:`repro.datasets.generators.stream_replica_chunks`: each chunk's
+        market choices come from one call of the active backend's
+        ``market_choices`` kernel, so replica ``index`` is the pure function
+        of ``(seed, index)`` that :meth:`configuration_at` describes, for
+        every chunk size.  Replica ``index`` gets id ``f"{prefix}-{index}"``,
+        power ``power_of(index)`` and is attested when
+        ``index < attested_count``.  Arguments are trusted: the public
+        callers validate them.
+        """
+        backend = get_backend()
+        markets = self._market_sums
+        # Distinct configurations are few (the product of market sizes), so
+        # one ReplicaConfiguration per distinct choice tuple is shared.
+        cache: Dict[Tuple[int, ...], ReplicaConfiguration] = {}
+        for start in range(0, count, chunk_size):
+            stop = min(start + chunk_size, count)
+            chunk: List[Replica] = []
+            for index, choices in enumerate(
+                backend.market_choices(seed, start, stop, markets), start
+            ):
+                configuration = cache.get(choices)
+                if configuration is None:
+                    configuration = cache[choices] = self.configuration_for(choices)
+                chunk.append(
+                    Replica(
+                        replica_id=f"{prefix}-{index}",
+                        configuration=configuration,
+                        power=power_of(index),
+                        attested=index < attested_count,
+                    )
+                )
+            yield tuple(chunk)
 
     def sample_population(
         self,
@@ -179,7 +252,9 @@ class SyntheticEcosystem:
         ``(seed, index)`` on the counter-based splitmix64 stream, so the
         sampled population is bit-identical across processes, platforms and
         compute backends (the stdlib ``random`` module it previously used
-        guarantees neither).
+        guarantees neither).  The choices are drawn by the backend kernel,
+        one call per :data:`DEFAULT_REPLICA_CHUNK_SIZE` replicas
+        (:meth:`_replica_chunks`).
 
         Args:
             count: number of replicas.
@@ -200,26 +275,19 @@ class SyntheticEcosystem:
             raise ConfigurationError(
                 f"attested fraction must be in [0, 1], got {attested_fraction}"
             )
-        attested_count = round(count * attested_fraction)
-        # Distinct configurations are few (the product of market sizes), so
-        # one ReplicaConfiguration per distinct choice tuple is shared.
-        cache: Dict[Tuple[int, ...], ReplicaConfiguration] = {}
-        replicas: List[Replica] = []
-        for index in range(count):
-            choices = self.choices_at(seed, index)
-            configuration = cache.get(choices)
-            if configuration is None:
-                configuration = self.configuration_for(choices)
-                cache[choices] = configuration
-            replicas.append(
-                Replica(
-                    replica_id=f"{prefix}-{index}",
-                    configuration=configuration,
-                    power=1.0 if power is None else float(power[index]),
-                    attested=index < attested_count,
-                )
-            )
-        return ReplicaPopulation(replicas, regime=regime)
+        chunks = self._replica_chunks(
+            count,
+            seed=seed,
+            chunk_size=DEFAULT_REPLICA_CHUNK_SIZE,
+            power_of=(lambda index: 1.0)
+            if power is None
+            else (lambda index: float(power[index])),
+            attested_count=round(count * attested_fraction),
+            prefix=prefix,
+        )
+        return ReplicaPopulation(
+            [replica for chunk in chunks for replica in chunk], regime=regime
+        )
 
     def component_exposure(self) -> Dict[str, float]:
         """Expected fraction of replicas exposed to each component, by identifier."""

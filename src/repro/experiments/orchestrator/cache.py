@@ -263,7 +263,12 @@ class ResultCache:
             )
             try:
                 with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, sort_keys=True, allow_nan=False)
+                    # One dumps string: json.dump streams through the
+                    # pure-Python iterencode, dumps takes CPython's C encoder
+                    # and writes the same bytes.
+                    handle.write(
+                        json.dumps(document, sort_keys=True, allow_nan=False)
+                    )
                     handle.write("\n")
                 # Chaos checkpoint between the temp write and the atomic
                 # rename: a "crash" here leaves exactly the torn state the

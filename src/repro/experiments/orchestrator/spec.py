@@ -12,7 +12,20 @@ from __future__ import annotations
 
 import re
 from dataclasses import asdict, dataclass, is_dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator.result import ExperimentResult, ResultPayload, jsonify
@@ -66,13 +79,56 @@ class ExperimentSpec:
         return jsonify(asdict(params), where=f"{self.experiment_id} params")
 
     def params_from_dict(self, document: Dict[str, Any]) -> Any:
-        """Rebuild a params instance from :meth:`params_dict` output."""
+        """Rebuild a params instance from :meth:`params_dict` output.
+
+        JSON carries a ``Tuple[T, ...]`` field as an array; the field's type
+        hint turns it back into a tuple, so the rebuilt params equal (and
+        hash like) the ones :meth:`params_dict` was given.
+        """
+        hints = _type_hints(self.params_type)
         try:
-            return self.params_type(**document)
+            return self.params_type(
+                **{
+                    name: _tuples_from_arrays(value, hints.get(name))
+                    for name, value in document.items()
+                }
+            )
         except TypeError as error:
             raise OrchestrationError(
                 f"bad parameters for {self.experiment_id}: {error}"
             ) from error
+
+
+@lru_cache(maxsize=None)
+def _type_hints(params_type: type) -> Dict[str, Any]:
+    """The params dataclass's field hints, resolved once per type (read-only)."""
+    return get_type_hints(params_type)
+
+
+def variadic_tuple_element(annotation: Any) -> Optional[Any]:
+    """``T`` when ``annotation`` is ``Tuple[T, ...]``, else ``None``.
+
+    The one tuple shape a params field takes, and the one rule by which a
+    JSON array becomes a tuple: :meth:`ExperimentSpec.params_from_dict` and
+    the serve layer's request-body coercion both use it.
+    """
+    element = get_args(annotation)
+    if get_origin(annotation) is tuple and len(element) == 2 and element[1] is Ellipsis:
+        return element[0]
+    return None
+
+
+def _tuples_from_arrays(value: Any, annotation: Any) -> Any:
+    """``value`` with every list a ``Tuple[T, ...]`` hint covers made a tuple."""
+    if get_origin(annotation) is Union:
+        non_none = [arg for arg in get_args(annotation) if arg is not type(None)]
+        if len(non_none) == 1 and value is not None:
+            return _tuples_from_arrays(value, non_none[0])
+        return value
+    element = variadic_tuple_element(annotation)
+    if element is not None and isinstance(value, list):
+        return tuple(_tuples_from_arrays(item, element) for item in value)
+    return value
 
 
 def experiment_banner(experiment_id: str) -> str:

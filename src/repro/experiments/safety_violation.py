@@ -14,7 +14,9 @@ the BFT (1/3) and Nakamoto / hybrid (1/2) tolerance levels.
 The estimator routes through the campaign engine's census-mode seam
 (:func:`repro.faults.engine.run_census_trials`), so this experiment shares
 its backend entry point with the population-matrix campaign sweeps while its
-per-backend RNG streams — and golden snapshots — stay unchanged.
+per-backend RNG streams — and golden snapshots — stay unchanged.  Both
+tolerances of a census are judged on one draw at the census's seed: one
+kernel call per census.
 """
 
 from __future__ import annotations
@@ -22,14 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.analysis.monte_carlo import estimate_violation_probability
+from repro.analysis.monte_carlo import estimate_violation_probabilities
 from repro.analysis.sweep import mapping_sweep
 from repro.backend import get_backend
 from repro.backend.selection import BackendLike
 from repro.analysis.report import Table
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import ExperimentError
-from repro.core.resilience import ProtocolFamily
+from repro.core.resilience import ProtocolFamily, tolerated_fault_fraction
 from repro.datasets.bitcoin_pools import figure1_distribution
 from repro.datasets.generators import oligopoly_distribution, uniform_distribution, zipf_distribution
 from repro.experiments.orchestrator import (
@@ -59,6 +61,13 @@ class SafetyViolationResult:
     vulnerability_probability: float
     exploit_budget: int
     monotone_decreasing: bool
+
+
+#: The BFT (1/3) and majority (1/2) tolerances, judged on one draw per census.
+TOLERANCES = (
+    tolerated_fault_fraction(ProtocolFamily.BFT),
+    tolerated_fault_fraction(ProtocolFamily.NAKAMOTO),
+)
 
 
 def default_censuses() -> Dict[str, ConfigurationDistribution]:
@@ -99,18 +108,9 @@ def run_safety_violation(
     resolved = get_backend(backend)
 
     def estimate_row(index: int, label: str, census: ConfigurationDistribution) -> SafetyViolationRow:
-        bft = estimate_violation_probability(
+        bft, majority = estimate_violation_probabilities(
             census,
-            family=ProtocolFamily.BFT,
-            vulnerability_probability=vulnerability_probability,
-            exploit_budget=exploit_budget,
-            trials=trials,
-            seed=seed + index,
-            backend=resolved,
-        )
-        majority = estimate_violation_probability(
-            census,
-            family=ProtocolFamily.NAKAMOTO,
+            tolerated_fractions=TOLERANCES,
             vulnerability_probability=vulnerability_probability,
             exploit_budget=exploit_budget,
             trials=trials,

@@ -626,14 +626,16 @@ def run_census_trials(
     exploit_budget: int,
     trials: int,
     seed: int,
-    tolerance: float,
+    tolerances: Sequence[float],
     backend: BackendLike = None,
 ) -> TrialBatchResult:
     """Census-mode batched trials (the PR-1 Monte-Carlo kernel).
 
     Treats every configuration as one independent fault domain and exploits
     the ``exploit_budget`` largest vulnerable shares per trial — the
-    estimator :mod:`repro.analysis.monte_carlo` wraps.  Kept here so all
+    estimator :mod:`repro.analysis.monte_carlo` wraps.  Every tolerance is
+    judged on one draw (``violations`` is aligned with ``tolerances``), so a
+    BFT/majority pair at one seed costs one kernel call.  Kept here so all
     batched trial workloads enter the backends through the campaign engine;
     the per-backend RNG streams (and therefore every golden snapshot) are
     unchanged.
@@ -646,5 +648,5 @@ def run_census_trials(
             exploit_budget=exploit_budget,
             trials=trials,
             seed=seed,
-            tolerance=tolerance,
+            tolerances=tuple(tolerances),
         )

@@ -53,7 +53,10 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator.engine import _pool_execute
-from repro.experiments.orchestrator.spec import ExperimentSpec
+from repro.experiments.orchestrator.spec import (
+    ExperimentSpec,
+    variadic_tuple_element,
+)
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import ServiceMetrics
 
@@ -163,10 +166,10 @@ def _coerce_json_value(value: Any, annotation: Any, name: str) -> Any:
         if isinstance(value, str):
             return value
         raise ServeError(400, f"parameter {name!r} must be a string, got {value!r}")
-    element = get_args(annotation)
-    if get_origin(annotation) is tuple and len(element) == 2 and element[1] is Ellipsis:
+    element = variadic_tuple_element(annotation)
+    if element is not None:
         if isinstance(value, list):
-            return tuple(_coerce_json_value(item, element[0], name) for item in value)
+            return tuple(_coerce_json_value(item, element, name) for item in value)
         raise ServeError(400, f"parameter {name!r} must be an array, got {value!r}")
     raise ServeError(400, f"parameter {name!r} has unsupported type {annotation!r}")
 

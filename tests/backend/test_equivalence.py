@@ -112,13 +112,13 @@ class TestPerBackendDeterminism:
 
         shares = sorted(CENSUSES["zipf-32"].probabilities(), reverse=True)
         kwargs = dict(
-            vulnerability_probability=0.3, exploit_budget=budget, trials=50, seed=4, tolerance=0.2
+            vulnerability_probability=0.3, exploit_budget=budget, trials=50, seed=4, tolerances=(0.2,)
         )
         whole = NumpyBackend().violation_trials(shares, **kwargs)
         # 7 rows per chunk: seven full chunks and a one-row last chunk.
         monkeypatch.setattr(numpy_backend, "_CHUNK_CELLS", 7 * len(shares))
         chunked = NumpyBackend().violation_trials(shares, **kwargs)
-        assert 0 < whole.violations < 50
+        assert 0 < whole.violations[0] < 50
         assert chunked.violations == whole.violations
         # Per-chunk partial sums round differently in the last ulp.
         assert chunked.compromised_total == pytest.approx(whole.compromised_total, rel=1e-12)
@@ -427,32 +427,72 @@ class TestCampaignKernel:
             run([[1.0]], [1.0], (point(),), trials=10, trial_offset=-1)
 
 
+class TestCensusTolerances:
+    """One census draw judges every tolerance of the call."""
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("budget", [0, 1, 3])
+    @pytest.mark.parametrize(
+        "label", sorted(CENSUSES) + ["between-the-tolerances"]
+    )
+    def test_two_tolerances_equal_two_single_tolerance_calls(self, backend, budget, label):
+        kernel = get_backend(backend)
+        census = CENSUSES.get(
+            label, ConfigurationDistribution({"a": 0.4, "b": 0.35, "c": 0.25})
+        )
+        shares = sorted(census.probabilities(), reverse=True)
+        kwargs = dict(
+            vulnerability_probability=0.3, exploit_budget=budget, trials=300, seed=5
+        )
+        both = kernel.violation_trials(shares, tolerances=(1 / 3, 1 / 2), **kwargs)
+        bft = kernel.violation_trials(shares, tolerances=(1 / 3,), **kwargs)
+        majority = kernel.violation_trials(shares, tolerances=(1 / 2,), **kwargs)
+        assert both.trials == bft.trials == majority.trials == 300
+        assert both.violations == bft.violations + majority.violations
+        assert both.compromised_total == bft.compromised_total
+        assert both.compromised_total == majority.compromised_total
+        if label == "between-the-tolerances" and budget == 1:
+            # The largest share (0.4) reaches 1/3 but never 1/2: the two
+            # tolerances judge the same draws differently.
+            assert both.violations[0] > 0 == both.violations[1]
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_tolerances_are_validated(self, backend):
+        kernel = get_backend(backend)
+        kwargs = dict(vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0)
+        with pytest.raises(BackendError, match="at least one tolerance"):
+            kernel.violation_trials([1.0], tolerances=(), **kwargs)
+        for bad in ((0.5, 0.0), (float("nan"),), (1.5,)):
+            with pytest.raises(BackendError, match="tolerance must be in"):
+                kernel.violation_trials([1.0], tolerances=bad, **kwargs)
+
+
 class TestKernelValidation:
     @pytest.mark.parametrize("backend", available_backends())
     def test_invalid_arguments_raise_backend_error(self, backend):
         kernel = get_backend(backend)
         with pytest.raises(BackendError):
             kernel.violation_trials(
-                [], vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0, tolerance=0.5
+                [], vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0, tolerances=(0.5,)
             )
         with pytest.raises(BackendError):
             kernel.violation_trials(
-                [1.0], vulnerability_probability=1.5, exploit_budget=1, trials=10, seed=0, tolerance=0.5
+                [1.0], vulnerability_probability=1.5, exploit_budget=1, trials=10, seed=0, tolerances=(0.5,)
             )
         with pytest.raises(BackendError):
             kernel.violation_trials(
-                [1.0], vulnerability_probability=0.5, exploit_budget=-1, trials=10, seed=0, tolerance=0.5
+                [1.0], vulnerability_probability=0.5, exploit_budget=-1, trials=10, seed=0, tolerances=(0.5,)
             )
         with pytest.raises(BackendError):
             kernel.violation_trials(
-                [1.0], vulnerability_probability=0.5, exploit_budget=1, trials=0, seed=0, tolerance=0.5
+                [1.0], vulnerability_probability=0.5, exploit_budget=1, trials=0, seed=0, tolerances=(0.5,)
             )
         with pytest.raises(BackendError):
             kernel.violation_trials(
-                [1.0], vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0, tolerance=0.0
+                [1.0], vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0, tolerances=(0.0,)
             )
         with pytest.raises(BackendError):
             # shares must arrive pre-sorted descending
             kernel.violation_trials(
-                [0.2, 0.8], vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0, tolerance=0.5
+                [0.2, 0.8], vulnerability_probability=0.5, exploit_budget=1, trials=10, seed=0, tolerances=(0.5,)
             )

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core.configuration import (
@@ -18,6 +21,28 @@ class TestSoftwareComponent:
     def test_identifier_format(self):
         component = SoftwareComponent(ComponentKind.OPERATING_SYSTEM, "linux", "6.1")
         assert component.identifier == "operating_system:linux:6.1"
+
+    def test_identifier_is_stored_on_first_read_and_is_no_field(self):
+        component = SoftwareComponent(ComponentKind.OPERATING_SYSTEM, "linux", "6.1")
+        twin = SoftwareComponent(ComponentKind.OPERATING_SYSTEM, "linux", "6.1")
+        other = SoftwareComponent(ComponentKind.OPERATING_SYSTEM, "linuz", "6.1")
+        assert "identifier" not in vars(component)
+        first = component.identifier
+        assert vars(component)["identifier"] == first
+        assert component.identifier is first
+        # Reading it changes nothing a field decides: equality, hashing,
+        # ordering, asdict and a pickle round trip.
+        assert component == twin and hash(component) == hash(twin)
+        assert sorted([other, component]) == sorted([other, twin]) == [component, other]
+        assert dataclasses.asdict(component) == dataclasses.asdict(twin) == {
+            "kind": ComponentKind.OPERATING_SYSTEM,
+            "name": "linux",
+            "version": "6.1",
+        }
+        assert "identifier" not in {f.name for f in dataclasses.fields(component)}
+        restored = pickle.loads(pickle.dumps(component))
+        assert restored == twin and hash(restored) == hash(twin)
+        assert restored.identifier == twin.identifier == first
 
     def test_with_version_changes_fault_domain(self):
         component = SoftwareComponent(ComponentKind.CRYPTO_LIBRARY, "openssl", "1.0")

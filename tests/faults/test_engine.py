@@ -214,7 +214,7 @@ class TestCensusSeam:
             exploit_budget=1,
             trials=500,
             seed=21,
-            tolerance=1 / 3,
+            tolerances=(1 / 3,),
             backend=backend,
         )
         estimate = estimate_violation_probability(
@@ -225,5 +225,17 @@ class TestCensusSeam:
             seed=21,
             backend=backend,
         )
-        assert batch.violations == estimate.violations
-        assert batch.violations / batch.trials == estimate.violation_probability
+        assert batch.violations == (estimate.violations,)
+        assert batch.violations[0] / batch.trials == estimate.violation_probability
+
+    def test_safety_violation_draws_each_census_once(self):
+        # Both tolerances of a census are judged on one draw: one census
+        # kernel call per census (two, one per tolerance, before).
+        from repro.experiments.orchestrator import execute_spec, registry
+        from repro.experiments.safety_violation import default_censuses
+
+        spec = registry.get_spec("safety_violation")
+        result = execute_spec(spec, spec.params_type(trials=200))
+        counters = result.kernel_counters["violation_trials"]
+        assert counters["calls"] == len(default_censuses()) == 8
+        assert counters["trials"] == 8 * 200

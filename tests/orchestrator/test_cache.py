@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
@@ -71,6 +72,32 @@ class TestStoreAndLoad:
         assert loaded is not None
         assert loaded.cached is True
         assert loaded.canonical_json() == result.canonical_json()
+
+    @pytest.mark.parametrize(
+        "experiment",
+        (
+            "campaign_budget",
+            "safety_violation",
+            "two_class",
+            "vulnerability_window",
+            "component_exposure",
+        ),
+    )
+    def test_stored_bytes_equal_json_dump(self, cache, experiment):
+        # store() encodes with json.dumps; the bytes on disk must be the ones
+        # the streaming json.dump wrote, for a real result of each write
+        # experiment the service builds.
+        spec = registry.get_spec(experiment)
+        result = execute_spec(spec)
+        key = cache.key_for(spec, spec.params_dict(), None)
+        path = cache.store(key, result, fingerprint="f" * 64)
+        document = result.to_dict()
+        document["code_fingerprint"] = "f" * 64
+        expected = io.StringIO()
+        json.dump(document, expected, sort_keys=True, allow_nan=False)
+        expected.write("\n")
+        with open(path, "rb") as handle:
+            assert handle.read() == expected.getvalue().encode("utf-8")
 
     def test_missing_key_is_a_miss(self, cache):
         assert cache.load("0" * 64) is None

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Optional, Tuple
+
 import pytest
 
 from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator import filter_specs, parse_shard, select_shard
 from repro.experiments.orchestrator import registry
+from repro.experiments.orchestrator.spec import ExperimentSpec, variadic_tuple_element
+
+
+@dataclass(frozen=True)
+class _TupleParams:
+    grid: Tuple[Tuple[float, ...], ...] = ((1.0,), (2.0, 3.0))
+    sizes: Optional[Tuple[int, ...]] = None
+    label: str = "x"
 
 
 class TestRegistry:
@@ -66,6 +77,41 @@ class TestRegistry:
             document = spec.params_dict()
             rebuilt = spec.params_from_dict(document)
             assert spec.params_dict(rebuilt) == document
+
+    @pytest.mark.parametrize("spec", registry.all_specs(), ids=lambda spec: spec.experiment_id)
+    def test_params_from_dict_rebuilds_equal_hashable_params(self, spec):
+        # JSON turns Tuple[T, ...] params into arrays; the rebuilt params
+        # must be the original dataclass value again (tuples, hashable), as
+        # every pool-worker build receives them.
+        params = spec.default_params()
+        rebuilt = spec.params_from_dict(spec.params_dict(params))
+        assert rebuilt == params
+        assert hash(rebuilt) == hash(params)
+
+    def test_variadic_tuple_rule(self):
+        assert variadic_tuple_element(Tuple[int, ...]) is int
+        assert variadic_tuple_element(Tuple[Tuple[float, ...], ...]) == Tuple[float, ...]
+        for annotation in (Tuple[int, float], Tuple[()], int, list, Optional[Tuple[int, ...]]):
+            assert variadic_tuple_element(annotation) is None
+
+    def test_params_from_dict_rebuilds_nested_and_optional_tuples(self):
+        spec = ExperimentSpec(
+            experiment_id="toy",
+            title="toy",
+            build=lambda params: None,
+            render=lambda result: "",
+            params_type=_TupleParams,
+        )
+        for params in (
+            _TupleParams(),
+            _TupleParams(sizes=(4, 5)),
+            _TupleParams(grid=(), label="y"),
+        ):
+            rebuilt = spec.params_from_dict(spec.params_dict(params))
+            assert rebuilt == params
+            hash(rebuilt)
+        with pytest.raises(OrchestrationError, match="bad parameters for toy"):
+            spec.params_from_dict({"unknown": [1]})
 
 
 class TestFiltering:
