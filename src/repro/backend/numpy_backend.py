@@ -7,7 +7,12 @@ Three families of kernel live here:
   ``trials × n_configs`` vulnerability indicators are drawn in
   bounded-memory chunks from ``numpy.random.default_rng`` (PCG64) and
   reduced with a masked top-k sum, and every tolerance of the call is
-  judged on those draws in one broadcast compare.  PCG64 is a *different*
+  judged on those draws in one broadcast compare.  The draws are the
+  generator's raw 64-bit words cut into 32-bit halves, low half first (the
+  order in which ``Generator.random(dtype=float32)`` consumes them), each
+  compared as an integer with :func:`_census_limit`: a configuration is
+  vulnerable exactly when that float32 uniform would be below ``p``, and
+  no float is ever formed.  PCG64 is a *different*
   stream from the pure-Python backend's ``random.Random``, so this one
   kernel agrees with the fallback statistically, not bit for bit, while
   staying fully deterministic for a fixed seed on this backend.
@@ -38,6 +43,7 @@ imports it lazily so merely importing :mod:`repro.backend` never requires it.
 from __future__ import annotations
 
 import array as _stdlib_array
+import math
 from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
@@ -70,7 +76,7 @@ else:  # pragma: no cover - the numpy-equipped environment
     _NUMPY_IMPORT_ERROR = None
 
 #: Upper bound on the number of matrix cells (trials × configs) drawn per
-#: ``violation_trials`` chunk; 2M float32 cells ≈ 8 MB for the uniform draw.
+#: ``violation_trials`` chunk; 2M 32-bit draws ≈ 8 MB.
 _CHUNK_CELLS = 2_000_000
 
 #: Cells hashed per block by the campaign core.  A block streams through two
@@ -131,6 +137,18 @@ def _choice_indices(
     """
     sums = _np.asarray(running, dtype=_np.float64)
     return _np.minimum(_np.searchsorted(sums, u * total, side="right"), sums.size - 1)
+
+
+def _census_limit(probability: float) -> int:
+    """Inclusive bound on a raw 32-bit census draw: vulnerable iff ``x <= bound``.
+
+    The reference draw is NumPy's float32 uniform ``(x >> 8) * 2^-24``, and
+    comparing it with ``p`` rounds ``p`` to float32 first.  So ``draw < p``
+    iff ``x >> 8 < ceil(float32(p) * 2^24)`` (the product is exact in
+    float64) iff ``x <= (ceil(float32(p) * 2^24) << 8) - 1``.  A ``p`` that
+    is 0 in float32 gives ``-1``: no configuration is ever vulnerable.
+    """
+    return (math.ceil(float(_np.float32(probability)) * (1 << 24)) << 8) - 1
 
 
 def _column_limits(probabilities: Sequence[float]) -> List[int]:
@@ -348,17 +366,20 @@ class NumpyBackend(ComputeBackend):
         )
         share_row = _np.asarray(shares, dtype=_np.float64)
         n_configs = share_row.size
-        rng = _np.random.default_rng(seed)
+        limit = _census_limit(vulnerability_probability)
 
-        if exploit_budget == 0:
-            # No exploits -> nothing is ever compromised; every tolerance is
-            # > 0 so no trial violates.  Skip the RNG batch entirely.
+        if exploit_budget == 0 or limit < 0:
+            # No exploits, or no configuration can ever be vulnerable ->
+            # nothing is compromised; every tolerance is > 0 so no trial
+            # violates.  Skip the RNG batch entirely.
             return TrialBatchResult(
                 trials=trials,
                 violations=(0,) * len(tolerances),
                 compromised_total=0.0,
             )
 
+        bit_generator = _np.random.default_rng(seed).bit_generator
+        spare = _np.empty(0, dtype="<u4")
         tolerance_row = _np.asarray(tolerances, dtype=_np.float64)
         violations = _np.zeros(tolerance_row.size, dtype=_np.int64)
         compromised_total = 0.0
@@ -373,12 +394,19 @@ class NumpyBackend(ComputeBackend):
         while remaining > 0:
             rows = min(chunk_rows, remaining)
             remaining -= rows
-            # float32 uniforms halve RNG time and memory; 24 bits of
-            # resolution is far below Monte-Carlo noise at any trial count.
-            vulnerable = (
-                rng.random((rows, n_configs), dtype=_np.float32)
-                < vulnerability_probability
+            cells = rows * n_configs
+            # Each 64-bit word is two draws, low half first; reading the
+            # words little-endian keeps that order on any host.  An odd
+            # chunk leaves the last word's high half for the next chunk.
+            halves = (
+                bit_generator.random_raw((cells - spare.size + 1) // 2)
+                .astype("<u8", copy=False)
+                .view("<u4")
             )
+            if spare.size:
+                halves = _np.concatenate((spare, halves))
+            spare = halves[cells:].copy()
+            vulnerable = halves[:cells].reshape(rows, n_configs) <= limit
             if take_all:
                 # Budget covers every configuration: the attacker takes all
                 # vulnerable shares, so the masked row-sum is the answer.

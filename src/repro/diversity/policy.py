@@ -31,12 +31,16 @@ class WeightedCensus:
             controls if the *entire* unattested class shares one exploitable
             fault (the conservative reading of "unknown configuration").
         effective_power: effective (reweighted) power per replica.
+        census: the effective-power distribution over fault domains the
+            entropy is taken of: each attested configuration, plus one
+            ``"unattested-unknown"`` domain pooling the unattested power.
     """
 
     entropy: float
     attested_power_fraction: float
     unattested_worst_case_fraction: float
     effective_power: Tuple[Tuple[str, float], ...]
+    census: ConfigurationDistribution
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,7 @@ class TwoClassWeightPolicy:
             attested_power_fraction=attested_power / total,
             unattested_worst_case_fraction=unattested_power / total,
             effective_power=tuple(sorted(power.items())),
+            census=census,
         )
 
     def sweep_ratio(

@@ -238,18 +238,21 @@ class ResultCache:
     def store(
         self,
         key: str,
-        result: ExperimentResult,
+        document: Mapping[str, Any],
         *,
         fingerprint: Optional[str] = None,
     ) -> str:
-        """Atomically persist ``result`` under ``key``; returns the file path.
+        """Atomically persist a result's document under ``key``; returns the path.
 
-        ``fingerprint`` must be the one ``key`` was computed under when the
-        two calls can straddle a refresh (the HTTP service); the default is
-        only safe for batch runs, where the memo cannot change in between.
+        ``document`` is :meth:`ExperimentResult.to_dict` output, or a pool
+        worker's return value, which is that document already and is stored
+        as given.  ``fingerprint`` must be the one ``key`` was computed
+        under when the two calls can straddle a refresh (the HTTP service);
+        the default is only safe for batch runs, where the memo cannot
+        change in between.
         """
         path = self._path(key)
-        document = result.to_dict()
+        document = dict(document)
         # The content key embeds the fingerprint but cannot be inverted, so
         # prune() needs it recorded in the entry itself to recognize entries
         # orphaned by a source edit.

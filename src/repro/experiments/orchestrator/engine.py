@@ -158,10 +158,10 @@ def run_experiments(
                 for index, spec, params_doc, key in pending
             ]
             for index, spec, key, future in futures:
-                result = ExperimentResult.from_dict(future.result())
-                results[index] = result
+                document = future.result()
+                results[index] = ExperimentResult.from_dict(document)
                 if cache is not None and key is not None:
-                    cache.store(key, result)
+                    cache.store(key, document)
         finally:
             pool.shutdown(wait=True, cancel_futures=True)
     else:
@@ -169,6 +169,6 @@ def run_experiments(
             result = execute_spec(spec, backend=effective_backend)
             results[index] = result
             if cache is not None and key is not None:
-                cache.store(key, result)
+                cache.store(key, result.to_dict())
 
     return [result for result in results if result is not None]

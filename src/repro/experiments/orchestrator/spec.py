@@ -13,11 +13,13 @@ from __future__ import annotations
 import re
 from dataclasses import asdict, dataclass, is_dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import (
     Any,
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -68,6 +70,15 @@ class ExperimentSpec:
         """A fresh instance of the parameter dataclass."""
         return self.params_type()
 
+    @property
+    def params_hints(self) -> Mapping[str, Any]:
+        """The params dataclass's resolved field hints (read-only).
+
+        Resolved once per params type: ``typing.get_type_hints`` costs about
+        0.1 ms a call, and the serve layer reads the hints on every request.
+        """
+        return _type_hints(self.params_type)
+
     def params_dict(self, params: Any = None) -> Dict[str, Any]:
         """``params`` (defaulting to :meth:`default_params`) as a JSON-safe dict."""
         if params is None:
@@ -85,7 +96,7 @@ class ExperimentSpec:
         hint turns it back into a tuple, so the rebuilt params equal (and
         hash like) the ones :meth:`params_dict` was given.
         """
-        hints = _type_hints(self.params_type)
+        hints = self.params_hints
         try:
             return self.params_type(
                 **{
@@ -100,9 +111,9 @@ class ExperimentSpec:
 
 
 @lru_cache(maxsize=None)
-def _type_hints(params_type: type) -> Dict[str, Any]:
-    """The params dataclass's field hints, resolved once per type (read-only)."""
-    return get_type_hints(params_type)
+def _type_hints(params_type: type) -> Mapping[str, Any]:
+    """``params_type``'s field hints, resolved once; shared, so read-only."""
+    return MappingProxyType(get_type_hints(params_type))
 
 
 def variadic_tuple_element(annotation: Any) -> Optional[Any]:

@@ -24,7 +24,6 @@ from typing import Sequence, Tuple
 
 from repro.analysis.monte_carlo import estimate_violation_probability
 from repro.analysis.report import Table
-from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import ExperimentError
 from repro.core.population import ReplicaPopulation
 from repro.core.resilience import ProtocolFamily
@@ -85,9 +84,8 @@ def run_two_class(
             raise ExperimentError(f"weight ratio must be positive, got {ratio}")
         policy = TwoClassWeightPolicy(attested_weight=ratio, unattested_weight=1.0)
         weighted = policy.apply(population)
-        census = _census_from_weighted(weighted.effective_power, population)
         estimate = estimate_violation_probability(
-            census,
+            weighted.census,
             family=ProtocolFamily.BFT,
             vulnerability_probability=vulnerability_probability,
             exploit_budget=1,
@@ -110,26 +108,6 @@ def run_two_class(
         rows=tuple(rows),
         improves_with_weight=improves,
     )
-
-
-def _census_from_weighted(
-    effective_power: Tuple[Tuple[str, float], ...], population: ReplicaPopulation
-) -> ConfigurationDistribution:
-    """Census over fault domains under the policy's effective power.
-
-    Attested replicas contribute their attested configuration; unattested
-    power is pooled into a single worst-case "unknown" domain, mirroring
-    :meth:`TwoClassWeightPolicy.apply`.
-    """
-    weights: dict = {}
-    power_by_id = dict(effective_power)
-    for replica in population:
-        power = power_by_id.get(replica.replica_id, 0.0)
-        if power <= 0:
-            continue
-        key = replica.configuration if replica.attested else "unattested-unknown"
-        weights[key] = weights.get(key, 0.0) + power
-    return ConfigurationDistribution(weights)
 
 
 def two_class_table(result: TwoClassResult) -> Table:

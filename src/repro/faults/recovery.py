@@ -16,13 +16,17 @@ ways to shrink the attacker's usable window.  This module models both levers:
 Both produce *exposure timelines*: voting power exposed / compromised as a
 function of time, which the vulnerability-window experiment integrates into a
 "power-time" area the same way availability analyses integrate downtime.
+A timeline sums the still-exposed powers afresh only at the samples where
+some replica's window has closed since the previous sample, adding them in
+schedule order, so every sample equals the per-instant power bit for bit.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import FaultModelError
 from repro.core.population import ReplicaPopulation
@@ -83,6 +87,35 @@ class ExposureTimeline:
             if p0 >= threshold - 1e-12:
                 total += t1 - t0
         return total
+
+
+def _open_power_timeline(
+    schedule: Sequence[Tuple[float, float]],
+    times: Sequence[float],
+    open_power: Callable[[Sequence[Tuple[float, float]], float], float],
+) -> Tuple[float, ...]:
+    """``open_power(schedule, t)`` at each of the ascending sample ``times``.
+
+    An entry ``(closes_at, power)`` is open while ``t < closes_at``, so the
+    open set only shrinks as ``t`` grows.  A sample's sum is recomputed only
+    when some open window closed since the previous sample, over the entries
+    still open and in schedule order: the same powers added in the same
+    order as ``open_power`` over the whole schedule.  Every other sample
+    repeats its predecessor's value.
+    """
+    # A NaN close is never open (``t < NaN`` is false), so it never closes.
+    closes = sorted(closes_at for closes_at, _ in schedule if closes_at == closes_at)
+    sums: List[float] = []
+    still_open = list(schedule)
+    closed = -1
+    for t in times:
+        now_closed = bisect_right(closes, t)
+        if now_closed != closed:
+            closed = now_closed
+            still_open = [entry for entry in still_open if t < entry[0]]
+            value = open_power(still_open, t)
+        sums.append(value)
+    return tuple(sums)
 
 
 class PatchRollout:
@@ -157,7 +190,11 @@ class PatchRollout:
         return max(self._adoption_time.values())
 
     def timeline(self, *, horizon: Optional[float] = None, samples: int = 200) -> ExposureTimeline:
-        """Sample the exposed power from disclosure until ``horizon``."""
+        """Sample the exposed power from disclosure until ``horizon``.
+
+        Each sample equals :meth:`exposed_power_at` at its instant; the sum
+        is redone only after some replica adopted the patch.
+        """
         if samples < 2:
             raise FaultModelError(f"at least 2 samples are required, got {samples}")
         end = horizon if horizon is not None else self.all_patched_time() * 1.05 + 1e-9
@@ -167,10 +204,11 @@ class PatchRollout:
         times = [self._disclosure_time + index * step for index in range(samples)]
         # Every sample is at or after disclosure, so exposed_power_at's
         # early return never fires; the schedule is read once, not per sample.
-        schedule = self._adoption_schedule()
         return ExposureTimeline(
             times=tuple(times),
-            exposed_power=tuple(self._exposed_power(schedule, t) for t in times),
+            exposed_power=_open_power_timeline(
+                self._adoption_schedule(), times, self._exposed_power
+            ),
             total_power=self._population.total_power(),
         )
 
@@ -270,6 +308,9 @@ class ProactiveRecoveryPolicy:
     ) -> ExposureTimeline:
         """Sample the attacker-controlled power from the attack until ``horizon``.
 
+        Each sample equals :meth:`compromised_power_at` at its instant; the
+        sum is redone only after some compromised replica was recovered.
+
         Raises:
             FaultModelError: ``horizon`` is at or before ``attack_time`` (the
                 samples would run backwards and the areas come out negative).
@@ -285,9 +326,12 @@ class ProactiveRecoveryPolicy:
         times = [attack_time + index * step for index in range(samples)]
         # Every sample is at or after the attack, so compromised_power_at's
         # early return never fires; recoveries are scheduled once, not per sample.
-        schedule = self._recovery_schedule(compromised_ids, attack_time)
         return ExposureTimeline(
             times=tuple(times),
-            exposed_power=tuple(self._compromised_power(schedule, t) for t in times),
+            exposed_power=_open_power_timeline(
+                self._recovery_schedule(compromised_ids, attack_time),
+                times,
+                self._compromised_power,
+            ),
             total_power=self._population.total_power(),
         )

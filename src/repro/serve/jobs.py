@@ -170,9 +170,15 @@ class JobStore:
         if len(self._jobs) <= self.history_limit:
             return
         excess = len(self._jobs) - self.history_limit
-        for job_id in [
-            job_id for job_id, job in self._jobs.items() if job.finished
-        ][:excess]:
+        # Stop at the ``excess``-th finished job: past the limit each create
+        # evicts about one, so the scan reads only the oldest few jobs.
+        doomed = list(
+            itertools.islice(
+                (job_id for job_id, job in self._jobs.items() if job.finished),
+                excess,
+            )
+        )
+        for job_id in doomed:
             del self._jobs[job_id]
             self.evicted += 1
 

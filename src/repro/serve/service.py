@@ -41,7 +41,6 @@ from typing import (
     Union,
     get_args,
     get_origin,
-    get_type_hints,
 )
 
 from repro.backend import get_backend, registered_backends
@@ -209,8 +208,8 @@ class ResultService:
         self.default_backend = get_backend(backend).name
         self._inflight: Dict[str, "asyncio.Task[Tuple[ExperimentResult, str]]"] = {}
         # The registry is immutable for the process lifetime; build the
-        # listing document once instead of re-running get_type_hints/asdict
-        # over every spec per GET /experiments.
+        # listing document once instead of re-running asdict over every
+        # spec per GET /experiments.
         self._experiments_document = self._describe_experiments()
 
     # --------------------------------------------------------------- health
@@ -233,7 +232,7 @@ class ResultService:
         experiments: List[Dict[str, Any]] = []
         for spec in registry.all_specs():
             params_schema: List[Dict[str, Any]] = []
-            hints = get_type_hints(spec.params_type)
+            hints = spec.params_hints
             defaults = dataclasses.asdict(spec.default_params())
             for spec_field in dataclasses.fields(spec.params_type):
                 label, nullable = _type_label(hints[spec_field.name])
@@ -335,7 +334,7 @@ class ResultService:
         self, spec: ExperimentSpec, query: Mapping[str, Sequence[str]]
     ) -> Dict[str, Any]:
         extra = [name for name in query if name not in RESERVED_QUERY_PARAMS]
-        hints = get_type_hints(spec.params_type)
+        hints = spec.params_hints
         known = {spec_field.name for spec_field in dataclasses.fields(spec.params_type)}
         unknown = sorted(set(extra) - known)
         if unknown:
@@ -361,7 +360,7 @@ class ResultService:
             raise ServeError(
                 400, f"params for {spec.experiment_id!r} must be an object"
             )
-        hints = get_type_hints(spec.params_type)
+        hints = spec.params_hints
         known = {spec_field.name for spec_field in dataclasses.fields(spec.params_type)}
         unknown = sorted(set(params) - known)
         if unknown:
@@ -476,6 +475,8 @@ class ResultService:
         finally:
             self.metrics.in_flight_builds -= 1
         self.breaker.record_success()
+        # The worker's document is what store() writes; decoding is only
+        # for the caller and the metrics, never re-encoded with to_dict().
         result = ExperimentResult.from_dict(document)
         # The build ran in a pool worker; its kernel counters and peak RSS
         # ride back on the volatile section of the result document.
@@ -495,6 +496,6 @@ class ResultService:
                 fingerprint=fingerprint,
             )
         await asyncio.to_thread(
-            self.cache.store, store_key, result, fingerprint=fingerprint
+            self.cache.store, store_key, document, fingerprint=fingerprint
         )
         return result

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.configuration import ComponentKind, ReplicaConfiguration, SoftwareComponent
@@ -10,6 +12,7 @@ from repro.core.exceptions import AnalysisError, PlanningError
 from repro.core.optimality import is_kappa_omega_optimal
 from repro.core.population import Replica, ReplicaPopulation
 from repro.core.resilience import ProtocolFamily
+from repro.datasets.software_ecosystem import default_ecosystem
 from repro.diversity.manager import DiversityManager
 from repro.diversity.monitor import DiversityMonitor, MonitorThresholds
 from repro.diversity.planner import EntropyPlanner
@@ -209,6 +212,36 @@ class TestTwoClassPolicy:
         boosted = TwoClassWeightPolicy(4.0, 1.0).apply(population)
         assert boosted.unattested_worst_case_fraction < equal.unattested_worst_case_fraction
         assert boosted.entropy > equal.entropy
+
+    @pytest.mark.parametrize(
+        "attested_weight, unattested_weight",
+        [(1.0, 1.0), (2.0, 1.0), (16.0, 1.0), (0.3, 1.0), (0.0, 1.0), (1.0, 0.0)],
+    )
+    @pytest.mark.parametrize("seed", [0, 23, 91])
+    def test_census_equals_the_rebuilt_weighted_census(
+        self, attested_weight, unattested_weight, seed
+    ):
+        rng = random.Random(seed)
+        powers = [rng.uniform(0.1, 3.0) for _ in range(120)]
+        population = default_ecosystem().sample_population(
+            120, seed=seed, power=powers, attested_fraction=0.4
+        )
+        weighted = TwoClassWeightPolicy(attested_weight, unattested_weight).apply(
+            population
+        )
+        # Reference: the census rebuilt from the effective powers, as the
+        # two-class experiment used to do after apply().
+        weights: dict = {}
+        power_by_id = dict(weighted.effective_power)
+        for replica in population:
+            power = power_by_id.get(replica.replica_id, 0.0)
+            if power <= 0:
+                continue
+            key = replica.configuration if replica.attested else "unattested-unknown"
+            weights[key] = weights.get(key, 0.0) + power
+        reference = ConfigurationDistribution(weights)
+        assert list(weighted.census.shares().items()) == list(reference.shares().items())
+        assert weighted.entropy == weighted.census.entropy()
 
     def test_sweep_ratio_is_monotone(self):
         population = self._population()

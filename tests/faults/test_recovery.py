@@ -9,7 +9,12 @@ import pytest
 from repro.core.exceptions import FaultModelError
 from repro.core.population import ReplicaPopulation
 from repro.datasets.software_ecosystem import skewed_ecosystem
-from repro.faults.recovery import ExposureTimeline, PatchRollout, ProactiveRecoveryPolicy
+from repro.faults.recovery import (
+    ExposureTimeline,
+    PatchRollout,
+    ProactiveRecoveryPolicy,
+    _open_power_timeline,
+)
 
 
 def _random_population(seed: int) -> ReplicaPopulation:
@@ -262,3 +267,86 @@ class TestProactiveRecovery:
     def test_invalid_period_rejected(self, unique_population):
         with pytest.raises(FaultModelError):
             ProactiveRecoveryPolicy(unique_population, recovery_period=0.0)
+
+
+def _schedule(seed, times):
+    """Random ``(closes_at, power)`` entries with non-dyadic powers.
+
+    Windows come unsorted; some close before the first sample, some exactly
+    at a sample instant, some after the last, and a few share a close.
+    """
+    rng = random.Random(seed)
+    entries = []
+    for _ in range(rng.randint(1, 60)):
+        roll = rng.random()
+        if roll < 0.15:
+            closes_at = times[0] - rng.uniform(0.0, 5.0)
+        elif roll < 0.45:
+            closes_at = rng.choice(times)
+        elif roll < 0.55:
+            closes_at = times[-1] + rng.uniform(0.0, 5.0)
+        elif roll < 0.6 and entries:
+            closes_at = rng.choice(entries)[0]
+        else:
+            closes_at = rng.uniform(times[0], times[-1])
+        entries.append((closes_at, rng.uniform(0.1, 3.0)))
+    return entries
+
+
+class TestOpenPowerTimeline:
+    """Sums redone only when a window closes equal the per-sample sums."""
+
+    OPEN_POWERS = (PatchRollout._exposed_power, ProactiveRecoveryPolicy._compromised_power)
+
+    @pytest.mark.parametrize("open_power", OPEN_POWERS)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_per_sample_sum(self, open_power, seed):
+        rng = random.Random(seed)
+        start, step = rng.uniform(-3.0, 3.0), rng.uniform(0.01, 0.7)
+        times = [start + index * step for index in range(rng.randint(2, 150))]
+        schedule = _schedule(seed, times)
+        reference = [open_power(schedule, t) for t in times]
+        # repr tells 0 from 0.0 and shows every bit of a float.
+        assert list(map(repr, _open_power_timeline(schedule, times, open_power))) == list(
+            map(repr, reference)
+        )
+
+    @pytest.mark.parametrize("open_power", OPEN_POWERS)
+    def test_empty_schedule_and_everything_closed_early(self, open_power):
+        times = [1.0 + index * 0.5 for index in range(7)]
+        for schedule in ([], [(0.5, 0.3), (1.0, 0.7), (-2.0, 1 / 3)]):
+            assert list(map(repr, _open_power_timeline(schedule, times, open_power))) == [
+                repr(open_power(schedule, t)) for t in times
+            ]
+
+    def test_sums_are_redone_only_when_a_window_closes(self):
+        calls = []
+
+        def open_power(schedule, t):
+            calls.append(t)
+            return ProactiveRecoveryPolicy._compromised_power(schedule, t)
+
+        times = [float(index) for index in range(100)]
+        schedule = [(30.0, 0.1), (10.5, 0.2), (30.0, 0.3), (1e9, 0.4)]
+        timeline = _open_power_timeline(schedule, times, open_power)
+        # The first sample, then the samples at or just after 10.5 and 30.
+        assert calls == [0.0, 11.0, 30.0]
+        assert timeline == tuple(
+            ProactiveRecoveryPolicy._compromised_power(schedule, t) for t in times
+        )
+
+    def test_patch_timeline_sums_once_per_adoption(
+        self, small_population, openssl_vulnerability, monkeypatch
+    ):
+        rollout = PatchRollout(small_population, openssl_vulnerability, seed=5)
+        sums = []
+        original = PatchRollout._exposed_power
+
+        def spy(schedule, time):
+            sums.append(time)
+            return original(schedule, time)
+
+        monkeypatch.setattr(PatchRollout, "_exposed_power", staticmethod(spy))
+        timeline = rollout.timeline(samples=200)
+        adoptions = {rollout.adoption_time_of(r) for r in rollout.exposed_replica_ids}
+        assert len(sums) <= len(adoptions) + 1 < len(timeline.times)

@@ -67,7 +67,7 @@ class TestStoreAndLoad:
         spec = figure1_spec()
         result = execute_spec(spec)
         key = cache.key_for(spec, spec.params_dict(), None)
-        cache.store(key, result)
+        cache.store(key, result.to_dict())
         loaded = cache.load(key)
         assert loaded is not None
         assert loaded.cached is True
@@ -90,7 +90,7 @@ class TestStoreAndLoad:
         spec = registry.get_spec(experiment)
         result = execute_spec(spec)
         key = cache.key_for(spec, spec.params_dict(), None)
-        path = cache.store(key, result, fingerprint="f" * 64)
+        path = cache.store(key, result.to_dict(), fingerprint="f" * 64)
         document = result.to_dict()
         document["code_fingerprint"] = "f" * 64
         expected = io.StringIO()
@@ -105,7 +105,7 @@ class TestStoreAndLoad:
     def test_corrupt_entry_degrades_to_a_miss(self, cache, tmp_path):
         spec = figure1_spec()
         key = cache.key_for(spec, spec.params_dict(), None)
-        cache.store(key, execute_spec(spec))
+        cache.store(key, execute_spec(spec).to_dict())
         path = os.path.join(cache.directory, f"{key}.json")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{ not json")
@@ -114,7 +114,7 @@ class TestStoreAndLoad:
     def test_non_object_json_entry_is_a_miss(self, cache):
         spec = figure1_spec()
         key = cache.key_for(spec, spec.params_dict(), None)
-        cache.store(key, execute_spec(spec))
+        cache.store(key, execute_spec(spec).to_dict())
         path = os.path.join(cache.directory, f"{key}.json")
         for payload in ("null", "[1, 2]", '"text"'):
             with open(path, "w", encoding="utf-8") as handle:
@@ -124,7 +124,7 @@ class TestStoreAndLoad:
     def test_truncated_document_is_a_miss(self, cache):
         spec = figure1_spec()
         key = cache.key_for(spec, spec.params_dict(), None)
-        cache.store(key, execute_spec(spec))
+        cache.store(key, execute_spec(spec).to_dict())
         path = os.path.join(cache.directory, f"{key}.json")
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
@@ -143,7 +143,7 @@ class TestStoreAndLoad:
 
         monkeypatch.setattr(cache_module.os, "replace", disk_full)
         with pytest.raises(OrchestrationError, match="cannot write cache entry"):
-            cache.store(key, result)
+            cache.store(key, result.to_dict())
         assert os.listdir(cache.directory) == []
         assert cache.load(key) is None
 
@@ -153,13 +153,13 @@ class TestStoreAndLoad:
         spec = figure1_spec()
         cache = ResultCache(str(blocker))
         with pytest.raises(OrchestrationError, match="cannot write cache entry"):
-            cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec))
+            cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec).to_dict())
         assert blocker.read_text(encoding="utf-8") == "not a directory"
 
     def test_len_counts_committed_entries(self, cache):
         assert len(cache) == 0
         spec = figure1_spec()
-        cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec))
+        cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec).to_dict())
         assert len(cache) == 1
 
 
@@ -205,7 +205,7 @@ class TestFingerprintHooks:
         spec = figure1_spec()
         pinned = "f" * 64
         key = cache.key_for(spec, spec.params_dict(), None, fingerprint=pinned)
-        cache.store(key, execute_spec(spec), fingerprint=pinned)
+        cache.store(key, execute_spec(spec).to_dict(), fingerprint=pinned)
         path = os.path.join(cache.directory, f"{key}.json")
         with open(path, encoding="utf-8") as handle:
             assert json.load(handle)["code_fingerprint"] == pinned
@@ -218,7 +218,7 @@ class TestPruneAndStats:
     def _store_one(self, cache):
         spec = figure1_spec()
         key = cache.key_for(spec, spec.params_dict(), None)
-        cache.store(key, execute_spec(spec))
+        cache.store(key, execute_spec(spec).to_dict())
         return key
 
     def test_entries_record_the_current_fingerprint(self, cache):

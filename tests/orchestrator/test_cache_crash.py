@@ -40,7 +40,7 @@ spec = registry.get_spec("example1")
 result = execute_spec(spec)
 cache = ResultCache(sys.argv[1])
 key = cache.key_for(spec, spec.params_dict(), None)
-cache.store(key, result)
+cache.store(key, result.to_dict())
 print("stored", key)
 """
 
@@ -106,7 +106,7 @@ class TestCrashDuringStore:
         spec = registry.get_spec("example1")
         result = execute_spec(spec)
         key = cache.key_for(spec, spec.params_dict(), None)
-        cache.store(key, result)
+        cache.store(key, result.to_dict())
         loaded = cache.load(key)
         assert loaded is not None
         assert loaded.cached is True
@@ -125,7 +125,7 @@ class TestCorruptCommit:
 
         monkeypatch.setenv(CHAOS_ENV_VAR, "corrupt:1@cache-write")
         reset_chaos()
-        cache.store(key, result)
+        cache.store(key, result.to_dict())
         monkeypatch.delenv(CHAOS_ENV_VAR)
         reset_chaos()
 
@@ -139,5 +139,5 @@ class TestCorruptCommit:
         assert report.removed_entries == 1
 
         # After pruning, a clean store repairs the entry.
-        cache.store(key, result)
+        cache.store(key, result.to_dict())
         assert cache.load(key) is not None

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -22,9 +23,10 @@ from repro.experiments.orchestrator import ResultCache, execute_spec, registry
 from repro.serve.app import MAX_JOB_TASKS, ResultApp, json_body
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.http import HttpRequest
-from repro.serve.jobs import JobStore, JobTask
+from repro.serve.jobs import Job, JobStore, JobTask
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import ResultService
+from repro.testing.chaos import CHAOS_ENV_VAR, reset_chaos
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
@@ -127,6 +129,44 @@ class TestJobStore:
 
         with_app(body, tmp_path)
 
+    def test_eviction_reads_only_the_jobs_it_evicts(self, tmp_path, monkeypatch):
+        """Eviction order, count and active retention match a full scan."""
+
+        async def body(app):
+            rng = random.Random(3)
+            store = JobStore(history_limit=5, clock=FakeClock())
+            reference = []  # (job, evicted?) in creation order
+            reads = []
+            finished = Job.finished
+
+            monkeypatch.setattr(
+                Job, "finished", property(lambda job: reads.append(job) or finished.fget(job))
+            )
+            for _ in range(200):
+                job = store.create([self._task(app)])
+                # Reference: the full scan this store used to make.
+                retained = [entry for entry, gone in reference if not gone]
+                retained.append(job)
+                excess = len(retained) - store.history_limit
+                doomed = [entry for entry in retained if entry.status in ("done", "failed")]
+                doomed = doomed[: max(0, excess)]
+                reference.append((job, False))
+                reference[:] = [(entry, gone or entry in doomed) for entry, gone in reference]
+                assert [entry.job_id for entry in store.jobs()] == [
+                    entry.job_id for entry, gone in reference if not gone
+                ]
+                # Finish up to two random active jobs, leaving a few active.
+                for _ in range(2):
+                    active = [entry for entry in store.jobs() if entry.status == "queued"]
+                    if active and rng.random() < 0.6:
+                        store.mark_done(rng.choice(active))
+            assert store.evicted == sum(gone for _, gone in reference)
+            assert store.evicted > 150
+            # One read per evicted job plus the active ones scanned past.
+            assert len(reads) < 2 * store.evicted
+
+        with_app(body, tmp_path)
+
     def test_all_active_jobs_may_exceed_the_limit(self, tmp_path):
         async def body(app):
             store = JobStore(history_limit=1, clock=FakeClock())
@@ -207,6 +247,105 @@ class TestJobSubmission:
             assert listing["jobs"][0]["id"] == snapshot["id"]
 
         with_app(body, tmp_path)
+
+    @pytest.mark.parametrize(
+        "experiment",
+        ("campaign_budget", "safety_violation", "two_class", "vulnerability_window", "component_exposure"),
+    )
+    def test_finished_job_result_is_a_memory_hit(self, tmp_path, experiment):
+        """The job primes its body: the GET after completion reads no disk."""
+
+        async def body(app):
+            response = await app.handle(
+                _request(
+                    "POST",
+                    "/jobs",
+                    {"experiment": experiment, "params": {"seed": 7}, "wait": True},
+                )
+            )
+            snapshot = json.loads(response.body)
+            assert snapshot["status"] == "done"
+            result = await app.handle(_request("GET", snapshot["result_path"]))
+            assert result.status == 200
+            assert app.metrics.memory_hits == 1
+            assert app.metrics.builds == 1
+            return result.body, snapshot["tasks"][0]["backend"]
+
+        served, backend = with_app(body, tmp_path)
+        spec = registry.get_spec(experiment)
+        built = execute_spec(spec, spec.params_type(seed=7), backend=backend)
+        assert served == json_body(built.canonical_dict())
+
+    @staticmethod
+    def _result_after_tripping_the_breaker(tmp_path, submit):
+        """GET a finished ``wait`` job's result with the breaker open.
+
+        ``submit`` posts the job; the result must then come from memory, as
+        an open breaker turns any second build into a 503.
+        """
+        breaker = CircuitBreaker(
+            failure_threshold=1, reset_timeout=30.0, clock=FakeClock()
+        )
+
+        async def body(app):
+            snapshot = json.loads((await submit(app)).body)
+            assert snapshot["status"] == "done"
+            breaker.record_failure()
+            assert breaker.state == "open"
+            result = await app.handle(_request("GET", snapshot["result_path"]))
+            assert result.status == 200
+            assert app.metrics.memory_hits == 1
+            assert app.metrics.builds == 1
+            key = app.jobs.get(snapshot["id"]).tasks[0].prepared.key
+            return result.body, app.service.cache.load(key)
+
+        served, entry = with_app(body, tmp_path, breaker=breaker)
+        assert entry is None  # the GET could not have been served from disk
+        spec = registry.get_spec("example1")
+        assert served == json_body(execute_spec(spec).canonical_dict())
+
+    def test_job_result_survives_a_refresh_during_its_build(
+        self, tmp_path, monkeypatch
+    ):
+        """The entry goes under the refreshed key; the job's body still serves."""
+        from repro.experiments.orchestrator.cache import (
+            invalidate_code_fingerprint,
+            set_code_fingerprint,
+        )
+
+        async def submit(app):
+            prepare = app.service.prepare_document
+
+            def prepare_then_refresh(*args, **kwargs):
+                prepared = prepare(*args, **kwargs)
+                set_code_fingerprint("0" * 64)
+                return prepared
+
+            monkeypatch.setattr(
+                app.service, "prepare_document", prepare_then_refresh
+            )
+            return await app.handle(
+                _request("POST", "/jobs", {"experiment": "example1", "wait": True})
+            )
+
+        try:
+            self._result_after_tripping_the_breaker(tmp_path, submit)
+        finally:
+            invalidate_code_fingerprint()
+
+    def test_job_result_survives_a_corrupt_cache_write(self, tmp_path, monkeypatch):
+        async def submit(app):
+            monkeypatch.setenv(CHAOS_ENV_VAR, "corrupt:1@cache-write")
+            reset_chaos()
+            try:
+                return await app.handle(
+                    _request("POST", "/jobs", {"experiment": "example1", "wait": True})
+                )
+            finally:
+                monkeypatch.delenv(CHAOS_ENV_VAR)
+                reset_chaos()
+
+        self._result_after_tripping_the_breaker(tmp_path, submit)
 
     def test_duplicate_submits_coalesce_through_single_flight(self, tmp_path):
         """N identical submissions cost exactly one build."""

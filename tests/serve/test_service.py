@@ -9,14 +9,18 @@ from __future__ import annotations
 
 import asyncio
 import math
+import os
+import typing
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.backend import get_backend
 from repro.core.exceptions import ServeError
-from repro.experiments.orchestrator import ResultCache, execute_spec
+import repro.serve.service as service_module
+from repro.experiments.orchestrator import ExperimentResult, ResultCache, execute_spec
 from repro.experiments.orchestrator import registry
+from repro.experiments.orchestrator import spec as spec_module
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import ResultService
 
@@ -174,6 +178,91 @@ class TestPrepareDocument:
         with pytest.raises(ServeError, match="backend must be a string") as excinfo:
             service.prepare_document("figure1", {}, 3)
         assert excinfo.value.status == 400
+
+
+class TestParamsTypeHints:
+    def test_type_hints_resolve_once_per_params_type(self, service, monkeypatch):
+        resolved = []
+
+        def spy(params_type, *args, **kwargs):
+            resolved.append(params_type)
+            return typing.get_type_hints(params_type, *args, **kwargs)
+
+        spec_module._type_hints.cache_clear()
+        monkeypatch.setattr(spec_module, "get_type_hints", spy)
+        monkeypatch.setattr(service_module, "get_type_hints", spy, raising=False)
+        try:
+            for seed in range(5):
+                service.prepare_document("two_class", {"seed": seed})
+                service.prepare_document("safety_violation", {"trials": 10 + seed})
+                service.prepare("two_class", {"seed": [str(seed)]})
+        finally:
+            spec_module._type_hints.cache_clear()
+        two_class = registry.get_spec("two_class").params_type
+        safety = registry.get_spec("safety_violation").params_type
+        assert sorted(resolved, key=repr) == sorted([two_class, safety], key=repr)
+
+    def test_shared_hints_are_read_only(self):
+        spec = registry.get_spec("two_class")
+        assert spec.params_hints is spec.params_hints
+        assert dict(spec.params_hints) == typing.get_type_hints(spec.params_type)
+        with pytest.raises(TypeError):
+            spec.params_hints["seed"] = str
+
+
+#: The experiments perfbench's serve_writes workload submits.
+WRITE_EXPERIMENTS = (
+    "campaign_budget",
+    "safety_violation",
+    "two_class",
+    "vulnerability_window",
+    "component_exposure",
+)
+
+
+class TestStoredDocument:
+    @pytest.mark.parametrize("experiment", WRITE_EXPERIMENTS)
+    def test_build_stores_the_worker_document_as_returned(
+        self, service, monkeypatch, tmp_path, experiment
+    ):
+        returned, stored = [], []
+        original_execute = service_module._pool_execute
+        original_store = ResultCache.store
+
+        def execute(*args):
+            returned.append(original_execute(*args))
+            return returned[-1]
+
+        def store(cache, key, result, **kwargs):
+            stored.append(result)
+            return original_store(cache, key, result, **kwargs)
+
+        monkeypatch.setattr(service_module, "_pool_execute", execute)
+        monkeypatch.setattr(ResultCache, "store", store)
+
+        async def _run():
+            prepared = service.prepare_document(experiment, {"seed": 5})
+            result, state = await service.fetch(prepared)
+            return prepared, result, state
+
+        prepared, result, state = asyncio.run(_run())
+        assert state == "miss"
+        assert stored == returned and stored[0] is returned[0]
+        assert "code_fingerprint" not in returned[0]  # stored as a copy
+        # The entry's bytes are those the decoded result would have stored.
+        reference = ResultCache(str(tmp_path / "reference"))
+        expected = original_store(
+            reference,
+            prepared.key,
+            ExperimentResult.from_dict(returned[0]).to_dict(),
+            fingerprint=prepared.fingerprint,
+        )
+        entry = os.path.join(service.cache.directory, f"{prepared.key}.json")
+        with open(entry, "rb") as actual, open(expected, "rb") as wanted:
+            assert actual.read() == wanted.read()
+        assert result.canonical_json() == ExperimentResult.from_dict(
+            returned[0]
+        ).canonical_json()
 
 
 class TestFetch:
