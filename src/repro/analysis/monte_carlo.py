@@ -71,9 +71,8 @@ def estimate_violation_probability(
         exploit_budget: how many vulnerable configurations the attacker can
             exploit simultaneously (it greedily picks the largest shares).
         trials: Monte-Carlo sample count.
-        seed: RNG seed.  Results are deterministic per backend for a fixed
-            seed; the pure-Python and NumPy backends use different RNG
-            streams and agree only within Monte-Carlo tolerance.
+        seed: seed of the census stream.  Results are a pure function of
+            the arguments: every backend returns the same bits.
         tolerated_fraction: explicit tolerance override (otherwise derived
             from ``family``).
         backend: compute backend name ("python", "numpy", "auto"), instance,
@@ -129,8 +128,6 @@ def estimate_violation_probabilities(
                 f"tolerated fraction must be in (0, 1], got {tolerance}"
             )
 
-    # Census-mode trials route through the campaign engine's backend seam;
-    # the kernel, RNG streams and therefore every number are unchanged.
     batch = run_census_trials(
         census,
         vulnerability_probability=vulnerability_probability,

@@ -1,14 +1,14 @@
 """Pluggable compute backends for the analysis hot paths.
 
 The reproduction's quantitative claims are regenerated by Monte-Carlo trials
-and entropy computations whose cost scales as ``trials × configurations ×
-sweep_points``.  This package provides that arithmetic behind a single seam:
+whose cost scales as ``trials × configurations × sweep_points``.  This
+package provides that arithmetic behind a single seam, every kernel reading
+one counter-based stream so every backend draws the same uniforms:
 
-- :mod:`repro.backend.python_backend` — the dependency-free scalar fallback,
-  bit-identical to the pre-backend behavior;
-- :mod:`repro.backend.numpy_backend` — a vectorized implementation that draws
-  the whole trial batch in one RNG call and reduces it with masked top-k
-  sums (≈ 10-100× faster on realistic sizes);
+- :mod:`repro.backend.python_backend` — the dependency-free scalar fallback
+  and the reference the other backends are tested against;
+- :mod:`repro.backend.numpy_backend` — a vectorized implementation that
+  hashes whole blocks of trials and cells at once;
 - :mod:`repro.backend.shm_backend` — the NumPy kernels fanned out across a
   persistent process pool over shared-memory array views, bit-identical to
   numpy; opt-in via ``REPRO_BACKEND=shm`` with ``REPRO_SHM_WORKERS`` sizing

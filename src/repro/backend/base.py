@@ -1,10 +1,10 @@
 """Abstract interface every compute backend implements.
 
 A :class:`ComputeBackend` bundles the numeric hot paths of the reproduction —
-batched Monte-Carlo vulnerability trials, exploit campaigns, Shannon entropy
-and weighted label accumulation — behind one seam, so the same analysis code
-can run on the dependency-free pure-Python implementation, on a vectorized
-NumPy one or on NumPy fanned out over shared-memory workers.
+batched Monte-Carlo vulnerability trials, exploit campaigns and weighted
+label accumulation — behind one seam, so the same analysis code can run on
+the dependency-free pure-Python implementation, on a vectorized NumPy one or
+on NumPy fanned out over shared-memory workers.
 
 Campaigns have one exposure layout, the CSR :class:`SparseExposure`, and one
 kernel: :meth:`ComputeBackend.sparse_grid_partials` runs a tuple of
@@ -37,12 +37,14 @@ The contract every implementation must honor:
   ``campaign_uniform(seed, index * M + m)`` and turns it into an index with
   :func:`market_choice`, so sampled populations are identical on every
   backend and for every chunking of the replica range.
-- **Census mode differs.** :meth:`ComputeBackend.violation_trials` predates
-  the counter stream: backends draw from their own generators, so its
-  results agree across backends only within Monte-Carlo tolerance, while
-  verdicts derived from exact share arithmetic (e.g. "can a single exploit
-  reach the tolerance") agree exactly.  Each call judges every tolerance it
-  is given on one draw, so a BFT/majority pair costs one census draw.
+- **One census stream.** :meth:`ComputeBackend.violation_trials` draws
+  trial ``t``'s configuration ``i`` (of ``n`` shares, descending) from
+  ``campaign_uniform(seed, t * n + i)``, so census results are identical on
+  every backend: each trial adds its first ``exploit_budget`` vulnerable
+  shares left to right from ``0.0`` and ``compromised_total`` is the
+  ``math.fsum`` of the per-trial sums, which no trial chunking can change.
+  Each call judges every tolerance it is given on one draw, so a
+  BFT/majority pair costs one census draw.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ CAMPAIGN_FRACTION_SLACK = 1e-12
 
 # -- counter-based campaign RNG ------------------------------------------------
 #
-# The campaign kernels draw their per-(trial, replica, vulnerability) exploit
-# indicators from a *counter-based* splitmix64 stream instead of a sequential
-# generator: uniform #n depends only on (seed, n), never on how many draws
-# came before it.  That is what makes the batched NumPy kernel and the scalar
-# fallback bit-identical — both visit only exposed cells, in different orders,
-# and still read the exact same uniform for each one.
+# The campaign, census and market-choice kernels draw from a *counter-based*
+# splitmix64 stream instead of a sequential generator: uniform #n depends
+# only on (seed, n), never on how many draws came before it.  That is what
+# makes the batched NumPy kernels and the scalar fallback bit-identical —
+# they visit cells in different orders, skip different cells, and still read
+# the exact same uniform for each one.
 
 _MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -584,6 +586,15 @@ class ComputeBackend(abc.ABC):
     ) -> TrialBatchResult:
         """Run ``trials`` independent vulnerability scenarios.
 
+        Configuration ``i`` of trial ``t`` is vulnerable exactly when
+        ``campaign_uniform(seed, t * len(shares) + i) < vulnerability_probability``.
+        A trial's compromised share is its first ``exploit_budget``
+        vulnerable shares, added left to right from ``0.0``;
+        ``compromised_total`` is :func:`math.fsum` of those per-trial values
+        and a trial violates a tolerance when its share is ``>=`` it.  A
+        trial's draws after its last pick change nothing, so kernels may
+        skip them.
+
         Args:
             shares: voting-power shares sorted in descending order (callers
                 are responsible for the sort; backends rely on it to take the
@@ -594,7 +605,8 @@ class ComputeBackend(abc.ABC):
             exploit_budget: number of vulnerable configurations the attacker
                 exploits simultaneously (greedily, largest shares first).
             trials: number of scenarios to sample (positive).
-            seed: RNG seed; fixes the backend's stream deterministically.
+            seed: the census stream's seed (any integer, taken modulo 2^64
+                as in :func:`campaign_uniform`).
             tolerances: compromised-power fractions at which a trial counts
                 as a safety violation; each is judged on the same draws, and
                 ``violations`` is aligned with them.
@@ -711,17 +723,6 @@ class ComputeBackend(abc.ABC):
     # Alias of sparse_masked_power_sums: perfbench/workloads.py:53 wraps it by name.
     def masked_power_sums(self, *args, **kwargs):
         return self.sparse_masked_power_sums(*args, **kwargs)
-
-    # -- entropy kernel ---------------------------------------------------------
-
-    @abc.abstractmethod
-    def shannon_entropy(self, probabilities: Sequence[float], *, base: float = 2.0) -> float:
-        """Shannon entropy of an already-validated probability vector.
-
-        Zero entries contribute nothing (the paper's ``0 * log(1/0) = 0``
-        convention).  Validation (non-negativity, normalization) is the
-        caller's job — this is the inner-loop kernel only.
-        """
 
     # -- weighted accumulation kernel -------------------------------------------
 

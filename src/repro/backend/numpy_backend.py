@@ -2,20 +2,15 @@
 
 Three families of kernel live here:
 
-- ``violation_trials`` (census mode) replaces the scalar per-trial loop of
-  the Monte-Carlo estimator with one array-batched computation: all
-  ``trials × n_configs`` vulnerability indicators are drawn in
-  bounded-memory chunks from ``numpy.random.default_rng`` (PCG64) and
-  reduced with a masked top-k sum, and every tolerance of the call is
-  judged on those draws in one broadcast compare.  The draws are the
-  generator's raw 64-bit words cut into 32-bit halves, low half first (the
-  order in which ``Generator.random(dtype=float32)`` consumes them), each
-  compared as an integer with :func:`_census_limit`: a configuration is
-  vulnerable exactly when that float32 uniform would be below ``p``, and
-  no float is ever formed.  PCG64 is a *different*
-  stream from the pure-Python backend's ``random.Random``, so this one
-  kernel agrees with the fallback statistically, not bit for bit, while
-  staying fully deterministic for a fixed seed on this backend.
+- ``violation_trials`` (census mode) hashes trial ``t``'s configuration
+  ``i`` at counter ``t * n + i`` with the same vectorized splitmix64 and
+  compares the hash as an integer with :func:`_column_limits`' bound, so a
+  configuration is vulnerable exactly when
+  :func:`repro.backend.base.campaign_uniform` is below ``p``.  Column
+  blocks grow until every trial has its ``exploit_budget`` picks or runs out
+  of configurations, and each trial's picks are added left to right
+  (``cumsum`` along the configuration axis, a gather for budget 1), so every
+  result is bit-identical to the pure-Python backend.
 - ``market_choices`` samples a replica range's market choices: one
   vectorized splitmix64 over the counters ``index * M + m`` forms each
   ``u`` exactly as :func:`repro.backend.base.campaign_uniform` does, and a
@@ -75,9 +70,9 @@ except ImportError as _numpy_import_error:  # pragma: no cover - env-dependent
 else:  # pragma: no cover - the numpy-equipped environment
     _NUMPY_IMPORT_ERROR = None
 
-#: Upper bound on the number of matrix cells (trials × configs) drawn per
-#: ``violation_trials`` chunk; 2M 32-bit draws ≈ 8 MB.
-_CHUNK_CELLS = 2_000_000
+#: Upper bound on the cells (active trials × configurations) one census block
+#: hashes: 2^18 cells keep each of its uint64 work arrays at 2 MiB.
+_CENSUS_BLOCK_CELLS = 1 << 18
 
 #: Cells hashed per block by the campaign core.  A block streams through two
 #: uint64 work buffers (16 bytes a cell: 1 MiB at 2^16 cells) plus a bool
@@ -117,12 +112,17 @@ def _campaign_uniforms(seed: int, first: int, count: int) -> "_np.ndarray":
     z = _np.arange(first, first + count, dtype=_np.uint64)
     z *= _np.uint64(_SPLITMIX_GAMMA)
     z += _np.uint64((seed + _SPLITMIX_GAMMA) & _MASK64)
+    return (_mix64(z) >> _np.uint64(11)).astype(_np.float64) * _INV_2_53
+
+
+def _mix64(z: "_np.ndarray") -> "_np.ndarray":
+    """The splitmix64 finalizer, in place on a wrapping ``uint64`` array."""
     z ^= z >> _np.uint64(30)
     z *= _np.uint64(_SPLITMIX_MIX1)
     z ^= z >> _np.uint64(27)
     z *= _np.uint64(_SPLITMIX_MIX2)
     z ^= z >> _np.uint64(31)
-    return (z >> _np.uint64(11)).astype(_np.float64) * _INV_2_53
+    return z
 
 
 def _choice_indices(
@@ -137,18 +137,6 @@ def _choice_indices(
     """
     sums = _np.asarray(running, dtype=_np.float64)
     return _np.minimum(_np.searchsorted(sums, u * total, side="right"), sums.size - 1)
-
-
-def _census_limit(probability: float) -> int:
-    """Inclusive bound on a raw 32-bit census draw: vulnerable iff ``x <= bound``.
-
-    The reference draw is NumPy's float32 uniform ``(x >> 8) * 2^-24``, and
-    comparing it with ``p`` rounds ``p`` to float32 first.  So ``draw < p``
-    iff ``x >> 8 < ceil(float32(p) * 2^24)`` (the product is exact in
-    float64) iff ``x <= (ceil(float32(p) * 2^24) << 8) - 1``.  A ``p`` that
-    is 0 in float32 gives ``-1``: no configuration is ever vulnerable.
-    """
-    return (math.ceil(float(_np.float32(probability)) * (1 << 24)) << 8) - 1
 
 
 def _column_limits(probabilities: Sequence[float]) -> List[int]:
@@ -322,6 +310,58 @@ def _campaign_core(
     return compromised, per_vulnerability
 
 
+def _census_sums(
+    shares: "_np.ndarray", probability: float, budget: int, trials: int, seed: int
+) -> "_np.ndarray":
+    """Each trial's compromised share under the census contract (``p > 0``).
+
+    Trial ``t``'s configuration ``i`` is vulnerable when its hash at counter
+    ``t * n + i`` is at most the :func:`_column_limits` bound of ``p``, and
+    the trial takes its first ``budget`` vulnerable shares.  Only trials
+    still short of ``budget`` picks hash the next column block; the first
+    block spans twice the ``budget / p`` columns a trial needs on average
+    and each later one doubles (capped at :data:`_CENSUS_BLOCK_CELLS`
+    cells), so a budget-1 census at ``p = 0.25`` hashes about eight columns
+    per trial however many configurations it has.  A trial's picks are added left to right
+    onto its running sum, ``cumsum`` along the block, as the scalar loop
+    adds them (adding an unpicked ``0.0`` leaves a sum unchanged).
+    """
+    n = shares.size
+    sums = _np.zeros(trials, dtype=_np.float64)
+    active = _np.arange(trials)
+    picked = _np.zeros(trials, dtype=_np.int64)
+    # z = seed + (t*n + i + 1) * gamma is row_base[t] + i * gamma mod 2^64.
+    row_base = active.astype(_np.uint64) * _np.uint64((n * _SPLITMIX_GAMMA) & _MASK64)
+    row_base += _np.uint64((seed + _SPLITMIX_GAMMA) & _MASK64)
+    (limit,) = _column_limits((probability,))
+    bound = _np.uint64(limit)
+    reach = 2 * budget
+    start, width = 0, n if reach >= n * probability else math.ceil(reach / probability)
+    while active.size and start < n:
+        width = max(1, min(width, n - start, _CENSUS_BLOCK_CELLS // active.size))
+        column_step = _np.arange(start, start + width, dtype=_np.uint64)
+        column_step *= _np.uint64(_SPLITMIX_GAMMA)
+        vulnerable = _mix64(row_base[:, None] + column_step) <= bound
+        block = shares[start : start + width]
+        if budget == 1:
+            first = vulnerable.argmax(axis=1)
+            done = vulnerable[_np.arange(active.size), first]
+            sums[active[done]] = block[first[done]]
+        else:
+            ranks = _np.cumsum(vulnerable, axis=1) + picked[:, None]
+            values = _np.where(vulnerable & (ranks <= budget), block, 0.0)
+            sums[active] = _np.cumsum(
+                _np.column_stack((sums[active], values)), axis=1
+            )[:, -1]
+            picked = _np.minimum(ranks[:, -1], budget)
+            done = picked == budget
+        keep = ~done
+        active, row_base, picked = active[keep], row_base[keep], picked[keep]
+        start += width
+        width *= 2
+    return sums
+
+
 class NumpyBackend(ComputeBackend):
     """Array-batched implementation of the compute kernels."""
 
@@ -364,76 +404,27 @@ class NumpyBackend(ComputeBackend):
             trials=trials,
             tolerances=tolerances,
         )
-        share_row = _np.asarray(shares, dtype=_np.float64)
-        n_configs = share_row.size
-        limit = _census_limit(vulnerability_probability)
-
-        if exploit_budget == 0 or limit < 0:
-            # No exploits, or no configuration can ever be vulnerable ->
-            # nothing is compromised; every tolerance is > 0 so no trial
-            # violates.  Skip the RNG batch entirely.
+        if exploit_budget == 0 or vulnerability_probability == 0.0:
+            # Nothing can be picked: every trial compromises 0.0, which no
+            # tolerance (all > 0) reaches.
             return TrialBatchResult(
                 trials=trials,
                 violations=(0,) * len(tolerances),
                 compromised_total=0.0,
             )
-
-        bit_generator = _np.random.default_rng(seed).bit_generator
-        spare = _np.empty(0, dtype="<u4")
-        tolerance_row = _np.asarray(tolerances, dtype=_np.float64)
-        violations = _np.zeros(tolerance_row.size, dtype=_np.int64)
-        compromised_total = 0.0
-        chunk_rows = max(1, _CHUNK_CELLS // max(1, n_configs))
-        remaining = trials
-        take_all = exploit_budget >= n_configs
-        # The running vulnerable-count per row fits int16 for any realistic
-        # census; fall back to int32 beyond that.
-        rank_dtype = _np.int16 if n_configs <= 30_000 else _np.int32
-        # Only the budget-1 gather reads it, and never past ``trials`` rows.
-        row_index = _np.arange(min(chunk_rows, trials))
-        while remaining > 0:
-            rows = min(chunk_rows, remaining)
-            remaining -= rows
-            cells = rows * n_configs
-            # Each 64-bit word is two draws, low half first; reading the
-            # words little-endian keeps that order on any host.  An odd
-            # chunk leaves the last word's high half for the next chunk.
-            halves = (
-                bit_generator.random_raw((cells - spare.size + 1) // 2)
-                .astype("<u8", copy=False)
-                .view("<u4")
-            )
-            if spare.size:
-                halves = _np.concatenate((spare, halves))
-            spare = halves[cells:].copy()
-            vulnerable = halves[:cells].reshape(rows, n_configs) <= limit
-            if take_all:
-                # Budget covers every configuration: the attacker takes all
-                # vulnerable shares, so the masked row-sum is the answer.
-                compromised = vulnerable @ share_row
-            elif exploit_budget == 1:
-                # One exploit takes the first (= largest) vulnerable share;
-                # argmax finds the first True, and the gathered mask value
-                # zeroes out rows with no vulnerable configuration at all.
-                first = vulnerable.argmax(axis=1)
-                rows_range = row_index[:rows]
-                compromised = share_row[first] * vulnerable[rows_range, first]
-            else:
-                # Shares are descending, so within each trial the vulnerable
-                # entries appear in decreasing order; the running count of
-                # vulnerable entries ranks them, and ranks <= budget select
-                # exactly the attacker's greedy top-k picks.
-                ranks = _np.cumsum(vulnerable, axis=1, dtype=rank_dtype)
-                picked = vulnerable & (ranks <= exploit_budget)
-                compromised = picked @ share_row
-            violations += _np.count_nonzero(
-                compromised[:, None] >= tolerance_row, axis=0
-            )
-            compromised_total += float(compromised.sum())
+        sums = _census_sums(
+            _np.asarray(shares, dtype=_np.float64),
+            vulnerability_probability,
+            exploit_budget,
+            trials,
+            seed,
+        )
         return TrialBatchResult(
             trials=trials,
-            violations=tuple(violations.tolist()),
-            compromised_total=compromised_total,
+            violations=tuple(
+                int(_np.count_nonzero(sums >= tolerance)) for tolerance in tolerances
+            ),
+            compromised_total=math.fsum(sums.tolist()),
         )
 
     def market_choices(
@@ -571,16 +562,6 @@ class NumpyBackend(ComputeBackend):
             )
             for index, (point, partial) in enumerate(zip(points, partials))
         )
-
-    def shannon_entropy(self, probabilities: Sequence[float], *, base: float = 2.0) -> float:
-        if base <= 0 or base == 1:
-            raise BackendError(f"logarithm base must be positive and != 1, got {base}")
-        p = _np.asarray(probabilities, dtype=_np.float64)
-        positive = p[p > 0]
-        if positive.size == 0:
-            return 0.0
-        entropy = float(-(positive * (_np.log(positive) / _np.log(base))).sum())
-        return 0.0 if entropy == 0.0 else entropy
 
     def asarray(self, values: Sequence[float]) -> "_np.ndarray":
         array = _np.asarray(values, dtype=_np.float64)

@@ -1,11 +1,10 @@
 """Dependency-free pure-Python compute backend.
 
-This backend reproduces, bit for bit, the results the analysis layer produced
-before the backend seam existed: the same ``random.Random(seed)`` stream, the
-same per-trial filter over descending shares and the same sequential float
-summation order.  It is the fallback that keeps the reproduction runnable on
-a bare Python install, and the reference implementation the vectorized
-backends are tested against: its campaign verdicts are the base class's
+It is the fallback that keeps the reproduction runnable on a bare Python
+install, and the reference implementation the vectorized backends are
+tested against: its census kernel walks each trial's shares left to right
+over the counter stream and stops at the attacker's last pick, its campaign
+verdicts are the base class's
 :func:`~repro.backend.base.finalize_sparse_point` loop, and its market-choice
 kernel is the scalar ``campaign_uniform`` + :func:`~repro.backend.base.market_choice`
 loop of ``SyntheticEcosystem.choices_at``, one replica index at a time.
@@ -14,7 +13,6 @@ loop of ``SyntheticEcosystem.choices_at``, one replica index at a time.
 from __future__ import annotations
 
 import math
-import random
 from typing import List, Optional, Sequence, Tuple
 
 from repro.backend.base import (
@@ -35,7 +33,6 @@ from repro.backend.base import (
     validate_sparse_partial_arguments,
     validate_trial_arguments,
 )
-from repro.core.exceptions import BackendError
 
 
 def _scalar_campaign_partials(
@@ -128,25 +125,27 @@ class PythonBackend(ComputeBackend):
             trials=trials,
             tolerances=tolerances,
         )
-        rng = random.Random(seed)
         violations = [0] * len(tolerances)
-        compromised_total = 0.0
-        # ``shares`` is descending, and the comprehension preserves order, so
-        # the first ``exploit_budget`` vulnerable entries are already the
-        # largest ones — no per-trial sort is needed.
-        for _ in range(trials):
-            vulnerable = [
-                share for share in shares if rng.random() < vulnerability_probability
-            ]
-            compromised = sum(vulnerable[:exploit_budget])
-            compromised_total += compromised
+        per_trial = []
+        for trial in range(trials):
+            compromised = 0.0
+            picked = 0
+            counter = trial * len(shares)
+            for share in shares:
+                if picked == exploit_budget:
+                    break
+                if campaign_uniform(seed, counter) < vulnerability_probability:
+                    compromised += share
+                    picked += 1
+                counter += 1
+            per_trial.append(compromised)
             for position, tolerance in enumerate(tolerances):
                 if compromised >= tolerance:
                     violations[position] += 1
         return TrialBatchResult(
             trials=trials,
             violations=tuple(violations),
-            compromised_total=compromised_total,
+            compromised_total=math.fsum(per_trial),
         )
 
     def market_choices(
@@ -237,15 +236,6 @@ class PythonBackend(ComputeBackend):
                 )
             )
         return tuple(results)
-
-    def shannon_entropy(self, probabilities: Sequence[float], *, base: float = 2.0) -> float:
-        if base <= 0 or base == 1:
-            raise BackendError(f"logarithm base must be positive and != 1, got {base}")
-        entropy = 0.0
-        for p in probabilities:
-            if p > 0:
-                entropy -= p * math.log(p, base)
-        return 0.0 if entropy == 0.0 else entropy
 
     def asarray(self, values: Sequence[float]) -> Sequence[float]:
         return tuple(float(value) for value in values)

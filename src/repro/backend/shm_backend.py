@@ -25,11 +25,12 @@ serial run by construction, so fan-out is pure engineering:
   checkpoint, so the crash path is tested.
 - **Inner NumPy delegation.**  Every other primitive
   (:meth:`violation_trials`, :meth:`market_choices`,
-  :meth:`campaign_verdicts`, :meth:`sparse_masked_power_sums`,
-  :meth:`shannon_entropy`, array construction, …) delegates to an inner
+  :meth:`campaign_verdicts`, :meth:`sparse_masked_power_sums`, array
+  construction, …) delegates to an inner
   :class:`~repro.backend.numpy_backend.NumpyBackend`, and the workers run
   the NumPy kernel too — the shm backend is a scheduler, not a new
-  numerics implementation, which is what keeps it byte-identical to numpy.
+  numerics implementation, which is what keeps it byte-identical to numpy;
+  its census trials are byte-identical to python's too.
 
 Selection: the backend registers *behind* numpy in auto-detection order, so
 it is opt-in via ``REPRO_BACKEND=shm`` (or ``--backend shm``).  Its one knob
@@ -483,11 +484,6 @@ class ShmBackend(ComputeBackend):
         markets: Sequence[MarketCumulative],
     ) -> List[Tuple[int, ...]]:
         return self._inner.market_choices(seed, start, stop, markets)
-
-    def shannon_entropy(
-        self, probabilities: Sequence[float], *, base: float = 2.0
-    ) -> float:
-        return self._inner.shannon_entropy(probabilities, base=base)
 
     def asarray(self, values: Sequence[float]) -> Sequence[float]:
         return self._inner.asarray(values)

@@ -71,7 +71,6 @@ from repro.experiments.orchestrator import (
     DEFAULT_RETRIES,
     ExperimentResult,
     ResultCache,
-    execute_spec,
     experiment_banner,
     filter_specs,
     invalidate_code_fingerprint,
@@ -230,8 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--update-golden",
         action="store_true",
-        help="regenerate the golden-snapshot files for the selected experiments "
-        "(per backend where the numbers are backend-sensitive)",
+        help="regenerate the golden-snapshot files for the selected experiments",
     )
     run_parser.add_argument(
         "--golden-dir",
@@ -382,52 +380,29 @@ def _command_list() -> int:
     return 0
 
 
-def _golden_path(directory: str, spec: ExperimentSpec, backend: Optional[str]) -> str:
-    """Golden file path: per-backend for backend-sensitive experiments."""
-    if spec.backend_sensitive:
-        return os.path.join(directory, f"{spec.experiment_id}.{backend}.json")
-    return os.path.join(directory, f"{spec.experiment_id}.json")
-
-
 def _update_golden(
     specs: Sequence[ExperimentSpec],
     directory: str,
     results_by_id: Mapping[str, ExperimentResult],
-    ambient_backend: str,
 ) -> None:
-    """Regenerate the golden snapshots for ``specs`` under ``directory``.
+    """Write the run's results for ``specs`` as golden snapshots under ``directory``.
 
-    ``results_by_id`` holds the run's already-computed results so the
-    ambient backend's numbers are not recomputed; only the *other* backends'
-    variants of backend-sensitive experiments run fresh.
+    One ``{experiment_id}.json`` per experiment: every number is the same on
+    every backend.
     """
-    unavailable = set(registered_backends()) - set(available_backends()) - {AUTO}
-    if unavailable and any(spec.backend_sensitive for spec in specs):
-        print(
-            "warning: backend(s) not available here: "
-            f"{', '.join(sorted(unavailable))} — their golden snapshots are "
-            "NOT regenerated and may now be stale",
-            file=sys.stderr,
-        )
     os.makedirs(directory, exist_ok=True)
     for spec in specs:
-        backends = available_backends() if spec.backend_sensitive else (None,)
-        for backend in backends:
-            if backend is None or backend == ambient_backend:
-                result = results_by_id[spec.experiment_id]
-            else:
-                result = execute_spec(spec, backend=backend)
-            path = _golden_path(directory, spec, backend)
-            with open(path, "w", encoding="utf-8") as handle:
-                json.dump(
-                    result.canonical_dict(),
-                    handle,
-                    indent=2,
-                    sort_keys=True,
-                    allow_nan=False,
-                )
-                handle.write("\n")
-            print(f"golden snapshot written: {path}")
+        path = os.path.join(directory, f"{spec.experiment_id}.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(
+                results_by_id[spec.experiment_id].canonical_dict(),
+                handle,
+                indent=2,
+                sort_keys=True,
+                allow_nan=False,
+            )
+            handle.write("\n")
+        print(f"golden snapshot written: {path}")
 
 
 def _command_run(arguments: argparse.Namespace) -> int:
@@ -482,7 +457,6 @@ def _command_run(arguments: argparse.Namespace) -> int:
             selected,
             arguments.golden_dir,
             {result.experiment_id: result for result in results},
-            get_backend().name,
         )
     return 0
 
@@ -650,7 +624,7 @@ def _warm_cache(arguments: argparse.Namespace, cache: ResultCache) -> int:
     cached_before = sum(
         1
         for spec in selected
-        if cache.load(cache.key_for(spec, spec.params_dict(), backend_name))
+        if cache.load(cache.key_for(spec, spec.params_dict()))
         is not None
     )
     run_experiments(

@@ -33,8 +33,8 @@ class ConfigurationDistribution:
     shares, per Definition 1).
 
     The instance is frozen after ``__init__`` (no mutating API), so derived
-    quantities — the probability vector, its descending sort, per-backend
-    array views, entropies and the full ranking — are computed once and
+    quantities — the probability vector, its descending sort, its per-backend
+    array view, entropies and the full ranking — are computed once and
     memoized in ``_cache``; analysis hot paths that interrogate the same
     census thousands of times pay for each derivation only once.
     """
@@ -148,21 +148,6 @@ class ConfigurationDistribution:
             lambda: tuple(sorted(self._shares.values(), reverse=True)),
         )
 
-    def probabilities_array(self, backend=None):
-        """The probability vector as the given backend's array type (cached).
-
-        ``backend`` follows :func:`repro.backend.get_backend` resolution.
-        The array is built once per backend and reused, so kernels receive a
-        ready-made array instead of re-materializing one per call.
-        """
-        from repro.backend import get_backend
-
-        resolved = get_backend(backend)
-        return self._memoized(
-            ("probabilities_array", resolved.name),
-            lambda: resolved.asarray(self.probabilities()),
-        )
-
     def sorted_probabilities_array(self, backend=None):
         """Descending probability vector as the backend's array type (cached)."""
         from repro.backend import get_backend
@@ -206,23 +191,17 @@ class ConfigurationDistribution:
 
     # -- diversity metrics ------------------------------------------------------
 
-    def entropy(self, *, base: float = 2.0, backend=None) -> float:
+    def entropy(self, *, base: float = 2.0) -> float:
         """Shannon entropy ``H(p)`` of this distribution (Section IV-A).
 
-        Computed on the selected compute backend from the cached probability
-        array and memoized per ``(base, backend)``.  The shares are already
-        validated and normalized by the constructor, so the backend kernel
-        runs without re-validation; the pure-Python backend reproduces
-        :func:`repro.core.entropy.shannon_entropy` exactly, array backends
-        agree to floating-point summation order.
+        The shares are already validated and normalized by the constructor,
+        so this runs the loop of :func:`repro.core.entropy.shannon_entropy`
+        without re-validating — the same bits — memoized per ``base``.
         """
-        from repro.backend import get_backend
-
-        resolved = get_backend(backend)
         return self._memoized(
-            ("entropy", base, resolved.name),
-            lambda: resolved.shannon_entropy(
-                self.probabilities_array(resolved), base=base
+            ("entropy", base),
+            lambda: entropy_module.unchecked_shannon_entropy(
+                self.probabilities(), base=base
             ),
         )
 

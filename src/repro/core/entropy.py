@@ -55,9 +55,13 @@ def _as_validated_probabilities(
     return values
 
 
-def _log(value: float, base: float) -> float:
+def _check_base(base: float) -> None:
     if base <= 0 or base == 1:
         raise DistributionError(f"logarithm base must be positive and != 1, got {base}")
+
+
+def _log(value: float, base: float) -> float:
+    _check_base(base)
     return math.log(value, base)
 
 
@@ -81,11 +85,33 @@ def shannon_entropy(
     Returns:
         The entropy in units determined by ``base``.
     """
-    values = _as_validated_probabilities(probabilities, normalize=normalize)
+    return unchecked_shannon_entropy(
+        _as_validated_probabilities(probabilities, normalize=normalize), base=base
+    )
+
+
+def unchecked_shannon_entropy(
+    probabilities: Iterable[float], *, base: float = 2.0
+) -> float:
+    """The Shannon entropy loop over probabilities that are already valid.
+
+    The one entropy computation of the package: terms are subtracted left
+    to right as ``p * log(p, base)``, so every caller gets the same bits.
+    ``log(p, base)`` is computed once per distinct share value (censuses
+    repeat shares, e.g. Figure 1's residual miners), which changes no bit.
+    Callers validate the vector; only the base is checked here, before any
+    term, so a degenerate base is rejected even for a vector with no
+    positive share.
+    """
+    _check_base(base)
+    logs: dict[float, float] = {}
     entropy = 0.0
-    for p in values:
+    for p in probabilities:
         if p > 0:
-            entropy -= p * _log(p, base)
+            log = logs.get(p)
+            if log is None:
+                log = logs[p] = math.log(p, base)
+            entropy -= p * log
     # Guard against -0.0 from floating point noise on degenerate vectors.
     return 0.0 if entropy == 0.0 else entropy
 

@@ -187,7 +187,6 @@ SPEC = ExperimentSpec(
     params_type=AttestationCoverageParams,
     tags=("extension", "attestation"),
     seed=11,
-    backend_sensitive=False,
 )
 
 

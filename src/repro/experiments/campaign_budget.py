@@ -15,7 +15,7 @@ between the two tolerance rows shows how much headroom hybrid/Nakamoto
 deployments buy.
 
 The campaign kernels draw from a counter-based RNG stream, so the numbers
-are identical on every compute backend (the spec is not backend-sensitive).
+are identical on every compute backend.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.analysis.report import Table
-from repro.core.entropy import shannon_entropy
 from repro.core.exceptions import ExperimentError
 from repro.core.resilience import ProtocolFamily
 from repro.experiments.orchestrator import (
@@ -111,11 +110,7 @@ def run_campaign_budget(
         scenario=scenario.label,
         population_size=len(scenario.population),
         catalog_size=len(scenario.catalog),
-        # Scalar entropy (not the backend kernel) so the reported bits are
-        # bit-identical across backends, like every campaign number here.
-        entropy_bits=shannon_entropy(
-            scenario.population.configuration_census().probabilities()
-        ),
+        entropy_bits=scenario.population.configuration_census().entropy(),
         rows=tuple(rows),
         monotone_increasing=monotone,
     )
@@ -201,7 +196,6 @@ SPEC = ExperimentSpec(
     params_type=CampaignBudgetParams,
     tags=("extension", "campaign"),
     seed=11,
-    backend_sensitive=False,
 )
 
 

@@ -18,7 +18,7 @@ safety margin, is a moving target that needs continuous monitoring rather
 than a one-off deployment decision.
 
 The campaign kernels draw from a counter-based RNG stream, so the numbers
-are identical on every compute backend (the spec is not backend-sensitive).
+are identical on every compute backend.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from repro.analysis.report import Table
-from repro.core.entropy import shannon_entropy
 from repro.core.exceptions import ExperimentError
 from repro.core.resilience import ProtocolFamily
 from repro.experiments.orchestrator import (
@@ -104,11 +103,7 @@ def run_campaign_churn(
             CampaignChurnRow(
                 step=step,
                 population_size=len(scenario.population),
-                # Scalar entropy (not the backend kernel) keeps the reported
-                # bits identical across backends, like the campaign numbers.
-                entropy_bits=shannon_entropy(
-                    scenario.population.configuration_census().probabilities()
-                ),
+                entropy_bits=scenario.population.configuration_census().entropy(),
                 violation_probability_bft=estimate.violation_probability,
                 mean_compromised_fraction=estimate.mean_compromised_fraction,
             )
@@ -212,7 +207,6 @@ SPEC = ExperimentSpec(
     params_type=CampaignChurnParams,
     tags=("extension", "campaign", "permissionless"),
     seed=29,
-    backend_sensitive=False,
 )
 
 

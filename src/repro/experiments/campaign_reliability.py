@@ -15,7 +15,7 @@ exploits toward the deterministic-campaign verdict at reliability 1.0 —
 quantifying how much of the monoculture risk survives even flaky zero-days.
 
 The campaign kernels draw from a counter-based RNG stream, so the numbers
-are identical on every compute backend (the spec is not backend-sensitive).
+are identical on every compute backend.
 """
 
 from __future__ import annotations
@@ -195,7 +195,6 @@ SPEC = ExperimentSpec(
     params_type=CampaignReliabilityParams,
     tags=("extension", "campaign"),
     seed=19,
-    backend_sensitive=False,
 )
 
 

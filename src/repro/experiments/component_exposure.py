@@ -203,7 +203,6 @@ SPEC = ExperimentSpec(
     params_type=ComponentExposureParams,
     tags=("extension", "components"),
     seed=51,
-    backend_sensitive=False,
 )
 
 

@@ -186,7 +186,6 @@ SPEC = ExperimentSpec(
     params_type=DecentralizedPoolsParams,
     tags=("extension", "nakamoto"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

@@ -229,7 +229,6 @@ SPEC = ExperimentSpec(
     params_type=DiversityAblationParams,
     tags=("extension", "monte-carlo"),
     seed=31,
-    backend_sensitive=True,
 )
 
 

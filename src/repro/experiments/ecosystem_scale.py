@@ -227,7 +227,6 @@ SPEC = ExperimentSpec(
     params_type=EcosystemScaleParams,
     tags=("extension", "campaign", "scale"),
     seed=17,
-    backend_sensitive=False,
 )
 
 

@@ -139,7 +139,6 @@ SPEC = ExperimentSpec(
     params_type=Example1Params,
     tags=("paper", "example"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

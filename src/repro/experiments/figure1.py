@@ -178,7 +178,6 @@ SPEC = ExperimentSpec(
     params_type=Figure1Params,
     tags=("paper", "figure"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

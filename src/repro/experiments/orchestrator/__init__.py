@@ -9,7 +9,7 @@ machine-readable pipeline:
 - the engine (:func:`run_experiments`) executes selections serially or over
   a process pool with deterministic per-experiment seeding, so parallel,
   sharded and serial runs emit byte-identical canonical JSON;
-- a content-addressed :class:`ResultCache` (keyed on code + params + backend)
+- a content-addressed :class:`ResultCache` (keyed on code + params)
   makes repeat invocations free;
 - ``repro.cli run`` exposes all of it (``--tag``, ``--shard i/n``,
   ``--parallel``, ``--no-cache``/``--force``, ``--results RESULTS.json``) and

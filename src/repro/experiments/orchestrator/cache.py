@@ -7,9 +7,10 @@ A cache entry's key is the SHA-256 of everything the result depends on:
   orchestrator's result schema version.  Experiments reach through
   ``analysis``, ``core``, ``backend`` and friends, so the fingerprint is
   deliberately package-wide: any source edit invalidates the whole cache
-  rather than risking a stale number (the full suite rebuilds in seconds);
-- the resolved backend name for backend-sensitive experiments (``"-"`` for
-  backend-independent ones, whose numbers are the same everywhere).
+  rather than risking a stale number (the full suite rebuilds in seconds).
+
+The compute backend is not part of the key: every experiment's numbers are
+the same on every backend, so a result built on one serves requests for all.
 
 Entries are whole :meth:`ExperimentResult.to_dict` documents written
 atomically (temp file + rename), so a killed run never leaves a torn entry.
@@ -186,7 +187,6 @@ class ResultCache:
         self,
         spec: ExperimentSpec,
         params_dict: Mapping[str, Any],
-        backend: Optional[str],
         *,
         fingerprint: Optional[str] = None,
     ) -> str:
@@ -203,7 +203,6 @@ class ResultCache:
                 "schema": RESULT_SCHEMA_VERSION,
                 "experiment_id": spec.experiment_id,
                 "params": params_dict,
-                "backend": backend if spec.backend_sensitive else "-",
                 "code": fingerprint if fingerprint is not None else _code_fingerprint(),
             },
             sort_keys=True,

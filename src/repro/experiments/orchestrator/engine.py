@@ -65,13 +65,11 @@ def execute_spec(
         with use_backend(backend):
             payload = spec.build(params)
     elapsed = time.perf_counter() - start
-    resolved = get_backend(backend).name if spec.backend_sensitive else None
     return ExperimentResult(
         experiment_id=spec.experiment_id,
         params=params_doc,
         tables=tuple(payload.tables),
         metrics=jsonify(payload.metrics, where=f"{spec.experiment_id} metrics"),
-        backend=resolved,
         seed=spec.seed,
         wall_time_seconds=elapsed,
         kernel_counters=KERNEL_TIMINGS.delta_since(timings_before),
@@ -137,7 +135,7 @@ def run_experiments(
         # `is not None`, not truthiness: ResultCache.__len__ makes an empty
         # cache falsy, which must still compute keys and store results.
         key = (
-            cache.key_for(spec, params_doc, effective_backend)
+            cache.key_for(spec, params_doc)
             if cache is not None
             else None
         )

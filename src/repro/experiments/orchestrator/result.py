@@ -1,13 +1,14 @@
 """Structured experiment results and the ``RESULTS.json`` document.
 
 Every experiment produces an :class:`ExperimentResult`: the tables it used to
-print, a flat dictionary of headline metrics, and run metadata (backend, seed,
-wall time).  Two serialized views exist:
+print, a flat dictionary of headline metrics, and run metadata (seed, wall
+time).  Two serialized views exist:
 
 - the **canonical** view (:meth:`ExperimentResult.canonical_dict` /
   :meth:`ExperimentResult.canonical_json`) excludes volatile fields (wall
   time, cache provenance) and is byte-identical for a fixed seed regardless
-  of execution mode — serial, process-parallel, sharded, cache hit or miss.
+  of execution mode — serial, process-parallel, sharded, cache hit or miss —
+  and of the compute backend.
   Golden snapshots and the ``RESULTS.json`` ``results`` section store this
   view;
 - the **full** view (:meth:`ExperimentResult.to_dict`) adds the volatile
@@ -71,7 +72,7 @@ def jsonify(value: Any, *, where: str = "value") -> Any:
 class ResultPayload:
     """What an experiment's build function returns: tables plus metrics.
 
-    The engine wraps this with metadata (backend, seed, wall time) to form
+    The engine wraps this with metadata (seed, wall time) to form
     the full :class:`ExperimentResult`.
     """
 
@@ -89,9 +90,6 @@ class ExperimentResult:
         tables: the tables the text renderer prints, with raw cell values.
         metrics: headline scalars (and small JSON structures) downstream
             consumers read without parsing tables.
-        backend: resolved compute-backend name for backend-sensitive
-            experiments, ``None`` for backend-independent ones (their numbers
-            are identical on every backend).
         seed: the experiment's base RNG seed (``None`` when deterministic).
         wall_time_seconds: volatile — excluded from the canonical view.
         cached: volatile — whether this result came from the on-disk cache.
@@ -112,7 +110,6 @@ class ExperimentResult:
     params: Mapping[str, Any]
     tables: Tuple[Table, ...]
     metrics: Mapping[str, Any]
-    backend: Optional[str] = None
     seed: Optional[int] = None
     schema_version: int = RESULT_SCHEMA_VERSION
     wall_time_seconds: float = 0.0
@@ -125,7 +122,6 @@ class ExperimentResult:
         return {
             "schema_version": self.schema_version,
             "experiment_id": self.experiment_id,
-            "backend": self.backend,
             "seed": self.seed,
             "params": jsonify(self.params, where=f"{self.experiment_id} params"),
             "metrics": jsonify(self.metrics, where=f"{self.experiment_id} metrics"),
@@ -166,7 +162,6 @@ class ExperimentResult:
                 params=dict(document["params"]),
                 tables=tables,
                 metrics=dict(document["metrics"]),
-                backend=document.get("backend"),
                 seed=document.get("seed"),
                 schema_version=int(document.get("schema_version", RESULT_SCHEMA_VERSION)),
                 wall_time_seconds=float(document.get("wall_time_seconds", 0.0)),
@@ -193,7 +188,6 @@ class ExperimentResult:
             params=self.params,
             tables=self.tables,
             metrics=self.metrics,
-            backend=self.backend,
             seed=self.seed,
             schema_version=self.schema_version,
             wall_time_seconds=wall_time_seconds,

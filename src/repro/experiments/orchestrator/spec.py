@@ -52,9 +52,6 @@ class ExperimentSpec:
         tags: free-form labels for ``--tag`` filtering.
         seed: the experiment's default base seed (``None`` when fully
             deterministic).
-        backend_sensitive: whether the numbers depend on the compute backend
-            (Monte-Carlo experiments); drives per-backend cache keys and
-            golden snapshots.
     """
 
     experiment_id: str
@@ -64,7 +61,6 @@ class ExperimentSpec:
     params_type: type
     tags: Tuple[str, ...] = ()
     seed: Optional[int] = None
-    backend_sensitive: bool = False
 
     def default_params(self) -> Any:
         """A fresh instance of the parameter dataclass."""

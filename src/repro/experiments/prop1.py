@@ -167,7 +167,6 @@ SPEC = ExperimentSpec(
     params_type=Proposition1Params,
     tags=("paper", "proposition"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

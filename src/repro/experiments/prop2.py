@@ -181,7 +181,6 @@ SPEC = ExperimentSpec(
     params_type=Proposition2Params,
     tags=("paper", "proposition"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

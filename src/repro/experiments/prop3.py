@@ -157,7 +157,6 @@ SPEC = ExperimentSpec(
     params_type=Proposition3Params,
     tags=("paper", "proposition"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

@@ -292,7 +292,6 @@ SPEC = ExperimentSpec(
     params_type=ProtocolSafetyParams,
     tags=("extension", "protocols"),
     seed=None,
-    backend_sensitive=False,
 )
 
 

@@ -12,11 +12,10 @@ censuses and falls sharply as the census approaches κ-optimality, for both
 the BFT (1/3) and Nakamoto / hybrid (1/2) tolerance levels.
 
 The estimator routes through the campaign engine's census-mode seam
-(:func:`repro.faults.engine.run_census_trials`), so this experiment shares
-its backend entry point with the population-matrix campaign sweeps while its
-per-backend RNG streams — and golden snapshots — stay unchanged.  Both
-tolerances of a census are judged on one draw at the census's seed: one
-kernel call per census.
+(:func:`repro.faults.engine.run_census_trials`), whose trials read the same
+counter stream as the campaign sweeps, so every number — and the one golden
+snapshot — is the same on every backend.  Both tolerances of a census are
+judged on one draw at the census's seed: one kernel call per census.
 """
 
 from __future__ import annotations
@@ -214,7 +213,6 @@ SPEC = ExperimentSpec(
     params_type=SafetyViolationParams,
     tags=("analysis", "monte-carlo"),
     seed=7,
-    backend_sensitive=True,
 )
 
 

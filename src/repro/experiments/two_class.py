@@ -184,7 +184,6 @@ SPEC = ExperimentSpec(
     params_type=TwoClassParams,
     tags=("extension", "monte-carlo"),
     seed=23,
-    backend_sensitive=True,
 )
 
 

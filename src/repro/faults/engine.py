@@ -33,9 +33,7 @@ A single campaign (:meth:`GridCampaignEngine.estimate`,
 
 Because the kernels draw from a counter-based RNG stream
 (:func:`repro.backend.base.campaign_uniform`), every backend produces
-**identical** estimates for the same seed — campaign experiments are
-therefore not backend-sensitive, unlike the census-mode Monte-Carlo
-estimator whose per-backend RNG streams predate this engine.
+**identical** estimates for the same seed.
 
 The engine also hosts the census-mode seam (:func:`run_census_trials`) the
 violation-probability estimator of :mod:`repro.analysis.monte_carlo` now
@@ -629,16 +627,17 @@ def run_census_trials(
     tolerances: Sequence[float],
     backend: BackendLike = None,
 ) -> TrialBatchResult:
-    """Census-mode batched trials (the PR-1 Monte-Carlo kernel).
+    """Census-mode batched trials.
 
     Treats every configuration as one independent fault domain and exploits
     the ``exploit_budget`` largest vulnerable shares per trial — the
     estimator :mod:`repro.analysis.monte_carlo` wraps.  Every tolerance is
     judged on one draw (``violations`` is aligned with ``tolerances``), so a
-    BFT/majority pair at one seed costs one kernel call.  Kept here so all
-    batched trial workloads enter the backends through the campaign engine;
-    the per-backend RNG streams (and therefore every golden snapshot) are
-    unchanged.
+    BFT/majority pair at one seed costs one kernel call.  The trials read
+    the counter stream :func:`~repro.backend.base.campaign_uniform` at
+    ``trial * len(census) + configuration`` over the descending shares, so
+    the result is bit-identical on every backend (see
+    :meth:`~repro.backend.base.ComputeBackend.violation_trials`).
     """
     resolved = get_backend(backend)
     with timed_kernel("violation_trials", trials=trials):

@@ -71,7 +71,7 @@ EXPERIMENTS_PREFIX = "/experiments/"
 JOBS_PREFIX = "/jobs/"
 
 #: Total bytes of encoded response bodies kept in memory, keyed by cache
-#: key.  Keys are content-addressed (code + params + backend), so an entry
+#: key.  Keys are content-addressed (code + params), so an entry
 #: can never go stale — the bound caps *memory*, and it is a byte bound
 #: rather than an entry count because the bulk endpoints make individual
 #: bodies arbitrarily large (256 big sweep documents is an OOM, 256 small
@@ -259,7 +259,7 @@ class ResultApp:
         """One prepared request's result: 304, body-cache hit, or fetch."""
         etag = etag_for(prepared.key)
         if if_none_match_matches(request.header("if-none-match"), etag):
-            # The key is derived purely from code + params + backend, so a
+            # The key is derived purely from code + params, so a
             # matching If-None-Match answers without any disk access.
             self.metrics.not_modified += 1
             return HttpResponse(status=304, headers=(("ETag", etag),))

@@ -48,8 +48,6 @@ def _experiment_path(prepared: PreparedRequest) -> str:
         for name, value in sorted(prepared.params_doc.items())
         if value is not None
     ]
-    if prepared.spec.backend_sensitive:
-        query.append(("backend", prepared.backend))
     suffix = f"?{urlencode(query)}" if query else ""
     return f"/experiments/{prepared.spec.experiment_id}{suffix}"
 

@@ -250,7 +250,6 @@ class ResultService:
                     "title": spec.title,
                     "tags": list(spec.tags),
                     "seed": spec.seed,
-                    "backend_sensitive": spec.backend_sensitive,
                     "params": params_schema,
                     "path": f"/experiments/{spec.experiment_id}",
                 }
@@ -289,7 +288,7 @@ class ResultService:
         self, spec: ExperimentSpec, params_doc: Mapping[str, Any], backend: str
     ) -> PreparedRequest:
         fingerprint = code_fingerprint()
-        key = self.cache.key_for(spec, params_doc, backend, fingerprint=fingerprint)
+        key = self.cache.key_for(spec, params_doc, fingerprint=fingerprint)
         return PreparedRequest(
             spec=spec,
             params_doc=params_doc,
@@ -490,10 +489,7 @@ class ResultService:
             # would serve new-code numbers as cache hits for the old (or a
             # later reverted) source.
             store_key = self.cache.key_for(
-                prepared.spec,
-                prepared.params_doc,
-                prepared.backend,
-                fingerprint=fingerprint,
+                prepared.spec, prepared.params_doc, fingerprint=fingerprint
             )
         await asyncio.to_thread(
             self.cache.store, store_key, document, fingerprint=fingerprint

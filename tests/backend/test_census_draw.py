@@ -1,88 +1,81 @@
-"""The NumPy census kernel's integer draw equals its float32 reference.
+"""The NumPy census kernel's integer draw equals the float uniform.
 
-``NumpyBackend.violation_trials`` compares PCG64's raw 32-bit halves with an
-integer bound instead of forming float32 uniforms.  The reference below is
-the float32 kernel verbatim: ``Generator.random(dtype=float32) < p`` per
-chunk, the same masked top-k reductions and the same per-chunk
-accumulation, so every field of the result must match exactly.
+``NumpyBackend.violation_trials`` never forms a uniform: it compares the raw
+splitmix64 hash of counter ``t * n + i`` with the integer bound
+``_column_limits`` derives from ``p``, where the census contract reads
+``campaign_uniform(seed, t * n + i) < p``.  The reference below draws every
+cell through the scalar ``campaign_uniform`` and keeps each trial's
+compromised share, so the kernel's per-trial sums must match as well as its
+aggregated result: counts and an ``fsum`` total would still match if a sum
+landed on the wrong trial.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
 from repro.backend import NumpyBackend, numpy_backend
-from repro.backend.base import TrialBatchResult
+from repro.backend.base import (
+    _MASK64,
+    _SPLITMIX_GAMMA,
+    _SPLITMIX_MIX1,
+    _SPLITMIX_MIX2,
+    TrialBatchResult,
+    campaign_uniform,
+)
 
 np = pytest.importorskip("numpy")
 
 #: Round, non-dyadic and degenerate probabilities every seed is checked at.
 PROBABILITIES = (0.0, 1.0, 0.25, 0.5, 0.3, 1 / 3, 0.1)
 
-#: ``k * 2^-24`` and values just around it: the float32 rounding of ``p``
-#: decides which grid draws count as below it.
+#: ``k * 2^-53`` and its float neighbours: a uniform is ``k * 2^-53`` for an
+#: integer ``k``, so the ceiling in the bound decides whether a draw on the
+#: grid point itself counts.  Then values off the grid.
 GRID_PROBABILITIES = tuple(
     value
-    for k in (1, 2, 3, 5_592_405, 1 << 23, (1 << 24) - 1)
+    for k in (1, 2, 3, 5, 1 << 26, 3 << 50, 1 << 52, (1 << 53) - 1)
     for value in (
-        k * 2.0**-24,
-        float(np.nextafter(k * 2.0**-24, 0.0)),
-        float(np.nextafter(k * 2.0**-24, 1.0)),
-        k * 2.0**-24 + 2.0**-50,
-        k * 2.0**-24 - 2.0**-50,
+        k * 2.0**-53,
+        math.nextafter(k * 2.0**-53, 0.0),
+        math.nextafter(k * 2.0**-53, 1.0),
     )
-    if 0.0 <= value <= 1.0
-) + (2.0**-60, float(np.nextafter(1.0, 0.0)))
+) + (5e-324, 2.0**-60, 2.5 * 2.0**-53, ((1 << 26) + 0.5) * 2.0**-53, 0.1, 0.3, 1 / 3, 0.7)
 
 
-def float32_reference(
-    shares,
-    *,
-    vulnerability_probability,
-    exploit_budget,
-    trials,
-    seed,
-    tolerances,
-    chunk_cells,
-):
-    """The float32 census kernel, as the NumPy backend ran it before."""
-    share_row = np.asarray(shares, dtype=np.float64)
-    n_configs = share_row.size
-    rng = np.random.default_rng(seed)
-    if exploit_budget == 0:
-        return TrialBatchResult(
-            trials=trials, violations=(0,) * len(tolerances), compromised_total=0.0
-        )
-    tolerance_row = np.asarray(tolerances, dtype=np.float64)
-    violations = np.zeros(tolerance_row.size, dtype=np.int64)
-    compromised_total = 0.0
-    chunk_rows = max(1, chunk_cells // max(1, n_configs))
-    remaining = trials
-    take_all = exploit_budget >= n_configs
-    row_index = np.arange(min(chunk_rows, trials))
-    while remaining > 0:
-        rows = min(chunk_rows, remaining)
-        remaining -= rows
-        vulnerable = (
-            rng.random((rows, n_configs), dtype=np.float32) < vulnerability_probability
-        )
-        if take_all:
-            compromised = vulnerable @ share_row
-        elif exploit_budget == 1:
-            first = vulnerable.argmax(axis=1)
-            compromised = share_row[first] * vulnerable[row_index[:rows], first]
-        else:
-            ranks = np.cumsum(vulnerable, axis=1, dtype=np.int16)
-            picked = vulnerable & (ranks <= exploit_budget)
-            compromised = picked @ share_row
-        violations += np.count_nonzero(compromised[:, None] >= tolerance_row, axis=0)
-        compromised_total += float(compromised.sum())
-    return TrialBatchResult(
+def raw_hash(seed, index):
+    """``campaign_uniform``'s 64-bit hash before the shift: what the kernel compares."""
+    z = ((seed & _MASK64) + (index + 1) * _SPLITMIX_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _SPLITMIX_MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _SPLITMIX_MIX2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def hash_uniform(z):
+    return (z >> 11) * 2.0**-53
+
+
+def reference(shares, *, vulnerability_probability, exploit_budget, trials, seed, tolerances):
+    """Per-trial compromised shares and the result, every cell drawn."""
+    n = len(shares)
+    sums = []
+    for trial in range(trials):
+        vulnerable = [
+            share
+            for index, share in enumerate(shares)
+            if campaign_uniform(seed, trial * n + index) < vulnerability_probability
+        ]
+        compromised = 0.0
+        for share in vulnerable[:exploit_budget]:
+            compromised += share
+        sums.append(compromised)
+    return sums, TrialBatchResult(
         trials=trials,
-        violations=tuple(violations.tolist()),
-        compromised_total=compromised_total,
+        violations=tuple(sum(value >= tolerance for value in sums) for tolerance in tolerances),
+        compromised_total=math.fsum(sums),
     )
 
 
@@ -94,23 +87,32 @@ def _shares(count, seed):
     return sorted((weight / total for weight in weights), reverse=True)
 
 
-def _both(shares, monkeypatch=None, chunk_cells=None, **kwargs):
-    if chunk_cells is not None:
-        monkeypatch.setattr(numpy_backend, "_CHUNK_CELLS", chunk_cells)
-    reference = float32_reference(
-        shares, chunk_cells=numpy_backend._CHUNK_CELLS, **kwargs
-    )
-    return NumpyBackend().violation_trials(shares, **kwargs), reference
+def _check(shares, **kwargs):
+    """The kernel's result, and its per-trial sums, equal the reference's."""
+    expected_sums, expected = reference(shares, **kwargs)
+    assert NumpyBackend().violation_trials(shares, **kwargs) == expected
+    probability = kwargs["vulnerability_probability"]
+    budget = kwargs["exploit_budget"]
+    if probability > 0.0 and budget > 0:
+        sums = numpy_backend._census_sums(
+            np.asarray(shares, dtype=np.float64),
+            probability,
+            budget,
+            kwargs["trials"],
+            kwargs["seed"],
+        )
+        assert sums.tolist() == expected_sums
+    return expected_sums
 
 
-class TestIntegerDrawEqualsFloat32:
-    @pytest.mark.parametrize("seed", range(51))
+class TestIntegerDrawEqualsTheUniform:
+    @pytest.mark.parametrize("seed", range(-25, 26))
     def test_every_seed_probability_and_budget(self, seed):
-        # 37 trials x 13 configurations: an odd cell count in one chunk.
+        # 37 trials x 13 configurations: trial rows start off any power of two.
         shares = _shares(13, seed)
         for probability in PROBABILITIES:
             for budget in (0, 1, 3, 13, 20):
-                kernel, reference = _both(
+                _check(
                     shares,
                     vulnerability_probability=probability,
                     exploit_budget=budget,
@@ -118,66 +120,70 @@ class TestIntegerDrawEqualsFloat32:
                     seed=seed,
                     tolerances=(0.2, 1 / 3, 0.5),
                 )
-                assert kernel == reference, (probability, budget)
 
     @pytest.mark.parametrize("probability", GRID_PROBABILITIES)
-    def test_probabilities_next_to_the_float32_grid(self, probability):
-        # Enough draws that grid values near k * 2^-24 actually occur for
-        # the small k: 2^18 cells a seed.
+    def test_probabilities_next_to_the_grid(self, probability):
+        # The bound is the last hash whose uniform is below p: the next hash
+        # up is not.
+        (limit,) = numpy_backend._column_limits((probability,))
+        assert hash_uniform(limit) < probability
+        if limit < _MASK64:
+            assert not hash_uniform(limit + 1) < probability
         shares = _shares(64, 7)
         for seed in (0, 1):
-            kernel, reference = _both(
+            _check(
                 shares,
                 vulnerability_probability=probability,
                 exploit_budget=64,
-                trials=4096,
+                trials=64,
                 seed=seed,
                 tolerances=(1e-9, 0.5),
             )
-            assert kernel == reference
 
     @pytest.mark.parametrize("budget", [1, 2, 11, 40])
-    @pytest.mark.parametrize("chunk_rows", [1, 3, 5])
-    def test_odd_cell_chunks_carry_the_spare_half(self, monkeypatch, budget, chunk_rows):
-        # 11 configurations and an odd number of rows per chunk: every
-        # other chunk starts on the previous chunk's unused high half.
-        shares = _shares(11, budget)
-        for seed in (0, 3, 2**63 + 5):
-            kernel, reference = _both(
+    @pytest.mark.parametrize("block_cells", [1, 3, 5])
+    def test_block_sizes_are_invisible(self, monkeypatch, budget, block_cells):
+        # Blocks of a few cells: a trial's picks span many blocks, and the
+        # active trials shrink between them.
+        monkeypatch.setattr(numpy_backend, "_CENSUS_BLOCK_CELLS", block_cells)
+        shares = _shares(41, budget)
+        for seed in (0, 3, 2**63 + 5, -7):
+            _check(
                 shares,
-                monkeypatch,
-                chunk_cells=chunk_rows * 11,
                 vulnerability_probability=0.37,
                 exploit_budget=budget,
                 trials=29,
                 seed=seed,
                 tolerances=(1 / 3, 0.5),
             )
-            assert kernel == reference
 
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("low_byte", [0x00, 0xFF])
-    def test_draws_on_the_bound_itself(self, seed, low_byte):
-        # Pick p from a draw the kernel will read: a half with low byte
-        # 0xFF is the last one below ((x >> 8) + 1) * 2^-24, and a half with
-        # low byte 0x00 is the first one not below (x >> 8) * 2^-24.
-        shares = _shares(16, seed)
-        words = np.random.default_rng(seed).bit_generator.random_raw(16 * 256 // 2)
-        halves = [int(word) >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)]
-        x = next(half for half in halves if half & 0xFF == low_byte and half >> 8)
-        probability = ((x >> 8) + (low_byte == 0xFF)) * 2.0**-24
-        kernel, reference = _both(
+    @pytest.mark.parametrize("low_bits", [0x000, 0x7FF])
+    def test_draws_on_the_bound_itself(self, seed, low_bits):
+        # Pick p from a hash the kernel will read: a hash whose low 11 bits
+        # are all set is the bound of ((z >> 11) + 1) * 2^-53 and is below
+        # it; one whose low 11 bits are clear is one past the bound of
+        # (z >> 11) * 2^-53, its own uniform, and is not below it.
+        shares, trials = _shares(16, seed), 1024
+        x = next(
+            z
+            for z in (raw_hash(seed, counter) for counter in range(16 * trials))
+            if z & 0x7FF == low_bits and z >> 11
+        )
+        probability = ((x >> 11) + (low_bits == 0x7FF)) * 2.0**-53
+        (limit,) = numpy_backend._column_limits((probability,))
+        assert limit == (x if low_bits == 0x7FF else x - 1)
+        _check(
             shares,
             vulnerability_probability=probability,
             exploit_budget=16,
-            trials=256,
+            trials=trials,
             seed=seed,
             tolerances=(1e-9,),
         )
-        assert kernel == reference
 
     def test_single_configuration_single_trial(self):
-        kernel, reference = _both(
+        _check(
             [1.0],
             vulnerability_probability=0.5,
             exploit_budget=1,
@@ -185,27 +191,32 @@ class TestIntegerDrawEqualsFloat32:
             seed=12,
             tolerances=(0.5,),
         )
-        assert kernel == reference
 
-    def test_halves_are_read_low_first(self):
-        # The ordering the kernel relies on: a float32 uniform is the next
-        # 32-bit half, low half of each 64-bit word first.
-        words = np.random.default_rng(5).bit_generator.random_raw(4)
-        halves = [int(word) >> shift & 0xFFFFFFFF for word in words for shift in (0, 32)]
-        uniforms = np.random.default_rng(5).random(8, dtype=np.float32)
-        assert uniforms.tolist() == [(half >> 8) * 2.0**-24 for half in halves]
+    def test_the_compared_hash_is_the_uniforms_source(self):
+        # What the kernel relies on: the wrapping uint64 finalizer over the
+        # Weyl sequence is the scalar hash, and its top 53 bits scaled by
+        # 2^-53 are campaign_uniform.
+        for seed in (0, -1, 2**64 + 5):
+            counters = range(64)
+            hashes = [raw_hash(seed, counter) for counter in counters]
+            z = np.arange(1, 65, dtype=np.uint64) * np.uint64(_SPLITMIX_GAMMA)
+            z += np.uint64(seed & _MASK64)
+            assert numpy_backend._mix64(z).tolist() == hashes
+            assert [hash_uniform(h) for h in hashes] == [
+                campaign_uniform(seed, counter) for counter in counters
+            ]
 
     @pytest.mark.parametrize(
         "probability, limit",
         [
             (0.0, -1),
-            (1e-50, -1),  # 0 in float32: no draw is below it
-            (2.0**-60, (1 << 8) - 1),  # a float32 draw of exactly 0 is below it
-            (2.0**-24, (1 << 8) - 1),
-            (2.0**-24 + 2.0**-40, (2 << 8) - 1),
-            (0.5, (1 << 31) - 1),
-            (1.0, (1 << 32) - 1),
+            (5e-324, (1 << 11) - 1),  # only a hash whose uniform is 0 is below it
+            (2.0**-60, (1 << 11) - 1),
+            (2.0**-53, (1 << 11) - 1),
+            (2.0**-53 + 2.0**-80, (2 << 11) - 1),
+            (0.5, (1 << 63) - 1),
+            (1.0, (1 << 64) - 1),
         ],
     )
     def test_census_limit(self, probability, limit):
-        assert numpy_backend._census_limit(probability) == limit
+        assert numpy_backend._column_limits((probability,)) == [limit]

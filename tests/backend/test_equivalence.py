@@ -4,12 +4,13 @@ The contract under test:
 
 - each backend is bit-deterministic for a fixed seed (identical
   ``SafetyViolationEstimate`` on repeated runs);
-- the pure-Python backend reproduces the pre-backend scalar loop exactly
-  (same ``random.Random`` stream, same summation order);
-- python and numpy backends agree within Monte-Carlo tolerance on violation
-  probabilities and mean compromised fractions, and both agree with the
-  closed-form ``analytic_single_vulnerability_violation`` check;
-- the entropy and weighted-accumulation kernels agree across backends.
+- census trials read one counter stream, so every backend returns the
+  contract's violation counts and mean compromised fractions bit for bit,
+  and they agree with the closed-form
+  ``analytic_single_vulnerability_violation`` check;
+- ``ConfigurationDistribution.entropy`` is the one scalar entropy loop on
+  every backend, and the weighted-accumulation kernel agrees across
+  backends.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from repro.analysis.monte_carlo import (
     estimate_violation_probability,
 )
 from repro.backend import NumpyBackend, available_backends, get_backend
-from repro.backend.base import ResolvedGridPoint, SparseExposure
+from repro.backend.base import ResolvedGridPoint, SparseExposure, campaign_uniform
+from repro.backend.selection import use_backend
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.entropy import shannon_entropy as reference_entropy
-from repro.core.exceptions import BackendError
+from repro.core.entropy import unchecked_shannon_entropy
+from repro.core.exceptions import BackendError, DistributionError
+from repro.datasets.bitcoin_pools import figure1_distribution
 from repro.datasets.generators import (
     oligopoly_distribution,
     uniform_distribution,
@@ -52,45 +56,42 @@ CENSUSES = {
 ZIPF_1000 = zipf_distribution(1000, 1.2)
 
 
-def legacy_reference_estimate(census, *, vulnerability_probability, exploit_budget, trials, seed, tolerance):
-    """The pre-backend scalar loop, verbatim (including the per-trial sort)."""
+def contract_estimate(census, *, vulnerability_probability, exploit_budget, trials, seed, tolerance):
+    """The census contract over the census's shares in descending order."""
     shares = sorted(census.probabilities(), reverse=True)
-    rng = random.Random(seed)
-    violations = 0
-    compromised_total = 0.0
-    for _ in range(trials):
-        vulnerable = [share for share in shares if rng.random() < vulnerability_probability]
-        vulnerable.sort(reverse=True)
-        compromised = sum(vulnerable[:exploit_budget])
-        compromised_total += compromised
-        if compromised >= tolerance:
-            violations += 1
-    return violations, compromised_total
+    per_trial = []
+    for trial in range(trials):
+        vulnerable = [
+            share
+            for index, share in enumerate(shares)
+            if campaign_uniform(seed, trial * len(shares) + index)
+            < vulnerability_probability
+        ]
+        compromised = 0.0
+        for share in vulnerable[:exploit_budget]:
+            compromised += share
+        per_trial.append(compromised)
+    violations = sum(compromised >= tolerance for compromised in per_trial)
+    return violations, math.fsum(per_trial)
 
 
-class TestPythonBackendMatchesLegacyLoop:
+class TestEstimatesFollowTheCensusContract:
     @pytest.mark.parametrize("label", sorted(CENSUSES))
     @pytest.mark.parametrize("budget", [0, 1, 3, 1000])
-    def test_bit_identical_to_pre_backend_implementation(self, label, budget):
+    def test_estimate_is_the_contract_over_descending_shares(self, label, budget):
+        # The estimate sorts the census's shares, so an attacker's first
+        # picks are the largest vulnerable ones, whatever the census order.
         census = CENSUSES[label]
-        estimate = estimate_violation_probability(
-            census,
-            vulnerability_probability=0.3,
-            exploit_budget=budget,
-            trials=400,
-            seed=11,
-            backend="python",
+        arguments = dict(
+            vulnerability_probability=0.3, exploit_budget=budget, trials=400, seed=11
         )
-        violations, compromised_total = legacy_reference_estimate(
-            census,
-            vulnerability_probability=0.3,
-            exploit_budget=budget,
-            trials=400,
-            seed=11,
-            tolerance=estimate.tolerated_fraction,
-        )
-        assert estimate.violations == violations
-        assert estimate.mean_compromised_fraction == compromised_total / 400
+        for backend in available_backends():
+            estimate = estimate_violation_probability(census, backend=backend, **arguments)
+            violations, compromised_total = contract_estimate(
+                census, tolerance=estimate.tolerated_fraction, **arguments
+            )
+            assert estimate.violations == violations
+            assert estimate.mean_compromised_fraction == compromised_total / 400
 
 
 class TestPerBackendDeterminism:
@@ -115,13 +116,11 @@ class TestPerBackendDeterminism:
             vulnerability_probability=0.3, exploit_budget=budget, trials=50, seed=4, tolerances=(0.2,)
         )
         whole = NumpyBackend().violation_trials(shares, **kwargs)
-        # 7 rows per chunk: seven full chunks and a one-row last chunk.
-        monkeypatch.setattr(numpy_backend, "_CHUNK_CELLS", 7 * len(shares))
+        # 7 cells per block: at most 7 trials a block, one column at a time.
+        monkeypatch.setattr(numpy_backend, "_CENSUS_BLOCK_CELLS", 7)
         chunked = NumpyBackend().violation_trials(shares, **kwargs)
         assert 0 < whole.violations[0] < 50
-        assert chunked.violations == whole.violations
-        # Per-chunk partial sums round differently in the last ulp.
-        assert chunked.compromised_total == pytest.approx(whole.compromised_total, rel=1e-12)
+        assert chunked == whole
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_different_seeds_usually_differ(self, backend):
@@ -135,14 +134,13 @@ class TestPerBackendDeterminism:
         assert len(estimates) > 1
 
 
-@needs_numpy
 class TestCrossBackendAgreement:
     @pytest.mark.parametrize("label", sorted(CENSUSES))
     @pytest.mark.parametrize("budget", [1, 2, 5])
-    def test_violation_probability_within_mc_tolerance(self, label, budget):
+    def test_estimates_are_bit_identical_across_backends(self, label, budget):
         census = CENSUSES[label]
-        estimates = {
-            backend: estimate_violation_probability(
+        estimates = [
+            estimate_violation_probability(
                 census,
                 vulnerability_probability=0.3,
                 exploit_budget=budget,
@@ -150,18 +148,11 @@ class TestCrossBackendAgreement:
                 seed=17,
                 backend=backend,
             )
-            for backend in ("python", "numpy")
-        }
-        python, numpy = estimates["python"], estimates["numpy"]
-        assert python.violation_probability == pytest.approx(
-            numpy.violation_probability, abs=0.03
-        )
-        assert python.mean_compromised_fraction == pytest.approx(
-            numpy.mean_compromised_fraction, abs=0.01
-        )
-        assert python.tolerated_fraction == numpy.tolerated_fraction
+            for backend in available_backends()
+        ]
+        assert all(estimate == estimates[0] for estimate in estimates)
 
-    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("backend", available_backends())
     def test_agreement_with_analytic_single_exploit_formula(self, backend):
         census = ConfigurationDistribution(
             {"big": 0.5, "mid": 0.35, "small-1": 0.1, "small-2": 0.05}
@@ -212,9 +203,9 @@ class TestCrossBackendAgreement:
             )
             assert always.violation_probability == 1.0
 
-    def test_three_exploits_on_a_long_tail_agree_within_mc_tolerance(self):
+    def test_three_exploits_on_a_long_tail_agree_exactly(self):
         # Three exploits sometimes reach 1/3 on Zipf(1.2) over 1,000
-        # configurations, but rarely, and every backend sees the same rate.
+        # configurations, but rarely, and every backend sees the same trials.
         estimates = [
             estimate_violation_probability(
                 ZIPF_1000,
@@ -226,59 +217,81 @@ class TestCrossBackendAgreement:
             )
             for backend in available_backends()
         ]
-        probabilities = [estimate.violation_probability for estimate in estimates]
-        fractions = [estimate.mean_compromised_fraction for estimate in estimates]
-        assert 0.0 < min(probabilities) and max(probabilities) < 0.5
-        assert max(probabilities) - min(probabilities) <= 0.03
-        assert max(fractions) - min(fractions) <= 0.01
+        assert 0.0 < estimates[0].violation_probability < 0.5
+        assert all(estimate == estimates[0] for estimate in estimates)
 
 
-class TestEntropyKernel:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_matches_reference_entropy(self, backend):
-        kernel = get_backend(backend)
-        assert kernel.shannon_entropy([0.25, 0.25, 0.25, 0.25]) == pytest.approx(2.0)
-        assert kernel.shannon_entropy([1.0]) == 0.0
-        assert kernel.shannon_entropy([0.5, 0.5, 0.0]) == pytest.approx(1.0)
+def _distribution_entropy(probabilities, *, base=2.0):
+    shares = {f"c{index}": share for index, share in enumerate(probabilities)}
+    return ConfigurationDistribution(shares).entropy(base=base)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_log_base_sets_the_unit(self, backend):
-        kernel = get_backend(backend)
-        assert kernel.shannon_entropy([0.5, 0.5], base=4.0) == pytest.approx(0.5)
-        assert kernel.shannon_entropy([0.5, 0.5], base=math.e) == pytest.approx(
-            math.log(2.0)
-        )
+
+#: The entropy's entry points: validated, unvalidated, and memoized on a
+#: distribution.  All three run the one loop.
+ENTROPY_ENTRY_POINTS = {
+    "shannon_entropy": reference_entropy,
+    "unchecked_shannon_entropy": unchecked_shannon_entropy,
+    "distribution": _distribution_entropy,
+}
+
+
+class TestOneEntropy:
+    """``ConfigurationDistribution.entropy`` is the scalar loop on every backend."""
 
     @pytest.mark.parametrize("backend", available_backends())
-    def test_degenerate_log_base_is_rejected(self, backend):
-        kernel = get_backend(backend)
+    def test_distribution_entropy_equals_the_validated_function(self, backend):
+        rng = random.Random(8)
+        censuses = [figure1_distribution(101)]
+        for _ in range(20):
+            # Few distinct weights, so shares repeat (the log memo's case).
+            pool = [rng.random() for _ in range(rng.randint(1, 6))]
+            censuses.append(
+                ConfigurationDistribution(
+                    {f"c{i}": rng.choice(pool) for i in range(rng.randint(1, 300))}
+                )
+            )
+        with use_backend(backend):
+            for census in censuses:
+                for base in (2.0, math.e, 10.0):
+                    assert repr(census.entropy(base=base)) == repr(
+                        reference_entropy(census.probabilities(), base=base)
+                    )
+
+    @pytest.mark.parametrize("entry", sorted(ENTROPY_ENTRY_POINTS))
+    def test_matches_reference_entropy(self, entry):
+        entropy = ENTROPY_ENTRY_POINTS[entry]
+        assert entropy([0.25, 0.25, 0.25, 0.25]) == 2.0
+        assert entropy([1.0]) == 0.0
+        assert entropy([0.5, 0.5, 0.0]) == 1.0
+
+    @pytest.mark.parametrize("entry", sorted(ENTROPY_ENTRY_POINTS))
+    def test_log_base_sets_the_unit(self, entry):
+        entropy = ENTROPY_ENTRY_POINTS[entry]
+        assert entropy([0.5, 0.5], base=4.0) == 0.5
+        assert entropy([0.5, 0.5], base=math.e) == pytest.approx(math.log(2.0))
+
+    @pytest.mark.parametrize("entry", sorted(ENTROPY_ENTRY_POINTS))
+    def test_degenerate_log_base_is_rejected(self, entry):
+        entropy = ENTROPY_ENTRY_POINTS[entry]
         for base in (1.0, 0.0, -2.0):
-            for probabilities in ([0.5, 0.5], [], [0.0]):
+            for probabilities in ([0.5, 0.5], [1.0], [0.2, 0.8]):
                 with pytest.raises(
-                    BackendError, match="base must be positive and != 1"
+                    DistributionError, match="base must be positive and != 1"
                 ):
-                    kernel.shannon_entropy(probabilities, base=base)
+                    entropy(probabilities, base=base)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_empty_and_all_zero_vectors_have_zero_entropy(self, backend):
-        # The kernel never validates: no positive entry means no term.
-        kernel = get_backend(backend)
-        assert kernel.shannon_entropy([]) == 0.0
-        assert kernel.shannon_entropy([0.0, 0.0]) == 0.0
+    def test_unchecked_loop_rejects_a_degenerate_base_before_any_term(self):
+        for base in (1.0, 0.0, -2.0):
+            for probabilities in ([], [0.0], [0.0, 0.0]):
+                with pytest.raises(
+                    DistributionError, match="base must be positive and != 1"
+                ):
+                    unchecked_shannon_entropy(probabilities, base=base)
 
-    def test_python_kernel_keeps_the_reference_bits(self):
-        probabilities = zipf_distribution(100, 1.5).probabilities()
-        for base in (2.0, math.e, 10.0):
-            assert get_backend("python").shannon_entropy(
-                probabilities, base=base
-            ) == reference_entropy(probabilities, base=base)
-
-    @needs_numpy
-    def test_backends_agree_on_skewed_vector(self):
-        probabilities = zipf_distribution(100, 1.5).probabilities()
-        python = get_backend("python").shannon_entropy(probabilities)
-        numpy = get_backend("numpy").shannon_entropy(probabilities)
-        assert python == pytest.approx(numpy, rel=1e-12)
+    def test_empty_and_all_zero_vectors_have_zero_entropy(self):
+        # The unvalidated loop: no positive entry means no term.
+        assert unchecked_shannon_entropy([]) == 0.0
+        assert unchecked_shannon_entropy([0.0, 0.0]) == 0.0
 
 
 class TestWeightedBincount:

@@ -9,8 +9,9 @@ import time
 
 import pytest
 
+from repro.backend import available_backends
 from repro.core.exceptions import OrchestrationError
-from repro.experiments.orchestrator import ResultCache, execute_spec
+from repro.experiments.orchestrator import ResultCache, execute_spec, run_experiments
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator import cache as cache_module
 from repro.experiments.orchestrator.cache import (
@@ -34,31 +35,31 @@ class TestKeying:
     def test_key_is_stable(self, cache):
         spec = figure1_spec()
         params = spec.params_dict()
-        assert cache.key_for(spec, params, None) == cache.key_for(spec, params, None)
+        assert cache.key_for(spec, params) == cache.key_for(spec, params)
 
     def test_key_changes_with_params(self, cache):
         spec = figure1_spec()
-        base = cache.key_for(spec, spec.params_dict(), None)
+        base = cache.key_for(spec, spec.params_dict())
         tweaked = spec.params_dict(spec.params_type(max_residual_miners=10))
-        assert cache.key_for(spec, tweaked, None) != base
+        assert cache.key_for(spec, tweaked) != base
 
-    def test_backend_keys_split_only_for_sensitive_specs(self, cache):
-        sensitive = registry.get_spec("safety_violation")
-        params = sensitive.params_dict()
-        assert cache.key_for(sensitive, params, "python") != cache.key_for(
-            sensitive, params, "numpy"
-        )
-        insensitive = figure1_spec()
-        params = insensitive.params_dict()
-        assert cache.key_for(insensitive, params, "python") == cache.key_for(
-            insensitive, params, "numpy"
-        )
+    def test_a_result_built_on_one_backend_serves_every_backend(self, cache):
+        # Census numbers are the same on every backend, so the key carries
+        # no backend: the first backend's build is every other one's hit.
+        spec = registry.get_spec("safety_violation")
+        backends = available_backends()
+        (built,) = run_experiments([spec], backend=backends[0], cache=cache)
+        for backend in backends[1:]:
+            (hit,) = run_experiments([spec], backend=backend, cache=cache)
+            assert hit.cached
+            assert hit.canonical_json() == built.canonical_json()
+        assert len(cache) == 1
 
     def test_keys_differ_across_experiments(self, cache):
         first = figure1_spec()
         second = registry.get_spec("example1")
-        assert cache.key_for(first, first.params_dict(), None) != cache.key_for(
-            second, second.params_dict(), None
+        assert cache.key_for(first, first.params_dict()) != cache.key_for(
+            second, second.params_dict()
         )
 
 
@@ -66,7 +67,7 @@ class TestStoreAndLoad:
     def test_round_trip_preserves_canonical_json(self, cache):
         spec = figure1_spec()
         result = execute_spec(spec)
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         cache.store(key, result.to_dict())
         loaded = cache.load(key)
         assert loaded is not None
@@ -89,7 +90,7 @@ class TestStoreAndLoad:
         # experiment the service builds.
         spec = registry.get_spec(experiment)
         result = execute_spec(spec)
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         path = cache.store(key, result.to_dict(), fingerprint="f" * 64)
         document = result.to_dict()
         document["code_fingerprint"] = "f" * 64
@@ -104,7 +105,7 @@ class TestStoreAndLoad:
 
     def test_corrupt_entry_degrades_to_a_miss(self, cache, tmp_path):
         spec = figure1_spec()
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         cache.store(key, execute_spec(spec).to_dict())
         path = os.path.join(cache.directory, f"{key}.json")
         with open(path, "w", encoding="utf-8") as handle:
@@ -113,7 +114,7 @@ class TestStoreAndLoad:
 
     def test_non_object_json_entry_is_a_miss(self, cache):
         spec = figure1_spec()
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         cache.store(key, execute_spec(spec).to_dict())
         path = os.path.join(cache.directory, f"{key}.json")
         for payload in ("null", "[1, 2]", '"text"'):
@@ -123,7 +124,7 @@ class TestStoreAndLoad:
 
     def test_truncated_document_is_a_miss(self, cache):
         spec = figure1_spec()
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         cache.store(key, execute_spec(spec).to_dict())
         path = os.path.join(cache.directory, f"{key}.json")
         with open(path, "r", encoding="utf-8") as handle:
@@ -135,7 +136,7 @@ class TestStoreAndLoad:
 
     def test_failed_commit_leaves_no_entry_and_no_temp_file(self, cache, monkeypatch):
         spec = figure1_spec()
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         result = execute_spec(spec)
 
         def disk_full(source, destination):
@@ -153,13 +154,13 @@ class TestStoreAndLoad:
         spec = figure1_spec()
         cache = ResultCache(str(blocker))
         with pytest.raises(OrchestrationError, match="cannot write cache entry"):
-            cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec).to_dict())
+            cache.store(cache.key_for(spec, spec.params_dict()), execute_spec(spec).to_dict())
         assert blocker.read_text(encoding="utf-8") == "not a directory"
 
     def test_len_counts_committed_entries(self, cache):
         assert len(cache) == 0
         spec = figure1_spec()
-        cache.store(cache.key_for(spec, spec.params_dict(), None), execute_spec(spec).to_dict())
+        cache.store(cache.key_for(spec, spec.params_dict()), execute_spec(spec).to_dict())
         assert len(cache) == 1
 
 
@@ -188,23 +189,23 @@ class TestFingerprintHooks:
     def test_keys_change_with_the_fingerprint(self, cache, monkeypatch):
         spec = figure1_spec()
         params = spec.params_dict()
-        before = cache.key_for(spec, params, None)
+        before = cache.key_for(spec, params)
         monkeypatch.setattr(cache_module, "_package_fingerprint_cache", "0" * 64)
-        assert cache.key_for(spec, params, None) != before
+        assert cache.key_for(spec, params) != before
 
     def test_explicit_fingerprint_pins_the_key(self, cache, monkeypatch):
         spec = figure1_spec()
         params = spec.params_dict()
-        pinned = cache.key_for(spec, params, None, fingerprint="f" * 64)
+        pinned = cache.key_for(spec, params, fingerprint="f" * 64)
         # The pinned key ignores whatever the memo says.
         monkeypatch.setattr(cache_module, "_package_fingerprint_cache", "0" * 64)
-        assert cache.key_for(spec, params, None, fingerprint="f" * 64) == pinned
-        assert cache.key_for(spec, params, None) != pinned
+        assert cache.key_for(spec, params, fingerprint="f" * 64) == pinned
+        assert cache.key_for(spec, params) != pinned
 
     def test_store_records_an_explicit_fingerprint(self, cache):
         spec = figure1_spec()
         pinned = "f" * 64
-        key = cache.key_for(spec, spec.params_dict(), None, fingerprint=pinned)
+        key = cache.key_for(spec, spec.params_dict(), fingerprint=pinned)
         cache.store(key, execute_spec(spec).to_dict(), fingerprint=pinned)
         path = os.path.join(cache.directory, f"{key}.json")
         with open(path, encoding="utf-8") as handle:
@@ -217,7 +218,7 @@ class TestFingerprintHooks:
 class TestPruneAndStats:
     def _store_one(self, cache):
         spec = figure1_spec()
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         cache.store(key, execute_spec(spec).to_dict())
         return key
 
@@ -329,7 +330,7 @@ class TestPruneAndStats:
         import tempfile
 
         result = execute_spec(figure1_spec())
-        key = cache.key_for(figure1_spec(), figure1_spec().params_dict(), "python")
+        key = cache.key_for(figure1_spec(), figure1_spec().params_dict())
         os.makedirs(cache.directory, exist_ok=True)
         descriptor, temp_path = tempfile.mkstemp(
             prefix=".tmp-", suffix=".json", dir=cache.directory

@@ -39,7 +39,7 @@ from repro.experiments.orchestrator.engine import execute_spec
 spec = registry.get_spec("example1")
 result = execute_spec(spec)
 cache = ResultCache(sys.argv[1])
-key = cache.key_for(spec, spec.params_dict(), None)
+key = cache.key_for(spec, spec.params_dict())
 cache.store(key, result.to_dict())
 print("stored", key)
 """
@@ -85,7 +85,7 @@ class TestCrashDuringStore:
         # Readers see a plain miss.
         cache = ResultCache(cache_dir)
         spec = registry.get_spec("example1")
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         assert cache.load(key) is None
         assert len(cache) == 0
 
@@ -105,7 +105,7 @@ class TestCrashDuringStore:
         cache = ResultCache(cache_dir)
         spec = registry.get_spec("example1")
         result = execute_spec(spec)
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
         cache.store(key, result.to_dict())
         loaded = cache.load(key)
         assert loaded is not None
@@ -121,7 +121,7 @@ class TestCorruptCommit:
         cache = ResultCache(cache_dir)
         spec = registry.get_spec("example1")
         result = execute_spec(spec)
-        key = cache.key_for(spec, spec.params_dict(), None)
+        key = cache.key_for(spec, spec.params_dict())
 
         monkeypatch.setenv(CHAOS_ENV_VAR, "corrupt:1@cache-write")
         reset_chaos()

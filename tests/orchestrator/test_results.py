@@ -28,7 +28,6 @@ def small_result(experiment_id="demo", value=1.5) -> ExperimentResult:
         params={"x": 1},
         tables=(table,),
         metrics={"value": value, "ok": True},
-        backend=None,
         seed=3,
         wall_time_seconds=0.5,
         cached=False,

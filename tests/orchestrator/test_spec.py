@@ -51,26 +51,12 @@ class TestRegistry:
             assert callable(spec.build)
             assert callable(spec.render)
 
-    def test_backend_sensitive_specs_are_the_monte_carlo_ones(self):
-        sensitive = {
-            spec.experiment_id for spec in registry.all_specs() if spec.backend_sensitive
-        }
-        assert sensitive == {"safety_violation", "two_class", "diversity_ablation"}
-
     def test_seeded_specs_record_their_default_seed(self):
         by_id = {spec.experiment_id: spec for spec in registry.all_specs()}
         assert by_id["safety_violation"].seed == 7
         assert by_id["two_class"].seed == 23
         assert by_id["figure1"].seed is None
         assert by_id["campaign_budget"].seed == 11
-
-    def test_campaign_specs_are_backend_insensitive(self):
-        # The campaign kernels draw from a counter-based RNG stream, so the
-        # sweeps produce identical numbers on every backend and need only
-        # one golden snapshot each.
-        by_id = {spec.experiment_id: spec for spec in registry.all_specs()}
-        for name in ("campaign_budget", "campaign_reliability", "campaign_churn"):
-            assert not by_id[name].backend_sensitive
 
     def test_params_round_trip(self):
         for spec in registry.all_specs():

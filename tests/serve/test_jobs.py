@@ -228,7 +228,7 @@ class TestJobSubmission:
 
         result = with_app(body, tmp_path)
         assert result.status == 200
-        golden = (GOLDEN_DIR / "safety_violation.python.json").read_bytes()
+        golden = (GOLDEN_DIR / "safety_violation.json").read_bytes()
         assert result.body == golden
 
     def test_wait_submission_returns_the_finished_snapshot(self, tmp_path):

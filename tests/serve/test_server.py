@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import get_backend
+from repro.backend import NumpyBackend
 from repro.experiments.orchestrator import registry
 from repro.serve import ServiceMetrics
 from repro.serve.server import ResultServer
@@ -25,9 +25,8 @@ from http_client import BenchClient
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 
 #: Float tolerances matching the golden regression suite
-#: (tests/experiments/test_golden.py): experiments marked
-#: backend-insensitive still jitter by ~1 ulp across backends, and the
-#: golden files were generated under one ambient backend.
+#: (tests/experiments/test_golden.py): the committed bytes are CPython
+#: 3.11's, and other interpreter versions differ in the last digits.
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
@@ -216,8 +215,6 @@ class TestResultServing:
         assert json.loads(tweaked.body)["params"]["max_residual_miners"] == 10
 
     def test_served_json_is_byte_identical_to_every_golden_snapshot(self):
-        backend = get_backend().name
-
         async def body(server, client):
             async def fetch(experiment_id):
                 async with BenchClient("127.0.0.1", server.port) as own:
@@ -230,38 +227,34 @@ class TestResultServing:
 
         responses = with_server(body, jobs=4)
         for spec in registry.all_specs():
-            name = (
-                f"{spec.experiment_id}.{backend}.json"
-                if spec.backend_sensitive
-                else f"{spec.experiment_id}.json"
-            )
-            golden = (GOLDEN_DIR / name).read_bytes()
+            golden = (GOLDEN_DIR / f"{spec.experiment_id}.json").read_bytes()
             response = responses[spec.experiment_id]
             assert response.status == 200, spec.experiment_id
-            if spec.backend_sensitive:
-                # Per-backend golden files: byte-identity must hold exactly.
-                assert response.body == golden, (
-                    f"{spec.experiment_id} differs from golden"
+            # Byte identity when the interpreter reproduces the committed
+            # file exactly, the golden suite's tolerance otherwise.
+            if response.body != golden:
+                assert_close(
+                    json.loads(golden),
+                    json.loads(response.body),
+                    path=spec.experiment_id,
                 )
-            else:
-                # Backend-insensitive golden files were generated under one
-                # ambient backend and jitter by ~1 ulp on others; hold them
-                # to the golden suite's tolerance, byte-identity when the
-                # ambient backend reproduces the file exactly.
-                if response.body != golden:
-                    assert_close(
-                        json.loads(golden),
-                        json.loads(response.body),
-                        path=spec.experiment_id,
-                    )
 
-    def test_explicit_backend_query_param(self):
+    @pytest.mark.skipif(
+        not NumpyBackend.is_available(), reason="numpy not installed"
+    )
+    def test_a_census_built_on_one_backend_serves_the_other(self):
+        # The cache key carries no backend: a python build is the numpy hit.
         async def body(server, client):
-            return await client.get("/experiments/safety_violation?backend=python")
+            python = await client.get("/experiments/safety_violation?backend=python")
+            numpy = await client.get("/experiments/safety_violation?backend=numpy")
+            return python, numpy, server.metrics.builds
 
-        response = with_server(body)
-        assert response.status == 200
-        assert json.loads(response.body)["backend"] == "python"
+        python, numpy, builds = with_server(body)
+        assert (python.status, numpy.status) == (200, 200)
+        assert builds == 1
+        assert python.header("x-cache") == "miss"
+        assert numpy.header("x-cache") == "hit"
+        assert numpy.body == python.body
 
 
 class TestSingleFlight:

@@ -15,7 +15,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.backend import get_backend
 from repro.core.exceptions import ServeError
 import repro.serve.service as service_module
 from repro.experiments.orchestrator import ExperimentResult, ResultCache, execute_spec
@@ -48,7 +47,6 @@ class TestDescribeExperiments:
         figure1_params = {param["name"]: param for param in by_id["figure1"]["params"]}
         assert figure1_params["max_residual_miners"]["type"] == "int"
         assert figure1_params["max_residual_miners"]["default"] == 1000
-        assert by_id["safety_violation"]["backend_sensitive"] is True
 
     def test_listing_is_json_safe(self, service):
         import json
@@ -65,9 +63,7 @@ class TestPrepare:
     def test_default_key_matches_the_orchestrator_cache_key(self, service):
         spec = registry.get_spec("figure1")
         prepared = service.prepare("figure1", {})
-        expected = service.cache.key_for(
-            spec, spec.params_dict(), get_backend().name
-        )
+        expected = service.cache.key_for(spec, spec.params_dict())
         assert prepared.key == expected
 
     def test_param_overrides_change_the_key(self, service):
@@ -338,10 +334,7 @@ class TestFetch:
         assert service.cache.load(prepared.key) is None
         # ...the entry lives under the key the post-refresh world derives.
         rekeyed = service.cache.key_for(
-            prepared.spec,
-            prepared.params_doc,
-            prepared.backend,
-            fingerprint="0" * 64,
+            prepared.spec, prepared.params_doc, fingerprint="0" * 64
         )
         assert service.cache.load(rekeyed) is not None
 

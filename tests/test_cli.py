@@ -117,35 +117,22 @@ class TestRunOrchestration:
         assert document["experiment_id"] == "figure1"
         assert "wall_time_seconds" not in document
 
+    @pytest.mark.parametrize("backend", cli.available_backends())
     @pytest.mark.parametrize(
         "experiment", ["two_class", "safety_violation", "diversity_ablation"]
     )
-    def test_update_golden_regenerates_every_backend_snapshot(
-        self, tmp_path, capsys, experiment
+    def test_update_golden_writes_one_census_snapshot_on_every_backend(
+        self, tmp_path, capsys, experiment, backend
     ):
-        # A backend-sensitive experiment has one snapshot per backend: the
-        # ambient backend's result is reused, the others run fresh, and each
-        # must equal the committed golden byte for byte.
+        # Census trials read the counter stream: each backend writes the one
+        # committed snapshot, byte for byte.
         golden_dir = tmp_path / "golden"
-        arguments = ["run", "--quiet", "--no-cache", "--update-golden"]
+        arguments = ["--backend", backend, "run", "--quiet", "--no-cache", "--update-golden"]
         assert main(arguments + ["--golden-dir", str(golden_dir), experiment]) == 0
         capsys.readouterr()
-        written = sorted(path.name for path in golden_dir.iterdir())
-        assert written == sorted(
-            f"{experiment}.{backend}.json" for backend in cli.available_backends()
-        )
-        for name in written:
-            assert (golden_dir / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
-
-    def test_update_golden_warns_about_a_backend_it_cannot_run(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(cli, "available_backends", lambda: ("python",))
-        golden_dir = tmp_path / "golden"
-        arguments = ["run", "--quiet", "--no-cache", "--update-golden"]
-        assert main(arguments + ["--golden-dir", str(golden_dir), "two_class"]) == 0
-        assert "not available here: numpy, shm" in capsys.readouterr().err
-        assert [path.name for path in golden_dir.iterdir()] == ["two_class.python.json"]
+        name = f"{experiment}.json"
+        assert [path.name for path in golden_dir.iterdir()] == [name]
+        assert (golden_dir / name).read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
     def test_non_positive_jobs_rejected_by_argparse(self):
         with pytest.raises(SystemExit):
