@@ -18,10 +18,8 @@ entropy hides *where* the monoculture sits; this module decomposes it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.backend import get_backend
-from repro.backend.selection import BackendLike
 from repro.core.configuration import ComponentKind, SoftwareComponent
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import AnalysisError
@@ -55,18 +53,25 @@ class ComponentKindProfile:
     single_fault_violates: bool
 
 
+def _weighted_bincount(
+    labels: Sequence[Hashable], weights: Sequence[float]
+) -> Dict[Hashable, float]:
+    """Sum ``weights`` grouped by label, in first-appearance order of the labels."""
+    accumulated: Dict[Hashable, float] = {}
+    for label, weight in zip(labels, weights):
+        accumulated[label] = accumulated.get(label, 0.0) + float(weight)
+    return accumulated
+
+
 def component_census(
     population: ReplicaPopulation,
     kind: ComponentKind,
     *,
     weight_by_power: bool = True,
-    backend: BackendLike = None,
 ) -> ConfigurationDistribution:
     """Voting-power (or replica-count) distribution over one component kind.
 
-    The per-label accumulation runs on the selected compute backend's
-    ``weighted_bincount`` kernel, which preserves first-appearance order, so
-    the census is backend-independent.
+    Choices appear in the order replicas first use them.
     """
     if len(population) == 0:
         raise AnalysisError("cannot analyse an empty population")
@@ -76,7 +81,7 @@ def component_census(
         component = replica.configuration.component(kind)
         labels.append(component.identifier if component is not None else ABSENT)
         weights.append(replica.power if weight_by_power else 1.0)
-    return ConfigurationDistribution(get_backend(backend).weighted_bincount(labels, weights))
+    return ConfigurationDistribution(_weighted_bincount(labels, weights))
 
 
 def component_entropy_profile(
@@ -84,7 +89,6 @@ def component_entropy_profile(
     *,
     family: ProtocolFamily = ProtocolFamily.BFT,
     weight_by_power: bool = True,
-    backend: BackendLike = None,
 ) -> Tuple[ComponentKindProfile, ...]:
     """Per-kind diversity profile across every kind present in the population."""
     if len(population) == 0:
@@ -100,9 +104,7 @@ def component_entropy_profile(
     tolerance = tolerated_fault_fraction(family)
     profiles = []
     for kind in kinds:
-        census = component_census(
-            population, kind, weight_by_power=weight_by_power, backend=backend
-        )
+        census = component_census(population, kind, weight_by_power=weight_by_power)
         dominant_key, dominant_share = census.largest(1)[0]
         profiles.append(
             ComponentKindProfile(
@@ -123,10 +125,9 @@ def weakest_component(
     population: ReplicaPopulation,
     *,
     family: ProtocolFamily = ProtocolFamily.BFT,
-    backend: BackendLike = None,
 ) -> ComponentKindProfile:
     """The slot whose dominant choice concentrates the most voting power."""
-    return _weakest_of(component_entropy_profile(population, family=family, backend=backend))
+    return _weakest_of(component_entropy_profile(population, family=family))
 
 
 def _weakest_of(profiles: Sequence[ComponentKindProfile]) -> ComponentKindProfile:
@@ -140,14 +141,12 @@ def exposure_by_component(
     population: ReplicaPopulation,
     *,
     kind: Optional[ComponentKind] = None,
-    backend: BackendLike = None,
 ) -> Dict[str, float]:
     """Voting power exposed per concrete component identifier.
 
     Args:
         population: the replica population.
         kind: restrict the analysis to one component kind (``None`` = all).
-        backend: compute backend for the weighted accumulation.
 
     Returns:
         Mapping component identifier -> absolute exposed voting power, sorted
@@ -163,7 +162,7 @@ def exposure_by_component(
                 continue
             labels.append(component.identifier)
             weights.append(replica.power)
-    exposure = get_backend(backend).weighted_bincount(labels, weights)
+    exposure = _weighted_bincount(labels, weights)
     return dict(sorted(exposure.items(), key=lambda item: (-item[1], item[0])))
 
 
@@ -171,7 +170,6 @@ def diversification_priority(
     population: ReplicaPopulation,
     *,
     family: ProtocolFamily = ProtocolFamily.BFT,
-    backend: BackendLike = None,
 ) -> Tuple[Tuple[str, float], ...]:
     """Components whose exposure exceeds the protocol tolerance, largest first.
 
@@ -183,7 +181,7 @@ def diversification_priority(
     total = population.total_power()
     if total <= 0:
         raise AnalysisError("the population has no voting power")
-    ranked = exposure_by_component(population, backend=backend)
+    ranked = exposure_by_component(population)
     return tuple(
         (identifier, power / total)
         for identifier, power in ranked.items()

@@ -2,17 +2,19 @@
 
 The reproduction's quantitative claims are regenerated by Monte-Carlo trials
 whose cost scales as ``trials × configurations × sweep_points``.  This
-package provides that arithmetic behind a single seam, every kernel reading
-one counter-based stream so every backend draws the same uniforms:
+package provides that arithmetic behind a single seam that holds only the
+kernels whose implementations differ, every kernel reading one
+counter-based stream so every backend draws the same uniforms:
 
 - :mod:`repro.backend.python_backend` — the dependency-free scalar fallback
   and the reference the other backends are tested against;
 - :mod:`repro.backend.numpy_backend` — a vectorized implementation that
   hashes whole blocks of trials and cells at once;
-- :mod:`repro.backend.shm_backend` — the NumPy kernels fanned out across a
-  persistent process pool over shared-memory array views, bit-identical to
-  numpy; opt-in via ``REPRO_BACKEND=shm`` with ``REPRO_SHM_WORKERS`` sizing
-  the pool;
+- :mod:`repro.backend.shm_backend` — the NumPy backend plus a persistent
+  process pool: its campaign kernel splits the trial range across workers
+  over shared-memory array views, bit-identical to numpy, and every other
+  kernel is NumPy's own; opt-in via ``REPRO_BACKEND=shm`` with
+  ``REPRO_SHM_WORKERS`` sizing the pool;
 - :mod:`repro.backend.selection` — registry plus resolution via explicit
   argument, :func:`set_default_backend` (the CLI flag), the
   ``REPRO_BACKEND`` environment variable, or auto-detection.

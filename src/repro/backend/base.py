@@ -1,10 +1,13 @@
 """Abstract interface every compute backend implements.
 
 A :class:`ComputeBackend` bundles the numeric hot paths of the reproduction —
-batched Monte-Carlo vulnerability trials, exploit campaigns and weighted
-label accumulation — behind one seam, so the same analysis code can run on
-the dependency-free pure-Python implementation, on a vectorized NumPy one or
-on NumPy fanned out over shared-memory workers.
+census trials, market choices, exploit campaigns and the exposure
+reduction — behind one seam, so the same analysis code can run on the
+dependency-free pure-Python implementation, on a vectorized NumPy one or on
+NumPy fanned out over shared-memory workers.  The seam holds only kernels
+whose implementations differ between backends (plus two aliases perfbench
+patches by name); code that would be the same on every backend lives with
+its callers.
 
 Campaigns have one exposure layout, the CSR :class:`SparseExposure`, and one
 kernel: :meth:`ComputeBackend.sparse_grid_partials` runs a tuple of
@@ -55,7 +58,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 #: Slack applied when a compromised-power *fraction* is compared against a
 #: tolerance (mirrors ``CampaignOutcome.violates``): a trial violates safety
@@ -554,22 +557,19 @@ class ComputeBackend(abc.ABC):
     name: str = "abstract"
 
     @classmethod
-    def is_available(cls) -> bool:
-        """Whether the backend can run in the current environment."""
-        return True
-
-    @classmethod
     def availability_error(cls) -> Optional[str]:
         """Why the backend is unavailable, or ``None`` when it can run.
 
         Backends with optional dependencies override this to surface the
         captured import/probe error; ``repro.cli backends`` prints it so an
         operator sees *why* a backend is missing, not just that it is.
-        Implementations must agree with :meth:`is_available`.
         """
-        if cls.is_available():
-            return None
-        return f"backend {cls.name!r} reports itself unavailable"
+        return None
+
+    @classmethod
+    def is_available(cls) -> bool:
+        """Whether the backend can run in the current environment."""
+        return cls.availability_error() is None
 
     # -- Monte-Carlo kernel -----------------------------------------------------
 
@@ -723,43 +723,6 @@ class ComputeBackend(abc.ABC):
     # Alias of sparse_masked_power_sums: perfbench/workloads.py:53 wraps it by name.
     def masked_power_sums(self, *args, **kwargs):
         return self.sparse_masked_power_sums(*args, **kwargs)
-
-    # -- weighted accumulation kernel -------------------------------------------
-
-    def weighted_bincount(
-        self,
-        labels: Sequence[Hashable],
-        weights: Sequence[float],
-    ) -> Dict[Hashable, float]:
-        """Sum ``weights`` grouped by label, preserving first-appearance order.
-
-        The returned dict maps each distinct label to the sum of the weights
-        at its positions; iteration order matches the order in which labels
-        first appear, so downstream :class:`ConfigurationDistribution`
-        construction is identical across backends.
-
-        The dict accumulation here is the shared default: census labels are
-        arbitrary hashables (usually strings), which array libraries can
-        only group via an object-dtype sort that loses to a plain hash loop.
-        Backends with a genuinely faster grouping may override.
-        """
-        accumulated: Dict[Hashable, float] = {}
-        for label, weight in zip(labels, weights):
-            accumulated[label] = accumulated.get(label, 0.0) + float(weight)
-        return accumulated
-
-    # -- array construction -----------------------------------------------------
-
-    @abc.abstractmethod
-    def asarray(self, values: Sequence[float]) -> Sequence[float]:
-        """The backend's preferred array representation of a float sequence.
-
-        The pure-Python backend returns a tuple; array backends return their
-        native array type, frozen read-only.  :class:`ConfigurationDistribution`
-        caches the result per backend so hot paths hand the kernels a
-        ready-made array instead of rebuilding one per call — callers must
-        treat it as immutable (copy before mutating).
-        """
 
     # -- misc -------------------------------------------------------------------
 

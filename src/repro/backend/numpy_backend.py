@@ -62,7 +62,7 @@ from repro.backend.base import (
 )
 from repro.core.exceptions import BackendError
 
-try:  # pragma: no cover - exercised indirectly via is_available()
+try:  # pragma: no cover - exercised indirectly via availability_error()
     import numpy as _np
 except ImportError as _numpy_import_error:  # pragma: no cover - env-dependent
     _np = None
@@ -375,10 +375,6 @@ class NumpyBackend(ComputeBackend):
             )
 
     @classmethod
-    def is_available(cls) -> bool:
-        return _np is not None
-
-    @classmethod
     def availability_error(cls) -> Optional[str]:
         if _np is not None:
             return None
@@ -562,11 +558,3 @@ class NumpyBackend(ComputeBackend):
             )
             for index, (point, partial) in enumerate(zip(points, partials))
         )
-
-    def asarray(self, values: Sequence[float]) -> "_np.ndarray":
-        array = _np.asarray(values, dtype=_np.float64)
-        if array.flags.writeable:
-            # Cached by ConfigurationDistribution and handed to many callers;
-            # freeze so nobody can poison the shared copy in place.
-            array.setflags(write=False)
-        return array

@@ -236,6 +236,3 @@ class PythonBackend(ComputeBackend):
                 )
             )
         return tuple(results)
-
-    def asarray(self, values: Sequence[float]) -> Sequence[float]:
-        return tuple(float(value) for value in values)

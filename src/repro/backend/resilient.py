@@ -73,13 +73,15 @@ DEFAULT_RETRIES = 2
 DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
 
-#: Default attempt-log ring size.
-DEFAULT_LOG_SIZE = 256
+#: Attempt-log ring size.
+ATTEMPT_LOG_SIZE = 256
 
-#: Exception types retried without recycling the pool (the task failed, the
-#: workers are fine).  Transport failures (BrokenExecutor) and deadline
-#: overruns recycle and retry regardless of this set.
-DEFAULT_RETRY_EXCEPTIONS: Tuple[type, ...] = (ChaosError,)
+#: Task-raised exception types retried without recycling the pool (the task
+#: failed, the workers are fine): chaos corruption only — a deterministic
+#: application error would fail every attempt identically, so it fails
+#: fast.  Transport failures (BrokenExecutor) and deadline overruns recycle
+#: and retry regardless of this set.
+RETRY_EXCEPTIONS: Tuple[type, ...] = (ChaosError,)
 
 #: Broken-pool losses a single task may absorb before giving up.  Losses are
 #: billed separately from ``retries``: when one worker dies, *every*
@@ -181,15 +183,15 @@ class ResilientExecutor(Executor):
             the pool recycled; ``None`` waits forever.  Hard enforcement
             (terminating the stuck worker) requires a process-pool factory;
             thread pools get the retry but the hung thread runs on.
-        retries: attempts allowed *after* the first (0 = fail fast).
-        backoff_base / backoff_cap: see :func:`backoff_delay`.
-        retry_exceptions: task-raised exception types worth retrying
-            (default: chaos corruption only — a deterministic application
-            error would fail every attempt identically, so it fails fast).
+        retries: attempts allowed *after* the first (0 = fail fast); only
+            timeouts and :data:`RETRY_EXCEPTIONS` are retried.
+        backoff_base: see :func:`backoff_delay` (capped at its default
+            ``cap``).
         max_pool_losses: broken-pool losses one task may absorb before
             giving up.  Billed separately from ``retries`` — a lost task
             did not fail, its pool did (see module notes).
-        log_size: attempt ring-buffer length.
+
+    The last :data:`ATTEMPT_LOG_SIZE` attempts are kept in :attr:`attempts`.
     """
 
     def __init__(
@@ -200,10 +202,7 @@ class ResilientExecutor(Executor):
         deadline: Optional[float] = None,
         retries: int = DEFAULT_RETRIES,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
-        retry_exceptions: Tuple[type, ...] = DEFAULT_RETRY_EXCEPTIONS,
         max_pool_losses: int = DEFAULT_MAX_POOL_LOSSES,
-        log_size: int = DEFAULT_LOG_SIZE,
     ) -> None:
         if deadline is not None and not (math.isfinite(deadline) and deadline > 0):
             raise ValueError(f"deadline must be positive and finite, got {deadline}")
@@ -218,8 +217,6 @@ class ResilientExecutor(Executor):
         self.deadline = deadline
         self.retries = retries
         self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.retry_exceptions = tuple(retry_exceptions)
         self.max_pool_losses = max_pool_losses
         self._lock = threading.Lock()
         self._pool: Executor = self._factory()
@@ -231,7 +228,7 @@ class ResilientExecutor(Executor):
         self._monitors = ThreadPoolExecutor(
             max_workers=self._width, thread_name_prefix="resilient"
         )
-        self.attempts: Deque[TaskAttempt] = deque(maxlen=log_size)
+        self.attempts: Deque[TaskAttempt] = deque(maxlen=ATTEMPT_LOG_SIZE)
         self.tasks_submitted = 0
         self.tasks_succeeded = 0
         self.tasks_failed = 0
@@ -415,18 +412,14 @@ class ResilientExecutor(Executor):
                 outer.set_exception(error)
                 return
             failures += 1
-            retryable = outcome == "timeout" or isinstance(
-                error, self.retry_exceptions
-            )
+            retryable = outcome == "timeout" or isinstance(error, RETRY_EXCEPTIONS)
             if not retryable or failures > self.retries:
                 self._record(label, attempt, outcome, elapsed, 0.0, error)
                 with self._lock:
                     self.tasks_failed += 1
                 outer.set_exception(error)
                 return
-            delay = backoff_delay(
-                label, failures, base=self.backoff_base, cap=self.backoff_cap
-            )
+            delay = backoff_delay(label, failures, base=self.backoff_base)
             self._record(label, attempt, outcome, elapsed, delay, error)
             with self._lock:
                 self.retries_total += 1

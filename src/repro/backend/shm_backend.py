@@ -1,10 +1,11 @@
 """Shared-memory multiprocess compute backend.
 
-The ``shm`` backend runs the campaign kernel, :meth:`sparse_grid_partials`
-over CSR, by splitting the trial range across a persistent pool of worker
-processes.  It is the repository's one trial-range fan-out.  The
-counter-based splitmix64 stream makes trial partitions bit-identical to a
-serial run by construction, so fan-out is pure engineering:
+The ``shm`` backend is :class:`~repro.backend.numpy_backend.NumpyBackend`
+plus a worker pool.  It overrides one kernel, :meth:`sparse_grid_partials`
+over CSR, which it runs by splitting the trial range across a persistent
+pool of worker processes; it is the repository's one trial-range fan-out.
+The counter-based splitmix64 stream makes trial partitions bit-identical to
+a serial run by construction, so fan-out is pure engineering:
 
 - **Build once, map everywhere.**  The CSR buffers (``indptr``, ``indices``
   and ``powers``) are copied into :mod:`multiprocessing.shared_memory`
@@ -23,21 +24,19 @@ serial run by construction, so fan-out is pure engineering:
   call whose ranges keep killing workers raises once a range has used up
   ``max_pool_losses``.  Each range passes the chaos harness's ``task``
   checkpoint, so the crash path is tested.
-- **Inner NumPy delegation.**  Every other primitive
-  (:meth:`violation_trials`, :meth:`market_choices`,
-  :meth:`campaign_verdicts`, :meth:`sparse_masked_power_sums`, array
-  construction, …) delegates to an inner
-  :class:`~repro.backend.numpy_backend.NumpyBackend`, and the workers run
-  the NumPy kernel too — the shm backend is a scheduler, not a new
-  numerics implementation, which is what keeps it byte-identical to numpy;
-  its census trials are byte-identical to python's too.
+- **NumPy everywhere else.**  Every other kernel (:meth:`violation_trials`,
+  :meth:`market_choices`, :meth:`campaign_verdicts`,
+  :meth:`sparse_masked_power_sums`) is inherited from ``NumpyBackend``, and
+  the workers run the NumPy kernel too — the shm backend is a scheduler, not
+  a new numerics implementation, which is what keeps it byte-identical to
+  numpy; its census trials are byte-identical to python's too.
 
 Selection: the backend registers *behind* numpy in auto-detection order, so
 it is opt-in via ``REPRO_BACKEND=shm`` (or ``--backend shm``).  Its one knob
 is ``REPRO_SHM_WORKERS``, the worker-process count (default
 ``min(4, cpu_count)``); changing it recycles the pool on the next call.
-Calls below :data:`INLINE_CELL_LIMIT` trial-cells run inline on the inner
-NumPy backend instead of paying a pool round-trip.
+Calls below :data:`INLINE_CELL_LIMIT` trial-cells run inline on the NumPy
+kernel instead of paying a pool round-trip.
 
 Fork safety: the pool is only ever built in the top-level process.  Inside
 a multiprocessing child (an orchestrator worker, a serve build) dispatch
@@ -48,10 +47,9 @@ that inherited this instance through ``fork`` also drops the parent's pool
 handle and segment cache on first use (they are corpses there); the parent
 keeps sole ownership of the published segments.
 
-Per-call dispatch timings are recorded into
-:data:`repro.backend.timing.KERNEL_TIMINGS` under ``shm_campaign_grid``, so
-the serve layer's ``/metrics`` endpoint exposes the multiprocess path in
-production.
+The backend keeps no timer of its own: the fault engine times every kernel
+call under ``campaign_grid`` (:data:`repro.backend.timing.KERNEL_TIMINGS`),
+pooled or inline, so ``/metrics`` counts each shm call once.
 """
 
 from __future__ import annotations
@@ -83,27 +81,22 @@ except ImportError:  # pragma: no cover
     _resource_tracker = None
 
 from repro.backend.base import (
-    ComputeBackend,
-    GridPointResult,
-    MarketCumulative,
     ResolvedGridPoint,
     SparseExposure,
     SparseGridPartial,
-    TrialBatchResult,
     add_elementwise,
     split_trial_ranges,
     validate_sparse_partial_arguments,
 )
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.resilient import ResilientExecutor
-from repro.backend.timing import timed_kernel
 from repro.core.exceptions import BackendError
 
 #: Environment variable selecting the worker-process count.
 WORKERS_ENV_VAR = "REPRO_SHM_WORKERS"
 
-#: Below this many trial-cells a kernel call runs inline on the inner
-#: NumPy backend — a pool round-trip costs more than the arithmetic.
+#: Below this many trial-cells a kernel call runs inline on the NumPy
+#: kernel — a pool round-trip costs more than the arithmetic.
 INLINE_CELL_LIMIT = 1 << 16
 
 #: Parent-side cap on pinned shared-memory publications (LRU evicted).
@@ -117,10 +110,9 @@ _ATTACH_CAPACITY = 16
 #
 # Everything below runs inside pool workers.  Workers never call
 # ``get_backend`` (which would resolve REPRO_BACKEND=shm right back to this
-# module); they hold their own NumpyBackend and a by-name cache of attached
-# shared-memory views.
+# module); they run the plain NumpyBackend kernel and keep a by-name cache of
+# attached shared-memory views.
 
-_WORKER_BACKEND: Optional[NumpyBackend] = None
 _WORKER_SEGMENTS: "OrderedDict[str, Tuple[object, object]]" = OrderedDict()
 
 #: Whether attaching a segment must be unregistered from this process's
@@ -140,13 +132,6 @@ def _worker_init(unregister_on_attach: bool) -> None:
 #: (segment name, dtype string, shape tuple) — all a worker needs to map one
 #: published array.
 SegmentRef = Tuple[str, str, Tuple[int, ...]]
-
-
-def _worker_numpy() -> NumpyBackend:
-    global _WORKER_BACKEND
-    if _WORKER_BACKEND is None:
-        _WORKER_BACKEND = NumpyBackend()
-    return _WORKER_BACKEND
 
 
 def _attach_view(ref: SegmentRef):
@@ -206,7 +191,7 @@ def _worker_sparse_partials(
         disclosed_at=disclosed,
     )
     object.__setattr__(sparse, "_validated", True)
-    return _worker_numpy().sparse_grid_partials(
+    return NumpyBackend().sparse_grid_partials(
         sparse,
         points,
         trials=trials,
@@ -254,11 +239,11 @@ class _SharedSegment:
             pass
 
 
-class ShmBackend(ComputeBackend):
-    """Multiprocess kernels over shared-memory array views.
+class ShmBackend(NumpyBackend):
+    """NumPy kernels, with the campaign kernel fanned out over a process pool.
 
     Bit-identical to :class:`NumpyBackend` on every kernel (the workers run
-    the NumPy kernels on trial sub-ranges whose merge associations the
+    the NumPy kernel on trial sub-ranges whose merge associations the
     kernel partition tests pin); opt-in via ``REPRO_BACKEND=shm``.
     """
 
@@ -271,7 +256,7 @@ class ShmBackend(ComputeBackend):
         reason = type(self).availability_error()
         if reason is not None:
             raise BackendError(f"shm backend unavailable: {reason}")
-        self._inner = NumpyBackend()
+        super().__init__()
         self._lock = threading.Lock()
         self._pid = os.getpid()
         self._pool: Optional[ResilientExecutor] = None
@@ -291,10 +276,6 @@ class ShmBackend(ComputeBackend):
             cls._availability_reason = cls._probe()
             cls._availability_checked = True
         return cls._availability_reason
-
-    @classmethod
-    def is_available(cls) -> bool:
-        return cls.availability_error() is None
 
     @staticmethod
     def _probe() -> Optional[str]:
@@ -351,8 +332,8 @@ class ShmBackend(ComputeBackend):
         pool built there is never shut down, so the worker's exit handler
         (``multiprocessing.util._exit_function``) joins the orphaned
         grandchildren forever and the outer run deadlocks.  Inline dispatch
-        runs the exact inner NumPy kernels, so only the fan-out strategy
-        changes, never the bytes.
+        runs the exact NumPy kernel, so only the fan-out strategy changes,
+        never the bytes.
         """
         workers = self._worker_count()
         if workers <= 1 or cells < INLINE_CELL_LIMIT:
@@ -455,54 +436,6 @@ class ShmBackend(ComputeBackend):
         for handle in published:
             handle.release()
 
-    # -- delegated primitives --------------------------------------------------
-
-    def violation_trials(
-        self,
-        shares: Sequence[float],
-        *,
-        vulnerability_probability: float,
-        exploit_budget: int,
-        trials: int,
-        seed: int,
-        tolerances: Sequence[float],
-    ) -> TrialBatchResult:
-        return self._inner.violation_trials(
-            shares,
-            vulnerability_probability=vulnerability_probability,
-            exploit_budget=exploit_budget,
-            trials=trials,
-            seed=seed,
-            tolerances=tolerances,
-        )
-
-    def market_choices(
-        self,
-        seed: int,
-        start: int,
-        stop: int,
-        markets: Sequence[MarketCumulative],
-    ) -> List[Tuple[int, ...]]:
-        return self._inner.market_choices(seed, start, stop, markets)
-
-    def asarray(self, values: Sequence[float]) -> Sequence[float]:
-        return self._inner.asarray(values)
-
-    def sparse_masked_power_sums(self, sparse: SparseExposure) -> Tuple[float, ...]:
-        return self._inner.sparse_masked_power_sums(sparse)
-
-    def campaign_verdicts(
-        self,
-        partials: Sequence[SparseGridPartial],
-        points: Sequence[ResolvedGridPoint],
-        *,
-        trials: int,
-        total_power: float,
-    ) -> Tuple[GridPointResult, ...]:
-        return self._inner.campaign_verdicts(
-            partials, points, trials=trials, total_power=total_power
-        )
-
     # -- campaign kernel -------------------------------------------------------
 
     def sparse_grid_partials(
@@ -515,6 +448,16 @@ class ShmBackend(ComputeBackend):
         row_offset: int = 0,
         total_rows: Optional[int] = None,
     ) -> Tuple[SparseGridPartial, ...]:
+        workers = self._dispatch_workers(trials * sparse.nnz)
+        if workers <= 1:
+            return super().sparse_grid_partials(
+                sparse,
+                points,
+                trials=trials,
+                trial_offset=trial_offset,
+                row_offset=row_offset,
+                total_rows=total_rows,
+            )
         total = validate_sparse_partial_arguments(
             sparse,
             points,
@@ -524,42 +467,31 @@ class ShmBackend(ComputeBackend):
             total_rows=total_rows,
         )
         staged_points = tuple(points)
-        workers = self._dispatch_workers(trials * sparse.nnz)
-        with timed_kernel("shm_campaign_grid", trials=trials * len(staged_points)):
-            if workers <= 1:
-                return self._inner.sparse_grid_partials(
-                    sparse,
-                    staged_points,
-                    trials=trials,
-                    trial_offset=trial_offset,
-                    row_offset=row_offset,
-                    total_rows=total,
-                )
-            indptr_ref = self._publish(sparse.indptr, "int64")
-            indices_ref = self._publish(sparse.indices, "int64")
-            powers_ref = self._publish(sparse.powers, "float64")
-            probabilities = tuple(float(p) for p in sparse.success_probabilities)
-            disclosed = tuple(float(t) for t in sparse.disclosed_at)
-            pool = self._ensure_pool(workers)
-            futures = [
-                pool.submit(
-                    _worker_sparse_partials,
-                    indptr_ref,
-                    indices_ref,
-                    powers_ref,
-                    probabilities,
-                    disclosed,
-                    staged_points,
-                    count,
-                    trial_offset + offset,
-                    row_offset,
-                    total,
-                )
-                for offset, count in split_trial_ranges(trials, workers)
-            ]
-            return self._merge_sparse_ranges(
-                staged_points, [future.result() for future in futures]
+        indptr_ref = self._publish(sparse.indptr, "int64")
+        indices_ref = self._publish(sparse.indices, "int64")
+        powers_ref = self._publish(sparse.powers, "float64")
+        probabilities = tuple(float(p) for p in sparse.success_probabilities)
+        disclosed = tuple(float(t) for t in sparse.disclosed_at)
+        pool = self._ensure_pool(workers)
+        futures = [
+            pool.submit(
+                _worker_sparse_partials,
+                indptr_ref,
+                indices_ref,
+                powers_ref,
+                probabilities,
+                disclosed,
+                staged_points,
+                count,
+                trial_offset + offset,
+                row_offset,
+                total,
             )
+            for offset, count in split_trial_ranges(trials, workers)
+        ]
+        return self._merge_sparse_ranges(
+            staged_points, [future.result() for future in futures]
+        )
 
     @staticmethod
     def _merge_sparse_ranges(

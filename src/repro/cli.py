@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import math
 import os
 import sys
@@ -74,6 +73,7 @@ from repro.experiments.orchestrator import (
     experiment_banner,
     filter_specs,
     invalidate_code_fingerprint,
+    json_body,
     parse_shard,
     results_document,
     run_experiments,
@@ -393,15 +393,8 @@ def _update_golden(
     os.makedirs(directory, exist_ok=True)
     for spec in specs:
         path = os.path.join(directory, f"{spec.experiment_id}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(
-                results_by_id[spec.experiment_id].canonical_dict(),
-                handle,
-                indent=2,
-                sort_keys=True,
-                allow_nan=False,
-            )
-            handle.write("\n")
+        with open(path, "wb") as handle:
+            handle.write(json_body(results_by_id[spec.experiment_id].canonical_dict()))
         print(f"golden snapshot written: {path}")
 
 

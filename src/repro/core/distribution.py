@@ -33,10 +33,10 @@ class ConfigurationDistribution:
     shares, per Definition 1).
 
     The instance is frozen after ``__init__`` (no mutating API), so derived
-    quantities — the probability vector, its descending sort, its per-backend
-    array view, entropies and the full ranking — are computed once and
-    memoized in ``_cache``; analysis hot paths that interrogate the same
-    census thousands of times pay for each derivation only once.
+    quantities — the probability vector, its descending sort, entropies and
+    the full ranking — are computed once and memoized in ``_cache``;
+    analysis hot paths that interrogate the same census thousands of times
+    pay for each derivation only once.
     """
 
     __slots__ = ("_shares", "_cache")
@@ -146,16 +146,6 @@ class ConfigurationDistribution:
         return self._memoized(
             "sorted_probabilities",
             lambda: tuple(sorted(self._shares.values(), reverse=True)),
-        )
-
-    def sorted_probabilities_array(self, backend=None):
-        """Descending probability vector as the backend's array type (cached)."""
-        from repro.backend import get_backend
-
-        resolved = get_backend(backend)
-        return self._memoized(
-            ("sorted_probabilities_array", resolved.name),
-            lambda: resolved.asarray(self.sorted_probabilities()),
         )
 
     def configurations(self) -> Tuple[ConfigKey, ...]:

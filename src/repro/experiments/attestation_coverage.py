@@ -186,7 +186,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=AttestationCoverageParams,
     tags=("extension", "attestation"),
-    seed=11,
 )
 
 

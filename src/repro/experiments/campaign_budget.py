@@ -195,7 +195,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=CampaignBudgetParams,
     tags=("extension", "campaign"),
-    seed=11,
 )
 
 

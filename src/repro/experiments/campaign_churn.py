@@ -206,7 +206,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=CampaignChurnParams,
     tags=("extension", "campaign", "permissionless"),
-    seed=29,
 )
 
 

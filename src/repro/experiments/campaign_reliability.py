@@ -194,7 +194,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=CampaignReliabilityParams,
     tags=("extension", "campaign"),
-    seed=19,
 )
 
 

@@ -202,7 +202,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=ComponentExposureParams,
     tags=("extension", "components"),
-    seed=51,
 )
 
 

@@ -185,7 +185,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=DecentralizedPoolsParams,
     tags=("extension", "nakamoto"),
-    seed=None,
 )
 
 

@@ -228,7 +228,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=DiversityAblationParams,
     tags=("extension", "monte-carlo"),
-    seed=31,
 )
 
 

@@ -226,7 +226,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=EcosystemScaleParams,
     tags=("extension", "campaign", "scale"),
-    seed=17,
 )
 
 

@@ -138,7 +138,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=Example1Params,
     tags=("paper", "example"),
-    seed=None,
 )
 
 

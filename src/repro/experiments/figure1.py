@@ -177,7 +177,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=Figure1Params,
     tags=("paper", "figure"),
-    seed=None,
 )
 
 

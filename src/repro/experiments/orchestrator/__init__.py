@@ -3,9 +3,10 @@
 The orchestrator turns the 13 print-only experiment drivers into a
 machine-readable pipeline:
 
-- every experiment registers an :class:`ExperimentSpec` (id, tags, seed,
+- every experiment registers an :class:`ExperimentSpec` (id, tags,
   parameter dataclass) and produces an :class:`ExperimentResult` — tables,
-  headline metrics and run metadata, serializable to JSON;
+  headline metrics and run metadata (the seed the build ran with),
+  serializable to JSON;
 - the engine (:func:`run_experiments`) executes selections serially or over
   a process pool with deterministic per-experiment seeding, so parallel,
   sharded and serial runs emit byte-identical canonical JSON;
@@ -43,6 +44,7 @@ from repro.experiments.orchestrator.result import (
     RESULT_SCHEMA_VERSION,
     ExperimentResult,
     ResultPayload,
+    json_body,
     jsonify,
     load_results_document,
     merge_results_documents,
@@ -75,6 +77,7 @@ __all__ = [
     "default_cache_dir",
     "execute_spec",
     "invalidate_code_fingerprint",
+    "json_body",
     "refresh_code_fingerprint",
     "experiment_banner",
     "filter_specs",

@@ -50,7 +50,9 @@ def execute_spec(
 
     ``backend`` (a backend name) is installed as the process default for the
     duration of the build so every nested estimate resolves consistently;
-    ``None`` keeps the ambient resolution (default / env var / auto).
+    ``None`` keeps the ambient resolution (default / env var / auto).  The
+    result records the seed the build ran with: the params' ``seed`` field,
+    or ``None`` for params without one.
     """
     if params is None:
         params = spec.default_params()
@@ -70,7 +72,7 @@ def execute_spec(
         params=params_doc,
         tables=tuple(payload.tables),
         metrics=jsonify(payload.metrics, where=f"{spec.experiment_id} metrics"),
-        seed=spec.seed,
+        seed=getattr(params, "seed", None),
         wall_time_seconds=elapsed,
         kernel_counters=KERNEL_TIMINGS.delta_since(timings_before),
         peak_rss_kb=peak_rss_kb(),

@@ -90,7 +90,8 @@ class ExperimentResult:
         tables: the tables the text renderer prints, with raw cell values.
         metrics: headline scalars (and small JSON structures) downstream
             consumers read without parsing tables.
-        seed: the experiment's base RNG seed (``None`` when deterministic).
+        seed: the base RNG seed the build ran with, its params' ``seed``
+            (``None`` when the params have none: a deterministic build).
         wall_time_seconds: volatile — excluded from the canonical view.
         cached: volatile — whether this result came from the on-disk cache.
         kernel_counters: volatile — per-kernel ``{calls, seconds, trials}``
@@ -199,6 +200,18 @@ class ExperimentResult:
         )
 
 
+def json_body(document: Any) -> bytes:
+    """A JSON document in the repository's canonical on-disk format.
+
+    Indent-2, sorted keys, no NaN or infinity, trailing newline.  Golden
+    snapshots, ``RESULTS.json`` and served bodies are all written here, so a
+    served result is byte-comparable to its golden file.
+    """
+    return (
+        json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    ).encode("utf-8")
+
+
 def results_document(
     results: Sequence[ExperimentResult],
     *,
@@ -305,9 +318,8 @@ def write_results_document(document: Mapping[str, Any], path: str, *, merge: boo
         if existing is not None:
             document = merge_results_documents([existing, document])
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True, allow_nan=False)
-            handle.write("\n")
+        with open(path, "wb") as handle:
+            handle.write(json_body(document))
     except OSError as error:
         raise OrchestrationError(f"cannot write results document to {path!r}: {error}") from error
 

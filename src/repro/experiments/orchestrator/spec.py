@@ -1,11 +1,12 @@
 """Experiment specifications: registration metadata, filtering and sharding.
 
 Each experiment module exposes a module-level ``SPEC``
-(:class:`ExperimentSpec`) binding its id, tags, default seed, parameter
-dataclass, structured build function and text renderer.  The registry module
-collects the specs in paper order; the engine executes them; this module also
-hosts the pure selection logic (name/tag filtering, ``--shard i/n``
-splitting) so it can be tested without running anything.
+(:class:`ExperimentSpec`) binding its id, tags, parameter dataclass (whose
+``seed`` field, when it has one, seeds the build), structured build function
+and text renderer.  The registry module collects the specs in paper order;
+the engine executes them; this module also hosts the pure selection logic
+(name/tag filtering, ``--shard i/n`` splitting) so it can be tested without
+running anything.
 """
 
 from __future__ import annotations
@@ -50,8 +51,6 @@ class ExperimentSpec:
             scalars (``int``, ``float``, ``bool``, ``str``, optionally
             ``None``) and tuples of them.
         tags: free-form labels for ``--tag`` filtering.
-        seed: the experiment's default base seed (``None`` when fully
-            deterministic).
     """
 
     experiment_id: str
@@ -60,7 +59,6 @@ class ExperimentSpec:
     render: Callable[[ExperimentResult], str]
     params_type: type
     tags: Tuple[str, ...] = ()
-    seed: Optional[int] = None
 
     def default_params(self) -> Any:
         """A fresh instance of the parameter dataclass."""

@@ -166,7 +166,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=Proposition1Params,
     tags=("paper", "proposition"),
-    seed=None,
 )
 
 

@@ -180,7 +180,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=Proposition2Params,
     tags=("paper", "proposition"),
-    seed=None,
 )
 
 

@@ -156,7 +156,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=Proposition3Params,
     tags=("paper", "proposition"),
-    seed=None,
 )
 
 

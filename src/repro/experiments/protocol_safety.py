@@ -291,7 +291,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=ProtocolSafetyParams,
     tags=("extension", "protocols"),
-    seed=None,
 )
 
 

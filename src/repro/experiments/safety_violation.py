@@ -212,7 +212,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=SafetyViolationParams,
     tags=("analysis", "monte-carlo"),
-    seed=7,
 )
 
 

@@ -183,7 +183,6 @@ SPEC = ExperimentSpec(
     render=render_result,
     params_type=TwoClassParams,
     tags=("extension", "monte-carlo"),
-    seed=23,
 )
 
 

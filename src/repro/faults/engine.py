@@ -642,7 +642,7 @@ def run_census_trials(
     resolved = get_backend(backend)
     with timed_kernel("violation_trials", trials=trials):
         return resolved.violation_trials(
-            census.sorted_probabilities_array(resolved),
+            census.sorted_probabilities(),
             vulnerability_probability=vulnerability_probability,
             exploit_budget=exploit_budget,
             trials=trials,

@@ -36,12 +36,12 @@ and one successful probe closes the breaker without a restart.
 ``repro.cli serve`` runs it.
 """
 
+from repro.experiments.orchestrator import json_body
 from repro.serve.app import (
     DEFAULT_BODY_CACHE_BYTES,
     MAX_JOB_TASKS,
     ResultApp,
     error_response,
-    json_body,
     ndjson_line,
 )
 from repro.serve.breaker import (

@@ -52,7 +52,7 @@ from typing import (
 from repro.core.exceptions import ServeError
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator.cache import refresh_code_fingerprint
-from repro.experiments.orchestrator.result import RESULT_SCHEMA_VERSION
+from repro.experiments.orchestrator.result import RESULT_SCHEMA_VERSION, json_body
 from repro.serve.http import (
     HttpRequest,
     HttpResponse,
@@ -89,18 +89,6 @@ RESULTS_DOCUMENT_KEYS = frozenset({"experiments", "tag", "backend", "format"})
 
 #: Keys a cache-warm document may carry.
 WARM_DOCUMENT_KEYS = frozenset({"experiments", "tag", "backend"})
-
-
-def json_body(document: Any) -> bytes:
-    """A JSON document in the repository's canonical on-disk format.
-
-    Indent-2, sorted keys, trailing newline — exactly how the golden
-    snapshots under ``tests/golden/`` are written, so a served result is
-    byte-comparable to its golden file.
-    """
-    return (
-        json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    ).encode("utf-8")
 
 
 def ndjson_line(document: Any) -> bytes:

@@ -249,7 +249,7 @@ class ResultService:
                     "id": spec.experiment_id,
                     "title": spec.title,
                     "tags": list(spec.tags),
-                    "seed": spec.seed,
+                    "seed": defaults.get("seed"),
                     "params": params_schema,
                     "path": f"/experiments/{spec.experiment_id}",
                 }

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro.analysis.components import (
     ABSENT,
+    _weighted_bincount,
     component_census,
     component_entropy_profile,
     diversification_priority,
@@ -115,6 +118,25 @@ class TestProfilesAndPriorities:
 
     def test_diverse_population_has_empty_priority_list(self, unique_population):
         assert diversification_priority(unique_population) == ()
+
+
+class TestWeightedBincount:
+    def test_groups_in_first_appearance_order(self):
+        labels = ["linux", "bsd", "linux", "windows", "bsd", "linux"]
+        result = _weighted_bincount(labels, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        assert result == {"linux": 10.0, "bsd": 7.0, "windows": 4.0}
+        assert list(result) == ["linux", "bsd", "windows"]
+        assert _weighted_bincount([], []) == {}
+
+    def test_public_functions_take_no_backend(self):
+        for function in (
+            component_census,
+            component_entropy_profile,
+            weakest_component,
+            exposure_by_component,
+            diversification_priority,
+        ):
+            assert "backend" not in inspect.signature(function).parameters
 
 
 class TestComponentExposureExperiment:

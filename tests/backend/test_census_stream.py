@@ -19,7 +19,9 @@ import pytest
 
 from repro.backend import NumpyBackend, available_backends, get_backend, python_backend
 from repro.backend.base import TrialBatchResult, campaign_uniform
+from repro.core.distribution import ConfigurationDistribution
 from repro.experiments.orchestrator import execute_spec, registry
+from repro.faults.engine import run_census_trials
 
 TOLERANCES = (1 / 3, 1 / 2)
 
@@ -156,3 +158,30 @@ def test_negative_seed_builds_the_same_bytes_on_every_backend():
         for backend in available_backends()
     }
     assert len(documents) == 1
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_every_backend_gets_the_censuss_memoized_descending_tuple(monkeypatch, backend):
+    kernel = get_backend(backend)
+    original = kernel.violation_trials
+    handed = []
+
+    def spy(shares, **arguments):
+        handed.append(shares)
+        return original(shares, **arguments)
+
+    monkeypatch.setattr(kernel, "violation_trials", spy)
+    census = ConfigurationDistribution({"a": 0.2, "b": 0.5, "c": 0.3})
+    for seed in (1, 2):
+        run_census_trials(
+            census,
+            vulnerability_probability=0.5,
+            exploit_budget=1,
+            trials=10,
+            seed=seed,
+            tolerances=TOLERANCES,
+            backend=backend,
+        )
+    assert len(handed) == 2
+    assert all(shares is census.sorted_probabilities() for shares in handed)
+    assert handed[0] == (0.5, 0.3, 0.2)

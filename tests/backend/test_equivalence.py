@@ -9,8 +9,7 @@ The contract under test:
   and they agree with the closed-form
   ``analytic_single_vulnerability_violation`` check;
 - ``ConfigurationDistribution.entropy`` is the one scalar entropy loop on
-  every backend, and the weighted-accumulation kernel agrees across
-  backends.
+  every backend.
 """
 
 from __future__ import annotations
@@ -292,32 +291,6 @@ class TestOneEntropy:
         # The unvalidated loop: no positive entry means no term.
         assert unchecked_shannon_entropy([]) == 0.0
         assert unchecked_shannon_entropy([0.0, 0.0]) == 0.0
-
-
-class TestWeightedBincount:
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_groups_and_preserves_first_appearance_order(self, backend):
-        kernel = get_backend(backend)
-        labels = ["linux", "bsd", "linux", "windows", "bsd", "linux"]
-        weights = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-        result = kernel.weighted_bincount(labels, weights)
-        assert result == {"linux": 10.0, "bsd": 7.0, "windows": 4.0}
-        assert list(result) == ["linux", "bsd", "windows"]
-
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_empty_input_gives_empty_mapping(self, backend):
-        assert get_backend(backend).weighted_bincount([], []) == {}
-
-    @needs_numpy
-    def test_backends_agree_on_large_random_input(self):
-        rng = random.Random(3)
-        labels = [f"component-{rng.randrange(40)}" for _ in range(5000)]
-        weights = [rng.random() for _ in range(5000)]
-        python = get_backend("python").weighted_bincount(labels, weights)
-        numpy = get_backend("numpy").weighted_bincount(labels, weights)
-        assert list(python) == list(numpy)
-        for key in python:
-            assert python[key] == pytest.approx(numpy[key], rel=1e-12)
 
 
 class TestCampaignKernel:

@@ -116,18 +116,24 @@ class TestAvailabilityReasons:
         for name in available_backends():
             assert reasons[name] is None
 
-    def test_base_class_fallback_reason(self):
+    def test_overriding_availability_error_alone_makes_a_backend_unavailable(
+        self, monkeypatch
+    ):
+        from repro.backend import selection
+
         class Unavailable(ComputeBackend):
             name = "unavailable-probe"
 
             @classmethod
-            def is_available(cls):
-                return False
+            def availability_error(cls):
+                return "probe failed"
 
-        Unavailable.__abstractmethods__ = frozenset()
-        reason = Unavailable.availability_error()
-        assert reason is not None
-        assert "unavailable-probe" in reason
+        assert Unavailable.is_available() is False
+        monkeypatch.setattr(
+            selection, "_REGISTRY", selection._REGISTRY + (Unavailable,)
+        )
+        assert "unavailable-probe" not in available_backends()
+        assert availability_errors()["unavailable-probe"] == "probe failed"
 
     def test_shm_matches_is_available(self):
         assert (ShmBackend.availability_error() is None) == (
@@ -494,14 +500,15 @@ class TestForkSafety:
         assert shm._dispatch_workers(1 << 30) == 2
 
 
-class TestDelegationAndTiming:
-    def test_non_hot_primitives_delegate_to_numpy(self):
+class TestInheritedKernelsAndTiming:
+    """shm is NumPy plus a pool: it overrides only the campaign kernel."""
+
+    def test_census_and_market_kernels_are_numpys(self):
+        for kernel in ("violation_trials", "market_choices"):
+            assert kernel not in vars(ShmBackend)
         shm = get_backend("shm")
         reference = NumpyBackend()
         shares = (0.4, 0.3, 0.2, 0.1)
-        assert shm.weighted_bincount(
-            ("a", "b", "a"), (1.0, 2.0, 3.0)
-        ) == reference.weighted_bincount(("a", "b", "a"), (1.0, 2.0, 3.0))
         kwargs = dict(
             vulnerability_probability=0.5,
             exploit_budget=1,
@@ -512,25 +519,49 @@ class TestDelegationAndTiming:
         assert shm.violation_trials(shares, **kwargs) == reference.violation_trials(
             shares, **kwargs
         )
-
-    def test_sparse_masked_power_sums_delegate_to_numpy(self, sparse_workload):
-        sparse, _total_power = sparse_workload
-        assert get_backend("shm").sparse_masked_power_sums(
-            sparse
-        ) == NumpyBackend().sparse_masked_power_sums(sparse)
-
-    def test_kernel_timings_record_shm_dispatch(
-        self, pooled, monkeypatch, dense_workload
-    ):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-        sparse, probabilities, total_power = dense_workload
-        before = KERNEL_TIMINGS.snapshot()
-        run_campaign(
-            get_backend("shm"),
-            sparse,
-            campaign(probabilities, seed=1),
-            trials=16,
-            total_power=total_power,
+        markets = ((1.0, (0.25, 0.75, 1.0)), (3.0, (2.0, 2.0, 3.0)))
+        assert shm.market_choices(5, 10, 40, markets) == reference.market_choices(
+            5, 10, 40, markets
         )
+
+    def test_exposure_and_verdict_kernels_are_numpys(self, sparse_workload):
+        for kernel in ("sparse_masked_power_sums", "campaign_verdicts"):
+            assert kernel not in vars(ShmBackend)
+        sparse, total_power = sparse_workload
+        shm = get_backend("shm")
+        reference = NumpyBackend()
+        assert shm.sparse_masked_power_sums(
+            sparse
+        ) == reference.sparse_masked_power_sums(sparse)
+        points = (
+            ResolvedGridPoint(
+                columns=(0, 2, 5),
+                probabilities=(0.5, 0.3, 0.8),
+                tolerances=(0.25, 0.5),
+                seed=SEED,
+            ),
+        )
+        partials = reference.sparse_grid_partials(sparse, points, trials=TRIALS)
+        kwargs = dict(trials=TRIALS, total_power=total_power)
+        assert shm.campaign_verdicts(
+            partials, points, **kwargs
+        ) == reference.campaign_verdicts(partials, points, **kwargs)
+
+    def test_a_pooled_engine_grid_times_each_kernel_call_once(
+        self, pooled, monkeypatch, sparse_matrix
+    ):
+        """The engine's ``campaign_grid`` timer is the only one a call hits."""
+        monkeypatch.setenv(WORKERS_ENV_VAR, "2")
+        engine = GridCampaignEngine.from_matrix(
+            sparse_matrix, backend="shm", chunk_rows=150
+        )
+        requests = (
+            GridPointRequest(tolerances=(1.0 / 3.0, 0.5), worst_case=4),
+            GridPointRequest(tolerances=(0.5,), worst_case=2, seed_offset=11),
+        )
+        before = KERNEL_TIMINGS.snapshot()
+        engine.estimate_grid(requests, trials=TRIALS, seed=SEED)
         delta = KERNEL_TIMINGS.delta_since(before)
-        assert "shm_campaign_grid" in delta
+        assert set(delta) == {"campaign_grid"}
+        assert engine.last_chunk_count > 1
+        assert delta["campaign_grid"]["calls"] == engine.last_chunk_count

@@ -184,15 +184,6 @@ class TestMemoization:
         with pytest.raises(DistributionError):
             dist.largest(-1)
 
-    def test_sorted_probabilities_array_is_cached_per_backend(self):
-        from repro.backend import available_backends
-
-        dist = ConfigurationDistribution({"a": 0.4, "b": 0.6})
-        for backend in available_backends():
-            sorted_array = dist.sorted_probabilities_array(backend)
-            assert sorted_array is dist.sorted_probabilities_array(backend)
-            assert list(sorted_array) == [0.6, 0.4]
-
     def test_memoization_does_not_leak_across_instances(self):
         first = ConfigurationDistribution({"a": 1, "b": 1})
         second = ConfigurationDistribution({"a": 3, "b": 1})

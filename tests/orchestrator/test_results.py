@@ -11,6 +11,7 @@ from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator import (
     ExperimentResult,
     execute_spec,
+    json_body,
     jsonify,
     load_results_document,
     merge_results_documents,
@@ -154,6 +155,19 @@ class TestWriteAndLoad:
         write_results_document(results_document([small_result("a")]), path)
         document = load_results_document(path)
         assert sorted(document["results"]) == ["a"]
+
+    def test_written_bytes_are_the_canonical_format(self, tmp_path):
+        # One writer for goldens, RESULTS.json and served bodies: indent 2,
+        # sorted keys, trailing newline, no NaN.
+        path = tmp_path / "RESULTS.json"
+        document = results_document([small_result("b"), small_result("a")])
+        write_results_document(document, str(path))
+        assert path.read_bytes() == json_body(document)
+        assert path.read_bytes() == (
+            json.dumps(document, indent=2, sort_keys=True) + "\n"
+        ).encode("utf-8")
+        with pytest.raises(ValueError):
+            json_body({"value": float("nan")})
 
     def test_merge_mode_accumulates(self, tmp_path):
         path = str(tmp_path / "RESULTS.json")

@@ -8,7 +8,12 @@ from typing import Optional, Tuple
 import pytest
 
 from repro.core.exceptions import OrchestrationError
-from repro.experiments.orchestrator import filter_specs, parse_shard, select_shard
+from repro.experiments.orchestrator import (
+    execute_spec,
+    filter_specs,
+    parse_shard,
+    select_shard,
+)
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator.spec import ExperimentSpec, variadic_tuple_element
 
@@ -51,12 +56,20 @@ class TestRegistry:
             assert callable(spec.build)
             assert callable(spec.render)
 
-    def test_seeded_specs_record_their_default_seed(self):
-        by_id = {spec.experiment_id: spec for spec in registry.all_specs()}
-        assert by_id["safety_violation"].seed == 7
-        assert by_id["two_class"].seed == 23
-        assert by_id["figure1"].seed is None
-        assert by_id["campaign_budget"].seed == 11
+    def test_default_builds_record_their_default_seed(self):
+        for experiment_id, seed in (
+            ("safety_violation", 7),
+            ("two_class", 23),
+            ("figure1", None),
+            ("campaign_budget", 11),
+        ):
+            assert execute_spec(registry.get_spec(experiment_id)).seed == seed
+
+    def test_a_build_records_the_seed_it_ran_with(self):
+        spec = registry.get_spec("campaign_budget")
+        result = execute_spec(spec, spec.params_type(seed=5000))
+        assert result.seed == 5000
+        assert result.canonical_dict()["seed"] == 5000
 
     def test_params_round_trip(self):
         for spec in registry.all_specs():

@@ -48,6 +48,12 @@ class TestDescribeExperiments:
         assert figure1_params["max_residual_miners"]["type"] == "int"
         assert figure1_params["max_residual_miners"]["default"] == 1000
 
+    def test_listed_seed_is_the_default_params_seed(self, service):
+        document = service.describe_experiments()
+        by_id = {entry["id"]: entry for entry in document["experiments"]}
+        assert by_id["safety_violation"]["seed"] == 7
+        assert by_id["figure1"]["seed"] is None
+
     def test_listing_is_json_safe(self, service):
         import json
 

@@ -405,10 +405,6 @@ class TestBackendsReasonColumn:
             name = "broken"
 
             @classmethod
-            def is_available(cls):
-                return False
-
-            @classmethod
             def availability_error(cls):
                 return "probe exploded: no such device"
 
