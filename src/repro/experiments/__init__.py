@@ -1,8 +1,8 @@
 """Experiment drivers: one module per figure / example / proposition.
 
 Every module exposes a ``run_*`` function returning structured results and a
-``main()`` entry point that prints the corresponding table or series, so each
-experiment can be regenerated with ``python -m repro.experiments.<name>``.
+registered ``SPEC`` whose renderer prints the corresponding table or series;
+``python -m repro.cli run <name>`` (or ``run --all``) regenerates them.
 The mapping from paper artifact to module is recorded in DESIGN.md §4 and the
 measured-vs-paper comparison in EXPERIMENTS.md.
 """

@@ -32,7 +32,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -149,9 +148,8 @@ class AttestationCoverageParams:
     seed: int = 11
 
 
-def build_payload(params: AttestationCoverageParams = None) -> ResultPayload:
+def build_payload(params: AttestationCoverageParams) -> ResultPayload:
     """Run the coverage sweep as a structured payload."""
-    params = params or AttestationCoverageParams()
     result = run_attestation_coverage(
         population_size=params.population_size,
         fractions=tuple(params.fractions),
@@ -187,12 +185,3 @@ SPEC = ExperimentSpec(
     params_type=AttestationCoverageParams,
     tags=("extension", "attestation"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the attestation-coverage experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

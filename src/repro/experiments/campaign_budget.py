@@ -30,7 +30,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 from repro.faults.engine import CampaignEstimate, GridCampaignEngine
 from repro.faults.scenarios import budget_grid, ecosystem_scenario
@@ -150,9 +149,8 @@ class CampaignBudgetParams:
     seed: int = 11
 
 
-def build_payload(params: CampaignBudgetParams = None) -> ResultPayload:
+def build_payload(params: CampaignBudgetParams) -> ResultPayload:
     """Run the budget sweep as a structured payload."""
-    params = params or CampaignBudgetParams()
     result = run_campaign_budget(
         ecosystem=params.ecosystem,
         population_size=params.population_size,
@@ -196,12 +194,3 @@ SPEC = ExperimentSpec(
     params_type=CampaignBudgetParams,
     tags=("extension", "campaign"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the adversary-budget sweep and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -24,7 +24,7 @@ are identical on every compute backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.analysis.report import Table
 from repro.core.exceptions import ExperimentError
@@ -33,7 +33,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 from repro.faults.engine import GridCampaignEngine
 from repro.faults.scenarios import churn_checkpoint_grid, churned_scenarios
@@ -155,9 +154,8 @@ class CampaignChurnParams:
     seed: int = 29
 
 
-def build_payload(params: CampaignChurnParams = None) -> ResultPayload:
+def build_payload(params: CampaignChurnParams) -> ResultPayload:
     """Run the churn-trajectory sweep as a structured payload."""
-    params = params or CampaignChurnParams()
     result = run_campaign_churn(
         ecosystem=params.ecosystem,
         population_size=params.population_size,
@@ -207,12 +205,3 @@ SPEC = ExperimentSpec(
     params_type=CampaignChurnParams,
     tags=("extension", "campaign", "permissionless"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the churn-trajectory sweep and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

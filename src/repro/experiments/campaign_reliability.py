@@ -30,7 +30,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 from repro.faults.engine import GridCampaignEngine
 from repro.faults.scenarios import ecosystem_scenario, reliability_grid
@@ -148,9 +147,8 @@ class CampaignReliabilityParams:
     seed: int = 19
 
 
-def build_payload(params: CampaignReliabilityParams = None) -> ResultPayload:
+def build_payload(params: CampaignReliabilityParams) -> ResultPayload:
     """Run the reliability sweep as a structured payload."""
-    params = params or CampaignReliabilityParams()
     result = run_campaign_reliability(
         ecosystem=params.ecosystem,
         population_size=params.population_size,
@@ -195,12 +193,3 @@ SPEC = ExperimentSpec(
     params_type=CampaignReliabilityParams,
     tags=("extension", "campaign"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the exploit-reliability sweep and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

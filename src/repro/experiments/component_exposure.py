@@ -14,7 +14,7 @@ through.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.analysis.components import (
     ComponentKindProfile,
@@ -35,7 +35,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -150,9 +149,8 @@ class ComponentExposureParams:
     seed: int = 51
 
 
-def build_payload(params: ComponentExposureParams = None) -> ResultPayload:
+def build_payload(params: ComponentExposureParams) -> ResultPayload:
     """Run the decomposition as a structured payload (default ecosystems)."""
-    params = params or ComponentExposureParams()
     result = run_component_exposure(
         population_size=params.population_size, seed=params.seed
     )
@@ -203,12 +201,3 @@ SPEC = ExperimentSpec(
     params_type=ComponentExposureParams,
     tags=("extension", "components"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the component-exposure experiment and print the tables."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -24,7 +24,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 from repro.nakamoto.decentralized_pool import (
     decentralization_report,
@@ -139,9 +138,8 @@ class DecentralizedPoolsParams:
     steps: Tuple[int, ...] = (0, 1, 2, 3, 5, 10, 17)
 
 
-def build_payload(params: DecentralizedPoolsParams = None) -> ResultPayload:
+def build_payload(params: DecentralizedPoolsParams) -> ResultPayload:
     """Run the decentralization sweep as a structured payload."""
-    params = params or DecentralizedPoolsParams()
     result = run_decentralized_pools(
         residual_miners=params.residual_miners,
         members_per_pool=params.members_per_pool,
@@ -186,12 +184,3 @@ SPEC = ExperimentSpec(
     params_type=DecentralizedPoolsParams,
     tags=("extension", "nakamoto"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the decentralized-pools experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

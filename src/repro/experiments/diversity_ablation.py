@@ -32,7 +32,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -187,9 +186,8 @@ class DiversityAblationParams:
     seed: int = 31
 
 
-def build_payload(params: DiversityAblationParams = None) -> ResultPayload:
+def build_payload(params: DiversityAblationParams) -> ResultPayload:
     """Run the ablation as a structured payload."""
-    params = params or DiversityAblationParams()
     result = run_diversity_ablation(
         replica_count=params.replica_count,
         per_kind_limit=params.per_kind_limit,
@@ -229,12 +227,3 @@ SPEC = ExperimentSpec(
     params_type=DiversityAblationParams,
     tags=("extension", "monte-carlo"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the diversity-management ablation and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

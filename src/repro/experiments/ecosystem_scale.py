@@ -38,7 +38,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 from repro.faults.engine import GridCampaignEngine, GridPointRequest
 from repro.faults.scenarios import sparse_ecosystem_matrix
@@ -177,9 +176,8 @@ class EcosystemScaleParams:
     chunk_rows: int = SCALE_CHUNK_ROWS
 
 
-def build_payload(params: EcosystemScaleParams = None) -> ResultPayload:
+def build_payload(params: EcosystemScaleParams) -> ResultPayload:
     """Run the scale sweep as a structured payload."""
-    params = params or EcosystemScaleParams()
     result = run_ecosystem_scale(
         ecosystem=params.ecosystem,
         sizes=tuple(params.sizes),
@@ -227,12 +225,3 @@ SPEC = ExperimentSpec(
     params_type=EcosystemScaleParams,
     tags=("extension", "campaign", "scale"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the ecosystem-scale sweep and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

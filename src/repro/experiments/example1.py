@@ -14,7 +14,6 @@ equal-weight configurations Bitcoin would need to match various BFT sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 from repro.analysis.report import Table
 from repro.core.distribution import ConfigurationDistribution
@@ -26,7 +25,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -102,9 +100,8 @@ class Example1Params:
     max_residual_miners: int = 1000
 
 
-def build_payload(params: Example1Params = None) -> ResultPayload:
+def build_payload(params: Example1Params) -> ResultPayload:
     """Run Example 1 and pack the comparison into a structured payload."""
-    params = params or Example1Params()
     result = run_example1(max_residual_miners=params.max_residual_miners)
     table = comparison_table(result)
     table.title = "comparison"
@@ -139,12 +136,3 @@ SPEC = ExperimentSpec(
     params_type=Example1Params,
     tags=("paper", "example"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Reproduce Example 1 and print the comparison."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -7,14 +7,15 @@ uniformly over 1 to 1000 miners.  The take-away is that the entropy stays
 below 3 bits for every x — i.e. below the entropy of an 8-replica BFT system
 with unique configurations — because the pool oligopoly dominates.
 
-``run_figure1`` regenerates the series; ``main`` prints it (sub-sampled) as a
-text table together with the 3-bit reference line.
+``run_figure1`` regenerates the series; ``python -m repro.cli run figure1``
+prints it (sub-sampled) as a text table together with the 3-bit reference
+line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from repro.analysis.report import Table
 from repro.core.exceptions import ExperimentError
@@ -23,7 +24,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 #: The reference entropy of an 8-replica unique-configuration BFT system.
@@ -134,9 +134,8 @@ class Figure1Params:
     sample_every: int = 100
 
 
-def build_payload(params: Figure1Params = None) -> ResultPayload:
+def build_payload(params: Figure1Params) -> ResultPayload:
     """Run Figure 1 and pack the series into a structured payload."""
-    params = params or Figure1Params()
     result = run_figure1(
         min_residual_miners=params.min_residual_miners,
         max_residual_miners=params.max_residual_miners,
@@ -178,12 +177,3 @@ SPEC = ExperimentSpec(
     params_type=Figure1Params,
     tags=("paper", "figure"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Regenerate Figure 1 and print the series summary."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -33,7 +33,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator.result import (
@@ -62,11 +62,11 @@ def default_cache_dir() -> str:
     return os.environ.get(CACHE_DIR_ENV_VAR) or DEFAULT_CACHE_DIR
 
 
-def _code_fingerprint() -> str:
+def code_fingerprint() -> str:
     """Hash of every ``.py`` file in the installed ``repro`` package.
 
-    Experiments pull numbers from ``analysis``/``core``/``backend``/...,
-    so a per-module hash would serve stale results after an edit anywhere
+    Every cache key embeds it.  Experiments pull numbers from
+    ``analysis``/``core``/``backend``/..., so a per-module hash would serve stale results after an edit anywhere
     else in the library; hashing the whole package trades cache lifetime
     for correctness.  Memoized per process (a batch run's source does not
     change mid-run); long-lived processes refresh the memo through
@@ -110,11 +110,6 @@ def set_code_fingerprint(value: str) -> None:
     _package_fingerprint_cache = value
 
 
-def code_fingerprint() -> str:
-    """The (memoized) package-wide code fingerprint cache keys embed."""
-    return _code_fingerprint()
-
-
 def invalidate_code_fingerprint() -> None:
     """Drop the memoized code fingerprint so the next use re-hashes the tree.
 
@@ -135,7 +130,7 @@ def refresh_code_fingerprint() -> bool:
     """
     previous = _package_fingerprint_cache
     invalidate_code_fingerprint()
-    return previous is not None and _code_fingerprint() != previous
+    return previous is not None and code_fingerprint() != previous
 
 
 @dataclass(frozen=True)
@@ -203,7 +198,7 @@ class ResultCache:
                 "schema": RESULT_SCHEMA_VERSION,
                 "experiment_id": spec.experiment_id,
                 "params": params_dict,
-                "code": fingerprint if fingerprint is not None else _code_fingerprint(),
+                "code": fingerprint if fingerprint is not None else code_fingerprint(),
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -256,7 +251,7 @@ class ResultCache:
         # prune() needs it recorded in the entry itself to recognize entries
         # orphaned by a source edit.
         document["code_fingerprint"] = (
-            fingerprint if fingerprint is not None else _code_fingerprint()
+            fingerprint if fingerprint is not None else code_fingerprint()
         )
         try:
             os.makedirs(self.directory, exist_ok=True)
@@ -308,29 +303,35 @@ class ResultCache:
 
     def __len__(self) -> int:
         """Number of committed (non-temporary) entries on disk."""
+        return len(self._listing()[0])
+
+    def _listing(self) -> Tuple[List[str], List[str]]:
+        """``(entry paths, leaked temp paths)``: the one directory scan.
+
+        A ``.tmp-*`` file younger than ``TEMP_FILE_MAX_AGE_SECONDS`` is a
+        :meth:`store` in flight (possibly in another process) and is in
+        neither list, so no caller can delete it from under its writer.
+        Nothing here reads an entry's body.
+        """
         try:
             names = os.listdir(self.directory)
         except OSError:
-            return 0
-        return sum(1 for name in names if self._is_entry(name))
-
-    @staticmethod
-    def _is_entry(name: str) -> bool:
-        return name.endswith(".json") and not name.startswith(".tmp-")
-
-    @staticmethod
-    def _is_temp(name: str) -> bool:
-        return name.startswith(".tmp-")
-
-    def _is_leaked_temp(self, name: str, path: str) -> bool:
-        """A temp file old enough that no live writer can still own it."""
-        if not self._is_temp(name):
-            return False
-        try:
-            age = time.time() - os.path.getmtime(path)
-        except OSError:
-            return False
-        return age > TEMP_FILE_MAX_AGE_SECONDS
+            return [], []
+        entries: List[str] = []
+        leaked: List[str] = []
+        now = time.time()
+        for name in names:
+            path = os.path.join(self.directory, name)
+            if name.startswith(".tmp-"):
+                try:
+                    age = now - os.path.getmtime(path)
+                except OSError:
+                    continue
+                if age > TEMP_FILE_MAX_AGE_SECONDS:
+                    leaked.append(path)
+            elif name.endswith(".json"):
+                entries.append(path)
+        return entries, leaked
 
     def _entry_fingerprint(self, path: str) -> Optional[str]:
         """The fingerprint recorded in the entry, ``None`` when unreadable.
@@ -364,32 +365,28 @@ class ResultCache:
             return False
         return True
 
+    @classmethod
+    def _remove_all(cls, paths: List[str]) -> Tuple[int, int]:
+        """``(files removed, bytes freed)`` deleting ``paths``."""
+        removed = freed = 0
+        for path in paths:
+            size = cls._size_of(path)
+            if cls._remove(path):
+                removed += 1
+                freed += size
+        return removed, freed
+
     def stats(self) -> CacheStats:
         """Count live entries, fingerprint-orphaned entries and leaked temps."""
-        current = _code_fingerprint()
-        entries = stale = temps = total_bytes = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            names = []
-        for name in names:
-            path = os.path.join(self.directory, name)
-            if self._is_temp(name):
-                if self._is_leaked_temp(name, path):
-                    temps += 1
-                    total_bytes += self._size_of(path)
-            elif self._is_entry(name):
-                total_bytes += self._size_of(path)
-                if self._entry_fingerprint(path) == current:
-                    entries += 1
-                else:
-                    stale += 1
+        current = code_fingerprint()
+        entries, leaked = self._listing()
+        live = sum(1 for path in entries if self._entry_fingerprint(path) == current)
         return CacheStats(
             directory=self.directory,
-            entries=entries,
-            stale_entries=stale,
-            temp_files=temps,
-            total_bytes=total_bytes,
+            entries=live,
+            stale_entries=len(entries) - live,
+            temp_files=len(leaked),
+            total_bytes=sum(self._size_of(path) for path in entries + leaked),
         )
 
     def prune(self) -> PruneReport:
@@ -401,36 +398,17 @@ class ResultCache:
         result set per edit, forever.  Entries keyed to the *current*
         fingerprint are kept untouched.
         """
-        current = _code_fingerprint()
-        removed = temps = kept = freed = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            names = []
-        for name in names:
-            path = os.path.join(self.directory, name)
-            if self._is_temp(name):
-                # Fresh temps belong to a store() in flight; only reap ones
-                # no live writer can still own.
-                if self._is_leaked_temp(name, path):
-                    size = self._size_of(path)
-                    if self._remove(path):
-                        temps += 1
-                        freed += size
-            elif self._is_entry(name):
-                if self._entry_fingerprint(path) == current:
-                    kept += 1
-                    continue
-                size = self._size_of(path)
-                if self._remove(path):
-                    removed += 1
-                    freed += size
+        current = code_fingerprint()
+        entries, leaked = self._listing()
+        stale = [path for path in entries if self._entry_fingerprint(path) != current]
+        removed, freed = self._remove_all(stale)
+        temps, temp_bytes = self._remove_all(leaked)
         return PruneReport(
             directory=self.directory,
             removed_entries=removed,
             removed_temp_files=temps,
-            kept_entries=kept,
-            freed_bytes=freed,
+            kept_entries=len(entries) - len(stale),
+            freed_bytes=freed + temp_bytes,
         )
 
     def clear(self) -> PruneReport:
@@ -443,31 +421,13 @@ class ResultCache:
         :class:`~repro.core.exceptions.OrchestrationError`.  The same age
         rule as :meth:`prune` applies, so abandoned temps are still reaped.
         """
-        removed = temps = freed = 0
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            names = []
-        for name in names:
-            path = os.path.join(self.directory, name)
-            if self._is_temp(name):
-                if not self._is_leaked_temp(name, path):
-                    continue
-                size = self._size_of(path)
-                if self._remove(path):
-                    temps += 1
-                    freed += size
-                continue
-            if not self._is_entry(name):
-                continue
-            size = self._size_of(path)
-            if self._remove(path):
-                removed += 1
-                freed += size
+        entries, leaked = self._listing()
+        removed, freed = self._remove_all(entries)
+        temps, temp_bytes = self._remove_all(leaked)
         return PruneReport(
             directory=self.directory,
             removed_entries=removed,
             removed_temp_files=temps,
             kept_entries=0,
-            freed_bytes=freed,
+            freed_bytes=freed + temp_bytes,
         )

@@ -82,12 +82,15 @@ def execute_spec(
 def _pool_execute(
     experiment_id: str, params_doc: Dict[str, Any], backend: Optional[str]
 ) -> Dict[str, Any]:
-    """Worker entry point: look the spec up by id and run it.
+    """Worker entry point: look the spec up by id, decode its params and run it.
 
-    Returns the full serialized result (plain dict) so only JSON-safe data
-    crosses the process boundary.  Submitted by :func:`run_experiments`
-    pool workers and by the result service (``repro.serve``) — keep the
-    signature JSON-scalar so any executor can carry it.
+    ``params_doc`` goes through :meth:`ExperimentSpec.params_from_dict`, the
+    one params decoder, so a mistyped or unknown field is an
+    :class:`~repro.core.exceptions.OrchestrationError` naming it.  Returns
+    the full serialized result (plain dict) so only JSON-safe data crosses
+    the process boundary.  Submitted by :func:`run_experiments` pool workers
+    and by the result service (``repro.serve``) — keep the signature
+    JSON-scalar so any executor can carry it.
     """
     from repro.experiments.orchestrator import registry
 

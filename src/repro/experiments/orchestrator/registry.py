@@ -4,7 +4,7 @@ This module is the only orchestrator module that imports the experiment
 modules (each of which imports ``orchestrator.spec``/``orchestrator.result``
 for its ``SPEC`` definition), so it must never be imported from the package
 ``__init__`` — import it directly where a registry is needed (the CLI, the
-runner, pool workers).
+result service, pool workers).
 """
 
 from __future__ import annotations

@@ -11,8 +11,9 @@ running anything.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import asdict, dataclass, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import (
@@ -83,25 +84,37 @@ class ExperimentSpec:
             )
         return jsonify(asdict(params), where=f"{self.experiment_id} params")
 
-    def params_from_dict(self, document: Dict[str, Any]) -> Any:
-        """Rebuild a params instance from :meth:`params_dict` output.
+    def params_from_dict(self, document: Any) -> Any:
+        """Decode a JSON params document into this experiment's params.
 
-        JSON carries a ``Tuple[T, ...]`` field as an array; the field's type
-        hint turns it back into a tuple, so the rebuilt params equal (and
-        hash like) the ones :meth:`params_dict` was given.
+        The one decoder every seam uses: a pool worker rebuilding
+        :meth:`params_dict` output, a JSON job body, a parsed query string.
+        The document must be an object whose keys are params fields; each
+        value is checked against its field's type hint (the one lossless
+        widening JSON has, int to float, is allowed), and a JSON array fills
+        a ``Tuple[T, ...]`` field element by element, so the rebuilt params
+        equal (and hash like) the ones :meth:`params_dict` was given.  Every
+        failure is an :class:`OrchestrationError` naming the field.
         """
-        hints = self.params_hints
-        try:
-            return self.params_type(
-                **{
-                    name: _tuples_from_arrays(value, hints.get(name))
-                    for name, value in document.items()
-                }
-            )
-        except TypeError as error:
+        if not isinstance(document, Mapping):
             raise OrchestrationError(
-                f"bad parameters for {self.experiment_id}: {error}"
-            ) from error
+                f"params for {self.experiment_id!r} must be an object, "
+                f"got {type(document).__name__}"
+            )
+        hints = self.params_hints
+        known = [spec_field.name for spec_field in fields(self.params_type)]
+        unknown = sorted(set(document) - set(known))
+        if unknown:
+            raise OrchestrationError(
+                f"unknown parameter(s) for {self.experiment_id!r}: "
+                f"{', '.join(unknown)} (known: {', '.join(sorted(known))})"
+            )
+        return self.params_type(
+            **{
+                name: _decode_value(value, hints[name], name)
+                for name, value in document.items()
+            }
+        )
 
 
 @lru_cache(maxsize=None)
@@ -114,8 +127,7 @@ def variadic_tuple_element(annotation: Any) -> Optional[Any]:
     """``T`` when ``annotation`` is ``Tuple[T, ...]``, else ``None``.
 
     The one tuple shape a params field takes, and the one rule by which a
-    JSON array becomes a tuple: :meth:`ExperimentSpec.params_from_dict` and
-    the serve layer's request-body coercion both use it.
+    JSON array becomes a tuple in :meth:`ExperimentSpec.params_from_dict`.
     """
     element = get_args(annotation)
     if get_origin(annotation) is tuple and len(element) == 2 and element[1] is Ellipsis:
@@ -123,17 +135,48 @@ def variadic_tuple_element(annotation: Any) -> Optional[Any]:
     return None
 
 
-def _tuples_from_arrays(value: Any, annotation: Any) -> Any:
-    """``value`` with every list a ``Tuple[T, ...]`` hint covers made a tuple."""
+def optional_element(annotation: Any) -> Optional[Any]:
+    """``T`` when ``annotation`` is ``Optional[T]``, else ``None``."""
     if get_origin(annotation) is Union:
         non_none = [arg for arg in get_args(annotation) if arg is not type(None)]
-        if len(non_none) == 1 and value is not None:
-            return _tuples_from_arrays(value, non_none[0])
-        return value
+        if len(non_none) == 1:
+            return non_none[0]
+    return None
+
+
+def _decode_value(value: Any, annotation: Any, name: str) -> Any:
+    """Check one JSON value against a params field's annotated type."""
+    inner = optional_element(annotation)
+    if inner is not None:
+        return None if value is None else _decode_value(value, inner, name)
+    if annotation is bool:
+        if isinstance(value, bool):
+            return value
+        raise OrchestrationError(f"parameter {name!r} must be a boolean, got {value!r}")
+    if annotation is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise OrchestrationError(f"parameter {name!r} must be an integer, got {value!r}")
+    if annotation is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value)
+            except OverflowError:  # an int past the float range
+                number = math.inf
+            if not math.isfinite(number):
+                raise OrchestrationError(f"parameter {name!r} must be finite, got {value!r}")
+            return number
+        raise OrchestrationError(f"parameter {name!r} must be a number, got {value!r}")
+    if annotation is str:
+        if isinstance(value, str):
+            return value
+        raise OrchestrationError(f"parameter {name!r} must be a string, got {value!r}")
     element = variadic_tuple_element(annotation)
-    if element is not None and isinstance(value, list):
-        return tuple(_tuples_from_arrays(item, element) for item in value)
-    return value
+    if element is not None:
+        if isinstance(value, list):
+            return tuple(_decode_value(item, element, name) for item in value)
+        raise OrchestrationError(f"parameter {name!r} must be an array, got {value!r}")
+    raise OrchestrationError(f"parameter {name!r} has unsupported type {annotation!r}")
 
 
 def experiment_banner(experiment_id: str) -> str:

@@ -26,7 +26,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -135,9 +134,8 @@ class Proposition1Params:
     omega: float = 4.0
 
 
-def build_payload(params: Proposition1Params = None) -> ResultPayload:
+def build_payload(params: Proposition1Params) -> ResultPayload:
     """Run the Proposition 1 sweep as a structured payload."""
-    params = params or Proposition1Params()
     sweep = run_proposition1(kappas=tuple(params.kappas), omega=params.omega)
     table = proposition1_table(sweep)
     table.title = "sweep"
@@ -167,12 +165,3 @@ SPEC = ExperimentSpec(
     params_type=Proposition1Params,
     tags=("paper", "proposition"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the Proposition 1 experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

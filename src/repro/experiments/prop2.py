@@ -28,7 +28,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -142,9 +141,8 @@ class Proposition2Params:
     sizes: Tuple[int, ...] = (18, 67, 117, 517, 1017)
 
 
-def build_payload(params: Proposition2Params = None) -> ResultPayload:
+def build_payload(params: Proposition2Params) -> ResultPayload:
     """Run the Proposition 2 comparison as a structured payload."""
-    params = params or Proposition2Params()
     sweep = run_proposition2(sizes=tuple(params.sizes))
     table = proposition2_table(sweep)
     table.title = "growth_steps"
@@ -181,12 +179,3 @@ SPEC = ExperimentSpec(
     params_type=Proposition2Params,
     tags=("paper", "proposition"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the Proposition 2 experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -31,7 +31,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -120,9 +119,8 @@ class Proposition3Params:
     colluding_operators: int = 2
 
 
-def build_payload(params: Proposition3Params = None) -> ResultPayload:
+def build_payload(params: Proposition3Params) -> ResultPayload:
     """Run the Proposition 3 sweep as a structured payload."""
-    params = params or Proposition3Params()
     sweep = run_proposition3(
         kappa=params.kappa,
         abundances=tuple(params.abundances),
@@ -157,12 +155,3 @@ SPEC = ExperimentSpec(
     params_type=Proposition3Params,
     tags=("paper", "proposition"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the Proposition 3 experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -35,7 +35,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 from repro.nakamoto.attack import majority_takeover
 from repro.nakamoto.pool import pools_from_snapshot
@@ -252,9 +251,8 @@ class ProtocolSafetyParams:
     protocols: Tuple[str, ...] = ("pbft", "hotstuff", "hybrid")
 
 
-def build_payload(params: ProtocolSafetyParams = None) -> ResultPayload:
+def build_payload(params: ProtocolSafetyParams) -> ResultPayload:
     """Run the end-to-end experiment as a structured payload."""
-    params = params or ProtocolSafetyParams()
     result = run_protocol_safety(
         replica_count=params.replica_count, protocols=tuple(params.protocols)
     )
@@ -292,12 +290,3 @@ SPEC = ExperimentSpec(
     params_type=ProtocolSafetyParams,
     tags=("extension", "protocols"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the end-to-end protocol-safety experiment and print both tables."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

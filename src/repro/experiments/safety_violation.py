@@ -21,7 +21,7 @@ judged on one draw at the census's seed: one kernel call per census.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.monte_carlo import estimate_violation_probabilities
 from repro.analysis.sweep import mapping_sweep
@@ -37,7 +37,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -170,9 +169,8 @@ class SafetyViolationParams:
     seed: int = 7
 
 
-def build_payload(params: SafetyViolationParams = None) -> ResultPayload:
+def build_payload(params: SafetyViolationParams) -> ResultPayload:
     """Run the census sweep as a structured payload (default census family)."""
-    params = params or SafetyViolationParams()
     result = run_safety_violation(
         vulnerability_probability=params.vulnerability_probability,
         exploit_budget=params.exploit_budget,
@@ -213,12 +211,3 @@ SPEC = ExperimentSpec(
     params_type=SafetyViolationParams,
     tags=("analysis", "monte-carlo"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the safety-violation experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

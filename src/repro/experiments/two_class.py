@@ -33,7 +33,6 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ExperimentSpec,
     ResultPayload,
-    execute_spec,
 )
 
 
@@ -142,9 +141,8 @@ class TwoClassParams:
     seed: int = 23
 
 
-def build_payload(params: TwoClassParams = None) -> ResultPayload:
+def build_payload(params: TwoClassParams) -> ResultPayload:
     """Run the weight-ratio sweep as a structured payload."""
-    params = params or TwoClassParams()
     result = run_two_class(
         population_size=params.population_size,
         attested_population_fraction=params.attested_population_fraction,
@@ -184,12 +182,3 @@ SPEC = ExperimentSpec(
     params_type=TwoClassParams,
     tags=("extension", "monte-carlo"),
 )
-
-
-def main(argv: Sequence[str] = ()) -> None:
-    """Run the two-class experiment and print the table."""
-    print(render_result(execute_spec(SPEC)))
-
-
-if __name__ == "__main__":  # pragma: no cover - manual entry point
-    main()

@@ -6,10 +6,11 @@ A dependency-free asyncio server (stdlib streams, no framework) that serves
 The **read plane**:
 
 - ``GET /experiments`` — registry listing with tags and params schema;
-- ``GET /experiments/{id}?param=...&backend=...`` — canonical result JSON,
-  computed on miss via the orchestrator seam on a bounded process pool,
-  single-flighted across concurrent identical requests, with the cache key
-  as a strong ``ETag`` (``If-None-Match`` answers ``304`` without disk I/O);
+- ``GET /experiments/{id}?param=...`` — canonical result JSON, computed on
+  miss on the server process's compute backend via the orchestrator seam on
+  a bounded process pool, single-flighted across concurrent identical
+  requests, with the cache key as a strong ``ETag`` (``If-None-Match``
+  answers ``304`` without disk I/O);
 - ``GET /healthz`` / ``GET /metrics`` — liveness and counters.
 
 The **write plane** (job submission, bulk results, cache administration):
@@ -59,7 +60,7 @@ from repro.serve.http import (
 )
 from repro.serve.jobs import DEFAULT_JOB_HISTORY, JOB_STATES, Job, JobStore, JobTask
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.server import ResultServer, default_jobs, start_server
+from repro.serve.server import ResultServer, default_jobs
 from repro.serve.service import PreparedRequest, ResultService
 
 __all__ = [
@@ -88,5 +89,4 @@ __all__ = [
     "json_body",
     "ndjson_line",
     "read_request",
-    "start_server",
 ]

@@ -5,7 +5,7 @@ The read plane (PR 4/6):
 - ``GET /healthz`` — liveness probe;
 - ``GET /metrics`` — the :class:`~repro.serve.metrics.ServiceMetrics` snapshot;
 - ``GET /experiments`` — the registry listing with tags and params schema;
-- ``GET /experiments/{id}?param=...&backend=...`` — one experiment's
+- ``GET /experiments/{id}?param=...`` — one experiment's
   canonical result JSON (byte-identical to the golden snapshots), computed
   on miss, with the cache key as a strong ``ETag`` so ``If-None-Match``
   round-trips answer ``304`` without touching disk.
@@ -82,13 +82,13 @@ DEFAULT_BODY_CACHE_BYTES = 32 * 1024 * 1024
 MAX_JOB_TASKS = 256
 
 #: Keys a job-submission document may carry.
-JOB_DOCUMENT_KEYS = frozenset({"experiment", "experiments", "params", "grid", "backend", "wait"})
+JOB_DOCUMENT_KEYS = frozenset({"experiment", "experiments", "params", "grid", "wait"})
 
 #: Keys a bulk-results selection document may carry.
-RESULTS_DOCUMENT_KEYS = frozenset({"experiments", "tag", "backend", "format"})
+RESULTS_DOCUMENT_KEYS = frozenset({"experiments", "tag", "format"})
 
 #: Keys a cache-warm document may carry.
-WARM_DOCUMENT_KEYS = frozenset({"experiments", "tag", "backend"})
+WARM_DOCUMENT_KEYS = frozenset({"experiments", "tag"})
 
 
 def ndjson_line(document: Any) -> bytes:
@@ -354,7 +354,6 @@ class ResultApp:
 
     def _job_tasks_from(self, document: Mapping[str, Any]) -> List[JobTask]:
         """Expand a submission document into validated tasks (no disk I/O)."""
-        backend = document.get("backend")
         entries = document.get("experiments")
         if entries is not None:
             for key in ("experiment", "params", "grid"):
@@ -362,13 +361,10 @@ class ResultApp:
                     raise ServeError(
                         400, f"'experiments' cannot be combined with {key!r}"
                     )
-            prepared = self._prepare_entries(entries, backend)
+            prepared = self._prepare_entries(entries)
         elif "experiment" in document:
             prepared = self._expand_grid(
-                document["experiment"],
-                document.get("params"),
-                document.get("grid"),
-                backend,
+                document["experiment"], document.get("params"), document.get("grid")
             )
         else:
             raise ServeError(
@@ -384,19 +380,15 @@ class ResultApp:
             )
         return [JobTask(prepared=item) for item in prepared]
 
-    def _prepare_entries(
-        self, entries: Any, default_backend: Optional[str]
-    ) -> List[PreparedRequest]:
+    def _prepare_entries(self, entries: Any) -> List[PreparedRequest]:
         if not isinstance(entries, list):
             raise ServeError(400, "'experiments' must be a list")
         prepared: List[PreparedRequest] = []
         for index, entry in enumerate(entries):
             if isinstance(entry, str):
-                prepared.append(
-                    self.service.prepare_document(entry, None, default_backend)
-                )
+                prepared.append(self.service.prepare_document(entry))
             elif isinstance(entry, Mapping):
-                unknown = sorted(set(entry) - {"experiment", "params", "backend"})
+                unknown = sorted(set(entry) - {"experiment", "params"})
                 if unknown:
                     raise ServeError(
                         400,
@@ -409,11 +401,7 @@ class ResultApp:
                         400, f"experiments[{index}] needs an 'experiment' string"
                     )
                 prepared.append(
-                    self.service.prepare_document(
-                        experiment_id,
-                        entry.get("params"),
-                        entry.get("backend", default_backend),
-                    )
+                    self.service.prepare_document(experiment_id, entry.get("params"))
                 )
             else:
                 raise ServeError(
@@ -423,16 +411,12 @@ class ResultApp:
         return prepared
 
     def _expand_grid(
-        self,
-        experiment_id: Any,
-        params: Any,
-        grid: Any,
-        backend: Optional[str],
+        self, experiment_id: Any, params: Any, grid: Any
     ) -> List[PreparedRequest]:
         if not isinstance(experiment_id, str):
             raise ServeError(400, "'experiment' must be an experiment id string")
         if grid is None:
-            return [self.service.prepare_document(experiment_id, params, backend)]
+            return [self.service.prepare_document(experiment_id, params)]
         if not isinstance(grid, Mapping) or not grid:
             raise ServeError(
                 400, "'grid' must be a non-empty object of parameter value lists"
@@ -467,9 +451,7 @@ class ResultApp:
                 )
             point = dict(base)
             point.update(zip(names, combo))
-            prepared.append(
-                self.service.prepare_document(experiment_id, point, backend)
-            )
+            prepared.append(self.service.prepare_document(experiment_id, point))
         return prepared
 
     def _reject_when_breaker_open(self) -> None:
@@ -621,7 +603,7 @@ class ResultApp:
         query: Mapping[str, Sequence[str]]
     ) -> Dict[str, Any]:
         """Normalize ``GET /results`` query params to the POST document shape."""
-        known = {"experiment", "tag", "backend", "format"}
+        known = {"experiment", "tag", "format"}
         unknown = sorted(set(query) - known)
         if unknown:
             raise ServeError(
@@ -636,19 +618,15 @@ class ResultApp:
         tags = list(query.get("tag", []))
         if tags:
             document["tag"] = tags
-        for name in ("backend", "format"):
-            values = list(query.get(name, []))
-            if len(values) > 1:
-                raise ServeError(
-                    400, f"query parameter {name!r} was given more than once"
-                )
-            if values:
-                document[name] = values[0]
+        formats = list(query.get("format", []))
+        if len(formats) > 1:
+            raise ServeError(400, "query parameter 'format' was given more than once")
+        if formats:
+            document["format"] = formats[0]
         return document
 
     def _bulk_selection(self, document: Mapping[str, Any]) -> List[PreparedRequest]:
         """The prepared requests a results/warm selection document names."""
-        backend = document.get("backend")
         entries = document.get("experiments")
         tags = document.get("tag")
         if isinstance(tags, str):
@@ -677,7 +655,7 @@ class ResultApp:
             ]
         if entries is None:
             entries = registry.experiment_ids()
-        prepared = self._prepare_entries(entries, backend)
+        prepared = self._prepare_entries(entries)
         if not prepared:
             raise ServeError(400, "the selection matches no experiments")
         if len(prepared) > MAX_JOB_TASKS:

@@ -82,7 +82,7 @@ class HttpResponse:
     content_type: str = "application/json"
     headers: Tuple[Tuple[str, str], ...] = field(default_factory=tuple)
 
-    def encode(self, *, keep_alive: bool = True, head_only: bool = False) -> bytes:
+    def encode(self, *, keep_alive: bool = True) -> bytes:
         """Serialize to wire bytes (status line, headers, blank line, body)."""
         reason = REASON_PHRASES.get(self.status, "Unknown")
         lines = [f"HTTP/1.1 {self.status} {reason}"]
@@ -96,7 +96,7 @@ class HttpResponse:
             lines.append(f"{name}: {value}")
         lines.append("Connection: " + ("keep-alive" if keep_alive else "close"))
         head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        if head_only or self.status == 304:
+        if self.status == 304:
             return head
         return head + self.body
 

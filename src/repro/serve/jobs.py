@@ -65,7 +65,6 @@ class JobTask:
         return {
             "experiment_id": self.prepared.spec.experiment_id,
             "params": dict(self.prepared.params_doc),
-            "backend": self.prepared.backend,
             "status": self.status,
             "cache": self.state,
             "key": self.prepared.key,

@@ -60,7 +60,6 @@ class ResultServer:
         port: int = 0,
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
-        backend: Optional[str] = None,
         refresh_interval: float = DEFAULT_REFRESH_INTERVAL,
         keep_alive_timeout: float = DEFAULT_KEEP_ALIVE_TIMEOUT,
         metrics: Optional[ServiceMetrics] = None,
@@ -76,8 +75,6 @@ class ResultServer:
         jobs: process-pool size for miss computations.
         cache_dir: result-cache directory (``None``: the orchestrator
             default, ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
-        backend: default compute backend for requests without
-            ``?backend=``; ``None`` resolves the ambient default.
         refresh_interval: seconds between source-tree re-hashes; ``0``
             disables the refresh loop.
         keep_alive_timeout: idle seconds before a keep-alive connection is
@@ -103,7 +100,6 @@ class ResultServer:
         self.requested_port = port
         self.jobs = jobs if jobs is not None else default_jobs()
         self.cache_dir = cache_dir
-        self.backend = backend
         self.refresh_interval = refresh_interval
         self.keep_alive_timeout = keep_alive_timeout
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -147,7 +143,6 @@ class ResultServer:
             cache=ResultCache(self.cache_dir),
             executor=self._executor,
             metrics=self.metrics,
-            backend=self.backend,
             build_deadline=self.build_deadline,
             breaker=self.breaker,
         )
@@ -297,9 +292,3 @@ class ResultServer:
                 OSError,
             ):  # pragma: no cover
                 pass
-
-
-async def start_server(**kwargs: object) -> ResultServer:
-    """Create and start a :class:`ResultServer` in one call."""
-    server = ResultServer(**kwargs)  # type: ignore[arg-type]
-    return await server.start()

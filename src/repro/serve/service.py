@@ -1,10 +1,13 @@
 """The result service: registry lookup, param coercion, cache, single-flight.
 
 :class:`ResultService` is the transport-free core of the HTTP server — it
-maps an (experiment id, query string) pair to a content-addressed cache key
-and an :class:`~repro.experiments.orchestrator.ExperimentResult`, computing
-on miss via the orchestrator's :func:`engine._pool_execute` seam on a
-bounded :class:`~concurrent.futures.ProcessPoolExecutor`:
+maps a request, exactly an (experiment id, params) pair decoded by
+:meth:`~repro.experiments.orchestrator.ExperimentSpec.params_from_dict`, to
+a content-addressed cache key and an
+:class:`~repro.experiments.orchestrator.ExperimentResult`, computing on miss
+on the process's compute backend via the orchestrator's
+:func:`engine._pool_execute` seam on a bounded
+:class:`~concurrent.futures.ProcessPoolExecutor`:
 
 - the cache key doubles as the response's strong ``ETag``, and is computed
   without touching disk, so conditional requests can be answered ``304``
@@ -30,21 +33,10 @@ import asyncio
 import dataclasses
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-    get_args,
-    get_origin,
-)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.backend import get_backend, registered_backends
-from repro.core.exceptions import BackendError, ServeError
+from repro.backend import get_backend
+from repro.core.exceptions import OrchestrationError, ServeError
 from repro.experiments.orchestrator import (
     ExperimentResult,
     ResultCache,
@@ -52,20 +44,14 @@ from repro.experiments.orchestrator import (
 )
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator.engine import _pool_execute
-from repro.experiments.orchestrator.spec import (
-    ExperimentSpec,
-    variadic_tuple_element,
-)
+from repro.experiments.orchestrator.spec import ExperimentSpec, optional_element
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.metrics import ServiceMetrics
-
-#: Query parameters with transport meaning, never forwarded as experiment params.
-RESERVED_QUERY_PARAMS = frozenset({"backend"})
 
 
 @dataclass(frozen=True)
 class PreparedRequest:
-    """A validated request: spec, canonical params, backend and cache key.
+    """A validated request: spec, canonical params and cache key.
 
     ``fingerprint`` is the code fingerprint ``key`` embeds, captured once at
     prepare time — the store after a build records this same value, so an
@@ -76,31 +62,25 @@ class PreparedRequest:
 
     spec: ExperimentSpec
     params_doc: Mapping[str, Any]
-    backend: str
     key: str
     fingerprint: str
 
 
 def _type_label(annotation: Any) -> Tuple[str, bool]:
     """``(label, nullable)`` for a params-dataclass field annotation."""
-    if get_origin(annotation) is Union:
-        non_none = [arg for arg in get_args(annotation) if arg is not type(None)]
-        if len(non_none) == 1:
-            label, _ = _type_label(non_none[0])
-            return label, True
-    if annotation in (int, float, bool, str):
-        return annotation.__name__, False
+    inner = optional_element(annotation)
+    if inner is not None:
+        return _type_label(inner)[0], True
     return getattr(annotation, "__name__", str(annotation)), False
 
 
 def _coerce_value(text: str, annotation: Any, name: str) -> Any:
     """Parse one query-string value into the field's annotated type."""
-    if get_origin(annotation) is Union:
-        non_none = [arg for arg in get_args(annotation) if arg is not type(None)]
-        if len(non_none) == 1:
-            if text.lower() in ("none", "null"):
-                return None
-            return _coerce_value(text, non_none[0], name)
+    inner = optional_element(annotation)
+    if inner is not None:
+        if text.lower() in ("none", "null"):
+            return None
+        return _coerce_value(text, inner, name)
     if annotation is bool:
         lowered = text.lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -117,59 +97,15 @@ def _coerce_value(text: str, annotation: Any, name: str) -> Any:
             ) from None
     if annotation is float:
         try:
-            value = float(text)
+            return float(text)
         except ValueError:
             raise ServeError(
                 400, f"parameter {name!r} must be a number, got {text!r}"
             ) from None
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ServeError(400, f"parameter {name!r} must be finite, got {text!r}")
-        return value
     if annotation is str:
         return text
     # Tuple-valued params have no query-string syntax (the JSON write path
     # takes them as arrays).
-    raise ServeError(400, f"parameter {name!r} has unsupported type {annotation!r}")
-
-
-def _coerce_json_value(value: Any, annotation: Any, name: str) -> Any:
-    """Validate one JSON body value against the field's annotated type.
-
-    The write path receives real JSON types, so unlike the query-string
-    coercion this never parses strings — it type-checks (allowing the one
-    lossless widening JSON has, int → float).  A ``Tuple[T, ...]`` field
-    takes a JSON array, each element checked against ``T`` by these rules.
-    """
-    if get_origin(annotation) is Union:
-        non_none = [arg for arg in get_args(annotation) if arg is not type(None)]
-        if len(non_none) == 1:
-            if value is None:
-                return None
-            return _coerce_json_value(value, non_none[0], name)
-    if annotation is bool:
-        if isinstance(value, bool):
-            return value
-        raise ServeError(400, f"parameter {name!r} must be a boolean, got {value!r}")
-    if annotation is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        raise ServeError(400, f"parameter {name!r} must be an integer, got {value!r}")
-    if annotation is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            number = float(value)
-            if number != number or number in (float("inf"), float("-inf")):
-                raise ServeError(400, f"parameter {name!r} must be finite, got {value!r}")
-            return number
-        raise ServeError(400, f"parameter {name!r} must be a number, got {value!r}")
-    if annotation is str:
-        if isinstance(value, str):
-            return value
-        raise ServeError(400, f"parameter {name!r} must be a string, got {value!r}")
-    element = variadic_tuple_element(annotation)
-    if element is not None:
-        if isinstance(value, list):
-            return tuple(_coerce_json_value(item, element, name) for item in value)
-        raise ServeError(400, f"parameter {name!r} must be an array, got {value!r}")
     raise ServeError(400, f"parameter {name!r} has unsupported type {annotation!r}")
 
 
@@ -182,7 +118,6 @@ class ResultService:
         cache: ResultCache,
         executor: Executor,
         metrics: Optional[ServiceMetrics] = None,
-        backend: Optional[str] = None,
         build_deadline: Optional[float] = None,
         breaker: Optional[CircuitBreaker] = None,
     ) -> None:
@@ -192,8 +127,6 @@ class ResultService:
             server when a source edit is detected — workers forked before
             the edit still run the old code).
         metrics: shared counters; a private instance by default.
-        backend: default compute-backend name for requests without an
-            explicit ``?backend=``; ``None`` resolves the ambient default.
         build_deadline: end-to-end seconds a request's build may take before
             the request is answered ``504`` (the build itself is abandoned
             to the executor's own policy); ``None`` waits forever.
@@ -205,7 +138,10 @@ class ResultService:
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.build_deadline = build_deadline
         self.breaker = breaker if breaker is not None else CircuitBreaker()
-        self.default_backend = get_backend(backend).name
+        # Misses compute on this process's backend (``--backend``,
+        # ``REPRO_BACKEND`` or auto), resolved once; every backend writes
+        # the same bytes, so a request has no say in it.
+        self.backend = get_backend().name
         self._inflight: Dict[str, "asyncio.Task[Tuple[ExperimentResult, str]]"] = {}
         # The registry is immutable for the process lifetime; build the
         # listing document once instead of re-running asdict over every
@@ -261,40 +197,46 @@ class ResultService:
     def prepare(
         self, experiment_id: str, query: Mapping[str, Sequence[str]]
     ) -> PreparedRequest:
-        """Validate a request and compute its cache key, touching no disk."""
+        """Validate a query-string request and compute its cache key, touching no disk.
+
+        Each value is parsed by its field's type, then decoded like a JSON
+        body; a name that is no params field reaches the decoder as given,
+        which rejects it with the rest of the unknown names.
+        """
         spec = self._lookup_spec(experiment_id)
-        backend = self._resolve_backend(query)
-        params_doc = self._parse_params(spec, query)
-        return self._prepared(spec, params_doc, backend)
+        hints = spec.params_hints
+        document: Dict[str, Any] = {}
+        for name, values in query.items():
+            if name not in hints:
+                document[name] = values
+                continue
+            if len(values) > 1:
+                raise ServeError(400, f"parameter {name!r} was given more than once")
+            document[name] = _coerce_value(values[0], hints[name], name)
+        return self._prepared(spec, document)
 
     def prepare_document(
-        self,
-        experiment_id: str,
-        params: Optional[Mapping[str, Any]] = None,
-        backend: Optional[str] = None,
+        self, experiment_id: str, params: Optional[Mapping[str, Any]] = None
     ) -> PreparedRequest:
         """Validate a JSON-document request (job submissions, bulk results).
 
         The write-path twin of :meth:`prepare`: ``params`` carries real JSON
-        values instead of query strings, ``backend`` an explicit name or
-        ``None`` for the service default.  Touches no disk.
+        values instead of query strings (``None``: every default).  Touches
+        no disk.
         """
         spec = self._lookup_spec(experiment_id)
-        resolved = self._resolve_backend_name(backend)
-        params_doc = self._params_from_document(spec, params)
-        return self._prepared(spec, params_doc, resolved)
+        return self._prepared(spec, {} if params is None else params)
 
-    def _prepared(
-        self, spec: ExperimentSpec, params_doc: Mapping[str, Any], backend: str
-    ) -> PreparedRequest:
+    def _prepared(self, spec: ExperimentSpec, document: Any) -> PreparedRequest:
+        try:
+            params = spec.params_from_dict(document)
+        except OrchestrationError as error:
+            raise ServeError(400, str(error)) from None
+        params_doc = spec.params_dict(params)
         fingerprint = code_fingerprint()
         key = self.cache.key_for(spec, params_doc, fingerprint=fingerprint)
         return PreparedRequest(
-            spec=spec,
-            params_doc=params_doc,
-            backend=backend,
-            key=key,
-            fingerprint=fingerprint,
+            spec=spec, params_doc=params_doc, key=key, fingerprint=fingerprint
         )
 
     def _lookup_spec(self, experiment_id: str) -> ExperimentSpec:
@@ -306,73 +248,6 @@ class ResultService:
                 f"unknown experiment {experiment_id!r} "
                 f"(known: {', '.join(registry.experiment_ids())})",
             ) from None
-
-    def _resolve_backend(self, query: Mapping[str, Sequence[str]]) -> str:
-        values = list(query.get("backend", []))
-        if not values:
-            return self.default_backend
-        if len(values) > 1:
-            raise ServeError(400, "query parameter 'backend' was given more than once")
-        return self._resolve_backend_name(values[0])
-
-    def _resolve_backend_name(self, name: Optional[str]) -> str:
-        if name is None:
-            return self.default_backend
-        if not isinstance(name, str):
-            raise ServeError(400, f"backend must be a string, got {name!r}")
-        try:
-            return get_backend(name).name
-        except BackendError as error:
-            raise ServeError(
-                400,
-                f"unknown or unavailable backend {name!r} "
-                f"(registered: {', '.join(registered_backends())}): {error}",
-            ) from None
-
-    def _parse_params(
-        self, spec: ExperimentSpec, query: Mapping[str, Sequence[str]]
-    ) -> Dict[str, Any]:
-        extra = [name for name in query if name not in RESERVED_QUERY_PARAMS]
-        hints = spec.params_hints
-        known = {spec_field.name for spec_field in dataclasses.fields(spec.params_type)}
-        unknown = sorted(set(extra) - known)
-        if unknown:
-            raise ServeError(
-                400,
-                f"unknown parameter(s) for {spec.experiment_id!r}: "
-                f"{', '.join(unknown)} (known: {', '.join(sorted(known))})",
-            )
-        kwargs: Dict[str, Any] = {}
-        for name in extra:
-            values = query[name]
-            if len(values) > 1:
-                raise ServeError(400, f"parameter {name!r} was given more than once")
-            kwargs[name] = _coerce_value(values[0], hints[name], name)
-        return spec.params_dict(spec.params_type(**kwargs))
-
-    def _params_from_document(
-        self, spec: ExperimentSpec, params: Optional[Mapping[str, Any]]
-    ) -> Dict[str, Any]:
-        if params is None:
-            params = {}
-        if not isinstance(params, Mapping):
-            raise ServeError(
-                400, f"params for {spec.experiment_id!r} must be an object"
-            )
-        hints = spec.params_hints
-        known = {spec_field.name for spec_field in dataclasses.fields(spec.params_type)}
-        unknown = sorted(set(params) - known)
-        if unknown:
-            raise ServeError(
-                400,
-                f"unknown parameter(s) for {spec.experiment_id!r}: "
-                f"{', '.join(unknown)} (known: {', '.join(sorted(known))})",
-            )
-        kwargs = {
-            name: _coerce_json_value(value, hints[name], name)
-            for name, value in params.items()
-        }
-        return spec.params_dict(spec.params_type(**kwargs))
 
     # ------------------------------------------------------------- fetching
 
@@ -453,7 +328,7 @@ class ResultService:
                 _pool_execute,
                 prepared.spec.experiment_id,
                 dict(prepared.params_doc),
-                prepared.backend,
+                self.backend,
             )
             if self.build_deadline is not None:
                 try:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -15,6 +16,7 @@ from repro.experiments.orchestrator import (
     select_shard,
 )
 from repro.experiments.orchestrator import registry
+from repro.experiments.orchestrator.engine import _pool_execute
 from repro.experiments.orchestrator.spec import ExperimentSpec, variadic_tuple_element
 
 
@@ -94,13 +96,7 @@ class TestRegistry:
             assert variadic_tuple_element(annotation) is None
 
     def test_params_from_dict_rebuilds_nested_and_optional_tuples(self):
-        spec = ExperimentSpec(
-            experiment_id="toy",
-            title="toy",
-            build=lambda params: None,
-            render=lambda result: "",
-            params_type=_TupleParams,
-        )
+        spec = _toy_spec()
         for params in (
             _TupleParams(),
             _TupleParams(sizes=(4, 5)),
@@ -109,8 +105,78 @@ class TestRegistry:
             rebuilt = spec.params_from_dict(spec.params_dict(params))
             assert rebuilt == params
             hash(rebuilt)
-        with pytest.raises(OrchestrationError, match="bad parameters for toy"):
+        with pytest.raises(
+            OrchestrationError,
+            match=r"unknown parameter\(s\) for 'toy': unknown \(known: grid, label, sizes\)",
+        ):
             spec.params_from_dict({"unknown": [1]})
+
+
+def _toy_spec():
+    return ExperimentSpec(
+        experiment_id="toy",
+        title="toy",
+        build=lambda params: None,
+        render=lambda result: "",
+        params_type=_TupleParams,
+    )
+
+
+class TestParamsDecoder:
+    """``params_from_dict`` is the one JSON-to-params decoder of every seam."""
+
+    @pytest.mark.parametrize("document", [None, [], "grid", 3])
+    def test_a_document_that_is_not_an_object_is_rejected(self, document):
+        with pytest.raises(OrchestrationError, match="params for 'toy' must be an object"):
+            _toy_spec().params_from_dict(document)
+
+    def test_every_unknown_field_is_listed(self):
+        with pytest.raises(OrchestrationError, match=r"for 'toy': backend, zeta \(known"):
+            _toy_spec().params_from_dict({"zeta": 1, "label": "y", "backend": "python"})
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"label": 3}, "parameter 'label' must be a string, got 3"),
+            ({"sizes": [4, True]}, "parameter 'sizes' must be an integer, got True"),
+            ({"sizes": [4.0]}, "parameter 'sizes' must be an integer, got 4.0"),
+            ({"sizes": "4,5"}, "parameter 'sizes' must be an array, got '4,5'"),
+            ({"grid": [[1.0], 2.0]}, "parameter 'grid' must be an array, got 2.0"),
+            ({"grid": [[float("nan")]]}, "parameter 'grid' must be finite, got nan"),
+            ({"grid": [[10**400]]}, "parameter 'grid' must be finite"),
+            ({"grid": [["1.0"]]}, "parameter 'grid' must be a number, got '1.0'"),
+        ],
+    )
+    def test_each_value_is_checked_against_its_fields_type(self, document, message):
+        with pytest.raises(OrchestrationError, match=re.escape(message)):
+            _toy_spec().params_from_dict(document)
+
+    def test_json_ints_widen_to_floats_and_null_fills_an_optional(self):
+        params = _toy_spec().params_from_dict({"grid": [[1, 2.5]], "sizes": None})
+        assert params == _TupleParams(grid=((1.0, 2.5),), sizes=None)
+        assert type(params.grid[0][0]) is float
+
+
+class TestPoolSeamDecodes:
+    """The pool worker entry point validates the params it is handed."""
+
+    @pytest.mark.parametrize(
+        "experiment_id, params_doc, message",
+        [
+            ("figure1", {"step": True}, "parameter 'step' must be an integer, got True"),
+            (
+                "safety_violation",
+                {"trials": 2000.0},
+                "parameter 'trials' must be an integer, got 2000.0",
+            ),
+            ("figure1", {"backend": "python"}, "unknown parameter(s) for 'figure1': backend"),
+        ],
+    )
+    def test_mistyped_or_unknown_params_are_rejected_by_name(
+        self, experiment_id, params_doc, message
+    ):
+        with pytest.raises(OrchestrationError, match=re.escape(message)):
+            _pool_execute(experiment_id, params_doc, None)
 
 
 class TestFiltering:

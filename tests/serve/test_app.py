@@ -97,6 +97,40 @@ class TestMethodNotAllowed:
         with_app(body, tmp_path)
 
 
+class TestNoRequestBackend:
+    """A request is (experiment id, params): naming a backend is a 400 like
+    any unknown parameter or field, on every route that selects results."""
+
+    @pytest.mark.parametrize(
+        "method, path, document, unknown",
+        [
+            ("GET", "/experiments/example1?backend=python", None, "parameter"),
+            ("POST", "/jobs", {"experiment": "example1", "backend": "python"}, "job field"),
+            (
+                "POST",
+                "/jobs",
+                {"experiments": [{"experiment": "example1", "backend": "python"}]},
+                "field",
+            ),
+            ("GET", "/results?experiment=example1&backend=python", None, "query parameter"),
+            ("POST", "/results", {"experiments": ["example1"], "backend": "python"}, "results field"),
+            ("POST", "/cache/warm", {"experiments": ["example1"], "backend": "python"}, "warm field"),
+        ],
+    )
+    def test_a_named_backend_is_a_400_that_builds_nothing(
+        self, tmp_path, method, path, document, unknown
+    ):
+        async def body(app):
+            response = await app.handle(_request(method, path, document))
+            return response, app.metrics.builds, app.metrics.jobs_submitted
+
+        response, builds, jobs = with_app(body, tmp_path)
+        assert response.status == 400
+        message = json.loads(response.body)["error"]["message"]
+        assert "unknown" in message and unknown in message and "backend" in message
+        assert (builds, jobs) == (0, 0)
+
+
 class TestBodyCacheByteBound:
     def test_lru_eviction_is_by_total_bytes(self, tmp_path):
         """The regression pin: the bound is bytes, not an entry count."""

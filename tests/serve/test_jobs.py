@@ -207,11 +207,7 @@ class TestJobSubmission:
 
         async def body(app):
             submit = await app.handle(
-                _request(
-                    "POST",
-                    "/jobs",
-                    {"experiment": "safety_violation", "backend": "python"},
-                )
+                _request("POST", "/jobs", {"experiment": "safety_violation"})
             )
             assert submit.status == 202
             accepted = json.loads(submit.body)
@@ -269,12 +265,31 @@ class TestJobSubmission:
             assert result.status == 200
             assert app.metrics.memory_hits == 1
             assert app.metrics.builds == 1
-            return result.body, snapshot["tasks"][0]["backend"]
+            return result.body
 
-        served, backend = with_app(body, tmp_path)
+        served = with_app(body, tmp_path)
         spec = registry.get_spec(experiment)
-        built = execute_spec(spec, spec.params_type(seed=7), backend=backend)
+        built = execute_spec(spec, spec.params_type(seed=7))
         assert served == json_body(built.canonical_dict())
+
+    def test_task_snapshots_name_no_backend(self, tmp_path):
+        """A repeat submission is a hit, and no snapshot claims a backend."""
+
+        async def body(app):
+            snapshots = []
+            for _ in range(2):
+                response = await app.handle(
+                    _request("POST", "/jobs", {"experiment": "two_class", "wait": True})
+                )
+                snapshots.append(json.loads(response.body)["tasks"][0])
+            return snapshots, app.metrics.builds
+
+        (first, second), builds = with_app(body, tmp_path)
+        assert (first["cache"], second["cache"], builds) == ("miss", "hit", 1)
+        for task in (first, second):
+            assert sorted(task) == [
+                "cache", "error", "experiment_id", "key", "params", "path", "status"
+            ]
 
     @staticmethod
     def _result_after_tripping_the_breaker(tmp_path, submit):
@@ -596,7 +611,6 @@ class TestSubmissionValidation:
                     "/jobs",
                     {
                         "experiment": "proposition1",
-                        "backend": "python",
                         "params": {"kappas": [2, 3]},
                         "wait": True,
                     },
@@ -610,9 +624,7 @@ class TestSubmissionValidation:
             return result.body
 
         spec = registry.get_spec("proposition1")
-        expected = execute_spec(
-            spec, spec.params_type(kappas=(2, 3)), backend="python"
-        ).canonical_dict()
+        expected = execute_spec(spec, spec.params_type(kappas=(2, 3))).canonical_dict()
         assert with_app(body, tmp_path) == json_body(expected)
 
     @pytest.mark.parametrize("kappas", [[2, "x"], [True], "2,3"])

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.backend import NumpyBackend
 from repro.experiments.orchestrator import registry
 from repro.serve import ServiceMetrics
 from repro.serve.server import ResultServer
@@ -239,22 +238,22 @@ class TestResultServing:
                     path=spec.experiment_id,
                 )
 
-    @pytest.mark.skipif(
-        not NumpyBackend.is_available(), reason="numpy not installed"
-    )
-    def test_a_census_built_on_one_backend_serves_the_other(self):
-        # The cache key carries no backend: a python build is the numpy hit.
+    def test_a_request_that_names_a_backend_is_400_and_builds_nothing(self):
+        # Misses build on the server process's backend; every backend writes
+        # the same bytes, so a request has no backend to name.
         async def body(server, client):
-            python = await client.get("/experiments/safety_violation?backend=python")
-            numpy = await client.get("/experiments/safety_violation?backend=numpy")
-            return python, numpy, server.metrics.builds
+            named = await client.get("/experiments/safety_violation?backend=python")
+            return named, server.metrics.builds
 
-        python, numpy, builds = with_server(body)
-        assert (python.status, numpy.status) == (200, 200)
-        assert builds == 1
-        assert python.header("x-cache") == "miss"
-        assert numpy.header("x-cache") == "hit"
-        assert numpy.body == python.body
+        named, builds = with_server(body)
+        assert named.status == 400
+        message = json.loads(named.body)["error"]["message"]
+        assert message.startswith("unknown parameter(s) for 'safety_violation': backend")
+        assert builds == 0
+
+    def test_the_server_takes_no_backend(self):
+        with pytest.raises(TypeError, match="backend"):
+            ResultServer(backend="python")
 
 
 class TestSingleFlight:

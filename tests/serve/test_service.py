@@ -8,6 +8,7 @@ pool is exercised end-to-end in ``test_server.py``.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import math
 import os
 import typing
@@ -15,13 +16,14 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.backend import get_backend
 from repro.core.exceptions import ServeError
 import repro.serve.service as service_module
 from repro.experiments.orchestrator import ExperimentResult, ResultCache, execute_spec
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator import spec as spec_module
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.service import ResultService
+from repro.serve.service import PreparedRequest, ResultService
 
 
 @pytest.fixture
@@ -120,19 +122,50 @@ class TestPrepare:
             service.prepare("proposition1", {"kappas": ["1,2"]})
         assert excinfo.value.status == 400
 
-    def test_unknown_backend_is_400(self, service):
+    @pytest.mark.parametrize("values", [["cuda"], ["python"], ["python", "numpy"]])
+    def test_a_named_backend_is_an_unknown_parameter(self, service, values):
         with pytest.raises(ServeError) as excinfo:
-            service.prepare("figure1", {"backend": ["cuda"]})
+            service.prepare("figure1", {"backend": values})
         assert excinfo.value.status == 400
+        assert str(excinfo.value).startswith(
+            "unknown parameter(s) for 'figure1': backend (known: "
+        )
 
-    def test_explicit_backend_is_resolved(self, service):
-        prepared = service.prepare("safety_violation", {"backend": ["python"]})
-        assert prepared.backend == "python"
 
-    def test_repeated_backend_is_400(self, service):
-        with pytest.raises(ServeError, match="more than once") as excinfo:
-            service.prepare("figure1", {"backend": ["python", "numpy"]})
-        assert excinfo.value.status == 400
+class TestProcessBackend:
+    """A request is (experiment id, params): the backend is the process's."""
+
+    def test_a_prepared_request_carries_no_backend(self, service):
+        names = [field.name for field in dataclasses.fields(PreparedRequest)]
+        assert names == ["spec", "params_doc", "key", "fingerprint"]
+
+    def test_the_service_takes_no_backend(self, tmp_path):
+        with pytest.raises(TypeError, match="backend"):
+            ResultService(
+                cache=ResultCache(str(tmp_path / "cache")),
+                executor=None,
+                backend="python",
+            )
+
+    def test_misses_build_on_the_backend_the_process_resolved(
+        self, service, monkeypatch
+    ):
+        seen = []
+        original_execute = service_module._pool_execute
+
+        def execute(experiment_id, params_doc, backend):
+            seen.append(backend)
+            return original_execute(experiment_id, params_doc, backend)
+
+        monkeypatch.setattr(service_module, "_pool_execute", execute)
+
+        async def _run():
+            await service.fetch(service.prepare("example1", {}))
+            await service.fetch(service.prepare_document("proposition1", None))
+
+        asyncio.run(_run())
+        assert seen == [get_backend().name] * 2
+        assert service.backend == get_backend().name
 
 
 class TestPrepareDocument:
@@ -176,9 +209,11 @@ class TestPrepareDocument:
             service.prepare_document("figure1", ["max_residual_miners"])
         assert excinfo.value.status == 400
 
-    def test_non_string_backend_is_400(self, service):
-        with pytest.raises(ServeError, match="backend must be a string") as excinfo:
-            service.prepare_document("figure1", {}, 3)
+    def test_a_backend_in_params_is_an_unknown_parameter(self, service):
+        with pytest.raises(
+            ServeError, match=r"unknown parameter\(s\) for 'figure1': backend"
+        ) as excinfo:
+            service.prepare_document("figure1", {"backend": "python"})
         assert excinfo.value.status == 400
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.experiments.orchestrator import load_results_document
+from repro.experiments.orchestrator import load_results_document, registry
 from repro.serve import ResultServer
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -19,19 +19,24 @@ GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 class TestListAndRun:
     def test_list_prints_every_experiment(self, capsys):
         assert main(["list"]) == 0
-        output = capsys.readouterr().out
-        assert "figure1" in output
-        assert "decentralized_pools" in output
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "available experiments:"
+        assert [line.strip() for line in lines[1:]] == registry.experiment_ids()
 
     def test_run_single_experiment(self, capsys):
         assert main(["run", "example1"]) == 0
         output = capsys.readouterr().out
+        assert output.startswith("== example1 ")
         assert "Example 1" in output
         assert "8-replica" in output
 
     def test_run_unknown_experiment_fails(self, capsys):
-        assert main(["run", "does-not-exist"]) == 2
-        assert "unknown experiments" in capsys.readouterr().err
+        # A misspelled name fails the whole run before anything is built,
+        # not only its own entry.
+        assert main(["run", "figure1", "does-not-exist"]) == 2
+        captured = capsys.readouterr()
+        assert "unknown experiments: does-not-exist" in captured.err
+        assert captured.out == ""
 
     def test_run_multiple_experiments(self, capsys):
         assert main(["run", "proposition1", "proposition3"]) == 0
