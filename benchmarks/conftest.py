@@ -1,7 +1,8 @@
 """Shared configuration for the benchmark harness.
 
-Every file in this directory regenerates one row of DESIGN.md §4 (one paper
-figure/example/proposition or one additional analysis) under
+Every file in this directory regenerates one registered experiment (one
+paper figure/example/proposition or one additional analysis; see
+``python -m repro.cli list``) under
 ``pytest-benchmark`` timing.  Run them with::
 
     pytest benchmarks/ --benchmark-only

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.bft.runner import run_consensus
 from repro.experiments.protocol_safety import run_protocol_safety
-from repro.faults.injection import FaultSchedule
+from repro.faults.injection import FaultSchedule, FaultSpec
 
 
 def test_protocol_safety_experiment(benchmark):
@@ -37,6 +37,8 @@ def test_hotstuff_honest_run_latency(benchmark):
 def test_pbft_under_equivocation_latency(benchmark):
     """Worst-case Byzantine run (beyond the fault bound) with 10 replicas."""
     ids = [f"r{i}" for i in range(10)]
-    schedule = FaultSchedule.byzantine(["r0", "r3", "r5", "r7"])
+    schedule = FaultSchedule(
+        FaultSpec(replica_id=replica_id) for replica_id in ("r0", "r3", "r5", "r7")
+    )
     result = benchmark(run_consensus, ids, schedule, protocol="pbft")
     assert not result.within_fault_bound

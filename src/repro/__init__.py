@@ -32,7 +32,6 @@ from repro.backend import available_backends, get_backend, set_default_backend
 from repro.core.abundance import AbundanceVector
 from repro.core.configuration import (
     ComponentKind,
-    ConfigurationSpace,
     ReplicaConfiguration,
     SoftwareComponent,
 )
@@ -45,7 +44,6 @@ from repro.core.entropy import (
 from repro.core.optimality import (
     is_kappa_omega_optimal,
     is_kappa_optimal,
-    kappa_of,
 )
 from repro.core.population import Replica, ReplicaPopulation
 from repro.core.power import PowerRegime
@@ -61,7 +59,6 @@ __all__ = [
     "AbundanceVector",
     "ComponentKind",
     "ConfigurationDistribution",
-    "ConfigurationSpace",
     "PowerRegime",
     "Replica",
     "ReplicaConfiguration",
@@ -74,7 +71,6 @@ __all__ = [
     "get_backend",
     "is_kappa_omega_optimal",
     "is_kappa_optimal",
-    "kappa_of",
     "max_entropy",
     "normalized_entropy",
     "set_default_backend",

@@ -16,7 +16,6 @@ from repro.analysis.components import (
     component_entropy_profile,
     diversification_priority,
     exposure_by_component,
-    weakest_component,
 )
 from repro.analysis.monte_carlo import (
     SafetyViolationEstimate,
@@ -44,5 +43,4 @@ __all__ = [
     "mapping_sweep",
     "sweep",
     "violation_probability_by_entropy",
-    "weakest_component",
 ]

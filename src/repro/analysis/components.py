@@ -9,8 +9,6 @@ entropy hides *where* the monoculture sits; this module decomposes it:
 - :func:`component_entropy_profile` — per-kind entropy, largest share and
   whether a single fault in the dominant choice of that kind violates a
   protocol tolerance (the "weakest slot" view);
-- :func:`weakest_component` — the slot whose dominant choice concentrates the
-  most voting power, i.e. the cheapest single target for an attacker;
 - :func:`exposure_by_component` — voting power exposed per concrete component,
   the raw input for prioritizing diversification or patching.
 """
@@ -20,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.configuration import ComponentKind, SoftwareComponent
+from repro.core.configuration import ComponentKind
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import AnalysisError
 from repro.core.population import ReplicaPopulation
@@ -121,17 +119,8 @@ def component_entropy_profile(
     return tuple(profiles)
 
 
-def weakest_component(
-    population: ReplicaPopulation,
-    *,
-    family: ProtocolFamily = ProtocolFamily.BFT,
-) -> ComponentKindProfile:
-    """The slot whose dominant choice concentrates the most voting power."""
-    return _weakest_of(component_entropy_profile(population, family=family))
-
-
 def _weakest_of(profiles: Sequence[ComponentKindProfile]) -> ComponentKindProfile:
-    """:func:`weakest_component`'s pick among already computed profiles."""
+    """The slot whose dominant choice concentrates the most voting power."""
     concrete = [profile for profile in profiles if profile.dominant_component != ABSENT]
     candidates = concrete or list(profiles)
     return max(candidates, key=lambda profile: profile.dominant_share)

@@ -2,8 +2,8 @@
 
 The paper's evaluation is one figure and one worked example; the reproduction
 regenerates them as text tables and series so no plotting stack is required.
-``Table`` is a tiny column-aligned formatter used by every experiment driver
-and by ``EXPERIMENTS.md`` generation.
+``Table`` is a tiny column-aligned formatter used by every experiment driver;
+its raw cells are also what each result's ``tables`` section serializes.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ class Table:
                 f"expected {len(self.headers)} cells, got {len(cells)}"
             )
         self.rows.append(tuple(cells))
-
-    def extend(self, rows: Iterable[Sequence[Cell]]) -> None:
-        """Append several rows."""
-        for row in rows:
-            self.add_row(*row)
 
     def render(self) -> str:
         """The table as aligned text."""
@@ -129,13 +124,3 @@ def format_table(
         for row in formatted_rows
     ]
     return "\n".join([header_line, separator, *body])
-
-
-def format_series(
-    name: str, points: Sequence[tuple], *, float_digits: int = 4
-) -> str:
-    """Format an ``(x, y)`` series as two aligned columns with a title."""
-    table = Table(headers=("x", name), float_digits=float_digits)
-    for x, y in points:
-        table.add_row(x, y)
-    return table.render()

@@ -2,8 +2,8 @@
 
 Every experiment in the paper-reproduction is a sweep of one metric over one
 parameter (residual miners for Figure 1, abundance for Proposition 3, ...).
-The helpers here run such sweeps, keep the (parameter, value) pairs together
-and compute the summary statistics the experiment drivers print.
+The helpers here run such sweeps and keep the (parameter, value) pairs
+together.
 """
 
 from __future__ import annotations
@@ -12,13 +12,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (
     Callable,
-    Dict,
     Generic,
     Iterable,
     List,
     Mapping,
     Optional,
-    Sequence,
     Tuple,
     TypeVar,
 )
@@ -43,20 +41,8 @@ class SweepResult(Generic[P, V]):
     parameter_name: str
     points: Tuple[Tuple[P, V], ...]
 
-    def parameters(self) -> Tuple[P, ...]:
-        return tuple(parameter for parameter, _ in self.points)
-
     def values(self) -> Tuple[V, ...]:
         return tuple(value for _, value in self.points)
-
-    def as_dict(self) -> Dict[P, V]:
-        return dict(self.points)
-
-    def value_at(self, parameter: P) -> V:
-        for candidate, value in self.points:
-            if candidate == parameter:
-                return value
-        raise AnalysisError(f"parameter {parameter!r} was not part of the sweep")
 
     def __len__(self) -> int:
         return len(self.points)
@@ -120,41 +106,3 @@ def mapping_sweep(
         max_workers=max_workers,
     )
     return list(result.values())
-
-
-def numeric_summary(values: Sequence[float]) -> Dict[str, float]:
-    """Minimum, maximum, mean and span of a numeric series."""
-    if not values:
-        raise AnalysisError("cannot summarize an empty series")
-    values = [float(value) for value in values]
-    return {
-        "min": min(values),
-        "max": max(values),
-        "mean": sum(values) / len(values),
-        "span": max(values) - min(values),
-    }
-
-
-def is_monotonic(values: Sequence[float], *, increasing: bool = True, tolerance: float = 1e-12) -> bool:
-    """Whether a series is monotonic (used to verify proposition sweeps)."""
-    if len(values) < 2:
-        return True
-    if increasing:
-        return all(later >= earlier - tolerance for earlier, later in zip(values, values[1:]))
-    return all(later <= earlier + tolerance for earlier, later in zip(values, values[1:]))
-
-
-def crossover_parameter(
-    result: SweepResult[P, float], threshold: float
-) -> Tuple[bool, P]:
-    """First parameter at which the swept value reaches ``threshold``.
-
-    Returns ``(found, parameter)``; when never reached, ``found`` is false and
-    the last parameter is returned for context.
-    """
-    last_parameter = None
-    for parameter, value in result.points:
-        last_parameter = parameter
-        if value >= threshold:
-            return True, parameter
-    return False, last_parameter

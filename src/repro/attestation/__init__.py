@@ -1,13 +1,12 @@
 """Simulated remote attestation (Section III-B).
 
 The paper proposes discovering replica configurations through remote
-attestation backed by trusted hardware (TPMs / TEEs) and raises two
-additional concerns (Remark 3): the attestation key must be bound to the key
-that authenticates votes, and the configuration should stay private to avoid
-handing attackers a target list.
+attestation backed by trusted hardware (TPMs / TEEs).  This subpackage
+reproduces that discovery path, which the ``attestation_coverage``
+experiment and the attestation-weighted diversity policy use.
 
 Real trusted hardware is obviously not available to a pure-Python
-reproduction, so this subpackage *simulates* it (see DESIGN.md §3): devices
+reproduction, so this subpackage *simulates* it: devices
 measure the replica's declared software stack deterministically, quotes are
 "signed" with simulated keys, and a compromised device can be instructed to
 lie — which is exactly the failure mode the paper worries about.
@@ -15,15 +14,11 @@ lie — which is exactly the failure mode the paper worries about.
 - :mod:`repro.attestation.device` -- simulated TPM / TEE devices and keys.
 - :mod:`repro.attestation.quote` -- measurements and attestation quotes.
 - :mod:`repro.attestation.verifier` -- the attestation verification service.
-- :mod:`repro.attestation.binding` -- binding vote keys to attested configs.
-- :mod:`repro.attestation.privacy` -- configuration commitments for privacy.
 - :mod:`repro.attestation.registry` -- the configuration-discovery registry
   that feeds the diversity analysis.
 """
 
-from repro.attestation.binding import BoundVote, VoteKeyBinder
 from repro.attestation.device import AttestationDevice, DeviceType
-from repro.attestation.privacy import ConfigurationCommitment, commit_configuration
 from repro.attestation.quote import AttestationQuote, measure_configuration
 from repro.attestation.registry import AttestationRegistry
 from repro.attestation.verifier import AttestationVerifier, VerificationResult
@@ -33,11 +28,7 @@ __all__ = [
     "AttestationQuote",
     "AttestationRegistry",
     "AttestationVerifier",
-    "BoundVote",
-    "ConfigurationCommitment",
     "DeviceType",
     "VerificationResult",
-    "VoteKeyBinder",
-    "commit_configuration",
     "measure_configuration",
 ]

@@ -13,7 +13,6 @@ import hashlib
 import hmac
 from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Optional
 
 from repro.core.exceptions import AttestationError
 
@@ -72,10 +71,6 @@ class AttestationDevice:
     def signature_valid(self, payload: str, signature: str) -> bool:
         """Check a signature allegedly produced by this device."""
         return hmac.compare_digest(self.sign(payload), signature)
-
-    def compromise(self) -> None:
-        """Hand the device to the attacker (it will sign arbitrary claims)."""
-        self.compromised = True
 
     def __str__(self) -> str:
         return f"{self.device_type.value}:{self.device_id}"

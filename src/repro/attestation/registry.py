@@ -11,14 +11,13 @@ census the entropy analysis consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.attestation.quote import AttestationQuote
 from repro.attestation.verifier import AttestationVerifier
 from repro.core.configuration import ReplicaConfiguration
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import AttestationError
-from repro.core.population import Replica, ReplicaPopulation
 
 
 @dataclass(frozen=True)
@@ -39,10 +38,6 @@ class AttestationRegistry:
         # __len__) but is still the verifier the caller wants to share.
         self._verifier = verifier if verifier is not None else AttestationVerifier()
         self._entries: Dict[str, RegistryEntry] = {}
-
-    @property
-    def verifier(self) -> AttestationVerifier:
-        return self._verifier
 
     # -- registration -----------------------------------------------------------------
 
@@ -87,22 +82,7 @@ class AttestationRegistry:
         self._entries[replica_id] = entry
         return entry
 
-    def remove(self, replica_id: str) -> None:
-        """Drop a replica from the registry (it left the system)."""
-        if replica_id not in self._entries:
-            raise AttestationError(f"unknown replica {replica_id!r}")
-        del self._entries[replica_id]
-
     # -- queries --------------------------------------------------------------------------
-
-    def entry(self, replica_id: str) -> RegistryEntry:
-        try:
-            return self._entries[replica_id]
-        except KeyError:
-            raise AttestationError(f"unknown replica {replica_id!r}") from None
-
-    def entries(self) -> Tuple[RegistryEntry, ...]:
-        return tuple(self._entries.values())
 
     def attested_power(self) -> float:
         """Total power backed by verified attestations."""
@@ -150,20 +130,6 @@ class AttestationRegistry:
         if not weights:
             raise AttestationError("the registry census is empty")
         return ConfigurationDistribution(weights)
-
-    def to_population(self) -> ReplicaPopulation:
-        """The registry contents as a :class:`ReplicaPopulation`."""
-        if not self._entries:
-            raise AttestationError("the registry is empty")
-        return ReplicaPopulation(
-            Replica(
-                replica_id=entry.replica_id,
-                configuration=entry.configuration,
-                power=entry.power,
-                attested=entry.attested,
-            )
-            for entry in self._entries.values()
-        )
 
     # -- dunder -------------------------------------------------------------------------------
 

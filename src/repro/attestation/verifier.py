@@ -2,10 +2,9 @@
 
 Models a unified attestation service (the paper mentions Microsoft Azure
 Attestation as an example): it issues nonces, knows which devices exist and
-which manufacturer namespaces and firmware versions are trustworthy, and
-verifies quotes.  Verification checks freshness (nonce), device registration
-and revocation, firmware trust, signature validity and measurement
-consistency with the claimed configuration.
+verifies quotes.  Verification checks freshness (nonce), device
+registration, signature validity and measurement consistency with the
+claimed configuration.
 """
 
 from __future__ import annotations
@@ -41,8 +40,6 @@ class AttestationVerifier:
 
     def __init__(self) -> None:
         self._devices: Dict[str, AttestationDevice] = {}
-        self._revoked: Set[str] = set()
-        self._untrusted_firmware: Set[str] = set()
         self._issued_nonces: Set[str] = set()
         self._consumed_nonces: Set[str] = set()
         self._nonce_counter = 0
@@ -54,21 +51,6 @@ class AttestationVerifier:
         if device.device_id in self._devices:
             raise AttestationError(f"device {device.device_id!r} already registered")
         self._devices[device.device_id] = device
-
-    def revoke_device(self, device_id: str) -> None:
-        """Revoke a device (e.g. after its compromise becomes known)."""
-        if device_id not in self._devices:
-            raise AttestationError(f"unknown device {device_id!r}")
-        self._revoked.add(device_id)
-
-    def distrust_firmware(self, firmware_version: str) -> None:
-        """Mark a firmware version as untrusted (a disclosed TEE vulnerability)."""
-        if not firmware_version:
-            raise AttestationError("firmware version must not be empty")
-        self._untrusted_firmware.add(firmware_version)
-
-    def is_revoked(self, device_id: str) -> bool:
-        return device_id in self._revoked
 
     # -- nonces -----------------------------------------------------------------------
 
@@ -86,12 +68,6 @@ class AttestationVerifier:
         device = self._devices.get(quote.device_id)
         if device is None:
             return VerificationResult(False, f"unknown device {quote.device_id!r}")
-        if quote.device_id in self._revoked:
-            return VerificationResult(False, f"device {quote.device_id!r} is revoked")
-        if quote.firmware_version in self._untrusted_firmware:
-            return VerificationResult(
-                False, f"firmware {quote.firmware_version!r} is no longer trusted"
-            )
         if quote.nonce not in self._issued_nonces:
             return VerificationResult(False, "unknown nonce (possible replay)")
         if quote.nonce in self._consumed_nonces:

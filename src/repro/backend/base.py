@@ -61,8 +61,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Tuple
 
 #: Slack applied when a compromised-power *fraction* is compared against a
-#: tolerance (mirrors ``CampaignOutcome.violates``): a trial violates safety
-#: when ``compromised / total >= tolerance - CAMPAIGN_FRACTION_SLACK``.
+#: tolerance: a trial violates safety when
+#: ``compromised / total >= tolerance - CAMPAIGN_FRACTION_SLACK``.
 CAMPAIGN_FRACTION_SLACK = 1e-12
 
 # -- counter-based campaign RNG ------------------------------------------------
@@ -210,12 +210,6 @@ class SparseExposure:
     def nnz(self) -> int:
         """Number of exposed (replica, vulnerability) cells."""
         return len(self.indices)
-
-    @property
-    def density(self) -> float:
-        """Exposed-cell fraction of the dense replicas × vulnerabilities grid."""
-        cells = self.replica_count * self.column_count
-        return len(self.indices) / cells if cells else 0.0
 
     @classmethod
     def from_rows(

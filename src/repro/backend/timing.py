@@ -85,11 +85,6 @@ class KernelTimings:
             }
         return delta
 
-    def reset(self) -> None:
-        """Drop all counters (tests)."""
-        with self._lock:
-            self._counters.clear()
-
 
 #: The process-wide registry every kernel call site records into.
 KERNEL_TIMINGS = KernelTimings()

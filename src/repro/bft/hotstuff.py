@@ -81,7 +81,7 @@ class HotStuffReplica(BftReplicaBase):
         """Leader entry point: start consensus on ``value`` at ``sequence``."""
         if not self.is_leader:
             raise ProtocolError(f"replica {self.node_id!r} is not the leader")
-        if self.is_crashed_by_schedule() or self.crashed:
+        if self.is_crashed_by_schedule():
             return
         if self.is_byzantine():
             first_half, second_half = self.split_halves()

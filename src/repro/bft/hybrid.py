@@ -93,7 +93,7 @@ class HybridReplica(BftReplicaBase):
         """Primary entry point: bind ``value`` to the trusted counter and send it."""
         if not self.is_primary:
             raise ProtocolError(f"replica {self.node_id!r} is not the primary")
-        if self.is_crashed_by_schedule() or self.crashed:
+        if self.is_crashed_by_schedule():
             return
         if self.is_byzantine() and self.tee_compromised:
             # Equivocation is only possible once the trusted component falls.

@@ -22,9 +22,8 @@ class ReplicatedLedger:
 
     owner_id: str
     _entries: Dict[int, str] = field(default_factory=dict)
-    _commit_times: Dict[int, float] = field(default_factory=dict)
 
-    def commit(self, sequence: int, value: str, *, time: float = 0.0) -> None:
+    def commit(self, sequence: int, value: str) -> None:
         """Record the decision ``value`` at ``sequence``.
 
         Committing the same value twice is a no-op; committing a *different*
@@ -44,19 +43,6 @@ class ReplicatedLedger:
             )
         if existing is None:
             self._entries[sequence] = value
-            self._commit_times[sequence] = time
-
-    def value_at(self, sequence: int) -> Optional[str]:
-        """The committed value at ``sequence`` (``None`` when undecided)."""
-        return self._entries.get(sequence)
-
-    def commit_time(self, sequence: int) -> Optional[float]:
-        """When ``sequence`` was committed (``None`` when undecided)."""
-        return self._commit_times.get(sequence)
-
-    def committed_sequences(self) -> Tuple[int, ...]:
-        """All decided sequence numbers, ascending."""
-        return tuple(sorted(self._entries))
 
     def entries(self) -> Dict[int, str]:
         """A copy of the committed log."""

@@ -65,7 +65,7 @@ class PbftReplica(BftReplicaBase):
         """Primary entry point: start consensus on ``value`` at ``sequence``."""
         if not self.is_primary:
             raise ProtocolError(f"replica {self.node_id!r} is not the primary")
-        if self.is_crashed_by_schedule() or self.crashed:
+        if self.is_crashed_by_schedule():
             return
         if self.is_byzantine():
             first_half, second_half = self.split_halves()

@@ -65,13 +65,6 @@ class QuorumSpec:
         """
         return self.total_replicas - self.fault_bound
 
-    @property
-    def is_exact(self) -> bool:
-        """True when ``n`` exactly matches ``3f+1`` (or ``2f+1``) for integer ``f``."""
-        if self.model is QuorumModel.CLASSIC:
-            return self.total_replicas == 3 * self.fault_bound + 1
-        return self.total_replicas == 2 * self.fault_bound + 1
-
     def tolerates(self, byzantine_count: int) -> bool:
         """True when ``byzantine_count`` Byzantine replicas cannot break safety."""
         if byzantine_count < 0:
@@ -79,32 +72,6 @@ class QuorumSpec:
                 f"byzantine count must be non-negative, got {byzantine_count}"
             )
         return byzantine_count <= self.fault_bound
-
-    def quorums_intersect_in_honest(self, byzantine_count: int) -> bool:
-        """Whether any two quorums must share at least one honest replica.
-
-        This is the standard quorum-intersection safety argument: two quorums
-        of size ``q`` in a system of ``n`` replicas intersect in at least
-        ``2q - n`` replicas; safety needs that intersection to contain at
-        least one honest, non-equivocating replica.
-        """
-        if byzantine_count < 0:
-            raise ProtocolError(
-                f"byzantine count must be non-negative, got {byzantine_count}"
-            )
-        intersection = 2 * self.quorum_size - self.total_replicas
-        return intersection > byzantine_count
-
-    @classmethod
-    def for_fault_bound(
-        cls, fault_bound: int, *, model: QuorumModel = QuorumModel.CLASSIC
-    ) -> "QuorumSpec":
-        """The smallest deployment tolerating ``fault_bound`` Byzantine replicas."""
-        if fault_bound < 1:
-            raise ProtocolError(f"fault bound must be positive, got {fault_bound}")
-        if model is QuorumModel.CLASSIC:
-            return cls(total_replicas=3 * fault_bound + 1, model=model)
-        return cls(total_replicas=2 * fault_bound + 1, model=model)
 
     def __str__(self) -> str:
         return (

@@ -24,7 +24,7 @@ from repro.bft.ledger import ReplicatedLedger
 from repro.bft.quorum import QuorumSpec
 from repro.core.exceptions import ProtocolError
 from repro.faults.injection import FaultKind, FaultSchedule
-from repro.sim.node import Message, SimulatedNode
+from repro.sim.node import SimulatedNode
 
 VoteKey = Tuple[str, int, str]  # (phase, sequence, value)
 
@@ -42,20 +42,6 @@ class VoteBook:
         voters.add(voter)
         return len(voters)
 
-    def count(self, phase: str, sequence: int, value: str) -> int:
-        """Distinct voters recorded for the given (phase, sequence, value)."""
-        return len(self._votes.get((phase, sequence, value), ()))
-
-    def values_seen(self, phase: str, sequence: int) -> Tuple[str, ...]:
-        """All values that received at least one vote in the given phase/sequence."""
-        return tuple(
-            sorted(
-                value
-                for (p, s, value), voters in self._votes.items()
-                if p == phase and s == sequence and voters
-            )
-        )
-
 
 class BftReplicaBase(SimulatedNode):
     """Base class for PBFT, HotStuff and hybrid replicas."""
@@ -72,7 +58,7 @@ class BftReplicaBase(SimulatedNode):
         self.ledger = ReplicatedLedger(owner_id=node_id)
         self.votes = VoteBook()
         self._fault_schedule = (
-            fault_schedule if fault_schedule is not None else FaultSchedule.none()
+            fault_schedule if fault_schedule is not None else FaultSchedule()
         )
 
     # -- behaviour -----------------------------------------------------------------
@@ -89,10 +75,6 @@ class BftReplicaBase(SimulatedNode):
         """True when the schedule says the replica has crashed."""
         return self.fault_kind() is FaultKind.CRASH
 
-    def behaves_honestly(self) -> bool:
-        """True when the replica follows the protocol at this time."""
-        return self.fault_kind() is None
-
     # -- convenience ----------------------------------------------------------------
 
     def commit(self, sequence: int, value: str) -> None:
@@ -103,13 +85,7 @@ class BftReplicaBase(SimulatedNode):
         """
         if self.is_byzantine():
             return
-        self.ledger.commit(sequence, value, time=self.now)
-
-    def other_replica_ids(self) -> Tuple[str, ...]:
-        """Ids of all other replicas on the network."""
-        return tuple(
-            node_id for node_id in self.network.node_ids() if node_id != self.node_id
-        )
+        self.ledger.commit(sequence, value)
 
     def split_halves(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
         """Deterministically split all replicas into two halves.
@@ -122,9 +98,6 @@ class BftReplicaBase(SimulatedNode):
         return tuple(ids[:middle]), tuple(ids[middle:])
 
     # -- defaults ---------------------------------------------------------------------
-
-    def on_message(self, message: Message) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
 
     def __repr__(self) -> str:
         return (

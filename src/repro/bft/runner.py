@@ -94,7 +94,7 @@ def run_consensus(
             f"unknown protocol {protocol!r}; expected one of {SUPPORTED_PROTOCOLS}"
         )
     ids = _replica_ids(replicas)
-    schedule = fault_schedule if fault_schedule is not None else FaultSchedule.none()
+    schedule = fault_schedule if fault_schedule is not None else FaultSchedule()
     config = network_config if network_config is not None else NetworkConfig()
     byzantine_count = sum(1 for replica_id in ids if schedule.is_faulty_at(replica_id, 0.0))
 

@@ -27,13 +27,12 @@ from repro.core import exceptions
 from repro.core.abundance import AbundanceVector
 from repro.core.configuration import (
     ComponentKind,
-    ConfigurationSpace,
     ReplicaConfiguration,
     SoftwareComponent,
 )
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.entropy import max_entropy, normalized_entropy, shannon_entropy
-from repro.core.optimality import is_kappa_omega_optimal, is_kappa_optimal, kappa_of
+from repro.core.optimality import is_kappa_omega_optimal, is_kappa_optimal
 from repro.core.population import Replica, ReplicaPopulation
 from repro.core.power import PowerRegime
 from repro.core.resilience import (
@@ -46,7 +45,6 @@ __all__ = [
     "AbundanceVector",
     "ComponentKind",
     "ConfigurationDistribution",
-    "ConfigurationSpace",
     "PowerRegime",
     "Replica",
     "ReplicaConfiguration",
@@ -57,7 +55,6 @@ __all__ = [
     "exceptions",
     "is_kappa_omega_optimal",
     "is_kappa_optimal",
-    "kappa_of",
     "max_entropy",
     "normalized_entropy",
     "shannon_entropy",

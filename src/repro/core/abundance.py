@@ -11,9 +11,8 @@ The paper adapts the ecology notion of *abundance*:
 
 An :class:`AbundanceVector` stores the absolute abundance per configuration
 and converts to a :class:`~repro.core.distribution.ConfigurationDistribution`
-for entropy analysis.  It also implements the abundance manipulations needed
-by Propositions 1-3: uniform scaling (relative abundances preserved) and
-selective increments (relative abundances changed).
+for entropy analysis.  It also implements the abundance manipulation needed
+by Propositions 1-3: selective increments (relative abundances changed).
 """
 
 from __future__ import annotations
@@ -91,18 +90,10 @@ class AbundanceVector:
         """Configurations with strictly positive abundance."""
         return tuple(key for key, value in self._abundance.items() if value > 0)
 
-    def support_size(self) -> int:
-        """κ — the number of configurations that actually have individuals."""
-        return len(self.support())
-
     def relative(self) -> Dict[ConfigKey, float]:
         """Relative configuration abundance (percent composition as fractions)."""
         total = self.total()
         return {key: value / total for key, value in self._abundance.items()}
-
-    def as_mapping(self) -> Dict[ConfigKey, float]:
-        """A copy of the raw abundance mapping."""
-        return dict(self._abundance)
 
     def to_distribution(self) -> ConfigurationDistribution:
         """The relative-abundance probability distribution for entropy analysis."""
@@ -111,17 +102,6 @@ class AbundanceVector:
     def entropy(self, *, base: float = 2.0) -> float:
         """Shannon entropy of the relative configuration abundance."""
         return self.to_distribution().entropy(base=base)
-
-    def is_uniform_abundance(self, *, tolerance: float = 1e-9) -> bool:
-        """True when every non-zero configuration has the same absolute abundance.
-
-        This is the "configuration abundance of ω" condition in Definition 2.
-        """
-        positive = [value for value in self._abundance.values() if value > 0]
-        if not positive:
-            return False
-        first = positive[0]
-        return all(abs(value - first) <= tolerance * max(1.0, first) for value in positive)
 
     def mean_abundance(self) -> float:
         """The mean abundance ω over the support."""
@@ -146,12 +126,6 @@ class AbundanceVector:
 
     # -- transformations --------------------------------------------------------
 
-    def scaled(self, factor: float) -> "AbundanceVector":
-        """Multiply every abundance by ``factor`` (relative abundance preserved)."""
-        if factor <= 0:
-            raise DistributionError(f"scale factor must be positive, got {factor}")
-        return AbundanceVector({key: value * factor for key, value in self._abundance.items()})
-
     def incremented(self, increments: Mapping[ConfigKey, float]) -> "AbundanceVector":
         """Add individuals to selected configurations.
 
@@ -167,21 +141,6 @@ class AbundanceVector:
                     f"increment would make abundance of {key!r} negative"
                 )
         return AbundanceVector(updated)
-
-    def with_abundance(self, key: ConfigKey, abundance: float) -> "AbundanceVector":
-        """Return a copy with ``key`` set to the given absolute abundance."""
-        if abundance < 0:
-            raise DistributionError(f"abundance must be non-negative, got {abundance}")
-        updated = dict(self._abundance)
-        updated[key] = float(abundance)
-        return AbundanceVector(updated)
-
-    def merged(self, other: "AbundanceVector") -> "AbundanceVector":
-        """Element-wise sum of two abundance vectors (combining populations)."""
-        combined: Dict[ConfigKey, float] = dict(self._abundance)
-        for key, value in other._abundance.items():
-            combined[key] = combined.get(key, 0.0) + value
-        return AbundanceVector(combined)
 
     # -- dunder -----------------------------------------------------------------
 
@@ -206,6 +165,6 @@ class AbundanceVector:
 
     def __repr__(self) -> str:
         return (
-            f"AbundanceVector(configs={len(self)}, kappa={self.support_size()}, "
+            f"AbundanceVector(configs={len(self)}, kappa={len(self.support())}, "
             f"total={self.total():.6g})"
         )

@@ -72,21 +72,6 @@ class ConfigurationDistribution:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def from_weights(cls, weights: Mapping[ConfigKey, float]) -> "ConfigurationDistribution":
-        """Alias of the constructor, for readability at call sites."""
-        return cls(weights)
-
-    @classmethod
-    def from_counts(cls, counts: Mapping[ConfigKey, int]) -> "ConfigurationDistribution":
-        """Build from integer configuration abundances (replica counts)."""
-        for key, count in counts.items():
-            if int(count) != count or count < 0:
-                raise DistributionError(
-                    f"count for {key!r} must be a non-negative integer, got {count}"
-                )
-        return cls({key: float(count) for key, count in counts.items()})
-
-    @classmethod
     def uniform(cls, keys: Iterable[ConfigKey]) -> "ConfigurationDistribution":
         """The uniform distribution over ``keys`` (κ-optimal by construction)."""
         keys = list(keys)
@@ -125,10 +110,6 @@ class ConfigurationDistribution:
 
     # -- accessors -------------------------------------------------------------
 
-    def share(self, key: ConfigKey) -> float:
-        """The share ``p_i`` of configuration ``key`` (0 when absent)."""
-        return self._shares.get(key, 0.0)
-
     def shares(self) -> Dict[ConfigKey, float]:
         """A copy of the full mapping configuration -> share."""
         return dict(self._shares)
@@ -147,10 +128,6 @@ class ConfigurationDistribution:
             "sorted_probabilities",
             lambda: tuple(sorted(self._shares.values(), reverse=True)),
         )
-
-    def configurations(self) -> Tuple[ConfigKey, ...]:
-        """The configuration keys, in insertion order."""
-        return tuple(self._shares.keys())
 
     def support(self) -> Tuple[ConfigKey, ...]:
         """Configurations with a strictly positive share."""
@@ -195,22 +172,6 @@ class ConfigurationDistribution:
             ),
         )
 
-    def normalized_entropy(self) -> float:
-        """Entropy divided by the maximum for the current support size."""
-        return entropy_module.normalized_entropy(self.probabilities())
-
-    def max_entropy(self, *, base: float = 2.0) -> float:
-        """The entropy this distribution would have if it were κ-optimal
-        (memoized per base)."""
-        return self._memoized(
-            ("max_entropy", base),
-            lambda: entropy_module.max_entropy(self.support_size(), base=base),
-        )
-
-    def entropy_deficit(self, *, base: float = 2.0) -> float:
-        """``max_entropy - entropy``; zero exactly for κ-optimal distributions."""
-        return self.max_entropy(base=base) - self.entropy(base=base)
-
     def effective_configurations(self) -> float:
         """Hill number of order 1 (effective number of configurations)."""
         return entropy_module.effective_configurations(self.probabilities())
@@ -226,83 +187,6 @@ class ConfigurationDistribution:
             return False
         expected = 1.0 / len(positive)
         return all(abs(share - expected) <= tolerance for share in positive)
-
-    # -- transformations ---------------------------------------------------------
-
-    def restrict(self, keys: Iterable[ConfigKey]) -> "ConfigurationDistribution":
-        """Distribution conditioned on the given configurations (renormalized)."""
-        keys = set(keys)
-        selected = {key: share for key, share in self._shares.items() if key in keys}
-        if not selected or sum(selected.values()) <= 0:
-            raise DistributionError("restriction has no probability mass")
-        return ConfigurationDistribution(selected)
-
-    def without_zero_shares(self) -> "ConfigurationDistribution":
-        """Drop zero-share configurations from the key set."""
-        return ConfigurationDistribution(
-            {key: share for key, share in self._shares.items() if share > 0}
-        )
-
-    def merge(
-        self,
-        other: "ConfigurationDistribution",
-        *,
-        self_weight: float = 0.5,
-    ) -> "ConfigurationDistribution":
-        """Convex mixture of two distributions.
-
-        ``self_weight`` is the weight of ``self``; ``other`` gets the
-        complement.  Models, for example, combining the attested and
-        non-attested sub-populations of the paper's concluding two-class
-        design with their respective voting weights.
-        """
-        if not 0.0 <= self_weight <= 1.0:
-            raise DistributionError(f"self_weight must be within [0, 1], got {self_weight}")
-        combined: Dict[ConfigKey, float] = {}
-        for key, share in self._shares.items():
-            combined[key] = combined.get(key, 0.0) + self_weight * share
-        for key, share in other._shares.items():
-            combined[key] = combined.get(key, 0.0) + (1.0 - self_weight) * share
-        return ConfigurationDistribution(combined)
-
-    def reweighted(
-        self, weights: Mapping[ConfigKey, float]
-    ) -> "ConfigurationDistribution":
-        """Multiply each configuration's share by a per-configuration weight.
-
-        Missing keys keep weight 1.  The result is renormalized.  This models
-        voting-weight policies (e.g. down-weighting non-attested replicas).
-        """
-        adjusted: Dict[ConfigKey, float] = {}
-        for key, share in self._shares.items():
-            factor = float(weights.get(key, 1.0))
-            if factor < 0:
-                raise DistributionError(f"weight for {key!r} must be non-negative")
-            adjusted[key] = share * factor
-        if sum(adjusted.values()) <= 0:
-            raise DistributionError("reweighting removed all probability mass")
-        return ConfigurationDistribution(adjusted)
-
-    def split_configuration(
-        self, key: ConfigKey, parts: int, *, prefix: Optional[str] = None
-    ) -> "ConfigurationDistribution":
-        """Split one configuration's share uniformly into ``parts`` new keys.
-
-        This is the operation behind Figure 1's residual treatment: the
-        unknown 0.87% of hash power is split uniformly among ``x`` additional
-        miners, each assumed to run its own unique configuration.
-        """
-        if parts <= 0:
-            raise DistributionError(f"parts must be positive, got {parts}")
-        if key not in self._shares:
-            raise DistributionError(f"configuration {key!r} not in distribution")
-        share = self._shares[key]
-        result = {k: v for k, v in self._shares.items() if k != key}
-        label = prefix if prefix is not None else str(key)
-        piece = share / parts
-        for index in range(parts):
-            result[f"{label}#{index}"] = piece
-        return ConfigurationDistribution(result)
 
     # -- dunder ----------------------------------------------------------------
 

@@ -100,11 +100,6 @@ def hill_number(
     return power_sum ** (1.0 / (1.0 - order))
 
 
-def pielou_evenness(probabilities: Iterable[float], *, normalize: bool = False) -> float:
-    """Pielou's evenness ``J = H / H_max`` (alias of normalized entropy)."""
-    return normalized_entropy(probabilities, normalize=normalize)
-
-
 def richness(probabilities: Iterable[float], *, normalize: bool = False) -> int:
     """Configuration richness: the number of configurations with non-zero share.
 

@@ -6,16 +6,16 @@ probability distribution ``p = (p1, ..., pk)`` over the configuration space
 Example 1 fixes the logarithm base to 2 (an 8-replica uniform distribution has
 entropy 3), so every function here defaults to base 2 but accepts any base.
 
-Beyond plain Shannon entropy the module provides the standard generalisations
-used in the ecology literature the paper borrows "abundance" from: Rényi
-entropy, min-entropy and the effective number of configurations (the Hill
-number of order 1), plus helpers for maximum and normalized entropy.
+Beyond plain Shannon entropy the module provides the effective number of
+configurations (the Hill number of order 1, from the ecology literature the
+paper borrows "abundance" from), plus helpers for maximum and normalized
+entropy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.core.exceptions import DistributionError
 
@@ -150,48 +150,6 @@ def normalized_entropy(
     return shannon_entropy(values, base=base) / max_entropy(support, base=base)
 
 
-def renyi_entropy(
-    probabilities: Iterable[float],
-    order: float,
-    *,
-    base: float = 2.0,
-    normalize: bool = False,
-) -> float:
-    """Rényi entropy of the given ``order`` (``alpha``).
-
-    ``order == 1`` is the Shannon entropy (limit), ``order == 0`` is the
-    Hartley entropy ``log(support)`` and ``order == inf`` is the min-entropy.
-    """
-    if order < 0:
-        raise DistributionError(f"Rényi order must be non-negative, got {order}")
-    values = _as_validated_probabilities(probabilities, normalize=normalize)
-    positive = [p for p in values if p > 0]
-    if math.isclose(order, 1.0):
-        return shannon_entropy(values, base=base)
-    if math.isinf(order):
-        return min_entropy(values, base=base)
-    if order == 0:
-        return max_entropy(len(positive), base=base)
-    power_sum = sum(p**order for p in positive)
-    return _log(power_sum, base) / (1.0 - order)
-
-
-def min_entropy(
-    probabilities: Iterable[float],
-    *,
-    base: float = 2.0,
-    normalize: bool = False,
-) -> float:
-    """Min-entropy ``-log(max_i p_i)``.
-
-    The min-entropy is governed by the single largest configuration share and
-    is therefore the most pessimistic diversity measure: it directly reflects
-    the power an attacker gains by exploiting the most popular configuration.
-    """
-    values = _as_validated_probabilities(probabilities, normalize=normalize)
-    return -_log(max(values), base)
-
-
 def effective_configurations(
     probabilities: Iterable[float],
     *,
@@ -206,51 +164,3 @@ def effective_configurations(
     """
     entropy_nats = shannon_entropy(probabilities, base=math.e, normalize=normalize)
     return math.exp(entropy_nats)
-
-
-def entropy_deficit(
-    probabilities: Sequence[float],
-    *,
-    base: float = 2.0,
-    normalize: bool = False,
-) -> float:
-    """How far a distribution is from the maximum entropy of its support.
-
-    Returns ``max_entropy(support) - H(p)`` which is zero exactly when the
-    distribution is κ-optimal for its own support size κ.
-    """
-    values = _as_validated_probabilities(probabilities, normalize=normalize)
-    support = sum(1 for p in values if p > 0)
-    return max_entropy(support, base=base) - shannon_entropy(values, base=base)
-
-
-def jensen_shannon_divergence(
-    first: Sequence[float],
-    second: Sequence[float],
-    *,
-    base: float = 2.0,
-    normalize: bool = False,
-) -> float:
-    """Jensen-Shannon divergence between two configuration distributions.
-
-    Useful for tracking how quickly the configuration census of a
-    permissionless system drifts over time (e.g. after a vulnerability is
-    disclosed and replicas migrate to patched components).  Both inputs must
-    have the same length; entries are aligned by index.
-    """
-    p = _as_validated_probabilities(first, normalize=normalize)
-    q = _as_validated_probabilities(second, normalize=normalize)
-    if len(p) != len(q):
-        raise DistributionError(
-            f"distributions must have equal length, got {len(p)} and {len(q)}"
-        )
-    mixture = [(pi + qi) / 2.0 for pi, qi in zip(p, q)]
-
-    def _kl(numerator: Sequence[float], denominator: Sequence[float]) -> float:
-        total = 0.0
-        for num, den in zip(numerator, denominator):
-            if num > 0:
-                total += num * _log(num / den, base)
-        return total
-
-    return 0.5 * _kl(p, mixture) + 0.5 * _kl(q, mixture)

@@ -37,11 +37,6 @@ def _as_distribution(value: DistributionLike) -> ConfigurationDistribution:
     return ConfigurationDistribution.from_probabilities(list(value))
 
 
-def kappa_of(distribution: DistributionLike) -> int:
-    """κ — the number of configurations with non-zero share."""
-    return _as_distribution(distribution).support_size()
-
-
 def is_kappa_optimal(
     distribution: DistributionLike,
     kappa: Optional[int] = None,
@@ -74,15 +69,6 @@ def is_kappa_optimal(
     return all(abs(share - expected) <= tolerance for share in positive)
 
 
-def kappa_optimal_distribution(
-    kappa: int, *, prefix: str = "config"
-) -> ConfigurationDistribution:
-    """Construct the canonical κ-optimal distribution (uniform over κ labels)."""
-    if kappa <= 0:
-        raise OptimalityError(f"kappa must be positive, got {kappa}")
-    return ConfigurationDistribution.uniform_labels(kappa, prefix=prefix)
-
-
 def is_kappa_omega_optimal(
     abundance: AbundanceVector,
     kappa: Optional[int] = None,
@@ -110,19 +96,6 @@ def is_kappa_omega_optimal(
     return all(abs(value - target) <= tolerance * max(1.0, target) for value in positive)
 
 
-def kappa_omega_abundance(
-    kappa: int, omega: float, *, prefix: str = "config"
-) -> AbundanceVector:
-    """Construct the canonical (κ, ω)-optimal abundance vector."""
-    if kappa <= 0:
-        raise OptimalityError(f"kappa must be positive, got {kappa}")
-    if omega <= 0:
-        raise OptimalityError(f"omega must be positive, got {omega}")
-    return AbundanceVector.uniform(
-        [f"{prefix}-{index}" for index in range(kappa)], abundance=omega
-    )
-
-
 @dataclass(frozen=True)
 class OptimalityGap:
     """How far a distribution is from κ-optimal fault independence.
@@ -142,11 +115,6 @@ class OptimalityGap:
     optimal_entropy: float
     deficit: float
     evenness: float
-
-    @property
-    def is_optimal(self) -> bool:
-        """True when the deficit is numerically zero."""
-        return math.isclose(self.deficit, 0.0, abs_tol=1e-9)
 
 
 def optimality_gap(distribution: DistributionLike, *, base: float = 2.0) -> OptimalityGap:

@@ -4,7 +4,7 @@ A :class:`Replica` is a participant with an id, a configuration, a voting
 power and an attestation flag (whether its configuration has been discovered
 via remote attestation, Section III-B).  A :class:`ReplicaPopulation` is the
 evolving set of replicas in a (possibly permissionless) system; it supports
-join/leave, power updates, and produces the two censuses the paper's analysis
+join/leave and produces the two censuses the paper's analysis
 needs:
 
 - the **power-weighted census** (relative configuration abundance) used for
@@ -15,14 +15,13 @@ needs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, Tuple
 
-from repro.core.abundance import AbundanceVector
 from repro.core.configuration import ReplicaConfiguration, SoftwareComponent
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import PopulationError
-from repro.core.power import PowerLedger, PowerRegime
+from repro.core.power import PowerRegime
 
 
 @dataclass(frozen=True)
@@ -49,22 +48,6 @@ class Replica:
             raise PopulationError("replica id must not be empty")
         if self.power < 0:
             raise PopulationError(f"replica power must be non-negative, got {self.power}")
-
-    def with_power(self, power: float) -> "Replica":
-        """A copy of this replica holding ``power`` voting power."""
-        return replace(self, power=power)
-
-    def with_configuration(self, configuration: ReplicaConfiguration) -> "Replica":
-        """A copy of this replica running ``configuration`` (e.g. after patching)."""
-        return replace(self, configuration=configuration)
-
-    def with_attested(self, attested: bool) -> "Replica":
-        """A copy of this replica with the attestation flag set to ``attested``."""
-        return replace(self, attested=attested)
-
-    def metadata_dict(self) -> Dict[str, str]:
-        """Metadata as a plain dictionary."""
-        return dict(self.metadata)
 
 
 class ReplicaPopulation:
@@ -95,12 +78,6 @@ class ReplicaPopulation:
             raise PopulationError(f"unknown replica {replica_id!r}")
         return self._replicas.pop(replica_id)
 
-    def update(self, replica: Replica) -> None:
-        """Replace an existing replica (same id) with an updated record."""
-        if replica.replica_id not in self._replicas:
-            raise PopulationError(f"unknown replica {replica.replica_id!r}")
-        self._replicas[replica.replica_id] = replica
-
     def get(self, replica_id: str) -> Replica:
         """The replica with ``replica_id`` (raises when unknown)."""
         try:
@@ -115,21 +92,6 @@ class ReplicaPopulation:
     def replica_ids(self) -> Tuple[str, ...]:
         return tuple(self._replicas.keys())
 
-    def filter(self, predicate: Callable[[Replica], bool]) -> "ReplicaPopulation":
-        """A new population containing only replicas satisfying ``predicate``."""
-        return ReplicaPopulation(
-            (replica for replica in self._replicas.values() if predicate(replica)),
-            regime=self._regime,
-        )
-
-    def attested_subpopulation(self) -> "ReplicaPopulation":
-        """Replicas whose configuration was discovered by remote attestation."""
-        return self.filter(lambda replica: replica.attested)
-
-    def unattested_subpopulation(self) -> "ReplicaPopulation":
-        """Replicas whose configuration is only self-declared."""
-        return self.filter(lambda replica: not replica.attested)
-
     # -- power ------------------------------------------------------------------
 
     @property
@@ -142,19 +104,6 @@ class ReplicaPopulation:
 
     def power_of(self, replica_id: str) -> float:
         return self.get(replica_id).power
-
-    def set_power(self, replica_id: str, power: float) -> None:
-        """Update the absolute power of one replica."""
-        if power < 0:
-            raise PopulationError(f"power must be non-negative, got {power}")
-        self.update(self.get(replica_id).with_power(power))
-
-    def power_ledger(self) -> PowerLedger:
-        """A :class:`PowerLedger` snapshot of the current power assignment."""
-        ledger = PowerLedger(regime=self._regime)
-        for replica in self._replicas.values():
-            ledger.set_power(replica.replica_id, replica.power)
-        return ledger
 
     # -- census -----------------------------------------------------------------
 
@@ -176,42 +125,9 @@ class ReplicaPopulation:
             weights[replica.configuration] = weights.get(replica.configuration, 0.0) + weight
         return ConfigurationDistribution(weights)
 
-    def abundance_vector(self, *, weight_by_power: bool = False) -> AbundanceVector:
-        """Configuration abundance (Section IV-B).
-
-        By default counts replicas per configuration (the ecology notion of
-        individuals per configuration); with ``weight_by_power=True`` it sums
-        voting power instead.
-        """
-        if not self._replicas:
-            raise PopulationError("cannot take the abundance of an empty population")
-        abundance: Dict[ReplicaConfiguration, float] = {}
-        for replica in self._replicas.values():
-            weight = replica.power if weight_by_power else 1.0
-            abundance[replica.configuration] = abundance.get(replica.configuration, 0.0) + weight
-        return AbundanceVector(abundance)
-
     def entropy(self, *, base: float = 2.0, weight_by_power: bool = True) -> float:
         """Shannon entropy of the configuration census."""
         return self.configuration_census(weight_by_power=weight_by_power).entropy(base=base)
-
-    def configurations(self) -> Tuple[ReplicaConfiguration, ...]:
-        """The distinct configurations present in the population."""
-        seen: List[ReplicaConfiguration] = []
-        for replica in self._replicas.values():
-            if replica.configuration not in seen:
-                seen.append(replica.configuration)
-        return tuple(seen)
-
-    def replicas_with_configuration(
-        self, configuration: ReplicaConfiguration
-    ) -> Tuple[Replica, ...]:
-        """All replicas running exactly ``configuration``."""
-        return tuple(
-            replica
-            for replica in self._replicas.values()
-            if replica.configuration == configuration
-        )
 
     def replicas_using_component(
         self, component: SoftwareComponent
@@ -230,13 +146,6 @@ class ReplicaPopulation:
     def power_using_component(self, component: SoftwareComponent) -> float:
         """Total voting power exposed to a fault in ``component``."""
         return sum(replica.power for replica in self.replicas_using_component(component))
-
-    def fraction_using_component(self, component: SoftwareComponent) -> float:
-        """Fraction of total voting power exposed to a fault in ``component``."""
-        total = self.total_power()
-        if total <= 0:
-            return 0.0
-        return self.power_using_component(component) / total
 
     # -- construction helpers -----------------------------------------------------
 
@@ -265,32 +174,6 @@ class ReplicaPopulation:
                 attested=attested,
             )
             for index in range(count)
-        ]
-        return cls(replicas, regime=regime)
-
-    @classmethod
-    def from_power_mapping(
-        cls,
-        power: Dict[str, float],
-        *,
-        regime: PowerRegime = PowerRegime.HASHRATE,
-        attested: bool = False,
-    ) -> "ReplicaPopulation":
-        """One replica per entry, each with a unique labeled configuration.
-
-        Used for the Figure 1 best-case analysis where every mining pool is
-        assumed to run a unique configuration.
-        """
-        if not power:
-            raise PopulationError("power mapping must not be empty")
-        replicas = [
-            Replica(
-                replica_id=name,
-                configuration=ReplicaConfiguration.labeled(name),
-                power=value,
-                attested=attested,
-            )
-            for name, value in power.items()
         ]
         return cls(replicas, regime=regime)
 

@@ -7,22 +7,13 @@ The paper unifies three regimes under a single "voting power" abstraction:
 - committee-based permissionless protocols: ``n_t`` is the committee's total
   voting power and everything outside the committee has power zero.
 
-:class:`PowerRegime` names the regime, and :class:`PowerLedger` tracks the
-per-participant voting power at a point in time.  The ledger is the common
-input to configuration censuses, exploit campaigns and resilience analysis,
-so the same analysis code serves all three regimes.
+:class:`PowerRegime` names the regime under which a
+:class:`~repro.core.population.ReplicaPopulation` records its replica powers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum, unique
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
-
-from repro.core.exceptions import PopulationError
-
-#: Tolerance for floating-point power comparisons.
-POWER_TOLERANCE = 1e-12
 
 
 @unique
@@ -35,163 +26,3 @@ class PowerRegime(str, Enum):
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.value
-
-
-@dataclass(frozen=True)
-class PowerShare:
-    """The absolute and relative voting power held by one participant."""
-
-    participant_id: str
-    power: float
-    fraction: float
-
-    def __post_init__(self) -> None:
-        if self.power < 0:
-            raise PopulationError(f"power must be non-negative, got {self.power}")
-        if not 0.0 <= self.fraction <= 1.0 + POWER_TOLERANCE:
-            raise PopulationError(f"fraction must be within [0, 1], got {self.fraction}")
-
-
-@dataclass
-class PowerLedger:
-    """Mutable ledger of voting power per participant at time ``t``.
-
-    The ledger enforces non-negative power and exposes totals, fractions and
-    the largest holders (the "oligopoly view" used in Example 1).
-    """
-
-    regime: PowerRegime = PowerRegime.REPLICA_COUNT
-    _power: Dict[str, float] = field(default_factory=dict)
-
-    # -- mutation --------------------------------------------------------------
-
-    def set_power(self, participant_id: str, power: float) -> None:
-        """Set the absolute power of ``participant_id`` (creates it if new)."""
-        if power < 0:
-            raise PopulationError(f"power must be non-negative, got {power}")
-        if not participant_id:
-            raise PopulationError("participant id must not be empty")
-        self._power[participant_id] = float(power)
-
-    def add_power(self, participant_id: str, delta: float) -> None:
-        """Add ``delta`` power; the result must remain non-negative."""
-        current = self._power.get(participant_id, 0.0)
-        updated = current + delta
-        if updated < -POWER_TOLERANCE:
-            raise PopulationError(
-                f"power of {participant_id!r} would become negative ({updated})"
-            )
-        self._power[participant_id] = max(0.0, updated)
-
-    def remove(self, participant_id: str) -> None:
-        """Remove a participant entirely (it has left the system)."""
-        if participant_id not in self._power:
-            raise PopulationError(f"unknown participant {participant_id!r}")
-        del self._power[participant_id]
-
-    # -- queries ---------------------------------------------------------------
-
-    def power_of(self, participant_id: str) -> float:
-        """Absolute power of ``participant_id`` (0 when unknown)."""
-        return self._power.get(participant_id, 0.0)
-
-    def total_power(self) -> float:
-        """``n_t`` — the total voting power currently in the system."""
-        return sum(self._power.values())
-
-    def fraction_of(self, participant_id: str) -> float:
-        """Relative power of ``participant_id`` in ``[0, 1]``."""
-        total = self.total_power()
-        if total <= 0:
-            return 0.0
-        return self.power_of(participant_id) / total
-
-    def participants(self) -> Tuple[str, ...]:
-        """All participant ids with recorded power (possibly zero)."""
-        return tuple(self._power.keys())
-
-    def shares(self) -> Tuple[PowerShare, ...]:
-        """Power shares sorted by decreasing power (ties broken by id)."""
-        total = self.total_power()
-        entries = sorted(self._power.items(), key=lambda item: (-item[1], item[0]))
-        return tuple(
-            PowerShare(pid, power, (power / total) if total > 0 else 0.0)
-            for pid, power in entries
-        )
-
-    def top(self, count: int) -> Tuple[PowerShare, ...]:
-        """The ``count`` largest power holders."""
-        if count < 0:
-            raise PopulationError(f"count must be non-negative, got {count}")
-        return self.shares()[:count]
-
-    def concentration(self, count: int) -> float:
-        """Fraction of total power held by the ``count`` largest holders.
-
-        For the Example 1 snapshot, ``concentration(10) > 0.96`` reflects the
-        footnote that the top ten Bitcoin pools control over 96% of hash power.
-        """
-        return sum(share.fraction for share in self.top(count))
-
-    def as_fractions(self) -> Dict[str, float]:
-        """Mapping participant id -> fraction of total power."""
-        total = self.total_power()
-        if total <= 0:
-            return {pid: 0.0 for pid in self._power}
-        return {pid: power / total for pid, power in self._power.items()}
-
-    def copy(self) -> "PowerLedger":
-        """An independent copy of this ledger."""
-        clone = PowerLedger(regime=self.regime)
-        clone._power = dict(self._power)
-        return clone
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def uniform(
-        cls,
-        participant_ids: Iterable[str],
-        *,
-        regime: PowerRegime = PowerRegime.REPLICA_COUNT,
-        power_each: float = 1.0,
-    ) -> "PowerLedger":
-        """A ledger where every participant holds ``power_each`` units."""
-        ledger = cls(regime=regime)
-        for pid in participant_ids:
-            ledger.set_power(pid, power_each)
-        if not ledger._power:
-            raise PopulationError("uniform ledger needs at least one participant")
-        return ledger
-
-    @classmethod
-    def from_mapping(
-        cls,
-        power: Mapping[str, float],
-        *,
-        regime: PowerRegime = PowerRegime.HASHRATE,
-    ) -> "PowerLedger":
-        """A ledger initialised from a mapping of participant -> power."""
-        ledger = cls(regime=regime)
-        for pid, value in power.items():
-            ledger.set_power(pid, value)
-        if not ledger._power:
-            raise PopulationError("ledger needs at least one participant")
-        return ledger
-
-    # -- dunder ----------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._power)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._power)
-
-    def __contains__(self, participant_id: str) -> bool:
-        return participant_id in self._power
-
-    def __repr__(self) -> str:
-        return (
-            f"PowerLedger(regime={self.regime.value!r}, participants={len(self)}, "
-            f"total={self.total_power():.6g})"
-        )

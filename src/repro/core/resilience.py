@@ -11,18 +11,14 @@ provides:
   honest-majority assumption);
 - :class:`SafetyCondition` — the inequality itself, evaluated against a set of
   per-vulnerability compromised powers;
-- :func:`worst_case_compromise` — the largest voting power an attacker can
-  compromise by exploiting a bounded number of vulnerabilities against a
-  replica population;
 - :class:`ResilienceReport` — a bundled verdict used by experiments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.core.exceptions import FaultModelError
 from repro.core.population import ReplicaPopulation
@@ -58,22 +54,6 @@ def tolerated_fault_fraction(family: ProtocolFamily) -> float:
     raise FaultModelError(f"unknown protocol family {family!r}")
 
 
-def tolerated_faults(total_replicas: int, family: ProtocolFamily) -> int:
-    """The integer ``f`` for a replica-count protocol with ``total_replicas``.
-
-    For BFT protocols ``f = floor((n - 1) / 3)``; for hybrid / crash protocols
-    ``f = floor((n - 1) / 2)``.  Nakamoto consensus has no meaningful integer
-    ``f``; requesting it raises :class:`FaultModelError`.
-    """
-    if total_replicas <= 0:
-        raise FaultModelError(f"total replicas must be positive, got {total_replicas}")
-    if family is ProtocolFamily.BFT:
-        return (total_replicas - 1) // 3
-    if family in (ProtocolFamily.HYBRID, ProtocolFamily.CRASH):
-        return (total_replicas - 1) // 2
-    raise FaultModelError("Nakamoto consensus does not define an integer fault bound")
-
-
 @dataclass(frozen=True)
 class SafetyCondition:
     """The Section II-C condition ``f >= sum_i f_t^i`` in voting-power units.
@@ -87,7 +67,6 @@ class SafetyCondition:
 
     tolerated_power: float
     total_power: float
-    inclusive: bool = False
 
     def __post_init__(self) -> None:
         if self.total_power <= 0:
@@ -105,35 +84,10 @@ class SafetyCondition:
 
         The tolerated power is an *open* bound (e.g. strictly less than one
         third of the power for BFT); :meth:`is_safe` therefore uses a strict
-        comparison for conditions built this way.
+        comparison.
         """
         fraction = tolerated_fault_fraction(family)
-        return cls(
-            tolerated_power=fraction * total_power,
-            total_power=total_power,
-            inclusive=False,
-        )
-
-    @classmethod
-    def for_replica_count(
-        cls, total_replicas: int, family: ProtocolFamily = ProtocolFamily.BFT
-    ) -> "SafetyCondition":
-        """Build the condition for a replica-count protocol (integer ``f``).
-
-        Here the paper's condition ``f >= sum_i f_t^i`` is inclusive:
-        compromising exactly ``f`` replicas is still safe.
-        """
-        f = tolerated_faults(total_replicas, family)
-        return cls(
-            tolerated_power=float(f),
-            total_power=float(total_replicas),
-            inclusive=True,
-        )
-
-    @property
-    def tolerated_fraction(self) -> float:
-        """The tolerated power as a fraction of total power."""
-        return self.tolerated_power / self.total_power
+        return cls(tolerated_power=fraction * total_power, total_power=total_power)
 
     def compromised_power(self, per_vulnerability_power: Iterable[float]) -> float:
         """``sum_i f_t^i`` — total power compromised across vulnerabilities."""
@@ -147,21 +101,11 @@ class SafetyCondition:
     def is_safe(self, per_vulnerability_power: Iterable[float]) -> bool:
         """True when the compromised power respects the tolerance.
 
-        For conditions built from an integer fault bound
-        (:meth:`for_replica_count`), the paper's ``f >= sum f_t^i`` is
-        inclusive: compromising exactly ``f`` replicas is safe.  For
-        fraction-based conditions (:meth:`for_family`) the bound is open and
-        equality is unsafe, which is the conservative reading of "strictly
-        less than one third / one half of the power".
+        The bound is open and equality is unsafe, which is the conservative
+        reading of "strictly less than one third / one half of the power".
         """
         compromised = self.compromised_power(per_vulnerability_power)
-        if self.inclusive:
-            return compromised <= self.tolerated_power + FRACTION_TOLERANCE
         return compromised < self.tolerated_power - FRACTION_TOLERANCE
-
-    def margin(self, per_vulnerability_power: Iterable[float]) -> float:
-        """Remaining tolerance: ``tolerated_power - sum_i f_t^i`` (may be negative)."""
-        return self.tolerated_power - self.compromised_power(per_vulnerability_power)
 
 
 @dataclass(frozen=True)
@@ -185,11 +129,6 @@ class ResilienceReport:
     compromised_fraction: float
     safe: bool
     per_vulnerability: Tuple[Tuple[str, float], ...]
-
-    @property
-    def margin(self) -> float:
-        """Power still tolerable before safety is lost (negative when unsafe)."""
-        return self.tolerated_power - self.compromised_power
 
 
 def analyze_resilience(
@@ -227,56 +166,3 @@ def analyze_resilience(
         safe=condition.is_safe(power for _, power in per_vulnerability),
         per_vulnerability=per_vulnerability,
     )
-
-
-def worst_case_compromise(
-    exposure_by_vulnerability: Mapping[str, float],
-    *,
-    max_vulnerabilities: int = 1,
-) -> Tuple[float, Tuple[str, ...]]:
-    """The largest power compromisable with at most ``max_vulnerabilities`` exploits.
-
-    Args:
-        exposure_by_vulnerability: voting power exposed to each vulnerability
-            (power of all replicas whose configuration contains the vulnerable
-            component).  Exposures are treated as disjoint upper bounds; for
-            exact accounting over overlapping fault domains use
-            :mod:`repro.faults.campaign`, which works at replica granularity.
-        max_vulnerabilities: the attacker's exploit budget ``m``.
-
-    Returns:
-        ``(power, vulnerability_ids)`` — the total compromised power and the
-        chosen vulnerabilities, greedily picking the largest exposures.
-    """
-    if max_vulnerabilities < 0:
-        raise FaultModelError(
-            f"max vulnerabilities must be non-negative, got {max_vulnerabilities}"
-        )
-    for vuln_id, power in exposure_by_vulnerability.items():
-        if power < 0:
-            raise FaultModelError(
-                f"exposure for {vuln_id!r} must be non-negative, got {power}"
-            )
-    ranked = sorted(
-        exposure_by_vulnerability.items(), key=lambda item: (-item[1], item[0])
-    )
-    chosen = ranked[:max_vulnerabilities]
-    return sum(power for _, power in chosen), tuple(vuln_id for vuln_id, _ in chosen)
-
-
-def entropy_lower_bounds_takeover(
-    largest_share: float, tolerated_fraction: float
-) -> bool:
-    """Whether the single largest configuration share already threatens safety.
-
-    A convenience predicate tying diversity to resilience: if the most popular
-    configuration concentrates at least ``tolerated_fraction`` of voting
-    power, then one vulnerability in that configuration violates safety.
-    """
-    if not 0.0 <= largest_share <= 1.0 + FRACTION_TOLERANCE:
-        raise FaultModelError(f"largest share must be a fraction, got {largest_share}")
-    if not 0.0 < tolerated_fraction <= 1.0:
-        raise FaultModelError(
-            f"tolerated fraction must be in (0, 1], got {tolerated_fraction}"
-        )
-    return largest_share >= tolerated_fraction - FRACTION_TOLERANCE

@@ -6,18 +6,17 @@
   the component families discussed in Section III-A (operating systems,
   consensus clients, wallets, crypto libraries, trusted hardware).
 - :mod:`repro.datasets.generators` -- parametric distribution generators
-  (uniform, Zipf, Dirichlet, oligopoly) used by sweeps and ablations.
+  (uniform, Zipf, oligopoly) used by the ``safety_violation`` experiment, and
+  the streaming population generator behind ``ecosystem_scale``.
 """
 
 from repro.datasets.bitcoin_pools import (
     BITCOIN_POOL_SHARES_FEB_2023,
     RESIDUAL_SHARE_FEB_2023,
     bitcoin_pool_distribution,
-    bitcoin_pool_ledger,
     figure1_distribution,
 )
 from repro.datasets.generators import (
-    dirichlet_distribution,
     oligopoly_distribution,
     stream_replica_chunks,
     uniform_distribution,
@@ -34,9 +33,7 @@ __all__ = [
     "RESIDUAL_SHARE_FEB_2023",
     "SyntheticEcosystem",
     "bitcoin_pool_distribution",
-    "bitcoin_pool_ledger",
     "default_ecosystem",
-    "dirichlet_distribution",
     "figure1_distribution",
     "oligopoly_distribution",
     "skewed_ecosystem",

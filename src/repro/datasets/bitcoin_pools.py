@@ -19,7 +19,6 @@ from typing import Dict, Tuple
 
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import DistributionError
-from repro.core.power import PowerLedger, PowerRegime
 
 #: Hash-power percentages of the 17 largest pools on 02 February 2023, as
 #: printed in Example 1 of the paper (largest first).  The names are the top
@@ -57,11 +56,6 @@ TOP_POOL_TOTAL_SHARE_FEB_2023: float = 99.13
 RESIDUAL_SHARE_FEB_2023: float = 0.87
 
 
-def published_pool_share_sum() -> float:
-    """The sum of the per-pool percentages printed in Example 1 (99.145)."""
-    return sum(share for _, share in BITCOIN_POOL_SHARES_FEB_2023)
-
-
 def pool_share_mapping() -> Dict[str, float]:
     """The 17-pool snapshot as a mapping pool name -> hash-power percentage."""
     return dict(BITCOIN_POOL_SHARES_FEB_2023)
@@ -74,11 +68,6 @@ def bitcoin_pool_distribution() -> ConfigurationDistribution:
     best-case diversity assumption.
     """
     return ConfigurationDistribution(pool_share_mapping())
-
-
-def bitcoin_pool_ledger() -> PowerLedger:
-    """The snapshot as a :class:`~repro.core.power.PowerLedger` (hashrate regime)."""
-    return PowerLedger.from_mapping(pool_share_mapping(), regime=PowerRegime.HASHRATE)
 
 
 def figure1_distribution(
@@ -125,16 +114,3 @@ def figure1_total_miners(residual_miners: int) -> int:
             f"residual miner count must be positive, got {residual_miners}"
         )
     return len(BITCOIN_POOL_SHARES_FEB_2023) + residual_miners
-
-
-def top_pool_concentration(count: int) -> float:
-    """Fraction of the *total* (100%) hash power held by the ``count`` largest pools.
-
-    ``top_pool_concentration(10)`` is just above 0.96, matching the paper's
-    footnote that the top ten pools possess over 96% of the mining power, and
-    ``top_pool_concentration(1)`` is about 0.342 (Foundry USA alone).
-    """
-    if count < 0:
-        raise DistributionError(f"count must be non-negative, got {count}")
-    ranked = sorted((share for _, share in BITCOIN_POOL_SHARES_FEB_2023), reverse=True)
-    return sum(ranked[:count]) / 100.0

@@ -1,11 +1,10 @@
-"""Parametric configuration-distribution generators for sweeps and ablations.
+"""Parametric configuration-distribution generators.
 
 Figure 1 uses a fixed empirical distribution plus a uniform residual; the
-ablations in DESIGN.md §6 also exercise Zipf, Dirichlet and synthetic
-oligopoly shapes so the entropy/resilience analysis can be swept over
-systematically varied concentration levels.  All generators are deterministic
-given an explicit :class:`random.Random` seed, which keeps every experiment
-reproducible.
+``safety_violation`` experiment also sweeps uniform, Zipf and synthetic
+oligopoly shapes so the entropy/resilience analysis covers systematically
+varied concentration levels.  Every generator is deterministic, which keeps
+every experiment reproducible.
 
 The module also hosts the **streaming population generators**:
 :func:`stream_replica_chunks` yields a synthetic ecosystem's population in
@@ -20,8 +19,7 @@ kernel.
 
 from __future__ import annotations
 
-import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Tuple
 
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import ConfigurationError, DistributionError
@@ -119,50 +117,6 @@ def zipf_distribution(
     return ConfigurationDistribution(weights)
 
 
-def geometric_distribution(
-    count: int,
-    ratio: float = 0.5,
-    *,
-    prefix: str = "config",
-) -> ConfigurationDistribution:
-    """A geometric distribution: each configuration has ``ratio`` times the previous weight."""
-    if not 0 < ratio <= 1:
-        raise DistributionError(f"ratio must be in (0, 1], got {ratio}")
-    labels = _labels(count, prefix)
-    weights = {label: ratio**rank for rank, label in enumerate(labels)}
-    return ConfigurationDistribution(weights)
-
-
-def dirichlet_distribution(
-    count: int,
-    concentration: float = 1.0,
-    *,
-    rng: Optional[random.Random] = None,
-    prefix: str = "config",
-) -> ConfigurationDistribution:
-    """A random distribution drawn from a symmetric Dirichlet.
-
-    ``concentration`` (the Dirichlet α) controls how even the draw tends to
-    be: large α produces nearly-uniform distributions, small α produces
-    sparse, oligopoly-like draws.  Uses only the standard library
-    (``random.Random.gammavariate``), so no numpy dependency is required.
-    """
-    if concentration <= 0:
-        raise DistributionError(
-            f"Dirichlet concentration must be positive, got {concentration}"
-        )
-    rng = rng or random.Random(0)
-    labels = _labels(count, prefix)
-    draws = [rng.gammavariate(concentration, 1.0) for _ in labels]
-    total = sum(draws)
-    if total <= 0:
-        # Astronomically unlikely; retry once with fresh entropy to stay total.
-        draws = [rng.gammavariate(concentration, 1.0) + 1e-12 for _ in labels]
-        total = sum(draws)
-    weights = {label: draw / total for label, draw in zip(labels, draws)}
-    return ConfigurationDistribution(weights)
-
-
 def oligopoly_distribution(
     dominant_count: int,
     dominant_share: float,
@@ -198,52 +152,3 @@ def oligopoly_distribution(
         for index in range(tail_count):
             weights[f"{prefix}-tail-{index}"] = tail_each
     return ConfigurationDistribution(weights)
-
-
-def perturbed_uniform(
-    count: int,
-    noise: float,
-    *,
-    rng: Optional[random.Random] = None,
-    prefix: str = "config",
-) -> ConfigurationDistribution:
-    """A uniform distribution with multiplicative noise.
-
-    Each share is multiplied by ``1 + u`` with ``u`` drawn uniformly from
-    ``[-noise, +noise]`` and then renormalized; useful for property-based
-    tests that need "nearly κ-optimal" inputs.
-    """
-    if not 0 <= noise < 1:
-        raise DistributionError(f"noise must be in [0, 1), got {noise}")
-    rng = rng or random.Random(0)
-    labels = _labels(count, prefix)
-    weights = {
-        label: 1.0 * (1.0 + rng.uniform(-noise, noise)) for label in labels
-    }
-    return ConfigurationDistribution(weights)
-
-
-def power_split(
-    total_power: float,
-    shares: Sequence[float],
-    *,
-    prefix: str = "participant",
-) -> dict:
-    """Split ``total_power`` across participants according to ``shares``.
-
-    Returns a mapping participant id -> absolute power; the shares are
-    normalized, so they may be given as percentages or raw weights.
-    """
-    if total_power <= 0:
-        raise DistributionError(f"total power must be positive, got {total_power}")
-    if not shares:
-        raise DistributionError("at least one share is required")
-    if any(share < 0 for share in shares):
-        raise DistributionError("shares must be non-negative")
-    total_share = sum(shares)
-    if total_share <= 0:
-        raise DistributionError("shares must have positive total")
-    return {
-        f"{prefix}-{index}": total_power * share / total_share
-        for index, share in enumerate(shares)
-    }

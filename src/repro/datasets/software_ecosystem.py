@@ -111,11 +111,6 @@ class ComponentMarket:
         total, running = self._cumulative
         return market_choice(total, running, u)
 
-    def component_at(self, u: float) -> SoftwareComponent:
-        """The component at quantile ``u`` (see :meth:`choice_index`)."""
-        name, _ = self.shares[self.choice_index(u)]
-        return SoftwareComponent(self.kind, name)
-
 
 @dataclass(frozen=True)
 class SyntheticEcosystem:
@@ -129,15 +124,6 @@ class SyntheticEcosystem:
             raise ConfigurationError("duplicate component kind in ecosystem")
         if not self.markets:
             raise ConfigurationError("ecosystem needs at least one component market")
-
-    def market_for(self, kind: ComponentKind) -> ComponentMarket:
-        for market in self.markets:
-            if market.kind is kind:
-                return market
-        raise ConfigurationError(f"ecosystem has no market for kind {kind.value!r}")
-
-    def kinds(self) -> Tuple[ComponentKind, ...]:
-        return tuple(market.kind for market in self.markets)
 
     def components(self) -> Tuple[SoftwareComponent, ...]:
         """Every component on offer, market-major — the catalog-building order."""
@@ -288,14 +274,6 @@ class SyntheticEcosystem:
         return ReplicaPopulation(
             [replica for chunk in chunks for replica in chunk], regime=regime
         )
-
-    def component_exposure(self) -> Dict[str, float]:
-        """Expected fraction of replicas exposed to each component, by identifier."""
-        exposure: Dict[str, float] = {}
-        for market in self.markets:
-            for name, share in market.normalized_shares().items():
-                exposure[SoftwareComponent(market.kind, name).identifier] = share
-        return exposure
 
 
 def default_ecosystem() -> SyntheticEcosystem:

@@ -11,20 +11,18 @@ The :class:`DiversityManager` reproduces that baseline at the level the
 reproduction needs: it owns a fixed set of replica slots, plans their
 configurations with the entropy planner, reacts to vulnerability disclosures
 by migrating exposed replicas to patched/alternative configurations, and
-reports the deployment's entropy and exposure over time.
+reports the deployment's entropy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.core.configuration import ReplicaConfiguration, SoftwareComponent
+from repro.core.configuration import ReplicaConfiguration
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import PlanningError
-from repro.core.population import Replica, ReplicaPopulation
 from repro.diversity.planner import EntropyPlanner
-from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.vulnerability import Vulnerability
 
 
@@ -35,20 +33,10 @@ class ManagedDeployment:
     Attributes:
         assignment: configuration per replica slot.
         entropy: census entropy of the deployment (bits).
-        exposed_slots: slots currently running a configuration affected by a
-            known, unpatched vulnerability.
     """
 
     assignment: Tuple[Tuple[str, ReplicaConfiguration], ...]
     entropy: float
-    exposed_slots: Tuple[str, ...]
-
-    def population(self) -> ReplicaPopulation:
-        """The deployment as a population (power 1 per slot)."""
-        return ReplicaPopulation(
-            Replica(replica_id=slot, configuration=configuration)
-            for slot, configuration in self.assignment
-        )
 
 
 class DiversityManager:
@@ -81,28 +69,15 @@ class DiversityManager:
         self._assignment = dict(zip(self._slots, configurations))
         return self.deployment()
 
-    def deployment(self, catalog: Optional[VulnerabilityCatalog] = None) -> ManagedDeployment:
-        """The current deployment snapshot (optionally with exposure info)."""
+    def deployment(self) -> ManagedDeployment:
+        """The current deployment snapshot."""
         census = ConfigurationDistribution(
             self._count_by_configuration()
         )
-        exposed: List[str] = []
-        if catalog is not None:
-            for slot, configuration in self._assignment.items():
-                if any(
-                    catalog.affecting_component(component)
-                    for component in configuration.components()
-                ):
-                    exposed.append(slot)
         return ManagedDeployment(
             assignment=tuple(sorted(self._assignment.items())),
             entropy=census.entropy(),
-            exposed_slots=tuple(sorted(exposed)),
         )
-
-    def population(self) -> ReplicaPopulation:
-        """The managed deployment as a population."""
-        return self.deployment().population()
 
     @property
     def migrations_performed(self) -> int:
@@ -137,11 +112,6 @@ class DiversityManager:
             self._migrations += 1
             migrated.append(slot)
         return tuple(migrated)
-
-    def exposure_fraction(self, catalog: VulnerabilityCatalog) -> float:
-        """Fraction of slots exposed to at least one catalog vulnerability."""
-        deployment = self.deployment(catalog)
-        return len(deployment.exposed_slots) / len(self._slots)
 
     # -- internals ------------------------------------------------------------------------------
 

@@ -69,17 +69,11 @@ class DiversityMonitor:
     ) -> None:
         self._family = family
         self._thresholds = thresholds or MonitorThresholds()
-        self._history: List[float] = []
-
-    @property
-    def thresholds(self) -> MonitorThresholds:
-        return self._thresholds
 
     def evaluate(self, census: ConfigurationDistribution) -> Tuple[DiversityAlert, ...]:
         """Check one census snapshot and return the triggered alerts."""
         alerts: List[DiversityAlert] = []
         entropy = census.entropy()
-        self._history.append(entropy)
 
         if entropy < self._thresholds.min_entropy_bits:
             alerts.append(
@@ -133,11 +127,3 @@ class DiversityMonitor:
             )
 
         return tuple(alerts)
-
-    def is_healthy(self, census: ConfigurationDistribution) -> bool:
-        """True when no alert (of any severity) triggers for ``census``."""
-        return not self.evaluate(census)
-
-    def entropy_history(self) -> Tuple[float, ...]:
-        """Entropy of every census evaluated so far, in order."""
-        return tuple(self._history)

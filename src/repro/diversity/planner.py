@@ -1,10 +1,10 @@
 """An entropy-maximizing configuration planner.
 
-Given a configuration space (or an explicit list of candidate configurations,
-possibly with per-configuration capacity limits) and a number of replicas to
-deploy, the planner produces an assignment whose census entropy is maximal:
-replica counts per configuration differ by at most one, using as many distinct
-configurations as capacity allows.  This is the constructive counterpart of
+Given a list of candidate configurations (possibly with per-configuration
+capacity limits) and a number of replicas to deploy, the planner produces an
+assignment whose census entropy is maximal: replica counts per configuration
+differ by at most one, using as many distinct configurations as capacity
+allows.  This is the constructive counterpart of
 Definition 1/2 and the optimization a Lazarus-style manager would run.
 """
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.abundance import AbundanceVector
-from repro.core.configuration import ConfigurationSpace, ReplicaConfiguration
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import PlanningError
 
@@ -59,8 +58,8 @@ class EntropyPlanner:
     """Plans configuration assignments that maximize census entropy.
 
     Args:
-        candidates: the configurations available for assignment (e.g. the
-            enumeration of a :class:`~repro.core.configuration.ConfigurationSpace`,
+        candidates: the configurations available for assignment
+            (:class:`~repro.core.configuration.ReplicaConfiguration` objects
             or opaque labels).
         capacity: optional per-configuration limit on how many replicas may
             use it (licensing limits, hardware availability, ...).  Missing
@@ -86,16 +85,6 @@ class EntropyPlanner:
             if limit < 0:
                 raise PlanningError(f"capacity must be non-negative, got {limit}")
             self._capacity[key] = int(limit)
-
-    @classmethod
-    def from_space(cls, space: ConfigurationSpace, *, limit: Optional[int] = None) -> "EntropyPlanner":
-        """Build a planner over (a prefix of) a configuration space's enumeration."""
-        candidates: List[ReplicaConfiguration] = []
-        for index, configuration in enumerate(space.enumerate()):
-            if limit is not None and index >= limit:
-                break
-            candidates.append(configuration)
-        return cls(candidates)
 
     # -- planning -----------------------------------------------------------------------
 
@@ -129,36 +118,6 @@ class EntropyPlanner:
             entropy=distribution.entropy(),
             kappa=distribution.support_size(),
             omega=abundance.mean_abundance(),
-        )
-
-    def plan_kappa_omega(self, kappa: int, omega: int) -> AssignmentPlan:
-        """Plan an exactly (κ, ω)-optimal deployment (Definition 2).
-
-        Raises when fewer than κ configurations are available or capacity
-        does not allow ω replicas on each of the first κ configurations.
-        """
-        if kappa <= 0 or omega <= 0:
-            raise PlanningError("kappa and omega must be positive")
-        if kappa > len(self._candidates):
-            raise PlanningError(
-                f"requested kappa={kappa} but only {len(self._candidates)} configurations exist"
-            )
-        chosen = self._candidates[:kappa]
-        for key in chosen:
-            limit = self._capacity.get(key)
-            if limit is not None and limit < omega:
-                raise PlanningError(
-                    f"configuration {key!r} has capacity {limit} < omega={omega}"
-                )
-        counts = {key: omega for key in chosen}
-        abundance = AbundanceVector.from_counts(counts)
-        distribution = abundance.to_distribution()
-        return AssignmentPlan(
-            counts=tuple(sorted(counts.items(), key=lambda item: str(item[0]))),
-            total_replicas=kappa * omega,
-            entropy=distribution.entropy(),
-            kappa=kappa,
-            omega=float(omega),
         )
 
     # -- baselines (for the ablation experiments) ------------------------------------------

@@ -100,20 +100,3 @@ class TwoClassWeightPolicy:
             effective_power=tuple(sorted(power.items())),
             census=census,
         )
-
-    def sweep_ratio(
-        self, population: ReplicaPopulation, ratios: Tuple[float, ...]
-    ) -> Tuple[Tuple[float, WeightedCensus], ...]:
-        """Apply a family of policies with attested:unattested weight ratios.
-
-        ``ratio = attested_weight / unattested_weight`` with the unattested
-        weight fixed at 1, so ratios above 1 privilege attested replicas (the
-        paper's proposal) and a ratio of 1 is the status quo.
-        """
-        results = []
-        for ratio in ratios:
-            if ratio <= 0:
-                raise AnalysisError(f"ratio must be positive, got {ratio}")
-            policy = TwoClassWeightPolicy(attested_weight=ratio, unattested_weight=1.0)
-            results.append((ratio, policy.apply(population)))
-        return tuple(results)

@@ -3,8 +3,8 @@
 Every module exposes a ``run_*`` function returning structured results and a
 registered ``SPEC`` whose renderer prints the corresponding table or series;
 ``python -m repro.cli run <name>`` (or ``run --all``) regenerates them.
-The mapping from paper artifact to module is recorded in DESIGN.md §4 and the
-measured-vs-paper comparison in EXPERIMENTS.md.
+README's *Experiment orchestration* section describes how they are selected,
+cached and pinned by golden snapshots.
 """
 
 from repro.experiments.campaign_budget import run_campaign_budget

@@ -1,8 +1,8 @@
 """Ablation: diversity management strategies under a constrained ecosystem.
 
-DESIGN.md §6 calls out the assignment strategy as a design choice worth
-ablating.  This experiment deploys the same number of replicas with three
-strategies over the same candidate configurations:
+The assignment strategy is a design choice worth ablating.  This experiment
+deploys the same number of replicas with three strategies over the same
+candidate configurations:
 
 - *planner* — the entropy-maximizing water-filling planner (Lazarus-style
   managed deployment);
@@ -55,19 +55,6 @@ class DiversityAblationResult:
     candidate_count: int
     rows: Tuple[AblationRow, ...]
     planner_beats_baselines: bool
-
-
-def _candidate_labels(ecosystem: SyntheticEcosystem, per_kind_limit: int) -> Sequence[str]:
-    """Flatten the ecosystem into whole-configuration candidate labels.
-
-    Every combination of the top ``per_kind_limit`` components per kind
-    becomes one candidate label; the proportional baseline weights each label
-    by the product of its components' market shares.
-    """
-    labels = ["candidate-0"]
-    # Build labels and weights jointly in _candidate_weights; this helper only
-    # returns the label list for the planner.
-    return [label for label, _ in _candidate_weights(ecosystem, per_kind_limit)]
 
 
 def _candidate_weights(

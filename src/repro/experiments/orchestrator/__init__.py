@@ -46,7 +46,6 @@ from repro.experiments.orchestrator.result import (
     ResultPayload,
     json_body,
     jsonify,
-    load_results_document,
     merge_results_documents,
     results_document,
     write_results_document,
@@ -82,7 +81,6 @@ __all__ = [
     "experiment_banner",
     "filter_specs",
     "jsonify",
-    "load_results_document",
     "merge_results_documents",
     "parse_shard",
     "results_document",

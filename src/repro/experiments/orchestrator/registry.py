@@ -1,4 +1,4 @@
-"""The experiment registry: every spec, in the order DESIGN.md lists them.
+"""The experiment registry: every spec, paper artifacts first, then extensions.
 
 This module is the only orchestrator module that imports the experiment
 modules (each of which imports ``orchestrator.spec``/``orchestrator.result``

@@ -4,13 +4,12 @@ Every experiment produces an :class:`ExperimentResult`: the tables it used to
 print, a flat dictionary of headline metrics, and run metadata (seed, wall
 time).  Two serialized views exist:
 
-- the **canonical** view (:meth:`ExperimentResult.canonical_dict` /
-  :meth:`ExperimentResult.canonical_json`) excludes volatile fields (wall
-  time, cache provenance) and is byte-identical for a fixed seed regardless
-  of execution mode — serial, process-parallel, sharded, cache hit or miss —
-  and of the compute backend.
-  Golden snapshots and the ``RESULTS.json`` ``results`` section store this
-  view;
+- the **canonical** view (:meth:`ExperimentResult.canonical_dict`, encoded
+  by :func:`json_body`) excludes volatile fields (wall time, cache
+  provenance) and is byte-identical for a fixed seed regardless of execution
+  mode — serial, process-parallel, sharded, cache hit or miss — and of the
+  compute backend.  Golden snapshots, served bodies and the ``RESULTS.json``
+  ``results`` section store this view;
 - the **full** view (:meth:`ExperimentResult.to_dict`) adds the volatile
   fields and is what the on-disk result cache stores.
 
@@ -131,12 +130,6 @@ class ExperimentResult:
                 for index, table in enumerate(self.tables)
             ],
         }
-
-    def canonical_json(self) -> str:
-        """Compact sorted-key JSON of :meth:`canonical_dict` (byte-stable)."""
-        return json.dumps(
-            self.canonical_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False
-        )
 
     def to_dict(self) -> Dict[str, Any]:
         """The full serialized view, volatile fields included."""
@@ -322,22 +315,3 @@ def write_results_document(document: Mapping[str, Any], path: str, *, merge: boo
             handle.write(json_body(document))
     except OSError as error:
         raise OrchestrationError(f"cannot write results document to {path!r}: {error}") from error
-
-
-def load_results_document(path: str) -> Dict[str, Any]:
-    """Read a ``RESULTS.json`` document, validating its schema version."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
-        raise OrchestrationError(f"cannot read results document {path!r}: {error}") from error
-    if not isinstance(document, dict):
-        raise OrchestrationError(
-            f"results document {path!r} must be a JSON object, got {type(document).__name__}"
-        )
-    if document.get("schema_version") != RESULT_SCHEMA_VERSION:
-        raise OrchestrationError(
-            f"results document {path!r} has schema_version="
-            f"{document.get('schema_version')!r} (expected {RESULT_SCHEMA_VERSION})"
-        )
-    return document

@@ -4,11 +4,6 @@
   components, with severity and exploitability.
 - :mod:`repro.faults.catalog` -- a catalog of known vulnerabilities with
   queries by component / kind.
-- :mod:`repro.faults.window` -- vulnerability windows: disclosure, patch
-  availability and patch-adoption latency.
-- :mod:`repro.faults.adversary` -- adversary strategies: exploit-based
-  (shared-vulnerability) attackers, power-renting / bribery attackers and
-  rational operators.
 - :mod:`repro.faults.campaign` -- exploit campaigns resolving a vulnerability
   set against a replica population into compromised replicas and power
   (the ``f_t^i`` of Section II-C).
@@ -22,12 +17,6 @@
   simulations (which replica becomes Byzantine/crashed and when).
 """
 
-from repro.faults.adversary import (
-    AdversaryBudget,
-    BriberyAdversary,
-    ExploitAdversary,
-    RationalOperatorAdversary,
-)
 from repro.faults.campaign import CampaignOutcome, ExploitCampaign
 from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.engine import (
@@ -45,15 +34,11 @@ from repro.faults.recovery import (
     ProactiveRecoveryPolicy,
 )
 from repro.faults.vulnerability import Severity, Vulnerability
-from repro.faults.window import PatchState, VulnerabilityWindow
 
 __all__ = [
-    "AdversaryBudget",
     "BatchCampaignEngine",
-    "BriberyAdversary",
     "CampaignEstimate",
     "CampaignOutcome",
-    "ExploitAdversary",
     "ExploitCampaign",
     "ExposureTimeline",
     "FaultKind",
@@ -62,13 +47,10 @@ __all__ = [
     "GridCampaignEngine",
     "GridPointRequest",
     "PatchRollout",
-    "PatchState",
     "PopulationMatrix",
     "ProactiveRecoveryPolicy",
-    "RationalOperatorAdversary",
     "Severity",
     "Vulnerability",
     "VulnerabilityCatalog",
-    "VulnerabilityWindow",
     "run_census_trials",
 ]

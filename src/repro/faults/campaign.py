@@ -60,14 +60,6 @@ class CampaignOutcome:
             return 0.0
         return self.compromised_power / self.total_power
 
-    def violates(self, tolerated_fraction: float) -> bool:
-        """True when the campaign compromises at least ``tolerated_fraction`` of power."""
-        if not 0 < tolerated_fraction <= 1:
-            raise FaultModelError(
-                f"tolerated fraction must be in (0, 1], got {tolerated_fraction}"
-            )
-        return self.compromised_fraction >= tolerated_fraction - 1e-12
-
 
 def reject_duplicate_vulnerability_ids(ids: Sequence[str]) -> None:
     """Usage-error guard shared by the scalar campaign and the batch engine.
@@ -120,14 +112,6 @@ class ExploitCampaign:
         # resilience_report helper never pay for it) and may be shared
         # across campaigns over the same population × catalog pair.
         self._matrix = matrix
-
-    @property
-    def population(self) -> ReplicaPopulation:
-        return self._population
-
-    @property
-    def catalog(self) -> VulnerabilityCatalog:
-        return self._catalog
 
     @property
     def matrix(self) -> PopulationMatrix:
@@ -233,12 +217,6 @@ class ExploitCampaign:
             self._population,
             dict(outcome.power_per_vulnerability),
             family=family,
-        )
-
-    def compromised_population(self, outcome: CampaignOutcome) -> ReplicaPopulation:
-        """The sub-population of replicas the campaign compromised."""
-        return self._population.filter(
-            lambda replica: replica.replica_id in outcome.compromised_replicas
         )
 
 def single_vulnerability_breakdown(

@@ -2,17 +2,17 @@
 
 The catalog is the interface between the ecosystem model ("which components
 exist and how popular are they") and the adversary model ("which shared flaws
-can be exploited").  It supports the queries the analysis needs: all
-vulnerabilities affecting a component, the most severe vulnerability per
-component kind, and the exposure (voting power at risk) of each vulnerability
-against a given population.
+can be exploited").  It answers the query the analysis needs: the exposure
+(voting power at risk) of each vulnerability against a given population,
+and the ranking of the most damaging ones that
+:meth:`~repro.faults.matrix.PopulationMatrix.most_damaging` reproduces.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from repro.core.configuration import ComponentKind, SoftwareComponent
+from repro.core.configuration import SoftwareComponent
 from repro.core.exceptions import FaultModelError
 from repro.core.population import ReplicaPopulation
 from repro.faults.vulnerability import Severity, Vulnerability
@@ -36,11 +36,6 @@ class VulnerabilityCatalog:
             )
         self._by_id[vulnerability.vuln_id] = vulnerability
 
-    def extend(self, vulnerabilities: Iterable[Vulnerability]) -> None:
-        """Register several vulnerabilities."""
-        for vulnerability in vulnerabilities:
-            self.add(vulnerability)
-
     # -- queries ----------------------------------------------------------------
 
     def get(self, vuln_id: str) -> Vulnerability:
@@ -53,41 +48,6 @@ class VulnerabilityCatalog:
     def all(self) -> Tuple[Vulnerability, ...]:
         """Every vulnerability, in insertion order."""
         return tuple(self._by_id.values())
-
-    def ids(self) -> Tuple[str, ...]:
-        return tuple(self._by_id.keys())
-
-    def affecting_component(self, component: SoftwareComponent) -> Tuple[Vulnerability, ...]:
-        """Vulnerabilities whose fault domain contains ``component``."""
-        return tuple(
-            vulnerability
-            for vulnerability in self._by_id.values()
-            if vulnerability.affects_component(component)
-        )
-
-    def for_kind(self, kind: ComponentKind) -> Tuple[Vulnerability, ...]:
-        """Vulnerabilities in components of the given kind."""
-        return tuple(
-            vulnerability
-            for vulnerability in self._by_id.values()
-            if vulnerability.component_kind is kind
-        )
-
-    def exploitable_at(self, time: float) -> Tuple[Vulnerability, ...]:
-        """Vulnerabilities already disclosed at simulation time ``time``."""
-        return tuple(
-            vulnerability
-            for vulnerability in self._by_id.values()
-            if vulnerability.is_exploitable_at(time)
-        )
-
-    def at_least(self, severity: Severity) -> Tuple[Vulnerability, ...]:
-        """Vulnerabilities with severity greater than or equal to ``severity``."""
-        return tuple(
-            vulnerability
-            for vulnerability in self._by_id.values()
-            if vulnerability.severity.rank >= severity.rank
-        )
 
     # -- exposure analysis --------------------------------------------------------
 

@@ -347,14 +347,6 @@ class GridCampaignEngine:
         return self._matrix
 
     @property
-    def population(self) -> Optional[ReplicaPopulation]:
-        return self._population
-
-    @property
-    def catalog(self) -> Optional[VulnerabilityCatalog]:
-        return self._catalog
-
-    @property
     def last_chunk_count(self) -> int:
         """How many kernel calls the most recent :meth:`estimate_grid` made.
 

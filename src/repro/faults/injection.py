@@ -2,20 +2,19 @@
 
 An exploit campaign (or a hand-written scenario) is turned into a
 :class:`FaultSchedule`: a list of :class:`FaultSpec` entries saying *which*
-replica misbehaves, *how* (Byzantine or crash) and *from when*.  The BFT and
-Nakamoto simulators consume the schedule to decide each node's behaviour, so
-the same fault description drives both the analytical safety condition and
-the end-to-end protocol runs.
+replica misbehaves, *how* (Byzantine or crash) and *from when*.  The BFT
+simulators consume the schedule to decide each node's behaviour, so the same
+fault description drives both the analytical safety condition and the
+end-to-end protocol runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, unique
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional
 
 from repro.core.exceptions import FaultModelError
-from repro.core.population import ReplicaPopulation
 from repro.faults.campaign import CampaignOutcome
 
 
@@ -81,10 +80,6 @@ class FaultSchedule:
             )
         self._specs[spec.replica_id] = spec
 
-    def spec_for(self, replica_id: str) -> Optional[FaultSpec]:
-        """The fault spec of ``replica_id`` (``None`` when the replica is honest)."""
-        return self._specs.get(replica_id)
-
     def is_faulty_at(self, replica_id: str, time: float) -> bool:
         """True when ``replica_id`` is faulty at ``time``."""
         spec = self._specs.get(replica_id)
@@ -96,22 +91,6 @@ class FaultSchedule:
         if spec is None or not spec.is_active_at(time):
             return None
         return spec.kind
-
-    def faulty_ids_at(self, time: float) -> Tuple[str, ...]:
-        """Ids of all replicas faulty at ``time``."""
-        return tuple(
-            replica_id
-            for replica_id, spec in self._specs.items()
-            if spec.is_active_at(time)
-        )
-
-    def faulty_power_at(self, population: ReplicaPopulation, time: float) -> float:
-        """Total voting power of replicas faulty at ``time``."""
-        return sum(
-            population.power_of(replica_id)
-            for replica_id in self.faulty_ids_at(time)
-            if replica_id in population
-        )
 
     # -- constructors -----------------------------------------------------------
 
@@ -136,27 +115,6 @@ class FaultSchedule:
             )
             for replica_id in sorted(outcome.compromised_replicas)
         )
-
-    @classmethod
-    def byzantine(cls, replica_ids: Iterable[str], *, start_time: float = 0.0) -> "FaultSchedule":
-        """A schedule marking the given replicas Byzantine from ``start_time``."""
-        return cls(
-            FaultSpec(replica_id=replica_id, kind=FaultKind.BYZANTINE, start_time=start_time)
-            for replica_id in replica_ids
-        )
-
-    @classmethod
-    def crashed(cls, replica_ids: Iterable[str], *, start_time: float = 0.0) -> "FaultSchedule":
-        """A schedule crashing the given replicas at ``start_time``."""
-        return cls(
-            FaultSpec(replica_id=replica_id, kind=FaultKind.CRASH, start_time=start_time)
-            for replica_id in replica_ids
-        )
-
-    @classmethod
-    def none(cls) -> "FaultSchedule":
-        """The empty schedule (fully honest run)."""
-        return cls()
 
     # -- dunder -------------------------------------------------------------------
 

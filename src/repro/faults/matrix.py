@@ -152,11 +152,6 @@ class PopulationMatrix:
         self._vulnerability_index: Dict[str, int] = {
             vuln_id: index for index, vuln_id in enumerate(self._vulnerability_ids)
         }
-        self._replica_index: Optional[Dict[str, int]] = (
-            {replica_id: index for index, replica_id in enumerate(self._replica_ids)}
-            if self._replica_ids is not None
-            else None
-        )
         # Total power summed sequentially in join order, matching
         # ReplicaPopulation.total_power so outcomes are byte-compatible.
         total = 0.0
@@ -347,17 +342,6 @@ class PopulationMatrix:
         """Exposed-cell fraction of the dense grid."""
         cells = self.replica_count * self.vulnerability_count
         return self.nnz / cells if cells else 0.0
-
-    def replica_index(self, replica_id: str) -> int:
-        if self._replica_index is None:
-            raise FaultModelError(
-                "replica ids were not materialized for this sparse matrix; "
-                "build with keep_replica_ids=True if attribution is needed"
-            )
-        try:
-            return self._replica_index[replica_id]
-        except KeyError:
-            raise FaultModelError(f"unknown replica {replica_id!r}") from None
 
     def vulnerability_index(self, vuln_id: str) -> int:
         try:

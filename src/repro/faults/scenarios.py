@@ -21,7 +21,7 @@ bit-identical across compute backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.exceptions import FaultModelError
 from repro.core.population import ReplicaPopulation
@@ -355,31 +355,3 @@ def churn_checkpoint_grid(
             seed_offset=checkpoint_index,
         ),
     )
-
-
-def reliability_scenarios(
-    probabilities: Tuple[float, ...],
-    *,
-    ecosystem: str = "skewed",
-    population_size: int = 48,
-    seed: int = 0,
-    severity: Severity = Severity.HIGH,
-) -> Dict[float, CampaignScenario]:
-    """One scenario per exploit-success probability, over a fixed population.
-
-    The population is sampled once (same ecosystem, same seed) and only the
-    catalog's exploit reliability varies, isolating the effect of flaky vs
-    reliable zero-days on the violation probability.
-    """
-    if not probabilities:
-        raise FaultModelError("at least one exploit probability is required")
-    return {
-        probability: ecosystem_scenario(
-            ecosystem=ecosystem,
-            population_size=population_size,
-            seed=seed,
-            exploit_probability=probability,
-            severity=severity,
-        )
-        for probability in probabilities
-    }

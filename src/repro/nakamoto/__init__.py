@@ -3,22 +3,18 @@
 Bitcoin is the paper's running example of a permissionless blockchain, so the
 reproduction ships a proof-of-work substrate:
 
-- :mod:`repro.nakamoto.block` / :mod:`repro.nakamoto.chain` -- the block tree
-  and longest-chain rule;
 - :mod:`repro.nakamoto.miner` / :mod:`repro.nakamoto.pool` -- miners, mining
   pools and the pool-level power oligopoly of Example 1;
-- :mod:`repro.nakamoto.simulation` -- a stochastic mining simulation (block
-  intervals are an exponential race weighted by hash power) with an optional
-  attacker coalition building a private chain;
-- :mod:`repro.nakamoto.selfish` -- the selfish-mining baseline (Eyal & Sirer)
-  the paper cites as prior work on hash-power bounds;
+- :mod:`repro.nakamoto.decentralized_pool` -- decentralized pools whose
+  members run diverse configurations;
+- :mod:`repro.nakamoto.simulation` -- a stochastic mining race (each block
+  won with probability proportional to hash power) in which an attacker
+  coalition builds a private double-spend fork;
 - :mod:`repro.nakamoto.attack` -- analytic double-spend success probabilities
   and majority-takeover analysis driven by shared-vulnerability campaigns.
 """
 
 from repro.nakamoto.attack import double_spend_success_probability, majority_takeover
-from repro.nakamoto.block import Block
-from repro.nakamoto.chain import BlockTree
 from repro.nakamoto.decentralized_pool import (
     DecentralizationReport,
     decentralization_report,
@@ -26,12 +22,9 @@ from repro.nakamoto.decentralized_pool import (
 )
 from repro.nakamoto.miner import Miner
 from repro.nakamoto.pool import MiningPool, pools_from_snapshot
-from repro.nakamoto.selfish import selfish_mining_revenue
 from repro.nakamoto.simulation import MiningSimulation, MiningSimulationResult
 
 __all__ = [
-    "Block",
-    "BlockTree",
     "DecentralizationReport",
     "Miner",
     "MiningPool",
@@ -42,5 +35,4 @@ __all__ = [
     "double_spend_success_probability",
     "majority_takeover",
     "pools_from_snapshot",
-    "selfish_mining_revenue",
 ]

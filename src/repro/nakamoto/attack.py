@@ -56,29 +56,6 @@ def double_spend_success_probability(attacker_fraction: float, confirmations: in
     return min(1.0, max(0.0, probability))
 
 
-def confirmations_for_risk(
-    attacker_fraction: float, *, risk: float = 0.001, max_confirmations: int = 1000
-) -> int:
-    """Smallest confirmation depth keeping the double-spend risk below ``risk``.
-
-    Raises :class:`AnalysisError` when no depth up to ``max_confirmations``
-    suffices (which is always the case once the attacker has a majority).
-    """
-    if not 0.0 < risk < 1.0:
-        raise AnalysisError(f"risk must be in (0, 1), got {risk}")
-    if max_confirmations <= 0:
-        raise AnalysisError(
-            f"max confirmations must be positive, got {max_confirmations}"
-        )
-    for z in range(1, max_confirmations + 1):
-        if double_spend_success_probability(attacker_fraction, z) <= risk:
-            return z
-    raise AnalysisError(
-        f"no confirmation depth up to {max_confirmations} achieves risk {risk} "
-        f"against a {attacker_fraction:.0%} attacker"
-    )
-
-
 @dataclass(frozen=True)
 class MajorityTakeoverReport:
     """Result of a shared-vulnerability majority-takeover analysis.

@@ -17,9 +17,8 @@ quantify how much the mitigation buys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
-from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import ProtocolError
 from repro.core.population import ReplicaPopulation
 from repro.core.power import PowerRegime
@@ -48,19 +47,6 @@ class DecentralizationReport:
     decentralized_largest_share: float
     pooled_replicas: int
     decentralized_replicas: int
-
-    @property
-    def entropy_gain_bits(self) -> float:
-        """How much diversity the mitigation added."""
-        return self.decentralized_entropy_bits - self.pooled_entropy_bits
-
-    @property
-    def breaks_operator_majority(self) -> bool:
-        """Whether decentralization pushed the largest fault domain below 50%."""
-        return (
-            self.pooled_largest_share >= 0.5
-            and self.decentralized_largest_share < 0.5
-        )
 
 
 def pooled_population(

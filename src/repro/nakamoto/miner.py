@@ -9,7 +9,7 @@ running it).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.configuration import ReplicaConfiguration
@@ -46,14 +46,6 @@ class Miner:
             object.__setattr__(
                 self, "configuration", ReplicaConfiguration.labeled(self.miner_id)
             )
-
-    def with_compromised(self, compromised: bool) -> "Miner":
-        """A copy of this miner with the compromise flag set."""
-        return replace(self, compromised=compromised)
-
-    def with_hash_power(self, hash_power: float) -> "Miner":
-        """A copy of this miner with different hash power."""
-        return replace(self, hash_power=hash_power)
 
     def as_replica(self) -> Replica:
         """View this miner as a generic replica (power = hash power)."""

@@ -10,12 +10,11 @@ about delegation reducing diversity).  ``pools_from_snapshot`` builds the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.configuration import ReplicaConfiguration
 from repro.core.exceptions import ProtocolError
-from repro.core.population import Replica, ReplicaPopulation
-from repro.core.power import PowerRegime
+from repro.core.population import Replica
 from repro.datasets.bitcoin_pools import BITCOIN_POOL_SHARES_FEB_2023, RESIDUAL_SHARE_FEB_2023
 from repro.nakamoto.miner import Miner
 
@@ -118,41 +117,3 @@ def pools_from_snapshot(
             for index in range(residual_miners)
         ]
     return pools, solo
-
-
-def pool_population(
-    pools: Sequence[MiningPool],
-    solo_miners: Sequence[Miner] = (),
-) -> ReplicaPopulation:
-    """Population with one replica per pool (plus solo miners).
-
-    This is the granularity Example 1 analyses: pools are the effective
-    replicas because their operators control the aggregated power.
-    """
-    replicas = [pool.as_replica() for pool in pools] + [
-        miner.as_replica() for miner in solo_miners
-    ]
-    if not replicas:
-        raise ProtocolError("at least one pool or miner is required")
-    return ReplicaPopulation(replicas, regime=PowerRegime.HASHRATE)
-
-
-def compromised_power_fraction(
-    pools: Sequence[MiningPool],
-    solo_miners: Sequence[Miner],
-    compromised_pool_ids: Sequence[str],
-) -> float:
-    """Fraction of total hash power controlled via the compromised pools."""
-    compromised_set = set(compromised_pool_ids)
-    unknown = compromised_set - {pool.pool_id for pool in pools}
-    if unknown:
-        raise ProtocolError(f"unknown pools: {sorted(unknown)}")
-    total = sum(pool.total_hash_power() for pool in pools) + sum(
-        miner.hash_power for miner in solo_miners
-    )
-    if total <= 0:
-        raise ProtocolError("total hash power must be positive")
-    compromised = sum(
-        pool.total_hash_power() for pool in pools if pool.pool_id in compromised_set
-    )
-    return compromised / total

@@ -1,7 +1,6 @@
 """Stochastic mining simulation with an optional attacker coalition.
 
-The simulation abstracts proof of work as an exponential race: block
-inter-arrival times are exponentially distributed and each block is won by a
+The simulation abstracts proof of work as a race: each block is won by a
 miner with probability proportional to its hash power (the standard
 memoryless PoW model).  Honest miners always extend the longest public chain;
 the attacker coalition (compromised miners/pools) secretly extends a private
@@ -18,11 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from repro.core.exceptions import ProtocolError
-from repro.nakamoto.block import Block
-from repro.nakamoto.chain import BlockTree
 from repro.nakamoto.miner import Miner
 
 
@@ -54,31 +51,21 @@ class MiningSimulationResult:
 
 
 class MiningSimulation:
-    """Simulates honest mining plus an optional private-fork attack."""
+    """Simulates a private-fork double-spend attack against honest miners."""
 
     def __init__(
         self,
         miners: Sequence[Miner],
         *,
         seed: int = 0,
-        block_interval: float = 600.0,
     ) -> None:
         if not miners:
             raise ProtocolError("at least one miner is required")
-        if block_interval <= 0:
-            raise ProtocolError(f"block interval must be positive, got {block_interval}")
         powers = [miner.hash_power for miner in miners]
         if sum(powers) <= 0:
             raise ProtocolError("total hash power must be positive")
         self._miners = list(miners)
         self._rng = random.Random(seed)
-        self._block_interval = block_interval
-
-    # -- helpers -----------------------------------------------------------------
-
-    def _pick_winner(self, miners: Sequence[Miner]) -> Miner:
-        weights = [miner.hash_power for miner in miners]
-        return self._rng.choices(miners, weights=weights, k=1)[0]
 
     def attacker_fraction(self, attacker_ids: Iterable[str]) -> float:
         """Hash-power fraction controlled by the given miners."""
@@ -88,33 +75,6 @@ class MiningSimulation:
             miner.hash_power for miner in self._miners if miner.miner_id in attacker_set
         )
         return attacker / total if total > 0 else 0.0
-
-    # -- honest-only mining ---------------------------------------------------------
-
-    def mine_honest(self, blocks: int) -> MiningSimulationResult:
-        """Mine ``blocks`` blocks with everyone honest (no fork attack)."""
-        if blocks <= 0:
-            raise ProtocolError(f"block count must be positive, got {blocks}")
-        tree = BlockTree()
-        tip = tree.block(tree.genesis_id)
-        time = 0.0
-        for index in range(blocks):
-            time += self._rng.expovariate(1.0 / self._block_interval)
-            winner = self._pick_winner(self._miners)
-            block = tip.child(f"blk-{index}", winner.miner_id, timestamp=time)
-            tree.add(block)
-            tip = block
-        by_miner = tree.blocks_by_miner()
-        return MiningSimulationResult(
-            total_blocks=blocks,
-            main_chain_length=tree.height(),
-            blocks_by_miner=tuple(sorted(by_miner.items())),
-            attacker_fraction=0.0,
-            attack_launched=False,
-            attack_succeeded=False,
-            reverted_blocks=0,
-            revenue_share=0.0,
-        )
 
     # -- double-spend attack -----------------------------------------------------------
 
@@ -198,24 +158,3 @@ class MiningSimulation:
             reverted_blocks=reverted,
             revenue_share=revenue_share,
         )
-
-    def estimate_attack_success(
-        self,
-        attacker_ids: Iterable[str],
-        *,
-        confirmations: int = 6,
-        trials: int = 200,
-        max_blocks: int = 2000,
-    ) -> float:
-        """Monte-Carlo estimate of the double-spend success probability."""
-        if trials <= 0:
-            raise ProtocolError(f"trial count must be positive, got {trials}")
-        attacker_list = list(attacker_ids)
-        successes = 0
-        for _ in range(trials):
-            result = self.run_double_spend(
-                attacker_list, confirmations=confirmations, max_blocks=max_blocks
-            )
-            if result.attack_succeeded:
-                successes += 1
-        return successes / trials

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Tuple
 
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import MembershipError
@@ -40,21 +40,6 @@ class Committee:
     members: FrozenSet[str]
     seats_by_member: Tuple[Tuple[str, int], ...]
     total_seats: int
-
-    def seats_of(self, replica_id: str) -> int:
-        """Seats held by ``replica_id`` (0 when not selected)."""
-        for member, seats in self.seats_by_member:
-            if member == replica_id:
-                return seats
-        return 0
-
-    def voting_fraction(self, replica_ids: Sequence[str]) -> float:
-        """Fraction of committee seats held by the given replicas."""
-        wanted = set(replica_ids)
-        held = sum(seats for member, seats in self.seats_by_member if member in wanted)
-        if self.total_seats <= 0:
-            return 0.0
-        return held / self.total_seats
 
     def __len__(self) -> int:
         return len(self.members)
@@ -122,10 +107,3 @@ def committee_census(
 ) -> ConfigurationDistribution:
     """Configuration distribution of the committee, weighted by seats."""
     return committee_population(population, committee).configuration_census()
-
-
-def compromised_seat_fraction(
-    committee: Committee, compromised_ids: Sequence[str]
-) -> float:
-    """Fraction of committee seats controlled through compromised replicas."""
-    return committee.voting_fraction(compromised_ids)

@@ -10,11 +10,10 @@ The :class:`StakeRegistry` models accounts, delegation and the resulting
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import MembershipError
-from repro.core.power import PowerLedger, PowerRegime
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,6 @@ class StakeRegistry:
             raise MembershipError(f"account {account_id!r} already exists")
         self._accounts[account_id] = StakeAccount(account_id=account_id, stake=stake)
 
-    def set_stake(self, account_id: str, stake: float) -> None:
-        """Update an account's stake."""
-        account = self._get(account_id)
-        self._accounts[account_id] = StakeAccount(
-            account_id=account_id, stake=stake, delegate_id=account.delegate_id
-        )
-
     def delegate(self, account_id: str, delegate_id: Optional[str]) -> None:
         """Delegate an account's stake to ``delegate_id`` (``None`` undelegates).
 
@@ -82,14 +74,6 @@ class StakeRegistry:
             return self._accounts[account_id]
         except KeyError:
             raise MembershipError(f"unknown account {account_id!r}") from None
-
-    def account(self, account_id: str) -> StakeAccount:
-        """The account record for ``account_id``."""
-        return self._get(account_id)
-
-    def total_stake(self) -> float:
-        """Total stake across all accounts."""
-        return sum(account.stake for account in self._accounts.values())
 
     def _resolve_validator(self, account_id: str) -> str:
         """Follow the delegation chain to the account that actually validates."""
@@ -116,13 +100,6 @@ class StakeRegistry:
             power[validator] = power.get(validator, 0.0) + account.stake
         return power
 
-    def power_ledger(self) -> PowerLedger:
-        """Effective validator power as a :class:`PowerLedger`."""
-        power = self.effective_power()
-        if not power:
-            raise MembershipError("no account holds positive stake")
-        return PowerLedger.from_mapping(power, regime=PowerRegime.COMMITTEE_STAKE)
-
     def validator_distribution(self) -> ConfigurationDistribution:
         """Effective power as a distribution (one "configuration" per validator).
 
@@ -143,18 +120,6 @@ class StakeRegistry:
         if total <= 0:
             return 0.0
         return sum(power[:count]) / total
-
-    def delegation_fraction(self) -> float:
-        """Fraction of total stake that is delegated away from its owner."""
-        total = self.total_stake()
-        if total <= 0:
-            return 0.0
-        delegated = sum(
-            account.stake
-            for account in self._accounts.values()
-            if account.delegate_id is not None
-        )
-        return delegated / total
 
     # -- dunder ----------------------------------------------------------------------------
 

@@ -1,16 +1,16 @@
 """Deterministic discrete-event simulation substrate.
 
-The BFT and Nakamoto protocol implementations run on this simulator instead
+The BFT protocol implementations run on this simulator instead
 of real sockets and threads: every protocol step is an event on a priority
 queue ordered by simulated time, message delivery goes through a
-:class:`~repro.sim.network.SimulatedNetwork` with configurable latency, loss
-and partitions, and all randomness flows from explicit seeds, so every run is
+:class:`~repro.sim.network.SimulatedNetwork` with configurable latency and
+loss, and all randomness flows from explicit seeds, so every run is
 reproducible bit-for-bit.
 
 - :mod:`repro.sim.events` -- the event queue and scheduler.
-- :mod:`repro.sim.network` -- latency / loss / partition modelling.
+- :mod:`repro.sim.network` -- latency / loss modelling.
 - :mod:`repro.sim.node` -- the process abstraction protocols subclass.
-- :mod:`repro.sim.metrics` -- counters, gauges and time series collection.
+- :mod:`repro.sim.metrics` -- named message counters.
 """
 
 from repro.sim.events import Event, EventQueue, Scheduler

@@ -10,7 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.exceptions import SimulationError
 
@@ -29,11 +29,6 @@ class Event:
     sequence: int
     callback: EventCallback = field(compare=False)
     label: str = field(compare=False, default="")
-    cancelled: bool = field(compare=False, default=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the scheduler skips it when popped."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -52,21 +47,17 @@ class EventQueue:
         return event
 
     def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        raise SimulationError("event queue is empty")
+        """Remove and return the earliest event."""
+        if not self._heap:
+            raise SimulationError("event queue is empty")
+        return heapq.heappop(self._heap)
 
     def peek_time(self) -> Optional[float]:
-        """The time of the next non-cancelled event (``None`` when empty)."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        """The time of the next event (``None`` when empty)."""
         return self._heap[0].time if self._heap else None
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self._heap)
 
     def __bool__(self) -> bool:
         return self.peek_time() is not None
@@ -85,18 +76,11 @@ class Scheduler:
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
-        self._events_executed = 0
-        self._stopped = False
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
-
-    @property
-    def events_executed(self) -> int:
-        """Number of events executed so far."""
-        return self._events_executed
 
     def call_at(self, time: float, callback: EventCallback, *, label: str = "") -> Event:
         """Schedule ``callback`` at absolute time ``time`` (not before ``now``)."""
@@ -111,10 +95,6 @@ class Scheduler:
         if delay < 0:
             raise SimulationError(f"delay must be non-negative, got {delay}")
         return self._queue.push(self._now + delay, callback, label=label)
-
-    def stop(self) -> None:
-        """Request the run loop to stop after the current event."""
-        self._stopped = True
 
     def run(
         self,
@@ -133,9 +113,8 @@ class Scheduler:
         """
         if max_events <= 0:
             raise SimulationError(f"max events must be positive, got {max_events}")
-        self._stopped = False
         executed_this_run = 0
-        while not self._stopped:
+        while True:
             next_time = self._queue.peek_time()
             if next_time is None:
                 break
@@ -145,14 +124,9 @@ class Scheduler:
             event = self._queue.pop()
             self._now = event.time
             event.callback()
-            self._events_executed += 1
             executed_this_run += 1
             if executed_this_run >= max_events:
                 raise SimulationError(
                     f"simulation exceeded {max_events} events; likely a livelock"
                 )
         return self._now
-
-    def pending_events(self) -> int:
-        """Number of events still queued."""
-        return len(self._queue)

@@ -1,63 +1,21 @@
 """Metric collection for simulations and experiments.
 
-A tiny, dependency-free registry of counters, gauges and time series.  The
-protocol simulators record message counts, commit latencies and safety
-violations here so experiments and benchmarks can read them back uniformly.
+A tiny, dependency-free registry of named counters.  The protocol simulators
+count messages here so the consensus runners can read them back uniformly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.core.exceptions import SimulationError
 
 
-@dataclass
-class TimeSeries:
-    """An append-only series of (time, value) samples."""
-
-    samples: List[Tuple[float, float]] = field(default_factory=list)
-
-    def record(self, time: float, value: float) -> None:
-        self.samples.append((time, float(value)))
-
-    def values(self) -> List[float]:
-        return [value for _, value in self.samples]
-
-    def times(self) -> List[float]:
-        return [time for time, _ in self.samples]
-
-    def last(self) -> float:
-        if not self.samples:
-            raise SimulationError("time series is empty")
-        return self.samples[-1][1]
-
-    def mean(self) -> float:
-        values = self.values()
-        if not values:
-            raise SimulationError("time series is empty")
-        return sum(values) / len(values)
-
-    def maximum(self) -> float:
-        values = self.values()
-        if not values:
-            raise SimulationError("time series is empty")
-        return max(values)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
 class MetricsRegistry:
-    """Named counters, gauges and time series."""
+    """Named counters."""
 
     def __init__(self) -> None:
         self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, float] = {}
-        self._series: Dict[str, TimeSeries] = {}
-
-    # -- counters -----------------------------------------------------------------
 
     def increment(self, name: str, amount: float = 1.0) -> None:
         """Add ``amount`` to the named counter (created at zero)."""
@@ -69,46 +27,5 @@ class MetricsRegistry:
         """Current value of the counter (zero when never incremented)."""
         return self._counters.get(name, 0.0)
 
-    # -- gauges --------------------------------------------------------------------
-
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set the named gauge to ``value``."""
-        self._gauges[name] = float(value)
-
-    def gauge(self, name: str, default: float = 0.0) -> float:
-        """Current gauge value (``default`` when never set)."""
-        return self._gauges.get(name, default)
-
-    # -- time series -----------------------------------------------------------------
-
-    def record(self, name: str, time: float, value: float) -> None:
-        """Append a sample to the named time series (created on first use)."""
-        self._series.setdefault(name, TimeSeries()).record(time, value)
-
-    def series(self, name: str) -> TimeSeries:
-        """The named time series (empty series when never recorded)."""
-        return self._series.setdefault(name, TimeSeries())
-
-    # -- reporting -------------------------------------------------------------------
-
-    def snapshot(self) -> Dict[str, float]:
-        """All counters and gauges in one flat dictionary."""
-        merged: Dict[str, float] = {}
-        merged.update(self._counters)
-        merged.update(self._gauges)
-        return merged
-
-    def counters(self) -> Dict[str, float]:
-        return dict(self._counters)
-
-    def reset(self) -> None:
-        """Clear every metric."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._series.clear()
-
     def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry(counters={len(self._counters)}, gauges={len(self._gauges)}, "
-            f"series={len(self._series)})"
-        )
+        return f"MetricsRegistry(counters={len(self._counters)})"

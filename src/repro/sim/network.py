@@ -1,8 +1,8 @@
-"""Simulated network: latency, loss and partitions.
+"""Simulated network: latency and loss.
 
 Messages handed to :meth:`SimulatedNetwork.send` are delivered to the
 recipient node after a sampled delay, unless they are dropped by the loss
-model or blocked by a partition.  All randomness comes from a dedicated
+model.  All randomness comes from a dedicated
 :class:`random.Random` so runs are reproducible.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.core.exceptions import SimulationError
 from repro.sim.events import Scheduler
@@ -62,7 +62,6 @@ class SimulatedNetwork:
         self.metrics = metrics or MetricsRegistry()
         self._nodes: Dict[str, SimulatedNode] = {}
         self._rng = random.Random(self.config.seed)
-        self._partitions: Tuple[FrozenSet[str], ...] = ()
 
     # -- membership -----------------------------------------------------------------
 
@@ -77,12 +76,6 @@ class SimulatedNetwork:
         for node in nodes:
             self.register(node)
 
-    def node(self, node_id: str) -> SimulatedNode:
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise SimulationError(f"unknown node {node_id!r}") from None
-
     def node_ids(self) -> Tuple[str, ...]:
         return tuple(self._nodes.keys())
 
@@ -91,41 +84,6 @@ class SimulatedNetwork:
         for node in self._nodes.values():
             node.on_start()
 
-    # -- partitions -------------------------------------------------------------------
-
-    def set_partitions(self, groups: Iterable[Iterable[str]]) -> None:
-        """Partition the network into the given groups.
-
-        Nodes in different groups cannot exchange messages; nodes not listed
-        in any group form an implicit extra group together.  Pass an empty
-        iterable to heal all partitions.
-        """
-        groups = tuple(frozenset(group) for group in groups)
-        listed: Set[str] = set()
-        for group in groups:
-            overlap = listed & group
-            if overlap:
-                raise SimulationError(f"nodes {sorted(overlap)} appear in multiple partitions")
-            listed |= group
-        self._partitions = groups
-
-    def heal_partitions(self) -> None:
-        """Remove all partitions."""
-        self._partitions = ()
-
-    def _can_communicate(self, sender: str, recipient: str) -> bool:
-        if not self._partitions:
-            return True
-        sender_group = None
-        recipient_group = None
-        for index, group in enumerate(self._partitions):
-            if sender in group:
-                sender_group = index
-            if recipient in group:
-                recipient_group = index
-        # Unlisted nodes share the implicit group index None.
-        return sender_group == recipient_group
-
     # -- delivery ---------------------------------------------------------------------
 
     def send(self, message: Message) -> None:
@@ -133,9 +91,6 @@ class SimulatedNetwork:
         if message.recipient not in self._nodes:
             raise SimulationError(f"unknown recipient {message.recipient!r}")
         self.metrics.increment("messages_sent")
-        if not self._can_communicate(message.sender, message.recipient):
-            self.metrics.increment("messages_partitioned")
-            return
         if self.config.loss_probability > 0 and self._rng.random() < self.config.loss_probability:
             self.metrics.increment("messages_dropped")
             return
@@ -164,6 +119,6 @@ class SimulatedNetwork:
 
     def __repr__(self) -> str:
         return (
-            f"SimulatedNetwork(nodes={len(self)}, partitions={len(self._partitions)}, "
+            f"SimulatedNetwork(nodes={len(self)}, "
             f"delay=[{self.config.min_delay}, {self.config.max_delay}])"
         )

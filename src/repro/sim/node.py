@@ -1,9 +1,9 @@
 """The process abstraction protocol implementations subclass.
 
 A :class:`SimulatedNode` has an id, receives :class:`Message` objects from the
-network, and can send messages / set timers through the network and scheduler
-it is registered with.  Protocol replicas (PBFT, HotStuff, Nakamoto miners)
-derive from it and implement :meth:`SimulatedNode.on_message`.
+network, and sends messages through the network it is registered with.
+Protocol replicas (PBFT, HotStuff, hybrid) derive from it and implement
+:meth:`SimulatedNode.on_message`.
 """
 
 from __future__ import annotations
@@ -59,10 +59,6 @@ class Message:
                 return value
         return default
 
-    def payload_dict(self) -> Dict[str, Any]:
-        """The payload as a plain dictionary."""
-        return dict(self.payload)
-
     def __str__(self) -> str:
         return f"{self.msg_type}({self.sender}->{self.recipient})"
 
@@ -71,8 +67,7 @@ class SimulatedNode:
     """Base class for all simulated processes.
 
     Subclasses implement :meth:`on_message` and may override :meth:`on_start`
-    (called once when the simulation begins) and :meth:`on_timer` (called when
-    a timer set via :meth:`set_timer` fires).
+    (called once when the simulation begins).
     """
 
     def __init__(self, node_id: str) -> None:
@@ -80,7 +75,6 @@ class SimulatedNode:
             raise SimulationError("node id must not be empty")
         self.node_id = node_id
         self._network = None  # set by SimulatedNetwork.register
-        self.crashed = False
 
     # -- wiring -------------------------------------------------------------------
 
@@ -103,36 +97,16 @@ class SimulatedNode:
 
     def send(self, recipient: str, msg_type: str, payload: Optional[Dict[str, Any]] = None) -> None:
         """Send a message to one node."""
-        if self.crashed:
-            return
         self.network.send(
             Message.make(self.node_id, recipient, msg_type, payload, sent_at=self.now)
         )
 
     def broadcast(self, msg_type: str, payload: Optional[Dict[str, Any]] = None, *, include_self: bool = True) -> None:
         """Send a message to every registered node (optionally including self)."""
-        if self.crashed:
-            return
         for node_id in self.network.node_ids():
             if node_id == self.node_id and not include_self:
                 continue
             self.send(node_id, msg_type, payload)
-
-    def set_timer(self, delay: float, timer_id: str = "") -> None:
-        """Schedule :meth:`on_timer` to run after ``delay`` time units."""
-        self.network.scheduler.call_later(
-            delay,
-            lambda: self._fire_timer(timer_id),
-            label=f"timer:{self.node_id}:{timer_id}",
-        )
-
-    def crash(self) -> None:
-        """Stop participating: no more sends, all deliveries dropped."""
-        self.crashed = True
-
-    def recover(self) -> None:
-        """Resume participating after a crash."""
-        self.crashed = False
 
     # -- callbacks -------------------------------------------------------------------
 
@@ -143,19 +117,11 @@ class SimulatedNode:
         """Handle a delivered message; subclasses must override."""
         raise NotImplementedError
 
-    def on_timer(self, timer_id: str) -> None:
-        """Handle a fired timer; default does nothing."""
-
     # -- internals ---------------------------------------------------------------------
-
-    def _fire_timer(self, timer_id: str) -> None:
-        if not self.crashed:
-            self.on_timer(timer_id)
 
     def deliver(self, message: Message) -> None:
         """Called by the network to hand a message to this node."""
-        if not self.crashed:
-            self.on_message(message)
+        self.on_message(message)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(node_id={self.node_id!r})"

@@ -9,13 +9,8 @@ from repro.analysis.monte_carlo import (
     estimate_violation_probability,
     violation_probability_by_entropy,
 )
-from repro.analysis.report import Table, format_series, format_table
-from repro.analysis.sweep import (
-    crossover_parameter,
-    is_monotonic,
-    numeric_summary,
-    sweep,
-)
+from repro.analysis.report import Table, format_table
+from repro.analysis.sweep import sweep
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import AnalysisError
 from repro.core.resilience import ProtocolFamily
@@ -107,38 +102,13 @@ class TestMonteCarlo:
 class TestSweep:
     def test_sweep_preserves_order_and_values(self):
         result = sweep([1, 2, 3], lambda x: x * x, parameter_name="n")
-        assert result.parameters() == (1, 2, 3)
+        assert result.points == ((1, 1), (2, 4), (3, 9))
         assert result.values() == (1, 4, 9)
-        assert result.value_at(2) == 4
         assert len(result) == 3
-
-    def test_value_at_unknown_parameter_raises(self):
-        result = sweep([1], lambda x: x)
-        with pytest.raises(AnalysisError):
-            result.value_at(99)
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(AnalysisError):
             sweep([], lambda x: x)
-
-    def test_numeric_summary(self):
-        summary = numeric_summary([1.0, 3.0, 2.0])
-        assert summary["min"] == 1.0
-        assert summary["max"] == 3.0
-        assert summary["mean"] == pytest.approx(2.0)
-        assert summary["span"] == pytest.approx(2.0)
-
-    def test_is_monotonic(self):
-        assert is_monotonic([1, 2, 2, 3])
-        assert not is_monotonic([1, 3, 2])
-        assert is_monotonic([3, 2, 1], increasing=False)
-
-    def test_crossover_parameter(self):
-        result = sweep([1, 2, 3, 4], lambda x: float(x))
-        found, parameter = crossover_parameter(result, threshold=3.0)
-        assert found and parameter == 3
-        found, parameter = crossover_parameter(result, threshold=10.0)
-        assert not found and parameter == 4
 
 
 class TestReport:
@@ -167,16 +137,6 @@ class TestReport:
     def test_format_table_requires_headers(self):
         with pytest.raises(AnalysisError):
             format_table((), [])
-
-    def test_format_series(self):
-        rendered = format_series("entropy", [(1, 2.5), (2, 2.75)])
-        assert "entropy" in rendered
-        assert "2.7500" in rendered
-
-    def test_extend(self):
-        table = Table(headers=("a", "b"))
-        table.extend([(1, 2), (3, 4)])
-        assert len(table) == 2
 
 
 class TestParallelExecution:

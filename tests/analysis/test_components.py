@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 
 import pytest
 
 from repro.analysis.components import (
     ABSENT,
+    _weakest_of,
     _weighted_bincount,
     component_census,
     component_entropy_profile,
     diversification_priority,
     exposure_by_component,
-    weakest_component,
 )
 from repro.core.configuration import ComponentKind, ReplicaConfiguration
 from repro.core.exceptions import AnalysisError
@@ -44,26 +45,29 @@ def mixed_population(linux_alpha_config, freebsd_beta_config) -> ReplicaPopulati
 class TestComponentCensus:
     def test_census_over_operating_systems(self, mixed_population):
         census = component_census(mixed_population, ComponentKind.OPERATING_SYSTEM)
-        assert census.share("operating_system:linux:1.0") == pytest.approx(0.5)
-        assert census.share("operating_system:freebsd:1.0") == pytest.approx(0.5)
+        assert census.shares()["operating_system:linux:1.0"] == pytest.approx(0.5)
+        assert census.shares()["operating_system:freebsd:1.0"] == pytest.approx(0.5)
 
     def test_census_over_clients_shows_monoculture(self, mixed_population):
         census = component_census(mixed_population, ComponentKind.CONSENSUS_CLIENT)
-        assert census.share("consensus_client:client-alpha:1.0") == pytest.approx(5 / 6)
+        assert census.shares()["consensus_client:client-alpha:1.0"] == pytest.approx(5 / 6)
 
     def test_absent_kind_is_its_own_bucket(self, small_population):
         census = component_census(small_population, ComponentKind.WALLET)
-        assert census.share(ABSENT) == pytest.approx(1.0)
+        assert census.shares()[ABSENT] == pytest.approx(1.0)
 
     def test_power_weighting(self, mixed_population):
-        mixed_population.set_power("c0", 6.0)
-        weighted = component_census(mixed_population, ComponentKind.OPERATING_SYSTEM)
+        heavy_c0 = ReplicaPopulation(
+            dataclasses.replace(replica, power=6.0) if replica.replica_id == "c0" else replica
+            for replica in mixed_population
+        )
+        weighted = component_census(heavy_c0, ComponentKind.OPERATING_SYSTEM)
         counted = component_census(
-            mixed_population, ComponentKind.OPERATING_SYSTEM, weight_by_power=False
+            heavy_c0, ComponentKind.OPERATING_SYSTEM, weight_by_power=False
         )
-        assert weighted.share("operating_system:freebsd:1.0") > counted.share(
+        assert weighted.shares()["operating_system:freebsd:1.0"] > counted.shares()[
             "operating_system:freebsd:1.0"
-        )
+        ]
 
     def test_empty_population_rejected(self):
         with pytest.raises(AnalysisError):
@@ -95,7 +99,7 @@ class TestProfilesAndPriorities:
         assert all(profile.dominant_share == pytest.approx(1 / 8) for profile in profiles)
 
     def test_weakest_component_is_the_client_slot(self, mixed_population):
-        weakest = weakest_component(mixed_population)
+        weakest = _weakest_of(component_entropy_profile(mixed_population))
         assert weakest.kind is ComponentKind.CONSENSUS_CLIENT
 
     def test_exposure_by_component_sorted(self, mixed_population):
@@ -132,7 +136,6 @@ class TestWeightedBincount:
         for function in (
             component_census,
             component_entropy_profile,
-            weakest_component,
             exposure_by_component,
             diversification_priority,
         ):

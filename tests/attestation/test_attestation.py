@@ -1,4 +1,4 @@
-"""Tests for the simulated remote-attestation pipeline (Section III-B, Remark 3)."""
+"""Tests for the simulated remote-attestation pipeline (Section III-B)."""
 
 from __future__ import annotations
 
@@ -6,17 +6,10 @@ import dataclasses
 
 import pytest
 
-from repro.attestation.binding import BoundVote, VoteKeyBinder, derive_vote_key, sign_vote
 from repro.attestation.device import AttestationDevice, DeviceType
-from repro.attestation.privacy import (
-    PrivateCensusAggregator,
-    commit_configuration,
-    open_commitment,
-)
 from repro.attestation.quote import measure_configuration, produce_quote
 from repro.attestation.registry import AttestationRegistry
 from repro.attestation.verifier import AttestationVerifier
-from repro.core.configuration import ReplicaConfiguration
 from repro.core.exceptions import AttestationError
 
 
@@ -63,7 +56,7 @@ class TestMeasurementAndQuotes:
     def test_compromised_device_can_lie_and_still_verifies(
         self, verifier, device, linux_alpha_config, freebsd_beta_config
     ):
-        device.compromise()
+        device.compromised = True
         quote = _attest(
             verifier, device, "r1", linux_alpha_config, lie_about=freebsd_beta_config
         )
@@ -79,21 +72,6 @@ class TestVerifierPolicies:
         nonce = verifier.issue_nonce()
         quote = produce_quote(rogue, "r1", linux_alpha_config, nonce)
         assert not verifier.verify(quote).valid
-
-    def test_revoked_device_rejected(self, verifier, device, linux_alpha_config):
-        quote = _attest(verifier, device, "r1", linux_alpha_config)
-        verifier.revoke_device(device.device_id)
-        assert not verifier.verify(quote).valid
-        assert verifier.is_revoked(device.device_id)
-
-    def test_untrusted_firmware_rejected(self, verifier, linux_alpha_config):
-        device = AttestationDevice("dev-fw", DeviceType.SGX, firmware_version="2.17")
-        verifier.register_device(device)
-        verifier.distrust_firmware("2.17")
-        quote = _attest(verifier, device, "r1", linux_alpha_config)
-        result = verifier.verify(quote)
-        assert not result.valid
-        assert "firmware" in result.reason
 
     def test_nonce_replay_rejected(self, verifier, device, linux_alpha_config):
         quote = _attest(verifier, device, "r1", linux_alpha_config)
@@ -144,132 +122,6 @@ class TestVerifierPolicies:
         assert not result.valid
         assert result.reason == "quote carries no configuration claim"
 
-    def test_revoking_an_unknown_device_is_an_error(self, verifier):
-        with pytest.raises(AttestationError, match="unknown device"):
-            verifier.revoke_device("never-registered")
-
-    def test_distrusting_an_empty_firmware_version_is_an_error(self, verifier):
-        with pytest.raises(AttestationError, match="firmware version"):
-            verifier.distrust_firmware("")
-
-
-class TestVoteKeyBinding:
-    def test_bind_and_verify_vote(self, verifier, device, linux_alpha_config):
-        binder = VoteKeyBinder(verifier)
-        key = derive_vote_key("r1", "seed")
-        quote = _attest(verifier, device, "r1", linux_alpha_config)
-        attested = binder.bind(quote, key)
-        assert attested == linux_alpha_config
-        vote = binder.cast_vote("r1", key, "ballot-A")
-        assert binder.verify_vote(vote)
-        assert binder.configuration_of("r1") == linux_alpha_config
-
-    def test_vote_with_wrong_key_rejected(self, verifier, device, linux_alpha_config):
-        binder = VoteKeyBinder(verifier)
-        quote = _attest(verifier, device, "r1", linux_alpha_config)
-        binder.bind(quote, derive_vote_key("r1", "seed"))
-        forged = BoundVote(
-            replica_id="r1",
-            ballot="ballot-A",
-            signature=sign_vote(derive_vote_key("r1", "other-seed"), "ballot-A"),
-        )
-        assert not binder.verify_vote(forged)
-
-    def test_unbound_replica_vote_rejected(self, verifier):
-        binder = VoteKeyBinder(verifier)
-        vote = BoundVote("ghost", "ballot", "sig")
-        assert not binder.verify_vote(vote)
-        with pytest.raises(AttestationError):
-            binder.cast_vote("ghost", "key", "ballot")
-
-    def test_bind_fails_on_bad_quote(self, verifier, linux_alpha_config):
-        binder = VoteKeyBinder(verifier)
-        rogue = AttestationDevice("rogue")
-        quote = produce_quote(rogue, "r1", linux_alpha_config, "bad-nonce")
-        with pytest.raises(AttestationError):
-            binder.bind(quote, "key")
-
-    def test_attested_weight(self, verifier, device, linux_alpha_config):
-        binder = VoteKeyBinder(verifier)
-        quote = _attest(verifier, device, "r1", linux_alpha_config)
-        binder.bind(quote, "key")
-        assert binder.attested_weight({"r1": 5.0, "r2": 3.0}) == pytest.approx(5.0)
-
-
-class TestPrivacy:
-    def test_commitment_opens_correctly(self, linux_alpha_config):
-        commitment, blinding = commit_configuration("r1", linux_alpha_config)
-        assert open_commitment(commitment, linux_alpha_config, blinding)
-
-    def test_commitment_is_binding(self, linux_alpha_config, freebsd_beta_config):
-        commitment, blinding = commit_configuration("r1", linux_alpha_config)
-        assert not open_commitment(commitment, freebsd_beta_config, blinding)
-        assert not open_commitment(commitment, linux_alpha_config, "wrong-blinding")
-
-    def test_commitment_is_hiding(self, linux_alpha_config):
-        first, _ = commit_configuration("r1", linux_alpha_config, blinding="salt-1")
-        second, _ = commit_configuration("r1", linux_alpha_config, blinding="salt-2")
-        assert first.digest != second.digest
-
-    def test_private_census(self, linux_alpha_config, freebsd_beta_config):
-        aggregator = PrivateCensusAggregator()
-        for replica_id, config, weight in (
-            ("r1", linux_alpha_config, 2.0),
-            ("r2", linux_alpha_config, 1.0),
-            ("r3", freebsd_beta_config, 1.0),
-        ):
-            commitment, blinding = commit_configuration(replica_id, config)
-            aggregator.submit_commitment(commitment, weight=weight)
-            aggregator.reveal(replica_id, config, blinding)
-        census = aggregator.census()
-        assert census.support_size() == 2
-        assert census.share(linux_alpha_config) == pytest.approx(0.75)
-        assert aggregator.revealed_fraction() == pytest.approx(1.0)
-
-    def test_bad_reveal_rejected(self, linux_alpha_config, freebsd_beta_config):
-        aggregator = PrivateCensusAggregator()
-        commitment, blinding = commit_configuration("r1", linux_alpha_config)
-        aggregator.submit_commitment(commitment)
-        with pytest.raises(AttestationError):
-            aggregator.reveal("r1", freebsd_beta_config, blinding)
-
-    def test_census_requires_openings(self):
-        with pytest.raises(AttestationError):
-            PrivateCensusAggregator().census()
-
-    def test_a_replica_commits_only_once(self, linux_alpha_config, freebsd_beta_config):
-        aggregator = PrivateCensusAggregator()
-        first, blinding = commit_configuration("r1", linux_alpha_config)
-        aggregator.submit_commitment(first)
-        second, _ = commit_configuration("r1", freebsd_beta_config)
-        with pytest.raises(AttestationError, match="already submitted"):
-            aggregator.submit_commitment(second)
-        aggregator.reveal("r1", linux_alpha_config, blinding)
-        assert aggregator.census().share(linux_alpha_config) == pytest.approx(1.0)
-
-    def test_reveal_without_a_commitment_rejected(self, linux_alpha_config):
-        with pytest.raises(AttestationError, match="submitted no commitment"):
-            PrivateCensusAggregator().reveal("r1", linux_alpha_config, "salt")
-
-    def test_negative_weight_rejected(self, linux_alpha_config):
-        commitment, _ = commit_configuration("r1", linux_alpha_config)
-        aggregator = PrivateCensusAggregator()
-        with pytest.raises(AttestationError, match="weight must be non-negative"):
-            aggregator.submit_commitment(commitment, weight=-1.0)
-        assert len(aggregator) == 0
-
-    def test_revealed_fraction_counts_opened_commitments(
-        self, linux_alpha_config, freebsd_beta_config
-    ):
-        aggregator = PrivateCensusAggregator()
-        assert aggregator.revealed_fraction() == 0.0
-        first, blinding = commit_configuration("r1", linux_alpha_config)
-        second, _ = commit_configuration("r2", freebsd_beta_config)
-        aggregator.submit_commitment(first)
-        aggregator.submit_commitment(second)
-        aggregator.reveal("r1", linux_alpha_config, blinding)
-        assert aggregator.revealed_fraction() == pytest.approx(0.5)
-
 
 class TestRegistry:
     def test_attested_and_declared_power(self, verifier, device, linux_alpha_config, freebsd_beta_config):
@@ -288,17 +140,9 @@ class TestRegistry:
         registry.register_attested(quote, power=1.0)
         registry.register_declared("r2", freebsd_beta_config, power=1.0)
         boosted = registry.census(attested_weight=3.0, declared_weight=1.0)
-        assert boosted.share(linux_alpha_config) == pytest.approx(0.75)
+        assert boosted.shares()[linux_alpha_config] == pytest.approx(0.75)
         attested_only = registry.census(attested_only=True)
         assert attested_only.support_size() == 1
-
-    def test_registry_to_population(self, verifier, device, linux_alpha_config):
-        registry = AttestationRegistry(verifier)
-        quote = _attest(verifier, device, "r1", linux_alpha_config)
-        registry.register_attested(quote, power=2.0)
-        population = registry.to_population()
-        assert population.total_power() == pytest.approx(2.0)
-        assert population.get("r1").attested
 
     def test_bad_quote_not_registered(self, verifier, linux_alpha_config):
         registry = AttestationRegistry(verifier)
@@ -307,11 +151,3 @@ class TestRegistry:
         with pytest.raises(AttestationError):
             registry.register_attested(quote)
         assert "r1" not in registry
-
-    def test_remove(self, verifier, device, linux_alpha_config):
-        registry = AttestationRegistry(verifier)
-        registry.register_declared("r9", linux_alpha_config)
-        registry.remove("r9")
-        assert "r9" not in registry
-        with pytest.raises(AttestationError):
-            registry.remove("r9")

@@ -20,7 +20,7 @@ import pytest
 from repro.backend import NumpyBackend, available_backends, get_backend, python_backend
 from repro.backend.base import TrialBatchResult, campaign_uniform
 from repro.core.distribution import ConfigurationDistribution
-from repro.experiments.orchestrator import execute_spec, registry
+from repro.experiments.orchestrator import execute_spec, json_body, registry
 from repro.faults.engine import run_census_trials
 
 TOLERANCES = (1 / 3, 1 / 2)
@@ -154,7 +154,7 @@ def test_negative_seed_builds_the_same_bytes_on_every_backend():
     spec = registry.get_spec("safety_violation")
     params = spec.params_type(seed=-3)
     documents = {
-        execute_spec(spec, params, backend=backend).canonical_json()
+        json_body(execute_spec(spec, params, backend=backend).canonical_dict())
         for backend in available_backends()
     }
     assert len(documents) == 1

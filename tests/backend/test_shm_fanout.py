@@ -41,7 +41,7 @@ SCENARIO = ecosystem_scenario(
 #: One campaign over the whole catalog: what a single estimate runs.
 ONE_REQUEST = (
     GridPointRequest(
-        tolerances=(1.0 / 3.0,), vulnerability_ids=tuple(SCENARIO.catalog.ids())
+        tolerances=(1.0 / 3.0,), vulnerability_ids=tuple(v.vuln_id for v in SCENARIO.catalog)
     ),
 )
 
@@ -52,7 +52,7 @@ MULTI_POINT = (
     ),
     GridPointRequest(
         tolerances=(0.25,),
-        vulnerability_ids=tuple(SCENARIO.catalog.ids()[:2]),
+        vulnerability_ids=tuple(v.vuln_id for v in SCENARIO.catalog)[:2],
         seed_offset=2,
     ),
 )
@@ -105,7 +105,7 @@ class TestPooledEstimates:
     @pytest.mark.parametrize("layout", ["dense", "sparse"])
     def test_vulnerability_subset_matches_serial(self, monkeypatch, pooled_shm, layout):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        subset = tuple(SCENARIO.catalog.ids()[:3])
+        subset = tuple(v.vuln_id for v in SCENARIO.catalog)[:3]
         kwargs = dict(trials=TRIALS, seed=SEED, family=ProtocolFamily.NAKAMOTO)
         serial = _engine(layout, "numpy").estimate(subset, **kwargs)
         assert _engine(layout, pooled_shm).estimate(subset, **kwargs) == serial

@@ -108,7 +108,7 @@ class TestSparseExposureStructure:
         assert bytes(by_rows.powers) == bytes(sparse.powers)
         assert sparse.replica_count == len(matrix.powers)
         assert sparse.column_count == len(matrix.success_probabilities)
-        assert 0.0 < sparse.density < 1.0
+        assert 0 < sparse.nnz < sparse.replica_count * sparse.column_count
 
     def test_row_slice_rebases_indptr(self):
         _, matrix, sparse = fixture("python")

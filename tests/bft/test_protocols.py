@@ -15,11 +15,15 @@ from repro.bft.hybrid import HybridRun
 from repro.bft.pbft import PbftRun
 from repro.bft.runner import fault_bound_for, run_consensus
 from repro.core.exceptions import ProtocolError
-from repro.faults.injection import FaultSchedule
+from repro.faults.injection import FaultKind, FaultSchedule, FaultSpec
 
 
 def _ids(count: int):
     return [f"r{i}" for i in range(count)]
+
+
+def _byzantine(replica_ids):
+    return FaultSchedule(FaultSpec(replica_id=replica_id) for replica_id in replica_ids)
 
 
 class TestPbft:
@@ -35,47 +39,48 @@ class TestPbft:
         assert result.all_honest_decided
 
     def test_crashed_backup_within_bound_keeps_liveness(self):
-        result = run_consensus(_ids(4), FaultSchedule.crashed(["r3"]), protocol="pbft")
+        crashed = FaultSchedule([FaultSpec(replica_id="r3", kind=FaultKind.CRASH)])
+        result = run_consensus(_ids(4), crashed, protocol="pbft")
         assert result.safety_ok
         assert result.all_honest_decided
 
     def test_byzantine_backup_within_bound_is_safe(self):
-        result = run_consensus(_ids(4), FaultSchedule.byzantine(["r3"]), protocol="pbft")
+        result = run_consensus(_ids(4), _byzantine(["r3"]), protocol="pbft")
         assert result.safety_ok
         assert result.within_fault_bound
 
     def test_byzantine_primary_alone_cannot_break_safety(self):
-        result = run_consensus(_ids(7), FaultSchedule.byzantine(["r0"]), protocol="pbft")
+        result = run_consensus(_ids(7), _byzantine(["r0"]), protocol="pbft")
         assert result.safety_ok
 
     def test_safety_violation_beyond_fault_bound(self):
         # n=4, f=1: a Byzantine primary plus one Byzantine backup exceed f and
         # produce conflicting commits on the two honest replicas.
-        result = run_consensus(_ids(4), FaultSchedule.byzantine(["r0", "r3"]), protocol="pbft")
+        result = run_consensus(_ids(4), _byzantine(["r0", "r3"]), protocol="pbft")
         assert not result.within_fault_bound
         assert not result.safety_ok
 
     def test_safety_violation_in_larger_deployment(self):
         # n=7, f=2: three Byzantine replicas spanning both halves break safety.
         result = run_consensus(
-            _ids(7), FaultSchedule.byzantine(["r0", "r3", "r5"]), protocol="pbft"
+            _ids(7), _byzantine(["r0", "r3", "r5"]), protocol="pbft"
         )
         assert not result.safety_ok
 
     def test_minimum_replica_count_enforced(self):
         with pytest.raises(ProtocolError):
-            PbftRun(replica_ids=_ids(3), fault_schedule=FaultSchedule.none())
+            PbftRun(replica_ids=_ids(3), fault_schedule=FaultSchedule())
 
     def test_unknown_primary_rejected(self):
         with pytest.raises(ProtocolError):
             PbftRun(
                 replica_ids=_ids(4),
-                fault_schedule=FaultSchedule.none(),
+                fault_schedule=FaultSchedule(),
                 primary_id="ghost",
             )
 
     def test_empty_values_rejected(self):
-        run = PbftRun(replica_ids=_ids(4), fault_schedule=FaultSchedule.none())
+        run = PbftRun(replica_ids=_ids(4), fault_schedule=FaultSchedule())
         with pytest.raises(ProtocolError):
             run.execute(())
 
@@ -93,18 +98,18 @@ class TestHotStuff:
 
     def test_byzantine_followers_within_bound_are_safe(self):
         result = run_consensus(
-            _ids(7), FaultSchedule.byzantine(["r5", "r6"]), protocol="hotstuff"
+            _ids(7), _byzantine(["r5", "r6"]), protocol="hotstuff"
         )
         assert result.safety_ok
 
     def test_equivocating_leader_with_collusion_breaks_safety(self):
         result = run_consensus(
-            _ids(4), FaultSchedule.byzantine(["r0", "r3"]), protocol="hotstuff"
+            _ids(4), _byzantine(["r0", "r3"]), protocol="hotstuff"
         )
         assert not result.safety_ok
 
     def test_equivocating_leader_alone_cannot_break_safety(self):
-        result = run_consensus(_ids(7), FaultSchedule.byzantine(["r0"]), protocol="hotstuff")
+        result = run_consensus(_ids(7), _byzantine(["r0"]), protocol="hotstuff")
         assert result.safety_ok
 
 
@@ -119,7 +124,7 @@ class TestHybrid:
         assert fault_bound_for("pbft", 4) == 1
 
     def test_byzantine_primary_with_intact_tee_cannot_equivocate(self):
-        result = run_consensus(_ids(5), FaultSchedule.byzantine(["r0", "r4"]), protocol="hybrid")
+        result = run_consensus(_ids(5), _byzantine(["r0", "r4"]), protocol="hybrid")
         assert result.safety_ok
 
     def test_compromised_trusted_components_break_safety(self):
@@ -127,7 +132,7 @@ class TestHybrid:
         # (the paper's trusted-hardware diversity concern).
         result = run_consensus(
             _ids(5),
-            FaultSchedule.byzantine(["r0", "r4"]),
+            _byzantine(["r0", "r4"]),
             protocol="hybrid",
             tee_compromised_ids=["r0", "r4"],
         )
@@ -137,13 +142,13 @@ class TestHybrid:
         with pytest.raises(ProtocolError):
             HybridRun(
                 replica_ids=_ids(3),
-                fault_schedule=FaultSchedule.none(),
+                fault_schedule=FaultSchedule(),
                 tee_compromised_ids=frozenset({"ghost"}),
             ).execute()
 
     def test_minimum_replica_count(self):
         with pytest.raises(ProtocolError):
-            HybridRun(replica_ids=_ids(2), fault_schedule=FaultSchedule.none())
+            HybridRun(replica_ids=_ids(2), fault_schedule=FaultSchedule())
 
 
 class TestRunConstruction:
@@ -152,7 +157,7 @@ class TestRunConstruction:
     @pytest.mark.parametrize("run_type", [PbftRun, HotStuffRun, HybridRun])
     def test_duplicate_replica_ids_rejected(self, run_type):
         with pytest.raises(ProtocolError, match="replica ids must be unique"):
-            run_type(replica_ids=["r0", "r1", "r2", "r0"], fault_schedule=FaultSchedule.none())
+            run_type(replica_ids=["r0", "r1", "r2", "r0"], fault_schedule=FaultSchedule())
 
     @pytest.mark.parametrize(
         "run_type, field, role",
@@ -161,18 +166,18 @@ class TestRunConstruction:
     def test_leader_must_be_a_replica(self, run_type, field, role):
         with pytest.raises(ProtocolError, match=f"{role} 'ghost' is not a replica"):
             run_type(
-                replica_ids=_ids(4), fault_schedule=FaultSchedule.none(), **{field: "ghost"}
+                replica_ids=_ids(4), fault_schedule=FaultSchedule(), **{field: "ghost"}
             )
 
     @pytest.mark.parametrize("run_type", [HotStuffRun, HybridRun])
     def test_empty_values_rejected(self, run_type):
-        run = run_type(replica_ids=_ids(4), fault_schedule=FaultSchedule.none())
+        run = run_type(replica_ids=_ids(4), fault_schedule=FaultSchedule())
         with pytest.raises(ProtocolError, match="at least one value"):
             run.execute(())
 
     def test_hotstuff_needs_four_replicas(self):
         with pytest.raises(ProtocolError, match="at least 4 replicas"):
-            HotStuffRun(replica_ids=_ids(3), fault_schedule=FaultSchedule.none())
+            HotStuffRun(replica_ids=_ids(3), fault_schedule=FaultSchedule())
 
 
 class TestRunner:
@@ -190,7 +195,7 @@ class TestRunner:
             run_consensus([], protocol="pbft")
 
     def test_byzantine_count_reported(self):
-        result = run_consensus(_ids(4), FaultSchedule.byzantine(["r1"]), protocol="pbft")
+        result = run_consensus(_ids(4), _byzantine(["r1"]), protocol="pbft")
         assert result.byzantine_count == 1
         assert result.within_fault_bound
 

@@ -14,34 +14,21 @@ class TestQuorumSpec:
         spec = QuorumSpec(total_replicas=4)
         assert spec.fault_bound == 1
         assert spec.quorum_size == 3
-        assert spec.is_exact
 
     def test_classic_larger_deployment(self):
         spec = QuorumSpec(total_replicas=10)
         assert spec.fault_bound == 3
         assert spec.quorum_size == 7
-        assert spec.is_exact  # 10 = 3*3 + 1
-        assert not QuorumSpec(total_replicas=11).is_exact
 
     def test_hybrid_bounds(self):
         spec = QuorumSpec(total_replicas=3, model=QuorumModel.HYBRID)
         assert spec.fault_bound == 1
         assert spec.quorum_size == 2
-        assert spec.is_exact
 
     def test_tolerates(self):
         spec = QuorumSpec(total_replicas=7)
         assert spec.tolerates(2)
         assert not spec.tolerates(3)
-
-    def test_quorum_intersection_argument(self):
-        spec = QuorumSpec(total_replicas=7)
-        assert spec.quorums_intersect_in_honest(2)
-        assert not spec.quorums_intersect_in_honest(3)
-
-    def test_for_fault_bound(self):
-        assert QuorumSpec.for_fault_bound(2).total_replicas == 7
-        assert QuorumSpec.for_fault_bound(2, model=QuorumModel.HYBRID).total_replicas == 5
 
     def test_minimum_sizes_enforced(self):
         with pytest.raises(ProtocolError):
@@ -57,17 +44,15 @@ class TestQuorumSpec:
 class TestReplicatedLedger:
     def test_commit_and_query(self):
         ledger = ReplicatedLedger("r0")
-        ledger.commit(0, "tx-a", time=1.0)
-        assert ledger.value_at(0) == "tx-a"
-        assert ledger.commit_time(0) == pytest.approx(1.0)
+        ledger.commit(0, "tx-a")
+        assert ledger.entries() == {0: "tx-a"}
         assert 0 in ledger
-        assert ledger.committed_sequences() == (0,)
 
     def test_idempotent_recommit(self):
         ledger = ReplicatedLedger("r0")
-        ledger.commit(0, "tx-a", time=1.0)
-        ledger.commit(0, "tx-a", time=2.0)
-        assert ledger.commit_time(0) == pytest.approx(1.0)
+        ledger.commit(0, "tx-a")
+        ledger.commit(0, "tx-a")
+        assert ledger.entries() == {0: "tx-a"}
 
     def test_conflicting_local_commit_raises(self):
         ledger = ReplicatedLedger("r0")

@@ -12,7 +12,6 @@ class TestConstruction:
     def test_uniform_abundance(self):
         vector = AbundanceVector.uniform(["a", "b", "c"], abundance=4)
         assert vector.total() == pytest.approx(12.0)
-        assert vector.is_uniform_abundance()
         assert vector.mean_abundance() == pytest.approx(4.0)
 
     def test_from_counts(self):
@@ -46,7 +45,6 @@ class TestQueries:
     def test_support_excludes_zero_entries(self):
         vector = AbundanceVector({"a": 2.0, "b": 0.0})
         assert vector.support() == ("a",)
-        assert vector.support_size() == 1
 
     def test_entropy_matches_distribution(self):
         vector = AbundanceVector.uniform(["a", "b", "c", "d"])
@@ -60,24 +58,8 @@ class TestQueries:
         assert base.has_same_relative_abundance(scaled)
         assert not base.has_same_relative_abundance(different)
 
-    def test_is_uniform_abundance_false_for_skew(self):
-        assert not AbundanceVector({"a": 1.0, "b": 5.0}).is_uniform_abundance()
-
 
 class TestTransformations:
-    def test_scaled_preserves_relative_abundance(self):
-        base = AbundanceVector({"a": 1.0, "b": 3.0})
-        scaled = base.scaled(7.0)
-        assert base.has_same_relative_abundance(scaled)
-        assert scaled.total() == pytest.approx(28.0)
-
-    def test_scaled_preserves_entropy(self):
-        base = AbundanceVector({"a": 1.0, "b": 3.0, "c": 4.0})
-        assert base.scaled(13.0).entropy() == pytest.approx(base.entropy())
-
-    def test_scaled_rejects_non_positive_factor(self):
-        with pytest.raises(DistributionError):
-            AbundanceVector({"a": 1.0}).scaled(0.0)
 
     def test_incremented_adds_new_key(self):
         base = AbundanceVector({"a": 1.0})
@@ -93,16 +75,6 @@ class TestTransformations:
     def test_incremented_rejects_negative_result(self):
         with pytest.raises(DistributionError):
             AbundanceVector({"a": 1.0, "b": 1.0}).incremented({"a": -2.0})
-
-    def test_with_abundance(self):
-        base = AbundanceVector({"a": 1.0, "b": 1.0})
-        updated = base.with_abundance("a", 5.0)
-        assert updated.abundance_of("a") == pytest.approx(5.0)
-
-    def test_merged_sums_elementwise(self):
-        merged = AbundanceVector({"a": 1.0}).merged(AbundanceVector({"a": 2.0, "b": 1.0}))
-        assert merged.abundance_of("a") == pytest.approx(3.0)
-        assert merged.abundance_of("b") == pytest.approx(1.0)
 
     def test_uneven_increment_lowers_entropy_of_uniform(self):
         # The Proposition 1 mechanism at the abundance-vector level.

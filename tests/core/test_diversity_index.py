@@ -11,7 +11,6 @@ from repro.core.diversity_index import (
     herfindahl_hirschman_index,
     hill_number,
     inverse_simpson_index,
-    pielou_evenness,
     richness,
     simpson_index,
 )
@@ -78,8 +77,6 @@ class TestHillNumbers:
 
 
 class TestEvennessAndProfile:
-    def test_pielou_evenness_of_uniform_is_one(self):
-        assert pielou_evenness([0.2] * 5) == pytest.approx(1.0)
 
     def test_richness_counts_nonzero_shares(self):
         assert richness([0.5, 0.5, 0.0, 0.0]) == 2

@@ -8,12 +8,8 @@ import pytest
 
 from repro.core.entropy import (
     effective_configurations,
-    entropy_deficit,
-    jensen_shannon_divergence,
     max_entropy,
-    min_entropy,
     normalized_entropy,
-    renyi_entropy,
     shannon_entropy,
 )
 from repro.core.exceptions import DistributionError
@@ -84,41 +80,6 @@ class TestMaxAndNormalizedEntropy:
         value = normalized_entropy([0.7, 0.2, 0.1])
         assert 0.0 < value < 1.0
 
-    def test_entropy_deficit_zero_for_uniform(self):
-        assert entropy_deficit([0.25] * 4) == pytest.approx(0.0)
-
-    def test_entropy_deficit_positive_for_skew(self):
-        assert entropy_deficit([0.7, 0.2, 0.1]) > 0.0
-
-
-class TestRenyiAndMinEntropy:
-    def test_renyi_order_one_matches_shannon(self):
-        probs = [0.5, 0.3, 0.2]
-        assert renyi_entropy(probs, 1.0) == pytest.approx(shannon_entropy(probs))
-
-    def test_renyi_order_zero_is_hartley(self):
-        assert renyi_entropy([0.7, 0.2, 0.1, 0.0], 0.0) == pytest.approx(math.log2(3))
-
-    def test_renyi_infinite_order_is_min_entropy(self):
-        probs = [0.5, 0.25, 0.25]
-        assert renyi_entropy(probs, float("inf")) == pytest.approx(min_entropy(probs))
-
-    def test_renyi_decreases_with_order(self):
-        probs = [0.6, 0.3, 0.1]
-        h1 = renyi_entropy(probs, 1.0)
-        h2 = renyi_entropy(probs, 2.0)
-        assert h2 <= h1
-
-    def test_renyi_rejects_negative_order(self):
-        with pytest.raises(DistributionError):
-            renyi_entropy([0.5, 0.5], -1.0)
-
-    def test_min_entropy_of_uniform(self):
-        assert min_entropy([0.25] * 4) == pytest.approx(2.0)
-
-    def test_min_entropy_tracks_largest_share(self):
-        assert min_entropy([0.5, 0.25, 0.25]) == pytest.approx(1.0)
-
 
 class TestEffectiveConfigurations:
     def test_uniform_effective_count_equals_support(self):
@@ -126,21 +87,3 @@ class TestEffectiveConfigurations:
 
     def test_skewed_effective_count_below_support(self):
         assert effective_configurations([0.9, 0.05, 0.05]) < 3.0
-
-
-class TestJensenShannon:
-    def test_identical_distributions_have_zero_divergence(self):
-        assert jensen_shannon_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0)
-
-    def test_disjoint_distributions_have_one_bit_divergence(self):
-        assert jensen_shannon_divergence([1.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
-
-    def test_divergence_is_symmetric(self):
-        p, q = [0.7, 0.3], [0.4, 0.6]
-        assert jensen_shannon_divergence(p, q) == pytest.approx(
-            jensen_shannon_divergence(q, p)
-        )
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(DistributionError):
-            jensen_shannon_divergence([0.5, 0.5], [1.0])

@@ -10,9 +10,6 @@ from repro.core.exceptions import OptimalityError
 from repro.core.optimality import (
     is_kappa_omega_optimal,
     is_kappa_optimal,
-    kappa_of,
-    kappa_omega_abundance,
-    kappa_optimal_distribution,
     minimum_kappa_for_entropy,
     optimality_gap,
 )
@@ -23,7 +20,7 @@ class TestKappaOptimal:
         dist = ConfigurationDistribution.uniform_labels(8)
         assert is_kappa_optimal(dist)
         assert is_kappa_optimal(dist, kappa=8)
-        assert kappa_of(dist) == 8
+        assert dist.support_size() == 8
 
     def test_wrong_kappa_fails(self):
         dist = ConfigurationDistribution.uniform_labels(8)
@@ -35,21 +32,16 @@ class TestKappaOptimal:
 
     def test_zero_shares_do_not_count_toward_kappa(self):
         dist = ConfigurationDistribution({"a": 0.5, "b": 0.5, "c": 0.0})
-        assert kappa_of(dist) == 2
+        assert dist.support_size() == 2
         assert is_kappa_optimal(dist, kappa=2)
 
     def test_accepts_raw_probability_sequences(self):
         assert is_kappa_optimal([0.25, 0.25, 0.25, 0.25])
         assert not is_kappa_optimal([0.4, 0.3, 0.3])
 
-    def test_constructor_produces_optimal_distribution(self):
-        assert is_kappa_optimal(kappa_optimal_distribution(5), kappa=5)
-
     def test_rejects_bad_kappa(self):
         with pytest.raises(OptimalityError):
             is_kappa_optimal([1.0], kappa=0)
-        with pytest.raises(OptimalityError):
-            kappa_optimal_distribution(0)
 
 
 class TestKappaOmegaOptimal:
@@ -71,29 +63,15 @@ class TestKappaOmegaOptimal:
         vector = AbundanceVector.uniform([f"r{i}" for i in range(4)], abundance=1)
         assert is_kappa_omega_optimal(vector, kappa=4, omega=1)
 
-    def test_constructor(self):
-        vector = kappa_omega_abundance(6, 3)
-        assert vector.support_size() == 6
-        assert vector.total() == pytest.approx(18.0)
-        assert is_kappa_omega_optimal(vector, kappa=6, omega=3)
-
-    def test_constructor_rejects_bad_parameters(self):
-        with pytest.raises(OptimalityError):
-            kappa_omega_abundance(0, 1)
-        with pytest.raises(OptimalityError):
-            kappa_omega_abundance(1, 0)
-
 
 class TestOptimalityGap:
     def test_gap_zero_for_uniform(self):
         gap = optimality_gap(ConfigurationDistribution.uniform_labels(16))
-        assert gap.is_optimal
         assert gap.deficit == pytest.approx(0.0)
         assert gap.evenness == pytest.approx(1.0)
 
     def test_gap_positive_for_skew(self):
         gap = optimality_gap(ConfigurationDistribution({"a": 0.9, "b": 0.1}))
-        assert not gap.is_optimal
         assert gap.deficit > 0.0
         assert 0.0 < gap.evenness < 1.0
         assert gap.kappa == 2

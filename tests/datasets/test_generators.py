@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import random
 
 import pytest
 
 from repro.core.configuration import ComponentKind
 from repro.core.exceptions import ConfigurationError, DistributionError
 from repro.datasets.generators import (
-    dirichlet_distribution,
-    geometric_distribution,
     oligopoly_distribution,
-    perturbed_uniform,
-    power_split,
     uniform_distribution,
     zipf_distribution,
 )
@@ -43,32 +38,9 @@ class TestGenerators:
         with pytest.raises(DistributionError):
             zipf_distribution(8, -1.0)
 
-    def test_geometric_distribution_shares_decay(self):
-        dist = geometric_distribution(4, ratio=0.5)
-        probs = list(dist.probabilities())
-        assert probs == sorted(probs, reverse=True)
-
-    def test_geometric_rejects_bad_ratio(self):
-        with pytest.raises(DistributionError):
-            geometric_distribution(4, ratio=0.0)
-
-    def test_dirichlet_is_deterministic_given_seed(self):
-        a = dirichlet_distribution(10, 1.0, rng=random.Random(42))
-        b = dirichlet_distribution(10, 1.0, rng=random.Random(42))
-        assert a == b
-
-    def test_dirichlet_high_concentration_is_more_even(self):
-        sparse = dirichlet_distribution(20, 0.05, rng=random.Random(1))
-        even = dirichlet_distribution(20, 50.0, rng=random.Random(1))
-        assert even.entropy() > sparse.entropy()
-
-    def test_dirichlet_rejects_bad_concentration(self):
-        with pytest.raises(DistributionError):
-            dirichlet_distribution(5, 0.0)
-
     def test_oligopoly_distribution_shape(self):
         dist = oligopoly_distribution(10, 0.96, 500)
-        heads = [dist.share(f"config-head-{i}") for i in range(10)]
+        heads = [dist.shares()[f"config-head-{i}"] for i in range(10)]
         assert sum(heads) == pytest.approx(0.96)
         assert dist.support_size() == 510
 
@@ -76,27 +48,6 @@ class TestGenerators:
         with pytest.raises(DistributionError):
             oligopoly_distribution(3, 0.9, 0)
         assert oligopoly_distribution(3, 1.0, 0).support_size() == 3
-
-    def test_perturbed_uniform_stays_close_to_uniform(self):
-        dist = perturbed_uniform(16, 0.05, rng=random.Random(3))
-        assert dist.entropy() > 3.9
-
-    def test_perturbed_uniform_rejects_large_noise(self):
-        with pytest.raises(DistributionError):
-            perturbed_uniform(4, 1.0)
-
-    def test_power_split(self):
-        split = power_split(100.0, [3, 1])
-        assert split["participant-0"] == pytest.approx(75.0)
-        assert sum(split.values()) == pytest.approx(100.0)
-
-    def test_power_split_rejects_bad_inputs(self):
-        with pytest.raises(DistributionError):
-            power_split(0.0, [1])
-        with pytest.raises(DistributionError):
-            power_split(10.0, [])
-        with pytest.raises(DistributionError):
-            power_split(10.0, [-1.0])
 
     def test_zero_count_rejected_everywhere(self):
         with pytest.raises(DistributionError):
@@ -122,9 +73,11 @@ class TestSyntheticEcosystems:
             replica.configuration.component(ComponentKind.OPERATING_SYSTEM).name
             for replica in population
         }
-        market_names = {
-            name for name, _ in ecosystem.market_for(ComponentKind.OPERATING_SYSTEM).shares
-        }
+        (market,) = [
+            market for market in ecosystem.markets
+            if market.kind is ComponentKind.OPERATING_SYSTEM
+        ]
+        market_names = {name for name, _ in market.shares}
         assert os_names <= market_names
 
     def test_attested_fraction_is_respected(self):
@@ -141,14 +94,6 @@ class TestSyntheticEcosystems:
     def test_power_length_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             default_ecosystem().sample_population(3, power=[1.0])
-
-    def test_component_exposure_fractions(self):
-        exposure = default_ecosystem().component_exposure()
-        assert exposure["operating_system:linux:1.0"] == pytest.approx(0.78)
-
-    def test_market_for_unknown_kind_raises(self):
-        with pytest.raises(ConfigurationError):
-            skewed_ecosystem().market_for(ComponentKind.WALLET)
 
     @pytest.mark.parametrize(
         "shares, message",

@@ -122,7 +122,9 @@ class TestCounterSamplingSnapshot:
             assert left.replica_id == right.replica_id
 
     def test_choice_index_walks_cumulative_shares(self):
-        market = default_ecosystem().market_for(ComponentKind.OPERATING_SYSTEM)
+        market = next(
+            m for m in default_ecosystem().markets if m.kind is ComponentKind.OPERATING_SYSTEM
+        )
         assert market.choice_index(0.0) == 0
         assert market.choice_index(0.9999999) == len(market.shares) - 1
         # The bisection equals the left-to-right walk, with zero-share

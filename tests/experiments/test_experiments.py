@@ -1,8 +1,8 @@
 """Integration tests for the experiment drivers (paper reproduction checks).
 
 These tests assert the *shape* of each reproduced result — who wins, what is
-bounded by what, which direction a sweep moves — exactly as EXPERIMENTS.md
-records, using reduced parameters so the suite stays fast.
+bounded by what, which direction a sweep moves — using reduced parameters so
+the suite stays fast.
 """
 
 from __future__ import annotations

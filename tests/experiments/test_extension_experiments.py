@@ -122,16 +122,6 @@ class TestCampaignReliabilityExperiment:
         series = [row.violation_probability_bft for row in result.rows]
         assert series[-1] > series[0]
 
-    def test_population_is_fixed_across_points(self):
-        from repro.faults.scenarios import reliability_scenarios
-
-        scenarios = reliability_scenarios((0.2, 0.8), population_size=12, seed=4)
-        populations = [s.population for s in scenarios.values()]
-        assert populations[0].replica_ids() == populations[1].replica_ids()
-        assert [r.configuration for r in populations[0]] == [
-            r.configuration for r in populations[1]
-        ]
-
     def test_parameter_validation(self):
         from repro.experiments.campaign_reliability import run_campaign_reliability
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.orchestrator import execute_spec
+from repro.experiments.orchestrator import execute_spec, json_body
 from repro.experiments.orchestrator import registry
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -84,7 +84,7 @@ def test_experiment_matches_golden_snapshot(spec):
         "`python -m repro.cli run --all --quiet --no-cache --update-golden`"
     )
     expected = json.loads(golden_path.read_text(encoding="utf-8"))
-    actual = json.loads(execute_spec(spec).canonical_json())
+    actual = json.loads(json_body(execute_spec(spec).canonical_dict()))
     assert_matches(expected, actual)
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for exploit campaigns, adversaries, windows and fault schedules."""
+"""Unit tests for exploit campaigns and fault schedules."""
 
 from __future__ import annotations
 
@@ -7,18 +7,14 @@ import pytest
 from repro.core.configuration import ComponentKind
 from repro.core.exceptions import FaultModelError
 from repro.core.resilience import ProtocolFamily
-from repro.faults.adversary import (
-    AdversaryBudget,
-    BriberyAdversary,
-    ExploitAdversary,
-    RationalOperatorAdversary,
-    compare_adversaries,
-)
 from repro.faults.campaign import ExploitCampaign, single_vulnerability_breakdown
 from repro.faults.catalog import VulnerabilityCatalog
 from repro.faults.injection import FaultKind, FaultSchedule, FaultSpec
 from repro.faults.vulnerability import make_vulnerability
-from repro.faults.window import PatchState, VulnerabilityWindow, WindowSchedule
+
+
+def _ids(catalog):
+    return tuple(vulnerability.vuln_id for vulnerability in catalog)
 
 
 class TestExploitCampaign:
@@ -45,7 +41,7 @@ class TestExploitCampaign:
             [make_vulnerability(ComponentKind.OPERATING_SYSTEM, "linux", disclosed_at=50.0)]
         )
         campaign = ExploitCampaign(small_population, catalog)
-        outcome = campaign.run(catalog.ids(), time=0.0)
+        outcome = campaign.run(_ids(catalog), time=0.0)
         assert outcome.compromised_power == 0.0
 
     def test_worst_case_targets_biggest_exposure(self, small_population, catalog):
@@ -59,13 +55,6 @@ class TestExploitCampaign:
         report = campaign.resilience_report(outcome, family=ProtocolFamily.BFT)
         assert not report.safe  # 75% of power compromised
 
-    def test_violates_threshold(self, small_population, catalog):
-        campaign = ExploitCampaign(small_population, catalog)
-        outcome = campaign.run(["CVE-TEST-OPENSSL"])
-        assert outcome.violates(1 / 3)
-        assert outcome.violates(0.75)
-        assert not outcome.violates(0.76)
-
     def test_unreliable_exploit_is_seeded(self, small_population):
         catalog = VulnerabilityCatalog(
             [
@@ -74,8 +63,8 @@ class TestExploitCampaign:
                 )
             ]
         )
-        first = ExploitCampaign(small_population, catalog, seed=3).run(catalog.ids())
-        second = ExploitCampaign(small_population, catalog, seed=3).run(catalog.ids())
+        first = ExploitCampaign(small_population, catalog, seed=3).run(_ids(catalog))
+        second = ExploitCampaign(small_population, catalog, seed=3).run(_ids(catalog))
         assert first.compromised_replicas == second.compromised_replicas
 
     def test_empty_campaign_rejected(self, small_population, catalog):
@@ -105,7 +94,7 @@ class TestExploitCampaign:
         matrix = PopulationMatrix.build(small_population, catalog)
         shared = ExploitCampaign(small_population, catalog, matrix=matrix)
         fresh = ExploitCampaign(small_population, catalog)
-        assert shared.run(catalog.ids()) == fresh.run(catalog.ids())
+        assert shared.run(_ids(catalog)) == fresh.run(_ids(catalog))
 
     def test_flaky_exploit_stream_matches_scalar_model(self, small_population):
         # The matrix-backed campaign must draw the same random stream as the
@@ -125,7 +114,7 @@ class TestExploitCampaign:
             for replica_id in ("r0", "r1", "r2")  # join order of exposed replicas
             if rng.random() < 0.5
         }
-        outcome = ExploitCampaign(small_population, catalog, seed=3).run(catalog.ids())
+        outcome = ExploitCampaign(small_population, catalog, seed=3).run(_ids(catalog))
         assert set(outcome.compromised_replicas) == expected
 
     def test_single_vulnerability_breakdown(self, small_population, catalog):
@@ -141,97 +130,9 @@ class TestExploitCampaign:
         assert not any(verdicts.values())
 
 
-class TestAdversaries:
-    def test_exploit_adversary_uses_budget(self, small_population, catalog):
-        adversary = ExploitAdversary(AdversaryBudget(max_vulnerabilities=1))
-        assert adversary.acquired_power(small_population, catalog) == pytest.approx(3.0)
-
-    def test_exploit_adversary_zero_budget_rejected(self, small_population, catalog):
-        adversary = ExploitAdversary(AdversaryBudget(max_vulnerabilities=0))
-        with pytest.raises(FaultModelError):
-            adversary.attack(small_population, catalog)
-
-    def test_bribery_adversary_capped_by_total_power(self, small_population):
-        adversary = BriberyAdversary(AdversaryBudget(bribery_power=100.0))
-        assert adversary.acquired_power(small_population) == pytest.approx(4.0)
-
-    def test_rational_adversary_takes_largest_operators(self, small_population):
-        small_population.set_power("r3", 10.0)
-        adversary = RationalOperatorAdversary(AdversaryBudget(colluding_operators=1))
-        assert adversary.acquired_power(small_population) == pytest.approx(10.0)
-
-    def test_rational_adversary_needs_operators(self):
-        with pytest.raises(FaultModelError):
-            RationalOperatorAdversary(AdversaryBudget(colluding_operators=0))
-
-    def test_compare_adversaries(self, small_population, catalog):
-        budget = AdversaryBudget(max_vulnerabilities=1, bribery_power=1.5, colluding_operators=2)
-        results = dict(compare_adversaries(small_population, catalog, budget))
-        assert results["exploit"] == pytest.approx(3.0)
-        assert results["bribery"] == pytest.approx(1.5)
-        assert results["rational"] == pytest.approx(2.0)
-
-    def test_budget_validation(self):
-        with pytest.raises(FaultModelError):
-            AdversaryBudget(max_vulnerabilities=-1)
-        with pytest.raises(FaultModelError):
-            AdversaryBudget(bribery_power=-0.1)
-
-
-class TestVulnerabilityWindows:
-    def test_window_lifecycle(self, openssl_vulnerability):
-        window = VulnerabilityWindow(
-            vulnerability=openssl_vulnerability,
-            disclosure_time=10.0,
-            patch_release_time=20.0,
-            adoption_latency=5.0,
-        )
-        assert window.state_at(5.0) is PatchState.UNDISCLOSED
-        assert window.state_at(15.0) is PatchState.EXPOSED
-        assert window.state_at(24.9) is PatchState.EXPOSED
-        assert window.state_at(25.0) is PatchState.PATCHED
-        assert window.duration() == pytest.approx(15.0)
-
-    def test_window_without_patch_never_closes(self, openssl_vulnerability):
-        window = VulnerabilityWindow(openssl_vulnerability, disclosure_time=0.0)
-        assert window.is_open_at(1e9)
-        assert window.duration() is None
-
-    def test_patch_before_disclosure_rejected(self, openssl_vulnerability):
-        with pytest.raises(FaultModelError):
-            VulnerabilityWindow(
-                openssl_vulnerability, disclosure_time=10.0, patch_release_time=5.0
-            )
-
-    def test_schedule_exposed_power(self, small_population, openssl_vulnerability):
-        schedule = WindowSchedule(
-            [
-                VulnerabilityWindow(
-                    openssl_vulnerability,
-                    disclosure_time=0.0,
-                    patch_release_time=10.0,
-                    adoption_latency=0.0,
-                )
-            ]
-        )
-        assert schedule.exposed_power_at(small_population, 5.0)[
-            "CVE-TEST-OPENSSL"
-        ] == pytest.approx(3.0)
-        assert schedule.exposed_power_at(small_population, 15.0)[
-            "CVE-TEST-OPENSSL"
-        ] == pytest.approx(0.0)
-        assert schedule.peak_exposure(small_population, [0.0, 5.0, 15.0]) == pytest.approx(3.0)
-
-    def test_schedule_rejects_duplicates(self, openssl_vulnerability):
-        schedule = WindowSchedule()
-        schedule.add(VulnerabilityWindow(openssl_vulnerability, disclosure_time=0.0))
-        with pytest.raises(FaultModelError):
-            schedule.add(VulnerabilityWindow(openssl_vulnerability, disclosure_time=1.0))
-
-
 class TestFaultSchedules:
     def test_byzantine_schedule(self):
-        schedule = FaultSchedule.byzantine(["a", "b"])
+        schedule = FaultSchedule([FaultSpec(replica_id="a"), FaultSpec(replica_id="b")])
         assert schedule.is_faulty_at("a", 0.0)
         assert schedule.kind_at("b", 0.0) is FaultKind.BYZANTINE
         assert not schedule.is_faulty_at("c", 0.0)
@@ -248,11 +149,11 @@ class TestFaultSchedules:
         campaign = ExploitCampaign(small_population, catalog)
         outcome = campaign.run(["CVE-TEST-OPENSSL"])
         schedule = FaultSchedule.from_campaign(outcome)
-        assert set(schedule.faulty_ids_at(0.0)) == {"r0", "r1", "r2"}
-        assert schedule.faulty_power_at(small_population, 0.0) == pytest.approx(3.0)
+        assert len(schedule) == 3
+        assert all(schedule.is_faulty_at(replica_id, 0.0) for replica_id in ("r0", "r1", "r2"))
 
     def test_duplicate_replica_rejected(self):
-        schedule = FaultSchedule.byzantine(["a"])
+        schedule = FaultSchedule([FaultSpec(replica_id="a")])
         with pytest.raises(FaultModelError):
             schedule.add(FaultSpec(replica_id="a"))
 
@@ -261,7 +162,3 @@ class TestFaultSchedules:
             FaultSpec(replica_id="", start_time=0.0)
         with pytest.raises(FaultModelError):
             FaultSpec(replica_id="x", start_time=5.0, end_time=1.0)
-
-    def test_crash_schedule(self):
-        schedule = FaultSchedule.crashed(["a"])
-        assert schedule.kind_at("a", 0.0) is FaultKind.CRASH

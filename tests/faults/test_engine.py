@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.monte_carlo import estimate_violation_probability
-from repro.backend import available_backends, get_backend
+from repro.backend import available_backends
 from repro.backend.base import campaign_uniform
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.exceptions import FaultModelError
+from repro.core.population import ReplicaPopulation
 from repro.core.resilience import ProtocolFamily
 from repro.faults.campaign import ExploitCampaign
 from repro.faults.catalog import VulnerabilityCatalog
@@ -86,7 +89,7 @@ class TestEstimateSemantics:
         # p = 1.0 everywhere: every trial equals the scalar campaign outcome.
         engine = BatchCampaignEngine(small_population, catalog)
         estimate = engine.estimate(trials=50, seed=1)
-        outcome = ExploitCampaign(small_population, catalog).run(catalog.ids())
+        outcome = ExploitCampaign(small_population, catalog).run(tuple(v.vuln_id for v in catalog))
         assert estimate.violation_probability == 1.0
         assert estimate.mean_compromised_fraction == pytest.approx(
             outcome.compromised_fraction
@@ -137,7 +140,7 @@ class TestEstimateSemantics:
         assert estimate.violations == 0
         assert estimate.mean_compromised_fraction == 0.0
         assert dict(estimate.mean_power_per_vulnerability) == {
-            catalog.ids()[0]: 0.0
+            tuple(v.vuln_id for v in catalog)[0]: 0.0
         }
 
     def test_seed_determinism_and_variation(self, flaky_scenario):
@@ -192,11 +195,10 @@ class TestUsageErrors:
         # time=-1e9 precedes every disclosure: the check must not depend on
         # any point reaching a kernel.
         scenario = ecosystem_scenario(ecosystem="default", population_size=20, seed=1)
-        for replica in scenario.population.replicas():
-            scenario.population.set_power(replica.replica_id, 0.0)
-        matrix = PopulationMatrix.build(
-            scenario.population, scenario.catalog, layout=layout
+        powerless = ReplicaPopulation(
+            dataclasses.replace(replica, power=0.0) for replica in scenario.population
         )
+        matrix = PopulationMatrix.build(powerless, scenario.catalog, layout=layout)
         engine = BatchCampaignEngine.from_matrix(matrix)
         with pytest.raises(FaultModelError, match="total power"):
             engine.estimate(trials=10, time=time)

@@ -106,7 +106,7 @@ class TestGridMatchesBatchEngine:
 
     @pytest.mark.parametrize("backend", available_backends())
     def test_explicit_ids_equal_looped_estimate(self, scenario, backend):
-        ids = scenario.catalog.ids()[:3]
+        ids = tuple(v.vuln_id for v in scenario.catalog)[:3]
         engine = grid_engine(scenario, backend)
         batch = BatchCampaignEngine(
             scenario.population, scenario.catalog, backend=backend
@@ -206,7 +206,7 @@ class TestChunking:
             seed=7,
             exploit_probability=0.5,
         )
-        ids = scenario.catalog.ids()
+        ids = tuple(v.vuln_id for v in scenario.catalog)
         requests = tuple(
             GridPointRequest(
                 tolerances=(BFT_TOLERANCE,),
@@ -322,7 +322,7 @@ class TestGridValidation:
             engine.estimate_grid((request_,), trials=TRIALS, seed=SEED)
 
     def test_duplicate_ids_within_a_point_rejected(self, scenario):
-        vuln_id = scenario.catalog.ids()[0]
+        vuln_id = tuple(v.vuln_id for v in scenario.catalog)[0]
         engine = grid_engine(scenario, "python")
         with pytest.raises(FaultModelError, match="duplicate"):
             engine.estimate_grid(

@@ -72,12 +72,12 @@ class TestRecoveryEvents:
     @pytest.fixture()
     def compromised(self, scenario):
         campaign = ExploitCampaign(scenario.population, scenario.catalog, seed=11)
-        outcome = campaign.run(list(scenario.catalog.ids()))
+        outcome = campaign.run([v.vuln_id for v in scenario.catalog])
         assert outcome.compromised_replicas  # the seed must actually compromise
         return tuple(sorted(outcome.compromised_replicas))
 
     def test_exploit_campaign_is_deterministic_for_a_seed(self, scenario):
-        ids = list(scenario.catalog.ids())
+        ids = [v.vuln_id for v in scenario.catalog]
         first = ExploitCampaign(scenario.population, scenario.catalog, seed=11).run(ids)
         second = ExploitCampaign(scenario.population, scenario.catalog, seed=11).run(ids)
         assert first.compromised_replicas == second.compromised_replicas
@@ -86,8 +86,9 @@ class TestRecoveryEvents:
         self, scenario, compromised
     ):
         policy, scheduler, trace = _drive(scenario.population, compromised)
-        # One attack event plus one recovery per compromised replica.
-        assert scheduler.events_executed == 1 + len(compromised)
+        # One attack event plus one recovery per compromised replica, and
+        # every event appends one snapshot.
+        assert len(trace) == 1 + len(compromised)
         assert trace[0][1] == frozenset(compromised)
         assert trace[-1][1] == frozenset()
         assert trace[-1][2] == 0.0

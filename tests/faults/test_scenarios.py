@@ -2,8 +2,7 @@
 
 Pins the properties the sweep experiments lean on: churn snapshots are
 frozen (later churn can't mutate an earlier checkpoint), trajectories are
-deterministic across repeated calls, reliability sweeps share one
-population, and single-point grids are first-class.
+deterministic across repeated calls, and single-point grids are first-class.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from repro.faults.scenarios import (
     churn_checkpoint_grid,
     churned_scenarios,
     ecosystem_scenario,
-    reliability_scenarios,
 )
 
 FAMILIES = (ProtocolFamily.BFT, ProtocolFamily.NAKAMOTO)
@@ -29,7 +27,7 @@ def census_of(scenario):
             (replica.replica_id, replica.power)
             for replica in scenario.population.replicas()
         ),
-        scenario.catalog.ids(),
+        tuple(v.vuln_id for v in scenario.catalog),
     )
 
 
@@ -87,31 +85,6 @@ class TestChurnedScenarios:
         )
         fingerprints = {census_of(scenario) for _, scenario in trajectory}
         assert len(fingerprints) > 1
-
-
-class TestReliabilityScenarios:
-    def test_empty_probabilities_rejected(self):
-        with pytest.raises(FaultModelError, match="at least one"):
-            reliability_scenarios(())
-
-    def test_population_is_shared_across_probabilities(self):
-        scenarios = reliability_scenarios((0.2, 0.8), population_size=12, seed=4)
-        low, high = scenarios[0.2], scenarios[0.8]
-        assert census_of(low)[0] == census_of(high)[0]
-        assert low.catalog.ids() == high.catalog.ids()
-
-    def test_catalog_probability_varies(self):
-        scenarios = reliability_scenarios((0.3, 0.7), population_size=12, seed=4)
-        for probability, scenario in scenarios.items():
-            assert all(
-                vulnerability.exploit_probability == probability
-                for vulnerability in scenario.catalog.all()
-            )
-
-    def test_repeated_calls_are_deterministic(self):
-        first = reliability_scenarios((0.5,), population_size=12, seed=4)
-        second = reliability_scenarios((0.5,), population_size=12, seed=4)
-        assert census_of(first[0.5]) == census_of(second[0.5])
 
 
 class TestChurnCheckpointGrid:

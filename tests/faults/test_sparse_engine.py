@@ -96,11 +96,9 @@ class TestBatchEngineSparsePath:
         with pytest.raises(FaultModelError, match="use from_matrix"):
             BatchCampaignEngine(None, None)
 
-    def test_from_matrix_engine_has_no_population(self):
+    def test_from_matrix_engine_wraps_the_matrix(self):
         sparse, _ = matrices()
         engine = BatchCampaignEngine.from_matrix(sparse)
-        assert engine.population is None
-        assert engine.catalog is None
         assert engine.matrix is sparse
 
 

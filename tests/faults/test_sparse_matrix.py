@@ -100,15 +100,13 @@ class TestStreamingBuild:
         )
         with pytest.raises(FaultModelError, match="keep_replica_ids"):
             anonymous.replica_ids
-        with pytest.raises(FaultModelError, match="keep_replica_ids"):
-            anonymous.replica_index("replica-0")
         named = PopulationMatrix.from_replica_chunks(
             stream_replica_chunks(ecosystem, 10, seed=1),
             catalog,
             keep_replica_ids=True,
         )
         assert named.replica_ids[0] == "replica-0"
-        assert named.replica_index("replica-3") == 3
+        assert named.replica_ids[3] == "replica-3"
 
     def test_empty_stream_raises(self):
         catalog = ecosystem_catalog(default_ecosystem())

@@ -9,7 +9,7 @@ from repro.bft.quorum import QuorumModel, QuorumSpec
 from repro.bft.runner import run_consensus
 from repro.core.distribution import ConfigurationDistribution
 from repro.core.resilience import ProtocolFamily, SafetyCondition
-from repro.faults.injection import FaultSchedule
+from repro.faults.injection import FaultSchedule, FaultSpec
 from repro.nakamoto.attack import double_spend_success_probability
 
 
@@ -39,7 +39,7 @@ class TestSafetyConditionProperties:
         st.lists(st.floats(min_value=0.0, max_value=5.0), min_size=1, max_size=10),
     )
     def test_condition_monotone_in_compromised_power(self, n, faults):
-        condition = SafetyCondition.for_replica_count(n, ProtocolFamily.BFT)
+        condition = SafetyCondition.for_family(ProtocolFamily.BFT, total_power=float(n))
         if condition.is_safe(faults + [1.0]):
             assert condition.is_safe(faults)
 
@@ -64,7 +64,12 @@ class TestCensusEntropyProperties:
         distribution = ConfigurationDistribution(
             {f"c{i}": w for i, w in enumerate(weights)}
         )
-        split = distribution.split_configuration("c0", parts)
+        split = ConfigurationDistribution(
+            {
+                **{f"c0#{part}": weights[0] / parts for part in range(parts)},
+                **{f"c{i}": w for i, w in enumerate(weights) if i > 0},
+            }
+        )
         assert split.entropy() >= distribution.entropy() - 1e-9
 
 
@@ -80,7 +85,8 @@ class TestSimulatedConsensusProperties:
         byzantine = data.draw(
             st.lists(st.sampled_from(ids), max_size=spec.fault_bound, unique=True)
         )
-        result = run_consensus(ids, FaultSchedule.byzantine(byzantine), protocol="pbft")
+        schedule = FaultSchedule(FaultSpec(replica_id=replica_id) for replica_id in byzantine)
+        result = run_consensus(ids, schedule, protocol="pbft")
         assert result.within_fault_bound
         assert result.safety_ok
 

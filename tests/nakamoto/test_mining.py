@@ -1,23 +1,13 @@
-"""Tests for miners, pools, the mining simulation, selfish mining and attacks."""
+"""Tests for miners, pools, the mining simulation and attacks."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.exceptions import AnalysisError, ProtocolError
-from repro.nakamoto.attack import (
-    confirmations_for_risk,
-    double_spend_success_probability,
-    majority_takeover,
-)
+from repro.nakamoto.attack import double_spend_success_probability, majority_takeover
 from repro.nakamoto.miner import Miner, miners_as_population
-from repro.nakamoto.pool import (
-    MiningPool,
-    compromised_power_fraction,
-    pool_population,
-    pools_from_snapshot,
-)
-from repro.nakamoto.selfish import honest_mining_revenue, selfish_mining_revenue
+from repro.nakamoto.pool import MiningPool, pools_from_snapshot
 from repro.nakamoto.simulation import MiningSimulation
 
 
@@ -60,50 +50,31 @@ class TestMinersAndPools:
         pools, _ = pools_from_snapshot(members_per_pool=4)
         assert all(len(pool) == 4 for pool in pools)
 
-    def test_pool_population_entropy_below_three_bits(self):
-        pools, solo = pools_from_snapshot(residual_miners=101)
-        population = pool_population(pools, solo)
-        assert population.entropy() < 3.0
-
-    def test_compromised_power_fraction(self):
-        pools, solo = pools_from_snapshot(residual_miners=0)
-        fraction = compromised_power_fraction(pools, solo, ["foundry-usa", "antpool"])
-        assert fraction > 0.5
-
-    def test_compromised_power_unknown_pool_rejected(self):
-        pools, solo = pools_from_snapshot()
-        with pytest.raises(ProtocolError):
-            compromised_power_fraction(pools, solo, ["ghost-pool"])
-
 
 class TestMiningSimulation:
     def _miners(self):
         return [Miner("big", 55.0), Miner("mid", 30.0), Miner("small", 15.0)]
 
-    def test_honest_mining_produces_requested_blocks(self):
-        result = MiningSimulation(self._miners(), seed=1).mine_honest(100)
-        assert result.main_chain_length == 100
-        assert sum(dict(result.blocks_by_miner).values()) == 100
-
-    def test_block_share_tracks_hash_power(self):
-        result = MiningSimulation(self._miners(), seed=2).mine_honest(2000)
-        counts = dict(result.blocks_by_miner)
-        assert counts["big"] > counts["mid"] > counts["small"]
+    @staticmethod
+    def _success_rate(sim, attacker_ids, trials=60):
+        wins = sum(
+            sim.run_double_spend(attacker_ids, confirmations=6).attack_succeeded
+            for _ in range(trials)
+        )
+        return wins / trials
 
     def test_deterministic_given_seed(self):
-        a = MiningSimulation(self._miners(), seed=3).mine_honest(50)
-        b = MiningSimulation(self._miners(), seed=3).mine_honest(50)
-        assert a.blocks_by_miner == b.blocks_by_miner
+        a = MiningSimulation(self._miners(), seed=3).run_double_spend(["mid"])
+        b = MiningSimulation(self._miners(), seed=3).run_double_spend(["mid"])
+        assert a == b
 
     def test_majority_attacker_usually_wins(self):
         sim = MiningSimulation(self._miners(), seed=4)
-        rate = sim.estimate_attack_success(["big"], confirmations=6, trials=60)
-        assert rate > 0.8
+        assert self._success_rate(sim, ["big"]) > 0.8
 
     def test_small_attacker_usually_loses(self):
         sim = MiningSimulation(self._miners(), seed=5)
-        rate = sim.estimate_attack_success(["small"], confirmations=6, trials=60)
-        assert rate < 0.2
+        assert self._success_rate(sim, ["small"]) < 0.2
 
     def test_attack_reverts_confirmations_on_success(self):
         sim = MiningSimulation(self._miners(), seed=6)
@@ -128,33 +99,6 @@ class TestMiningSimulation:
             MiningSimulation([Miner("a", 0.0)])
 
 
-class TestSelfishMining:
-    def test_large_pool_with_visibility_profits(self):
-        result = selfish_mining_revenue(0.4, gamma=0.5, rounds=30_000, seed=1)
-        assert result.profitable
-        assert result.relative_revenue > 0.4
-
-    def test_small_pool_without_visibility_loses(self):
-        result = selfish_mining_revenue(0.15, gamma=0.0, rounds=30_000, seed=2)
-        assert not result.profitable
-
-    def test_revenue_grows_with_alpha(self):
-        low = selfish_mining_revenue(0.2, gamma=0.0, rounds=20_000, seed=3)
-        high = selfish_mining_revenue(0.45, gamma=0.0, rounds=20_000, seed=3)
-        assert high.relative_revenue > low.relative_revenue
-
-    def test_honest_revenue_is_alpha(self):
-        assert honest_mining_revenue(0.3) == pytest.approx(0.3)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ProtocolError):
-            selfish_mining_revenue(0.6)
-        with pytest.raises(ProtocolError):
-            selfish_mining_revenue(0.3, gamma=1.5)
-        with pytest.raises(ProtocolError):
-            honest_mining_revenue(1.5)
-
-
 class TestAttackAnalysis:
     def test_majority_attacker_always_succeeds(self):
         assert double_spend_success_probability(0.5, 6) == pytest.approx(1.0)
@@ -174,12 +118,6 @@ class TestAttackAnalysis:
         # ~0.0005 for a 10% attacker at 6 confirmations (Rosenfeld's table).
         value = double_spend_success_probability(0.10, 6)
         assert 1e-4 < value < 1e-3
-
-    def test_confirmations_for_risk(self):
-        depth = confirmations_for_risk(0.1, risk=0.001)
-        assert 4 <= depth <= 8
-        with pytest.raises(AnalysisError):
-            confirmations_for_risk(0.6, risk=0.001, max_confirmations=50)
 
     def test_majority_takeover_report(self):
         report = majority_takeover({"a": 60.0, "b": 40.0}, ["a"])

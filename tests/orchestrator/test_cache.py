@@ -11,7 +11,7 @@ import pytest
 
 from repro.backend import available_backends
 from repro.core.exceptions import OrchestrationError
-from repro.experiments.orchestrator import ResultCache, execute_spec, run_experiments
+from repro.experiments.orchestrator import ResultCache, execute_spec, json_body, run_experiments
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator import cache as cache_module
 from repro.experiments.orchestrator.cache import (
@@ -52,7 +52,7 @@ class TestKeying:
         for backend in backends[1:]:
             (hit,) = run_experiments([spec], backend=backend, cache=cache)
             assert hit.cached
-            assert hit.canonical_json() == built.canonical_json()
+            assert json_body(hit.canonical_dict()) == json_body(built.canonical_dict())
         assert len(cache) == 1
 
     def test_keys_differ_across_experiments(self, cache):
@@ -72,7 +72,7 @@ class TestStoreAndLoad:
         loaded = cache.load(key)
         assert loaded is not None
         assert loaded.cached is True
-        assert loaded.canonical_json() == result.canonical_json()
+        assert json_body(loaded.canonical_dict()) == json_body(result.canonical_dict())
 
     @pytest.mark.parametrize(
         "experiment",

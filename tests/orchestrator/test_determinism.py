@@ -12,6 +12,7 @@ import pytest
 
 from repro.experiments.orchestrator import (
     ResultCache,
+    json_body,
     results_document,
     run_experiments,
     select_shard,
@@ -28,7 +29,7 @@ def fast_specs():
 
 
 def canonical(results):
-    return [result.canonical_json() for result in results]
+    return [json_body(result.canonical_dict()) for result in results]
 
 
 class TestSerialVsParallel:
@@ -42,21 +43,25 @@ class TestSerialVsParallel:
         specs = fast_specs()
         forward = run_experiments(specs)
         reversed_results = run_experiments(list(reversed(specs)))
-        by_id_forward = {r.experiment_id: r.canonical_json() for r in forward}
-        by_id_reversed = {r.experiment_id: r.canonical_json() for r in reversed_results}
+        by_id_forward = {r.experiment_id: json_body(r.canonical_dict()) for r in forward}
+        by_id_reversed = {
+            r.experiment_id: json_body(r.canonical_dict()) for r in reversed_results
+        }
         assert by_id_forward == by_id_reversed
 
 
 class TestSharding:
     def test_shards_union_to_the_unsharded_run(self):
         specs = fast_specs()
-        unsharded = {r.experiment_id: r.canonical_json() for r in run_experiments(specs)}
+        unsharded = {
+            r.experiment_id: json_body(r.canonical_dict()) for r in run_experiments(specs)
+        }
         sharded = {}
         for index in (1, 2):
             shard = select_shard(specs, index, 2)
             for result in run_experiments(shard):
                 assert result.experiment_id not in sharded  # shards are disjoint
-                sharded[result.experiment_id] = result.canonical_json()
+                sharded[result.experiment_id] = json_body(result.canonical_dict())
         assert sharded == unsharded
 
     def test_shards_partition_the_selection(self):

@@ -13,12 +13,16 @@ from repro.experiments.orchestrator import (
     execute_spec,
     json_body,
     jsonify,
-    load_results_document,
     merge_results_documents,
     results_document,
     write_results_document,
 )
 from repro.experiments.orchestrator import registry
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def small_result(experiment_id="demo", value=1.5) -> ExperimentResult:
@@ -81,12 +85,12 @@ class TestExperimentResultSerialization:
     def test_volatile_fields_do_not_change_canonical_json(self):
         result = small_result()
         other = result.with_volatile(wall_time_seconds=99.0, cached=True)
-        assert result.canonical_json() == other.canonical_json()
+        assert json_body(result.canonical_dict()) == json_body(other.canonical_dict())
 
     def test_from_dict_round_trip(self):
         result = small_result()
         rebuilt = ExperimentResult.from_dict(result.to_dict())
-        assert rebuilt.canonical_json() == result.canonical_json()
+        assert json_body(rebuilt.canonical_dict()) == json_body(result.canonical_dict())
         assert rebuilt.wall_time_seconds == result.wall_time_seconds
 
     def test_from_dict_rejects_malformed(self):
@@ -96,7 +100,7 @@ class TestExperimentResultSerialization:
     def test_real_experiment_round_trips_through_json_text(self):
         result = execute_spec(registry.get_spec("example1"))
         rebuilt = ExperimentResult.from_dict(json.loads(json.dumps(result.to_dict())))
-        assert rebuilt.canonical_json() == result.canonical_json()
+        assert json_body(rebuilt.canonical_dict()) == json_body(result.canonical_dict())
         # CI's memory ceilings read this field; a zero would pass them all.
         assert result.peak_rss_kb > 0
 
@@ -153,7 +157,7 @@ class TestWriteAndLoad:
     def test_write_then_load(self, tmp_path):
         path = str(tmp_path / "RESULTS.json")
         write_results_document(results_document([small_result("a")]), path)
-        document = load_results_document(path)
+        document = _load(path)
         assert sorted(document["results"]) == ["a"]
 
     def test_written_bytes_are_the_canonical_format(self, tmp_path):
@@ -175,14 +179,14 @@ class TestWriteAndLoad:
         write_results_document(
             results_document([small_result("b")], shard="2/2"), path, merge=True
         )
-        document = load_results_document(path)
+        document = _load(path)
         assert sorted(document["results"]) == ["a", "b"]
         assert document["run"]["shards"] == ["1/2", "2/2"]
 
     def test_merge_into_missing_file_writes_fresh(self, tmp_path):
         path = str(tmp_path / "RESULTS.json")
         write_results_document(results_document([small_result("a")]), path, merge=True)
-        assert sorted(load_results_document(path)["results"]) == ["a"]
+        assert sorted(_load(path)["results"]) == ["a"]
 
     def test_merge_into_a_corrupt_file_is_an_error_and_keeps_it(self, tmp_path):
         path = tmp_path / "RESULTS.json"
@@ -197,25 +201,6 @@ class TestWriteAndLoad:
         path = tmp_path / "missing" / "RESULTS.json"
         with pytest.raises(OrchestrationError, match="cannot write results document"):
             write_results_document(results_document([small_result("a")]), str(path))
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "RESULTS.json"
-        path.write_text("{ not json", encoding="utf-8")
-        with pytest.raises(OrchestrationError):
-            load_results_document(str(path))
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "RESULTS.json"
-        path.write_text(json.dumps({"schema_version": 99}), encoding="utf-8")
-        with pytest.raises(OrchestrationError):
-            load_results_document(str(path))
-
-    def test_load_rejects_non_object_json(self, tmp_path):
-        path = tmp_path / "RESULTS.json"
-        for payload in ("null", "[1, 2]"):
-            path.write_text(payload, encoding="utf-8")
-            with pytest.raises(OrchestrationError, match="JSON object"):
-                load_results_document(str(path))
 
     def test_from_dict_rejects_non_object(self):
         for document in (None, [1, 2], "text"):

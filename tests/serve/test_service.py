@@ -19,7 +19,7 @@ import pytest
 from repro.backend import get_backend
 from repro.core.exceptions import ServeError
 import repro.serve.service as service_module
-from repro.experiments.orchestrator import ExperimentResult, ResultCache, execute_spec
+from repro.experiments.orchestrator import ExperimentResult, ResultCache, execute_spec, json_body
 from repro.experiments.orchestrator import registry
 from repro.experiments.orchestrator import spec as spec_module
 from repro.serve.metrics import ServiceMetrics
@@ -297,9 +297,8 @@ class TestStoredDocument:
         entry = os.path.join(service.cache.directory, f"{prepared.key}.json")
         with open(entry, "rb") as actual, open(expected, "rb") as wanted:
             assert actual.read() == wanted.read()
-        assert result.canonical_json() == ExperimentResult.from_dict(
-            returned[0]
-        ).canonical_json()
+        rebuilt = ExperimentResult.from_dict(returned[0])
+        assert json_body(result.canonical_dict()) == json_body(rebuilt.canonical_dict())
 
 
 class TestFetch:
@@ -312,7 +311,7 @@ class TestFetch:
 
         first, first_state, second, second_state = asyncio.run(_run())
         assert (first_state, second_state) == ("miss", "hit")
-        assert first.canonical_json() == second.canonical_json()
+        assert json_body(first.canonical_dict()) == json_body(second.canonical_dict())
         assert service.metrics.builds == 1
         assert service.metrics.cache_hits == 1
         assert service.metrics.cache_misses == 1
@@ -325,7 +324,7 @@ class TestFetch:
 
         served = asyncio.run(_run())
         direct = execute_spec(registry.get_spec("example1"))
-        assert served.canonical_json() == direct.canonical_json()
+        assert json_body(served.canonical_dict()) == json_body(direct.canonical_dict())
 
     def test_fifty_concurrent_identical_requests_build_once(self, service):
         async def _run():
@@ -337,7 +336,7 @@ class TestFetch:
 
         results = asyncio.run(_run())
         assert len(results) == 50
-        canonical = {result.canonical_json() for result, _ in results}
+        canonical = {json_body(result.canonical_dict()) for result, _ in results}
         assert len(canonical) == 1
         assert service.metrics.builds == 1
         assert service.metrics.single_flight_joined == 49
@@ -350,7 +349,7 @@ class TestFetch:
 
         (result_a, _), (result_b, _) = asyncio.run(_run())
         assert service.metrics.builds == 2
-        assert result_a.canonical_json() != result_b.canonical_json()
+        assert json_body(result_a.canonical_dict()) != json_body(result_b.canonical_dict())
 
     def test_build_straddling_a_refresh_is_stored_under_the_new_key(self, service):
         from repro.experiments.orchestrator.cache import (

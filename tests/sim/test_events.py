@@ -1,15 +1,13 @@
-"""Focused tests for sim.events: tie-breaking, cancellation, stop().
+"""Focused tests for sim.events: deterministic tie-breaking.
 
-The Scheduler docstrings assert these behaviors; this module pins them.  The
+The Scheduler docstrings assert this behavior; this module pins it.  The
 broader simulator integration (network, nodes, metrics) lives in
 tests/sim/test_simulator.py.
 """
 
 from __future__ import annotations
 
-import pytest
 
-from repro.core.exceptions import SimulationError
 from repro.sim.events import EventQueue, Scheduler
 
 
@@ -43,74 +41,3 @@ class TestTieBreaking:
         pushed_second = queue.push(2.0, lambda: None, label="second")
         assert queue.pop() is pushed_first
         assert queue.pop() is pushed_second
-
-
-class TestCancellation:
-    def test_cancelled_events_are_skipped(self):
-        scheduler = Scheduler()
-        fired = []
-        keep = scheduler.call_at(1.0, lambda: fired.append("keep"))
-        drop = scheduler.call_at(1.0, lambda: fired.append("drop"))
-        drop.cancel()
-        scheduler.run()
-        assert fired == ["keep"]
-        assert keep.time == 1.0
-
-    def test_cancelling_from_a_callback_skips_the_pending_event(self):
-        scheduler = Scheduler()
-        fired = []
-        victim = scheduler.call_at(2.0, lambda: fired.append("victim"))
-        scheduler.call_at(1.0, victim.cancel)
-        scheduler.run()
-        assert fired == []
-
-    def test_cancelled_events_do_not_count_as_pending(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        event.cancel()
-        assert len(queue) == 1
-        assert queue.peek_time() == 2.0
-
-    def test_fully_cancelled_queue_is_falsy_and_pop_raises(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None).cancel()
-        assert not queue
-        with pytest.raises(SimulationError):
-            queue.pop()
-
-
-class TestStop:
-    def test_stop_halts_mid_run(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.call_at(1.0, lambda: fired.append(1))
-        scheduler.call_at(2.0, scheduler.stop)
-        scheduler.call_at(3.0, lambda: fired.append(3))
-        end = scheduler.run()
-        # The event at t=3 stays queued; the clock halts at the stop event.
-        assert fired == [1]
-        assert end == pytest.approx(2.0)
-        assert scheduler.pending_events() == 1
-
-    def test_run_after_stop_resumes_with_the_remaining_events(self):
-        scheduler = Scheduler()
-        fired = []
-        scheduler.call_at(1.0, scheduler.stop)
-        scheduler.call_at(2.0, lambda: fired.append(2))
-        scheduler.run()
-        assert fired == []
-        # stop() only affects the current run; the next run drains the queue.
-        end = scheduler.run()
-        assert fired == [2]
-        assert end == pytest.approx(2.0)
-
-    def test_events_executed_counts_across_runs(self):
-        scheduler = Scheduler()
-        scheduler.call_at(1.0, scheduler.stop)
-        scheduler.call_at(2.0, lambda: None)
-        scheduler.run()
-        assert scheduler.events_executed == 1
-        scheduler.run()
-        assert scheduler.events_executed == 2

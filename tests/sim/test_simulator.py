@@ -17,16 +17,12 @@ class EchoNode(SimulatedNode):
     def __init__(self, node_id: str, *, echo: bool = False) -> None:
         super().__init__(node_id)
         self.received = []
-        self.timers = []
         self._echo = echo
 
     def on_message(self, message: Message) -> None:
         self.received.append(message)
         if self._echo and message.msg_type == "PING":
             self.send(message.sender, "PONG", {"n": message.get("n")})
-
-    def on_timer(self, timer_id: str) -> None:
-        self.timers.append((self.now, timer_id))
 
 
 class TestEventQueueAndScheduler:
@@ -61,15 +57,8 @@ class TestEventQueueAndScheduler:
         scheduler.call_at(5.0, lambda: fired.append(True))
         scheduler.run(until=1.0)
         assert not fired
-        assert scheduler.pending_events() == 1
-
-    def test_cancelled_events_are_skipped(self):
-        scheduler = Scheduler()
-        fired = []
-        event = scheduler.call_at(1.0, lambda: fired.append(True))
-        event.cancel()
         scheduler.run()
-        assert not fired
+        assert fired
 
     def test_scheduling_in_the_past_rejected(self):
         scheduler = Scheduler()
@@ -120,31 +109,6 @@ class TestNetwork:
         assert len(a.received) == 0
         assert len(b.received) == 1
 
-    def test_crashed_node_neither_sends_nor_receives(self):
-        scheduler, network, a, b = self._build()
-        b.crash()
-        a.send("b", "PING")
-        b.send("a", "PING")
-        scheduler.run()
-        assert b.received == []
-        assert a.received == []
-
-    def test_partition_blocks_cross_group_traffic(self):
-        scheduler, network, a, b = self._build()
-        network.set_partitions([["a"], ["b"]])
-        a.send("b", "PING")
-        scheduler.run()
-        assert b.received == []
-        network.heal_partitions()
-        a.send("b", "PING")
-        scheduler.run()
-        assert len(b.received) == 1
-
-    def test_overlapping_partitions_rejected(self):
-        _, network, _, _ = self._build()
-        with pytest.raises(SimulationError):
-            network.set_partitions([["a"], ["a", "b"]])
-
     def test_lossy_network_drops_messages(self):
         scheduler, network, a, b = self._build(
             NetworkConfig(loss_probability=0.9, seed=1)
@@ -181,12 +145,6 @@ class TestNetwork:
         with pytest.raises(SimulationError):
             NetworkConfig(loss_probability=1.0)
 
-    def test_timers_fire(self):
-        scheduler, network, a, _ = self._build()
-        a.set_timer(1.0, "view-change")
-        scheduler.run()
-        assert a.timers == [(1.0, "view-change")]
-
     def test_message_counters(self):
         scheduler, network, a, b = self._build()
         a.send("b", "PING")
@@ -196,37 +154,13 @@ class TestNetwork:
 
 
 class TestMetricsRegistry:
-    def test_counters_and_gauges(self):
+    def test_counters(self):
         metrics = MetricsRegistry()
         metrics.increment("commits")
         metrics.increment("commits", 2)
-        metrics.set_gauge("height", 7.0)
         assert metrics.counter("commits") == 3
-        assert metrics.gauge("height") == 7.0
         assert metrics.counter("unknown") == 0.0
 
     def test_negative_increment_rejected(self):
         with pytest.raises(SimulationError):
             MetricsRegistry().increment("x", -1)
-
-    def test_time_series(self):
-        metrics = MetricsRegistry()
-        metrics.record("latency", 1.0, 0.2)
-        metrics.record("latency", 2.0, 0.4)
-        series = metrics.series("latency")
-        assert series.mean() == pytest.approx(0.3)
-        assert series.maximum() == pytest.approx(0.4)
-        assert series.last() == pytest.approx(0.4)
-        assert len(series) == 2
-
-    def test_empty_series_statistics_raise(self):
-        with pytest.raises(SimulationError):
-            MetricsRegistry().series("empty").mean()
-
-    def test_snapshot_and_reset(self):
-        metrics = MetricsRegistry()
-        metrics.increment("a")
-        metrics.set_gauge("b", 2.0)
-        assert metrics.snapshot() == {"a": 1.0, "b": 2.0}
-        metrics.reset()
-        assert metrics.snapshot() == {}

@@ -10,10 +10,14 @@ import pytest
 
 from repro import cli
 from repro.cli import main
-from repro.experiments.orchestrator import load_results_document, registry
+from repro.experiments.orchestrator import registry
 from repro.serve import ResultServer
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def _load(path):
+    return json.loads(pathlib.Path(path).read_text(encoding="utf-8"))
 
 
 class TestListAndRun:
@@ -69,7 +73,7 @@ class TestRunOrchestration:
     def test_results_artifact_is_written(self, tmp_path, capsys):
         path = tmp_path / "RESULTS.json"
         assert main(["run", "--quiet", "--no-cache", "--results", str(path), "figure1"]) == 0
-        document = load_results_document(str(path))
+        document = _load(path)
         assert list(document["results"]) == ["figure1"]
         assert document["results"]["figure1"]["metrics"]["always_below_bft8"] is True
         assert "results written to" in capsys.readouterr().out
@@ -82,8 +86,8 @@ class TestRunOrchestration:
         assert main(argv + ["--results", str(first)]) == 0
         assert main(argv + ["--results", str(second)]) == 0
         capsys.readouterr()
-        first_doc = load_results_document(str(first))
-        second_doc = load_results_document(str(second))
+        first_doc = _load(first)
+        second_doc = _load(second)
         assert first_doc["run"]["cached"] == {"figure1": False, "example1": False}
         assert second_doc["run"]["cached"] == {"figure1": True, "example1": True}
         assert first_doc["results"] == second_doc["results"]
@@ -96,8 +100,8 @@ class TestRunOrchestration:
         assert main(base + ["--shard", "1/2", "--results", str(merged)]) == 0
         assert main(base + ["--shard", "2/2", "--results", str(merged), "--merge"]) == 0
         capsys.readouterr()
-        full_doc = load_results_document(str(unsharded))
-        merged_doc = load_results_document(str(merged))
+        full_doc = _load(unsharded)
+        merged_doc = _load(merged)
         assert merged_doc["results"] == full_doc["results"]
         assert merged_doc["run"]["shards"] == ["1/2", "2/2"]
 
@@ -161,7 +165,7 @@ class TestRunOrchestration:
         arguments += ["--results", str(results)] + mode
         assert main(arguments + ["proposition1", "proposition2"]) == 0
         capsys.readouterr()
-        document = load_results_document(str(results))
+        document = _load(results)
         assert sorted(document["results"]) == ["proposition1", "proposition2"]
 
     def test_parallel_flag_matches_serial_results(self, tmp_path, capsys):
@@ -172,8 +176,8 @@ class TestRunOrchestration:
         assert main(base + ["--parallel", "--jobs", "2", "--results", str(parallel)]) == 0
         capsys.readouterr()
         assert (
-            load_results_document(str(serial))["results"]
-            == load_results_document(str(parallel))["results"]
+            _load(serial)["results"]
+            == _load(parallel)["results"]
         )
 
 
