@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import pytest
@@ -155,6 +155,49 @@ class TestParamsDecoder:
         params = _toy_spec().params_from_dict({"grid": [[1, 2.5]], "sizes": None})
         assert params == _TupleParams(grid=((1.0, 2.5),), sizes=None)
         assert type(params.grid[0][0]) is float
+
+
+#: A JSON value each scalar field type rejects, with the type its message names.
+_WRONG_SCALAR = {
+    bool: (1, "a boolean"),
+    int: ("1", "an integer"),
+    float: ("0.5", "a number"),
+    str: (1, "a string"),
+}
+
+
+def _registered_params_fields():
+    return [
+        pytest.param(spec, spec_field.name, id=f"{spec.experiment_id}-{spec_field.name}")
+        for spec in registry.all_specs()
+        for spec_field in fields(spec.params_type)
+    ]
+
+
+class TestRegisteredParamsFields:
+    """Every field of every registered experiment decodes through the checks."""
+
+    @pytest.mark.parametrize("spec, name", _registered_params_fields())
+    def test_a_value_of_the_wrong_json_type_is_rejected_by_name(self, spec, name):
+        annotation = spec.params_hints[name]
+        element = variadic_tuple_element(annotation)
+        if element is None:
+            value, kind = _WRONG_SCALAR[annotation]
+        else:
+            value, kind = "1,2", "an array"
+            wrong_element, element_kind = _WRONG_SCALAR[element]
+            with pytest.raises(
+                OrchestrationError,
+                match=re.escape(
+                    f"parameter {name!r} must be {element_kind}, got {wrong_element!r}"
+                ),
+            ):
+                spec.params_from_dict({name: [wrong_element]})
+        with pytest.raises(
+            OrchestrationError,
+            match=re.escape(f"parameter {name!r} must be {kind}, got {value!r}"),
+        ):
+            spec.params_from_dict({name: value})
 
 
 class TestPoolSeamDecodes:
