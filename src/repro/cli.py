@@ -3,19 +3,19 @@
 Six subcommands cover the common workflows without writing Python:
 
 - ``list``     — show the available experiments (one per paper artifact);
-- ``run``      — run experiments through the orchestrator: name/tag
-  filtering, ``--shard i/n`` splitting for CI fan-out, process-parallel
-  execution, a content-addressed result cache, a ``RESULTS.json`` artifact
-  and golden-snapshot regeneration;
+- ``run``      — run experiments through the orchestrator: selection by
+  names or tags (decoded like an HTTP selection), ``--shard i/n`` splitting
+  for CI fan-out, process-parallel execution, a content-addressed result
+  cache (``run --quiet`` primes it for a server), a ``RESULTS.json``
+  artifact and golden-snapshot regeneration;
 - ``serve``    — host the asyncio HTTP result service: experiment results as
   canonical JSON straight from the content-addressed cache, computed on miss
   on a bounded process pool; reads (``/experiments``, ``/experiments/{id}``),
   writes (``POST /jobs``, ``/jobs/{id}``, bulk ``/results`` with NDJSON
-  streaming), cache admin (``/cache/stats|prune|invalidate|warm``), plus
+  streaming), cache admin (``/cache/stats|prune|invalidate``), plus
   ``/healthz`` and ``/metrics``;
-- ``cache``    — inspect, shrink or prime the result cache (``--stats``,
-  ``--prune`` stale fingerprints and leaked temp files, ``--clear``,
-  ``--warm`` to batch-compute registry experiments into the cache);
+- ``cache``    — inspect or shrink the result cache (``--stats``,
+  ``--prune`` stale fingerprints and leaked temp files, ``--clear``);
 - ``entropy``  — quick diversity analysis of a voting-power distribution given
   as ``name=power`` pairs (e.g. mining-pool shares), reporting the Shannon
   entropy, the full diversity profile and which protocol tolerances a single
@@ -40,7 +40,7 @@ Examples::
     python -m repro.cli run --all --update-golden
     python -m repro.cli serve --port 8000 --jobs 4
     python -m repro.cli cache --stats
-    python -m repro.cli cache --warm --tag monte-carlo --jobs 4
+    python -m repro.cli run --quiet --tag monte-carlo --jobs 4
     python -m repro.cli entropy foundry=34.2 antpool=20.0 f2pool=13.0 rest=32.8
     python -m repro.cli backends
 """
@@ -71,10 +71,10 @@ from repro.experiments.orchestrator import (
     ExperimentResult,
     ResultCache,
     experiment_banner,
-    filter_specs,
     invalidate_code_fingerprint,
     json_body,
     parse_shard,
+    reject_duplicate_ids,
     results_document,
     run_experiments,
     select_shard,
@@ -146,7 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "experiments",
         nargs="*",
         metavar="EXPERIMENT",
-        help="experiment names (see 'list'); default: all of them",
+        help="experiment names (see 'list'), run in the order given; "
+        "default: all of them",
     )
     run_parser.add_argument(
         "--all", action="store_true", help="run every experiment (same as no names)"
@@ -156,7 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="append",
         default=None,
         metavar="TAG",
-        help="only experiments carrying this tag (repeatable; OR semantics)",
+        help="only experiments carrying this tag (repeatable; OR semantics; "
+        "not with names)",
     )
     run_parser.add_argument(
         "--shard",
@@ -305,14 +307,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cache_parser = subparsers.add_parser(
         "cache",
-        help="inspect, shrink or prime the content-addressed result cache",
-    )
-    cache_parser.add_argument(
-        "experiments",
-        nargs="*",
-        metavar="EXPERIMENT",
-        help="with --warm: restrict priming to these experiments "
-        "(default: the whole registry)",
+        help="inspect or shrink the content-addressed result cache",
     )
     cache_action = cache_parser.add_mutually_exclusive_group()
     cache_action.add_argument(
@@ -327,27 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cache_action.add_argument(
         "--clear", action="store_true", help="delete every cache entry"
-    )
-    cache_action.add_argument(
-        "--warm",
-        action="store_true",
-        help="walk the registry and compute every missing result into the "
-        "cache, so a server starting on this directory serves hits only",
-    )
-    cache_parser.add_argument(
-        "--tag",
-        action="append",
-        default=None,
-        metavar="TAG",
-        help="with --warm: only experiments carrying this tag "
-        "(repeatable; OR semantics)",
-    )
-    cache_parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="with --warm: compute misses on a process pool of this size",
     )
     cache_parser.add_argument(
         "--cache-dir",
@@ -399,7 +373,11 @@ def _update_golden(
 
 
 def _command_run(arguments: argparse.Namespace) -> int:
-    names = [] if arguments.all else list(arguments.experiments)
+    selection = {}
+    if arguments.experiments and not arguments.all:
+        selection["experiments"] = list(arguments.experiments)
+    if arguments.tag:
+        selection["tag"] = list(arguments.tag)
     if arguments.merge and not arguments.results:
         # --merge only modifies how --results is written; accepting it alone
         # would silently drop the artifact the caller asked to assemble.
@@ -410,12 +388,17 @@ def _command_run(arguments: argparse.Namespace) -> int:
         # whatever this process memoized at import time.
         invalidate_code_fingerprint()
     try:
-        selected = filter_specs(
-            registry.all_specs(), names=names, tags=tuple(arguments.tag or ())
-        )
+        # The shell names ids only, so every request runs at its defaults.
+        selected = [
+            registry.get_spec(experiment_id)
+            for experiment_id, _ in registry.decode_selection(selection)
+        ]
         if arguments.shard is not None:
             index, count = parse_shard(arguments.shard)
             selected = select_shard(selected, index, count)
+        if arguments.results:
+            # RESULTS.json is keyed by id: refuse a repeat before building.
+            reject_duplicate_ids([spec.experiment_id for spec in selected])
     except OrchestrationError as error:
         # Selection errors (unknown name/tag, bad shard) are usage errors:
         # exit 2, like argparse, rather than the generic runtime-error 1.
@@ -557,16 +540,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
 def _command_cache(arguments: argparse.Namespace) -> int:
     cache = ResultCache(arguments.cache_dir)
-    if not arguments.warm and (
-        arguments.experiments or arguments.tag or arguments.jobs
-    ):
-        print(
-            "error: EXPERIMENT arguments, --tag and --jobs only apply to --warm",
-            file=sys.stderr,
-        )
-        return 2
-    if arguments.warm:
-        return _warm_cache(arguments, cache)
     if arguments.clear:
         report = cache.clear()
         print(
@@ -591,47 +564,6 @@ def _command_cache(arguments: argparse.Namespace) -> int:
     table.add_row("leaked temp files (prunable)", stats.temp_files)
     table.add_row("total bytes", stats.total_bytes)
     print(table.render())
-    return 0
-
-
-def _warm_cache(arguments: argparse.Namespace, cache: ResultCache) -> int:
-    """Batch-prime the cache: compute every missing registry result.
-
-    The keys are the same content hashes the serve layer derives, so a
-    server started on this directory afterwards answers the whole selection
-    from cache — this is how CI (and operators) front-load the expensive
-    builds before traffic arrives.
-    """
-    # Key for the source as it is now, not the import-time memo.
-    invalidate_code_fingerprint()
-    try:
-        selected = filter_specs(
-            registry.all_specs(),
-            names=list(arguments.experiments),
-            tags=tuple(arguments.tag or ()),
-        )
-    except OrchestrationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    backend_name = get_backend().name
-    cached_before = sum(
-        1
-        for spec in selected
-        if cache.load(cache.key_for(spec, spec.params_dict()))
-        is not None
-    )
-    run_experiments(
-        selected,
-        backend=backend_name,
-        parallel=arguments.jobs is not None and arguments.jobs > 1,
-        max_workers=arguments.jobs,
-        cache=cache,
-    )
-    print(
-        f"warmed {cache.directory}: {len(selected) - cached_before} "
-        f"result(s) computed, {cached_before} already cached "
-        f"({len(selected)} selected, backend: {backend_name})"
-    )
     return 0
 
 

@@ -37,7 +37,6 @@ from repro.experiments.orchestrator.cache import (
     code_fingerprint,
     default_cache_dir,
     invalidate_code_fingerprint,
-    refresh_code_fingerprint,
 )
 from repro.experiments.orchestrator.engine import execute_spec, run_experiments
 from repro.experiments.orchestrator.result import (
@@ -47,13 +46,13 @@ from repro.experiments.orchestrator.result import (
     json_body,
     jsonify,
     merge_results_documents,
+    reject_duplicate_ids,
     results_document,
     write_results_document,
 )
 from repro.experiments.orchestrator.spec import (
     ExperimentSpec,
     experiment_banner,
-    filter_specs,
     parse_shard,
     select_shard,
 )
@@ -77,12 +76,11 @@ __all__ = [
     "execute_spec",
     "invalidate_code_fingerprint",
     "json_body",
-    "refresh_code_fingerprint",
     "experiment_banner",
-    "filter_specs",
     "jsonify",
     "merge_results_documents",
     "parse_shard",
+    "reject_duplicate_ids",
     "results_document",
     "run_experiments",
     "select_shard",

@@ -20,8 +20,8 @@ source edit without being able to invert the content hash.
 Corrupt or unreadable entries degrade to cache misses.
 
 Long-lived processes (the HTTP result service) refresh the memoized
-fingerprint through :func:`invalidate_code_fingerprint` /
-:func:`refresh_code_fingerprint` so a server picks up source edits instead
+fingerprint through :func:`compute_code_fingerprint` /
+:func:`set_code_fingerprint` so a server picks up source edits instead
 of serving results keyed to code that no longer exists.
 """
 
@@ -119,18 +119,6 @@ def invalidate_code_fingerprint() -> None:
     """
     global _package_fingerprint_cache
     _package_fingerprint_cache = None
-
-
-def refresh_code_fingerprint() -> bool:
-    """Re-hash the source tree; ``True`` when the fingerprint changed.
-
-    Equivalent to :func:`invalidate_code_fingerprint` followed by a fresh
-    computation, reporting whether anything moved — the result service uses
-    the return value to count the source edits it picked up.
-    """
-    previous = _package_fingerprint_cache
-    invalidate_code_fingerprint()
-    return previous is not None and code_fingerprint() != previous
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ def _pool_execute(
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     *,
-    backend: Optional[str] = None,
     parallel: bool = False,
     max_workers: Optional[int] = None,
     cache: Optional[ResultCache] = None,
@@ -114,9 +113,10 @@ def run_experiments(
 ) -> List[ExperimentResult]:
     """Run ``specs`` (default parameters) and return results in spec order.
 
+    The ambient compute backend is resolved once, so serial, parallel and
+    sharded runs agree.
+
     Args:
-        backend: compute-backend name; resolved once so serial, parallel and
-            sharded runs agree.  ``None`` uses the ambient resolution.
         parallel: fan the experiments out over a process pool.
         max_workers: pool size (default: ``os.cpu_count()``).
         cache: optional :class:`ResultCache`; fresh results are stored,
@@ -132,7 +132,7 @@ def run_experiments(
             task returns bit-identical results and determinism survives
             worker loss.
     """
-    effective_backend = get_backend(backend).name
+    effective_backend = get_backend().name
     results: List[Optional[ExperimentResult]] = [None] * len(specs)
     pending: List[Tuple[int, ExperimentSpec, Dict[str, Any], Optional[str]]] = []
     for index, spec in enumerate(specs):

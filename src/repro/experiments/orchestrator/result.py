@@ -205,6 +205,15 @@ def json_body(document: Any) -> bytes:
     ).encode("utf-8")
 
 
+def reject_duplicate_ids(ids: Sequence[str]) -> None:
+    """Refuse an id repeated in one document keyed by experiment id."""
+    duplicates = sorted({x for x in ids if ids.count(x) > 1})
+    if duplicates:
+        raise OrchestrationError(
+            f"duplicate experiment results in one document: {', '.join(duplicates)}"
+        )
+
+
 def results_document(
     results: Sequence[ExperimentResult],
     *,
@@ -218,11 +227,7 @@ def results_document(
     volatile per-run facts (order, wall times, cache hits, shard label).
     """
     ids = [result.experiment_id for result in results]
-    duplicates = {x for x in ids if ids.count(x) > 1}
-    if duplicates:
-        raise OrchestrationError(
-            f"duplicate experiment results in one document: {', '.join(sorted(duplicates))}"
-        )
+    reject_duplicate_ids(ids)
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
         "results": {result.experiment_id: result.canonical_dict() for result in results},

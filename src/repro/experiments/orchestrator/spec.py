@@ -3,10 +3,9 @@
 Each experiment module exposes a module-level ``SPEC``
 (:class:`ExperimentSpec`) binding its id, tags, parameter dataclass (whose
 ``seed`` field, when it has one, seeds the build), structured build function
-and text renderer.  The registry module collects the specs in paper order;
-the engine executes them; this module also hosts the pure selection logic
-(name/tag filtering, ``--shard i/n`` splitting) so it can be tested without
-running anything.
+and text renderer.  The registry module collects the specs in paper order
+and decodes selections; the engine executes them; this module also hosts
+the ``--shard i/n`` splitting, so it can be tested without running anything.
 """
 
 from __future__ import annotations
@@ -182,48 +181,6 @@ def _decode_value(value: Any, annotation: Any, name: str) -> Any:
 def experiment_banner(experiment_id: str) -> str:
     """The ``== <id> ====...`` separator line printed above each report."""
     return f"== {experiment_id} " + "=" * max(0, 70 - len(experiment_id))
-
-
-def filter_specs(
-    specs: Sequence[ExperimentSpec],
-    *,
-    names: Sequence[str] = (),
-    tags: Sequence[str] = (),
-) -> List[ExperimentSpec]:
-    """Select specs by name and/or tag, preserving the input order.
-
-    Unknown names or tags raise :class:`OrchestrationError` — silently
-    skipping a misspelled experiment is how regressions go unnoticed.
-    With neither filter, every spec is selected.
-    """
-    known_names = {spec.experiment_id for spec in specs}
-    unknown = [name for name in names if name not in known_names]
-    if unknown:
-        raise OrchestrationError(
-            f"unknown experiments: {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(known_names))})"
-        )
-    known_tags = {tag for spec in specs for tag in spec.tags}
-    unknown_tags = [tag for tag in tags if tag not in known_tags]
-    if unknown_tags:
-        raise OrchestrationError(
-            f"unknown tags: {', '.join(unknown_tags)} "
-            f"(known: {', '.join(sorted(known_tags))})"
-        )
-    selected = list(specs)
-    if names:
-        wanted = set(names)
-        selected = [spec for spec in selected if spec.experiment_id in wanted]
-    if tags:
-        wanted_tags = set(tags)
-        selected = [spec for spec in selected if wanted_tags.intersection(spec.tags)]
-    if (names or tags) and not selected:
-        # Individually-valid filters whose intersection is empty would make a
-        # "successful" run that produced nothing — fail loudly instead.
-        raise OrchestrationError(
-            f"no experiment matches names={sorted(names)} AND tags={sorted(tags)}"
-        )
-    return selected
 
 
 def parse_shard(text: str) -> Tuple[int, int]:

@@ -15,15 +15,18 @@ The **read plane**:
 
 The **write plane** (job submission, bulk results, cache administration):
 
-- ``POST /jobs`` — submit an experiment or a parameter grid; jobs run
-  through the same single-flight gate and resilient executor as reads, and
-  live in a bounded-history :class:`~repro.serve.jobs.JobStore`;
+- ``POST /jobs`` — submit a selection (an experiment, a parameter grid, a
+  list or a tag); jobs run through the same single-flight gate and
+  resilient executor as reads, and live in a bounded-history
+  :class:`~repro.serve.jobs.JobStore`.  With ``wait: true`` the answer is
+  the finished snapshot, each task's cache state included, so a submission
+  is also how a cache is warmed;
 - ``GET /jobs`` / ``GET /jobs/{id}`` / ``GET /jobs/{id}/result`` — polling
   and result retrieval (single-task results are byte-identical to the
   corresponding ``GET /experiments/{id}`` body);
 - ``GET|POST /results`` — a bulk results document, or an NDJSON stream
   (``format=ndjson``, chunked ``Transfer-Encoding``) for large sweeps;
-- ``GET /cache/stats``, ``POST /cache/prune|invalidate|warm`` — the admin
+- ``GET /cache/stats``, ``POST /cache/prune|invalidate`` — the admin
   plane over the :class:`~repro.experiments.orchestrator.ResultCache`.
 
 Builds degrade gracefully: misses run on a
@@ -38,9 +41,9 @@ and one successful probe closes the breaker without a restart.
 """
 
 from repro.experiments.orchestrator import json_body
+from repro.experiments.orchestrator.registry import MAX_JOB_TASKS
 from repro.serve.app import (
     DEFAULT_BODY_CACHE_BYTES,
-    MAX_JOB_TASKS,
     ResultApp,
     error_response,
     ndjson_line,

@@ -12,14 +12,19 @@ The read plane (PR 4/6):
 
 The write plane (this module's second half):
 
-- ``POST /jobs`` — submit an experiment (or a parameter grid) for
-  asynchronous computation; ``GET /jobs`` / ``GET /jobs/{id}`` poll it and
-  ``GET /jobs/{id}/result`` serves the finished document;
-- ``GET|POST /results`` — a bulk results document over many experiments,
-  or an NDJSON stream (``format=ndjson``) for large sweeps;
-- ``GET /cache/stats`` and ``POST /cache/prune|invalidate|warm`` — the
+- ``POST /jobs`` — submit a selection (an experiment, a parameter grid, a
+  list or a tag) for asynchronous computation; ``GET /jobs`` /
+  ``GET /jobs/{id}`` poll it and ``GET /jobs/{id}/result`` serves the
+  finished document.  ``wait: true`` answers with the finished snapshot,
+  whose tasks record their cache state: that is how a cache is warmed;
+- ``GET|POST /results`` — a bulk results document over a selection, or an
+  NDJSON stream (``format=ndjson``) for large sweeps;
+- ``GET /cache/stats`` and ``POST /cache/prune|invalidate`` — the
   cache-administration plane over the content-addressed
   :class:`~repro.experiments.orchestrator.ResultCache`.
+
+Both write routes decode their selection with the registry's one decoder,
+:func:`~repro.experiments.orchestrator.registry.decode_selection`.
 
 Every route goes through one table mapping path → allowed methods, so an
 unsupported method is a uniform 405 with a correct ``Allow`` header, and
@@ -31,7 +36,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import itertools
 import json
 import sys
 from collections import OrderedDict
@@ -49,10 +53,13 @@ from typing import (
     Union,
 )
 
-from repro.core.exceptions import ServeError
+from repro.core.exceptions import OrchestrationError, ServeError
 from repro.experiments.orchestrator import registry
-from repro.experiments.orchestrator.cache import refresh_code_fingerprint
-from repro.experiments.orchestrator.result import RESULT_SCHEMA_VERSION, json_body
+from repro.experiments.orchestrator.result import (
+    RESULT_SCHEMA_VERSION,
+    json_body,
+    reject_duplicate_ids,
+)
 from repro.serve.http import (
     HttpRequest,
     HttpResponse,
@@ -77,18 +84,6 @@ JOBS_PREFIX = "/jobs/"
 #: bodies arbitrarily large (256 big sweep documents is an OOM, 256 small
 #: ones is nothing).
 DEFAULT_BODY_CACHE_BYTES = 32 * 1024 * 1024
-
-#: Upper bound on tasks in one job and on results in one bulk request.
-MAX_JOB_TASKS = 256
-
-#: Keys a job-submission document may carry.
-JOB_DOCUMENT_KEYS = frozenset({"experiment", "experiments", "params", "grid", "wait"})
-
-#: Keys a bulk-results selection document may carry.
-RESULTS_DOCUMENT_KEYS = frozenset({"experiments", "tag", "format"})
-
-#: Keys a cache-warm document may carry.
-WARM_DOCUMENT_KEYS = frozenset({"experiments", "tag"})
 
 
 def ndjson_line(document: Any) -> bytes:
@@ -123,7 +118,7 @@ class ResultApp:
         *,
         body_cache_bytes: int = DEFAULT_BODY_CACHE_BYTES,
         jobs: Optional[JobStore] = None,
-        refresh: Optional[Callable[[], Awaitable[bool]]] = None,
+        refresh: Callable[[], Awaitable[bool]],
     ) -> None:
         """Args:
         service: the transport-free result service.
@@ -133,8 +128,7 @@ class ResultApp:
         jobs: the job store backing ``POST /jobs``; a default-configured
             one when ``None``.
         refresh: awaitable forcing a fingerprint refresh (the server's
-            ``refresh_now``, which also recycles the process pool);
-            ``None`` falls back to refreshing the memo alone.
+            ``refresh_now``, which also recycles the process pool).
         """
         self.service = service
         self.metrics = metrics if metrics is not None else service.metrics
@@ -157,7 +151,6 @@ class ResultApp:
             "/cache/stats": {"GET": self._cache_stats},
             "/cache/prune": {"POST": self._cache_prune},
             "/cache/invalidate": {"POST": self._cache_invalidate},
-            "/cache/warm": {"POST": self._cache_warm},
         }
 
     # ------------------------------------------------------------ dispatch
@@ -323,17 +316,10 @@ class ResultApp:
 
     async def _jobs_submit(self, request: HttpRequest) -> HttpResponse:
         document = self._parse_json_object(request)
-        unknown = sorted(set(document) - JOB_DOCUMENT_KEYS)
-        if unknown:
-            raise ServeError(
-                400,
-                f"unknown job field(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(JOB_DOCUMENT_KEYS))})",
-            )
-        wait = document.get("wait", False)
+        wait = document.pop("wait", False)
         if not isinstance(wait, bool):
             raise ServeError(400, f"'wait' must be a boolean, got {wait!r}")
-        tasks = self._job_tasks_from(document)
+        tasks = [JobTask(prepared=item) for item in self._prepare_selection(document)]
         self._reject_when_breaker_open()
         job = self.jobs.create(tasks)
         self.metrics.jobs_submitted += 1
@@ -352,107 +338,20 @@ class ResultApp:
             headers=(("Location", f"/jobs/{job.job_id}"),),
         )
 
-    def _job_tasks_from(self, document: Mapping[str, Any]) -> List[JobTask]:
-        """Expand a submission document into validated tasks (no disk I/O)."""
-        entries = document.get("experiments")
-        if entries is not None:
-            for key in ("experiment", "params", "grid"):
-                if key in document:
-                    raise ServeError(
-                        400, f"'experiments' cannot be combined with {key!r}"
-                    )
-            prepared = self._prepare_entries(entries)
-        elif "experiment" in document:
-            prepared = self._expand_grid(
-                document["experiment"], document.get("params"), document.get("grid")
-            )
-        else:
-            raise ServeError(
-                400, "a job document needs 'experiment' or 'experiments'"
-            )
-        if not prepared:
-            raise ServeError(400, "a job needs at least one task")
-        if len(prepared) > MAX_JOB_TASKS:
-            raise ServeError(
-                400,
-                f"job expands to {len(prepared)} tasks "
-                f"(the limit is {MAX_JOB_TASKS}); split the submission",
-            )
-        return [JobTask(prepared=item) for item in prepared]
+    def _prepare_selection(self, document: Mapping[str, Any]) -> List[PreparedRequest]:
+        """Decode a selection, then validate and key each request (no disk I/O).
 
-    def _prepare_entries(self, entries: Any) -> List[PreparedRequest]:
-        if not isinstance(entries, list):
-            raise ServeError(400, "'experiments' must be a list")
-        prepared: List[PreparedRequest] = []
-        for index, entry in enumerate(entries):
-            if isinstance(entry, str):
-                prepared.append(self.service.prepare_document(entry))
-            elif isinstance(entry, Mapping):
-                unknown = sorted(set(entry) - {"experiment", "params"})
-                if unknown:
-                    raise ServeError(
-                        400,
-                        f"experiments[{index}] has unknown field(s): "
-                        f"{', '.join(unknown)}",
-                    )
-                experiment_id = entry.get("experiment")
-                if not isinstance(experiment_id, str):
-                    raise ServeError(
-                        400, f"experiments[{index}] needs an 'experiment' string"
-                    )
-                prepared.append(
-                    self.service.prepare_document(experiment_id, entry.get("params"))
-                )
-            else:
-                raise ServeError(
-                    400,
-                    f"experiments[{index}] must be an experiment id or an object",
-                )
-        return prepared
-
-    def _expand_grid(
-        self, experiment_id: Any, params: Any, grid: Any
-    ) -> List[PreparedRequest]:
-        if not isinstance(experiment_id, str):
-            raise ServeError(400, "'experiment' must be an experiment id string")
-        if grid is None:
-            return [self.service.prepare_document(experiment_id, params)]
-        if not isinstance(grid, Mapping) or not grid:
-            raise ServeError(
-                400, "'grid' must be a non-empty object of parameter value lists"
-            )
-        axes: List[Tuple[str, List[Any]]] = []
-        for name in sorted(grid):
-            values = grid[name]
-            if not isinstance(values, list) or not values:
-                raise ServeError(
-                    400, f"grid axis {name!r} must be a non-empty list of values"
-                )
-            axes.append((name, values))
-        base = dict(params) if isinstance(params, Mapping) else {}
-        if params is not None and not isinstance(params, Mapping):
-            raise ServeError(400, f"params for {experiment_id!r} must be an object")
-        overlap = sorted(set(base) & {name for name, _ in axes})
-        if overlap:
-            raise ServeError(
-                400,
-                f"grid axis and params overlap: {', '.join(overlap)} "
-                "(a parameter is either fixed or swept, not both)",
-            )
-        points = itertools.product(*(values for _, values in axes))
-        names = [name for name, _ in axes]
-        prepared = []
-        for combo in points:
-            if len(prepared) >= MAX_JOB_TASKS:
-                raise ServeError(
-                    400,
-                    f"grid expands past the {MAX_JOB_TASKS}-task limit; "
-                    "split the sweep",
-                )
-            point = dict(base)
-            point.update(zip(names, combo))
-            prepared.append(self.service.prepare_document(experiment_id, point))
-        return prepared
+        An unknown experiment answers ``404`` from ``prepare_document``; any
+        other selection error is a ``400``.
+        """
+        try:
+            requests = registry.decode_selection(document)
+        except OrchestrationError as error:
+            raise ServeError(400, str(error)) from None
+        return [
+            self.service.prepare_document(experiment_id, params)
+            for experiment_id, params in requests
+        ]
 
     def _reject_when_breaker_open(self) -> None:
         """Refuse new write work while builds are known to be failing.
@@ -557,35 +456,34 @@ class ResultApp:
     ) -> Union[HttpResponse, StreamingHttpResponse]:
         if request.method == "POST":
             document = self._parse_json_object(request)
-            unknown = sorted(set(document) - RESULTS_DOCUMENT_KEYS)
-            if unknown:
-                raise ServeError(
-                    400,
-                    f"unknown results field(s): {', '.join(unknown)} "
-                    f"(known: {', '.join(sorted(RESULTS_DOCUMENT_KEYS))})",
-                )
+            output_format = document.pop("format", None) or "json"
         else:
-            document = self._results_selection_from_query(request.query)
-        output_format = document.get("format") or "json"
+            document = dict(request.query)
+            if "experiment" in document and "experiments" not in document:
+                # A query repeats 'experiment' once per id: a GET names its
+                # ids the way a POST's 'experiments' list does.
+                document["experiments"] = document.pop("experiment")
+            formats = document.pop("format", ["json"])
+            if len(formats) > 1:
+                raise ServeError(400, "query parameter 'format' was given more than once")
+            output_format = formats[0]
         if output_format not in ("json", "ndjson"):
             raise ServeError(
                 400, f"format must be 'json' or 'ndjson', got {output_format!r}"
             )
-        prepared = self._bulk_selection(document)
+        prepared = self._prepare_selection(document)
         if output_format == "ndjson":
             return StreamingHttpResponse(
                 status=200,
                 chunks=self._ndjson_results(prepared),
                 headers=(("X-Result-Count", str(len(prepared))),),
             )
-        ids = [item.spec.experiment_id for item in prepared]
-        duplicates = sorted({x for x in ids if ids.count(x) > 1})
-        if duplicates:
+        try:
+            reject_duplicate_ids([item.spec.experiment_id for item in prepared])
+        except OrchestrationError as error:
             raise ServeError(
-                400,
-                "duplicate experiment(s) in one results document: "
-                f"{', '.join(duplicates)} (use format=ndjson for parameter grids)",
-            )
+                400, f"{error} (use format=ndjson for parameter grids)"
+            ) from None
         results: Dict[str, Any] = {}
         for item in prepared:
             result, _ = await self.service.fetch(item)
@@ -597,74 +495,6 @@ class ResultApp:
                 {"schema_version": RESULT_SCHEMA_VERSION, "results": results}
             ),
         )
-
-    @staticmethod
-    def _results_selection_from_query(
-        query: Mapping[str, Sequence[str]]
-    ) -> Dict[str, Any]:
-        """Normalize ``GET /results`` query params to the POST document shape."""
-        known = {"experiment", "tag", "format"}
-        unknown = sorted(set(query) - known)
-        if unknown:
-            raise ServeError(
-                400,
-                f"unknown query parameter(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(known))})",
-            )
-        document: Dict[str, Any] = {}
-        experiments = list(query.get("experiment", []))
-        if experiments:
-            document["experiments"] = experiments
-        tags = list(query.get("tag", []))
-        if tags:
-            document["tag"] = tags
-        formats = list(query.get("format", []))
-        if len(formats) > 1:
-            raise ServeError(400, "query parameter 'format' was given more than once")
-        if formats:
-            document["format"] = formats[0]
-        return document
-
-    def _bulk_selection(self, document: Mapping[str, Any]) -> List[PreparedRequest]:
-        """The prepared requests a results/warm selection document names."""
-        entries = document.get("experiments")
-        tags = document.get("tag")
-        if isinstance(tags, str):
-            tags = [tags]
-        if tags is not None:
-            if entries is not None:
-                raise ServeError(
-                    400, "'tag' cannot be combined with an explicit experiment list"
-                )
-            if not isinstance(tags, list) or not all(
-                isinstance(tag, str) for tag in tags
-            ):
-                raise ServeError(400, "'tag' must be a tag name or list of names")
-            known_tags = set(registry.known_tags())
-            unknown = sorted(set(tags) - known_tags)
-            if unknown:
-                raise ServeError(
-                    400,
-                    f"unknown tag(s): {', '.join(unknown)} "
-                    f"(known: {', '.join(sorted(known_tags))})",
-                )
-            entries = [
-                spec.experiment_id
-                for spec in registry.all_specs()
-                if set(spec.tags) & set(tags)
-            ]
-        if entries is None:
-            entries = registry.experiment_ids()
-        prepared = self._prepare_entries(entries)
-        if not prepared:
-            raise ServeError(400, "the selection matches no experiments")
-        if len(prepared) > MAX_JOB_TASKS:
-            raise ServeError(
-                400,
-                f"selection expands to {len(prepared)} results "
-                f"(the limit is {MAX_JOB_TASKS}); narrow it",
-            )
-        return prepared
 
     async def _ndjson_results(
         self, prepared: Sequence[PreparedRequest]
@@ -736,10 +566,7 @@ class ResultApp:
         # hook this also recycles the process pool, exactly like the
         # periodic refresh loop — the admin plane must not introduce a
         # second, weaker notion of "the code changed".
-        if self._refresh is not None:
-            changed = bool(await self._refresh())
-        else:
-            changed = await asyncio.to_thread(refresh_code_fingerprint)
+        changed = bool(await self._refresh())
         if changed:
             # Every cache key just changed, so no retained body can be
             # requested again — drop them rather than waiting for eviction.
@@ -747,34 +574,6 @@ class ResultApp:
         return HttpResponse(
             status=200,
             body=json_body({"action": "invalidate", "fingerprint_changed": changed}),
-        )
-
-    async def _cache_warm(self, request: HttpRequest) -> HttpResponse:
-        self.metrics.cache_admin_ops += 1
-        document = self._parse_json_object(request)
-        unknown = sorted(set(document) - WARM_DOCUMENT_KEYS)
-        if unknown:
-            raise ServeError(
-                400,
-                f"unknown warm field(s): {', '.join(unknown)} "
-                f"(known: {', '.join(sorted(WARM_DOCUMENT_KEYS))})",
-            )
-        prepared = self._bulk_selection(document)
-        warmed: List[Dict[str, Any]] = []
-        counts = {"hit": 0, "miss": 0}
-        for item in prepared:
-            _, state = await self.service.fetch(item)
-            counts[state] = counts.get(state, 0) + 1
-            warmed.append(
-                {
-                    "experiment_id": item.spec.experiment_id,
-                    "cache": state,
-                    "key": item.key,
-                }
-            )
-        return HttpResponse(
-            status=200,
-            body=json_body({"action": "warm", "counts": counts, "results": warmed}),
         )
 
     # ------------------------------------------------------------- plumbing

@@ -46,7 +46,7 @@ class ServiceMetrics:
         bulk_results_served: individual results delivered through the bulk
             ``/results`` endpoint (JSON document entries plus NDJSON lines).
         cache_admin_ops: cache-administration requests handled
-            (``/cache/stats|prune|invalidate|warm``).
+            (``/cache/stats|prune|invalidate``).
         kernel_counters: per-kernel ``{calls, seconds, trials}`` accumulated
             from the volatile section of every result this server built
             (builds run in pool workers; the counters ride back on the

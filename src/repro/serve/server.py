@@ -34,7 +34,7 @@ from repro.serve.breaker import (
     CircuitBreaker,
 )
 from repro.serve.http import LAST_CHUNK, StreamingHttpResponse, encode_chunk, read_request
-from repro.serve.jobs import DEFAULT_JOB_HISTORY, JobStore
+from repro.serve.jobs import JobStore
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.service import ResultService
 
@@ -61,13 +61,11 @@ class ResultServer:
         jobs: Optional[int] = None,
         cache_dir: Optional[str] = None,
         refresh_interval: float = DEFAULT_REFRESH_INTERVAL,
-        keep_alive_timeout: float = DEFAULT_KEEP_ALIVE_TIMEOUT,
         metrics: Optional[ServiceMetrics] = None,
         build_deadline: Optional[float] = None,
         build_retries: int = 0,
         breaker_threshold: int = DEFAULT_FAILURE_THRESHOLD,
         breaker_reset: float = DEFAULT_RESET_TIMEOUT,
-        job_history: int = DEFAULT_JOB_HISTORY,
     ) -> None:
         """Args:
         host: interface to bind.
@@ -77,8 +75,6 @@ class ResultServer:
             default, ``$REPRO_CACHE_DIR`` or ``.repro-cache``).
         refresh_interval: seconds between source-tree re-hashes; ``0``
             disables the refresh loop.
-        keep_alive_timeout: idle seconds before a keep-alive connection is
-            dropped.
         metrics: shared counters; a private instance by default.
         build_deadline: per-request build deadline (seconds) answered
             ``504`` when exceeded; also the executor's per-attempt deadline
@@ -89,8 +85,6 @@ class ResultServer:
         breaker_threshold: consecutive build failures that open the
             circuit breaker (serve ``503`` + ``Retry-After``).
         breaker_reset: seconds an open breaker waits before probing.
-        job_history: finished ``POST /jobs`` submissions retained for
-            status polling.
         """
         if not refresh_interval >= 0:  # also rejects NaN
             raise ValueError(
@@ -101,14 +95,13 @@ class ResultServer:
         self.jobs = jobs if jobs is not None else default_jobs()
         self.cache_dir = cache_dir
         self.refresh_interval = refresh_interval
-        self.keep_alive_timeout = keep_alive_timeout
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.build_deadline = build_deadline
         self.build_retries = build_retries
         self.breaker = CircuitBreaker(
             failure_threshold=breaker_threshold, reset_timeout=breaker_reset
         )
-        self.job_store = JobStore(history_limit=job_history)
+        self.job_store = JobStore()
         self.service: Optional[ResultService] = None
         self.app: Optional[ResultApp] = None
         self._executor: Optional[ResilientExecutor] = None
@@ -248,7 +241,7 @@ class ResultServer:
             while True:
                 try:
                     request = await asyncio.wait_for(
-                        read_request(reader), timeout=self.keep_alive_timeout
+                        read_request(reader), timeout=DEFAULT_KEEP_ALIVE_TIMEOUT
                     )
                 except asyncio.TimeoutError:
                     break

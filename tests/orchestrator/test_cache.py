@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.backend import available_backends
+from repro.backend import available_backends, use_backend
 from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator import ResultCache, execute_spec, json_body, run_experiments
 from repro.experiments.orchestrator import registry
@@ -18,7 +18,6 @@ from repro.experiments.orchestrator.cache import (
     code_fingerprint,
     default_cache_dir,
     invalidate_code_fingerprint,
-    refresh_code_fingerprint,
 )
 
 
@@ -48,9 +47,11 @@ class TestKeying:
         # no backend: the first backend's build is every other one's hit.
         spec = registry.get_spec("safety_violation")
         backends = available_backends()
-        (built,) = run_experiments([spec], backend=backends[0], cache=cache)
+        with use_backend(backends[0]):
+            (built,) = run_experiments([spec], cache=cache)
         for backend in backends[1:]:
-            (hit,) = run_experiments([spec], backend=backend, cache=cache)
+            with use_backend(backend):
+                (hit,) = run_experiments([spec], cache=cache)
             assert hit.cached
             assert json_body(hit.canonical_dict()) == json_body(built.canonical_dict())
         assert len(cache) == 1
@@ -173,18 +174,6 @@ class TestFingerprintHooks:
         invalidate_code_fingerprint()
         assert cache_module._package_fingerprint_cache is None
         assert code_fingerprint() == before
-
-    def test_refresh_reports_false_on_stable_source(self):
-        code_fingerprint()
-        assert refresh_code_fingerprint() is False
-
-    def test_refresh_reports_true_when_the_memo_went_stale(self, monkeypatch):
-        monkeypatch.setattr(cache_module, "_package_fingerprint_cache", "0" * 64)
-        assert refresh_code_fingerprint() is True
-
-    def test_refresh_with_cold_memo_reports_false(self, monkeypatch):
-        monkeypatch.setattr(cache_module, "_package_fingerprint_cache", None)
-        assert refresh_code_fingerprint() is False
 
     def test_keys_change_with_the_fingerprint(self, cache, monkeypatch):
         spec = figure1_spec()

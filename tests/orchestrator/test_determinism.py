@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backend import use_backend
 from repro.experiments.orchestrator import (
     ResultCache,
     json_body,
@@ -103,14 +104,16 @@ class TestCachePaths:
 class TestBackendPinning:
     def test_explicit_backend_matches_across_modes(self):
         specs = [registry.get_spec("safety_violation"), registry.get_spec("diversity_ablation")]
-        serial = run_experiments(specs, backend="python")
-        parallel = run_experiments(specs, backend="python", parallel=True)
+        with use_backend("python"):
+            serial = run_experiments(specs)
+            parallel = run_experiments(specs, parallel=True)
         assert canonical(serial) == canonical(parallel)
         assert canonical(serial) == canonical(run_experiments(specs))
 
     def test_results_record_no_backend(self):
         spec = registry.get_spec("safety_violation")
-        (result,) = run_experiments([spec], backend="python")
+        with use_backend("python"):
+            (result,) = run_experiments([spec])
         assert "backend" not in result.canonical_dict()
 
 

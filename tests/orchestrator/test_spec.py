@@ -1,4 +1,4 @@
-"""Tests for spec registration, filtering and shard selection."""
+"""Tests for spec registration, params decoding and shard selection."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import pytest
 from repro.core.exceptions import OrchestrationError
 from repro.experiments.orchestrator import (
     execute_spec,
-    filter_specs,
     parse_shard,
     select_shard,
 )
@@ -220,51 +219,6 @@ class TestPoolSeamDecodes:
     ):
         with pytest.raises(OrchestrationError, match=re.escape(message)):
             _pool_execute(experiment_id, params_doc, None)
-
-
-class TestFiltering:
-    def test_no_filters_selects_everything(self):
-        specs = registry.all_specs()
-        assert filter_specs(specs) == list(specs)
-
-    def test_name_filter_preserves_registry_order(self):
-        specs = registry.all_specs()
-        selected = filter_specs(specs, names=("proposition2", "figure1"))
-        assert [spec.experiment_id for spec in selected] == ["figure1", "proposition2"]
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(OrchestrationError, match="unknown experiments: nope"):
-            filter_specs(registry.all_specs(), names=("nope",))
-
-    def test_tag_filter(self):
-        selected = filter_specs(registry.all_specs(), tags=("proposition",))
-        assert [spec.experiment_id for spec in selected] == [
-            "proposition1",
-            "proposition2",
-            "proposition3",
-        ]
-
-    def test_multiple_tags_are_a_union(self):
-        selected = filter_specs(registry.all_specs(), tags=("figure", "example"))
-        assert [spec.experiment_id for spec in selected] == ["figure1", "example1"]
-
-    def test_unknown_tag_raises(self):
-        with pytest.raises(OrchestrationError, match="unknown tags"):
-            filter_specs(registry.all_specs(), tags=("no-such-tag",))
-
-    def test_names_and_tags_compose(self):
-        selected = filter_specs(
-            registry.all_specs(),
-            names=("figure1", "proposition1"),
-            tags=("proposition",),
-        )
-        assert [spec.experiment_id for spec in selected] == ["proposition1"]
-
-    def test_empty_intersection_of_valid_filters_raises(self):
-        # figure1 is a valid name and monte-carlo a valid tag, but nothing
-        # carries both — a silent empty selection would look like success.
-        with pytest.raises(OrchestrationError, match="no experiment matches"):
-            filter_specs(registry.all_specs(), names=("figure1",), tags=("monte-carlo",))
 
 
 class TestShardParsing:

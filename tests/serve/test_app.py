@@ -31,6 +31,11 @@ def _request(method, path, document=None):
     )
 
 
+async def _no_refresh():
+    """The server's refresh hook, for an app built without a server."""
+    return False
+
+
 def with_app(test_body, tmp_path, **app_kwargs):
     async def _run():
         with ThreadPoolExecutor(max_workers=2) as executor:
@@ -40,6 +45,7 @@ def with_app(test_body, tmp_path, **app_kwargs):
                     executor=executor,
                     metrics=ServiceMetrics(),
                 ),
+                refresh=_no_refresh,
                 **app_kwargs,
             )
             try:
@@ -64,7 +70,6 @@ class TestMethodNotAllowed:
             ("POST", "/cache/stats", "GET"),
             ("GET", "/cache/prune", "POST"),
             ("GET", "/cache/invalidate", "POST"),
-            ("GET", "/cache/warm", "POST"),
         ],
     )
     def test_405_carries_the_per_path_allow_header(
@@ -86,6 +91,12 @@ class TestMethodNotAllowed:
             for path in ("/nope", "/jobs/j1/extra/deep", "/cache", "/cache/nope"):
                 response = await app.handle(_request("GET", path))
                 assert response.status == 404, path
+            # Warming is a waited POST /jobs; the route of its own is gone.
+            response = await app.handle(
+                _request("POST", "/cache/warm", {"experiments": ["example1"]})
+            )
+            assert response.status == 404
+            assert app.metrics.builds == 0
 
         with_app(body, tmp_path)
 
@@ -105,16 +116,15 @@ class TestNoRequestBackend:
         "method, path, document, unknown",
         [
             ("GET", "/experiments/example1?backend=python", None, "parameter"),
-            ("POST", "/jobs", {"experiment": "example1", "backend": "python"}, "job field"),
+            ("POST", "/jobs", {"experiment": "example1", "backend": "python"}, "selection field"),
             (
                 "POST",
                 "/jobs",
                 {"experiments": [{"experiment": "example1", "backend": "python"}]},
                 "field",
             ),
-            ("GET", "/results?experiment=example1&backend=python", None, "query parameter"),
-            ("POST", "/results", {"experiments": ["example1"], "backend": "python"}, "results field"),
-            ("POST", "/cache/warm", {"experiments": ["example1"], "backend": "python"}, "warm field"),
+            ("GET", "/results?experiment=example1&backend=python", None, "selection field"),
+            ("POST", "/results", {"experiments": ["example1"], "backend": "python"}, "selection field"),
         ],
     )
     def test_a_named_backend_is_a_400_that_builds_nothing(

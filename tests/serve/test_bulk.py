@@ -19,7 +19,6 @@ import repro.serve.service as service_module
 from repro.backend import get_backend
 from repro.experiments.orchestrator import (
     ResultCache,
-    filter_specs,
     merge_results_documents,
     registry,
     results_document,
@@ -48,6 +47,11 @@ def _request(method, path, document=None):
     )
 
 
+async def _no_refresh():
+    """The server's refresh hook, for an app built without a server."""
+    return False
+
+
 def with_app(test_body, tmp_path, **service_kwargs):
     async def _run():
         with ThreadPoolExecutor(max_workers=2) as executor:
@@ -57,7 +61,8 @@ def with_app(test_body, tmp_path, **service_kwargs):
                     executor=executor,
                     metrics=ServiceMetrics(),
                     **service_kwargs,
-                )
+                ),
+                refresh=_no_refresh,
             )
             try:
                 return await test_body(app)
@@ -157,12 +162,12 @@ class TestNdjsonStreaming:
         serving plane as an NDJSON stream — and the result sets must be
         identical, byte-for-value.
         """
-        specs = filter_specs(registry.all_specs(), names=SWEEP)
+        specs = [registry.get_spec(experiment_id) for experiment_id in SWEEP]
         backend = get_backend().name
         shard_documents = []
         for index in (1, 2):
             shard = select_shard(specs, index, 2)
-            results = run_experiments(shard, backend=backend)
+            results = run_experiments(shard)
             shard_documents.append(
                 results_document(results, shard=f"{index}/2", backend=backend)
             )
@@ -245,24 +250,24 @@ class TestCacheAdmin:
         with_app(body, tmp_path)
 
     def test_warm_then_prune_cycle(self, tmp_path):
+        """A waited ``POST /jobs`` warms the cache; its tasks count the hits."""
+
+        async def warm(app):
+            response = await app.handle(
+                _request("POST", "/jobs", {"experiments": SWEEP, "wait": True})
+            )
+            tasks = json.loads(response.body)["tasks"]
+            counts = {"hit": 0, "miss": 0}
+            for task in tasks:
+                counts[task["cache"]] += 1
+            return counts, tasks
+
         async def body(app):
-            first = json.loads(
-                (
-                    await app.handle(
-                        _request("POST", "/cache/warm", {"experiments": SWEEP})
-                    )
-                ).body
-            )
-            assert first["counts"] == {"hit": 0, "miss": len(SWEEP)}
-            second = json.loads(
-                (
-                    await app.handle(
-                        _request("POST", "/cache/warm", {"experiments": SWEEP})
-                    )
-                ).body
-            )
-            assert second["counts"] == {"hit": len(SWEEP), "miss": 0}
-            assert {entry["cache"] for entry in second["results"]} == {"hit"}
+            first, _ = await warm(app)
+            assert first == {"hit": 0, "miss": len(SWEEP)}
+            second, tasks = await warm(app)
+            assert second == {"hit": len(SWEEP), "miss": 0}
+            assert [task["experiment_id"] for task in tasks] == SWEEP
             pruned = json.loads(
                 (await app.handle(_request("POST", "/cache/prune"))).body
             )
@@ -324,11 +329,9 @@ class TestCacheAdmin:
 
     def test_admin_documents_reject_unknown_fields(self, tmp_path):
         async def body(app):
-            for path, document in (
-                ("/cache/invalidate", {"keys": []}),
-                ("/cache/warm", {"experiment": "example1"}),
-            ):
-                response = await app.handle(_request("POST", path, document))
-                assert response.status == 400, path
+            response = await app.handle(
+                _request("POST", "/cache/invalidate", {"keys": []})
+            )
+            assert response.status == 400
 
         with_app(body, tmp_path)

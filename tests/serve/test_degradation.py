@@ -133,6 +133,11 @@ class TestCircuitBreaker:
         assert snapshot["times_opened"] == 0
 
 
+async def _no_refresh():
+    """The server's refresh hook, for an app built without a server."""
+    return False
+
+
 def _make_service(tmp_path, executor, **kwargs):
     return ResultService(
         cache=ResultCache(str(tmp_path / "cache")),
@@ -292,7 +297,7 @@ class TestAppDegradation:
         async def scenario():
             with ThreadPoolExecutor(max_workers=2) as executor:
                 service = _make_service(tmp_path, executor, breaker=breaker)
-                app = ResultApp(service)
+                app = ResultApp(service, refresh=_no_refresh)
                 healthy = await app.handle(_get("/healthz"))
                 first = await app.handle(_get("/experiments/example1"))
                 rejected = await app.handle(_get("/experiments/example1"))

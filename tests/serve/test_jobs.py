@@ -20,7 +20,8 @@ import pytest
 
 import repro.serve.service as service_module
 from repro.experiments.orchestrator import ResultCache, execute_spec, registry
-from repro.serve.app import MAX_JOB_TASKS, ResultApp, json_body
+from repro.experiments.orchestrator.registry import MAX_JOB_TASKS
+from repro.serve.app import ResultApp, json_body
 from repro.serve.breaker import CircuitBreaker
 from repro.serve.http import HttpRequest
 from repro.serve.jobs import Job, JobStore, JobTask
@@ -56,6 +57,11 @@ def _request(method, path, document=None, headers=None):
     )
 
 
+async def _no_refresh():
+    """The server's refresh hook, for an app built without a server."""
+    return False
+
+
 def _make_app(tmp_path, executor, **kwargs):
     service = ResultService(
         cache=ResultCache(str(tmp_path / "cache")),
@@ -63,7 +69,7 @@ def _make_app(tmp_path, executor, **kwargs):
         metrics=ServiceMetrics(),
         **kwargs,
     )
-    return ResultApp(service)
+    return ResultApp(service, refresh=_no_refresh)
 
 
 def with_app(test_body, tmp_path, **service_kwargs):
@@ -548,17 +554,18 @@ class TestSubmissionValidation:
     @pytest.mark.parametrize(
         "document, fragment",
         [
-            ({}, "'experiment' or 'experiments'"),
             ({"experiment": "example1", "bogus": 1}, "bogus"),
             ({"experiment": 7}, "experiment id string"),
             ({"experiment": "example1", "wait": "yes"}, "'wait'"),
             ({"experiments": "example1"}, "must be a list"),
-            ({"experiments": []}, "at least one task"),
+            ({"experiments": []}, "one or more"),
             ({"experiments": [7]}, "experiments[0]"),
             (
                 {"experiments": ["example1"], "grid": {"x": [1]}},
-                "'experiments' cannot be combined",
+                "'grid' applies only to a single 'experiment'",
             ),
+            ({"experiment": "example1", "tag": "example"}, "cannot be combined"),
+            ({"tag": "no-such-tag"}, "unknown tags"),
             ({"experiment": "example1", "grid": {}}, "'grid'"),
             (
                 {"experiment": "figure1", "grid": {"max_residual_miners": []}},

@@ -358,7 +358,11 @@ class TestWritePathOverSockets:
             await client.get("/experiments/example1")
             stats = json.loads((await client.get("/cache/stats")).body)
             warm = json.loads(
-                (await client.post("/cache/warm", {"experiments": ["figure1"]})).body
+                (
+                    await client.post(
+                        "/jobs", {"experiments": ["figure1"], "wait": True}
+                    )
+                ).body
             )
             after = json.loads((await client.get("/cache/stats")).body)
             prune = json.loads((await client.post("/cache/prune", {})).body)
@@ -366,7 +370,7 @@ class TestWritePathOverSockets:
 
         stats, warm, after, prune = with_server(body)
         assert stats["entries"] == 1
-        assert warm["counts"] == {"hit": 0, "miss": 1}
+        assert [task["cache"] for task in warm["tasks"]] == ["miss"]
         assert after["entries"] == 2
         assert prune["kept_entries"] == 2
 

@@ -39,7 +39,7 @@ class TestListAndRun:
         # not only its own entry.
         assert main(["run", "figure1", "does-not-exist"]) == 2
         captured = capsys.readouterr()
-        assert "unknown experiments: does-not-exist" in captured.err
+        assert "unknown experiment 'does-not-exist'" in captured.err
         assert captured.out == ""
 
     def test_run_multiple_experiments(self, capsys):
@@ -61,6 +61,14 @@ class TestRunOrchestration:
     def test_unknown_tag_is_a_usage_error(self, capsys):
         assert main(["run", "--tag", "no-such-tag"]) == 2
         assert "unknown tags" in capsys.readouterr().err
+
+    def test_tagged_quiet_run_primes_the_cache(self, tmp_path, capsys):
+        tag = registry.known_tags()[0]
+        expected = sum(1 for spec in registry.all_specs() if tag in spec.tags)
+        cache_dir = tmp_path / "cache"
+        assert main(["run", "--quiet", "--tag", tag, "--cache-dir", str(cache_dir)]) == 0
+        assert capsys.readouterr().out == ""
+        assert len(list(cache_dir.glob("*.json"))) == expected
 
     def test_bad_shard_is_a_usage_error(self, capsys):
         assert main(["run", "--shard", "3/2", "figure1"]) == 2
@@ -264,35 +272,15 @@ class TestCacheCommand:
         with pytest.raises(SystemExit):
             main(["cache", "--prune", "--clear"])
 
-    def test_warm_primes_misses_then_reports_hits(self, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        assert main(["cache", "--warm", "example1", "--cache-dir", str(cache_dir)]) == 0
-        first = capsys.readouterr().out
-        assert "1 result(s) computed, 0 already cached" in first
-        assert len(list(cache_dir.glob("*.json"))) == 1
-        assert main(["cache", "--warm", "example1", "--cache-dir", str(cache_dir)]) == 0
-        second = capsys.readouterr().out
-        assert "0 result(s) computed, 1 already cached" in second
-
-    def test_warm_with_tag_selects_by_tag(self, tmp_path, capsys):
-        from repro.experiments.orchestrator import registry
-
-        tag = registry.known_tags()[0]
-        expected = sum(1 for spec in registry.all_specs() if tag in spec.tags)
-        cache_dir = tmp_path / "cache"
-        assert main(
-            ["cache", "--warm", "--tag", tag, "--cache-dir", str(cache_dir)]
-        ) == 0
-        assert f"({expected} selected" in capsys.readouterr().out
-        assert len(list(cache_dir.glob("*.json"))) == expected
-
-    def test_warm_unknown_experiment_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["cache", "--warm", "nope", "--cache-dir", str(tmp_path)]) == 2
-        assert "error" in capsys.readouterr().err
-
-    def test_warm_only_flags_require_warm(self, tmp_path, capsys):
-        assert main(["cache", "--stats", "--tag", "x", "--cache-dir", str(tmp_path)]) == 2
-        assert "--warm" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "arguments", [["--warm"], ["example1"], ["--tag", "x"], ["--jobs", "2"]]
+    )
+    def test_cache_selects_nothing(self, tmp_path, capsys, arguments):
+        # Warming is `run --quiet`: `cache` takes no selection.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache", "--cache-dir", str(tmp_path)] + arguments)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestServeCommand:
